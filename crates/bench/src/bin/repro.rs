@@ -5,7 +5,7 @@
 //! repro [--quick|--smoke] [--jobs N] [--jsonl PATH] [--resume FILE]
 //!       [--summary PATH] [--store DIR] [--json|--csv|--bars COL]
 //!       [--no-progress] [--profile] [--exec planned|monolithic]
-//!       [--fast-forward off|global|horizon|event] [<experiment-id>...]
+//!       [--fast-forward off|event] [<experiment-id>...]
 //! repro --list
 //! ```
 //!
@@ -32,11 +32,10 @@
 //! JSON — or, with `--profile`, into a per-experiment `"profile"` object
 //! appended to each JSONL payload (hot-path counters and phase wall
 //! times; wall times make profiled artifacts non-deterministic, so the
-//! determinism gates run without it). `--fast-forward off|global|horizon|event`
-//! selects how stall cycles are elided (default `horizon`, the per-core
-//! event horizon; results are bit-identical in every mode — the flag
-//! exists for the equivalence gate and for timing comparisons);
-//! `--no-fast-forward` is shorthand for `--fast-forward off`.
+//! determinism gates run without it). `--fast-forward off|event` selects
+//! cycle-exact stepping or the discrete-event kernel (default `event`;
+//! results are bit-identical — the flag exists for the equivalence gate
+//! and for timing comparisons).
 //!
 //! `--resume FILE` makes the run incremental: settled rows (complete JSON,
 //! `"status":"ok"`) of the prior artifact are re-emitted verbatim without
@@ -64,13 +63,14 @@ use std::time::Duration;
 use padc_bench::{find, registry, suite_jobs_with, table_stash, Experiment, SuiteOptions};
 use padc_harness::{run_suite, HarnessConfig, JobStatus, ResumeArtifact};
 use padc_sim::experiments::{single_run_stats, ExecMode, ExpConfig, Scale};
+use padc_sim::FastForwardMode;
 
 fn usage_and_exit() -> ! {
     eprintln!(
         "usage: repro [--quick|--smoke] [--jobs N] [--jsonl PATH] [--resume FILE]\n\
          \x20            [--summary PATH] [--store DIR] [--json|--csv|--bars COL]\n\
          \x20            [--no-progress] [--profile] [--exec planned|monolithic]\n\
-         \x20            [--fast-forward off|global|horizon|event] [<id>...]\n\
+         \x20            [--fast-forward off|event] [<id>...]\n\
          \x20      repro --list\n\
          known ids:"
     );
@@ -107,6 +107,13 @@ fn main() {
     let mut ids: Vec<String> = Vec::new();
     let mut iter = args.iter();
     while let Some(a) = iter.next() {
+        if let Some(mode) = FastForwardMode::from_flag(a, &mut iter) {
+            padc_sim::set_fast_forward_mode_default(mode.unwrap_or_else(|e| {
+                eprintln!("{e}");
+                std::process::exit(2);
+            }));
+            continue;
+        }
         match a.as_str() {
             "--quick" => cfg = ExpConfig::at(Scale::Quick),
             "--smoke" => cfg = ExpConfig::at(Scale::Smoke),
@@ -140,24 +147,6 @@ fn main() {
                     eprintln!("{e}");
                     std::process::exit(2);
                 });
-            }
-            "--fast-forward" => {
-                let v = flag_value(&mut iter, "--fast-forward");
-                let mode = v.parse().unwrap_or_else(|e| {
-                    eprintln!("{e}");
-                    std::process::exit(2);
-                });
-                padc_sim::set_fast_forward_mode_default(mode);
-            }
-            "--no-fast-forward" => padc_sim::set_fast_forward_default(false),
-            other if other.starts_with("--fast-forward=") => {
-                let mode = other["--fast-forward=".len()..]
-                    .parse()
-                    .unwrap_or_else(|e| {
-                        eprintln!("{e}");
-                        std::process::exit(2);
-                    });
-                padc_sim::set_fast_forward_mode_default(mode);
             }
             "--list" => {
                 for e in registry() {

@@ -280,7 +280,7 @@ impl Core {
     /// mutates a `Core` and the only time-dependence in
     /// [`Core::idle_state`] is the `done_at <= now` retirement comparison,
     /// which flips exactly at `wake_at` — the first cycle excluded from
-    /// the window. The per-core event-horizon engine relies on this: it
+    /// the window. The event kernel's per-core lag relies on this: it
     /// classifies once when a core goes idle and replays the whole lag
     /// window in one call when the core is resynced (a wake-up completion,
     /// its own `wake_at`, or a PAR-rollover resync).
@@ -781,7 +781,7 @@ mod tests {
         assert_eq!(s.ipc(0), 0.0);
     }
 
-    /// The deferred-replay contract the per-core event horizon depends
+    /// The deferred-replay contract the event kernel's per-core lag depends
     /// on: classifying a stall once and replaying the whole window later
     /// with [`Core::skip_idle_cycles`] is indistinguishable from ticking
     /// through it cycle by cycle — both before and after the wake-up.

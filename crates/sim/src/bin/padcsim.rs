@@ -15,11 +15,6 @@ use padc_dram::RefreshPolicy;
 use padc_sim::{FastForwardMode, SimConfig, System};
 use padc_workloads::{profiles, TraceFileSource};
 
-/// Parses `--fast-forward MODE` / `--fast-forward=MODE`.
-fn parse_ff_mode(s: &str) -> Result<FastForwardMode, String> {
-    s.parse()
-}
-
 /// Parses `--refresh-policy MODE` (`all-bank` | `per-bank` | `darp`).
 fn parse_refresh_policy(s: &str) -> Result<RefreshPolicy, String> {
     Ok(match s.to_ascii_lowercase().as_str() {
@@ -76,6 +71,10 @@ fn parse_args() -> Result<Args, String> {
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
+        if let Some(mode) = FastForwardMode::from_flag(&flag, &mut it) {
+            args.fast_forward = Some(mode?);
+            continue;
+        }
         let mut value = |name: &str| it.next().ok_or_else(|| format!("{name} expects a value"));
         match flag.as_str() {
             "--cores" => args.cores = value("--cores")?.parse().map_err(|e| format!("{e}"))?,
@@ -92,15 +91,10 @@ fn parse_args() -> Result<Args, String> {
             "--no-prefetch" => args.no_prefetch = true,
             "--json" => args.json = true,
             "--profile" => args.profile = true,
-            "--fast-forward" => args.fast_forward = Some(parse_ff_mode(&value("--fast-forward")?)?),
-            "--no-fast-forward" => args.fast_forward = Some(FastForwardMode::Off),
             "--refresh-policy" => {
                 args.refresh_policy = Some(parse_refresh_policy(&value("--refresh-policy")?)?)
             }
             "--extended-timing" => args.extended_timing = true,
-            other if other.starts_with("--fast-forward=") => {
-                args.fast_forward = Some(parse_ff_mode(&other["--fast-forward=".len()..])?)
-            }
             "--list-benchmarks" => {
                 for p in profiles::all() {
                     println!("{:<22} class {}", p.name, p.class.code());
@@ -111,7 +105,7 @@ fn parse_args() -> Result<Args, String> {
                 println!(
                     "usage: padcsim [--config FILE.json] [--cores N] [--policy P] \
                      [--instructions N] [--no-prefetch] [--json] [--profile] \
-                     [--fast-forward off|global|horizon|event] [--no-fast-forward] \
+                     [--fast-forward off|event] \
                      [--refresh-policy all-bank|per-bank|darp] [--extended-timing] \
                      (--bench NAME ... | --trace FILE ...) | --print-config | --list-benchmarks"
                 );
@@ -149,6 +143,10 @@ fn run_suite_mode(args: &[String]) -> ! {
         std::process::exit(2);
     };
     while let Some(flag) = it.next() {
+        if let Some(mode) = FastForwardMode::from_flag(flag, &mut it) {
+            padc_sim::set_fast_forward_mode_default(mode.unwrap_or_else(|e| die(e)));
+            continue;
+        }
         let mut value = |name: &str| {
             it.next()
                 .cloned()
@@ -172,18 +170,6 @@ fn run_suite_mode(args: &[String]) -> ! {
                 let v = value("--exec");
                 exec = v.parse().unwrap_or_else(|e| die(e));
             }
-            "--fast-forward" => {
-                let v = value("--fast-forward");
-                let mode = v.parse().unwrap_or_else(|e| die(e));
-                padc_sim::set_fast_forward_mode_default(mode);
-            }
-            "--no-fast-forward" => padc_sim::set_fast_forward_default(false),
-            other if other.starts_with("--fast-forward=") => {
-                let mode = other["--fast-forward=".len()..]
-                    .parse()
-                    .unwrap_or_else(|e| die(e));
-                padc_sim::set_fast_forward_mode_default(mode);
-            }
             "--list" => {
                 for e in padc_sim::experiments::experiment_registry() {
                     println!("{:<10} {}", e.id, e.paper_ref);
@@ -195,7 +181,7 @@ fn run_suite_mode(args: &[String]) -> ! {
                     "usage: padcsim --suite [--quick|--smoke] [--jobs N] [--jsonl PATH] \
                      [--resume FILE] [--summary PATH] [--store DIR] [--profile] \
                      [--exec planned|monolithic] \
-                     [--fast-forward off|global|horizon|event] [--no-fast-forward] \
+                     [--fast-forward off|event] \
                      [--list] [<experiment-id>...]"
                 );
                 std::process::exit(0);
@@ -348,6 +334,10 @@ fn run_serve_mode(args: &[String]) -> ! {
     let mut socket: Option<String> = None;
     let mut it = args.iter();
     while let Some(flag) = it.next() {
+        if let Some(mode) = FastForwardMode::from_flag(flag, &mut it) {
+            padc_sim::set_fast_forward_mode_default(mode.unwrap_or_else(|e| die(e)));
+            continue;
+        }
         let mut value = |name: &str| {
             it.next()
                 .cloned()
@@ -365,23 +355,11 @@ fn run_serve_mode(args: &[String]) -> ! {
             "--store" => store_flag = Some(value("--store")),
             "--socket" => socket = Some(value("--socket")),
             "--stdio" => socket = None,
-            "--fast-forward" => {
-                let v = value("--fast-forward");
-                let mode = v.parse().unwrap_or_else(|e| die(e));
-                padc_sim::set_fast_forward_mode_default(mode);
-            }
-            "--no-fast-forward" => padc_sim::set_fast_forward_default(false),
-            other if other.starts_with("--fast-forward=") => {
-                let mode = other["--fast-forward=".len()..]
-                    .parse()
-                    .unwrap_or_else(|e| die(e));
-                padc_sim::set_fast_forward_mode_default(mode);
-            }
             "--help" | "-h" => {
                 println!(
                     "usage: padcsim serve [--stdio | --socket PATH] [--jobs N] \
                      [--quick|--smoke] [--store DIR] \
-                     [--fast-forward off|global|horizon|event] [--no-fast-forward]\n\
+                     [--fast-forward off|event]\n\
                      requests: one JSON object per line, e.g. \
                      {{\"id\":\"r1\",\"experiments\":[\"fig6\"],\"scale\":\"smoke\"}}"
                 );

@@ -26,9 +26,9 @@ use std::sync::Arc;
 /// Process-wide switch for the wall-time phase timers.
 static TIMING: AtomicBool = AtomicBool::new(false);
 
-/// Enables or disables the per-phase wall-time timers in
-/// [`System::step`](crate::System::step). Counters (steps, fast-forward
-/// jumps) are always on; only the `Instant`-based phase timing is gated.
+/// Enables or disables the per-phase wall-time timers of a stepped
+/// cycle. Counters (steps, jumps) are always on; only the
+/// `Instant`-based phase timing is gated.
 pub fn set_timing_enabled(enabled: bool) {
     TIMING.store(enabled, Ordering::Relaxed);
 }
@@ -38,37 +38,50 @@ pub fn timing_enabled() -> bool {
     TIMING.load(Ordering::Relaxed)
 }
 
+/// Starts a phase timer (`None` while the timers are off).
+pub(crate) fn clock() -> Option<std::time::Instant> {
+    timing_enabled().then(std::time::Instant::now)
+}
+
+/// Adds the wall time since `t0` to `acc_ns`.
+pub(crate) fn lap(t0: Option<std::time::Instant>, acc_ns: &mut u64) {
+    if let Some(t0) = t0 {
+        *acc_ns += t0.elapsed().as_nanos() as u64;
+    }
+}
+
 /// Hot-path counters for one [`System`](crate::System).
 ///
 /// `controller_ns` / `cores_ns` stay zero unless [`set_timing_enabled`]
 /// was turned on; `wall_ns` is always measured (one `Instant` per run).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SimProfile {
-    /// Cycles advanced by executing a full [`System::step`](crate::System::step).
+    /// Cycles advanced one at a time (every cycle in `off` mode; every
+    /// cycle some component was due in `event` mode).
     pub cycles_stepped: u64,
-    /// Fast-forward jumps taken (global jumps in `global` and `horizon`
-    /// modes).
+    /// Clock jumps taken over spans in which nothing was due (`event`
+    /// mode only).
     pub ff_jumps: u64,
-    /// Cycles skipped by fast-forward jumps (not stepped).
+    /// Cycles skipped by those jumps (not stepped).
     pub ff_cycles_skipped: u64,
-    /// Core ticks actually executed (every core, every stepped cycle in
-    /// `off`/`global` modes; only *due* cores under `horizon`).
+    /// Core ticks actually executed (every core, every cycle in `off`
+    /// mode; only *due* cores under `event`).
     pub core_cycles_ticked: u64,
     /// Per-core cycles elided as replayed stall-counter bumps instead of
-    /// real ticks. In every mode `core_cycles_ticked + core_cycles_skipped
+    /// real ticks. In both modes `core_cycles_ticked + core_cycles_skipped
     /// == cores × total_cycles`; the skip ratio
     /// ([`SimProfile::core_skip_ratio`]) is the CI perf gate's metric.
     pub core_cycles_skipped: u64,
-    /// Horizon resyncs: deferred lag-window replays applied when a core
-    /// was woken, became due, or was flushed at run exit.
+    /// Lag-window resyncs: deferred stall replays applied when a lagging
+    /// core was woken by a completion, became due, or was flushed at run
+    /// exit.
     pub horizon_resyncs: u64,
-    /// Controller ticks actually executed (every stepped cycle in
-    /// `off`/`global`/`horizon` modes; only *proven-event* cycles under
-    /// `event`).
+    /// Controller ticks actually executed (every cycle in `off` mode;
+    /// only *proven-event* cycles under `event`).
     pub ctrl_cycles_stepped: u64,
-    /// Controller ticks elided: cycles inside fast-forward jumps plus
-    /// cycles whose tick the event proof showed to be a no-op. In every
-    /// mode `ctrl_cycles_stepped + ctrl_cycles_skipped == total_cycles`;
+    /// Controller ticks elided: cycles inside jumps plus stepped cycles
+    /// whose tick the event proof showed to be a no-op. In both modes
+    /// `ctrl_cycles_stepped + ctrl_cycles_skipped == total_cycles`;
     /// the skip ratio ([`SimProfile::ctrl_skip_ratio`]) is the CI perf
     /// gate's event-mode metric.
     pub ctrl_cycles_skipped: u64,

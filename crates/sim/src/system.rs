@@ -14,114 +14,10 @@ use padc_workloads::{BenchProfile, TraceGen};
 use crate::profile::{self, SimProfile};
 use crate::{CoreReport, Report, SimConfig, Traffic};
 
-/// How [`System::run`] may skip over provably unobservable cycles.
-///
-/// Every mode produces **bit-identical** reports; they differ only in how
-/// aggressively stall cycles are elided (DESIGN.md §11).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum FastForwardMode {
-    /// Step every cycle (the reference behaviour).
-    Off,
-    /// Global jumps (PR 3): skip a range only when *every* core is
-    /// simultaneously pure-stalled and the controller proves no
-    /// observable work before the bound.
-    Global,
-    /// Per-core event horizon (default): each idle core lags behind the
-    /// global clock independently until its own wake-up, resynchronizing
-    /// only at observable-interaction points. Strictly supersedes
-    /// `Global` (global jumps still fire when every core lags).
-    #[default]
-    Horizon,
-    /// Event-driven controller stepping: horizon scheduling for the
-    /// cores *plus* a cached
-    /// [`MemoryController::next_event`](padc_core::MemoryController::next_event)
-    /// proof that lets the whole controller phase (controller tick,
-    /// accuracy-tracker tick, channel sync) be elided on cycles proven
-    /// event-free — the controller advances by event deltas instead of
-    /// unit cycles (see the `event` module in this file).
-    Event,
-}
+mod kernel;
 
-impl FastForwardMode {
-    /// Canonical flag spelling (`--fast-forward=<this>`).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            FastForwardMode::Off => "off",
-            FastForwardMode::Global => "global",
-            FastForwardMode::Horizon => "horizon",
-            FastForwardMode::Event => "event",
-        }
-    }
-}
-
-impl std::str::FromStr for FastForwardMode {
-    type Err = String;
-
-    /// Parses `off|global|horizon|event` (plus `0`/`false` → off and
-    /// `1`/`on`/`true` → horizon for `PADC_FAST_FORWARD` compatibility).
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "off" | "0" | "false" => Ok(FastForwardMode::Off),
-            "global" => Ok(FastForwardMode::Global),
-            "horizon" | "on" | "1" | "true" => Ok(FastForwardMode::Horizon),
-            "event" => Ok(FastForwardMode::Event),
-            other => Err(format!(
-                "unknown fast-forward mode '{other}' (expected off|global|horizon|event)"
-            )),
-        }
-    }
-}
-
-/// Process-wide default fast-forward mode: 0 = unset (fall back to the
-/// `PADC_FAST_FORWARD` environment variable), else 1 + the forced mode.
-static FF_DEFAULT: std::sync::atomic::AtomicU8 = std::sync::atomic::AtomicU8::new(0);
-
-/// Overrides the process-wide fast-forward mode used by newly built
-/// [`System`]s (the `--fast-forward` CLI flag). Existing systems keep
-/// their setting; use [`System::set_fast_forward_mode`] to change one
-/// directly.
-pub fn set_fast_forward_mode_default(mode: FastForwardMode) {
-    let v = match mode {
-        FastForwardMode::Off => 1,
-        FastForwardMode::Global => 2,
-        FastForwardMode::Horizon => 3,
-        FastForwardMode::Event => 4,
-    };
-    FF_DEFAULT.store(v, std::sync::atomic::Ordering::Relaxed);
-}
-
-/// Boolean shorthand for [`set_fast_forward_mode_default`] kept for the
-/// `--no-fast-forward` flag: `true` selects the default `Horizon` mode,
-/// `false` disables fast-forwarding.
-pub fn set_fast_forward_default(enabled: bool) {
-    set_fast_forward_mode_default(if enabled {
-        FastForwardMode::Horizon
-    } else {
-        FastForwardMode::Off
-    });
-}
-
-/// The fast-forward mode for new [`System`]s: an explicit
-/// [`set_fast_forward_mode_default`] override wins; otherwise the
-/// `PADC_FAST_FORWARD` environment variable (`off`/`0`, `global`,
-/// `horizon`/`on`/`1`, `event`) is honoured; otherwise `Horizon`.
-pub fn fast_forward_mode_default() -> FastForwardMode {
-    match FF_DEFAULT.load(std::sync::atomic::Ordering::Relaxed) {
-        1 => FastForwardMode::Off,
-        2 => FastForwardMode::Global,
-        3 => FastForwardMode::Horizon,
-        4 => FastForwardMode::Event,
-        _ => std::env::var("PADC_FAST_FORWARD")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(FastForwardMode::Horizon),
-    }
-}
-
-/// True when the default mode fast-forwards at all (not `Off`).
-pub fn fast_forward_default() -> bool {
-    fast_forward_mode_default() != FastForwardMode::Off
-}
+use kernel::Kernel;
+pub use kernel::{fast_forward_mode_default, set_fast_forward_mode_default, FastForwardMode};
 
 /// Per-core accounting kept by the memory subsystem.
 #[derive(Clone, Copy, Debug, Default)]
@@ -500,330 +396,6 @@ impl MemorySystem for MemSubsystem {
     }
 }
 
-/// Per-core event-horizon scheduling: the bookkeeping for
-/// [`FastForwardMode::Horizon`] and the invariants that make it
-/// bit-identical to cycle-by-cycle stepping.
-///
-/// # The equivalence argument
-///
-/// The global clock `System::now` still advances monotonically, but an
-/// *idle* core is allowed to lag behind it: its pure-stall ticks are not
-/// executed when they are due, only replayed later as stall-counter
-/// bumps ([`Core::skip_idle_cycles`]). A *busy* core is always ticked at
-/// the global clock, in core-index order, exactly as in `Off` mode. Four
-/// invariants make the skew unobservable:
-///
-/// - **I1 (no missed ticks).** `due[c]` is the next global cycle at which
-///   core `c` must execute a real tick; the stepping loop never passes
-///   `due[c]` without ticking `c` (checked by a `debug_assert` in
-///   `HorizonState::is_due`).
-/// - **I2 (lag windows are classified).** Whenever `behind[c] < due[c]`,
-///   `idle[c]` holds the [`padc_cpu::IdleState`] taken at `behind[c]`,
-///   and core `c` has been neither ticked nor completed since. Nothing
-///   else mutates a [`Core`], and the only time-dependent input to
-///   [`Core::idle_state`] is the head-retirement comparison
-///   `done_at <= now`, which flips exactly at `wake_at` — the first
-///   cycle *excluded* from the window — so the classification is
-///   constant across the whole window and the deferred replay is equal
-///   to having ticked every cycle in it.
-/// - **I3 (isolation).** A pure-stall tick touches only the core's own
-///   stall counters: it calls neither [`MemorySystem::access`] nor
-///   anything on the shared state (caches, MSHRs, controller, accuracy
-///   tracker) — and no core ever reads another core's private state.
-///   Cores interact *only* through the memory subsystem, so a lagging
-///   core is invisible to every other component until one of its resync
-///   points:
-///   - a **completion** for the core ([`Core::complete`] mutates it and
-///     changes its classification, so the window is closed — replayed —
-///     immediately before the completion is delivered, and the core is
-///     marked due so its next tick re-classifies);
-///   - its own **`wake_at`** (the first self-driven state change);
-///   - the next **PAR-interval rollover**
-///     ([`AccuracyTracker::next_rollover`]): rollovers re-derive the
-///     drop thresholds, criticality and rank the controller acts on, so
-///     `due[c]` is capped at the rollover to keep every skew window
-///     inside one accuracy interval. (Pure-stall ticks never touch the
-///     tracker, so this cap is defensive layering, not load-bearing —
-///     it costs one replayed tick per core per interval.)
-/// - **I4 (controller exactness).** The controller, tracker, and trace
-///   sources are stepped at the global clock whenever *any* core is due
-///   (cycle-exactly), and a global jump over a fully-lagging window is
-///   taken only when bounded by `min(due)`,
-///   [`MemoryController::next_event`], the PAR rollover, and
-///   `max_cycles` — the same early-but-never-late bounds PR 3's global
-///   jump uses (DESIGN.md §11).
-///
-/// Together: every observable interaction (memory access, completion
-/// delivery, tracker update, retirement past the instruction target)
-/// happens at exactly the same global cycle, with exactly the same
-/// operand state, as in `Off` mode — so reports are byte-identical
-/// (enforced by `crates/sim/tests/fastforward.rs` and the determinism
-/// gate).
-mod horizon {
-    use padc_cpu::{Core, IdleState};
-    use padc_types::Cycle;
-
-    use crate::profile::SimProfile;
-
-    /// Skew bookkeeping for every core (see the module docs).
-    pub(super) struct HorizonState {
-        /// `due[c]`: next global cycle at which core `c` must execute a
-        /// real tick. `due[c] <= now` means "in lockstep"; `due[c] > now`
-        /// means the core lags and `[behind[c], due[c])` is a proven
-        /// pure-stall window.
-        due: Vec<Cycle>,
-        /// `behind[c]`: first cycle whose tick has been neither executed
-        /// nor replayed for core `c`.
-        behind: Vec<Cycle>,
-        /// Replay classification covering `[behind[c], due[c])` (I2).
-        idle: Vec<Option<IdleState>>,
-    }
-
-    impl HorizonState {
-        pub(super) fn new(cores: usize, now: Cycle) -> Self {
-            HorizonState {
-                due: vec![now; cores],
-                behind: vec![now; cores],
-                idle: vec![None; cores],
-            }
-        }
-
-        /// True when core `c` must be ticked at `now` (I1).
-        pub(super) fn is_due(&self, c: usize, now: Cycle) -> bool {
-            debug_assert!(
-                self.due[c] >= now,
-                "I1 violated: core {c} missed its due tick"
-            );
-            self.due[c] <= now
-        }
-
-        /// True when every core lags past `now` (a global jump may fire).
-        pub(super) fn all_lagging(&self, now: Cycle) -> bool {
-            self.due.iter().all(|&d| d > now)
-        }
-
-        /// Earliest due tick across all cores (a global-jump bound).
-        pub(super) fn min_due(&self) -> Cycle {
-            self.due.iter().copied().min().unwrap_or(Cycle::MAX)
-        }
-
-        /// Replays core `c`'s deferred pure-stall ticks up to (not
-        /// including) `to` (I2: one `skip_idle_cycles` call equals the
-        /// elided ticks).
-        pub(super) fn catch_up(
-            &mut self,
-            c: usize,
-            to: Cycle,
-            core: &mut Core,
-            profile: &mut SimProfile,
-        ) {
-            let from = self.behind[c];
-            if from >= to {
-                return;
-            }
-            let idle = self.idle[c]
-                .as_ref()
-                .expect("I2 violated: lagging core carries no idle classification");
-            core.skip_idle_cycles(idle, to - from);
-            profile.core_cycles_skipped += to - from;
-            profile.horizon_resyncs += 1;
-            self.behind[c] = to;
-        }
-
-        /// Forces core `c` back into lockstep at `now` (completion
-        /// delivery): replay the lag window, then mark the core due so
-        /// its tick at `now` runs for real and re-classifies.
-        pub(super) fn wake(
-            &mut self,
-            c: usize,
-            now: Cycle,
-            core: &mut Core,
-            profile: &mut SimProfile,
-        ) {
-            self.catch_up(c, now, core, profile);
-            self.due[c] = now;
-        }
-
-        /// Re-classifies core `c` right after its real tick at `now`:
-        /// either it stays in lockstep (busy) or a new lag window opens,
-        /// bounded by its own wake-up and the next PAR rollover (I3).
-        pub(super) fn reclassify(
-            &mut self,
-            c: usize,
-            now: Cycle,
-            core: &Core,
-            par_rollover: Cycle,
-        ) {
-            self.behind[c] = now + 1;
-            match core.idle_state(now + 1) {
-                None => {
-                    self.idle[c] = None;
-                    self.due[c] = now + 1;
-                }
-                Some(idle) => {
-                    let wake = idle.wake_at.unwrap_or(Cycle::MAX);
-                    debug_assert!(wake > now + 1, "wake_at inside the classified window");
-                    self.due[c] = wake.min(par_rollover);
-                    self.idle[c] = Some(idle);
-                }
-            }
-            debug_assert!(self.due[c] > now);
-        }
-
-        /// Replays every core's outstanding lag window up to `to` (run
-        /// exit: live stats must match a cycle-exact run that stopped at
-        /// the same cycle).
-        pub(super) fn flush(&mut self, to: Cycle, cores: &mut [Core], profile: &mut SimProfile) {
-            for (c, core) in cores.iter_mut().enumerate() {
-                self.catch_up(c, to, core, profile);
-            }
-        }
-    }
-}
-
-/// Event-driven controller stepping: the bookkeeping for
-/// [`FastForwardMode::Event`] and the invariants that make it
-/// bit-identical to the other three modes.
-///
-/// Horizon mode already elides most *core* ticks but still executes the
-/// controller phase (controller tick, accuracy-tracker tick, per-channel
-/// sync) on every stepped cycle. `Event` composes on top of `Horizon`
-/// without touching the core machinery: a cached
-/// [`MemoryController::next_event`](padc_core::MemoryController::next_event)
-/// bound turns the controller phase into an event-delta advance — the
-/// phase runs only at cycles the proof says can do observable work, so
-/// controller stepping is O(events), not O(stepped cycles).
-///
-/// # The equivalence argument (invariants E1–E4, mirroring I1–I4)
-///
-/// - **E1 (a skipped phase is a proven no-op).** When the phase is
-///   skipped at cycle `m`, the cached bound satisfies `m < ctrl_next` and
-///   was proven under the controller's current mutation epoch. By the
-///   `next_event` contract (DESIGN.md §11), `tick(m)` would collect no
-///   completion, drop no prefetch, drain no writeback, issue no command,
-///   flip no batch/write-drain state, and apply no refresh — and
-///   [`AccuracyTracker::tick`] strictly before the rollover mutates
-///   nothing, and [`padc_dram::Channel::sync`] before the next refresh
-///   boundary mutates nothing. Every byte of controller, tracker, and
-///   channel state is unchanged, so eliding the phase is unobservable
-///   (this is exactly what the `next_event` soundness proptest in
-///   `padc-core` checks cycle-by-cycle).
-/// - **E2 (mutations invalidate).** Every externally visible controller
-///   mutation — [`MemoryController::enqueue`](padc_core::MemoryController::enqueue),
-///   [`MemoryController::enqueue_writeback`](padc_core::MemoryController::enqueue_writeback),
-///   a successful [`MemoryController::promote_prefetch`](padc_core::MemoryController::promote_prefetch)
-///   — bumps [`MemoryController::mutation_epoch`](padc_core::MemoryController::mutation_epoch).
-///   A bound proven under an older epoch is discarded and re-proven from
-///   the live state before the next skip decision, so core-side activity
-///   (which runs *after* the controller phase within a cycle, exactly as
-///   in `Off` mode) can never be overlooked.
-/// - **E3 (rollovers and run boundaries execute).** The bound is capped
-///   at [`AccuracyTracker::next_rollover`], so the PAR rollover tick (and
-///   the FDP feedback it drives) executes at exactly the same cycle with
-///   exactly the same counter state as in `Off` mode; the elided tracker
-///   ticks in between return `false` and mutate nothing.
-/// - **E4 (composition with horizon).** The horizon machinery is
-///   untouched: completions are delivered — and lagging cores woken —
-///   only from *executed* controller phases, which by E1 are the only
-///   cycles where completions exist at all. A global jump in event mode
-///   is bounded by the validated cached bound (same value `next_event`
-///   would return), the earliest due core, the PAR rollover, and
-///   `max_cycles` — the same early-but-never-late bounds as horizon
-///   mode. The composition rule: **core skipping and controller skipping
-///   are independent proofs over disjoint state**; cores interact with
-///   the controller only through [`MemorySystem::access`] (epoch-guarded
-///   by E2), and the controller reaches cores only through completions
-///   (which force an executed phase by E1).
-mod event {
-    use padc_core::{AccuracyTracker, MemoryController};
-    use padc_types::Cycle;
-
-    /// Cached controller-event proof (see the module docs).
-    pub(super) struct EventState {
-        /// First cycle at or after which the controller phase may do
-        /// observable work; every cycle before it is provably a no-op
-        /// under `epoch`.
-        ctrl_next: Cycle,
-        /// [`MemoryController::mutation_epoch`] the bound was proven
-        /// under (E2).
-        epoch: u64,
-    }
-
-    impl EventState {
-        pub(super) fn new(
-            now: Cycle,
-            ctrl: &mut MemoryController,
-            tracker: &AccuracyTracker,
-        ) -> Self {
-            let mut s = EventState {
-                ctrl_next: now,
-                epoch: ctrl.mutation_epoch(),
-            };
-            s.reprove(now, ctrl, tracker);
-            s
-        }
-
-        /// Re-proves the bound from the controller's live state. `from`
-        /// is the first cycle whose tick has not yet executed, so the
-        /// bound is clamped to at least `from`.
-        fn reprove(&mut self, from: Cycle, ctrl: &mut MemoryController, tracker: &AccuracyTracker) {
-            let mut bound = tracker.next_rollover();
-            if let Some(ev) = ctrl.next_event(from, tracker) {
-                bound = bound.min(ev);
-            }
-            self.ctrl_next = bound.max(from);
-            self.epoch = ctrl.mutation_epoch();
-        }
-
-        /// Ensures the cached bound is valid at `now`: re-proves if any
-        /// external mutation happened since it was computed (E2).
-        pub(super) fn validate(
-            &mut self,
-            now: Cycle,
-            ctrl: &mut MemoryController,
-            tracker: &AccuracyTracker,
-        ) {
-            if ctrl.mutation_epoch() != self.epoch {
-                self.reprove(now, ctrl, tracker);
-            }
-        }
-
-        /// True when the controller phase at `now` must execute (E1).
-        pub(super) fn controller_due(
-            &mut self,
-            now: Cycle,
-            ctrl: &mut MemoryController,
-            tracker: &AccuracyTracker,
-        ) -> bool {
-            self.validate(now, ctrl, tracker);
-            debug_assert!(
-                self.ctrl_next >= now,
-                "E1 violated: controller missed its event tick"
-            );
-            now >= self.ctrl_next
-        }
-
-        /// Rearms after an executed controller phase at `now` (called
-        /// after completion delivery and the tracker tick, so writebacks
-        /// enqueued by fills and the post-rollover PAR are folded in).
-        pub(super) fn rearm(
-            &mut self,
-            now: Cycle,
-            ctrl: &mut MemoryController,
-            tracker: &AccuracyTracker,
-        ) {
-            self.reprove(now + 1, ctrl, tracker);
-        }
-
-        /// The proven bound (valid only right after [`EventState::validate`]
-        /// under an unchanged epoch); used as the global-jump bound in
-        /// event mode (E4).
-        pub(super) fn ctrl_next(&self) -> Cycle {
-            self.ctrl_next
-        }
-    }
-}
-
 /// The full simulated system: cores + traces + memory subsystem.
 ///
 /// Construct with a [`SimConfig`] and one [`BenchProfile`] per core, then
@@ -838,9 +410,8 @@ pub struct System {
     core_snapshots: Vec<Option<CoreStats>>,
     mem_snapshots: Vec<Option<PerCore>>,
     benchmark_names: Vec<String>,
-    /// Fast-forward mode for [`System::run`] (every mode is bit-identical
-    /// to cycle-by-cycle stepping; see DESIGN.md §11 and the `horizon`
-    /// module in this file).
+    /// How [`System::run`] advances time (both modes are bit-identical;
+    /// see DESIGN.md §11 and the `kernel` module).
     ff_mode: FastForwardMode,
     profile: SimProfile,
 }
@@ -972,188 +543,60 @@ impl System {
         self.mem.tracker.accuracy(padc_types::CoreId::new(core))
     }
 
-    /// Advances the whole system by one CPU cycle.
+    /// Advances the whole system by one CPU cycle, executing every phase:
+    /// the cycle-exact primitive [`FastForwardMode::Off`] is built from.
     pub fn step(&mut self) {
-        self.step_inner(None, None);
-    }
-
-    /// One global-clock step. With `hz` set (horizon and event modes),
-    /// only *due* cores execute a real tick; lagging cores are left
-    /// untouched until a resync point replays their stall window (see the
-    /// `horizon` module docs). With `hz == None` every core ticks
-    /// (`Off`/`Global`). With `ev` set (event mode), the controller phase
-    /// executes only at cycles the cached event proof cannot rule out
-    /// (see the `event` module docs); with `ev == None` it executes every
-    /// stepped cycle.
-    fn step_inner(
-        &mut self,
-        mut hz: Option<&mut horizon::HorizonState>,
-        mut ev: Option<&mut event::EventState>,
-    ) {
         let now = self.now;
         self.profile.cycles_stepped += 1;
-        let timing = profile::timing_enabled();
-        let run_ctrl = match ev.as_deref_mut() {
-            None => true,
-            Some(ev) => ev.controller_due(now, &mut self.mem.controller, &self.mem.tracker),
-        };
-        if run_ctrl {
-            let t0 = timing.then(std::time::Instant::now);
-            self.profile.ctrl_cycles_stepped += 1;
-            if ev.is_some() {
-                self.profile.ctrl_events_fired += 1;
-            }
-            let out = self.mem.controller.tick(now, &self.mem.tracker);
-            for req in &out.dropped {
-                self.mem.on_dropped(req);
-            }
-            for comp in &out.completions {
-                for w in self.mem.on_completion(comp, now) {
-                    let c = w.core.index();
-                    // A completion invalidates the core's idle classification
-                    // (it sets `done_at` / releases a pending load), so the
-                    // lag window is replayed before the core is mutated and
-                    // the core re-enters lockstep at this exact cycle.
-                    if let Some(hz) = hz.as_deref_mut() {
-                        hz.wake(c, now, &mut self.cores[c], &mut self.profile);
-                    }
-                    self.cores[c].complete(w.token, now + 1);
-                }
-            }
-            if self.mem.tracker.tick(now) {
-                self.mem.on_interval_rollover();
-            }
-            if let Some(ev) = ev {
-                ev.rearm(now, &mut self.mem.controller, &self.mem.tracker);
-            }
-            if let Some(t0) = t0 {
-                self.profile.controller_ns += t0.elapsed().as_nanos() as u64;
-            }
-        } else {
-            // E1: the cached proof covers this cycle — the controller
-            // tick, the tracker tick, and the channel syncs are all
-            // no-ops, so the whole phase is elided.
-            self.profile.ctrl_cycles_skipped += 1;
-        }
-        let t1 = timing.then(std::time::Instant::now);
+        let t0 = profile::clock();
+        self.controller_phase(now, |_, _, _| {});
+        profile::lap(t0, &mut self.profile.controller_ns);
+        let t1 = profile::clock();
         for c in 0..self.cfg.cores {
-            if let Some(hz) = hz.as_deref_mut() {
-                if !hz.is_due(c, now) {
-                    continue;
-                }
-                hz.catch_up(c, now, &mut self.cores[c], &mut self.profile);
-            }
-            self.cores[c].tick(now, &mut self.traces[c], &mut self.mem);
-            self.profile.core_cycles_ticked += 1;
-            if self.finish_cycle[c].is_none()
-                && self.cores[c].stats().retired_instructions >= self.cfg.max_instructions
-            {
-                self.finish_cycle[c] = Some(now + 1);
-                self.core_snapshots[c] = Some(*self.cores[c].stats());
-                self.mem_snapshots[c] = Some(self.mem.pc[c]);
-            }
-            if let Some(hz) = hz.as_deref_mut() {
-                hz.reclassify(c, now, &self.cores[c], self.mem.tracker.next_rollover());
-            }
+            self.tick_core(c, now);
         }
-        if let Some(t1) = t1 {
-            self.profile.cores_ns += t1.elapsed().as_nanos() as u64;
-        }
+        profile::lap(t1, &mut self.profile.cores_ns);
         self.now += 1;
     }
 
-    /// Attempts one idle fast-forward jump; returns the number of cycles
-    /// skipped (0 when any component could make progress).
-    ///
-    /// Valid immediately after [`System::step`]: every skipped cycle is
-    /// proven to be a pure stall tick for every core
-    /// ([`Core::idle_state`]) and observable-work-free for the controller
-    /// ([`MemoryController::next_event`](padc_core::MemoryController::next_event)),
-    /// with `PAR` interval rollovers kept as explicit stop events. The only
-    /// state change a skip applies is the per-core stall-counter bumps the
-    /// skipped ticks would have made — which is what keeps fast-forwarded
-    /// runs bit-identical to cycle-by-cycle stepping (DESIGN.md §11).
-    pub fn try_fast_forward(&mut self) -> u64 {
-        let now = self.now;
-        // Once the last core hits its instruction target the run is over at
-        // exactly this cycle; jumping further would inflate `total_cycles`
-        // relative to a cycle-by-cycle run, which stops here too.
-        if now >= self.cfg.max_cycles || self.finished() {
-            return 0;
+    /// The controller phase of cycle `now`: controller tick, drop and
+    /// completion delivery, accuracy-tracker tick. `before_complete` runs
+    /// on a core just before a completion mutates it (the event kernel
+    /// closes the core's lag window there).
+    fn controller_phase(
+        &mut self,
+        now: Cycle,
+        mut before_complete: impl FnMut(usize, &mut Core, &mut SimProfile),
+    ) {
+        self.profile.ctrl_cycles_stepped += 1;
+        let out = self.mem.controller.tick(now, &self.mem.tracker);
+        for req in &out.dropped {
+            self.mem.on_dropped(req);
         }
-        // PAR rollovers re-derive drop thresholds, criticality, urgency and
-        // rank; every bound below is only valid while PAR is stable.
-        let mut target = self.mem.tracker.next_rollover();
-        for core in &self.cores {
-            match core.idle_state(now) {
-                None => return 0,
-                Some(idle) => {
-                    if let Some(w) = idle.wake_at {
-                        target = target.min(w);
-                    }
-                }
+        for comp in &out.completions {
+            for w in self.mem.on_completion(comp, now) {
+                let c = w.core.index();
+                before_complete(c, &mut self.cores[c], &mut self.profile);
+                self.cores[c].complete(w.token, now + 1);
             }
         }
-        if let Some(ev) = self.mem.controller.next_event(now, &self.mem.tracker) {
-            target = target.min(ev);
+        if self.mem.tracker.tick(now) {
+            self.mem.on_interval_rollover();
         }
-        target = target.min(self.cfg.max_cycles);
-        if target <= now {
-            return 0;
-        }
-        let skipped = target - now;
-        for core in &mut self.cores {
-            let idle = core.idle_state(now).expect("idle-checked above");
-            core.skip_idle_cycles(&idle, skipped);
-        }
-        self.profile.ff_jumps += 1;
-        self.profile.ff_cycles_skipped += skipped;
-        self.profile.core_cycles_skipped += skipped * self.cfg.cores as u64;
-        self.profile.ctrl_cycles_skipped += skipped;
-        self.now = target;
-        skipped
     }
 
-    /// Attempts one global jump in horizon or event mode: fires only when
-    /// *every* core lags past `now`, bounded by the earliest due tick, the
-    /// controller's next event, the PAR rollover, and `max_cycles`. The
-    /// cores' deferred replays are *not* applied here — their lag windows
-    /// simply span the jump and are replayed at their next resync, which
-    /// is what lets the skipped span be counted per-core exactly once.
-    ///
-    /// In event mode the cached (validated) bound replaces the fresh
-    /// `next_event` call — same value, computed once (E4).
-    fn try_horizon_jump(
-        &mut self,
-        hz: &horizon::HorizonState,
-        ev: Option<&mut event::EventState>,
-    ) -> u64 {
-        let now = self.now;
-        if now >= self.cfg.max_cycles || self.finished() || !hz.all_lagging(now) {
-            return 0;
+    /// Core `c`'s real tick at `now`, snapshotting its stats the cycle it
+    /// reaches the instruction target.
+    fn tick_core(&mut self, c: usize, now: Cycle) {
+        self.cores[c].tick(now, &mut self.traces[c], &mut self.mem);
+        self.profile.core_cycles_ticked += 1;
+        if self.finish_cycle[c].is_none()
+            && self.cores[c].stats().retired_instructions >= self.cfg.max_instructions
+        {
+            self.finish_cycle[c] = Some(now + 1);
+            self.core_snapshots[c] = Some(*self.cores[c].stats());
+            self.mem_snapshots[c] = Some(self.mem.pc[c]);
         }
-        let mut target = self.mem.tracker.next_rollover().min(hz.min_due());
-        match ev {
-            Some(ev) => {
-                ev.validate(now, &mut self.mem.controller, &self.mem.tracker);
-                target = target.min(ev.ctrl_next());
-            }
-            None => {
-                if let Some(e) = self.mem.controller.next_event(now, &self.mem.tracker) {
-                    target = target.min(e);
-                }
-            }
-        }
-        target = target.min(self.cfg.max_cycles);
-        if target <= now {
-            return 0;
-        }
-        let skipped = target - now;
-        self.profile.ff_jumps += 1;
-        self.profile.ff_cycles_skipped += skipped;
-        self.profile.ctrl_cycles_skipped += skipped;
-        self.now = target;
-        skipped
     }
 
     /// True once every core has reached its instruction target.
@@ -1170,21 +613,6 @@ impl System {
     /// This system's fast-forward mode.
     pub fn fast_forward_mode(&self) -> FastForwardMode {
         self.ff_mode
-    }
-
-    /// Boolean shorthand for [`System::set_fast_forward_mode`]: `true`
-    /// selects `Horizon`, `false` selects `Off`.
-    pub fn set_fast_forward(&mut self, enabled: bool) {
-        self.ff_mode = if enabled {
-            FastForwardMode::Horizon
-        } else {
-            FastForwardMode::Off
-        };
-    }
-
-    /// True when [`System::run`] fast-forwards at all (mode is not `Off`).
-    pub fn fast_forward_enabled(&self) -> bool {
-        self.ff_mode != FastForwardMode::Off
     }
 
     /// The hot-path profile accumulated so far (see [`crate::profile`]).
@@ -1208,31 +636,13 @@ impl System {
                     self.step();
                 }
             }
-            FastForwardMode::Global => {
-                while !self.finished() && self.now < self.cfg.max_cycles {
-                    self.step();
-                    self.try_fast_forward();
-                }
-            }
-            FastForwardMode::Horizon => {
-                let mut hz = horizon::HorizonState::new(self.cfg.cores, self.now);
-                while !self.finished() && self.now < self.cfg.max_cycles {
-                    self.step_inner(Some(&mut hz), None);
-                    self.try_horizon_jump(&hz, None);
-                }
-                // Live (non-snapshotted) core stats must match a
-                // cycle-exact run that stopped at the same cycle.
-                hz.flush(self.now, &mut self.cores, &mut self.profile);
-            }
             FastForwardMode::Event => {
-                let mut hz = horizon::HorizonState::new(self.cfg.cores, self.now);
-                let mut ev =
-                    event::EventState::new(self.now, &mut self.mem.controller, &self.mem.tracker);
+                let mut kernel = Kernel::new(self);
                 while !self.finished() && self.now < self.cfg.max_cycles {
-                    self.step_inner(Some(&mut hz), Some(&mut ev));
-                    self.try_horizon_jump(&hz, Some(&mut ev));
+                    kernel.step(self);
+                    kernel.try_jump(self);
                 }
-                hz.flush(self.now, &mut self.cores, &mut self.profile);
+                kernel.flush(self);
             }
         }
         self.profile.wall_ns += start.elapsed().as_nanos() as u64;

@@ -1,13 +1,12 @@
-//! Equivalence tests for idle-cycle fast-forwarding (DESIGN.md §11).
+//! Equivalence tests for the discrete-event kernel (DESIGN.md §11).
 //!
-//! Fast-forwarding must be invisible in the results: a [`System`] run in
-//! any [`FastForwardMode`] produces a byte-identical [`Report`] to the
+//! Event stepping must be invisible in the results: a [`System`] run under
+//! [`FastForwardMode::Event`] produces a byte-identical [`Report`] to the
 //! same system stepped cycle by cycle (`Off`). These tests exercise that
-//! contract over randomized multi-core configurations — for the
-//! global-jump mode, the per-core event horizon, and event-driven
-//! controller stepping — check the core-cycle and controller-cycle
-//! accounting invariants, and pin down the one event source that is
-//! always a jump bound: the accuracy tracker's interval rollover.
+//! contract over randomized multi-core configurations, check the
+//! core-cycle and controller-cycle accounting invariants, and pin down the
+//! one event source that bounds every skipped window: the accuracy
+//! tracker's interval rollover.
 
 use padc_core::SchedulingPolicy;
 use padc_dram::RefreshPolicy;
@@ -25,8 +24,8 @@ const POLICIES: [SchedulingPolicy; 5] = [
 
 /// Refresh configurations the equivalence matrix ranges over: the legacy
 /// no-refresh default, and the three [`RefreshPolicy`] variants with
-/// extended timing on (per-bank/DARP enable it implicitly). Every mode
-/// pair must stay byte-identical under each of them — in particular the
+/// extended timing on (per-bank/DARP enable it implicitly). The two
+/// modes must stay byte-identical under each of them — in particular the
 /// DARP refresh-pull pass, which fires at controller boundaries, must be
 /// invisible to event-driven stepping (DESIGN.md §15).
 const REFRESH_CONFIGS: [Option<RefreshPolicy>; 4] = [
@@ -87,8 +86,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// The full report — every stat the suite serializes — is
-    /// byte-identical across all four fast-forward modes, and the
-    /// cycle-accounting invariants hold in each:
+    /// byte-identical between `Off` and `Event`, and the
+    /// cycle-accounting invariants hold in both:
     /// `core_cycles_ticked + core_cycles_skipped == cores × total_cycles`
     /// and `ctrl_cycles_stepped + ctrl_cycles_skipped == total_cycles`.
     #[test]
@@ -105,32 +104,23 @@ proptest! {
 
         let (off_json, off_p, off_now) =
             run_mode(&cfg, cores, first_bench, FastForwardMode::Off);
-        let (glob_json, glob_p, glob_now) =
-            run_mode(&cfg, cores, first_bench, FastForwardMode::Global);
-        let (hor_json, hor_p, hor_now) =
-            run_mode(&cfg, cores, first_bench, FastForwardMode::Horizon);
         let (ev_json, ev_p, ev_now) =
             run_mode(&cfg, cores, first_bench, FastForwardMode::Event);
 
-        prop_assert_eq!(&off_json, &glob_json, "global-jump mode diverged");
-        prop_assert_eq!(&off_json, &hor_json, "horizon mode diverged");
         prop_assert_eq!(&off_json, &ev_json, "event mode diverged");
-        // All paths must agree on termination time as well.
-        prop_assert_eq!(off_now, glob_now);
-        prop_assert_eq!(off_now, hor_now);
+        // Both paths must agree on termination time as well.
         prop_assert_eq!(off_now, ev_now);
-        // Sanity: the fast paths actually skipped something, otherwise
+        // Sanity: the kernel actually jumped over something, otherwise
         // this test exercises nothing (idle cycles exist in any
         // DRAM-bound run).
-        prop_assert!(glob_p.ff_cycles_skipped > 0, "global jumps never fired");
-        prop_assert_eq!(glob_p.cycles_stepped,
-                        off_p.cycles_stepped - glob_p.ff_cycles_skipped);
+        prop_assert!(ev_p.ff_cycles_skipped > 0, "jumps never fired");
+        prop_assert_eq!(ev_p.cycles_stepped,
+                        off_p.cycles_stepped - ev_p.ff_cycles_skipped);
         // Cycle accounting: every (core, cycle) pair was either ticked for
         // real or replayed as a stall bump, exactly once — and every global
         // cycle either executed the controller phase or was covered by a
         // proven-idle bound.
-        for (name, p) in [("off", &off_p), ("global", &glob_p),
-                          ("horizon", &hor_p), ("event", &ev_p)] {
+        for (name, p) in [("off", &off_p), ("event", &ev_p)] {
             prop_assert_eq!(
                 p.core_cycles_ticked + p.core_cycles_skipped,
                 cores as u64 * off_now,
@@ -142,25 +132,24 @@ proptest! {
                 "controller-cycle accounting broken in {} mode", name
             );
         }
-        // The per-core horizon strictly supersedes global jumps: every
-        // globally skippable cycle is inside some per-core lag window.
-        prop_assert!(hor_p.core_cycles_skipped >= glob_p.core_cycles_skipped,
-                     "horizon skipped fewer core-cycles than global");
+        // Every jumped-over cycle is inside every core's lag window.
+        prop_assert!(ev_p.core_cycles_skipped >= cores as u64 * ev_p.ff_cycles_skipped,
+                     "lag windows do not cover the jumped spans");
         // Event mode executes the controller only at proven event times,
-        // so it never steps the controller more than horizon does — and
+        // so it never steps the controller more than `Off` does — and
         // every executed controller cycle is an event it fired.
-        prop_assert!(ev_p.ctrl_cycles_stepped <= hor_p.ctrl_cycles_stepped,
-                     "event mode stepped the controller more than horizon");
+        prop_assert!(ev_p.ctrl_cycles_stepped <= off_p.ctrl_cycles_stepped,
+                     "event mode stepped the controller more than off");
         prop_assert_eq!(ev_p.ctrl_events_fired, ev_p.ctrl_cycles_stepped);
-        prop_assert_eq!(hor_p.ctrl_events_fired, 0);
+        prop_assert_eq!(off_p.ctrl_events_fired, 0);
     }
 }
 
 /// An 8-core memory-hog mix (the configuration the CI perf gate guards):
-/// all four modes agree byte-for-byte, the horizon skips strictly more
-/// core-cycles than global jumps alone — the whole point of the per-core
-/// event horizon — and event mode executes strictly fewer controller
-/// cycles than horizon while firing at least one event per DRAM command.
+/// the two modes agree byte-for-byte, per-core lag windows skip most
+/// core-cycles even though the cores are rarely all idle at once, and the
+/// controller phase executes strictly less often than every cycle — only
+/// at fired events.
 #[test]
 fn eight_core_memory_hog_mix_agrees_across_modes() {
     let mut cfg = SimConfig::new(8, SchedulingPolicy::Padc);
@@ -187,62 +176,55 @@ fn eight_core_memory_hog_mix_agrees_across_modes() {
         )
     };
     let (off_json, off_p) = run(FastForwardMode::Off);
-    let (glob_json, glob_p) = run(FastForwardMode::Global);
-    let (hor_json, hor_p) = run(FastForwardMode::Horizon);
     let (ev_json, ev_p) = run(FastForwardMode::Event);
-    assert_eq!(off_json, glob_json);
-    assert_eq!(off_json, hor_json);
     assert_eq!(off_json, ev_json);
-    assert!(
-        hor_p.core_skip_ratio() > glob_p.core_skip_ratio(),
-        "horizon ({:.3}) should beat global ({:.3}) on an 8-core mix",
-        hor_p.core_skip_ratio(),
-        glob_p.core_skip_ratio()
-    );
-    assert!(hor_p.horizon_resyncs > 0, "horizon never lagged a core");
     assert_eq!(off_p.core_cycles_skipped, 0);
-    // Event mode: the controller phase runs only at fired events, skips a
-    // real fraction of stepped cycles, and its accounting closes.
+    assert_eq!(off_p.ctrl_cycles_skipped, 0);
+    // Per-core lag: far more core-cycles are skipped than the whole-system
+    // jumps alone account for.
+    assert!(ev_p.horizon_resyncs > 0, "no core ever lagged");
     assert!(
-        ev_p.ctrl_cycles_stepped < hor_p.ctrl_cycles_stepped,
+        ev_p.core_cycles_skipped > 8 * ev_p.ff_cycles_skipped,
+        "per-core lag ({}) should beat whole-system jumps ({} x 8 cores)",
+        ev_p.core_cycles_skipped,
+        ev_p.ff_cycles_skipped
+    );
+    // The controller phase runs only at fired events, which is a real
+    // fraction of the cycles `Off` executes it on, and more is elided than
+    // the jumps alone cover.
+    assert!(
+        ev_p.ctrl_cycles_stepped < off_p.ctrl_cycles_stepped,
         "event mode should elide controller cycles on a memory-hog mix \
-         (event {} vs horizon {})",
+         (event {} vs off {})",
         ev_p.ctrl_cycles_stepped,
-        hor_p.ctrl_cycles_stepped
+        off_p.ctrl_cycles_stepped
     );
     assert!(ev_p.ctrl_events_fired > 0, "no controller events fired");
+    assert_eq!(ev_p.ctrl_events_fired, ev_p.ctrl_cycles_stepped);
     assert!(
-        ev_p.ctrl_skip_ratio() > hor_p.ctrl_skip_ratio(),
-        "event ctrl_skip_ratio ({:.3}) should beat horizon ({:.3})",
-        ev_p.ctrl_skip_ratio(),
-        hor_p.ctrl_skip_ratio()
+        ev_p.ctrl_cycles_skipped > ev_p.ff_cycles_skipped,
+        "no stepped cycle skipped its controller phase"
     );
 }
 
-/// Deterministic sweep of the full refresh × fast-forward matrix: each
-/// refresh policy (and the no-refresh legacy default) agrees byte-for-byte
-/// across all four modes, and the per-bank policies actually refresh. The
-/// proptest above samples this space; this pins every cell.
+/// Deterministic sweep of the refresh axis: each refresh policy (and the
+/// no-refresh legacy default) agrees byte-for-byte between the two modes,
+/// and the per-bank policies actually refresh. The proptest above samples
+/// this space; this pins every cell.
 #[test]
-fn refresh_policies_agree_across_all_modes() {
+fn refresh_policies_agree_across_modes() {
     for (refresh_idx, refresh) in REFRESH_CONFIGS.iter().enumerate() {
         let cfg = refresh_config(small_config(5, 2, 4, 6_000), refresh_idx);
         let mut off = System::new(cfg.clone(), workloads(2, 0));
         off.set_fast_forward_mode(FastForwardMode::Off);
         let off_report = off.run();
         let off_json = serde_json::to_string(&off_report).expect("serialize");
-        for mode in [
-            FastForwardMode::Global,
-            FastForwardMode::Horizon,
-            FastForwardMode::Event,
-        ] {
-            let (json, _, now) = run_mode(&cfg, 2, 0, mode);
-            assert_eq!(
-                off_json, json,
-                "{mode:?} diverged under refresh config {refresh_idx}"
-            );
-            assert_eq!(off.now(), now);
-        }
+        let (json, _, now) = run_mode(&cfg, 2, 0, FastForwardMode::Event);
+        assert_eq!(
+            off_json, json,
+            "event mode diverged under refresh config {refresh_idx}"
+        );
+        assert_eq!(off.now(), now);
         let refreshes: u64 = off_report.channels.iter().map(|c| c.refreshes).sum();
         match refresh {
             None => assert_eq!(refreshes, 0, "refresh without extended timing"),
@@ -254,66 +236,98 @@ fn refresh_policies_agree_across_all_modes() {
     }
 }
 
-/// PAR interval rollovers are an explicit fast-forward event source: both
-/// paths must observe every 100K-cycle accuracy-tracker rollover at the
-/// same cycle, in the same order — otherwise APD thresholds and APS
-/// prioritization would diverge.
+/// Runs `cfg` in event mode up to `max_cycles` and returns the stop
+/// cycle, the pending rollover, and each core's `PAR`.
+fn event_state_at(
+    cfg: &SimConfig,
+    benches: &[BenchProfile],
+    max_cycles: u64,
+) -> (u64, u64, Vec<f64>) {
+    let mut cfg = cfg.clone();
+    cfg.max_cycles = max_cycles;
+    let cores = benches.len();
+    let mut sys = System::new(cfg, benches.to_vec());
+    sys.set_fast_forward_mode(FastForwardMode::Event);
+    sys.run();
+    let par = (0..cores).map(|c| sys.accuracy(c)).collect();
+    (sys.now(), sys.next_accuracy_rollover(), par)
+}
+
+/// PAR interval rollovers are an explicit event source: the kernel must
+/// consume every 100K-cycle accuracy-tracker rollover at the same cycle as
+/// cycle-exact stepping, with the same resulting `PAR` — otherwise APD
+/// thresholds and APS prioritization would diverge.
 #[test]
 fn par_rollovers_land_on_the_same_cycles() {
     let cfg = small_config(7, 2, 4, 4_000); // Padc: APD + APS exercised
     let mut slow = System::new(cfg.clone(), workloads(2, 0));
-    slow.set_fast_forward(false);
-    let mut fast = System::new(cfg, workloads(2, 0));
-    fast.set_fast_forward(true);
+    slow.set_fast_forward_mode(FastForwardMode::Off);
 
-    // Record the cycle at which each rollover becomes *pending* (the value
-    // of `next_accuracy_rollover` changes exactly when one is consumed).
-    let mut slow_rollovers = Vec::new();
+    // Step cycle by cycle; the value of `next_accuracy_rollover` changes
+    // exactly when a rollover is consumed. Record the scheduled cycle, the
+    // follow-up rollover, and the PAR each core acts on afterwards.
+    let mut rollovers = Vec::new();
     while !slow.finished() {
         let before = slow.next_accuracy_rollover();
         slow.step();
         let after = slow.next_accuracy_rollover();
         if after != before {
-            slow_rollovers.push((before, slow.now()));
+            // The tick that consumes rollover `r` is cycle `r` itself.
+            assert_eq!(slow.now(), before + 1, "slow path serviced a rollover late");
+            let par: Vec<f64> = (0..2).map(|c| slow.accuracy(c)).collect();
+            rollovers.push((before, after, par));
         }
     }
-    let mut fast_rollovers = Vec::new();
-    while !fast.finished() {
-        let before = fast.next_accuracy_rollover();
-        fast.step();
-        let after = fast.next_accuracy_rollover();
-        if after != before {
-            fast_rollovers.push((before, fast.now()));
-        }
-        fast.try_fast_forward();
-    }
+    assert!(!rollovers.is_empty(), "run too short to roll over");
 
-    assert!(!slow_rollovers.is_empty(), "run too short to roll over");
-    // Each rollover fires at its scheduled cycle on both paths: the tick
-    // that consumes rollover `r` is cycle `r` itself (now == r + 1 after).
-    for &(r, after) in &slow_rollovers {
-        assert_eq!(after, r + 1, "slow path serviced a rollover late");
+    for (r, next, par) in rollovers {
+        // Stopped at cycle `r` (tick `r` not yet executed) the rollover is
+        // still pending: nothing consumed it early or jumped across it.
+        let (now, pending, _) = event_state_at(&cfg, &workloads(2, 0), r);
+        assert_eq!((now, pending), (r, r), "rollover {r} consumed early");
+        // One cycle later it has fired, with the same PAR as the slow path.
+        let (now, pending, ev_par) = event_state_at(&cfg, &workloads(2, 0), r + 1);
+        assert_eq!(
+            (now, pending),
+            (r + 1, next),
+            "rollover {r} not consumed at {r}"
+        );
+        assert_eq!(ev_par, par, "PAR after rollover {r} diverged");
     }
-    assert_eq!(slow_rollovers, fast_rollovers);
 }
 
-/// Fast-forward jumps never cross a pending rollover: a jump taken with
-/// the tracker about to roll over must stop at or before that boundary.
+/// Jumps never cross a pending rollover. The kernel `debug_assert`s that
+/// on every jump; independently of it, a single pointer-chasing core —
+/// whose stalls jump far — capped one cycle past each boundary must have
+/// executed the boundary tick rather than landed beyond it.
 #[test]
 fn jumps_stop_at_rollover_boundaries() {
-    let cfg = small_config(11, 1, 1, 6_000);
-    let mut sys = System::new(cfg, workloads(1, 0));
-    sys.set_fast_forward(true);
-    while !sys.finished() {
-        let bound = sys.next_accuracy_rollover();
-        sys.step();
-        let skipped = sys.try_fast_forward();
-        if skipped > 0 {
-            assert!(
-                sys.now() <= bound,
-                "jump to {} crossed the rollover pending at {bound}",
-                sys.now()
-            );
-        }
+    let cfg = small_config(11, 1, 1, 30_000);
+    let interval = cfg.controller.accuracy_interval;
+    let mcf = [profiles::mcf()];
+    let mut sys = System::new(cfg.clone(), mcf.to_vec());
+    sys.set_fast_forward_mode(FastForwardMode::Event);
+    sys.run();
+    assert!(sys.profile().ff_jumps > 0, "run never jumped");
+    assert!(sys.now() > interval, "run too short to roll over");
+    for r in (interval..sys.now()).step_by(interval as usize) {
+        let (now, pending, _) = event_state_at(&cfg, &mcf, r + 1);
+        assert_eq!(
+            (now, pending),
+            (r + 1, r + interval),
+            "a jump crossed the rollover pending at {r}"
+        );
     }
+}
+
+/// The retired mode spellings are parse errors, not aliases.
+#[test]
+fn only_off_and_event_parse() {
+    assert_eq!("off".parse(), Ok(FastForwardMode::Off));
+    assert_eq!("event".parse(), Ok(FastForwardMode::Event));
+    for gone in ["global", "horizon", "on", "1", "true", "0", "false", ""] {
+        let err = gone.parse::<FastForwardMode>().unwrap_err();
+        assert!(err.contains("off|event"), "{gone:?}: {err}");
+    }
+    assert_eq!(FastForwardMode::default(), FastForwardMode::Event);
 }

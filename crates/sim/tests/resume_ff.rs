@@ -48,9 +48,9 @@ fn resume_across_fast_forward_modes_is_byte_identical() {
     let (reference, ok, _) = suite_bytes(None);
     assert_eq!(ok, IDS.len());
 
-    // A fully settled off-mode artifact resumed under horizon: zero
-    // executions, bytes re-emitted verbatim.
-    padc_sim::set_fast_forward_mode_default(FastForwardMode::Horizon);
+    // A fully settled off-mode artifact resumed under the event kernel:
+    // zero executions, bytes re-emitted verbatim.
+    padc_sim::set_fast_forward_mode_default(FastForwardMode::Event);
     let artifact = ResumeArtifact::parse(std::str::from_utf8(&reference).expect("utf8"));
     assert_eq!(artifact.len(), IDS.len());
     let (resumed, ok, skipped) = suite_bytes(Some(&artifact));
@@ -61,8 +61,8 @@ fn resume_across_fast_forward_modes_is_byte_identical() {
     assert_eq!((ok, skipped), (0, IDS.len()));
 
     // A partial artifact (first row only): the missing experiment re-runs
-    // under horizon, yet the full artifact still matches the off-mode
-    // bytes — fast-forwarding is invisible in results.
+    // under the event kernel, yet the full artifact still matches the
+    // off-mode bytes — fast-forwarding is invisible in results.
     let first_line_end = reference.iter().position(|&b| b == b'\n').expect("row") + 1;
     let partial =
         ResumeArtifact::parse(std::str::from_utf8(&reference[..first_line_end]).expect("utf8"));
@@ -70,46 +70,25 @@ fn resume_across_fast_forward_modes_is_byte_identical() {
     let (mixed, ok, skipped) = suite_bytes(Some(&partial));
     assert_eq!(
         mixed, reference,
-        "horizon-mode re-run diverged from off-mode bytes"
-    );
-    assert_eq!((ok, skipped), (1, 1));
-
-    // Same partial resume under global jumps.
-    padc_sim::set_fast_forward_mode_default(FastForwardMode::Global);
-    let (mixed, ok, skipped) = suite_bytes(Some(&partial));
-    assert_eq!(
-        mixed, reference,
-        "global-mode re-run diverged from off-mode bytes"
-    );
-    assert_eq!((ok, skipped), (1, 1));
-
-    // Same partial resume under event-driven controller stepping.
-    padc_sim::set_fast_forward_mode_default(FastForwardMode::Event);
-    let (mixed, ok, skipped) = suite_bytes(Some(&partial));
-    assert_eq!(
-        mixed, reference,
         "event-mode re-run diverged from off-mode bytes"
     );
     assert_eq!((ok, skipped), (1, 1));
 
-    // And the reverse direction: a fully settled artifact *produced* under
-    // event mode resumes byte-identically with the default mode — the new
-    // mode cannot poison artifacts consumed by older runs either.
+    // And the reverse direction: an artifact *produced* under the event
+    // kernel matches the off-mode bytes and resumes byte-identically when
+    // the consumer steps cycle-by-cycle.
     let (ev_reference, ok, _) = suite_bytes(None);
     assert_eq!(ok, IDS.len());
     assert_eq!(
         ev_reference, reference,
         "event-mode artifact differs from off-mode artifact"
     );
-    padc_sim::set_fast_forward_mode_default(FastForwardMode::Horizon);
+    padc_sim::set_fast_forward_mode_default(FastForwardMode::Off);
     let ev_artifact = ResumeArtifact::parse(std::str::from_utf8(&ev_reference).expect("utf8"));
     let (resumed, ok, skipped) = suite_bytes(Some(&ev_artifact));
     assert_eq!(
         resumed, reference,
-        "event-mode rows were not re-emitted verbatim under horizon"
+        "event-mode rows were not re-emitted verbatim under off"
     );
     assert_eq!((ok, skipped), (0, IDS.len()));
-
-    // Leave the process default at the shipped default.
-    padc_sim::set_fast_forward_mode_default(FastForwardMode::Horizon);
 }

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Determinism gate: the suite's JSONL artifact must be byte-identical
 # across worker counts (the unified scheduler emits rows in registry
-# order with no timing data) and across all four fast-forward modes
-# (off / global / horizon / event — skipped cycles must be invisible in
-# results, DESIGN.md §11); `--resume` on a settled artifact must execute zero
+# order with no timing data) and between the two fast-forward modes
+# (off / event — skipped cycles must be invisible in results,
+# DESIGN.md §11); `--resume` on a settled artifact must execute zero
 # experiments while reproducing it byte for byte, even when the artifact
 # was produced under a different fast-forward mode.
 #
@@ -60,20 +60,18 @@ if ! grep -q '"ok": 0,' "$OUT/summary.json"; then
 fi
 echo "   zero executions, artifact byte-identical"
 
-gate_section "fast-forward four-mode matrix"
-echo "== fast-forward: off vs global vs horizon vs event on ${SUBSET[*]} (smoke scale)"
-for mode in off global horizon event; do
+gate_section "fast-forward off vs event"
+echo "== fast-forward: off vs event on ${SUBSET[*]} (smoke scale)"
+for mode in off event; do
     "$REPRO" --smoke --jobs 8 --no-progress --fast-forward "$mode" \
         --jsonl "$OUT/ff-$mode.jsonl" "${SUBSET[@]}" >/dev/null
 done
-for mode in global horizon event; do
-    if ! cmp "$OUT/ff-off.jsonl" "$OUT/ff-$mode.jsonl"; then
-        echo "FAIL: JSONL differs between --fast-forward off and $mode" >&2
-        diff "$OUT/ff-off.jsonl" "$OUT/ff-$mode.jsonl" >&2 || true
-        exit 1
-    fi
-done
-echo "   byte-identical across all four modes ($(wc -c <"$OUT/ff-off.jsonl") bytes)"
+if ! cmp "$OUT/ff-off.jsonl" "$OUT/ff-event.jsonl"; then
+    echo "FAIL: JSONL differs between --fast-forward off and event" >&2
+    diff "$OUT/ff-off.jsonl" "$OUT/ff-event.jsonl" >&2 || true
+    exit 1
+fi
+echo "   byte-identical ($(wc -c <"$OUT/ff-off.jsonl") bytes)"
 
 gate_section "exec planned vs monolithic"
 echo "== exec modes: planned vs monolithic on grid/sweep/mechanism experiments"
@@ -95,34 +93,28 @@ fi
 echo "   byte-identical ($(wc -c <"$OUT/exec-planned.jsonl") bytes, $(wc -l <"$OUT/exec-planned.jsonl") rows)"
 
 gate_section "cross-mode resume"
-echo "== resume across modes: off-mode artifact resumed under horizon and event"
-for mode in horizon event; do
-    "$REPRO" --smoke --jobs 8 --no-progress --fast-forward "$mode" \
-        --resume "$OUT/ff-off.jsonl" --jsonl "$OUT/cross-$mode.jsonl" \
-        --summary "$OUT/cross-$mode-summary.json" "${SUBSET[@]}" >/dev/null
-    if ! cmp "$OUT/cross-$mode.jsonl" "$OUT/ff-off.jsonl"; then
-        echo "FAIL: cross-mode resume under $mode did not re-emit settled rows verbatim" >&2
+# cross_resume NAME ARTIFACT [FLAG...]: resuming ARTIFACT (settled under
+# the other mode) with FLAGs must re-emit it verbatim and run nothing.
+cross_resume() {
+    local name=$1 artifact=$2
+    shift 2
+    "$REPRO" --smoke --jobs 8 --no-progress "$@" \
+        --resume "$artifact" --jsonl "$OUT/cross-$name.jsonl" \
+        --summary "$OUT/cross-$name-summary.json" "${SUBSET[@]}" >/dev/null
+    if ! cmp "$OUT/cross-$name.jsonl" "$OUT/ff-off.jsonl"; then
+        echo "FAIL: cross-mode resume ($name) did not re-emit settled rows verbatim" >&2
         exit 1
     fi
-    if ! grep -q '"ok": 0,' "$OUT/cross-$mode-summary.json"; then
-        echo "FAIL: cross-mode resume under $mode executed experiments on a settled artifact:" >&2
-        cat "$OUT/cross-$mode-summary.json" >&2
+    if ! grep -q '"ok": 0,' "$OUT/cross-$name-summary.json"; then
+        echo "FAIL: cross-mode resume ($name) executed experiments on a settled artifact:" >&2
+        cat "$OUT/cross-$name-summary.json" >&2
         exit 1
     fi
-done
+}
+echo "== resume across modes: off-mode artifact resumed under event"
+cross_resume event "$OUT/ff-off.jsonl" --fast-forward event
 echo "== resume across modes: event-mode artifact resumed under the default mode"
-"$REPRO" --smoke --jobs 8 --no-progress \
-    --resume "$OUT/ff-event.jsonl" --jsonl "$OUT/cross-back.jsonl" \
-    --summary "$OUT/cross-back-summary.json" "${SUBSET[@]}" >/dev/null
-if ! cmp "$OUT/cross-back.jsonl" "$OUT/ff-off.jsonl"; then
-    echo "FAIL: event-mode artifact was not re-emitted verbatim under the default mode" >&2
-    exit 1
-fi
-if ! grep -q '"ok": 0,' "$OUT/cross-back-summary.json"; then
-    echo "FAIL: event-artifact resume executed experiments on a settled artifact:" >&2
-    cat "$OUT/cross-back-summary.json" >&2
-    exit 1
-fi
+cross_resume back "$OUT/ff-event.jsonl"
 echo "   zero executions, artifacts byte-identical in both directions"
 
 gate_section "store cold vs warm vs none"

@@ -1,22 +1,21 @@
 #!/usr/bin/env bash
 # CI perf gate, four sections:
 #
-# 1. The fast-forward core-cycle skip ratio on a smoke-scale 8-core
+# 1. The event kernel's core-cycle skip ratio on a smoke-scale 8-core
 #    memory-hog mix must not regress below the floor recorded in
 #    BENCH_fastforward.json (minus tolerance). This catches changes that
-#    silently break horizon/idle classification (e.g. a core that always
+#    silently break per-core idle classification (e.g. a core that always
 #    reports busy): results would stay byte-identical — so the determinism
 #    gate would pass — while the multi-core speedup quietly evaporates.
 #
-# 1b. The event-mode controller skip ratio on the same mix and on the
-#    mcf single must not regress below the floors recorded in
+# 1b. The controller skip ratio on the same run and on the mcf single must not regress below the floors recorded in
 #    BENCH_event.json (minus tolerance). Same rationale one layer down:
 #    a change that stops proving controller idleness keeps results
 #    byte-identical while the O(events) controller loop silently
 #    degrades back to O(cycles).
 #
 # 1c. The request buffer's owner cache must stay effective (floors from
-#    BENCH_buffer.json, counters from the same event-mix run):
+#    BENCH_buffer.json, counters from the same mix run):
 #    owner_recomputes must not exceed owner_invalidations (structural
 #    dirty-bit invariant) and the owner reuse rate must not fall below
 #    the recorded floor. Deterministic counts, not timings.
@@ -79,23 +78,30 @@ SIM=target/release/padcsim
 # The 8-core memory-hog mix from BENCH_fastforward.json, smoke-scaled.
 MIX=(--bench mcf_06 --bench libquantum_06 --bench swim_00 --bench GemsFDTD_06
      --bench lbm_06 --bench milc_06 --bench leslie3d_06 --bench soplex_06)
-INSTRUCTIONS=60000
 
-floor=$(python3 - <<'EOF'
+# One profiled mix run feeds sections 1, 1b and 1c: the core floor
+# (BENCH_fastforward.json) and the controller floors (BENCH_event.json)
+# were recorded at the same instruction count.
+GATE=$(python3 - <<'PYEOF'
 import json
-gate = json.load(open("BENCH_fastforward.json"))["ci_gate"]
-print(gate["min_core_skip_pct"] - gate["tolerance_pct"])
-EOF
+core = json.load(open("BENCH_fastforward.json"))["ci_gate"]
+gate = json.load(open("BENCH_event.json"))["ci_gate"]
+tol = gate["tolerance_pct"]
+print(core["min_core_skip_pct"] - core["tolerance_pct"],
+      gate["mix_instructions"], gate["mix_min_ctrl_skip_pct"] - tol,
+      gate["mcf_instructions"], gate["mcf_min_ctrl_skip_pct"] - tol)
+PYEOF
 )
+read -r floor CTRL_MIX_INSTR CTRL_MIX_FLOOR CTRL_MCF_INSTR CTRL_MCF_FLOOR <<<"$GATE"
 
-gate_section "core skip floor (horizon, 8-core mix)"
-echo "== perf: 8-core memory-hog mix, --fast-forward horizon, floor ${floor}%"
-"$SIM" "${MIX[@]}" --policy padc --instructions "$INSTRUCTIONS" \
-    --fast-forward horizon --profile \
-    >"$OUT/report.txt" 2>"$OUT/profile.txt"
-grep '^profile:' "$OUT/profile.txt"
+gate_section "core skip floor (event, 8-core mix)"
+echo "== perf: 8-core memory-hog mix, --fast-forward event, core floor ${floor}%"
+"$SIM" "${MIX[@]}" --policy padc --instructions "$CTRL_MIX_INSTR" \
+    --fast-forward event --profile \
+    >"$OUT/event-mix-report.txt" 2>"$OUT/event-mix-profile.txt"
+grep '^profile:' "$OUT/event-mix-profile.txt"
 
-skip=$(grep -o '"core_skip_pct":[0-9.]*' "$OUT/profile.txt" | head -n1 | cut -d: -f2)
+skip=$(grep -o '"core_skip_pct":[0-9.]*' "$OUT/event-mix-profile.txt" | head -n1 | cut -d: -f2)
 if [ -z "$skip" ]; then
     echo "FAIL: no core_skip_pct in --profile output" >&2
     exit 1
@@ -109,23 +115,8 @@ if ! awk -v s="$skip" -v f="$floor" 'BEGIN { exit !(s >= f) }'; then
 fi
 echo "   core skip ratio ${skip}% >= floor ${floor}%"
 
-# -- 1b: event-mode controller skip floors (BENCH_event.json) ----------
-CTRL_GATE=$(python3 - <<'PYEOF'
-import json
-gate = json.load(open("BENCH_event.json"))["ci_gate"]
-tol = gate["tolerance_pct"]
-print(gate["mix_instructions"], gate["mix_min_ctrl_skip_pct"] - tol,
-      gate["mcf_instructions"], gate["mcf_min_ctrl_skip_pct"] - tol)
-PYEOF
-)
-read -r CTRL_MIX_INSTR CTRL_MIX_FLOOR CTRL_MCF_INSTR CTRL_MCF_FLOOR <<<"$CTRL_GATE"
-
 gate_section "ctrl skip floor (event, 8-core mix)"
-echo "== perf: 8-core mix, --fast-forward event, ctrl floor ${CTRL_MIX_FLOOR}%"
-"$SIM" "${MIX[@]}" --policy padc --instructions "$CTRL_MIX_INSTR" \
-    --fast-forward event --profile \
-    >"$OUT/event-mix-report.txt" 2>"$OUT/event-mix-profile.txt"
-grep '^profile:' "$OUT/event-mix-profile.txt"
+echo "== perf: controller phase on the same mix run, ctrl floor ${CTRL_MIX_FLOOR}%"
 ctrl_skip=$(grep -o '"ctrl_skip_pct":[0-9.]*' "$OUT/event-mix-profile.txt" | head -n1 | cut -d: -f2)
 if [ -z "$ctrl_skip" ]; then
     echo "FAIL: no ctrl_skip_pct in --profile output" >&2
@@ -141,7 +132,7 @@ fi
 echo "   ctrl skip ratio ${ctrl_skip}% >= floor ${CTRL_MIX_FLOOR}%"
 
 # -- 1c: request-buffer owner-cache floors (BENCH_buffer.json) ---------
-# Reuses the event-mix profile captured above. Two checks: the
+# Reuses the mix profile captured above. Two checks: the
 # structural invariant owner_recomputes <= owner_invalidations (each
 # recompute consumes one clean->dirty transition; a violation means the
 # owner cache is being bypassed), and a reuse-rate floor (catches
@@ -155,7 +146,7 @@ PYEOF
 )
 
 gate_section "owner-cache floors (event, 8-core mix)"
-echo "== perf: owner cache on the same event-mix run, reuse floor ${BUF_FLOOR}%"
+echo "== perf: owner cache on the same mix run, reuse floor ${BUF_FLOOR}%"
 owner_line=$(grep '^profile: ' "$OUT/event-mix-profile.txt" || true)
 recomputes=$(echo "$owner_line" | grep -o '"owner_recomputes":[0-9]*' | cut -d: -f2)
 invalidations=$(echo "$owner_line" | grep -o '"owner_invalidations":[0-9]*' | cut -d: -f2)
