@@ -4,8 +4,8 @@
 //! ```text
 //! repro [--quick|--smoke] [--jobs N] [--jsonl PATH] [--resume FILE]
 //!       [--summary PATH] [--store DIR] [--json|--csv|--bars COL]
-//!       [--no-progress] [--profile] [--exec planned|monolithic]
-//!       [--fast-forward off|event] [<experiment-id>...]
+//!       [--no-progress] [--profile] [--fast-forward off|event]
+//!       [<experiment-id>...]
 //! repro --list
 //! ```
 //!
@@ -14,18 +14,14 @@
 //! `ExpConfig::at(Scale::Full)` scale (the paper's workload counts);
 //! `--quick`/`--smoke` shrink runs for fast iteration.
 //!
-//! `--exec` selects how planned experiments execute their simulation
-//! units: `planned` (default) fans them out as first-class sub-jobs on
-//! the shared worker pool, `monolithic` runs them inline in plan order —
-//! the compatibility path the determinism gate byte-diffs against the
-//! planned artifact. Both modes produce identical JSONL bytes.
-//!
 //! Execution goes through the `padc-harness` unified scheduler:
 //! experiments run on a worker pool (`--jobs N`, default
 //! `available_parallelism()`), each under `catch_unwind`, so one panicking
 //! experiment becomes a structured failure row instead of killing the
-//! suite; per-workload fan-out inside experiments is scheduled onto the
-//! *same* pool, so `--jobs N` bounds total simulation threads. The JSONL
+//! suite; every experiment's simulation units resolve through one
+//! process-wide cache (each distinct simulation runs once) and the misses
+//! are scheduled onto the *same* pool, so `--jobs N` bounds total
+//! simulation threads. The JSONL
 //! stream (`--jsonl`, `-` for stdout) is emitted in registry order and
 //! contains no timing data, so its bytes are identical for any `--jobs`
 //! value. Timings go to the stderr progress lines and to the `--summary`
@@ -60,17 +56,17 @@
 use std::io::Write as _;
 use std::time::Duration;
 
-use padc_bench::{find, registry, suite_jobs_with, table_stash, Experiment, SuiteOptions};
+use padc_bench::{find, registry, suite_jobs_profiled, table_stash, Experiment};
 use padc_harness::{run_suite, HarnessConfig, JobStatus, ResumeArtifact};
-use padc_sim::experiments::{single_run_stats, ExecMode, ExpConfig, Scale};
+use padc_sim::experiments::{single_run_stats, ExpConfig, Scale};
 use padc_sim::FastForwardMode;
 
 fn usage_and_exit() -> ! {
     eprintln!(
         "usage: repro [--quick|--smoke] [--jobs N] [--jsonl PATH] [--resume FILE]\n\
          \x20            [--summary PATH] [--store DIR] [--json|--csv|--bars COL]\n\
-         \x20            [--no-progress] [--profile] [--exec planned|monolithic]\n\
-         \x20            [--fast-forward off|event] [<id>...]\n\
+         \x20            [--no-progress] [--profile] [--fast-forward off|event]\n\
+         \x20            [<id>...]\n\
          \x20      repro --list\n\
          known ids:"
     );
@@ -102,7 +98,6 @@ fn main() {
     let mut budget: Option<Duration> = None;
     let mut progress = true;
     let mut profile = false;
-    let mut exec = ExecMode::default();
     let mut store_flag: Option<String> = None;
     let mut ids: Vec<String> = Vec::new();
     let mut iter = args.iter();
@@ -141,13 +136,6 @@ fn main() {
             }
             "--no-progress" => progress = false,
             "--profile" => profile = true,
-            "--exec" => {
-                let v = flag_value(&mut iter, "--exec");
-                exec = v.parse().unwrap_or_else(|e| {
-                    eprintln!("{e}");
-                    std::process::exit(2);
-                });
-            }
             "--list" => {
                 for e in registry() {
                     println!("{:<10} {}", e.id, e.paper_ref);
@@ -230,12 +218,7 @@ fn main() {
         });
     }
     let stash = table_stash();
-    let mut jobs = suite_jobs_with(
-        selected,
-        cfg,
-        Some(stash.clone()),
-        SuiteOptions { profile, exec },
-    );
+    let mut jobs = suite_jobs_profiled(selected, cfg, Some(stash.clone()), profile);
     if let Some(artifact) = &artifact {
         for job in &mut jobs {
             if let Some(row) = artifact.row(&job.id) {
@@ -359,8 +342,9 @@ fn main() {
     .expect("stderr");
     let (requested, computed) = single_run_stats();
     if requested > 0 {
-        // Machine-readable memo telemetry: `requested - computed` is the
-        // cross-experiment dedup win (perf_gate.sh parses this line).
+        // Machine-readable single-core unit telemetry: `requested -
+        // computed` is the cross-experiment dedup (and warm-store) win;
+        // perf_gate.sh parses this line.
         writeln!(
             stderr,
             "single_run_memo: requested={requested} computed={computed}"

@@ -9,6 +9,5 @@
 #![warn(missing_docs)]
 
 pub use padc_sim::experiments::registry::{
-    find, registry, suite_jobs, suite_jobs_profiled, suite_jobs_with, table_stash, Experiment,
-    SuiteOptions, TableStash,
+    find, registry, suite_jobs, suite_jobs_profiled, table_stash, Experiment, TableStash,
 };

@@ -82,7 +82,10 @@ fn parse_args() -> Result<Args, String> {
             "--instructions" => {
                 args.instructions = value("--instructions")?
                     .parse()
-                    .map_err(|e| format!("{e}"))?
+                    .map_err(|e| format!("{e}"))?;
+                if args.instructions == 0 {
+                    return Err("--instructions must be at least 1".to_string());
+                }
             }
             "--bench" => args.benches.push(value("--bench")?),
             "--trace" => args.traces.push(value("--trace")?),
@@ -118,14 +121,14 @@ fn parse_args() -> Result<Args, String> {
 }
 
 /// `padcsim --suite`: run registered experiments on the `padc-harness`
-/// unified scheduler (experiments and their per-workload fan-out share one
+/// unified scheduler (experiments and their simulation units share one
 /// worker pool, so `--jobs N` bounds total simulation threads). Shares the
 /// registry (and therefore ids, payloads, and JSONL bytes) with `repro`;
 /// this entry point is the minimal suite-runner — use `repro` for table
 /// rendering and bar charts.
 fn run_suite_mode(args: &[String]) -> ! {
     use padc_sim::experiments::{
-        registry::find, single_run_stats, suite_jobs_with, ExecMode, ExpConfig, Scale, SuiteOptions,
+        registry::find, single_run_stats, suite_jobs_profiled, ExpConfig, Scale,
     };
 
     let mut cfg = ExpConfig::at(Scale::Full);
@@ -134,7 +137,6 @@ fn run_suite_mode(args: &[String]) -> ! {
     let mut resume_path: Option<String> = None;
     let mut summary_path: Option<String> = None;
     let mut profile = false;
-    let mut exec = ExecMode::default();
     let mut store_flag: Option<String> = None;
     let mut ids: Vec<String> = Vec::new();
     let mut it = args.iter();
@@ -166,10 +168,6 @@ fn run_suite_mode(args: &[String]) -> ! {
             "--summary" => summary_path = Some(value("--summary")),
             "--store" => store_flag = Some(value("--store")),
             "--profile" => profile = true,
-            "--exec" => {
-                let v = value("--exec");
-                exec = v.parse().unwrap_or_else(|e| die(e));
-            }
             "--list" => {
                 for e in padc_sim::experiments::experiment_registry() {
                     println!("{:<10} {}", e.id, e.paper_ref);
@@ -180,7 +178,6 @@ fn run_suite_mode(args: &[String]) -> ! {
                 println!(
                     "usage: padcsim --suite [--quick|--smoke] [--jobs N] [--jsonl PATH] \
                      [--resume FILE] [--summary PATH] [--store DIR] [--profile] \
-                     [--exec planned|monolithic] \
                      [--fast-forward off|event] \
                      [--list] [<experiment-id>...]"
                 );
@@ -241,7 +238,7 @@ fn run_suite_mode(args: &[String]) -> ! {
         padc_sim::experiments::install_unit_store(std::path::Path::new(&dir))
             .unwrap_or_else(|e| die(format!("cannot open store {dir}: {e}")));
     }
-    let mut jobs = suite_jobs_with(selected, cfg, None, SuiteOptions { profile, exec });
+    let mut jobs = suite_jobs_profiled(selected, cfg, None, profile);
     if let Some(artifact) = &artifact {
         for job in &mut jobs {
             if let Some(row) = artifact.row(&job.id) {
@@ -305,8 +302,9 @@ fn run_suite_mode(args: &[String]) -> ! {
     );
     let (requested, computed) = single_run_stats();
     if requested > 0 {
-        // Machine-readable memo telemetry: `requested - computed` is the
-        // cross-experiment dedup win (perf_gate.sh parses this line).
+        // Machine-readable single-core unit telemetry: `requested -
+        // computed` is the cross-experiment dedup (and warm-store) win;
+        // perf_gate.sh parses this line.
         eprintln!("single_run_memo: requested={requested} computed={computed}");
     }
     std::process::exit(if summary.failed() > 0 { 1 } else { 0 });

@@ -1,7 +1,6 @@
 use std::collections::{HashMap, HashSet};
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Arc;
 
 use padc_core::SchedulingPolicy;
 use padc_workloads::{BenchProfile, Workload};
@@ -303,9 +302,9 @@ pub(crate) fn standard_arms() -> Vec<PolicyArm> {
     ]
 }
 
-/// The canonical `IPC_alone` arm (§5.2): single-core, demand-first.
-/// Labelled "demand-first" so the memo shares entries with the
-/// demand-first arm of the single-core grids (identical configuration).
+/// The canonical `IPC_alone` arm (§5.2): single-core, demand-first —
+/// the same configuration (hence the same cache digest) as the
+/// demand-first arm of the single-core grids.
 pub(crate) fn alone_arm() -> PolicyArm {
     PolicyArm::new("demand-first", |n| {
         SimConfig::new(n, SchedulingPolicy::DemandFirst)
@@ -318,12 +317,12 @@ pub(crate) fn alone_arm() -> PolicyArm {
 
 /// Deterministic identity of one planned simulation.
 ///
-/// Two units with equal keys are byte-for-byte the same simulation: the
-/// arm label names a config recipe, `variant` disambiguates recipes that
-/// reuse a label within one experiment (sweep points, open vs closed row),
-/// and benchmarks/instructions/seed pin the inputs. Nothing else
-/// (wall-clock, worker id, execution order) enters the key, which is what
-/// makes planned execution safe to reorder, dedupe, and memoize.
+/// Within one experiment's plan, two units with equal keys are the same
+/// simulation: the arm label names a config recipe, `variant`
+/// disambiguates recipes that reuse a label (sweep points, open vs closed
+/// row), and benchmarks/instructions/seed pin the inputs. The key is how
+/// `reduce` addresses a result; what is *cached* is keyed by the digest of
+/// the full inputs ([`SimUnit::store_meta`]), never by the key.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct UnitKey {
     /// Policy-arm label (the paper legend).
@@ -370,20 +369,14 @@ impl UnitKey {
     }
 }
 
-/// One planned simulation: a deterministic key plus the work recipe.
+/// One planned simulation: a deterministic key plus the work recipe (an
+/// arm and the benchmarks it runs, one per core).
 #[derive(Clone)]
 pub struct SimUnit {
     /// The unit's deterministic identity.
     pub key: UnitKey,
-    work: UnitWork,
-}
-
-#[derive(Clone)]
-enum UnitWork {
-    /// Multiprogrammed run: arm recipe applied to a workload.
-    Workload { arm: PolicyArm, workload: Workload },
-    /// Single-core run (memoized process-wide; see `run_single_at`).
-    Single { arm: PolicyArm, bench: BenchProfile },
+    arm: PolicyArm,
+    benchmarks: Vec<BenchProfile>,
 }
 
 impl SimUnit {
@@ -391,27 +384,18 @@ impl SimUnit {
     pub fn workload(arm: &PolicyArm, variant: &str, w: &Workload, exp: &ExpConfig) -> Self {
         SimUnit {
             key: UnitKey::workload(arm.label, variant, w, exp),
-            work: UnitWork::Workload {
-                arm: arm.clone(),
-                workload: w.clone(),
-            },
+            arm: arm.clone(),
+            benchmarks: w.benchmarks.clone(),
         }
     }
 
-    /// Plans a single-core run of `bench` under `arm`.
-    ///
-    /// Single-core results memoize process-wide keyed by *(label, bench,
-    /// instructions, seed)* — the label must determine the single-core
-    /// config, so only pass arms whose recipe is label-stable (the
-    /// standard arms and the canonical alone arm qualify; sweep-mutated
-    /// arms must **not** be planned as single units).
+    /// Plans a single-core run of `bench` under `arm` (at the single-core
+    /// instruction budget).
     pub fn single(arm: &PolicyArm, bench: &BenchProfile, exp: &ExpConfig) -> Self {
         SimUnit {
             key: UnitKey::single(arm.label, bench, exp),
-            work: UnitWork::Single {
-                arm: arm.clone(),
-                bench: bench.clone(),
-            },
+            arm: arm.clone(),
+            benchmarks: vec![bench.clone()],
         }
     }
 
@@ -421,54 +405,46 @@ impl SimUnit {
         Self::single(&alone_arm(), bench, exp)
     }
 
+    /// Whether this is a single-core run (a grid cell or an `IPC_alone`
+    /// reference) — the units [`single_run_stats`](super::single_run_stats)
+    /// counts.
+    pub(crate) fn is_single_core(&self) -> bool {
+        self.benchmarks.len() == 1
+    }
+
+    /// The exact configuration this unit simulates.
+    fn config(&self) -> SimConfig {
+        let mut cfg = self.arm.build(self.benchmarks.len());
+        cfg.max_instructions = self.key.instructions;
+        cfg.seed = self.key.seed;
+        cfg
+    }
+
     /// Runs the simulation this unit names. Deterministic: depends only on
     /// the key and the arm recipe.
     pub fn execute(&self) -> Report {
-        match &self.work {
-            UnitWork::Single { arm, bench } => {
-                run_single_at(arm, bench, self.key.instructions, self.key.seed)
-            }
-            UnitWork::Workload { arm, workload } => {
-                let mut cfg = arm.build(workload.cores());
-                cfg.max_instructions = self.key.instructions;
-                cfg.seed = self.key.seed;
-                System::new(cfg, workload.benchmarks.clone()).run()
-            }
-        }
+        System::new(self.config(), self.benchmarks.clone()).run()
     }
 
-    /// The unit's content-address document for the persistent store: the
-    /// simulator fingerprint plus the **full** result-shaping inputs — the
-    /// exact [`SimConfig`] [`execute`](Self::execute) would build and the
-    /// benchmark profiles it would run, serialized to canonical JSON.
+    /// The unit's content-address document: the simulator fingerprint plus
+    /// the **full** result-shaping inputs — the exact [`SimConfig`]
+    /// [`execute`](Self::execute) builds and the benchmark profiles it
+    /// runs, serialized to canonical JSON. Its SHA-256 digest keys both
+    /// the in-memory claim map and the persistent store.
     ///
     /// Labels and variants are deliberately excluded: two arms that build
-    /// identical configs share one entry (the same sharing the single-run
-    /// memo exploits). Knobs proven observationally equivalent (the
-    /// fast-forward mode) are also excluded — DESIGN.md §10 states the
-    /// soundness rule and when
+    /// identical configs (the `IPC_alone` arm and the grids' demand-first
+    /// arm, the same arm in two experiments) share one entry. Knobs proven
+    /// observationally equivalent (the fast-forward mode) are also
+    /// excluded — DESIGN.md §12 states the soundness rule and when
     /// [`RESULT_SCHEMA_VERSION`](super::RESULT_SCHEMA_VERSION) must be
     /// bumped instead.
     pub fn store_meta(&self) -> String {
-        let (cfg, benches) = match &self.work {
-            UnitWork::Single { arm, bench } => {
-                let mut cfg = arm.build(1);
-                cfg.max_instructions = self.key.instructions;
-                cfg.seed = self.key.seed;
-                (cfg, vec![bench.clone()])
-            }
-            UnitWork::Workload { arm, workload } => {
-                let mut cfg = arm.build(workload.cores());
-                cfg.max_instructions = self.key.instructions;
-                cfg.seed = self.key.seed;
-                (cfg, workload.benchmarks.clone())
-            }
-        };
         format!(
             "{{\"fingerprint\":{},\"config\":{},\"benchmarks\":{}}}",
             serde_json::to_string(&super::unit_cache::fingerprint()).expect("string serializes"),
-            serde_json::to_string(&cfg).expect("config serializes"),
-            serde_json::to_string(&benches).expect("profiles serialize"),
+            serde_json::to_string(&self.config()).expect("config serializes"),
+            serde_json::to_string(&self.benchmarks).expect("profiles serialize"),
         )
     }
 }
@@ -488,53 +464,16 @@ pub struct UnitResult {
     pub report: Report,
 }
 
-/// How planned units execute.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum ExecMode {
-    /// Units fan out onto the shared harness worker pool (inline when no
-    /// pool is installed). The default.
-    #[default]
-    Planned,
-    /// Units run inline on the calling thread, in plan order — the
-    /// compatibility path the determinism gate byte-diffs against.
-    Monolithic,
-}
-
-impl std::str::FromStr for ExecMode {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "planned" => Ok(ExecMode::Planned),
-            "monolithic" => Ok(ExecMode::Monolithic),
-            other => Err(format!(
-                "unknown exec mode {other:?} (expected planned|monolithic)"
-            )),
-        }
-    }
-}
-
 /// Executes every planned unit, returning results in plan order.
 ///
-/// `Planned` mode schedules the units as first-class sub-jobs on the
-/// shared `padc-harness` pool (so `--jobs N` load-balances across all
-/// units of all experiments); `Monolithic` runs them inline. Both modes
-/// produce identical results — units are independent simulations.
-///
-/// With a persistent store installed (or serve-mode coalescing on), units
-/// first resolve through the content-addressed unit cache
-/// (the `unit_cache` module): validated disk entries and in-flight
-/// duplicates are never scheduled, so a fully warm run executes zero
-/// simulations. Without it, this is exactly the legacy path.
-pub fn execute_units(units: &[SimUnit], mode: ExecMode) -> Vec<UnitResult> {
-    let reports: Vec<Report> = if super::unit_cache::active() {
-        super::unit_cache::execute_cached(units, mode)
-    } else {
-        match mode {
-            ExecMode::Planned => parallel_map(units.len(), |i| units[i].execute()),
-            ExecMode::Monolithic => units.iter().map(|u| u.execute()).collect(),
-        }
-    };
+/// Every unit resolves through the digest-keyed claim map of the
+/// `unit_cache` module — memory, then the installed store (if any), then
+/// compute — and only the misses are scheduled, as first-class sub-jobs on
+/// the shared `padc-harness` pool (inline when no pool is installed). A
+/// unit already settled or in flight anywhere in the process is never
+/// simulated twice, and a fully warm run executes zero simulations.
+pub fn execute_units(units: &[SimUnit]) -> Vec<UnitResult> {
+    let reports = super::unit_cache::execute_cached(units);
     units
         .iter()
         .zip(reports)
@@ -586,8 +525,8 @@ impl<'a> UnitResults<'a> {
 
 /// Plans the deduplicated set of `IPC_alone` units for a workload set:
 /// one unit per *distinct* benchmark, in first-appearance order. The
-/// process-wide memo then dedupes further across experiments, so each
-/// normalization run is computed exactly once per suite.
+/// claim map dedupes further across experiments, so each normalization
+/// run is computed exactly once per process.
 pub fn plan_alone_units(workloads: &[Workload], exp: &ExpConfig) -> Vec<SimUnit> {
     let mut seen = HashSet::new();
     let mut units = Vec::new();
@@ -601,25 +540,19 @@ pub fn plan_alone_units(workloads: &[Workload], exp: &ExpConfig) -> Vec<SimUnit>
     units
 }
 
-/// How an experiment executes: the legacy monolithic closure, or the
-/// two-phase plan/reduce contract.
-pub enum ExpKind {
-    /// One opaque runner (non-grid experiments: fig2, fig4, cost, tab6).
-    Monolithic(fn(&ExpConfig) -> Vec<ExpTable>),
-    /// Plan independent simulation units, execute them on the shared
-    /// pool, reduce the results into tables after a per-experiment unit
-    /// barrier (so table bytes never depend on scheduling).
-    Planned(PlannedExperiment),
-}
-
 /// Plan phase: enumerates an experiment's independent simulation units.
 pub type PlanFn = Arc<dyn Fn(&ExpConfig) -> Vec<SimUnit> + Send + Sync>;
 
 /// Reduce phase: folds unit results (in plan order) into tables.
 pub type ReduceFn = Arc<dyn Fn(&ExpConfig, &[UnitResult]) -> Vec<ExpTable> + Send + Sync>;
 
-/// The two phases of a planned experiment.
-pub struct PlannedExperiment {
+/// How an experiment executes: `plan` enumerates independent simulation
+/// units, [`execute_units`] resolves them, and `reduce` folds the results
+/// into tables after a per-experiment unit barrier (so table bytes never
+/// depend on scheduling). Experiments that simulate nothing through the
+/// unit layer (fig2, fig4, cost, tab6) plan zero units and build their
+/// tables in `reduce`.
+pub struct ExpKind {
     /// Enumerates the experiment's independent simulation units.
     pub plan: PlanFn,
     /// Folds unit results (in plan order) into tables.
@@ -627,100 +560,38 @@ pub struct PlannedExperiment {
 }
 
 impl ExpKind {
-    /// Builds a planned kind from the two phases.
-    pub fn planned(
+    /// Builds a kind from the two phases.
+    pub fn new(
         plan: impl Fn(&ExpConfig) -> Vec<SimUnit> + Send + Sync + 'static,
         reduce: impl Fn(&ExpConfig, &[UnitResult]) -> Vec<ExpTable> + Send + Sync + 'static,
     ) -> Self {
-        ExpKind::Planned(PlannedExperiment {
+        ExpKind {
             plan: Arc::new(plan),
             reduce: Arc::new(reduce),
-        })
-    }
-
-    /// Runs the experiment: plan → execute (per `mode`) → reduce, or the
-    /// monolithic closure.
-    pub fn tables(&self, exp: &ExpConfig, mode: ExecMode) -> Vec<ExpTable> {
-        match self {
-            ExpKind::Monolithic(run) => run(exp),
-            ExpKind::Planned(p) => {
-                let units = (p.plan)(exp);
-                let results = execute_units(&units, mode);
-                (p.reduce)(exp, &results)
-            }
         }
     }
 
-    /// Whether this experiment uses the plan/execute/reduce contract.
-    pub fn is_planned(&self) -> bool {
-        matches!(self, ExpKind::Planned(_))
+    /// Runs the experiment: plan → execute → reduce.
+    pub fn tables(&self, exp: &ExpConfig) -> Vec<ExpTable> {
+        let results = execute_units(&(self.plan)(exp));
+        (self.reduce)(exp, &results)
     }
 }
 
 // ---------------------------------------------------------------------------
-// Single-run memo.
+// Test-only reference path.
 // ---------------------------------------------------------------------------
 
-/// Process-wide memo of single-core runs: the same (arm, benchmark,
-/// scale) tuple recurs across many experiments (the per-benchmark grids
-/// of Figs. 6-8 / Tables 5 and 7, and every `IPC_alone` normalization),
-/// and runs are deterministic, so each is computed once. Entries are
-/// claim-based (`Arc<OnceLock>`): the first requester computes, any
-/// concurrent requester for the same key blocks on that one computation
-/// instead of duplicating it — "scheduled exactly once" across the suite.
-type MemoKey = (String, String, u64, u64);
-type MemoCell = Arc<OnceLock<Report>>;
-
-fn single_run_memo() -> &'static Mutex<HashMap<MemoKey, MemoCell>> {
-    static MEMO: OnceLock<Mutex<HashMap<MemoKey, MemoCell>>> = OnceLock::new();
-    MEMO.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
-static SINGLE_RUNS_REQUESTED: AtomicU64 = AtomicU64::new(0);
-static SINGLE_RUNS_COMPUTED: AtomicU64 = AtomicU64::new(0);
-
-/// Process-wide `(requested, computed)` counters of the single-run memo.
-/// `computed` counts actual simulations; `requested - computed` is the
-/// dedup win. Monotonic over the process lifetime.
-pub fn single_run_stats() -> (u64, u64) {
-    (
-        SINGLE_RUNS_REQUESTED.load(Ordering::Relaxed),
-        SINGLE_RUNS_COMPUTED.load(Ordering::Relaxed),
-    )
-}
-
 /// Runs one benchmark alone on a single-core system under the arm's
-/// configuration at an explicit (instructions, seed), memoized.
-fn run_single_at(arm: &PolicyArm, bench: &BenchProfile, instructions: u64, seed: u64) -> Report {
-    SINGLE_RUNS_REQUESTED.fetch_add(1, Ordering::Relaxed);
-    let key = (
-        arm.label.to_string(),
-        bench.name.clone(),
-        instructions,
-        seed,
-    );
-    let cell = {
-        let mut memo = single_run_memo().lock().expect("memo poisoned");
-        memo.entry(key).or_default().clone()
-    };
-    cell.get_or_init(|| {
-        SINGLE_RUNS_COMPUTED.fetch_add(1, Ordering::Relaxed);
-        let mut cfg = arm.build(1);
-        cfg.max_instructions = instructions;
-        cfg.seed = seed;
-        System::new(cfg, vec![bench.clone()]).run()
-    })
-    .clone()
-}
-
-/// Runs one benchmark alone on a single-core system under the arm's
-/// configuration, returning its (memoized) report. Test-only since the
-/// plan/execute/reduce redesign: production paths go through
-/// [`SimUnit::execute`]; the legacy-transcription byte tests keep this as
-/// the independent reference implementation.
+/// configuration. Test-only: the legacy-transcription byte tests compare
+/// the plan/execute/reduce tables against these helpers, which go straight
+/// to [`System::new`] and share no code with the unit cache.
 #[cfg(test)]
 pub(crate) fn run_single(arm: &PolicyArm, bench: &BenchProfile, exp: &ExpConfig) -> Report {
-    run_single_at(arm, bench, exp.instructions_single, exp.seed)
+    let mut cfg = arm.build(1);
+    cfg.max_instructions = exp.instructions_single;
+    cfg.seed = exp.seed;
+    System::new(cfg, vec![bench.clone()]).run()
 }
 
 /// Runs a multiprogrammed workload under the arm's configuration
@@ -781,20 +652,6 @@ pub(crate) fn average_outcomes(results: &[WorkloadOutcome]) -> WorkloadOutcome {
     acc
 }
 
-/// Deterministic fan-out map over `0..n`, in index order.
-///
-/// Under the suite harness this enqueues the units onto the shared
-/// `padc-harness` worker pool (so `--jobs N` bounds *total* simulation
-/// threads — this shim never spawns its own); outside the harness (unit
-/// tests, direct library use) the units run inline on the calling thread.
-pub(crate) fn parallel_map<T, F>(n: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    padc_harness::subjob_map(n, f)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -841,12 +698,6 @@ mod tests {
     fn mismatched_row_rejected() {
         let mut t = ExpTable::new("x", "x", &["a", "b"]);
         t.push("r", vec![1.0]);
-    }
-
-    #[test]
-    fn parallel_map_preserves_order() {
-        let out = parallel_map(100, |i| i * 2);
-        assert_eq!(out, (0..100).map(|i| i * 2).collect::<Vec<_>>());
     }
 
     #[test]
@@ -941,27 +792,5 @@ mod tests {
         let units = plan_alone_units(&workloads, &exp);
         let names: Vec<_> = units.iter().map(|u| u.key.benchmarks[0].clone()).collect();
         assert_eq!(names, vec!["milc_06", "swim_00", "lbm_06"]);
-    }
-
-    #[test]
-    fn single_run_memo_computes_each_key_once() {
-        let exp = ExpConfig::at(Scale::Smoke).with_seed(0xC0FFEE);
-        let b = padc_workloads::profiles::by_name("milc_06").expect("catalog");
-        let (_, computed_before) = single_run_stats();
-        let r1 = SimUnit::alone(&b, &exp).execute();
-        let (_, computed_mid) = single_run_stats();
-        let r2 = SimUnit::alone(&b, &exp).execute();
-        let (requested, computed_after) = single_run_stats();
-        assert_eq!(computed_mid, computed_before + 1, "first request computes");
-        assert_eq!(computed_after, computed_mid, "second request reuses");
-        assert!(requested >= 2);
-        assert_eq!(r1.per_core[0].ipc(), r2.per_core[0].ipc());
-    }
-
-    #[test]
-    fn exec_mode_parses() {
-        assert_eq!("planned".parse::<ExecMode>(), Ok(ExecMode::Planned));
-        assert_eq!("monolithic".parse::<ExecMode>(), Ok(ExecMode::Monolithic));
-        assert!("inline".parse::<ExecMode>().is_err());
     }
 }

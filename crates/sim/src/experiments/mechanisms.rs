@@ -5,8 +5,8 @@
 //! The mechanism comparisons are (workload, arm) grids like the
 //! aggregates, so they use the plan/execute/reduce contract; each arm is
 //! a [`PolicyArm`] closure combining a base policy with a configuration
-//! mutation. The cost tables (1, 2, 6) are pure computations and stay on
-//! the monolithic path.
+//! mutation. The cost tables (1, 2, 6) are pure computations that plan no
+//! units.
 
 use padc_core::{cost, DropThresholds, SchedulingPolicy};
 use padc_dram::{MappingScheme, RefreshPolicy};
@@ -16,8 +16,8 @@ use padc_workloads::{random_workloads, Workload};
 use crate::SimConfig;
 
 use super::infra::{
-    plan_alone_units, ExecMode, ExpConfig, ExpKind, ExpTable, PolicyArm, SimUnit, UnitKey,
-    UnitResult, UnitResults,
+    plan_alone_units, ExpConfig, ExpKind, ExpTable, PolicyArm, SimUnit, UnitKey, UnitResult,
+    UnitResults,
 };
 
 /// Builds one mechanism arm: base policy, prefetching on/off, and a
@@ -122,7 +122,7 @@ fn reduce_arm_set(
 
 /// Plan/reduce kind for a single-table arm-set comparison.
 fn arm_set_kind(id: &'static str, title: &'static str, arms: fn() -> Vec<PolicyArm>) -> ExpKind {
-    ExpKind::planned(
+    ExpKind::new(
         move |exp| plan_arm_set(&arms(), "", exp),
         move |exp, results| {
             let idx = UnitResults::new(results);
@@ -193,11 +193,11 @@ fn fig28_reduce(exp: &ExpConfig, results: &[UnitResult]) -> Vec<ExpTable> {
 /// Fig. 28: PADC under the stride, C/DC, and Markov prefetchers (plus the
 /// stream default), 4-core averages.
 pub fn fig28_prefetchers(exp: &ExpConfig) -> Vec<ExpTable> {
-    fig28_kind().tables(exp, ExecMode::Planned)
+    fig28_kind().tables(exp)
 }
 
 pub(crate) fn fig28_kind() -> ExpKind {
-    ExpKind::planned(fig28_plan, fig28_reduce)
+    ExpKind::new(fig28_plan, fig28_reduce)
 }
 
 fn fig29_arms() -> Vec<PolicyArm> {
@@ -230,7 +230,7 @@ fn fig29_arms() -> Vec<PolicyArm> {
 /// Fig. 29: DDPF and FDP combined with demand-first scheduling and with
 /// APS; APD for comparison.
 pub fn fig29_ddpf_fdp_demand_first(exp: &ExpConfig) -> ExpTable {
-    fig29_kind().tables(exp, ExecMode::Planned).remove(0)
+    fig29_kind().tables(exp).remove(0)
 }
 
 pub(crate) fn fig29_kind() -> ExpKind {
@@ -276,7 +276,7 @@ fn fig30_arms() -> Vec<PolicyArm> {
 
 /// Fig. 30: DDPF and FDP combined with demand-prefetch-equal scheduling.
 pub fn fig30_ddpf_fdp_equal(exp: &ExpConfig) -> ExpTable {
-    fig30_kind().tables(exp, ExecMode::Planned).remove(0)
+    fig30_kind().tables(exp).remove(0)
 }
 
 pub(crate) fn fig30_kind() -> ExpKind {
@@ -310,7 +310,7 @@ fn fig31_arms() -> Vec<PolicyArm> {
 
 /// Fig. 31: permutation-based page interleaving with and without PADC.
 pub fn fig31_permutation(exp: &ExpConfig) -> ExpTable {
-    fig31_kind().tables(exp, ExecMode::Planned).remove(0)
+    fig31_kind().tables(exp).remove(0)
 }
 
 pub(crate) fn fig31_kind() -> ExpKind {
@@ -339,7 +339,7 @@ fn fig32_arms() -> Vec<PolicyArm> {
 
 /// Fig. 32: runahead execution with and without PADC.
 pub fn fig32_runahead(exp: &ExpConfig) -> ExpTable {
-    fig32_kind().tables(exp, ExecMode::Planned).remove(0)
+    fig32_kind().tables(exp).remove(0)
 }
 
 pub(crate) fn fig32_kind() -> ExpKind {
@@ -363,7 +363,7 @@ fn ext_batch_arms() -> Vec<PolicyArm> {
 /// Extension (beyond the paper): PAR-BS-style request batching layered on
 /// PADC, compared against plain PADC and PADC-rank on the 4-core system.
 pub fn ext_batching(exp: &ExpConfig) -> ExpTable {
-    ext_batch_kind().tables(exp, ExecMode::Planned).remove(0)
+    ext_batch_kind().tables(exp).remove(0)
 }
 
 pub(crate) fn ext_batch_kind() -> ExpKind {
@@ -392,7 +392,7 @@ fn ext_timing_arms() -> Vec<PolicyArm> {
 /// Extension (beyond the paper): the full DDR3 constraint set
 /// (tRAS/tWR/tRTP/tFAW/refresh) versus the paper's three-latency model.
 pub fn ext_timing(exp: &ExpConfig) -> ExpTable {
-    ext_timing_kind().tables(exp, ExecMode::Planned).remove(0)
+    ext_timing_kind().tables(exp).remove(0)
 }
 
 pub(crate) fn ext_timing_kind() -> ExpKind {
@@ -424,7 +424,7 @@ fn ext_wdrain_arms() -> Vec<PolicyArm> {
 /// Extension (beyond the paper): watermark-based write-drain scheduling
 /// versus the paper's writebacks-as-demands treatment.
 pub fn ext_write_drain(exp: &ExpConfig) -> ExpTable {
-    ext_wdrain_kind().tables(exp, ExecMode::Planned).remove(0)
+    ext_wdrain_kind().tables(exp).remove(0)
 }
 
 pub(crate) fn ext_wdrain_kind() -> ExpKind {
@@ -496,11 +496,11 @@ fn ext_dspatch_reduce(exp: &ExpConfig, results: &[UnitResult]) -> Vec<ExpTable> 
 /// spatial prefetcher versus the paper's stream prefetcher, 4-core
 /// averages (one table per prefetcher set).
 pub fn ext_dspatch(exp: &ExpConfig) -> Vec<ExpTable> {
-    ext_dspatch_kind().tables(exp, ExecMode::Planned)
+    ext_dspatch_kind().tables(exp)
 }
 
 pub(crate) fn ext_dspatch_kind() -> ExpKind {
-    ExpKind::planned(ext_dspatch_plan, ext_dspatch_reduce)
+    ExpKind::new(ext_dspatch_plan, ext_dspatch_reduce)
 }
 
 /// The refresh-policy arm sets: demand-first and PADC run under each of
@@ -570,11 +570,11 @@ fn ext_refresh_reduce(exp: &ExpConfig, results: &[UnitResult]) -> Vec<ExpTable> 
 /// per-bank, and DARP refresh organizations, 4-core averages (one table
 /// per refresh policy).
 pub fn ext_refresh(exp: &ExpConfig) -> Vec<ExpTable> {
-    ext_refresh_kind().tables(exp, ExecMode::Planned)
+    ext_refresh_kind().tables(exp)
 }
 
 pub(crate) fn ext_refresh_kind() -> ExpKind {
-    ExpKind::planned(ext_refresh_plan, ext_refresh_reduce)
+    ExpKind::new(ext_refresh_plan, ext_refresh_reduce)
 }
 
 /// Tables 1 and 2: the hardware-cost model, evaluated for the paper's

@@ -6,13 +6,16 @@
 //! aligned text. The `padc-bench` crate's `repro` binary maps subcommands
 //! (`fig6`, `case2`, `tab7`, ...) onto these functions.
 //!
-//! Experiments execute through the two-phase plan/execute/reduce contract
-//! ([`ExpKind`]): `plan` enumerates independent, deterministically-keyed
-//! [`SimUnit`]s, the harness executes them (fanning out onto the shared
-//! worker pool in [`ExecMode::Planned`]), and `reduce` folds the unit
-//! results into tables after a per-experiment barrier — so result bytes
-//! never depend on scheduling. A few non-grid experiments (fig2, fig4,
-//! cost, tab6) keep the legacy monolithic path.
+//! Every experiment executes one way, through the plan/execute/reduce
+//! contract ([`ExpKind`]): `plan` enumerates independent,
+//! deterministically-keyed [`SimUnit`]s; [`execute_units`] resolves each
+//! through the digest-keyed unit cache (memory, then the installed store
+//! if any) and fans only the misses out onto the shared worker pool; and
+//! `reduce` folds the unit results into tables after a per-experiment
+//! barrier — so result bytes never depend on scheduling, and each distinct
+//! simulation runs once per process. The few experiments that are not
+//! grids of simulations (fig2, fig4, cost, tab6) plan zero units and build
+//! their tables in `reduce`.
 //!
 //! Absolute numbers will not match the paper (its substrate was a
 //! proprietary x86 simulator running SPEC traces; ours is a synthetic-trace
@@ -29,8 +32,8 @@ mod sweeps;
 mod unit_cache;
 
 pub use infra::{
-    execute_units, plan_alone_units, single_run_stats, ExecMode, ExpConfig, ExpKind, ExpTable,
-    PlannedExperiment, PolicyArm, Scale, SimUnit, UnitKey, UnitResult, UnitResults,
+    execute_units, plan_alone_units, ExpConfig, ExpKind, ExpTable, PolicyArm, Scale, SimUnit,
+    UnitKey, UnitResult, UnitResults,
 };
 pub use mechanisms::{
     ext_batching, ext_dspatch, ext_refresh, ext_timing, ext_write_drain, fig28_prefetchers,
@@ -45,15 +48,15 @@ pub use multi::{
     tab9_identical_libquantum, CaseStudy,
 };
 pub use registry::{
-    find, registry as experiment_registry, suite_jobs, suite_jobs_profiled, suite_jobs_with,
-    table_stash, Experiment, SuiteOptions, TableStash,
+    find, registry as experiment_registry, suite_jobs, suite_jobs_profiled, table_stash,
+    Experiment, TableStash,
 };
 pub use single::{
     fig1_motivation, fig6_single_core_ipc, fig7_spl, fig8_traffic, tab5_characteristics, tab7_rbhu,
 };
 pub use sweeps::{ext_happy, fig23_row_buffer_sweep, fig24_closed_row, fig25_cache_sweep};
 pub use unit_cache::{
-    fingerprint as store_fingerprint, install_unit_store, set_unit_coalescing, unit_cache_stats,
+    fingerprint as store_fingerprint, install_unit_store, single_run_stats, unit_cache_stats,
     unit_store_installed, UnitCacheStats, RESULT_SCHEMA_VERSION,
 };
 #[doc(hidden)]

@@ -6,8 +6,8 @@
 //! them use the plan/execute/reduce contract: `plan` enumerates one
 //! [`SimUnit`] per (workload, policy-arm) pair plus the deduplicated
 //! `IPC_alone` normalization units, and `reduce` folds the reports into
-//! the paper's tables. The public per-figure functions execute the same
-//! plan inline (or on the shared pool when called under the harness).
+//! the paper's tables. The public per-figure functions run the same
+//! plan/execute/reduce (inline, or on the shared pool under the harness).
 
 use padc_core::SchedulingPolicy;
 use padc_workloads::{random_workloads, Workload};
@@ -15,8 +15,8 @@ use padc_workloads::{random_workloads, Workload};
 use crate::{metrics, SimConfig};
 
 use super::infra::{
-    average_outcomes, plan_alone_units, standard_arms, ExecMode, ExpConfig, ExpKind, ExpTable,
-    PolicyArm, SimUnit, UnitKey, UnitResult, UnitResults, WorkloadOutcome,
+    average_outcomes, plan_alone_units, standard_arms, ExpConfig, ExpKind, ExpTable, PolicyArm,
+    SimUnit, UnitKey, UnitResult, UnitResults, WorkloadOutcome,
 };
 
 /// The paper's three 4-core case studies (§6.3.1–6.3.3).
@@ -115,12 +115,12 @@ fn case_reduce(case: CaseStudy, exp: &ExpConfig, results: &[UnitResult]) -> Vec<
 /// Runs one case study: returns (individual speedups, system metrics,
 /// per-application traffic breakdown) — the paper's paired figures (10–15).
 pub fn case_study(case: CaseStudy, exp: &ExpConfig) -> Vec<ExpTable> {
-    case_kind(case).tables(exp, ExecMode::Planned)
+    case_kind(case).tables(exp)
 }
 
 /// Plan/reduce kind for one case study.
 pub(crate) fn case_kind(case: CaseStudy) -> ExpKind {
-    ExpKind::planned(
+    ExpKind::new(
         move |exp| case_plan(case, exp),
         move |exp, results| case_reduce(case, exp, results),
     )
@@ -174,16 +174,14 @@ impl AggSpec {
     }
 
     fn kind(self) -> ExpKind {
-        ExpKind::planned(
+        ExpKind::new(
             move |exp| self.plan(exp),
             move |exp, results| vec![self.reduce(exp, results)],
         )
     }
 
     fn table(self, exp: &ExpConfig) -> ExpTable {
-        let units = self.plan(exp);
-        let results = super::infra::execute_units(&units, ExecMode::Planned);
-        self.reduce(exp, &results)
+        self.kind().tables(exp).remove(0)
     }
 }
 
@@ -444,11 +442,11 @@ fn tab8_reduce(exp: &ExpConfig, results: &[UnitResult]) -> ExpTable {
 /// study — individual speedups, UF, WS, HS for APS/PADC with and without
 /// urgency.
 pub fn tab8_urgency(exp: &ExpConfig) -> ExpTable {
-    tab8_kind().tables(exp, ExecMode::Planned).remove(0)
+    tab8_kind().tables(exp).remove(0)
 }
 
 pub(crate) fn tab8_kind() -> ExpKind {
-    ExpKind::planned(tab8_plan, |exp, results| vec![tab8_reduce(exp, results)])
+    ExpKind::new(tab8_plan, |exp, results| vec![tab8_reduce(exp, results)])
 }
 
 fn identical_plan(bench: &str, exp: &ExpConfig) -> Vec<SimUnit> {
@@ -480,7 +478,7 @@ fn identical_reduce(
 }
 
 fn identical_kind(id: &'static str, title: &'static str, bench: &'static str) -> ExpKind {
-    ExpKind::planned(
+    ExpKind::new(
         move |exp| identical_plan(bench, exp),
         move |exp, results| vec![identical_reduce(id, title, bench, exp, results)],
     )
@@ -488,7 +486,7 @@ fn identical_kind(id: &'static str, title: &'static str, bench: &'static str) ->
 
 /// Table 9: four copies of libquantum on the 4-core system.
 pub fn tab9_identical_libquantum(exp: &ExpConfig) -> ExpTable {
-    tab9_kind().tables(exp, ExecMode::Planned).remove(0)
+    tab9_kind().tables(exp).remove(0)
 }
 
 pub(crate) fn tab9_kind() -> ExpKind {
@@ -501,7 +499,7 @@ pub(crate) fn tab9_kind() -> ExpKind {
 
 /// Table 10: four copies of milc on the 4-core system.
 pub fn tab10_identical_milc(exp: &ExpConfig) -> ExpTable {
-    tab10_kind().tables(exp, ExecMode::Planned).remove(0)
+    tab10_kind().tables(exp).remove(0)
 }
 
 pub(crate) fn tab10_kind() -> ExpKind {
@@ -566,12 +564,12 @@ mod tests {
     }
 
     #[test]
-    fn planned_fig16_matches_legacy_monolithic_computation() {
+    fn fig16_matches_legacy_sequential_computation() {
         use super::super::infra::{alone_ipcs, run_workload};
         let exp = ExpConfig::at(Scale::Smoke);
         let spec = fig16_spec();
-        // Transcription of the pre-redesign monolithic `aggregate` body:
-        // sequential alone normalization, then per-arm workload runs.
+        // Transcription of the pre-redesign single-closure `aggregate`
+        // body: sequential alone normalization, then per-arm workload runs.
         let workloads = spec.workloads(&exp);
         let alone: Vec<Vec<f64>> = workloads.iter().map(|w| alone_ipcs(w, &exp)).collect();
         let mut legacy = ExpTable::new(spec.id, spec.title, &["WS", "HS", "UF", "traffic(lines)"]);
@@ -587,24 +585,11 @@ mod tests {
             let o = average_outcomes(&outcomes);
             legacy.push(arm.label, vec![o.ws, o.hs, o.uf, o.traffic_total]);
         }
-        let planned = fig16_kind().tables(&exp, ExecMode::Planned).remove(0);
+        let planned = fig16_kind().tables(&exp).remove(0);
         assert_eq!(
             serde_json::to_string(&planned).unwrap(),
             serde_json::to_string(&legacy).unwrap(),
-            "plan/execute/reduce must reproduce the legacy monolithic tables byte-for-byte"
-        );
-    }
-
-    #[test]
-    fn planned_fig16_matches_monolithic_execution() {
-        let exp = ExpConfig::at(Scale::Smoke);
-        let planned = fig16_kind().tables(&exp, ExecMode::Planned);
-        let monolithic = fig16_kind().tables(&exp, ExecMode::Monolithic);
-        let a = serde_json::to_string(&planned).unwrap();
-        let b = serde_json::to_string(&monolithic).unwrap();
-        assert_eq!(
-            a, b,
-            "planned and monolithic paths must agree byte-for-byte"
+            "plan/execute/reduce must reproduce the legacy tables byte-for-byte"
         );
     }
 }

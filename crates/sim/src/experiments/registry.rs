@@ -2,24 +2,21 @@
 //! record, plus the adapter that turns registry entries into
 //! [`padc_harness::JobSpec`]s for parallel, fault-isolated execution.
 //!
-//! The registry used to live in `padc-bench`; it moved here so that both
-//! CLIs (`repro` in `padc-bench`, `padcsim --suite` in this crate) and the
-//! benches enumerate the *same* experiment list. `padc-bench` re-exports
-//! these items, so existing `padc_bench::{registry, find}` callers are
-//! unaffected.
+//! Both CLIs (`repro` in `padc-bench`, `padcsim --suite` in this crate),
+//! `padcsim serve` and the benches enumerate this one list; `padc-bench`
+//! re-exports it.
 //!
-//! Since the plan/execute/reduce redesign an entry carries an [`ExpKind`]
-//! instead of a monolithic runner: grid experiments expose their plan of
-//! independent [`SimUnit`](super::SimUnit)s, which the suite jobs fan out
-//! onto the shared harness pool, while the few non-grid experiments
-//! (fig2, fig4, cost, tab6) keep the monolithic path.
+//! An entry carries an [`ExpKind`]: its plan of independent
+//! [`SimUnit`](super::SimUnit)s, which the suite jobs resolve through the
+//! unit cache and fan out onto the shared harness pool, and the reduce
+//! that folds the reports into tables. fig2, fig4, cost and tab6 plan no
+//! units.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 use padc_harness::JobSpec;
 
-use super::infra::ExecMode;
 use super::{self as exp, CaseStudy, ExpConfig, ExpKind, ExpTable};
 
 /// Every reproducible artifact: id, paper reference, and how it executes.
@@ -28,31 +25,22 @@ pub struct Experiment {
     pub id: &'static str,
     /// What the paper calls it.
     pub paper_ref: &'static str,
-    /// The execution contract: planned (plan/execute/reduce) or monolithic.
+    /// The experiment's plan and reduce phases.
     pub kind: ExpKind,
 }
 
 impl Experiment {
-    /// Runs the experiment in the default (planned) execution mode.
+    /// Runs the experiment: plan → execute → reduce.
     pub fn tables(&self, cfg: &ExpConfig) -> Vec<ExpTable> {
-        self.tables_with(cfg, ExecMode::default())
-    }
-
-    /// Runs the experiment in an explicit execution mode. Both modes
-    /// produce identical tables; `Monolithic` is the inline compatibility
-    /// path the determinism gate byte-diffs against.
-    pub fn tables_with(&self, cfg: &ExpConfig, mode: ExecMode) -> Vec<ExpTable> {
-        self.kind.tables(cfg, mode)
+        self.kind.tables(cfg)
     }
 }
 
-macro_rules! single_table {
-    ($f:path) => {{
-        fn runner(c: &ExpConfig) -> Vec<ExpTable> {
-            vec![$f(c)]
-        }
-        ExpKind::Monolithic(runner)
-    }};
+/// An experiment that plans zero units and builds its tables in `reduce`:
+/// the hand-traced timeline (fig2), the step-sampled fig4, and the pure
+/// cost computations (cost, tab6).
+fn unit_free(tables: fn(&ExpConfig) -> Vec<ExpTable>) -> ExpKind {
+    ExpKind::new(|_| Vec::new(), move |cfg, _| tables(cfg))
 }
 
 /// The full experiment registry, in paper order.
@@ -66,12 +54,12 @@ pub fn registry() -> Vec<Experiment> {
         Experiment {
             id: "fig2",
             paper_ref: "Figure 2 (scheduling example timelines)",
-            kind: single_table!(exp::fig2_scheduling_example),
+            kind: unit_free(|c| vec![exp::fig2_scheduling_example(c)]),
         },
         Experiment {
             id: "fig4",
             paper_ref: "Figure 4 (service-time histogram; accuracy phases)",
-            kind: ExpKind::Monolithic(exp::fig4_service_time_and_phases),
+            kind: unit_free(exp::fig4_service_time_and_phases),
         },
         Experiment {
             id: "fig6",
@@ -246,12 +234,12 @@ pub fn registry() -> Vec<Experiment> {
         Experiment {
             id: "cost",
             paper_ref: "Tables 1-2 (hardware cost)",
-            kind: single_table!(exp::tab1_2_cost),
+            kind: unit_free(|c| vec![exp::tab1_2_cost(c)]),
         },
         Experiment {
             id: "tab6",
             paper_ref: "Table 6 (drop thresholds)",
-            kind: single_table!(exp::tab6_thresholds),
+            kind: unit_free(|c| vec![exp::tab6_thresholds(c)]),
         },
     ]
 }
@@ -271,84 +259,52 @@ pub fn table_stash() -> TableStash {
     Arc::new(Mutex::new(HashMap::new()))
 }
 
-/// Options for [`suite_jobs_with`].
-#[derive(Clone, Copy, Default)]
-pub struct SuiteOptions {
-    /// Append a hot-path `"profile"` object to each payload.
-    pub profile: bool,
-    /// How planned experiments execute their units.
-    pub exec: ExecMode,
-}
-
-/// Adapts registry entries into harness jobs (planned execution, no
-/// profiling).
+/// Adapts registry entries into harness jobs (no profiling).
 ///
 /// Each job runs its experiment at `cfg` scale and returns the payload
 /// `{"paper_ref":...,"tables":[...]}` as compact JSON. When `stash` is
 /// given, the job also deposits its `Vec<ExpTable>` there (keyed by id)
 /// for post-run rendering.
+///
+/// Each experiment's cache-missing units fan out as first-class sub-jobs
+/// on the shared worker pool, so `--jobs N` load-balances across all units
+/// of all experiments; the experiment's `reduce` runs after its own unit
+/// barrier, so payload bytes never depend on scheduling.
 pub fn suite_jobs(
     experiments: Vec<Experiment>,
     cfg: ExpConfig,
     stash: Option<TableStash>,
 ) -> Vec<JobSpec> {
-    suite_jobs_with(experiments, cfg, stash, SuiteOptions::default())
+    suite_jobs_profiled(experiments, cfg, stash, false)
 }
 
-/// [`suite_jobs`] with profiling toggled (`padcsim --suite --profile`).
+/// [`suite_jobs`] with profiling toggled (`--profile` on both CLIs).
+///
+/// When `profile` is set, every job installs a fresh
+/// [`ProfileAccum`](crate::profile::ProfileAccum) as the harness task
+/// context for the duration of its experiment, so each `System::run` the
+/// experiment performs — including runs fanned out over `subjob_map` —
+/// folds its counters into that experiment's accumulator (a unit another
+/// experiment already computed runs nothing and adds nothing). Profiled
+/// payloads are **not** byte-stable across runs (wall-clock fields), which
+/// is why the determinism gates exercise the unprofiled path.
 pub fn suite_jobs_profiled(
     experiments: Vec<Experiment>,
     cfg: ExpConfig,
     stash: Option<TableStash>,
     profile: bool,
 ) -> Vec<JobSpec> {
-    suite_jobs_with(
-        experiments,
-        cfg,
-        stash,
-        SuiteOptions {
-            profile,
-            ..SuiteOptions::default()
-        },
-    )
-}
-
-/// The fully-parameterized job adapter.
-///
-/// In the default `Planned` mode each experiment's units fan out as
-/// first-class sub-jobs on the shared worker pool, so `--jobs N`
-/// load-balances across all units of all experiments; the experiment's
-/// `reduce` runs after its own unit barrier, so payload bytes never
-/// depend on scheduling. `Monolithic` mode runs every unit inline in plan
-/// order — the compatibility path for non-grid experiments and for the
-/// determinism gate's planned-vs-monolithic byte-diff.
-///
-/// When `opts.profile` is set, every job installs a fresh
-/// [`ProfileAccum`](crate::profile::ProfileAccum) as the harness task
-/// context for the duration of its experiment, so each `System::run` the
-/// experiment performs — including runs fanned out over `subjob_map` —
-/// folds its counters into that experiment's accumulator. Profiled
-/// payloads are **not** byte-stable across runs (wall-clock fields), which
-/// is why the determinism gates exercise the unprofiled path.
-pub fn suite_jobs_with(
-    experiments: Vec<Experiment>,
-    cfg: ExpConfig,
-    stash: Option<TableStash>,
-    opts: SuiteOptions,
-) -> Vec<JobSpec> {
     experiments
         .into_iter()
         .map(|e| {
             let stash = stash.clone();
             JobSpec::new(e.id, e.paper_ref, move || {
-                let (tables, prof) = if opts.profile {
+                let (tables, prof) = if profile {
                     let acc = crate::profile::new_accum();
-                    let tables = padc_harness::with_task_context(acc.clone(), || {
-                        e.tables_with(&cfg, opts.exec)
-                    });
+                    let tables = padc_harness::with_task_context(acc.clone(), || e.tables(&cfg));
                     (tables, Some(acc.to_json()))
                 } else {
-                    (e.tables_with(&cfg, opts.exec), None)
+                    (e.tables(&cfg), None)
                 };
                 let payload = payload_json(e.paper_ref, &tables, prof.as_deref());
                 if let Some(s) = &stash {
@@ -411,22 +367,6 @@ mod tests {
     }
 
     #[test]
-    fn grid_experiments_are_planned_and_pure_ones_are_not() {
-        for id in ["fig1", "fig6", "fig9", "fig16", "fig23", "fig28", "tab8"] {
-            assert!(
-                find(id).unwrap().kind.is_planned(),
-                "{id} should be planned"
-            );
-        }
-        for id in ["fig2", "fig4", "cost", "tab6"] {
-            assert!(
-                !find(id).unwrap().kind.is_planned(),
-                "{id} should be monolithic"
-            );
-        }
-    }
-
-    #[test]
     fn tiny_experiments_run_end_to_end() {
         let cfg = ExpConfig::at(Scale::Smoke);
         for id in ["fig2", "cost", "tab6"] {
@@ -437,12 +377,33 @@ mod tests {
     }
 
     #[test]
-    fn planned_and_monolithic_modes_produce_identical_tables() {
+    fn plans_are_pure_and_keys_determine_digests() {
+        // Simulation-free: `reduce` addresses results by `UnitKey` while
+        // the cache is keyed by the digest of `store_meta` alone, so a
+        // plan must be a pure function of its config and, within one plan,
+        // equal keys must mean equal metas (otherwise
+        // `UnitResults::by_key` would silently pick one of two different
+        // simulations).
         let cfg = ExpConfig::at(Scale::Smoke);
-        let e = find("fig9").unwrap();
-        let planned = serde_json::to_string(&e.tables_with(&cfg, ExecMode::Planned)).unwrap();
-        let monolithic = serde_json::to_string(&e.tables_with(&cfg, ExecMode::Monolithic)).unwrap();
-        assert_eq!(planned, monolithic);
+        for e in registry() {
+            let identities = || -> Vec<(exp::UnitKey, String)> {
+                (e.kind.plan)(&cfg)
+                    .iter()
+                    .map(|u| (u.key.clone(), u.store_meta()))
+                    .collect()
+            };
+            let units = identities();
+            assert_eq!(units, identities(), "{}: plan is not pure", e.id);
+            let mut meta_of = HashMap::new();
+            for (key, meta) in &units {
+                assert_eq!(
+                    *meta_of.entry(key).or_insert(meta),
+                    meta,
+                    "{}: key {key:?} names two different simulations",
+                    e.id
+                );
+            }
+        }
     }
 
     #[test]
@@ -468,9 +429,11 @@ mod tests {
 
     #[test]
     fn profiled_jobs_append_a_profile_object() {
+        // A seed no other test uses: a unit some other test in this binary
+        // had already settled would resolve from the cache and run nothing.
         let jobs = suite_jobs_profiled(
             vec![find("fig1").unwrap()],
-            ExpConfig::at(Scale::Smoke),
+            ExpConfig::at(Scale::Smoke).with_seed(0x9F0F),
             None,
             true,
         );

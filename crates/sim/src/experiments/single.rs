@@ -1,10 +1,10 @@
 //! Single-core experiments: Figs. 1, 6, 7, 8 and Tables 5, 7.
 //!
 //! These are (benchmark, arm) grids. Each grid cell is planned as one
-//! [`SimUnit::single`] in benchmark-major order; because single-core
-//! units memoize process-wide by *(arm label, benchmark, instructions,
-//! seed)*, the five grids share their cells with each other and with
-//! every `IPC_alone` normalization run in the multi-core experiments.
+//! [`SimUnit::single`] in benchmark-major order; the unit cache keys a
+//! unit by the digest of its full inputs, so the five grids share their
+//! cells with each other and with every `IPC_alone` normalization run in
+//! the multi-core experiments.
 
 use padc_workloads::{profiles, BenchProfile};
 
@@ -12,7 +12,7 @@ use crate::metrics::gmean;
 use crate::Report;
 
 use super::infra::{
-    standard_arms, ExecMode, ExpConfig, ExpKind, ExpTable, PolicyArm, SimUnit, UnitKey, UnitResult,
+    standard_arms, ExpConfig, ExpKind, ExpTable, PolicyArm, SimUnit, UnitKey, UnitResult,
     UnitResults,
 };
 
@@ -120,11 +120,11 @@ fn fig1_reduce(exp: &ExpConfig, results: &[UnitResult]) -> ExpTable {
 /// Fig. 1: IPC of the stream prefetcher under demand-first and
 /// demand-prefetch-equal, normalized to no prefetching, for ten benchmarks.
 pub fn fig1_motivation(exp: &ExpConfig) -> ExpTable {
-    fig1_kind().tables(exp, ExecMode::Planned).remove(0)
+    fig1_kind().tables(exp).remove(0)
 }
 
 pub(crate) fn fig1_kind() -> ExpKind {
-    ExpKind::planned(
+    ExpKind::new(
         // no-pref, demand-first, equal
         |exp| grid_plan(&fig1_benchmarks(), &standard_arms()[0..3], exp),
         |exp, results| vec![fig1_reduce(exp, results)],
@@ -165,11 +165,11 @@ fn fig6_reduce(exp: &ExpConfig, results: &[UnitResult]) -> ExpTable {
 /// Fig. 6: single-core IPC for all five arms, normalized to demand-first,
 /// for 15 benchmarks plus the gmean over the whole 55-benchmark suite.
 pub fn fig6_single_core_ipc(exp: &ExpConfig) -> ExpTable {
-    fig6_kind().tables(exp, ExecMode::Planned).remove(0)
+    fig6_kind().tables(exp).remove(0)
 }
 
 pub(crate) fn fig6_kind() -> ExpKind {
-    ExpKind::planned(
+    ExpKind::new(
         |exp| grid_plan(&profiles::all(), &standard_arms(), exp),
         |exp, results| vec![fig6_reduce(exp, results)],
     )
@@ -214,11 +214,11 @@ fn fig7_reduce(exp: &ExpConfig, results: &[UnitResult]) -> ExpTable {
 /// Fig. 7: stall-time per load (SPL) for the 15 shown benchmarks plus the
 /// arithmetic mean over all 55.
 pub fn fig7_spl(exp: &ExpConfig) -> ExpTable {
-    fig7_kind().tables(exp, ExecMode::Planned).remove(0)
+    fig7_kind().tables(exp).remove(0)
 }
 
 pub(crate) fn fig7_kind() -> ExpKind {
-    ExpKind::planned(
+    ExpKind::new(
         |exp| grid_plan(&profiles::all(), &standard_arms(), exp),
         |exp, results| vec![fig7_reduce(exp, results)],
     )
@@ -261,11 +261,11 @@ fn fig8_reduce(exp: &ExpConfig, results: &[UnitResult]) -> ExpTable {
 /// prefetch lines, per arm, summed over all 55 benchmarks (the paper's
 /// `amean55` bars, scaled by the benchmark count).
 pub fn fig8_traffic(exp: &ExpConfig) -> ExpTable {
-    fig8_kind().tables(exp, ExecMode::Planned).remove(0)
+    fig8_kind().tables(exp).remove(0)
 }
 
 pub(crate) fn fig8_kind() -> ExpKind {
-    ExpKind::planned(
+    ExpKind::new(
         |exp| grid_plan(&profiles::all(), &standard_arms(), exp),
         |exp, results| vec![fig8_reduce(exp, results)],
     )
@@ -307,11 +307,11 @@ fn tab5_reduce(exp: &ExpConfig, results: &[UnitResult]) -> ExpTable {
 /// Table 5: benchmark characteristics with and without the stream
 /// prefetcher (IPC, MPKI, RBH, ACC, COV, class) under demand-first.
 pub fn tab5_characteristics(exp: &ExpConfig) -> ExpTable {
-    tab5_kind().tables(exp, ExecMode::Planned).remove(0)
+    tab5_kind().tables(exp).remove(0)
 }
 
 pub(crate) fn tab5_kind() -> ExpKind {
-    ExpKind::planned(
+    ExpKind::new(
         // no-pref + demand-first
         |exp| grid_plan(&profiles::all(), &standard_arms()[0..2], exp),
         |exp, results| vec![tab5_reduce(exp, results)],
@@ -371,11 +371,11 @@ fn tab7_reduce(exp: &ExpConfig, results: &[UnitResult]) -> ExpTable {
 /// Table 7: row-buffer hit rate for useful requests (RBHU) under each arm,
 /// for the paper's 13 benchmarks plus the mean over the suite.
 pub fn tab7_rbhu(exp: &ExpConfig) -> ExpTable {
-    tab7_kind().tables(exp, ExecMode::Planned).remove(0)
+    tab7_kind().tables(exp).remove(0)
 }
 
 pub(crate) fn tab7_kind() -> ExpKind {
-    ExpKind::planned(
+    ExpKind::new(
         |exp| grid_plan(&profiles::all(), &standard_arms(), exp),
         |exp, results| vec![tab7_reduce(exp, results)],
     )
@@ -417,10 +417,7 @@ mod tests {
     #[test]
     fn grid_plans_one_unit_per_cell() {
         let exp = smoke();
-        let units = match fig6_kind() {
-            ExpKind::Planned(p) => (p.plan)(&exp),
-            ExpKind::Monolithic(_) => panic!("fig6 is planned"),
-        };
+        let units = (fig6_kind().plan)(&exp);
         assert_eq!(units.len(), profiles::all().len() * standard_arms().len());
         // Every unit is single-core at the single-core budget.
         assert!(units

@@ -16,8 +16,8 @@ use padc_workloads::{random_workloads, Workload};
 use crate::metrics;
 
 use super::infra::{
-    plan_alone_units, standard_arms, ExecMode, ExpConfig, ExpKind, ExpTable, SimUnit, UnitKey,
-    UnitResult, UnitResults,
+    plan_alone_units, standard_arms, ExpConfig, ExpKind, ExpTable, SimUnit, UnitKey, UnitResult,
+    UnitResults,
 };
 
 /// The sweep workload set: 4-core mixes shared by all sweep points.
@@ -107,11 +107,11 @@ fn fig23_reduce(exp: &ExpConfig, results: &[UnitResult]) -> ExpTable {
 /// Fig. 23: weighted speedup across DRAM row-buffer sizes (2KB–128KB) on
 /// the 4-core system. Columns are the arms, rows the row sizes.
 pub fn fig23_row_buffer_sweep(exp: &ExpConfig) -> ExpTable {
-    fig23_kind().tables(exp, ExecMode::Planned).remove(0)
+    fig23_kind().tables(exp).remove(0)
 }
 
 pub(crate) fn fig23_kind() -> ExpKind {
-    ExpKind::planned(fig23_plan, |exp, results| vec![fig23_reduce(exp, results)])
+    ExpKind::new(fig23_plan, |exp, results| vec![fig23_reduce(exp, results)])
 }
 
 /// The arms Fig. 24 reports for the open-row baseline.
@@ -162,11 +162,11 @@ fn fig24_reduce(exp: &ExpConfig, results: &[UnitResult]) -> ExpTable {
 
 /// Fig. 24: the closed-row policy vs the open-row baseline.
 pub fn fig24_closed_row(exp: &ExpConfig) -> ExpTable {
-    fig24_kind().tables(exp, ExecMode::Planned).remove(0)
+    fig24_kind().tables(exp).remove(0)
 }
 
 pub(crate) fn fig24_kind() -> ExpKind {
-    ExpKind::planned(fig24_plan, |exp, results| vec![fig24_reduce(exp, results)])
+    ExpKind::new(fig24_plan, |exp, results| vec![fig24_reduce(exp, results)])
 }
 
 /// The arms the HAPPY extension reports: the demand-first baseline (APS
@@ -226,11 +226,11 @@ fn ext_happy_reduce(exp: &ExpConfig, results: &[UnitResult]) -> ExpTable {
 /// at precharge time, so the predictor's training feeds back into the
 /// schedule this table probes.
 pub fn ext_happy(exp: &ExpConfig) -> ExpTable {
-    ext_happy_kind().tables(exp, ExecMode::Planned).remove(0)
+    ext_happy_kind().tables(exp).remove(0)
 }
 
 pub(crate) fn ext_happy_kind() -> ExpKind {
-    ExpKind::planned(ext_happy_plan, |exp, results| {
+    ExpKind::new(ext_happy_plan, |exp, results| {
         vec![ext_happy_reduce(exp, results)]
     })
 }
@@ -281,11 +281,11 @@ fn fig25_reduce(exp: &ExpConfig, results: &[UnitResult]) -> ExpTable {
 /// Fig. 25: weighted speedup across per-core L2 sizes (512KB–8MB) on the
 /// 4-core system.
 pub fn fig25_cache_sweep(exp: &ExpConfig) -> ExpTable {
-    fig25_kind().tables(exp, ExecMode::Planned).remove(0)
+    fig25_kind().tables(exp).remove(0)
 }
 
 pub(crate) fn fig25_kind() -> ExpKind {
-    ExpKind::planned(fig25_plan, |exp, results| vec![fig25_reduce(exp, results)])
+    ExpKind::new(fig25_plan, |exp, results| vec![fig25_reduce(exp, results)])
 }
 
 #[cfg(test)]

@@ -1,46 +1,46 @@
-//! Content-addressed unit cache: the layer between [`execute_units`] and
-//! the disk store.
+//! Content-addressed unit cache: the one layer between [`execute_units`]
+//! and the simulator (and, when installed, the disk store).
 //!
-//! When active, every planned [`SimUnit`] resolves through a process-wide
-//! claim map keyed by the SHA-256 digest of the unit's *store meta* — the
-//! simulator fingerprint plus the full result-shaping inputs (see
-//! [`SimUnit::store_meta`] and DESIGN.md §12). Resolution happens **before**
-//! any fan-out:
+//! Every planned [`SimUnit`] resolves through a process-wide claim map
+//! keyed by the SHA-256 digest of the unit's *store meta* — the simulator
+//! fingerprint plus the full result-shaping inputs (see
+//! [`SimUnit::store_meta`] and DESIGN.md §12). Resolution happens
+//! **before** any fan-out:
 //!
 //! 1. A digest already `Done` in memory (or `InFlight` on another thread)
 //!    is coalesced — it never probes the disk nor schedules a sub-job.
-//!    Concurrent identical requests through `padcsim serve` therefore
-//!    compute each unit once.
-//! 2. An unclaimed digest probes the installed [`Store`], strictly: the
-//!    entry must validate byte-for-byte against today's meta *and* its
-//!    payload must parse as a [`Report`], or it is treated as a miss and
-//!    recomputed (the PR 2 resume posture — disk is never trusted).
-//! 3. Only the remaining misses are scheduled (fanned out in
-//!    [`ExecMode::Planned`], inline in `Monolithic`), so a fully warm run
-//!    executes **zero** simulation units. Completed misses are written
-//!    back with an atomic put.
+//!    The grids that share cells, every experiment's `IPC_alone`
+//!    references, and concurrent identical `padcsim serve` requests
+//!    therefore compute each unit once per process.
+//! 2. An unclaimed digest probes the installed [`Store`], if there is one,
+//!    strictly: the entry must validate byte-for-byte against today's meta
+//!    *and* its payload must parse as a [`Report`], or it is treated as a
+//!    miss and recomputed (the resume posture — disk is never trusted).
+//! 3. Only the remaining misses are scheduled, through
+//!    [`padc_harness::subjob_map`], so a fully warm run executes **zero**
+//!    simulation units. Completed misses are written back to the store
+//!    with an atomic put.
 //!
-//! A panicking compute resets its claim to `Empty` and wakes waiters, the
-//! first of which adopts the claim and recomputes inline — a poisoned
-//! entry or injected failure can never wedge a waiter.
+//! A claim that is dropped unsettled (its compute panicked, or the
+//! fan-out unwound before reaching it) resets its cell to `Empty` and
+//! wakes waiters, the first of which adopts the claim and recomputes
+//! inline — a failing unit can never wedge a waiter.
 //!
-//! The cache is **off by default**: without a store installed (and outside
-//! serve mode) `execute_units` takes the exact legacy path, keeping the
-//! established scheduler telemetry (`subjobs_executed`, single-run memo
-//! floors) untouched. Reports are exact-integer JSON, so a cache round
-//! trip is byte-lossless and cold/warm/no-store artifacts are
-//! byte-identical — `scripts/determinism_gate.sh` enforces this.
+//! No-store, cold-store and serve runs take this same path, so they
+//! schedule the same sub-jobs and report the same telemetry. Reports are
+//! exact-integer JSON, so a store round trip is byte-lossless and
+//! cold/warm/no-store artifacts are byte-identical —
+//! `scripts/determinism_gate.sh` enforces this.
 
 use std::collections::HashMap;
 use std::io;
-use std::panic::{self, AssertUnwindSafe};
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
 use padc_store::{digest_hex, Store};
 
-use super::infra::{parallel_map, ExecMode, SimUnit};
+use super::infra::SimUnit;
 use crate::Report;
 
 /// Bumped whenever a change alters simulation results without changing
@@ -67,7 +67,7 @@ pub struct UnitCacheStats {
     /// while a store is installed).
     pub store_misses: u64,
     /// Units resolved from (or parked on) an in-memory claim another
-    /// request already owned — the serve-mode dedup win.
+    /// request already owned — the cross-experiment dedup win.
     pub units_coalesced: u64,
 }
 
@@ -84,14 +84,19 @@ pub fn unit_cache_stats() -> UnitCacheStats {
     }
 }
 
-/// Serve mode forces the in-memory claim map on even without a disk store.
-static COALESCING: AtomicBool = AtomicBool::new(false);
+static SINGLE_RUNS_REQUESTED: AtomicU64 = AtomicU64::new(0);
+static SINGLE_RUNS_COMPUTED: AtomicU64 = AtomicU64::new(0);
 
-/// Enables (or disables) in-memory unit coalescing independently of a
-/// store — `padcsim serve` turns this on so concurrent requests share
-/// in-flight units.
-pub fn set_unit_coalescing(enabled: bool) {
-    COALESCING.store(enabled, Ordering::Relaxed);
+/// Process-wide `(requested, computed)` counters over single-core units
+/// (grid cells and `IPC_alone` references): how many were handed to
+/// [`execute_units`](super::execute_units) vs. how many were actually
+/// simulated. `requested - computed` is the dedup (and warm-store) win.
+/// Monotonic over the process lifetime.
+pub fn single_run_stats() -> (u64, u64) {
+    (
+        SINGLE_RUNS_REQUESTED.load(Ordering::Relaxed),
+        SINGLE_RUNS_COMPUTED.load(Ordering::Relaxed),
+    )
 }
 
 fn installed_store() -> Option<Arc<Store>> {
@@ -129,16 +134,11 @@ pub fn uninstall_unit_store() {
 }
 
 /// Forgets every settled in-memory claim, forcing the next resolution of
-/// each digest back to the disk store. Simulates a fresh process in
-/// same-process tests of cold/warm behavior.
+/// each digest back to the disk store (or, without one, to a fresh
+/// simulation). Simulates a fresh process in same-process tests.
 #[doc(hidden)]
 pub fn reset_memory_cells() {
     cells().lock().expect("cell map poisoned").clear();
-}
-
-/// Whether `execute_units` should resolve through the cache at all.
-pub(crate) fn active() -> bool {
-    COALESCING.load(Ordering::Relaxed) || unit_store_installed()
 }
 
 enum CellState {
@@ -153,7 +153,7 @@ enum CellState {
 
 struct Cell {
     state: Mutex<CellState>,
-    /// Signalled on `InFlight` → `Done` and on panic rollback to `Empty`.
+    /// Signalled on `InFlight` → `Done` and on rollback to `Empty`.
     settled: Condvar,
 }
 
@@ -172,42 +172,47 @@ fn cell_for(digest: &str) -> Arc<Cell> {
     }))
 }
 
-/// An owned claim: this thread must either settle the cell with a report
-/// or roll it back to `Empty`.
+/// An owned claim on an `InFlight` cell: this thread must settle it with a
+/// report. Dropping it unsettled — the compute panicked, or a fan-out
+/// unwound before reaching it — rolls the cell back to `Empty` and wakes a
+/// waiter to adopt it, so no failure can leave a cell in flight forever.
 struct Claim {
     cell: Arc<Cell>,
     digest: String,
     meta: String,
 }
 
-/// Computes a claimed unit, writes the result through to the store, and
-/// settles the claim. On panic the claim rolls back to `Empty` (waking a
-/// waiter to adopt it) and the panic resumes — surfacing through the
-/// owning job's `catch_unwind` as usual.
-fn compute_owned(unit: &SimUnit, claim: &Claim) -> Report {
-    let outcome = panic::catch_unwind(AssertUnwindSafe(|| unit.execute()));
-    match outcome {
-        Ok(report) => {
-            if let Some(store) = installed_store() {
-                if let Ok(json) = serde_json::to_string(&report) {
-                    // Best-effort: a full disk or unwritable store degrades
-                    // to recomputation, never to failure.
-                    let _ = store.put(&claim.digest, &claim.meta, &json);
-                }
+impl Drop for Claim {
+    fn drop(&mut self) {
+        // No `expect`: this runs during unwinding.
+        if let Ok(mut st) = self.cell.state.lock() {
+            if matches!(*st, CellState::InFlight) {
+                *st = CellState::Empty;
+                self.cell.settled.notify_all();
             }
-            let mut st = claim.cell.state.lock().expect("cell poisoned");
-            *st = CellState::Done(Box::new(report.clone()));
-            claim.cell.settled.notify_all();
-            report
-        }
-        Err(payload) => {
-            let mut st = claim.cell.state.lock().expect("cell poisoned");
-            *st = CellState::Empty;
-            claim.cell.settled.notify_all();
-            drop(st);
-            panic::resume_unwind(payload)
         }
     }
+}
+
+/// Computes a claimed unit, writes the result through to the store, and
+/// settles the claim. A panic propagates — surfacing through the owning
+/// job's `catch_unwind` as usual — and the claim rolls back when dropped.
+fn compute_owned(unit: &SimUnit, claim: &Claim) -> Report {
+    if unit.is_single_core() {
+        SINGLE_RUNS_COMPUTED.fetch_add(1, Ordering::Relaxed);
+    }
+    let report = unit.execute();
+    if let Some(store) = installed_store() {
+        if let Ok(json) = serde_json::to_string(&report) {
+            // Best-effort: a full disk or unwritable store degrades to
+            // recomputation, never to failure.
+            let _ = store.put(&claim.digest, &claim.meta, &json);
+        }
+    }
+    let mut st = claim.cell.state.lock().expect("cell poisoned");
+    *st = CellState::Done(Box::new(report.clone()));
+    claim.cell.settled.notify_all();
+    report
 }
 
 /// Claims `digest`'s cell for this thread, resolving it from the store if
@@ -249,15 +254,18 @@ enum Resolution {
     Parked,
 }
 
-/// Cache-aware unit execution: resolve every unit (memory, then store),
-/// fan out only the misses, park on other threads' in-flight computes.
-/// Returns reports in plan order.
-pub(crate) fn execute_cached(units: &[SimUnit], mode: ExecMode) -> Vec<Report> {
+/// Resolves every unit (memory, then store), fans out only the misses,
+/// parks on other threads' in-flight computes. Returns reports in plan
+/// order.
+pub(crate) fn execute_cached(units: &[SimUnit]) -> Vec<Report> {
     let mut out: Vec<Option<Report>> = (0..units.len()).map(|_| None).collect();
     let mut computes: Vec<(usize, Claim)> = Vec::new();
     let mut parked: Vec<(usize, Arc<Cell>)> = Vec::new();
 
     for (i, unit) in units.iter().enumerate() {
+        if unit.is_single_core() {
+            SINGLE_RUNS_REQUESTED.fetch_add(1, Ordering::Relaxed);
+        }
         let meta = unit.store_meta();
         let digest = digest_hex(meta.as_bytes());
         let cell = cell_for(&digest);
@@ -269,16 +277,10 @@ pub(crate) fn execute_cached(units: &[SimUnit], mode: ExecMode) -> Vec<Report> {
     }
 
     // Only the misses are scheduled: a fully warm run fans out nothing.
-    let computed: Vec<Report> = match mode {
-        ExecMode::Planned => parallel_map(computes.len(), |j| {
-            let (i, claim) = &computes[j];
-            compute_owned(&units[*i], claim)
-        }),
-        ExecMode::Monolithic => computes
-            .iter()
-            .map(|(i, claim)| compute_owned(&units[*i], claim))
-            .collect(),
-    };
+    let computed: Vec<Report> = padc_harness::subjob_map(computes.len(), |j| {
+        let (i, claim) = &computes[j];
+        compute_owned(&units[*i], claim)
+    });
     for ((i, _), report) in computes.iter().zip(computed) {
         out[*i] = Some(report);
     }
@@ -316,4 +318,47 @@ pub(crate) fn execute_cached(units: &[SimUnit], mode: ExecMode) -> Vec<Report> {
     out.into_iter()
         .map(|r| r.expect("every unit resolved"))
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::atomic::AtomicUsize;
+
+    use padc_core::SchedulingPolicy;
+
+    use super::*;
+    use crate::experiments::{ExpConfig, PolicyArm, Scale};
+    use crate::SimConfig;
+
+    #[test]
+    fn a_failing_unit_leaves_no_cell_in_flight() {
+        // A seed no other test uses, so these digests are private.
+        let exp = ExpConfig::at(Scale::Smoke).with_seed(0xBAD);
+        let bench = padc_workloads::profiles::by_name("milc_06").expect("catalog");
+        // Builds its config twice (the digest below, then the resolve
+        // loop's) and panics the third time, at execute.
+        let builds = AtomicUsize::new(0);
+        let failing = PolicyArm::new("failing", move |n| {
+            assert!(builds.fetch_add(1, Ordering::Relaxed) < 2, "injected");
+            SimConfig::new(n, SchedulingPolicy::Padc)
+        });
+        let units = [
+            SimUnit::single(&failing, &bench, &exp),
+            SimUnit::alone(&bench, &exp),
+        ];
+        let digests = units
+            .each_ref()
+            .map(|u| digest_hex(u.store_meta().as_bytes()));
+        // Inline fan-out: the first unit panics, the second never starts.
+        assert!(catch_unwind(AssertUnwindSafe(|| execute_cached(&units))).is_err());
+        for digest in &digests {
+            let cell = cell_for(digest);
+            let state = cell.state.lock().unwrap();
+            assert!(
+                matches!(*state, CellState::Empty),
+                "{digest} not rolled back"
+            );
+        }
+    }
 }

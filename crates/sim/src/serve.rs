@@ -9,12 +9,11 @@
 //! load-balance against each other under one `--jobs N` bound), and its
 //! rows stream back as JSONL events as soon as each settles.
 //!
-//! [`ServeState::new`] turns on unit coalescing
-//! ([`set_unit_coalescing`](crate::experiments::set_unit_coalescing)), so
-//! concurrent requests whose plans overlap resolve the shared
-//! [`SimUnit`](crate::experiments::SimUnit)s against one in-memory claim
-//! map: each distinct unit is computed **once** no matter how many clients
-//! are waiting on it, and with a store installed warm units are not
+//! Concurrent requests whose plans overlap resolve the shared
+//! [`SimUnit`](crate::experiments::SimUnit)s against the process-wide
+//! claim map every `execute_units` call goes through: each distinct unit
+//! is computed **once** no matter how many clients are waiting on it (or
+//! asked for it earlier), and with a store installed warm units are not
 //! computed at all.
 //!
 //! # Protocol
@@ -26,10 +25,10 @@
 //! ```
 //!
 //! `experiments` is an array of registry ids or `"all"` (default);
-//! `scale` is `full|quick|smoke` (default: the server's scale); `exec` is
-//! `planned|monolithic` (default planned); integer `seed` and
-//! `instructions` override the scale preset. The response is a stream of
-//! events, each one JSON line tagged with the request id:
+//! `scale` is `full|quick|smoke` (default: the server's scale); integer
+//! `seed` and `instructions` (at least 1) override the scale preset. The
+//! response is a stream of events, each one JSON line tagged with the
+//! request id:
 //!
 //! ```json
 //! {"req":"r1","event":"accepted","jobs":2}
@@ -54,9 +53,7 @@ use std::sync::{Arc, Mutex};
 use padc_harness::{JobStatus, ServiceConfig, SuiteService};
 use serde_json::Value;
 
-use crate::experiments::{
-    self, suite_jobs_with, ExecMode, ExpConfig, Experiment, Scale, SuiteOptions,
-};
+use crate::experiments::{self, suite_jobs, ExpConfig, Experiment, Scale};
 
 /// Output shared by concurrent request handlers. Every event is written as
 /// one whole line under the lock, so interleaved streams never split a
@@ -73,7 +70,6 @@ struct Request {
     id: String,
     experiments: Vec<Experiment>,
     cfg: ExpConfig,
-    exec: ExecMode,
 }
 
 /// The server: a persistent worker pool plus the request protocol.
@@ -84,10 +80,8 @@ pub struct ServeState {
 }
 
 impl ServeState {
-    /// Starts the worker pool (`workers = 0` means all cores) and enables
-    /// process-wide unit coalescing so overlapping requests share work.
+    /// Starts the worker pool (`workers = 0` means all cores).
     pub fn new(workers: usize, default_scale: Scale) -> Self {
-        experiments::set_unit_coalescing(true);
         ServeState {
             service: SuiteService::new(&ServiceConfig {
                 workers,
@@ -153,13 +147,12 @@ impl ServeState {
         if let Some(v) = value.get("instructions") {
             let n: u64 = serde_json::from_value(v)
                 .map_err(|e| (id.clone(), format!("instructions: {e}")))?;
+            if n == 0 {
+                return Err((id, "instructions must be at least 1".to_string()));
+            }
             cfg.instructions = n;
             cfg.instructions_single = n;
         }
-        let exec = match value.get("exec").and_then(Value::as_str) {
-            None => ExecMode::default(),
-            Some(s) => s.parse().map_err(|e: String| (id.clone(), e))?,
-        };
         let selected = match value.get("experiments") {
             None => experiments::experiment_registry(),
             Some(Value::Str(s)) if s == "all" => experiments::experiment_registry(),
@@ -190,20 +183,11 @@ impl ServeState {
             id,
             experiments: selected,
             cfg,
-            exec,
         })
     }
 
     fn run_request(&self, request: Request, out: &SharedWriter) {
-        let jobs = suite_jobs_with(
-            request.experiments,
-            request.cfg,
-            None,
-            SuiteOptions {
-                profile: false,
-                exec: request.exec,
-            },
-        );
+        let jobs = suite_jobs(request.experiments, request.cfg, None);
         let id_json = serde_json::to_string(&request.id).expect("string serializes");
         emit(
             out,
@@ -395,6 +379,7 @@ mod tests {
             ),
             ("{\"id\":\"ry\",\"scale\":\"huge\"}", "unknown scale"),
             ("{\"id\":\"rz\",\"experiments\":[]}", "empty"),
+            ("{\"id\":\"r0\",\"instructions\":0}", "at least 1"),
             ("[1,2]", "JSON object"),
         ] {
             let sink = Capture::default();

@@ -5,18 +5,34 @@
 //! results, so mode changes between runs cannot poison an artifact).
 //!
 //! Single `#[test]` on purpose: the suite runs below flip the
-//! process-wide fast-forward default, which would race against parallel
+//! process-wide fast-forward default and diff the process-wide
+//! simulated-unit counter, both of which would race against parallel
 //! tests in the same binary.
+//!
+//! The unit cache's digest deliberately excludes the fast-forward mode, so
+//! every phase that is meant to *re-simulate* under the other mode first
+//! calls `reset_memory_cells()` and then checks the counter moved —
+//! otherwise the cache would hand back the first phase's reports and the
+//! comparison would be vacuous.
 
 use padc_harness::{HarnessConfig, ResumeArtifact};
-use padc_sim::experiments::{registry::find, suite_jobs, ExpConfig, Scale};
+use padc_sim::experiments::{
+    registry::find, reset_memory_cells, single_run_stats, suite_jobs, ExpConfig, Scale,
+};
 use padc_sim::FastForwardMode;
 
 const IDS: [&str; 2] = ["fig1", "tab5"];
 
-/// Runs the two-experiment suite at smoke scale, optionally resuming from
-/// `artifact`, and returns (jsonl bytes, ok count, skipped count).
+/// Single-core units simulated so far (fig1 and tab5 plan nothing else).
+fn simulated() -> u64 {
+    single_run_stats().1
+}
+
+/// Runs the two-experiment suite at smoke scale from an empty in-memory
+/// cache, optionally resuming from `artifact`, and returns (jsonl bytes,
+/// ok count, skipped count).
 fn suite_bytes(artifact: Option<&ResumeArtifact>) -> (Vec<u8>, usize, usize) {
+    reset_memory_cells();
     let selected = IDS
         .iter()
         .map(|id| find(id).expect("registered experiment id"))
@@ -67,7 +83,12 @@ fn resume_across_fast_forward_modes_is_byte_identical() {
     let partial =
         ResumeArtifact::parse(std::str::from_utf8(&reference[..first_line_end]).expect("utf8"));
     assert_eq!(partial.len(), 1);
+    let before = simulated();
     let (mixed, ok, skipped) = suite_bytes(Some(&partial));
+    assert!(
+        simulated() > before,
+        "the missing experiment was not re-simulated under the event kernel"
+    );
     assert_eq!(
         mixed, reference,
         "event-mode re-run diverged from off-mode bytes"
@@ -77,8 +98,13 @@ fn resume_across_fast_forward_modes_is_byte_identical() {
     // And the reverse direction: an artifact *produced* under the event
     // kernel matches the off-mode bytes and resumes byte-identically when
     // the consumer steps cycle-by-cycle.
+    let before = simulated();
     let (ev_reference, ok, _) = suite_bytes(None);
     assert_eq!(ok, IDS.len());
+    assert!(
+        simulated() > before,
+        "the event-mode artifact was served from the off-mode run's cache"
+    );
     assert_eq!(
         ev_reference, reference,
         "event-mode artifact differs from off-mode artifact"

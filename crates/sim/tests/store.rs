@@ -1,14 +1,16 @@
-//! End-to-end tests of the persistent content-addressed unit store
-//! (DESIGN.md §12): cold, warm, and no-store suite runs must produce
-//! byte-identical JSONL; a warm run must execute zero simulation units;
-//! and poisoned entries (truncation, fingerprint drift, garbage) must be
-//! recomputed — never trusted — while the store self-heals.
+//! End-to-end tests of the unit cache and the persistent content-addressed
+//! store behind it (DESIGN.md §12): no-store and cold-store runs schedule
+//! the same sub-jobs; cold, warm, and no-store suite runs produce
+//! byte-identical JSONL; a run whose units are already settled — in memory
+//! or on disk — executes zero simulation units; and poisoned entries
+//! (truncation, fingerprint drift, garbage) are recomputed — never
+//! trusted — while the store self-heals.
 //!
-//! The store slot and the in-memory claim map are process-wide, so the
-//! whole scenario lives in **one** `#[test]`, phased in order.
-//! `reset_memory_cells()` between phases simulates fresh processes; each
-//! phase's run goes all the way through `run_suite`, the same path the
-//! CLIs use.
+//! The store slot, the in-memory claim map and the counters are
+//! process-wide, so the whole scenario lives in **one** `#[test]`, phased
+//! in order. `reset_memory_cells()` between phases simulates fresh
+//! processes; each phase's run goes all the way through `run_suite`, the
+//! same path the CLIs use.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -59,19 +61,58 @@ fn store_runs_are_byte_identical_and_strictly_validated() {
     let dir = std::env::temp_dir().join(format!("padc-store-test-{}", std::process::id()));
     let _ = fs::remove_dir_all(&dir);
 
-    // Phase 0 — baseline without any store: the reference bytes.
-    let (baseline, _) = run_subset();
+    // Phase 0 — no store: the reference bytes. tab5's cells are a subset
+    // of fig6's, so the claim map computes each distinct unit once (this is
+    // the process's first run, so the counters read from zero)…
+    let (baseline, plain_summary) = run_subset();
     assert!(!baseline.is_empty());
+    let (requested, computed) = experiments::single_run_stats();
+    assert!(
+        requested > computed,
+        "shared grid cells must be deduplicated (requested={requested} computed={computed})"
+    );
+    assert_eq!(
+        plain_summary.subjobs_executed, computed,
+        "exactly the distinct units are scheduled"
+    );
+    assert_eq!(
+        experiments::unit_cache_stats(),
+        experiments::UnitCacheStats {
+            units_coalesced: requested - computed,
+            ..Default::default()
+        },
+        "without a store nothing probes the disk"
+    );
+    // …a second in-process run resolves everything from memory…
+    let (again, again_summary) = run_subset();
+    assert_eq!(again, baseline);
+    assert_eq!(again_summary.subjobs_executed, 0);
+    // …and forgetting the settled claims simulates them again.
+    experiments::reset_memory_cells();
+    let (fresh, fresh_summary) = run_subset();
+    assert_eq!(fresh, baseline);
+    assert_eq!(
+        fresh_summary.subjobs_executed,
+        plain_summary.subjobs_executed
+    );
 
     // Phase 1 — cold store: every unit misses, is computed, and is written
-    // back; the artifact must not change.
+    // back; the artifact and the scheduled sub-jobs must not change.
+    experiments::reset_memory_cells();
     experiments::install_unit_store(&dir).expect("store opens");
     let before = experiments::unit_cache_stats();
-    let (cold, _) = run_subset();
+    let (cold, cold_summary) = run_subset();
     assert_eq!(cold, baseline, "cold-store run changed the artifact");
+    assert_eq!(
+        cold_summary.subjobs_executed, plain_summary.subjobs_executed,
+        "no-store and cold-store runs must schedule the same sub-jobs"
+    );
     let after_cold = experiments::unit_cache_stats();
     let cold_misses = after_cold.store_misses - before.store_misses;
-    assert!(cold_misses > 0, "cold run must miss");
+    assert_eq!(
+        cold_misses, cold_summary.subjobs_executed,
+        "cold run must miss"
+    );
     assert_eq!(
         after_cold.store_hits - before.store_hits,
         0,
@@ -152,8 +193,8 @@ fn store_runs_are_byte_identical_and_strictly_validated() {
     assert!(outcome.remaining_bytes <= stats.bytes / 2);
     assert_eq!(outcome.remaining_entries + outcome.evicted, stats.entries);
 
-    // Phase 6 — uninstalling the store restores the legacy execution path
-    // and the same bytes.
+    // Phase 6 — uninstalling the store changes nothing but where misses
+    // come from: same bytes.
     experiments::uninstall_unit_store();
     experiments::reset_memory_cells();
     let (plain, _) = run_subset();

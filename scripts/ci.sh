@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Local CI gate: shellcheck, formatting, lints, release build, docs, the
-# full test suite, and the EXPERIMENTS.md drift check. Everything runs
-# offline (external deps are vendored; see vendor/README.md). Each step
-# prints its elapsed seconds, and the same per-step timings land in the
-# workflow step summary ($GITHUB_STEP_SUMMARY) via gate_summary.sh.
+# full test suite, the out-of-workspace benchmark package's tests, and
+# the EXPERIMENTS.md drift check. Everything runs offline (external deps
+# are vendored; see vendor/README.md). Each step prints its elapsed
+# seconds, and the same per-step timings land in the workflow step
+# summary ($GITHUB_STEP_SUMMARY) via gate_summary.sh.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 # shellcheck source=scripts/gate_summary.sh
@@ -40,6 +41,10 @@ step "cargo build --release --workspace" cargo build --release --workspace
 step "cargo doc --no-deps (warnings denied)" doc_step
 step "cargo test -q" cargo test -q
 step "cargo test --doc" cargo test --doc -q
+# The benchmark package is outside the workspace and path-depends on it:
+# a public-API deletion that breaks it must fail here, not in the driver.
+step "benchmark package tests" \
+    cargo test -q --offline --manifest-path benchmark/Cargo.toml
 step "EXPERIMENTS.md drift check" \
     python3 scripts/make_experiments_md.py --check repro_full.jsonl
 

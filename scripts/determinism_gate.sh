@@ -20,6 +20,11 @@ source "$(dirname "$0")/gate_summary.sh"
 gate_init "determinism gate"
 
 SUBSET=(fig1 fig2 tab5 tab6 tab7 cost)
+# The --jobs comparison is also the inline-vs-pool check, so it adds one
+# experiment per remaining family: multi-core aggregate (fig9), parameter
+# sweep (fig23), mechanism sensitivity with a shared alone-unit plan
+# (fig28).
+JOBS_SUBSET=("${SUBSET[@]}" fig9 fig23 fig28)
 if [ -n "${DET_GATE_OUT:-}" ]; then
     OUT="$DET_GATE_OUT"
     mkdir -p "$OUT"
@@ -33,9 +38,9 @@ cargo build --release --workspace --quiet
 REPRO=target/release/repro
 
 gate_section "jobs 1 vs jobs 8"
-echo "== determinism: --jobs 1 vs --jobs 8 on ${SUBSET[*]} (smoke scale)"
-"$REPRO" --smoke --jobs 1 --no-progress --jsonl "$OUT/j1.jsonl" "${SUBSET[@]}" >/dev/null
-"$REPRO" --smoke --jobs 8 --no-progress --jsonl "$OUT/j8.jsonl" "${SUBSET[@]}" >/dev/null
+echo "== determinism: --jobs 1 vs --jobs 8 on ${JOBS_SUBSET[*]} (smoke scale)"
+"$REPRO" --smoke --jobs 1 --no-progress --jsonl "$OUT/j1.jsonl" "${JOBS_SUBSET[@]}" >/dev/null
+"$REPRO" --smoke --jobs 8 --no-progress --jsonl "$OUT/j8.jsonl" "${JOBS_SUBSET[@]}" >/dev/null
 if ! cmp "$OUT/j1.jsonl" "$OUT/j8.jsonl"; then
     echo "FAIL: JSONL differs between --jobs 1 and --jobs 8" >&2
     diff "$OUT/j1.jsonl" "$OUT/j8.jsonl" >&2 || true
@@ -73,25 +78,6 @@ if ! cmp "$OUT/ff-off.jsonl" "$OUT/ff-event.jsonl"; then
 fi
 echo "   byte-identical ($(wc -c <"$OUT/ff-off.jsonl") bytes)"
 
-gate_section "exec planned vs monolithic"
-echo "== exec modes: planned vs monolithic on grid/sweep/mechanism experiments"
-# The plan/reduce decomposition (DESIGN.md §10) must reproduce the legacy
-# monolithic runners byte for byte: same workloads, same arithmetic, same
-# JSONL. The subset spans every planned family — single-core grid (fig6),
-# multi-core aggregate (fig9, fig16), parameter sweep (fig23, fig24), and
-# mechanism sensitivity with its shared alone-unit plan (fig28).
-EXEC_SUBSET=(fig6 fig9 fig16 fig23 fig24 fig28)
-for exec_mode in planned monolithic; do
-    "$REPRO" --smoke --jobs 8 --no-progress --exec "$exec_mode" \
-        --jsonl "$OUT/exec-$exec_mode.jsonl" "${EXEC_SUBSET[@]}" >/dev/null
-done
-if ! cmp "$OUT/exec-planned.jsonl" "$OUT/exec-monolithic.jsonl"; then
-    echo "FAIL: JSONL differs between --exec planned and --exec monolithic" >&2
-    diff "$OUT/exec-planned.jsonl" "$OUT/exec-monolithic.jsonl" >&2 || true
-    exit 1
-fi
-echo "   byte-identical ($(wc -c <"$OUT/exec-planned.jsonl") bytes, $(wc -l <"$OUT/exec-planned.jsonl") rows)"
-
 gate_section "cross-mode resume"
 # cross_resume NAME ARTIFACT [FLAG...]: resuming ARTIFACT (settled under
 # the other mode) with FLAGs must re-emit it verbatim and run nothing.
@@ -118,7 +104,7 @@ cross_resume back "$OUT/ff-event.jsonl"
 echo "   zero executions, artifacts byte-identical in both directions"
 
 gate_section "store cold vs warm vs none"
-echo "== store: cold vs warm vs no-store byte identity on planned subset"
+echo "== store: cold vs warm vs no-store byte identity on the grid subset"
 # The persistent unit store (DESIGN.md §12) must be invisible in results:
 # a cold-store run (every unit computed and written back), a warm-store
 # rerun (every unit loaded, zero computed), and a storeless run must
@@ -127,12 +113,12 @@ echo "== store: cold vs warm vs no-store byte identity on planned subset"
 STORE_SUBSET=(fig6 tab5 tab7 fig8)
 STORE_DIR="$OUT/store"
 rm -rf "$STORE_DIR"
-"$REPRO" --smoke --jobs 8 --no-progress --exec planned --store "$STORE_DIR" \
+"$REPRO" --smoke --jobs 8 --no-progress --store "$STORE_DIR" \
     --jsonl "$OUT/store-cold.jsonl" "${STORE_SUBSET[@]}" >/dev/null
-"$REPRO" --smoke --jobs 8 --no-progress --exec planned --store "$STORE_DIR" \
+"$REPRO" --smoke --jobs 8 --no-progress --store "$STORE_DIR" \
     --jsonl "$OUT/store-warm.jsonl" --summary "$OUT/store-warm-summary.json" \
     "${STORE_SUBSET[@]}" >/dev/null 2>"$OUT/store-warm-stderr.txt"
-"$REPRO" --smoke --jobs 8 --no-progress --exec planned \
+"$REPRO" --smoke --jobs 8 --no-progress \
     --jsonl "$OUT/store-none.jsonl" "${STORE_SUBSET[@]}" >/dev/null
 for variant in warm none; do
     if ! cmp "$OUT/store-cold.jsonl" "$OUT/store-$variant.jsonl"; then

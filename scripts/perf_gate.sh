@@ -21,13 +21,14 @@
 #    the recorded floor. Deterministic counts, not timings.
 #
 # 2. The plan/reduce sub-job machinery must keep doing its job
-#    structurally (floors from BENCH_subjob.json): planned experiments
-#    must decompose into at least the recorded number of sub-jobs, peak
-#    sub-job concurrency must never exceed --jobs, and the single-run
-#    memo must still deduplicate shared grid cells (computed stays at the
-#    recorded unique-unit count while requested exceeds it). All three
-#    are deterministic counts, not timings, so the gate is immune to
-#    machine noise and meaningful even on a 1-CPU container.
+#    structurally (floors from BENCH_subjob.json): without a store,
+#    experiments must decompose into at least the recorded number of
+#    sub-jobs (one per distinct unit), peak sub-job concurrency must
+#    never exceed --jobs, and the unit cache must still deduplicate
+#    shared grid cells (single-core units computed stays at the recorded
+#    unique-unit count while requested exceeds it). All three are
+#    deterministic counts, not timings, so the gate is immune to machine
+#    noise and meaningful even on a 1-CPU container.
 #
 # 3. The persistent unit store must keep warm runs free (floors from
 #    BENCH_store.json): a warm rerun against a just-populated store must
@@ -39,7 +40,7 @@
 # 4. The mechanism-arm families (ext-dspatch, ext-happy, ext-refresh)
 #    must keep their structural shape (floors from BENCH_mech.json): the
 #    cold run must decompose into at least min_subjobs_executed units
-#    under the --jobs bound with the memo deduplicating alone references,
+#    under the --jobs bound with the cache deduplicating alone references,
 #    and a warm rerun must resolve entirely from the store. This catches
 #    the new arms' configs (DsPatchConfig, RowPolicy::Happy,
 #    RefreshPolicy) going fingerprint-unstable while results stay
@@ -206,7 +207,7 @@ read -r SUBJOB_JOBS MIN_SUBJOBS MAX_SINGLES SUBJOB_SUBSET <<<"$SUBJOB_GATE"
 gate_section "sub-job decomposition floors"
 echo "== subjobs: ${SUBJOB_SUBSET} at smoke scale, --jobs ${SUBJOB_JOBS}"
 # shellcheck disable=SC2086
-"$REPRO" --smoke --jobs "$SUBJOB_JOBS" --no-progress --exec planned \
+"$REPRO" --smoke --jobs "$SUBJOB_JOBS" --no-progress \
     --jsonl "$OUT/subjob.jsonl" --summary "$OUT/subjob-summary.json" \
     $SUBJOB_SUBSET >/dev/null 2>"$OUT/subjob-stderr.txt"
 
@@ -223,7 +224,7 @@ if [ -z "$executed" ] || [ -z "$peak" ]; then
 fi
 if [ "$executed" -lt "$MIN_SUBJOBS" ]; then
     echo "FAIL: only $executed sub-jobs executed (floor $MIN_SUBJOBS):" >&2
-    echo "      planned experiments are no longer decomposing into units" >&2
+    echo "      experiments are no longer decomposing into units" >&2
     exit 1
 fi
 if [ "$peak" -gt "$SUBJOB_JOBS" ]; then
@@ -231,12 +232,12 @@ if [ "$peak" -gt "$SUBJOB_JOBS" ]; then
     exit 1
 fi
 if [ -z "$requested" ] || [ -z "$computed" ]; then
-    echo "FAIL: no single_run_memo line on stderr — memo accounting is gone" >&2
+    echo "FAIL: no single_run_memo line on stderr — unit-cache accounting is gone" >&2
     exit 1
 fi
 if [ "$computed" -gt "$MAX_SINGLES" ]; then
     echo "FAIL: $computed single-core runs computed (ceiling $MAX_SINGLES):" >&2
-    echo "      the single-run memo stopped deduplicating shared grid cells" >&2
+    echo "      the unit cache stopped deduplicating shared grid cells" >&2
     exit 1
 fi
 if [ "$requested" -le "$computed" ]; then
@@ -266,11 +267,11 @@ echo "== store: ${STORE_SUBSET} at smoke scale, cold then warm, --jobs ${STORE_J
 STORE_DIR="$OUT/store"
 rm -rf "$STORE_DIR"
 # shellcheck disable=SC2086
-"$REPRO" --smoke --jobs "$STORE_JOBS" --no-progress --exec planned \
+"$REPRO" --smoke --jobs "$STORE_JOBS" --no-progress \
     --store "$STORE_DIR" --jsonl "$OUT/store-cold.jsonl" \
     $STORE_SUBSET >/dev/null 2>"$OUT/store-cold-stderr.txt"
 # shellcheck disable=SC2086
-"$REPRO" --smoke --jobs "$STORE_JOBS" --no-progress --exec planned \
+"$REPRO" --smoke --jobs "$STORE_JOBS" --no-progress \
     --store "$STORE_DIR" --jsonl "$OUT/store-warm.jsonl" \
     --summary "$OUT/store-summary.json" \
     $STORE_SUBSET >/dev/null 2>"$OUT/store-warm-stderr.txt"
@@ -315,12 +316,12 @@ echo "== mech: ${MECH_SUBSET} at smoke scale, cold then warm, --jobs ${MECH_JOBS
 MECH_STORE="$OUT/mech-store"
 rm -rf "$MECH_STORE"
 # shellcheck disable=SC2086
-"$REPRO" --smoke --jobs "$MECH_JOBS" --no-progress --exec planned \
+"$REPRO" --smoke --jobs "$MECH_JOBS" --no-progress \
     --store "$MECH_STORE" --jsonl "$OUT/mech-cold.jsonl" \
     --summary "$OUT/mech-cold-summary.json" \
     $MECH_SUBSET >/dev/null 2>"$OUT/mech-cold-stderr.txt"
 # shellcheck disable=SC2086
-"$REPRO" --smoke --jobs "$MECH_JOBS" --no-progress --exec planned \
+"$REPRO" --smoke --jobs "$MECH_JOBS" --no-progress \
     --store "$MECH_STORE" --jsonl "$OUT/mech-warm.jsonl" \
     --summary "$OUT/mech-warm-summary.json" \
     $MECH_SUBSET >/dev/null 2>"$OUT/mech-warm-stderr.txt"
