@@ -1,17 +1,17 @@
-//! `padc-harness` — the unified experiment scheduler: parallel,
-//! fault-isolated execution with one global thread bound.
+//! `padc-harness` — the experiment scheduler: parallel, fault-isolated
+//! execution with one global thread bound.
 //!
 //! The experiment grid (30+ tables and figures, each internally a batch of
-//! simulations) used to run strictly sequentially in one thread, and a
-//! single panicking experiment killed the whole reproduction run. This
-//! crate is the execution subsystem underneath the `repro` binary and
-//! `padcsim --suite`:
+//! simulations) runs through this crate from every entry point — `repro`,
+//! `padcsim --suite` and `padcsim serve`:
 //!
 //! - **Jobs**: each experiment becomes a self-describing [`JobSpec`] whose
 //!   closure returns its result as a compact JSON payload string.
-//! - **Worker pool**: [`run_suite`] drives a shared job queue from
-//!   `std::thread::scope`-scoped workers (default
-//!   `available_parallelism()`, overridable — the `--jobs N` flag).
+//! - **One worker pool**: a [`SuiteService`] owns N persistent workers
+//!   (default `available_parallelism()`, overridable — the `--jobs N`
+//!   flag) and runs every submitted batch on them. [`run_suite`] is its
+//!   batch client: start a service, submit one job list, collect the rows
+//!   in order, shut down. See [`service`].
 //! - **Sub-jobs**: a running job fans out per-workload units via
 //!   [`subjob_map`] onto the *same* pool (the submitting worker helps
 //!   execute while it waits), so `--jobs N` bounds **total** simulation
@@ -56,18 +56,16 @@ pub mod service;
 pub mod subjob;
 
 use std::io::{self, Write};
-use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 pub use resume::ResumeArtifact;
-pub use service::{BatchHandle, CompletedJob, ServiceConfig, SuiteService};
+pub use service::{BatchHandle, CompletedJob, SuiteService};
 pub use subjob::{set_task_context, subjob_map, task_context, under_harness, with_task_context};
 
-use subjob::SubJobPool;
-
-/// One schedulable unit of work.
+/// One schedulable unit of work. Cloning is cheap (`run` is shared), so a
+/// job list can be submitted to a service and kept by the caller.
+#[derive(Clone)]
 pub struct JobSpec {
     /// Stable identifier; keys the output row (e.g. `"fig6"`).
     pub id: String,
@@ -75,7 +73,7 @@ pub struct JobSpec {
     pub description: String,
     /// Executes the job, returning its result as compact JSON. Must be
     /// deterministic for the suite's output to be deterministic.
-    pub run: Box<dyn Fn() -> String + Send + Sync>,
+    pub run: Arc<dyn Fn() -> String + Send + Sync>,
     /// Settled JSONL row (no trailing newline) from a prior artifact. When
     /// set, the scheduler skips `run` entirely and emits these bytes
     /// verbatim — the `--resume` path.
@@ -92,7 +90,7 @@ impl JobSpec {
         JobSpec {
             id: id.into(),
             description: description.into(),
-            run: Box::new(run),
+            run: Arc::new(run),
             cached_row: None,
         }
     }
@@ -105,11 +103,10 @@ impl JobSpec {
     }
 }
 
-/// Pool and accounting knobs.
+/// Pool and accounting knobs of [`run_suite`].
 #[derive(Clone, Debug)]
 pub struct HarnessConfig {
-    /// Worker threads; clamped to the job count. `0` means
-    /// `available_parallelism()`.
+    /// Worker threads; `0` means `available_parallelism()`.
     pub workers: usize,
     /// Optional per-job wall-clock budget; jobs that finish over it are
     /// recorded as failures.
@@ -125,25 +122,6 @@ impl Default for HarnessConfig {
             budget: None,
             progress: true,
         }
-    }
-}
-
-impl HarnessConfig {
-    /// Resolves `workers == 0` to the machine's parallelism.
-    ///
-    /// The count is deliberately *not* clamped to the number of top-level
-    /// jobs: under the unified scheduler, jobs fan per-workload sub-jobs
-    /// back onto the suite pool, so even a single job can keep every
-    /// worker busy.
-    pub fn effective_workers(&self, _jobs: usize) -> usize {
-        let base = if self.workers == 0 {
-            std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(1)
-        } else {
-            self.workers
-        };
-        base.max(1)
     }
 }
 
@@ -345,21 +323,14 @@ pub enum RowDetail {
     Error(String),
 }
 
-struct Completed {
-    status: JobStatus,
-    row: String,
-    error: Option<String>,
-    seconds: f64,
-}
-
-/// Runs `jobs` on a worker pool, streaming JSONL rows (in job order) to
-/// `jsonl` and progress lines to `progress`.
+/// Runs `jobs` as one batch on a fresh [`SuiteService`], streaming JSONL
+/// rows (in job order) to `jsonl` and one progress line per completion to
+/// `progress`, then shuts the service down.
 ///
-/// The pool is the *only* source of simulation threads: jobs run on the N
-/// workers, and their [`subjob_map`] fan-outs are scheduled back onto the
-/// same N workers (free workers drain sub-jobs before claiming new jobs;
-/// a job waiting on its fan-out helps execute). The worker count is
-/// therefore a true global thread bound.
+/// The service's pool is the *only* source of simulation threads: jobs run
+/// on the N workers, and their [`subjob_map`] fan-outs are scheduled back
+/// onto the same N workers. The worker count is therefore a true global
+/// thread bound.
 ///
 /// Jobs carrying a [`JobSpec::cached_row`] are not executed at all: the
 /// settled row is re-emitted verbatim at its in-order position and the
@@ -371,210 +342,59 @@ struct Completed {
 ///
 /// # Errors
 ///
-/// Returns the first I/O error from either sink; job panics never abort
-/// the suite.
+/// Returns the first I/O error from either sink; the jobs no worker has
+/// started by then are dropped unexecuted. Job panics never abort the
+/// suite.
 pub fn run_suite(
     jobs: &[JobSpec],
     cfg: &HarnessConfig,
     mut jsonl: Option<&mut dyn Write>,
     progress: &mut dyn Write,
 ) -> io::Result<Summary> {
-    let total = jobs.len();
-    let workers = cfg.effective_workers(total);
     let started = Instant::now();
-
-    // Suppress the default panic-hook backtrace spam for worker threads:
-    // job panics are expected, caught, and reported as structured rows.
-    let prev_hook = panic::take_hook();
-    panic::set_hook({
-        let prev = prev_hook;
-        Box::new(move |info| {
-            let on_worker = std::thread::current()
-                .name()
-                .is_some_and(|n| n.starts_with("padc-job-worker"));
-            if !on_worker {
-                prev(info);
-            }
-        })
-    });
-
-    let next = AtomicUsize::new(0);
-    let (tx, rx) = mpsc::channel::<(usize, Completed)>();
-    let budget = cfg.budget;
-
-    // The shared sub-job queue: jobs fan out onto it via `subjob_map`, and
-    // these same N workers execute the units. Closing it (once every
-    // top-level job has completed, or on early teardown) releases workers
-    // blocked waiting for sub-jobs.
-    let pool = Arc::new(SubJobPool::new());
-    let jobs_done = AtomicUsize::new(0);
-    if total == 0 {
-        pool.close();
-    }
-
-    let result: io::Result<Vec<Completed>> = std::thread::scope(|scope| {
-        for w in 0..workers {
-            let tx = tx.clone();
-            let next = &next;
-            let jobs_done = &jobs_done;
-            let pool = Arc::clone(&pool);
-            std::thread::Builder::new()
-                .name(format!("padc-job-worker-{w}"))
-                .spawn_scoped(scope, move || {
-                    subjob::install_pool(Some(Arc::clone(&pool)));
-                    loop {
-                        // Serve running experiments' fan-outs before
-                        // starting new experiments.
-                        while let Some(sub) = pool.try_pop() {
-                            sub.run();
-                        }
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= total {
-                            // No more top-level jobs; keep serving
-                            // sub-jobs until the whole suite completes.
-                            while let Some(sub) = pool.pop_blocking() {
-                                sub.run();
-                            }
-                            break;
-                        }
-                        let job = &jobs[i];
-                        let completed = match &job.cached_row {
-                            Some(row) => Completed {
-                                status: JobStatus::Skipped,
-                                row: format!("{row}\n"),
-                                error: None,
-                                seconds: 0.0,
-                            },
-                            None => execute_job(job, budget),
-                        };
-                        if jobs_done.fetch_add(1, Ordering::Relaxed) + 1 == total {
-                            pool.close();
-                        }
-                        if tx.send((i, completed)).is_err() {
-                            // Collector died (I/O error): release any
-                            // workers blocked on the sub-job queue.
-                            pool.close();
-                            break;
-                        }
-                    }
-                    subjob::install_pool(None);
-                })
-                .expect("spawn worker");
-        }
-        drop(tx);
-
-        // Collector: flush rows in job order as soon as the prefix is
-        // complete, so output streams without depending on completion
-        // order.
-        let mut slots: Vec<Option<Completed>> = (0..total).map(|_| None).collect();
-        let mut cursor = 0usize;
-        let mut done = 0usize;
-        while done < total {
-            let Ok((i, completed)) = rx.recv() else {
-                break;
-            };
+    let service = SuiteService::new(cfg.workers, cfg.budget);
+    let total = jobs.len();
+    let mut done = 0usize;
+    let completed = service.submit(jobs.to_vec()).collect_ordered(
+        |c| {
             done += 1;
-            if cfg.progress {
-                let elapsed = started.elapsed().as_secs_f64();
-                let eta = elapsed / done as f64 * (total - done) as f64;
-                writeln!(
-                    progress,
-                    "[{done:>3}/{total}] {id:<10} {status:<11} {secs:>7.1}s | elapsed {elapsed:>7.1}s eta {eta:>7.1}s",
-                    id = jobs[i].id,
-                    status = completed.status.as_str(),
-                    secs = completed.seconds,
-                )?;
+            if !cfg.progress {
+                return Ok(());
             }
-            slots[i] = Some(completed);
-            while cursor < total {
-                let Some(c) = &slots[cursor] else { break };
-                if let Some(sink) = jsonl.as_deref_mut() {
-                    sink.write_all(c.row.as_bytes())?;
-                }
-                cursor += 1;
-            }
-        }
-        Ok(slots
-            .into_iter()
-            .map(|s| s.expect("all jobs reported"))
-            .collect())
-    });
-
-    // Restore the default hook before propagating any I/O error.
-    let _ = panic::take_hook();
-    let completed = result?;
+            let elapsed = started.elapsed().as_secs_f64();
+            let eta = elapsed / done as f64 * (total - done) as f64;
+            writeln!(
+                progress,
+                "[{done:>3}/{total}] {id:<10} {status:<11} {secs:>7.1}s | elapsed {elapsed:>7.1}s eta {eta:>7.1}s",
+                id = c.id,
+                status = c.status.as_str(),
+                secs = c.seconds,
+            )
+        },
+        |c| match jsonl.as_deref_mut() {
+            Some(sink) => sink.write_all(c.row.as_bytes()),
+            None => Ok(()),
+        },
+    )?;
     if let Some(sink) = jsonl {
         sink.flush()?;
     }
-
     Ok(Summary {
-        outcomes: jobs
-            .iter()
-            .zip(&completed)
-            .map(|(job, c)| JobOutcome {
-                id: job.id.clone(),
+        outcomes: completed
+            .into_iter()
+            .map(|c| JobOutcome {
+                id: c.id,
                 status: c.status,
-                error: c.error.clone(),
+                error: c.error,
                 seconds: c.seconds,
             })
             .collect(),
-        workers,
+        workers: service.workers(),
         wall_seconds: started.elapsed().as_secs_f64(),
-        subjobs_executed: pool.stats.executed(),
-        subjobs_peak_concurrent: pool.stats.peak_concurrent(),
+        subjobs_executed: service.subjobs_executed(),
+        subjobs_peak_concurrent: service.subjobs_peak_concurrent(),
         extras: Vec::new(),
     })
-}
-
-/// Runs one job under `catch_unwind`, rendering its row and outcome.
-fn execute_job(job: &JobSpec, budget: Option<Duration>) -> Completed {
-    let start = Instant::now();
-    let outcome = panic::catch_unwind(AssertUnwindSafe(|| (job.run)()));
-    let seconds = start.elapsed().as_secs_f64();
-    match outcome {
-        Ok(payload) => match budget {
-            Some(b) if start.elapsed() > b => Completed {
-                status: JobStatus::OverBudget,
-                row: render_row(
-                    &job.id,
-                    JobStatus::OverBudget,
-                    &RowDetail::OverBudget {
-                        payload,
-                        budget_seconds: b.as_secs(),
-                    },
-                ),
-                error: Some(format!("exceeded {}s budget ({seconds:.1}s)", b.as_secs())),
-                seconds,
-            },
-            _ => Completed {
-                status: JobStatus::Ok,
-                row: render_row(&job.id, JobStatus::Ok, &RowDetail::Result(payload)),
-                error: None,
-                seconds,
-            },
-        },
-        Err(panic_payload) => {
-            let msg = panic_message(panic_payload.as_ref());
-            let row = render_row(&job.id, JobStatus::Panicked, &RowDetail::Error(msg.clone()));
-            Completed {
-                status: JobStatus::Panicked,
-                row,
-                error: Some(msg),
-                seconds,
-            }
-        }
-    }
-}
-
-/// Extracts a printable message from a panic payload.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else {
-        "<non-string panic payload>".to_string()
-    }
 }
 
 #[cfg(test)]
@@ -619,31 +439,6 @@ mod tests {
             .map(|i| format!("{{\"id\":\"job{i}\",\"status\":\"ok\",\"result\":{{\"v\":{i}}}}}\n"))
             .collect();
         assert_eq!(seq, expect);
-    }
-
-    #[test]
-    fn panicking_job_is_isolated_and_structured() {
-        let jobs = vec![
-            JobSpec::new("good1", "t", || "1".to_string()),
-            JobSpec::new("boom", "t", || panic!("injected failure {}", 42)),
-            JobSpec::new("good2", "t", || "2".to_string()),
-        ];
-        let (jsonl, summary) = collect_jsonl(&jobs, &quiet(2));
-        assert_eq!(summary.ok(), 2);
-        assert_eq!(summary.failed(), 1);
-        assert_eq!(summary.outcomes[1].status, JobStatus::Panicked);
-        assert!(summary.outcomes[1]
-            .error
-            .as_deref()
-            .expect("error recorded")
-            .contains("injected failure 42"));
-        let lines: Vec<&str> = jsonl.lines().collect();
-        assert_eq!(lines.len(), 3);
-        assert_eq!(
-            lines[1],
-            "{\"id\":\"boom\",\"status\":\"panicked\",\"error\":\"injected failure 42\"}"
-        );
-        assert!(lines[2].starts_with("{\"id\":\"good2\""));
     }
 
     #[test]
@@ -692,10 +487,55 @@ mod tests {
     fn worker_resolution_clamps() {
         // Not clamped to the job count: sub-job fan-out can use every
         // worker even when there are fewer top-level jobs than workers.
-        let cfg = quiet(8);
-        assert_eq!(cfg.effective_workers(3), 8);
-        assert_eq!(cfg.effective_workers(0), 8);
-        assert!(quiet(0).effective_workers(64) >= 1);
+        assert_eq!(collect_jsonl(&[], &quiet(8)).1.workers, 8);
+        assert!(collect_jsonl(&[], &quiet(0)).1.workers >= 1);
+    }
+
+    /// A sink I/O error tears the batch down: `run_suite` returns the
+    /// error and the jobs still queued are dropped, not run before the
+    /// workers are joined. Every job but the first waits until the sink
+    /// has failed, so none can finish before the error exists; running
+    /// all of them would take the collector stalling for 15 x 20 ms.
+    #[test]
+    fn failing_jsonl_sink_returns_err_without_running_the_queued_jobs() {
+        /// Fails every write; the first failure drops the sender, which
+        /// releases every job waiting on the receiver.
+        struct FailingSink(Option<std::sync::mpsc::Sender<()>>);
+        impl Write for FailingSink {
+            fn write(&mut self, _: &[u8]) -> io::Result<usize> {
+                self.0.take();
+                Err(io::Error::other("disk full"))
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        const TOTAL: usize = 16;
+        let (failed_tx, failed_rx) = std::sync::mpsc::channel();
+        let failed_rx = Arc::new(std::sync::Mutex::new(failed_rx));
+        let ran = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let jobs: Vec<JobSpec> = (0..TOTAL)
+            .map(|i| {
+                let (ran, failed_rx) = (Arc::clone(&ran), Arc::clone(&failed_rx));
+                JobSpec::new(format!("job{i}"), "t", move || {
+                    ran.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+                    if i > 0 {
+                        let _ = failed_rx.lock().expect("gate").recv();
+                        std::thread::sleep(Duration::from_millis(20));
+                    }
+                    "1".to_string()
+                })
+            })
+            .collect();
+        let mut sink = FailingSink(Some(failed_tx));
+        let err = run_suite(&jobs, &quiet(1), Some(&mut sink), &mut io::sink())
+            .expect_err("the sink error must surface");
+        assert_eq!(err.to_string(), "disk full");
+        let ran = ran.load(std::sync::atomic::Ordering::SeqCst);
+        assert!(
+            (1..TOTAL).contains(&ran),
+            "{ran} of {TOTAL} jobs ran although the sink failed on the first row"
+        );
     }
 
     #[test]

@@ -1,49 +1,39 @@
-//! Long-running suite service: the scheduler behind `padcsim serve`.
+//! The worker pool: the one scheduler behind [`run_suite`](crate::run_suite)
+//! and `padcsim serve`.
 //!
-//! [`run_suite`](crate::run_suite) is batch-shaped — it owns its scoped
-//! workers for exactly one job list, then tears them down. A request
-//! server needs the inverse: **persistent** workers that outlive any one
-//! request, a shared sub-job pool so concurrent requests' per-unit
-//! fan-outs load-balance against each other under one global `--jobs N`
-//! thread bound, and per-client result routing so each request streams its
-//! own rows.
+//! A [`SuiteService`] owns N persistent worker threads and two queues under
+//! one mutex and one condvar: top-level jobs and the sub-job units running
+//! jobs fan out through [`subjob_map`](crate::subjob_map). Each
+//! [`SuiteService::submit`] enqueues a batch of [`JobSpec`]s tagged with a
+//! private channel; any worker may pick any batch's job, and completions
+//! route back to the submitter's [`BatchHandle`]. Workers take queued
+//! sub-jobs before new top-level jobs, and a worker blocked on its own
+//! fan-out helps execute queued units (the deadlock-freedom argument is in
+//! [`crate::subjob`]), so the worker count is a true global thread bound
+//! no matter how many batches are in flight.
 //!
-//! [`SuiteService`] provides that. Each [`SuiteService::submit`] enqueues
-//! a batch of [`JobSpec`]s tagged with a private channel; any worker may
-//! pick any client's job, and completions route back to the submitting
-//! client's [`BatchHandle`]. Workers prefer draining sub-jobs over
-//! claiming new top-level jobs (same policy as `run_suite`), and a worker
-//! blocked on its own fan-out helps execute queued units — the service
-//! inherits the deadlock-freedom argument of [`crate::subjob`].
+//! `run_suite` is the batch client (start a service, submit one batch,
+//! collect, shut down); `padcsim serve` keeps one service alive and submits
+//! a batch per request, so concurrent requests' fan-outs load-balance
+//! against each other. The two differ only in who reads the rows.
 //!
-//! Determinism: job rows are rendered by the same code path as
-//! `run_suite` ([`CompletedJob::row`] carries the exact JSONL bytes), and
+//! Determinism: [`CompletedJob::row`] carries the exact JSONL bytes, which
+//! depend only on the job's id and payload, and
 //! [`BatchHandle::collect_ordered`] re-orders completions into submission
-//! order, so a batch submitted to the service yields byte-identical rows
-//! to the same jobs run under `run_suite`.
+//! order — so a batch's rows are byte-identical for any worker count and
+//! any mix of concurrent batches.
 
 use std::collections::VecDeque;
 use std::io;
-use std::panic;
-use std::sync::{mpsc, Arc, Condvar, Mutex, Weak};
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, Once};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use crate::subjob::{self, SubJobPool};
-use crate::{execute_job, JobSpec, JobStatus};
+use crate::subjob::{self, SubJob, SubJobStats};
+use crate::{render_row, JobSpec, JobStatus, RowDetail};
 
-/// Worker-pool knobs for a [`SuiteService`].
-#[derive(Clone, Debug, Default)]
-pub struct ServiceConfig {
-    /// Worker threads; `0` means `available_parallelism()`.
-    pub workers: usize,
-    /// Optional per-job wall-clock budget (as in
-    /// [`HarnessConfig`](crate::HarnessConfig)).
-    pub budget: Option<Duration>,
-}
-
-/// One finished job, with the exact JSONL row bytes `run_suite` would have
-/// emitted for it.
+/// One finished job, with its exact JSONL row bytes.
 #[derive(Clone, Debug)]
 pub struct CompletedJob {
     /// Job id.
@@ -59,130 +49,200 @@ pub struct CompletedJob {
 }
 
 /// One queued top-level job plus its result route.
-struct ServiceJob {
+struct QueuedJob {
     spec: JobSpec,
+    batch: u64,
     index: usize,
-    budget: Option<Duration>,
     tx: mpsc::Sender<(usize, CompletedJob)>,
 }
 
-struct ServiceState {
-    queue: VecDeque<ServiceJob>,
+struct PoolState {
+    jobs: VecDeque<QueuedJob>,
+    subjobs: VecDeque<SubJob>,
+    next_batch: u64,
     shutdown: bool,
 }
 
-/// State shared by the workers and the submitting threads.
-struct ServiceCore {
-    state: Mutex<ServiceState>,
-    /// Signalled on job submission, sub-job enqueue (via the pool hook),
-    /// and shutdown.
+/// State shared by the workers, the submitting threads and (through the
+/// worker threads' ambient pool) `subjob_map`.
+pub(crate) struct Pool {
+    state: Mutex<PoolState>,
+    /// Signalled on job submission, sub-job enqueue and shutdown.
     work_ready: Condvar,
-    pool: Arc<SubJobPool>,
+    /// Executed/peak-concurrency accounting of the sub-job units.
+    pub(crate) stats: Arc<SubJobStats>,
+    budget: Option<Duration>,
+}
+
+/// What a worker found in the queues.
+enum Work {
+    Sub(SubJob),
+    Job(QueuedJob),
+}
+
+impl Pool {
+    fn lock(&self) -> MutexGuard<'_, PoolState> {
+        self.state.lock().expect("pool state poisoned")
+    }
+
+    /// Queues one fan-out's units and wakes the idle workers.
+    pub(crate) fn push_subjobs(&self, units: impl Iterator<Item = SubJob>) {
+        self.lock().subjobs.extend(units);
+        self.work_ready.notify_all();
+    }
+
+    /// Non-blocking pop, for parents helping while their fan-out runs.
+    pub(crate) fn try_pop_subjob(&self) -> Option<SubJob> {
+        self.lock().subjobs.pop_front()
+    }
+
+    /// Blocks until there is work; `None` once the service is shut down
+    /// and both queues are drained. Running jobs' fan-outs go before new
+    /// jobs, so in-flight experiments finish ahead of newly started ones.
+    fn next_work(&self) -> Option<Work> {
+        let mut st = self.lock();
+        loop {
+            if let Some(sub) = st.subjobs.pop_front() {
+                return Some(Work::Sub(sub));
+            }
+            if let Some(job) = st.jobs.pop_front() {
+                return Some(Work::Job(job));
+            }
+            if st.shutdown {
+                return None;
+            }
+            st = self.work_ready.wait(st).expect("pool state poisoned");
+        }
+    }
+}
+
+/// The one worker loop: every job and every sub-job unit of every batch
+/// runs here, on one of the service's N threads.
+fn worker_loop(pool: &Arc<Pool>) {
+    subjob::install_pool(Some(Arc::clone(pool)));
+    while let Some(work) = pool.next_work() {
+        match work {
+            Work::Sub(sub) => sub.run(),
+            Work::Job(job) => {
+                // A send error means the client dropped its handle while
+                // this job ran; there is nobody left to tell.
+                let _ = job
+                    .tx
+                    .send((job.index, execute_job(&job.spec, pool.budget)));
+            }
+        }
+    }
+    subjob::install_pool(None);
+}
+
+/// Job panics are caught and reported as rows, so keep the default hook's
+/// backtrace off the worker threads. Installed once per process and never
+/// taken back: a take/restore pair would race with a concurrently running
+/// service, and wrapping per service would nest one closure per service.
+fn install_panic_filter() {
+    static INSTALL: Once = Once::new();
+    INSTALL.call_once(|| {
+        #[cfg(test)]
+        tests::FILTER_INSTALLS.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+        let prev = panic::take_hook();
+        panic::set_hook(Box::new(move |info| {
+            let on_worker = std::thread::current()
+                .name()
+                .is_some_and(|n| n.starts_with("padc-job-worker"));
+            if !on_worker {
+                prev(info);
+            }
+        }));
+    });
 }
 
 /// A persistent worker pool executing submitted job batches; see the
 /// module docs.
 pub struct SuiteService {
-    core: Arc<ServiceCore>,
+    pool: Arc<Pool>,
     workers: Vec<JoinHandle<()>>,
-    budget: Option<Duration>,
 }
 
 impl SuiteService {
-    /// Starts the worker threads.
-    pub fn new(cfg: &ServiceConfig) -> Self {
-        let workers_n = if cfg.workers == 0 {
-            std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(1)
-        } else {
-            cfg.workers
-        }
-        .max(1);
-
-        let core = Arc::new(ServiceCore {
-            state: Mutex::new(ServiceState {
-                queue: VecDeque::new(),
+    /// Starts `workers` threads (`0` means `available_parallelism()`).
+    /// Jobs that finish over the optional per-job wall-clock `budget` are
+    /// recorded as failures (they are not killed).
+    ///
+    /// The count is deliberately not clamped to any batch's job count:
+    /// jobs fan sub-jobs back onto the pool, so even a single job can keep
+    /// every worker busy.
+    pub fn new(workers: usize, budget: Option<Duration>) -> Self {
+        let workers = match workers {
+            0 => std::thread::available_parallelism().map_or(1, |p| p.get()),
+            n => n,
+        };
+        install_panic_filter();
+        let pool = Arc::new(Pool {
+            state: Mutex::new(PoolState {
+                jobs: VecDeque::new(),
+                subjobs: VecDeque::new(),
+                next_batch: 0,
                 shutdown: false,
             }),
             work_ready: Condvar::new(),
-            pool: Arc::new(SubJobPool::new()),
+            stats: Arc::default(),
+            budget,
         });
-        // Wake idle service workers when a running job fans out sub-jobs.
-        // Taking the state lock before notifying pairs the hook with the
-        // workers' wait loop (which re-checks the pool under that lock), so
-        // a wakeup between "pool looked empty" and "wait" cannot be lost.
-        let weak: Weak<ServiceCore> = Arc::downgrade(&core);
-        core.pool.set_enqueue_hook(Box::new(move || {
-            if let Some(core) = weak.upgrade() {
-                let _guard = core.state.lock().expect("service state poisoned");
-                core.work_ready.notify_all();
-            }
-        }));
-
-        // As in `run_suite`: job panics are caught and reported as rows,
-        // so suppress the default hook's backtrace spam on worker threads.
-        let prev_hook = panic::take_hook();
-        panic::set_hook({
-            let prev = prev_hook;
-            Box::new(move |info| {
-                let on_worker = std::thread::current()
-                    .name()
-                    .is_some_and(|n| n.starts_with("padc-job-worker"));
-                if !on_worker {
-                    prev(info);
-                }
-            })
-        });
-
-        let workers = (0..workers_n)
+        let workers = (0..workers)
             .map(|w| {
-                let core = Arc::clone(&core);
+                let pool = Arc::clone(&pool);
                 std::thread::Builder::new()
-                    .name(format!("padc-job-worker-svc-{w}"))
-                    .spawn(move || worker_loop(&core))
-                    .expect("spawn service worker")
+                    .name(format!("padc-job-worker-{w}"))
+                    .spawn(move || worker_loop(&pool))
+                    .expect("spawn worker")
             })
             .collect();
-
-        SuiteService {
-            core,
-            workers,
-            budget: cfg.budget,
-        }
+        SuiteService { pool, workers }
     }
 
     /// Enqueues a batch of jobs; any idle worker may run any of them.
     /// Jobs carrying a [`JobSpec::cached_row`] are not executed — the row
-    /// is re-emitted verbatim as [`JobStatus::Skipped`], exactly like
-    /// `run_suite`'s resume path.
+    /// is re-emitted verbatim as [`JobStatus::Skipped`] (the `--resume`
+    /// path).
     pub fn submit(&self, jobs: Vec<JobSpec>) -> BatchHandle {
         let total = jobs.len();
         let (tx, rx) = mpsc::channel();
-        {
-            let mut st = self.core.state.lock().expect("service state poisoned");
-            for (index, spec) in jobs.into_iter().enumerate() {
-                st.queue.push_back(ServiceJob {
+        let batch = {
+            let mut st = self.pool.lock();
+            let batch = st.next_batch;
+            st.next_batch += 1;
+            st.jobs
+                .extend(jobs.into_iter().enumerate().map(|(index, spec)| QueuedJob {
                     spec,
+                    batch,
                     index,
-                    budget: self.budget,
                     tx: tx.clone(),
-                });
-            }
+                }));
+            batch
+        };
+        self.pool.work_ready.notify_all();
+        BatchHandle {
+            total,
+            rx,
+            pool: Arc::clone(&self.pool),
+            batch,
         }
-        self.core.work_ready.notify_all();
-        BatchHandle { total, rx }
     }
 
-    /// Total sub-job units executed through the shared pool so far.
+    /// Worker threads in the pool.
+    pub fn workers(&self) -> usize {
+        self.workers.len()
+    }
+
+    /// Total sub-job units executed through the pool so far.
     pub fn subjobs_executed(&self) -> u64 {
-        self.core.pool.stats.executed()
+        self.pool.stats.executed()
     }
 
     /// Peak sub-job units in flight simultaneously (bounded by the worker
     /// count).
     pub fn subjobs_peak_concurrent(&self) -> u64 {
-        self.core.pool.stats.peak_concurrent()
+        self.pool.stats.peak_concurrent()
     }
 
     /// Drains the queue, stops the workers, and joins them. Called by
@@ -192,11 +252,10 @@ impl SuiteService {
     }
 
     fn stop_and_join(&mut self) {
-        {
-            let mut st = self.core.state.lock().expect("service state poisoned");
+        if let Ok(mut st) = self.pool.state.lock() {
             st.shutdown = true;
         }
-        self.core.work_ready.notify_all();
+        self.pool.work_ready.notify_all();
         for handle in self.workers.drain(..) {
             let _ = handle.join();
         }
@@ -209,71 +268,21 @@ impl Drop for SuiteService {
     }
 }
 
-/// What a worker decided to do after inspecting the queues.
-enum Next {
-    Job(ServiceJob),
-    Subjobs,
-    Exit,
-}
-
-fn worker_loop(core: &Arc<ServiceCore>) {
-    subjob::install_pool(Some(Arc::clone(&core.pool)));
-    loop {
-        // Serve running jobs' fan-outs before claiming new jobs.
-        while let Some(sub) = core.pool.try_pop() {
-            sub.run();
-        }
-        let next = {
-            let mut st = core.state.lock().expect("service state poisoned");
-            loop {
-                if let Some(job) = st.queue.pop_front() {
-                    break Next::Job(job);
-                }
-                if !core.pool.is_empty() {
-                    break Next::Subjobs;
-                }
-                if st.shutdown {
-                    break Next::Exit;
-                }
-                st = core.work_ready.wait(st).expect("service state poisoned");
-            }
-        };
-        match next {
-            Next::Job(job) => {
-                let completed = match &job.spec.cached_row {
-                    Some(row) => CompletedJob {
-                        id: job.spec.id.clone(),
-                        status: JobStatus::Skipped,
-                        row: format!("{row}\n"),
-                        error: None,
-                        seconds: 0.0,
-                    },
-                    None => {
-                        let c = execute_job(&job.spec, job.budget);
-                        CompletedJob {
-                            id: job.spec.id.clone(),
-                            status: c.status,
-                            row: c.row,
-                            error: c.error,
-                            seconds: c.seconds,
-                        }
-                    }
-                };
-                // A dropped receiver just means the client went away; the
-                // remaining jobs of its batch still drain normally.
-                let _ = job.tx.send((job.index, completed));
-            }
-            Next::Subjobs => continue,
-            Next::Exit => break,
-        }
-    }
-    subjob::install_pool(None);
-}
-
-/// Receiving end of one submitted batch.
+/// Receiving end of one submitted batch. Dropping it abandons the batch:
+/// its jobs that no worker has started yet are removed from the queue.
 pub struct BatchHandle {
     total: usize,
     rx: mpsc::Receiver<(usize, CompletedJob)>,
+    pool: Arc<Pool>,
+    batch: u64,
+}
+
+impl Drop for BatchHandle {
+    fn drop(&mut self) {
+        if let Ok(mut st) = self.pool.state.lock() {
+            st.jobs.retain(|job| job.batch != self.batch);
+        }
+    }
 }
 
 impl BatchHandle {
@@ -282,31 +291,32 @@ impl BatchHandle {
         self.total
     }
 
-    /// Waits for every job, invoking `on_row` **in submission order** as
-    /// soon as each prefix settles (the same streaming rule as
-    /// `run_suite`'s collector), and returns all completions in
-    /// submission order.
+    /// The one in-order collector. Waits for every job, invoking
+    /// `on_done` for each completion as it arrives (completion order) and
+    /// `on_row` **in submission order** as soon as each prefix settles, so
+    /// output streams without depending on completion order. Returns all
+    /// completions in submission order.
     ///
     /// # Errors
     ///
-    /// Propagates the first error from `on_row`; fails if the service
+    /// Propagates the first error from either callback — the batch is
+    /// then abandoned, see [`BatchHandle`] — and fails if the service
     /// shuts down before the batch completes.
     pub fn collect_ordered(
         self,
-        mut on_row: impl FnMut(usize, &CompletedJob) -> io::Result<()>,
+        mut on_done: impl FnMut(&CompletedJob) -> io::Result<()>,
+        mut on_row: impl FnMut(&CompletedJob) -> io::Result<()>,
     ) -> io::Result<Vec<CompletedJob>> {
         let mut slots: Vec<Option<CompletedJob>> = (0..self.total).map(|_| None).collect();
         let mut cursor = 0usize;
-        let mut done = 0usize;
-        while done < self.total {
+        for _ in 0..self.total {
             let Ok((index, completed)) = self.rx.recv() else {
                 return Err(io::Error::other("suite service shut down mid-batch"));
             };
+            on_done(&completed)?;
             slots[index] = Some(completed);
-            done += 1;
-            while cursor < self.total {
-                let Some(c) = &slots[cursor] else { break };
-                on_row(cursor, c)?;
+            while let Some(Some(c)) = slots.get(cursor) {
+                on_row(c)?;
                 cursor += 1;
             }
         }
@@ -317,20 +327,83 @@ impl BatchHandle {
     }
 }
 
+/// Settles one job: a cached row is re-emitted verbatim, anything else
+/// runs under `catch_unwind` and is rendered into its row.
+fn execute_job(job: &JobSpec, budget: Option<Duration>) -> CompletedJob {
+    let done = |status, row, error, seconds| CompletedJob {
+        id: job.id.clone(),
+        status,
+        row,
+        error,
+        seconds,
+    };
+    if let Some(row) = &job.cached_row {
+        return done(JobStatus::Skipped, format!("{row}\n"), None, 0.0);
+    }
+    let start = Instant::now();
+    let outcome = panic::catch_unwind(AssertUnwindSafe(|| (job.run)()));
+    let elapsed = start.elapsed();
+    let seconds = elapsed.as_secs_f64();
+    match (outcome, budget) {
+        (Ok(payload), Some(b)) if elapsed > b => {
+            let detail = RowDetail::OverBudget {
+                payload,
+                budget_seconds: b.as_secs(),
+            };
+            done(
+                JobStatus::OverBudget,
+                render_row(&job.id, JobStatus::OverBudget, &detail),
+                Some(format!("exceeded {}s budget ({seconds:.1}s)", b.as_secs())),
+                seconds,
+            )
+        }
+        (Ok(payload), _) => done(
+            JobStatus::Ok,
+            render_row(&job.id, JobStatus::Ok, &RowDetail::Result(payload)),
+            None,
+            seconds,
+        ),
+        (Err(payload), _) => {
+            let msg = panic_message(payload.as_ref());
+            let row = render_row(&job.id, JobStatus::Panicked, &RowDetail::Error(msg.clone()));
+            done(JobStatus::Panicked, row, Some(msg), seconds)
+        }
+    }
+}
+
+/// Extracts a printable message from a panic payload.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else {
+        "<non-string panic payload>".to_string()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::subjob_map;
+    use crate::{run_suite, subjob_map, HarnessConfig};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Barrier;
+
+    /// How many times this process wrapped the panic hook.
+    pub(super) static FILTER_INSTALLS: AtomicUsize = AtomicUsize::new(0);
 
     fn svc(workers: usize) -> SuiteService {
-        SuiteService::new(&ServiceConfig {
-            workers,
-            budget: None,
-        })
+        SuiteService::new(workers, None)
+    }
+
+    fn settle(handle: BatchHandle) -> Vec<CompletedJob> {
+        handle
+            .collect_ordered(|_| Ok(()), |_| Ok(()))
+            .expect("batch completes")
     }
 
     #[test]
-    fn batches_complete_in_submission_order_with_run_suite_rows() {
+    fn batches_complete_in_submission_order() {
         let service = svc(2);
         let jobs: Vec<JobSpec> = (0..4)
             .map(|i| {
@@ -343,10 +416,13 @@ mod tests {
         let mut streamed = Vec::new();
         let completions = service
             .submit(jobs)
-            .collect_ordered(|i, c| {
-                streamed.push((i, c.row.clone()));
-                Ok(())
-            })
+            .collect_ordered(
+                |_| Ok(()),
+                |c| {
+                    streamed.push(c.row.clone());
+                    Ok(())
+                },
+            )
             .expect("batch completes");
         for (i, c) in completions.iter().enumerate() {
             assert_eq!(c.status, JobStatus::Ok);
@@ -354,12 +430,8 @@ mod tests {
                 c.row,
                 format!("{{\"id\":\"job{i}\",\"status\":\"ok\",\"result\":{{\"v\":{i}}}}}\n")
             );
+            assert_eq!(streamed[i], c.row, "rows must stream in submission order");
         }
-        assert_eq!(
-            streamed.iter().map(|(i, _)| *i).collect::<Vec<_>>(),
-            vec![0, 1, 2, 3],
-            "rows must stream in submission order"
-        );
         service.shutdown();
     }
 
@@ -379,10 +451,7 @@ mod tests {
                                 })
                             })
                             .collect();
-                        service
-                            .submit(jobs)
-                            .collect_ordered(|_, _| Ok(()))
-                            .expect("batch completes")
+                        settle(service.submit(jobs))
                     })
                 })
                 .collect();
@@ -404,37 +473,74 @@ mod tests {
     }
 
     #[test]
-    fn cached_rows_skip_execution() {
-        let service = svc(1);
-        let jobs = vec![JobSpec::new("a", "t", || panic!("must not run"))
-            .with_cached_row("{\"id\":\"a\",\"status\":\"ok\",\"result\":7}")];
-        let completions = service
-            .submit(jobs)
-            .collect_ordered(|_, _| Ok(()))
-            .expect("batch completes");
-        assert_eq!(completions[0].status, JobStatus::Skipped);
-        assert_eq!(
-            completions[0].row,
-            "{\"id\":\"a\",\"status\":\"ok\",\"result\":7}\n"
-        );
-    }
-
-    #[test]
     fn panics_become_structured_failures_and_do_not_kill_workers() {
-        let service = svc(1);
-        let first = service
-            .submit(vec![JobSpec::new("boom", "t", || panic!("injected"))])
-            .collect_ordered(|_, _| Ok(()))
-            .expect("batch completes");
-        assert_eq!(first[0].status, JobStatus::Panicked);
-        assert!(first[0].error.as_deref().unwrap().contains("injected"));
-        // The worker survives for the next request.
-        let second = service
-            .submit(vec![JobSpec::new("ok", "t", || "1".to_string())])
-            .collect_ordered(|_, _| Ok(()))
-            .expect("batch completes");
+        let service = svc(2);
+        let first = settle(service.submit(vec![
+            JobSpec::new("good1", "t", || "1".to_string()),
+            JobSpec::new("boom", "t", || panic!("injected failure {}", 42)),
+            JobSpec::new("good2", "t", || "2".to_string()),
+        ]));
+        let statuses: Vec<_> = first.iter().map(|c| c.status).collect();
+        assert_eq!(
+            statuses,
+            [JobStatus::Ok, JobStatus::Panicked, JobStatus::Ok],
+            "the panic stays in its own row"
+        );
+        assert_eq!(first[1].error.as_deref(), Some("injected failure 42"));
+        assert_eq!(
+            first[1].row,
+            "{\"id\":\"boom\",\"status\":\"panicked\",\"error\":\"injected failure 42\"}\n"
+        );
+        assert!(first[2].row.starts_with("{\"id\":\"good2\""));
+        // The workers survive for the next batch.
+        let second = settle(service.submit(vec![JobSpec::new("ok", "t", || "1".to_string())]));
         assert_eq!(second[0].status, JobStatus::Ok);
         service.shutdown();
+    }
+
+    /// Two suites overlap (a barrier holds a job of each until both run),
+    /// one of them with a panicking job: both settle with structured rows,
+    /// and the process-wide hook was wrapped once, not once per service.
+    #[test]
+    fn overlapping_suites_share_one_panic_filter() {
+        let both_running = Arc::new(Barrier::new(2));
+        let run = |id: &'static str, panics: bool| {
+            let both_running = Arc::clone(&both_running);
+            move || {
+                let jobs = vec![
+                    JobSpec::new(format!("{id}-meet"), "t", move || {
+                        both_running.wait();
+                        "1".to_string()
+                    }),
+                    JobSpec::new(format!("{id}-next"), "t", move || {
+                        assert!(!panics, "injected");
+                        "2".to_string()
+                    }),
+                ];
+                let cfg = HarnessConfig {
+                    workers: 1,
+                    budget: None,
+                    progress: false,
+                };
+                let mut jsonl = Vec::new();
+                let summary =
+                    run_suite(&jobs, &cfg, Some(&mut jsonl), &mut io::sink()).expect("suite I/O");
+                (String::from_utf8(jsonl).expect("utf8"), summary)
+            }
+        };
+        let (a, b) = std::thread::scope(|scope| {
+            let a = scope.spawn(run("a", true));
+            let b = scope.spawn(run("b", false));
+            (a.join().expect("suite a"), b.join().expect("suite b"))
+        });
+        assert_eq!((a.1.ok(), a.1.failed()), (1, 1));
+        assert_eq!(
+            a.0.lines().nth(1),
+            Some("{\"id\":\"a-next\",\"status\":\"panicked\",\"error\":\"injected\"}")
+        );
+        assert_eq!((b.1.ok(), b.1.failed()), (2, 0));
+        assert_eq!(b.0.lines().count(), 2);
+        assert_eq!(FILTER_INSTALLS.load(Ordering::SeqCst), 1);
     }
 
     #[test]
@@ -451,7 +557,7 @@ mod tests {
         // client must get either a complete batch or a clean error, never
         // a hang.
         service.shutdown();
-        match handle.collect_ordered(|_, _| Ok(())) {
+        match handle.collect_ordered(|_| Ok(()), |_| Ok(())) {
             Ok(completions) => assert_eq!(completions.len(), 2),
             Err(e) => assert!(e.to_string().contains("shut down"), "{e}"),
         }

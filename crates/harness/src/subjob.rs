@@ -1,16 +1,16 @@
-//! Shared sub-job work queue: the second level of the unified scheduler.
+//! Sub-jobs: the second level of the scheduler.
 //!
-//! [`run_suite`](crate::run_suite) parallelizes *across* jobs; experiments
-//! additionally want to fan out *within* a job (per-workload simulation
-//! units). Spawning nested thread pools for that would break the `--jobs N`
-//! contract — total threads would scale as experiments × workloads. Instead
-//! the suite's worker pool owns a single shared `SubJobPool`, and a job
-//! running on a worker thread can call [`subjob_map`] to enqueue indexed
-//! units onto it:
+//! [`SuiteService`](crate::SuiteService) parallelizes *across* jobs;
+//! experiments additionally want to fan out *within* a job (per-workload
+//! simulation units). Spawning nested thread pools for that would break
+//! the `--jobs N` contract — total threads would scale as experiments ×
+//! workloads. Instead a job running on a worker thread calls
+//! [`subjob_map`] to enqueue indexed units onto the service's own queue
+//! (the sub-job queue sits next to the job queue, under the same mutex):
 //!
-//! - Every unit executes **on one of the N suite worker threads** — the
-//!   pool never spawns; `--jobs N` therefore bounds *total* simulation
-//!   threads, not just concurrent experiments.
+//! - Every unit executes **on one of the N worker threads** — nothing
+//!   here spawns; `--jobs N` therefore bounds *total* simulation threads,
+//!   not just concurrent experiments.
 //! - The submitting worker does not idle while its units are in flight: it
 //!   **helps**, popping and executing queued sub-jobs (its own or another
 //!   experiment's) until its batch completes. This is what makes the
@@ -29,10 +29,11 @@
 
 use std::any::Any;
 use std::cell::RefCell;
-use std::collections::VecDeque;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
+
+use crate::service::Pool;
 
 /// Pool-level sub-job accounting: how many units executed, and the peak
 /// number in flight at once. The peak can never exceed the suite's worker
@@ -129,129 +130,33 @@ impl SubJob {
     }
 }
 
-/// The suite-wide sub-job queue. One instance lives for the duration of a
-/// [`run_suite`](crate::run_suite) call, shared by all its workers.
-pub(crate) struct SubJobPool {
-    queue: Mutex<PoolQueue>,
-    /// Signalled on enqueue and on close.
-    available: Condvar,
-    /// Executed/peak-concurrency accounting, surfaced in the suite
-    /// [`Summary`](crate::Summary).
-    pub(crate) stats: Arc<SubJobStats>,
-    /// Called after each batch lands in the queue (queue lock released).
-    /// The suite service parks its idle workers on its *own* condvar (so
-    /// they can also watch the request queue); this hook lets an enqueue
-    /// wake them there.
-    enqueue_hook: Mutex<Option<Box<dyn Fn() + Send + Sync>>>,
-}
-
-struct PoolQueue {
-    jobs: VecDeque<SubJob>,
-    /// Set once every top-level job has completed; blocked workers exit.
-    closed: bool,
-}
-
-impl SubJobPool {
-    pub(crate) fn new() -> Self {
-        SubJobPool {
-            queue: Mutex::new(PoolQueue {
-                jobs: VecDeque::new(),
-                closed: false,
-            }),
-            available: Condvar::new(),
-            stats: Arc::new(SubJobStats::default()),
-            enqueue_hook: Mutex::new(None),
-        }
-    }
-
-    /// Installs the post-enqueue wake hook (see the field docs).
-    pub(crate) fn set_enqueue_hook(&self, hook: Box<dyn Fn() + Send + Sync>) {
-        *self.enqueue_hook.lock().expect("hook poisoned") = Some(hook);
-    }
-
-    fn enqueue_batch(&self, batch: &Arc<Batch>, n: usize) {
-        let mut q = self.queue.lock().expect("pool queue poisoned");
-        for index in 0..n {
-            q.jobs.push_back(SubJob {
-                batch: Arc::clone(batch),
-                index,
-            });
-        }
-        drop(q);
-        self.available.notify_all();
-        if let Some(hook) = &*self.enqueue_hook.lock().expect("hook poisoned") {
-            hook();
-        }
-    }
-
-    /// Non-blocking pop, for drain loops and helping parents.
-    pub(crate) fn try_pop(&self) -> Option<SubJob> {
-        self.queue
-            .lock()
-            .expect("pool queue poisoned")
-            .jobs
-            .pop_front()
-    }
-
-    /// True when no sub-jobs are queued (in-flight units don't count).
-    pub(crate) fn is_empty(&self) -> bool {
-        self.queue
-            .lock()
-            .expect("pool queue poisoned")
-            .jobs
-            .is_empty()
-    }
-
-    /// Blocking pop; returns `None` once the pool is closed and empty.
-    pub(crate) fn pop_blocking(&self) -> Option<SubJob> {
-        let mut q = self.queue.lock().expect("pool queue poisoned");
-        loop {
-            if let Some(job) = q.jobs.pop_front() {
-                return Some(job);
+/// Runs queued sub-jobs (any batch's) until `batch` completes, then sleeps
+/// on the batch's condvar while other workers finish its in-flight units.
+fn help_until_done(pool: &Pool, batch: &Batch) {
+    loop {
+        {
+            let st = batch.state.lock().expect("batch state poisoned");
+            if st.remaining == 0 {
+                return;
             }
-            if q.closed {
-                return None;
-            }
-            q = self.available.wait(q).expect("pool queue poisoned");
         }
-    }
-
-    /// Marks the suite finished; wakes every blocked worker so it can exit.
-    pub(crate) fn close(&self) {
-        self.queue.lock().expect("pool queue poisoned").closed = true;
-        self.available.notify_all();
-    }
-
-    /// Runs queued sub-jobs (any batch's) until `batch` completes, then
-    /// sleeps on the batch's condvar while other workers finish its
-    /// in-flight units.
-    fn help_until_done(&self, batch: &Batch) {
-        loop {
-            {
-                let st = batch.state.lock().expect("batch state poisoned");
-                if st.remaining == 0 {
-                    return;
-                }
-            }
-            if let Some(job) = self.try_pop() {
-                job.run();
-                continue;
-            }
-            // Queue empty but units of this batch are still in flight on
-            // other workers: wait for their completion signal.
-            let mut st = batch.state.lock().expect("batch state poisoned");
-            while st.remaining != 0 {
-                st = batch.done.wait(st).expect("batch state poisoned");
-            }
-            return;
+        if let Some(job) = pool.try_pop_subjob() {
+            job.run();
+            continue;
         }
+        // Queue empty but units of this batch are still in flight on
+        // other workers: wait for their completion signal.
+        let mut st = batch.state.lock().expect("batch state poisoned");
+        while st.remaining != 0 {
+            st = batch.done.wait(st).expect("batch state poisoned");
+        }
+        return;
     }
 }
 
 thread_local! {
-    /// The pool of the suite currently running on this thread, if any.
-    /// Installed by `run_suite` on its worker threads.
-    static CURRENT_POOL: RefCell<Option<Arc<SubJobPool>>> = const { RefCell::new(None) };
+    /// The pool whose worker this thread is, if any.
+    static CURRENT_POOL: RefCell<Option<Arc<Pool>>> = const { RefCell::new(None) };
 
     /// Ambient per-task context (e.g. a profile accumulator). Propagated
     /// from the submitting thread to every unit of a [`subjob_map`] batch.
@@ -295,11 +200,11 @@ pub fn with_task_context<T>(ctx: Arc<dyn Any + Send + Sync>, f: impl FnOnce() ->
 }
 
 /// Installs (or clears) the ambient pool for the calling thread.
-pub(crate) fn install_pool(pool: Option<Arc<SubJobPool>>) {
+pub(crate) fn install_pool(pool: Option<Arc<Pool>>) {
     CURRENT_POOL.with(|p| *p.borrow_mut() = pool);
 }
 
-fn current_pool() -> Option<Arc<SubJobPool>> {
+fn current_pool() -> Option<Arc<Pool>> {
     CURRENT_POOL.with(|p| p.borrow().clone())
 }
 
@@ -311,10 +216,10 @@ pub fn under_harness() -> bool {
 
 /// Runs `f(0..n)` and returns the results in index order.
 ///
-/// On a suite worker thread the units are enqueued onto the shared
-/// `SubJobPool` — bounded by the suite's `--jobs N` workers — and the
-/// caller helps execute queued units until its batch completes. Anywhere
-/// else the units run inline on the calling thread.
+/// On a suite worker thread the units are enqueued onto the service's
+/// sub-job queue — bounded by its `--jobs N` workers — and the caller
+/// helps execute queued units until its batch completes. Anywhere else
+/// the units run inline on the calling thread.
 ///
 /// # Panics
 ///
@@ -359,8 +264,11 @@ where
         done: Condvar::new(),
         stats: Arc::clone(&pool.stats),
     });
-    pool.enqueue_batch(&batch, n);
-    pool.help_until_done(&batch);
+    pool.push_subjobs((0..n).map(|index| SubJob {
+        batch: Arc::clone(&batch),
+        index,
+    }));
+    help_until_done(&pool, &batch);
 
     let panic_payload = batch
         .state

@@ -6,12 +6,19 @@
 //! padcsim --config system.json --bench milc_06           # full SimConfig from JSON
 //! padcsim --print-config --cores 2 --policy demand-first # dump the config as JSON
 //! padcsim --trace trace.txt --policy padc                # replay a recorded trace
-//! padcsim --suite --smoke --jobs 4 --jsonl out.jsonl     # experiment suite via padc-harness
+//! padcsim --suite --smoke --jobs 4 fig6 > out.jsonl      # experiment suite, JSONL on stdout
+//! padcsim serve --stdio --jobs 4 --store DIR              # request server (see padc_sim::serve)
+//! padcsim store stats --store DIR                         # inspect the unit store
 //! ```
+//!
+//! `--suite` is the same driver as the `repro` binary
+//! ([`padc_sim::cli::suite_main`], same flags, registry and JSONL bytes)
+//! with the JSONL stream on stdout by default instead of the tables.
 
 use padc_core::SchedulingPolicy;
 use padc_cpu::TraceSource;
 use padc_dram::RefreshPolicy;
+use padc_sim::cli::{install_store, store_dir, suite_main, Stdout};
 use padc_sim::{FastForwardMode, SimConfig, System};
 use padc_workloads::{profiles, TraceFileSource};
 
@@ -120,202 +127,6 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
-/// `padcsim --suite`: run registered experiments on the `padc-harness`
-/// unified scheduler (experiments and their simulation units share one
-/// worker pool, so `--jobs N` bounds total simulation threads). Shares the
-/// registry (and therefore ids, payloads, and JSONL bytes) with `repro`;
-/// this entry point is the minimal suite-runner — use `repro` for table
-/// rendering and bar charts.
-fn run_suite_mode(args: &[String]) -> ! {
-    use padc_sim::experiments::{
-        registry::find, single_run_stats, suite_jobs_profiled, ExpConfig, Scale,
-    };
-
-    let mut cfg = ExpConfig::at(Scale::Full);
-    let mut workers = 0usize;
-    let mut jsonl_path: Option<String> = None;
-    let mut resume_path: Option<String> = None;
-    let mut summary_path: Option<String> = None;
-    let mut profile = false;
-    let mut store_flag: Option<String> = None;
-    let mut ids: Vec<String> = Vec::new();
-    let mut it = args.iter();
-    let die = |msg: String| -> ! {
-        eprintln!("error: {msg} (try --help)");
-        std::process::exit(2);
-    };
-    while let Some(flag) = it.next() {
-        if let Some(mode) = FastForwardMode::from_flag(flag, &mut it) {
-            padc_sim::set_fast_forward_mode_default(mode.unwrap_or_else(|e| die(e)));
-            continue;
-        }
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .unwrap_or_else(|| die(format!("{name} expects a value")))
-        };
-        match flag.as_str() {
-            "--quick" => cfg = ExpConfig::at(Scale::Quick),
-            "--smoke" => cfg = ExpConfig::at(Scale::Smoke),
-            "--jobs" | "-j" => {
-                let v = value("--jobs");
-                workers = v
-                    .parse()
-                    .unwrap_or_else(|_| die(format!("--jobs expects an integer, got {v:?}")));
-            }
-            "--jsonl" => jsonl_path = Some(value("--jsonl")),
-            "--resume" => resume_path = Some(value("--resume")),
-            "--summary" => summary_path = Some(value("--summary")),
-            "--store" => store_flag = Some(value("--store")),
-            "--profile" => profile = true,
-            "--list" => {
-                for e in padc_sim::experiments::experiment_registry() {
-                    println!("{:<10} {}", e.id, e.paper_ref);
-                }
-                std::process::exit(0);
-            }
-            "--help" | "-h" => {
-                println!(
-                    "usage: padcsim --suite [--quick|--smoke] [--jobs N] [--jsonl PATH] \
-                     [--resume FILE] [--summary PATH] [--store DIR] [--profile] \
-                     [--fast-forward off|event] \
-                     [--list] [<experiment-id>...]"
-                );
-                std::process::exit(0);
-            }
-            other if other.starts_with('-') => die(format!("unknown --suite flag {other:?}")),
-            other => ids.push(other.to_string()),
-        }
-    }
-    let selected = if ids.is_empty() {
-        padc_sim::experiments::experiment_registry()
-    } else {
-        ids.iter()
-            .map(|id| {
-                find(id).unwrap_or_else(|| {
-                    eprintln!("error: unknown experiment id: {id}");
-                    eprintln!("run `padcsim --suite --list` for the registered ids");
-                    std::process::exit(2);
-                })
-            })
-            .collect()
-    };
-    // Resume: trust settled rows of the prior artifact, re-run the rest
-    // (same semantics as `repro --resume`). With no explicit --jsonl the
-    // regenerated artifact replaces the resumed file.
-    let artifact = resume_path.as_deref().map(|path| {
-        if !ids.is_empty() && jsonl_path.as_deref().is_none_or(|out| out == path) {
-            die(format!(
-                "--resume with an experiment subset would overwrite {path} with partial \
-                 results; pass a different --jsonl destination"
-            ));
-        }
-        match std::fs::read_to_string(path) {
-            Ok(text) => {
-                let artifact = padc_harness::ResumeArtifact::parse(&text);
-                eprintln!(
-                    "resume: {} settled row(s) in {path}, {} line(s) distrusted",
-                    artifact.len(),
-                    artifact.lines_rejected
-                );
-                artifact
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                eprintln!("resume: {path} not found, running everything");
-                padc_harness::ResumeArtifact::default()
-            }
-            Err(e) => die(format!("cannot read {path}: {e}")),
-        }
-    });
-    if jsonl_path.is_none() {
-        jsonl_path = resume_path.clone();
-    }
-
-    if profile {
-        padc_sim::profile::set_timing_enabled(true);
-    }
-    if let Some(dir) = store_dir_from(store_flag) {
-        padc_sim::experiments::install_unit_store(std::path::Path::new(&dir))
-            .unwrap_or_else(|e| die(format!("cannot open store {dir}: {e}")));
-    }
-    let mut jobs = suite_jobs_profiled(selected, cfg, None, profile);
-    if let Some(artifact) = &artifact {
-        for job in &mut jobs {
-            if let Some(row) = artifact.row(&job.id) {
-                job.cached_row = Some(row.to_string());
-            }
-        }
-    }
-    let harness_cfg = padc_harness::HarnessConfig {
-        workers,
-        budget: None,
-        progress: true,
-    };
-    let mut jsonl_file;
-    let mut jsonl_stdout;
-    let jsonl_sink: Option<&mut dyn std::io::Write> = match jsonl_path.as_deref() {
-        None => {
-            jsonl_stdout = std::io::stdout().lock();
-            Some(&mut jsonl_stdout)
-        }
-        Some("-") => {
-            jsonl_stdout = std::io::stdout().lock();
-            Some(&mut jsonl_stdout)
-        }
-        Some(path) => {
-            jsonl_file = std::fs::File::create(path)
-                .unwrap_or_else(|e| die(format!("cannot create {path}: {e}")));
-            Some(&mut jsonl_file)
-        }
-    };
-    let mut stderr = std::io::stderr().lock();
-    let mut summary = padc_harness::run_suite(&jobs, &harness_cfg, jsonl_sink, &mut stderr)
-        .expect("suite I/O failed");
-    if padc_sim::experiments::unit_store_installed() {
-        let stats = padc_sim::experiments::unit_cache_stats();
-        for (name, v) in [
-            ("store_hits", stats.store_hits),
-            ("store_misses", stats.store_misses),
-            ("units_coalesced", stats.units_coalesced),
-        ] {
-            summary.extras.push((name.to_string(), v));
-        }
-        // Machine-readable store telemetry: the determinism and perf gates
-        // parse this line; keep the key=value form stable.
-        eprintln!(
-            "store: hits={} misses={} coalesced={}",
-            stats.store_hits, stats.store_misses, stats.units_coalesced
-        );
-    }
-    if let Some(path) = &summary_path {
-        std::fs::write(path, summary.to_json())
-            .unwrap_or_else(|e| die(format!("cannot write {path}: {e}")));
-    }
-    eprintln!(
-        "suite: {}/{} ok, {} resumed, {} failed, {} workers, {:.1}s wall",
-        summary.ok(),
-        summary.outcomes.len(),
-        summary.skipped(),
-        summary.failed(),
-        summary.workers,
-        summary.wall_seconds
-    );
-    let (requested, computed) = single_run_stats();
-    if requested > 0 {
-        // Machine-readable single-core unit telemetry: `requested -
-        // computed` is the cross-experiment dedup (and warm-store) win;
-        // perf_gate.sh parses this line.
-        eprintln!("single_run_memo: requested={requested} computed={computed}");
-    }
-    std::process::exit(if summary.failed() > 0 { 1 } else { 0 });
-}
-
-/// Resolves the unit-store directory: the `--store DIR` flag beats the
-/// `PADC_STORE` environment variable; neither means no store.
-fn store_dir_from(flag: Option<String>) -> Option<String> {
-    flag.or_else(|| std::env::var("PADC_STORE").ok().filter(|s| !s.is_empty()))
-}
-
 /// `padcsim serve`: long-running experiment request server (line-delimited
 /// JSON over stdio or a Unix socket); see `padc_sim::serve` for the
 /// protocol.
@@ -366,9 +177,7 @@ fn run_serve_mode(args: &[String]) -> ! {
             other => die(format!("unknown serve flag {other:?}")),
         }
     }
-    if let Some(dir) = store_dir_from(store_flag) {
-        padc_sim::experiments::install_unit_store(std::path::Path::new(&dir))
-            .unwrap_or_else(|e| die(format!("cannot open store {dir}: {e}")));
+    if let Some(dir) = install_store(store_flag) {
         eprintln!("serve: unit store at {dir}");
     }
     let state = padc_sim::serve::ServeState::new(workers, scale);
@@ -438,28 +247,34 @@ fn run_store_mode(args: &[String]) -> ! {
             other => die(format!("unexpected argument {other:?}")),
         }
     }
-    let dir = store_dir_from(store_flag)
+    // Validate everything before touching the filesystem: `Store::open`
+    // creates what it opens, and inspecting must not create.
+    let gc = match action.as_deref() {
+        None | Some("stats") => false,
+        Some("gc") => true,
+        Some(other) => die(format!("unknown store action {other:?} (stats|gc)")),
+    };
+    let dir = store_dir(store_flag)
         .unwrap_or_else(|| die("no store directory: pass --store DIR or set PADC_STORE".into()));
+    if !std::path::Path::new(&dir).join("objects").is_dir() {
+        padc_sim::cli::die(format!("no store at {dir}"));
+    }
     let store = padc_store::Store::open(std::path::Path::new(&dir))
         .unwrap_or_else(|e| die(format!("cannot open store {dir}: {e}")));
-    match action.as_deref() {
-        Some("stats") | None => {
-            let s = store
-                .stats()
-                .unwrap_or_else(|e| die(format!("stats failed: {e}")));
-            println!("store: entries={} bytes={}", s.entries, s.bytes);
-        }
-        Some("gc") => {
-            let max = max_bytes.unwrap_or_else(|| die("gc requires --max-bytes N".into()));
-            let o = store
-                .gc(max)
-                .unwrap_or_else(|e| die(format!("gc failed: {e}")));
-            println!(
-                "store gc: evicted={} freed_bytes={} remaining_entries={} remaining_bytes={}",
-                o.evicted, o.freed_bytes, o.remaining_entries, o.remaining_bytes
-            );
-        }
-        Some(other) => die(format!("unknown store action {other:?} (stats|gc)")),
+    if gc {
+        let max = max_bytes.unwrap_or_else(|| die("gc requires --max-bytes N".into()));
+        let o = store
+            .gc(max)
+            .unwrap_or_else(|e| die(format!("gc failed: {e}")));
+        println!(
+            "store gc: evicted={} freed_bytes={} remaining_entries={} remaining_bytes={}",
+            o.evicted, o.freed_bytes, o.remaining_entries, o.remaining_bytes
+        );
+    } else {
+        let s = store
+            .stats()
+            .unwrap_or_else(|e| die(format!("stats failed: {e}")));
+        println!("store: entries={} bytes={}", s.entries, s.bytes);
     }
     std::process::exit(0);
 }
@@ -480,7 +295,7 @@ fn print_profile(p: &padc_sim::profile::SimProfile) {
 fn main() {
     let raw: Vec<String> = std::env::args().skip(1).collect();
     match raw.first().map(String::as_str) {
-        Some("--suite") => run_suite_mode(&raw[1..]),
+        Some("--suite") => suite_main("padcsim --suite", Stdout::Jsonl, &raw[1..]),
         Some("serve") => run_serve_mode(&raw[1..]),
         Some("store") => run_store_mode(&raw[1..]),
         _ => {}
@@ -492,13 +307,12 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let cores = if !args.traces.is_empty() {
-        args.traces.len()
-    } else if !args.benches.is_empty() {
+    let sources = if args.traces.is_empty() {
         args.benches.len()
     } else {
-        args.cores
+        args.traces.len()
     };
+    let cores = if sources > 0 { sources } else { args.cores };
     let mut cfg = match &args.config_path {
         Some(path) => {
             let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
@@ -530,6 +344,12 @@ fn main() {
             serde_json::to_string_pretty(&cfg).expect("config serializes")
         );
         return;
+    }
+    if sources > 0 && cfg.cores != sources {
+        padc_sim::cli::die(format!(
+            "the config has {} core(s) but {sources} --bench/--trace source(s) were given",
+            cfg.cores
+        ));
     }
 
     if let Some(mode) = args.fast_forward {

@@ -2,9 +2,8 @@
 //! record, plus the adapter that turns registry entries into
 //! [`padc_harness::JobSpec`]s for parallel, fault-isolated execution.
 //!
-//! Both CLIs (`repro` in `padc-bench`, `padcsim --suite` in this crate),
-//! `padcsim serve` and the benches enumerate this one list; `padc-bench`
-//! re-exports it.
+//! The suite driver ([`crate::cli`], behind `repro` and `padcsim --suite`),
+//! `padcsim serve` and the benches enumerate this one list.
 //!
 //! An entry carries an [`ExpKind`]: its plan of independent
 //! [`SimUnit`](super::SimUnit)s, which the suite jobs resolve through the

@@ -10,7 +10,9 @@
 //!   SPL, MPKI, ACC, COV, RBHU, and bus traffic split into demand /
 //!   useful-prefetch / useless-prefetch lines.
 //! * [`experiments`] contains one entry point per paper table and figure;
-//!   the `padc-bench` crate's `repro` binary prints them.
+//!   [`cli::suite_main`] — the driver behind the `repro` binary and
+//!   `padcsim --suite` — runs and prints them, and [`serve`] answers
+//!   requests for them from a long-running process.
 //!
 //! # Example
 //!
@@ -28,6 +30,7 @@
 
 #![warn(missing_docs)]
 
+pub mod cli;
 mod config;
 pub mod experiments;
 pub mod metrics;

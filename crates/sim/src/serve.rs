@@ -1,9 +1,11 @@
 //! `padcsim serve`: a long-running experiment request server.
 //!
-//! The batch CLIs pay the full suite cost per invocation. Serve mode keeps
-//! one process alive with a persistent [`SuiteService`] worker pool and
-//! accepts **line-delimited JSON requests** — over stdio or a Unix socket
-//! — each selecting a set of registry experiments and a scale. Every
+//! The batch CLIs ([`crate::cli`]) start a [`SuiteService`] per invocation
+//! and pay the full suite cost each time. Serve mode keeps one process
+//! alive around one long-lived service — the same pool, fed by requests
+//! instead of a command line. It accepts **line-delimited JSON requests**
+//! — over stdio or a Unix socket — each selecting a set of registry
+//! experiments and a scale. Every
 //! request is admitted through the same pure plan phase as the batch
 //! suite, its jobs execute on the shared pool (so concurrent requests
 //! load-balance against each other under one `--jobs N` bound), and its
@@ -37,8 +39,8 @@
 //! {"req":"bad","event":"error","message":"unknown experiment id \"figx\""}
 //! ```
 //!
-//! `row` events arrive in request order (the `run_suite` streaming rule)
-//! and `data` carries the exact row object the batch suite would have
+//! `row` events arrive in request order (the service's in-order collector
+//! — the one `run_suite` uses) and `data` carries the exact row object the batch suite would have
 //! written, so a client concatenating `data` lines reproduces the batch
 //! JSONL byte-for-byte. Events from concurrent requests interleave on a
 //! shared output, but every event is written line-atomically under one
@@ -50,7 +52,7 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use padc_harness::{JobStatus, ServiceConfig, SuiteService};
+use padc_harness::{JobStatus, SuiteService};
 use serde_json::Value;
 
 use crate::experiments::{self, suite_jobs, ExpConfig, Experiment, Scale};
@@ -83,10 +85,7 @@ impl ServeState {
     /// Starts the worker pool (`workers = 0` means all cores).
     pub fn new(workers: usize, default_scale: Scale) -> Self {
         ServeState {
-            service: SuiteService::new(&ServiceConfig {
-                workers,
-                budget: None,
-            }),
+            service: SuiteService::new(workers, None),
             default_scale,
             next_request: AtomicU64::new(1),
         }
@@ -197,15 +196,18 @@ impl ServeState {
             ),
         );
         let handle = self.service.submit(jobs);
-        let streamed = handle.collect_ordered(|_, completed| {
-            let mut w = out.lock().expect("serve writer poisoned");
-            writeln!(
-                w,
-                "{{\"req\":{id_json},\"event\":\"row\",\"data\":{}}}",
-                completed.row.trim_end()
-            )?;
-            w.flush()
-        });
+        let streamed = handle.collect_ordered(
+            |_| Ok(()),
+            |completed| {
+                let mut w = out.lock().expect("serve writer poisoned");
+                writeln!(
+                    w,
+                    "{{\"req\":{id_json},\"event\":\"row\",\"data\":{}}}",
+                    completed.row.trim_end()
+                )?;
+                w.flush()
+            },
+        );
         match streamed {
             Ok(completions) => {
                 let failed = completions

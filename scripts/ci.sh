@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Local CI gate: shellcheck, formatting, lints, release build, docs, the
-# full test suite, the out-of-workspace benchmark package's tests, and
-# the EXPERIMENTS.md drift check. Everything runs offline (external deps
+# Local CI gate: shellcheck, formatting, lints, release build, docs, every
+# workspace crate's unit, integration and doc tests (--workspace: without
+# it cargo selects the root package alone), the out-of-workspace benchmark
+# package's tests, and the EXPERIMENTS.md drift check. Everything runs offline (external deps
 # are vendored; see vendor/README.md). Each step prints its elapsed
 # seconds, and the same per-step timings land in the workflow step
 # summary ($GITHUB_STEP_SUMMARY) via gate_summary.sh.
@@ -39,8 +40,8 @@ step "cargo clippy --workspace --all-targets -- -D warnings" \
     cargo clippy --workspace --all-targets -- -D warnings
 step "cargo build --release --workspace" cargo build --release --workspace
 step "cargo doc --no-deps (warnings denied)" doc_step
-step "cargo test -q" cargo test -q
-step "cargo test --doc" cargo test --doc -q
+step "cargo test --workspace" cargo test -q --workspace
+step "cargo test --doc --workspace" cargo test --doc -q --workspace
 # The benchmark package is outside the workspace and path-depends on it:
 # a public-API deletion that breaks it must fail here, not in the driver.
 step "benchmark package tests" \

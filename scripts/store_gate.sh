@@ -39,7 +39,7 @@ rm -rf "$STORE"
 gate_section "cold populate"
 echo "== store: cold populate on ${SUBSET[*]} (smoke scale)"
 "$SIM" --suite --smoke --jobs 2 --store "$STORE" \
-    --jsonl "$OUT/cold.jsonl" "${SUBSET[@]}" 2>"$OUT/cold-stderr.txt"
+    --jsonl "$OUT/cold.jsonl" "${SUBSET[@]}" >/dev/null 2>"$OUT/cold-stderr.txt"
 grep '^store:' "$OUT/cold-stderr.txt"
 "$SIM" store stats --store "$STORE"
 
@@ -53,7 +53,7 @@ fi
 truncate -s 10 "${ENTRIES[0]}"
 echo "not a store entry" >"${ENTRIES[1]}"
 "$SIM" --suite --smoke --jobs 2 --store "$STORE" \
-    --jsonl "$OUT/healed.jsonl" "${SUBSET[@]}" 2>"$OUT/healed-stderr.txt"
+    --jsonl "$OUT/healed.jsonl" "${SUBSET[@]}" >/dev/null 2>"$OUT/healed-stderr.txt"
 if ! cmp "$OUT/cold.jsonl" "$OUT/healed.jsonl"; then
     echo "FAIL: poisoned store changed the artifact" >&2
     diff "$OUT/cold.jsonl" "$OUT/healed.jsonl" >&2 || true
@@ -65,7 +65,7 @@ if ! grep -q '^store: hits=[0-9]* misses=2 ' "$OUT/healed-stderr.txt"; then
     exit 1
 fi
 "$SIM" --suite --smoke --jobs 2 --store "$STORE" \
-    --jsonl "$OUT/rewarm.jsonl" "${SUBSET[@]}" 2>"$OUT/rewarm-stderr.txt"
+    --jsonl "$OUT/rewarm.jsonl" "${SUBSET[@]}" >/dev/null 2>"$OUT/rewarm-stderr.txt"
 if ! grep -q '^store: hits=[0-9]* misses=0 ' "$OUT/rewarm-stderr.txt"; then
     echo "FAIL: recomputation did not heal the store:" >&2
     grep '^store:' "$OUT/rewarm-stderr.txt" >&2 || true
