@@ -113,6 +113,10 @@ fn both_entry_points_take_every_suite_flag_and_write_the_same_bytes() {
             stderr.contains("suite: 2/2 ok, 0 resumed"),
             "{entry}: {stderr}"
         );
+        assert!(
+            stderr.contains("single_run_memo: requested=110 computed=110"),
+            "{entry}: {stderr}"
+        );
         assert!(!stderr.contains("[  1/2]"), "{entry} ignored --no-progress");
 
         // A settled artifact resumes with zero executions, byte for byte

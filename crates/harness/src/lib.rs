@@ -179,7 +179,7 @@ pub struct Summary {
     pub subjobs_executed: u64,
     /// Peak number of sub-job units in flight simultaneously. Cannot
     /// exceed `workers` — units only run on suite worker threads — which
-    /// the concurrency CI gate asserts.
+    /// `crates/sim/tests/floors.rs` asserts.
     pub subjobs_peak_concurrent: u64,
     /// Extra counters appended by the caller before rendering (e.g. the
     /// simulator's store hit/miss telemetry). Each `(name, value)` pair is

@@ -37,8 +37,8 @@ use crate::service::Pool;
 
 /// Pool-level sub-job accounting: how many units executed, and the peak
 /// number in flight at once. The peak can never exceed the suite's worker
-/// count (units only run on suite workers) — the concurrency-bound CI
-/// gate asserts exactly that from the suite [`Summary`](crate::Summary).
+/// count (units only run on suite workers) — `crates/sim/tests/floors.rs`
+/// asserts exactly that from the suite [`Summary`](crate::Summary).
 #[derive(Default)]
 pub struct SubJobStats {
     executed: AtomicU64,

@@ -2,10 +2,18 @@
 //! registry from `padc-sim` (a dev-dependency — at build time the sim
 //! depends on the harness, not vice versa).
 
+// One definition of the byte-comparison helper for both packages' tests.
+#[path = "../../sim/tests/common/mod.rs"]
+mod common;
+
 use std::collections::HashSet;
+use std::sync::Mutex;
 
 use padc_harness::{run_suite, HarnessConfig, JobSpec, JobStatus};
-use padc_sim::experiments::{experiment_registry, suite_jobs, ExpConfig, Scale};
+use padc_sim::experiments::{
+    experiment_registry, find, reset_memory_cells, suite_jobs, ExpConfig, Scale,
+};
+use padc_sim::FastForwardMode;
 
 fn quiet(workers: usize) -> HarnessConfig {
     HarnessConfig {
@@ -13,13 +21,6 @@ fn quiet(workers: usize) -> HarnessConfig {
         budget: None,
         progress: false,
     }
-}
-
-fn run_to_string(jobs: &[JobSpec], workers: usize) -> String {
-    let mut jsonl = Vec::new();
-    let mut progress = Vec::new();
-    run_suite(jobs, &quiet(workers), Some(&mut jsonl), &mut progress).expect("suite I/O");
-    String::from_utf8(jsonl).expect("utf8")
 }
 
 /// Registry → jobs is a bijection: every experiment entry point appears as
@@ -49,34 +50,107 @@ fn registry_enumerates_every_entry_point_exactly_once() {
     }
 }
 
-/// The acceptance criterion: `--jobs 1` and `--jobs 4` produce
-/// byte-identical JSONL (a smoke-scale subset keeps the test fast).
+/// Serializes the tests that run real experiments: they share the
+/// process-wide claim map, and one of them flips the process-wide
+/// fast-forward default.
+static CLAIM_MAP: Mutex<()> = Mutex::new(());
+
+/// The determinism contract on one experiment per family (single-core
+/// grids, micro-benchmarks, multi-core aggregate, parameter sweep, shared
+/// alone-unit plan, and the three mechanism-arm families): the JSONL is
+/// byte-identical on 1 and 8 workers (inline vs pool) and with the event
+/// kernel off. Every run starts from an empty claim map and must schedule
+/// the same sub-jobs again — otherwise the later runs are served from
+/// memory and compare nothing.
 #[test]
-fn jsonl_is_byte_identical_across_worker_counts() {
-    let subset = |_: ()| {
-        suite_jobs(
-            experiment_registry()
-                .into_iter()
-                .filter(|e| matches!(e.id, "fig1" | "fig2" | "tab5" | "tab6" | "cost"))
-                .collect(),
-            ExpConfig::at(Scale::Smoke),
-            None,
-        )
+fn jsonl_is_byte_identical_across_worker_counts_and_fast_forward_modes() {
+    const IDS: [&str; 12] = [
+        "fig1",
+        "fig2",
+        "tab5",
+        "tab6",
+        "tab7",
+        "cost",
+        "fig9",
+        "fig23",
+        "fig28",
+        "ext-dspatch",
+        "ext-happy",
+        "ext-refresh",
+    ];
+    let _serial = CLAIM_MAP.lock().unwrap_or_else(|e| e.into_inner());
+    let run = |workers: usize, mode: FastForwardMode| {
+        padc_sim::set_fast_forward_mode_default(mode);
+        reset_memory_cells();
+        let selected = IDS
+            .iter()
+            .map(|id| find(id).expect("registered experiment id"))
+            .collect();
+        let jobs = suite_jobs(selected, ExpConfig::at(Scale::Smoke), None);
+        let mut jsonl = Vec::new();
+        let summary = run_suite(&jobs, &quiet(workers), Some(&mut jsonl), &mut Vec::new())
+            .expect("suite I/O");
+        padc_sim::set_fast_forward_mode_default(FastForwardMode::default());
+        (jsonl, summary.subjobs_executed)
     };
-    let seq = run_to_string(&subset(()), 1);
-    let par = run_to_string(&subset(()), 4);
-    assert_eq!(seq, par, "JSONL must not depend on worker count");
-    assert_eq!(seq.lines().count(), 5);
-    for line in seq.lines() {
-        let v = serde_json::parse(line).expect("row is valid JSON");
+    let (seq, seq_subjobs) = run(1, FastForwardMode::Event);
+    assert!(seq_subjobs > 0, "the reference run simulated nothing");
+    for (name, workers, mode) in [
+        ("jobs8.jsonl", 8, FastForwardMode::Event),
+        ("jobs8-ff-off.jsonl", 8, FastForwardMode::Off),
+    ] {
+        let (other, subjobs) = run(workers, mode);
         assert_eq!(
-            v.get("status").and_then(|s| s.as_str()),
-            Some("ok"),
-            "unexpected failure row: {line}"
+            subjobs, seq_subjobs,
+            "{name} did not simulate its units again"
         );
+        common::assert_same_bytes("suite-determinism", ("jobs1.jsonl", &seq), (name, &other));
+    }
+
+    let rows: Vec<_> = std::str::from_utf8(&seq)
+        .expect("utf8")
+        .lines()
+        .map(|line| serde_json::parse(line).expect("row is valid JSON"))
+        .collect();
+    let row_ids: Vec<_> = rows
+        .iter()
+        .map(|row| row.get("id").and_then(|v| v.as_str()))
+        .collect();
+    assert_eq!(row_ids, IDS.map(Some), "one row per job, in job order");
+    // (table id, row label) of every table row in the artifact.
+    let mut labels: Vec<(&str, &str)> = Vec::new();
+    for row in &rows {
+        assert_eq!(row.get("status").and_then(|s| s.as_str()), Some("ok"));
+        let tables = row.get("result").and_then(|r| r.get("tables"));
+        for table in tables.and_then(|t| t.as_array()).expect("result.tables") {
+            let id = table.get("id").and_then(|v| v.as_str()).expect("table id");
+            let table_rows = table.get("rows").and_then(|r| r.as_array());
+            for table_row in table_rows.expect("table rows") {
+                let label = table_row.as_array().and_then(|r| r[0].as_str());
+                labels.push((id, label.expect("row label")));
+            }
+        }
+    }
+    // The mechanism families keep their shape: one table per prefetcher
+    // set, all three row policies, one table per refresh policy.
+    for table in [
+        "ext-dspatch-stream",
+        "ext-dspatch-dspatch",
+        "ext-refresh-all-bank",
+        "ext-refresh-per-bank",
+        "ext-refresh-darp",
+    ] {
         assert!(
-            v.get("result").and_then(|r| r.get("tables")).is_some(),
-            "row lacks result.tables: {line}"
+            labels.iter().any(|(id, _)| *id == table),
+            "no {table} table"
+        );
+    }
+    for policy in ["(open-row)", "(closed-row)", "(happy)"] {
+        assert!(
+            labels
+                .iter()
+                .any(|(id, label)| *id == "ext-happy" && label.ends_with(policy)),
+            "ext-happy has no {policy} rows"
         );
     }
 }
@@ -85,6 +159,7 @@ fn jsonl_is_byte_identical_across_worker_counts() {
 /// row while the real experiments around it still complete.
 #[test]
 fn injected_panicking_job_does_not_abort_the_suite() {
+    let _serial = CLAIM_MAP.lock().unwrap_or_else(|e| e.into_inner());
     let mut jobs = suite_jobs(
         experiment_registry()
             .into_iter()

@@ -45,7 +45,8 @@ fn parse_policy(s: &str) -> Result<SchedulingPolicy, String> {
 }
 
 struct Args {
-    cores: usize,
+    /// `--cores N`; without it the core count is the number of sources.
+    cores: Option<usize>,
     policy: SchedulingPolicy,
     instructions: u64,
     benches: Vec<String>,
@@ -60,9 +61,21 @@ struct Args {
     extended_timing: bool,
 }
 
+impl Args {
+    /// Workloads named on the command line (`--trace` files replace
+    /// `--bench` profiles).
+    fn sources(&self) -> usize {
+        if self.traces.is_empty() {
+            self.benches.len()
+        } else {
+            self.traces.len()
+        }
+    }
+}
+
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
-        cores: 1,
+        cores: None,
         policy: SchedulingPolicy::Padc,
         instructions: 200_000,
         benches: Vec::new(),
@@ -76,15 +89,29 @@ fn parse_args() -> Result<Args, String> {
         refresh_policy: None,
         extended_timing: false,
     };
+    // The first flag seen that sets something `--config FILE` also sets.
+    let mut set_by_config: Option<String> = None;
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
         if let Some(mode) = FastForwardMode::from_flag(&flag, &mut it) {
             args.fast_forward = Some(mode?);
             continue;
         }
+        if matches!(
+            flag.as_str(),
+            "--cores" | "--policy" | "--instructions" | "--no-prefetch"
+        ) {
+            set_by_config.get_or_insert(flag.clone());
+        }
         let mut value = |name: &str| it.next().ok_or_else(|| format!("{name} expects a value"));
         match flag.as_str() {
-            "--cores" => args.cores = value("--cores")?.parse().map_err(|e| format!("{e}"))?,
+            "--cores" => {
+                let cores = value("--cores")?.parse().map_err(|e| format!("{e}"))?;
+                if cores == 0 {
+                    return Err("--cores must be at least 1".to_string());
+                }
+                args.cores = Some(cores);
+            }
             "--policy" => args.policy = parse_policy(&value("--policy")?)?,
             "--instructions" => {
                 args.instructions = value("--instructions")?
@@ -113,15 +140,29 @@ fn parse_args() -> Result<Args, String> {
             }
             "--help" | "-h" => {
                 println!(
-                    "usage: padcsim [--config FILE.json] [--cores N] [--policy P] \
-                     [--instructions N] [--no-prefetch] [--json] [--profile] \
+                    "usage: padcsim (--config FILE.json | [--cores N] [--policy P] \
+                     [--instructions N] [--no-prefetch]) [--json] [--profile] \
                      [--fast-forward off|event] \
                      [--refresh-policy all-bank|per-bank|darp] [--extended-timing] \
-                     (--bench NAME ... | --trace FILE ...) | --print-config | --list-benchmarks"
+                     (--bench NAME ... | --trace FILE ...) | --print-config | --list-benchmarks\n\
+                     --cores defaults to, and must equal, the number of --bench/--trace sources"
                 );
                 std::process::exit(0);
             }
             other => return Err(format!("unknown flag {other:?}")),
+        }
+    }
+    if let (Some(_), Some(flag)) = (&args.config_path, set_by_config) {
+        return Err(format!(
+            "{flag} cannot be combined with --config: the file sets it"
+        ));
+    }
+    let sources = args.sources();
+    if let Some(cores) = args.cores {
+        if sources > 0 && cores != sources {
+            return Err(format!(
+                "--cores {cores} but {sources} --bench/--trace source(s) were given"
+            ));
         }
     }
     Ok(args)
@@ -283,8 +324,7 @@ fn run_store_mode(args: &[String]) -> ! {
 /// line, so it composes with `--json` on stdout. The object is the
 /// serde-serialized [`padc_sim::profile::SimProfile`] — the same shape
 /// the suite surfaces (`repro`, `padcsim --suite`, `padcsim serve`) embed
-/// in JSONL rows — and scripts/perf_gate.sh greps its `"core_skip_pct"`,
-/// `"ctrl_skip_pct"`, and `"owner_*"` keys; keep them stable.
+/// in JSONL rows; keep its keys stable.
 fn print_profile(p: &padc_sim::profile::SimProfile) {
     eprintln!(
         "profile: {}",
@@ -307,12 +347,8 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let sources = if args.traces.is_empty() {
-        args.benches.len()
-    } else {
-        args.traces.len()
-    };
-    let cores = if sources > 0 { sources } else { args.cores };
+    let sources = args.sources();
+    let cores = args.cores.unwrap_or(sources.max(1));
     let mut cfg = match &args.config_path {
         Some(path) => {
             let text = std::fs::read_to_string(path).unwrap_or_else(|e| {

@@ -28,7 +28,7 @@
 //! Timings go to the stderr progress lines and the `--summary` JSON — or,
 //! with `--profile`, into a per-experiment `"profile"` object in each
 //! payload (wall times make profiled artifacts non-deterministic, so the
-//! determinism gates run without it). Tables render on stdout
+//! determinism tests run without it). Tables render on stdout
 //! (`--json|--csv|--bars COL` pick the format) unless the JSONL stream
 //! owns it.
 //!
@@ -301,8 +301,7 @@ pub fn suite_main(program: &str, stdout: Stdout, args: &[String]) -> ! {
         ] {
             summary.extras.push((name.to_string(), v));
         }
-        // Machine-readable store telemetry: the determinism and perf gates
-        // parse this line; keep the key=value form stable.
+        // Machine-readable store telemetry; keep the key=value form stable.
         eprintln!(
             "store: hits={} misses={} coalesced={}",
             stats.store_hits, stats.store_misses, stats.units_coalesced
@@ -332,8 +331,7 @@ pub fn suite_main(program: &str, stdout: Stdout, args: &[String]) -> ! {
     let (requested, computed) = experiments::single_run_stats();
     if requested > 0 {
         // Machine-readable single-core unit telemetry: `requested -
-        // computed` is the cross-experiment dedup (and warm-store) win;
-        // perf_gate.sh parses this line.
+        // computed` is the cross-experiment dedup (and warm-store) win.
         eprintln!("single_run_memo: requested={requested} computed={computed}");
     }
     for o in &summary.outcomes {

@@ -286,7 +286,7 @@ pub fn suite_jobs(
 /// folds its counters into that experiment's accumulator (a unit another
 /// experiment already computed runs nothing and adds nothing). Profiled
 /// payloads are **not** byte-stable across runs (wall-clock fields), which
-/// is why the determinism gates exercise the unprofiled path.
+/// is why the determinism tests exercise the unprofiled path.
 pub fn suite_jobs_profiled(
     experiments: Vec<Experiment>,
     cfg: ExpConfig,

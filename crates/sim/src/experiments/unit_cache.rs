@@ -29,8 +29,8 @@
 //! No-store, cold-store and serve runs take this same path, so they
 //! schedule the same sub-jobs and report the same telemetry. Reports are
 //! exact-integer JSON, so a store round trip is byte-lossless and
-//! cold/warm/no-store artifacts are byte-identical —
-//! `scripts/determinism_gate.sh` enforces this.
+//! cold/warm/no-store artifacts are byte-identical — `tests/store.rs`
+//! enforces this.
 
 use std::collections::HashMap;
 use std::io;

@@ -1,9 +1,12 @@
-//! Binary-level usage-error contract of `padcsim`: input the CLI cannot
-//! run must exit 2 with a one-line message on stderr — never a panic with
-//! a backtrace, and never a silently ignored flag.
+//! Binary-level usage contract of `padcsim`: input the CLI cannot run
+//! must exit 2 with a one-line message on stderr — never a panic with a
+//! backtrace, and never a silently ignored flag — and the `store`
+//! subcommand and `--refresh-policy all-bank` do what they say.
+
+mod common;
 
 use std::path::PathBuf;
-use std::process::Command;
+use std::process::{Command, Output};
 
 /// A fresh scratch directory private to this test process.
 fn scratch(name: &str) -> PathBuf {
@@ -13,13 +16,26 @@ fn scratch(name: &str) -> PathBuf {
     dir
 }
 
+fn padcsim(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_padcsim"))
+        .env_remove("PADC_STORE")
+        .args(args)
+        .output()
+        .expect("padcsim spawns")
+}
+
+/// Runs `padcsim` with `args`, which must succeed, returning its stdout.
+fn accepted(args: &[&str]) -> String {
+    let out = padcsim(args);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{args:?}: {stderr}");
+    String::from_utf8(out.stdout).expect("stdout is UTF-8")
+}
+
 /// Runs `padcsim` with `args` and asserts the usage-error contract,
 /// returning the stderr line.
 fn rejected(args: &[&str]) -> String {
-    let out = Command::new(env!("CARGO_BIN_EXE_padcsim"))
-        .args(args)
-        .output()
-        .expect("padcsim spawns");
+    let out = padcsim(args);
     let stderr = String::from_utf8(out.stderr).expect("stderr is UTF-8");
     assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
     assert!(!stderr.contains("panicked at"), "{args:?}: {stderr}");
@@ -36,22 +52,41 @@ fn unrunnable_input_exits_2_with_one_line() {
     // The retired execution-mode selector is an unknown flag like any other.
     let exec = rejected(&["--suite", "--smoke", "--exec", "planned", "fig2"]);
     assert!(exec.contains("--exec"), "{exec}");
+
+    let no_cores = rejected(&["--cores", "0", "--print-config"]);
+    assert!(
+        no_cores.contains("--cores must be at least 1"),
+        "{no_cores}"
+    );
+    let spare_cores = rejected(&["--cores", "3", "--bench", "mcf_06"]);
+    assert!(spare_cores.contains("--cores 3 but 1"), "{spare_cores}");
 }
 
 #[test]
 fn config_core_count_must_match_the_sources() {
     let dir = scratch("config");
     let config = dir.join("c2.json");
-    let printed = Command::new(env!("CARGO_BIN_EXE_padcsim"))
-        .args(["--print-config", "--cores", "2"])
-        .output()
-        .expect("padcsim spawns");
-    assert!(printed.status.success());
-    std::fs::write(&config, printed.stdout).expect("config written");
+    std::fs::write(&config, accepted(&["--print-config", "--cores", "2"])).expect("config written");
     let config = config.to_str().expect("utf-8 path");
 
     let mismatch = rejected(&["--config", config, "--bench", "mcf_06"]);
     assert!(mismatch.contains("2 core(s) but 1"), "{mismatch}");
+
+    // What the file sets, a flag may not set again.
+    for flag in [
+        &["--instructions", "5000"][..],
+        &["--policy", "padc"],
+        &["--no-prefetch"],
+        &["--cores", "2"],
+    ] {
+        let mut args = vec!["--config", config, "--bench", "mcf_06", "--bench", "lbm_06"];
+        args.extend(flag);
+        let conflict = rejected(&args);
+        assert!(
+            conflict.contains(&format!("{} cannot be combined with --config", flag[0])),
+            "{conflict}"
+        );
+    }
     std::fs::remove_dir_all(&dir).expect("scratch removed");
 }
 
@@ -73,4 +108,80 @@ fn store_subcommand_does_not_create_what_it_inspects() {
     }
     assert!(!missing.exists(), "inspecting created {path}");
     std::fs::remove_dir_all(&dir).expect("scratch removed");
+}
+
+/// The number after `key=` in a `store stats` / `store gc` output line.
+fn field(line: &str, key: &str) -> u64 {
+    let value = line
+        .split_whitespace()
+        .find_map(|word| word.strip_prefix(key)?.strip_prefix('='))
+        .unwrap_or_else(|| panic!("no {key}= in {line:?}"));
+    value.parse().expect("a count")
+}
+
+#[test]
+fn store_gc_evicts_down_to_the_byte_bound() {
+    let dir = scratch("gc");
+    let store = dir.join("store");
+    let store = store.to_str().expect("utf-8 path");
+    accepted(&[
+        "--suite",
+        "--smoke",
+        "--no-progress",
+        "--store",
+        store,
+        "--jsonl",
+        dir.join("out.jsonl").to_str().expect("utf-8 path"),
+        "tab5",
+    ]);
+
+    let full = accepted(&["store", "stats", "--store", store]);
+    let (entries, bytes) = (field(&full, "entries"), field(&full, "bytes"));
+    assert!(entries >= 3, "{full}");
+    let bound = bytes / 2;
+    let gc = accepted(&[
+        "store",
+        "gc",
+        "--max-bytes",
+        &bound.to_string(),
+        "--store",
+        store,
+    ]);
+    assert!(field(&gc, "evicted") > 0, "{gc}");
+    assert!(field(&gc, "remaining_bytes") <= bound, "{gc}");
+    assert_eq!(
+        field(&gc, "evicted") + field(&gc, "remaining_entries"),
+        entries,
+        "{gc}"
+    );
+    let left = accepted(&["store", "stats", "--store", store]);
+    assert_eq!(field(&left, "bytes"), field(&gc, "remaining_bytes"));
+    assert_eq!(field(&left, "entries"), field(&gc, "remaining_entries"));
+    std::fs::remove_dir_all(&dir).expect("scratch removed");
+}
+
+/// `RefreshPolicy::AllBank` is the pre-`RefreshPolicy` extended-timing
+/// model under its new name, never a semantic change: naming it changes
+/// no byte of the report.
+#[test]
+fn all_bank_refresh_is_the_legacy_extended_timing_model() {
+    let run = |extra: &[&str]| {
+        let mut args = vec!["--policy", "padc", "--instructions", "30000"];
+        for bench in ["mcf_06", "libquantum_06", "lbm_06", "milc_06"] {
+            args.extend(["--bench", bench]);
+        }
+        args.extend(["--extended-timing", "--json"]);
+        args.extend(extra);
+        accepted(&args)
+    };
+    let legacy = run(&[]);
+    assert!(legacy.contains("\"refreshes\""), "not a report: {legacy}");
+    common::assert_same_bytes(
+        "cli-all-bank",
+        ("legacy.json", legacy.as_bytes()),
+        (
+            "all-bank.json",
+            run(&["--refresh-policy", "all-bank"]).as_bytes(),
+        ),
+    );
 }

@@ -145,7 +145,8 @@ proptest! {
     }
 }
 
-/// An 8-core memory-hog mix (the configuration the CI perf gate guards):
+/// An 8-core memory-hog mix (the shape `floors.rs` holds skip-ratio floors
+/// on):
 /// the two modes agree byte-for-byte, per-core lag windows skip most
 /// core-cycles even though the cores are rarely all idle at once, and the
 /// controller phase executes strictly less often than every cycle — only

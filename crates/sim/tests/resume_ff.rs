@@ -15,6 +15,8 @@
 //! otherwise the cache would hand back the first phase's reports and the
 //! comparison would be vacuous.
 
+mod common;
+
 use padc_harness::{HarnessConfig, ResumeArtifact};
 use padc_sim::experiments::{
     registry::find, reset_memory_cells, single_run_stats, suite_jobs, ExpConfig, Scale,
@@ -63,6 +65,10 @@ fn resume_across_fast_forward_modes_is_byte_identical() {
     padc_sim::set_fast_forward_mode_default(FastForwardMode::Off);
     let (reference, ok, _) = suite_bytes(None);
     assert_eq!(ok, IDS.len());
+    // Every later artifact must reproduce the off-mode bytes.
+    let same = |name: &str, jsonl: &[u8]| {
+        common::assert_same_bytes("resume_ff", ("ff-off.jsonl", &reference), (name, jsonl));
+    };
 
     // A fully settled off-mode artifact resumed under the event kernel:
     // zero executions, bytes re-emitted verbatim.
@@ -70,10 +76,7 @@ fn resume_across_fast_forward_modes_is_byte_identical() {
     let artifact = ResumeArtifact::parse(std::str::from_utf8(&reference).expect("utf8"));
     assert_eq!(artifact.len(), IDS.len());
     let (resumed, ok, skipped) = suite_bytes(Some(&artifact));
-    assert_eq!(
-        resumed, reference,
-        "settled rows were not re-emitted verbatim"
-    );
+    same("off-resumed-under-event.jsonl", &resumed);
     assert_eq!((ok, skipped), (0, IDS.len()));
 
     // A partial artifact (first row only): the missing experiment re-runs
@@ -89,10 +92,7 @@ fn resume_across_fast_forward_modes_is_byte_identical() {
         simulated() > before,
         "the missing experiment was not re-simulated under the event kernel"
     );
-    assert_eq!(
-        mixed, reference,
-        "event-mode re-run diverged from off-mode bytes"
-    );
+    same("partial-resumed-under-event.jsonl", &mixed);
     assert_eq!((ok, skipped), (1, 1));
 
     // And the reverse direction: an artifact *produced* under the event
@@ -105,16 +105,10 @@ fn resume_across_fast_forward_modes_is_byte_identical() {
         simulated() > before,
         "the event-mode artifact was served from the off-mode run's cache"
     );
-    assert_eq!(
-        ev_reference, reference,
-        "event-mode artifact differs from off-mode artifact"
-    );
+    same("ff-event.jsonl", &ev_reference);
     padc_sim::set_fast_forward_mode_default(FastForwardMode::Off);
     let ev_artifact = ResumeArtifact::parse(std::str::from_utf8(&ev_reference).expect("utf8"));
     let (resumed, ok, skipped) = suite_bytes(Some(&ev_artifact));
-    assert_eq!(
-        resumed, reference,
-        "event-mode rows were not re-emitted verbatim under off"
-    );
+    same("event-resumed-under-off.jsonl", &resumed);
     assert_eq!((ok, skipped), (0, IDS.len()));
 }

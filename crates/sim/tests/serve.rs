@@ -3,10 +3,13 @@
 //! complete, correctly-ordered event stream whose row bytes match the
 //! batch suite, while the shared units behind the overlap are computed
 //! **once** (each distinct unit executes exactly one sub-job and writes
-//! exactly one store entry).
+//! exactly one store entry) — and of the `padcsim serve --stdio` process
+//! around it: every request line is answered, malformed ones with an
+//! `error` event.
 
 use std::fs;
 use std::io::{self, Write};
+use std::process::{Command, Stdio};
 use std::sync::{Arc, Mutex};
 
 use padc_harness::{run_suite, HarnessConfig};
@@ -150,5 +153,53 @@ fn concurrent_overlapping_clients_share_units_and_get_batch_identical_rows() {
 
     state.shutdown();
     experiments::uninstall_unit_store();
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn stdio_session_answers_overlapping_and_malformed_requests() {
+    let dir = std::env::temp_dir().join(format!("padc-serve-stdio-{}", std::process::id()));
+    let _ = fs::remove_dir_all(&dir);
+    let mut child = Command::new(env!("CARGO_BIN_EXE_padcsim"))
+        .args(["serve", "--stdio", "--jobs", "2", "--smoke", "--store"])
+        .arg(&dir)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("padcsim spawns");
+    child
+        .stdin
+        .take()
+        .expect("piped stdin")
+        .write_all(
+            b"{\"id\":\"r1\",\"experiments\":[\"fig6\",\"tab5\"],\"scale\":\"smoke\"}\n\
+              this is not json\n\
+              {\"id\":\"r2\",\"experiments\":[\"fig6\",\"tab7\"],\"scale\":\"smoke\"}\n",
+        )
+        .expect("requests written");
+    let out = child.wait_with_output().expect("serve exits at EOF");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+    assert!(stderr.contains("serve: requests=3 "), "{stderr}");
+
+    let stdout = String::from_utf8(out.stdout).expect("events are UTF-8");
+    let events: Vec<_> = stdout
+        .lines()
+        .map(|l| serde_json::parse(l).expect("event line is JSON"))
+        .collect();
+    let of_kind = |kind: &str| {
+        events
+            .iter()
+            .filter(|e| e.get("event").and_then(|v| v.as_str()) == Some(kind))
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(of_kind("error").len(), 1, "{stdout}");
+    let done = of_kind("done");
+    assert_eq!(done.len(), 2, "{stdout}");
+    for event in done {
+        assert_eq!(event.get("ok").and_then(|v| v.as_f64()), Some(2.0));
+        assert_eq!(event.get("failed").and_then(|v| v.as_f64()), Some(0.0));
+    }
     let _ = fs::remove_dir_all(&dir);
 }

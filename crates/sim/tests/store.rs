@@ -12,6 +12,8 @@
 //! processes; each phase's run goes all the way through `run_suite`, the
 //! same path the CLIs use.
 
+mod common;
+
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -66,6 +68,14 @@ fn store_runs_are_byte_identical_and_strictly_validated() {
     // the process's first run, so the counters read from zero)…
     let (baseline, plain_summary) = run_subset();
     assert!(!baseline.is_empty());
+    // Every later artifact must reproduce these bytes.
+    let same = |name: &str, jsonl: &str| {
+        common::assert_same_bytes(
+            "store",
+            ("baseline.jsonl", baseline.as_bytes()),
+            (name, jsonl.as_bytes()),
+        );
+    };
     let (requested, computed) = experiments::single_run_stats();
     assert!(
         requested > computed,
@@ -85,12 +95,12 @@ fn store_runs_are_byte_identical_and_strictly_validated() {
     );
     // …a second in-process run resolves everything from memory…
     let (again, again_summary) = run_subset();
-    assert_eq!(again, baseline);
+    same("again.jsonl", &again);
     assert_eq!(again_summary.subjobs_executed, 0);
     // …and forgetting the settled claims simulates them again.
     experiments::reset_memory_cells();
     let (fresh, fresh_summary) = run_subset();
-    assert_eq!(fresh, baseline);
+    same("fresh.jsonl", &fresh);
     assert_eq!(
         fresh_summary.subjobs_executed,
         plain_summary.subjobs_executed
@@ -102,7 +112,7 @@ fn store_runs_are_byte_identical_and_strictly_validated() {
     experiments::install_unit_store(&dir).expect("store opens");
     let before = experiments::unit_cache_stats();
     let (cold, cold_summary) = run_subset();
-    assert_eq!(cold, baseline, "cold-store run changed the artifact");
+    same("cold.jsonl", &cold);
     assert_eq!(
         cold_summary.subjobs_executed, plain_summary.subjobs_executed,
         "no-store and cold-store runs must schedule the same sub-jobs"
@@ -129,7 +139,7 @@ fn store_runs_are_byte_identical_and_strictly_validated() {
     // disk, zero simulation units execute, bytes identical.
     experiments::reset_memory_cells();
     let (warm, warm_summary) = run_subset();
-    assert_eq!(warm, baseline, "warm-store run changed the artifact");
+    same("warm.jsonl", &warm);
     let after_warm = experiments::unit_cache_stats();
     assert_eq!(
         after_warm.store_misses - after_cold.store_misses,
@@ -162,7 +172,7 @@ fn store_runs_are_byte_identical_and_strictly_validated() {
 
     experiments::reset_memory_cells();
     let (healed, _) = run_subset();
-    assert_eq!(healed, baseline, "poisoned entries leaked into results");
+    same("healed.jsonl", &healed);
     let after_heal = experiments::unit_cache_stats();
     assert_eq!(
         after_heal.store_misses - after_warm.store_misses,
@@ -179,7 +189,7 @@ fn store_runs_are_byte_identical_and_strictly_validated() {
     // all hits again.
     experiments::reset_memory_cells();
     let (rewarm, rewarm_summary) = run_subset();
-    assert_eq!(rewarm, baseline);
+    same("rewarm.jsonl", &rewarm);
     let after_rewarm = experiments::unit_cache_stats();
     assert_eq!(after_rewarm.store_misses - after_heal.store_misses, 0);
     assert_eq!(rewarm_summary.subjobs_executed, 0);
@@ -198,7 +208,7 @@ fn store_runs_are_byte_identical_and_strictly_validated() {
     experiments::uninstall_unit_store();
     experiments::reset_memory_cells();
     let (plain, _) = run_subset();
-    assert_eq!(plain, baseline, "no-store run changed the artifact");
+    same("no-store.jsonl", &plain);
 
     let _ = fs::remove_dir_all(&dir);
 }

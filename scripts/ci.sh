@@ -1,26 +1,45 @@
 #!/usr/bin/env bash
-# Local CI gate: shellcheck, formatting, lints, release build, docs, every
-# workspace crate's unit, integration and doc tests (--workspace: without
-# it cargo selects the root package alone), the out-of-workspace benchmark
-# package's tests, and the EXPERIMENTS.md drift check. Everything runs offline (external deps
-# are vendored; see vendor/README.md). Each step prints its elapsed
-# seconds, and the same per-step timings land in the workflow step
-# summary ($GITHUB_STEP_SUMMARY) via gate_summary.sh.
+# The CI gate, and the same thing locally: shellcheck, formatting, lints,
+# release build, docs, every workspace crate's unit, integration and doc
+# tests (--workspace: without it cargo selects the root package alone), the
+# out-of-workspace benchmark package's tests, and the EXPERIMENTS.md drift
+# check. Everything runs offline (external deps are vendored; see
+# vendor/README.md). Each step prints its elapsed seconds; on exit a
+# pass/FAIL/skip table with the same timings goes to stderr and, when set,
+# to $GITHUB_STEP_SUMMARY, so a red job is readable from the workflow
+# summary page without opening logs.
 set -euo pipefail
 cd "$(dirname "$0")/.."
-# shellcheck source=scripts/gate_summary.sh
-source "$(dirname "$0")/gate_summary.sh"
-gate_init "ci gate"
 
-# Runs one gate step and prints its wall time.
+ROWS=() # "name<TAB>result<TAB>seconds<TAB>note", one per step
+
+summary() {
+    local code=$? verdict=pass row name result secs note
+    [ "$code" -eq 0 ] || verdict=FAIL
+    {
+        echo "### ci gate: ${verdict} (${SECONDS}s)"
+        echo
+        echo "| step | result | time | note |"
+        echo "| --- | --- | ---: | --- |"
+        for row in "${ROWS[@]}"; do
+            IFS=$'\t' read -r name result secs note <<<"$row"
+            echo "| $name | $result | ${secs}s | $note |"
+        done
+        echo
+    } | tee -a "${GITHUB_STEP_SUMMARY:-/dev/null}" >&2
+}
+trap summary EXIT
+
+# Runs one gate step, prints its wall time and records its row; the first
+# failing step ends the gate.
 step() {
-    local name=$1
+    local name=$1 t0=$SECONDS code=0 result=pass note=""
     shift
-    gate_section "$name"
     echo "== $name"
-    local t0=$SECONDS
-    "$@"
+    "$@" || { code=$? result=FAIL note="exit status $code"; }
     echo "   -- ${name}: $((SECONDS - t0))s"
+    ROWS+=("$name"$'\t'"$result"$'\t'"$((SECONDS - t0))"$'\t'"$note")
+    [ "$code" -eq 0 ] || exit "$code"
 }
 
 doc_step() {
@@ -32,7 +51,7 @@ if command -v shellcheck >/dev/null 2>&1; then
 else
     # Report the skip explicitly — a missing linter must never read as a
     # silent pass in the summary table.
-    gate_skip "shellcheck scripts/*.sh" "shellcheck not installed (offline container)"
+    ROWS+=("shellcheck scripts/*.sh"$'\t'skip$'\t'0$'\t'"shellcheck not installed")
     echo "== shellcheck scripts/*.sh: skipped (shellcheck not installed)"
 fi
 step "cargo fmt --check" cargo fmt --check
