@@ -6,8 +6,8 @@
 //! bank *owner*), the earliest APD drop deadline, the buffered writeback
 //! count, the PAR-BS batch population, and the per-core critical-request
 //! counts for ranking. [`RequestBuffer`] maintains each of those
-//! incrementally, updated on every insert/promote/remove, so scheduling is
-//! O(ready entries) instead of O(buffer size) per DRAM cycle:
+//! incrementally, so scheduling is O(ready entries) instead of O(buffer
+//! size) per DRAM cycle:
 //!
 //! - a **slab** (`slots`) addressed by stable [`Slot`] indices with a LIFO
 //!   free list — an entry never moves while queued, so bitsets and heaps
@@ -16,21 +16,30 @@
 //!   `swap_remove` order exactly, so iteration-order-sensitive behaviour
 //!   (APD drop emission order, promotion scan order) is bit-identical to
 //!   the flat-vector controller;
-//! - per-(channel, bank) **membership bitsets**, so owner recomputation
-//!   touches only that bank's entries;
-//! - a cached per-bank **owner** (highest [`PrioKey`]
-//!   entry), recomputed lazily only when the bank is marked dirty by a
-//!   mutation that can change it;
-//! - per-core **min-heaps of APD drop arrivals**, so the earliest drop
-//!   deadline is an O(cores) peek instead of an O(buffer) scan every CPU
-//!   cycle;
+//! - per-(channel, bank) **membership bitsets**, so an owner rescan touches
+//!   only that bank's entries;
+//! - a **split-key lane**: per slot, the entry's row, its rank-table index
+//!   and the *static* bits of its [`PackedKey`] (`class_match`, `batched`,
+//!   `tier`, `urgent`, `fcfs`), stamped with the key generation they were
+//!   computed under. Row-hit is the only key field that reads DRAM state
+//!   and rank the only one that moves with other entries' arrivals, so a
+//!   rescan ORs those two in — one `effective_row` per bank, one rank
+//!   field per core — and is an integer max over the lane;
+//! - a per-bank **owner** (highest-key member) that is *maintained*: an
+//!   insert into a clean bank is folded against it with one compare, the
+//!   owner's own ACT/PRE keep it (only its row-hit bit can change), and a
+//!   rescan happens only when the bank is marked dirty — the owner left,
+//!   or a key input other than those changed;
+//! - per-core **min-heaps of APD drop arrivals** behind a cached earliest
+//!   deadline, so the per-cycle "is a drop due" test is a field read;
 //! - running **writeback / batched / per-core criticality counts** for the
 //!   write-drain watermark, batch-reform trigger, and ranking.
 //!
-//! Cache state (owners, dirty flags, heaps, epoch snapshots, stats) is
-//! excluded from the `Debug` representation: equality of `Debug` strings is
-//! how the `next_event` soundness oracle detects observable mutation, and
-//! cache fills during proven-idle windows are not observable.
+//! Cache state (owners, dirty flags, pending inserts, the lane, heaps, the
+//! cached deadline, epoch snapshots, stats) is excluded from the `Debug`
+//! representation: equality of `Debug` strings is how the `next_event`
+//! soundness oracle detects observable mutation, and cache fills during
+//! proven-idle windows are not observable.
 //!
 //! # Worked example
 //!
@@ -56,7 +65,7 @@
 //! assert_eq!(buf.demands_of_core(0), 1);
 //! assert_eq!(buf.prefetches_of_core(1), 1);
 //!
-//! // Promotion flips the per-core kind counts and re-keys only s1's bank.
+//! // Promotion flips the per-core kind counts and re-keys only s1's slot.
 //! buf.promote(s1);
 //! assert_eq!(buf.demands_of_core(1), 1);
 //!
@@ -78,7 +87,7 @@ use padc_types::{AccessKind, Cycle, MemRequest};
 use crate::accuracy::AccuracyTracker;
 use crate::config::DropThresholds;
 
-use super::arbiter::{KeyCtx, PrioKey};
+use super::arbiter::{KeyCtx, PackedKey, PrioKey};
 
 /// Stable slab index of a queued entry. Valid from [`RequestBuffer::insert`]
 /// until the matching [`RequestBuffer::remove`]; never reused in between.
@@ -129,15 +138,16 @@ impl Entry {
 /// surface through the opt-in simulation profile instead.
 #[derive(Clone, Copy, Default)]
 pub struct BufferStats {
-    /// Bank-owner rebuilds performed (each scans one bank's member set).
+    /// Bank-owner rescans performed (each scans one bank's member set).
     pub owner_recomputes: u64,
     /// Bank-owner cache invalidations (clean-to-dirty transitions). Every
     /// recompute consumes one invalidation, so
     /// `owner_recomputes <= owner_invalidations` always holds.
     pub owner_invalidations: u64,
-    /// Scheduling queries answered from a still-valid cached owner.
+    /// Scheduling queries answered without a rescan: from the maintained
+    /// owner, after folding any pending inserts against it.
     pub owner_reuses: u64,
-    /// Entries examined across all owner rebuilds (bitset-scan volume).
+    /// Entries examined across all owner rescans (bitset-scan volume).
     pub owner_scan_entries: u64,
 }
 
@@ -192,14 +202,72 @@ impl BitSet {
     }
 }
 
-/// Per-(channel, bank) membership set plus the cached owner.
+/// Per-(channel, bank) membership set plus the maintained owner.
 #[derive(Clone)]
 struct BankSet {
     members: BitSet,
-    /// Highest-[`PrioKey`] member, valid while `dirty` is false and the
-    /// key inputs snapshotted by the controller are unchanged. Pure cache.
-    owner: Option<(PrioKey, Slot)>,
+    /// While `dirty` is false: the highest-key member outside `pending`,
+    /// with its current key. Pure cache.
+    owner: Option<(PackedKey, Slot)>,
+    /// Members inserted since `owner` was last brought up to date; folded
+    /// against it at the next [`RequestBuffer::owner`] call. Empty while
+    /// `dirty` (the rescan sees every member).
+    pending: Vec<Slot>,
     dirty: bool,
+}
+
+/// The split-key lane: struct-of-arrays over slab slots holding what an
+/// owner rescan reads, so it never touches `slots`. `row` is set at insert;
+/// the other two are filled from [`KeyCtx::key`] the first time a scan or
+/// fold meets the slot with `stamp != key_gen`.
+#[derive(Clone, Default)]
+struct Lane {
+    /// `entry.target.row`.
+    row: Vec<u64>,
+    /// [`PackedKey::static_bits`] of the entry's key.
+    static_bits: Vec<u64>,
+    /// Index into `rank_fields`: the entry's core if a rank count applies
+    /// to it, else the table's last ("unranked") element.
+    rank_idx: Vec<u16>,
+    /// Key generation `static_bits` / `rank_idx` were computed under; 0
+    /// (never a live generation) marks the slot stale.
+    stamp: Vec<u64>,
+}
+
+impl Lane {
+    /// Adds one (stale) slot.
+    fn grow(&mut self) {
+        self.row.push(0);
+        self.static_bits.push(0);
+        self.rank_idx.push(0);
+        self.stamp.push(0);
+    }
+
+    /// Stamps `slot` with the static half of `key`, a fresh
+    /// [`KeyCtx::key`] of its entry. `unranked` is the rank table's last
+    /// index.
+    fn fill(&mut self, slot: usize, e: &Entry, key: PrioKey, unranked: usize, key_gen: u64) {
+        self.static_bits[slot] = PackedKey::pack(&key).static_bits();
+        // A `u64::MAX` rank is no core's count: the key took it from the
+        // non-critical or unknown-core arm.
+        let rank_idx = if key.rank.0 == u64::MAX {
+            unranked
+        } else {
+            e.req.core.index().min(unranked)
+        };
+        self.rank_idx[slot] = rank_idx as u16;
+        self.stamp[slot] = key_gen;
+    }
+
+    /// The full key of the (stamped) entry at `slot`, given its bank's
+    /// open-or-opening row and the per-core rank fields.
+    fn key(&self, slot: usize, open_row: Option<u64>, rank_fields: &[u64]) -> PackedKey {
+        PackedKey::assemble(
+            self.static_bits[slot],
+            open_row == Some(self.row[slot]),
+            rank_fields[self.rank_idx[slot] as usize],
+        )
+    }
 }
 
 /// Min-heaps of APD drop candidates, one per core (drop thresholds are
@@ -242,6 +310,18 @@ pub struct RequestBuffer {
     ranking: bool,
     apd: bool,
     apd_heaps: DeadlineHeaps,
+    /// Cached [`RequestBuffer::earliest_drop_deadline`]; `None` = stale.
+    /// While it is `Some`, every heap head is valid.
+    drop_deadline: Option<Option<Cycle>>,
+    lane: Lane,
+    /// Generation of the per-entry static key inputs that are not per
+    /// slot: the write-drain mode and (adaptive policies) the accuracy
+    /// epoch. Bumping it stales every lane slot at once.
+    key_gen: u64,
+    /// Packed rank field per core plus the trailing unranked element
+    /// ([`KeyCtx::fill_rank_fields`]); refilled per rescan under ranking,
+    /// constant otherwise.
+    rank_fields: Vec<u64>,
     /// Accuracy epoch (tracker `next_rollover`) the owner caches were
     /// computed under; a change invalidates every adaptive-policy key.
     rollover_seen: Cycle,
@@ -256,6 +336,11 @@ impl RequestBuffer {
     /// banks. `ranking` widens invalidation to all banks on membership or
     /// criticality changes (per-core rank counts feed every key);
     /// `apd` enables the drop-deadline heaps.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cap` or `cores` does not fit the [`PackedKey`] rank field
+    /// (a rank is a count of queued requests, so it is at most `cap`).
     pub fn new(
         cap: usize,
         channels: usize,
@@ -265,6 +350,10 @@ impl RequestBuffer {
         apd: bool,
     ) -> Self {
         let cores = cores.max(1);
+        assert!(
+            (cap as u64) < PackedKey::RANK_LIMIT && (cores as u64) < PackedKey::RANK_LIMIT,
+            "{cap} entries / {cores} cores exceed the 16-bit rank field"
+        );
         RequestBuffer {
             cap,
             slots: Vec::new(),
@@ -276,6 +365,7 @@ impl RequestBuffer {
                 BankSet {
                     members: BitSet::new(cap),
                     owner: None,
+                    pending: Vec::new(),
                     dirty: false,
                 };
                 channels * banks_per_channel
@@ -289,6 +379,10 @@ impl RequestBuffer {
             apd_heaps: DeadlineHeaps {
                 heaps: vec![BinaryHeap::new(); cores],
             },
+            drop_deadline: None,
+            lane: Lane::default(),
+            key_gen: 1,
+            rank_fields: vec![PackedKey::rank_field(0); cores + 1],
             rollover_seen: 0,
             refreshes_seen: vec![0; channels],
             stats: BufferStats::default(),
@@ -354,27 +448,57 @@ impl RequestBuffer {
         target.channel * self.stride + target.bank
     }
 
-    /// Marks one bank's owner cache dirty.
+    /// Marks one bank's owner dirty: its next query rescans the members.
     fn mark_bank_dirty(&mut self, bank_idx: usize) {
         let b = &mut self.banks[bank_idx];
         if !b.dirty {
             b.dirty = true;
+            b.pending.clear();
             self.stats.owner_invalidations += 1;
         }
     }
 
-    /// Marks every bank's owner cache dirty (a global key input changed:
-    /// write-drain flip, batch reform, accuracy rollover, rank counts).
-    pub fn invalidate_all_owners(&mut self) {
+    /// Marks every bank's owner dirty (rank counts moved; or, via
+    /// [`RequestBuffer::bump_key_generation`], a static key input did).
+    fn mark_all_dirty(&mut self) {
         for i in 0..self.banks.len() {
             self.mark_bank_dirty(i);
         }
     }
 
-    /// Marks one bank dirty after a DRAM state change (ACT/PRE re-keys the
-    /// bank's `row_hit` bits).
+    /// A static key input shared by every entry changed — the write-drain
+    /// mode flipped, or the accuracy epoch rolled over under an adaptive
+    /// policy: stales every lane slot and dirties every bank.
+    pub fn bump_key_generation(&mut self) {
+        self.key_gen += 1;
+        self.mark_all_dirty();
+    }
+
+    /// Marks one bank dirty after a DRAM state change the bank's owner did
+    /// not cause: a closed-row / HAPPY policy precharge or a DARP refresh
+    /// pull re-keys the bank's `row_hit` bits.
     pub fn note_bank_command(&mut self, channel: usize, bank: usize) {
         self.mark_bank_dirty(channel * self.stride + bank);
+    }
+
+    /// The ACT (`activated`) or PRE the controller just issued for `slot`,
+    /// the owner [`RequestBuffer::owner`] returned this pass: the owner is
+    /// kept, and an ACT sets its `row_hit` bit. Within the owner's
+    /// `(class_match, batched, tier)` class — lower classes lose whatever
+    /// their row-hit bits do — the ACT (bank closed, so no member was a
+    /// hit) raises only the owner's own bit and those of entries it
+    /// already beat on `(urgent, rank, fcfs)`; before a PRE the owner was
+    /// a row conflict, so no same-class entry was a hit or it would have
+    /// been the owner, and closing the row changes no same-class key.
+    pub fn note_owner_command(&mut self, channel: usize, bank: usize, slot: Slot, activated: bool) {
+        let b = &mut self.banks[channel * self.stride + bank];
+        debug_assert!(!b.dirty && b.pending.is_empty(), "owner() not called");
+        let (key, owner) = b.owner.as_mut().expect("commanded bank has an owner");
+        debug_assert_eq!(*owner, slot, "command issued for a non-owner");
+        debug_assert!(!key.row_hit(), "ACT/PRE issued for a row hit");
+        if activated {
+            *key = key.with_row_hit();
+        }
     }
 
     /// Reconciles the owner caches with the accuracy epoch: if the tracker
@@ -385,8 +509,10 @@ impl RequestBuffer {
         let epoch = tracker.next_rollover();
         if self.rollover_seen != epoch {
             self.rollover_seen = epoch;
+            // Drop thresholds read accuracy under every policy.
+            self.drop_deadline = None;
             if adaptive {
-                self.invalidate_all_owners();
+                self.bump_key_generation();
             }
         }
     }
@@ -412,6 +538,7 @@ impl RequestBuffer {
             None => {
                 self.slots.push(None);
                 self.pos.push(0);
+                self.lane.grow();
                 (self.slots.len() - 1) as Slot
             }
         };
@@ -431,20 +558,25 @@ impl RequestBuffer {
             if self.apd {
                 if let Some(h) = self.apd_heaps.heaps.get_mut(core) {
                     h.push(Reverse((e.req.arrival, slot, e.req.id.raw())));
+                    self.drop_deadline = None;
                 }
             }
         } else if let Some(c) = self.demands.get_mut(core) {
             *c += 1;
         }
         let bank_idx = self.bank_index(&e.target);
-        self.banks[bank_idx].members.set(slot as usize);
+        self.lane.row[slot as usize] = e.target.row;
+        self.lane.stamp[slot as usize] = 0;
+        let b = &mut self.banks[bank_idx];
+        b.members.set(slot as usize);
         self.slots[slot as usize] = Some(e);
-        // The new entry may outrank the cached owner; under ranking any
-        // membership change shifts every core's rank counts.
+        // Under ranking any membership change shifts every core's rank
+        // counts; otherwise the new entry can only displace the owner,
+        // which one compare at the next query settles.
         if self.ranking {
-            self.invalidate_all_owners();
-        } else {
-            self.mark_bank_dirty(bank_idx);
+            self.mark_all_dirty();
+        } else if !b.dirty {
+            b.pending.push(slot);
         }
         slot
     }
@@ -470,20 +602,20 @@ impl RequestBuffer {
             if let Some(c) = self.prefetches.get_mut(core) {
                 *c -= 1;
             }
+            self.note_drop_candidate_gone(core, slot, e.req.id.raw());
         } else if let Some(c) = self.demands.get_mut(core) {
             *c -= 1;
         }
         let bank_idx = self.bank_index(&e.target);
-        self.banks[bank_idx].members.clear(slot as usize);
+        let b = &mut self.banks[bank_idx];
+        b.members.clear(slot as usize);
         if self.ranking {
-            self.invalidate_all_owners();
-        } else {
-            let b = &mut self.banks[bank_idx];
-            // Removing a non-owner leaves the cached owner valid; removing
-            // the owner (or touching a dirty bank) forces a rebuild.
-            if b.owner.is_some_and(|(_, s)| s == slot) {
-                self.mark_bank_dirty(bank_idx);
-            }
+            self.mark_all_dirty();
+        } else if b.owner.is_some_and(|(_, s)| s == slot) {
+            // Only losing the owner forces a rescan.
+            self.mark_bank_dirty(bank_idx);
+        } else if let Some(i) = b.pending.iter().position(|&p| p == slot) {
+            b.pending.swap_remove(i);
         }
         e
     }
@@ -494,7 +626,7 @@ impl RequestBuffer {
         let e = self.slots[slot as usize].as_mut().expect("free slot");
         debug_assert!(e.req.kind.is_prefetch());
         e.req.promote_to_demand();
-        let core = e.req.core.index();
+        let (core, id) = (e.req.core.index(), e.req.id.raw());
         let bank_idx = e.target.channel * self.stride + e.target.bank;
         if let Some(c) = self.prefetches.get_mut(core) {
             *c -= 1;
@@ -502,10 +634,12 @@ impl RequestBuffer {
         if let Some(c) = self.demands.get_mut(core) {
             *c += 1;
         }
-        // The promoted entry's own key changes (tier / droppability); its
-        // stale APD heap item is popped lazily.
+        // The promoted entry's own key changes (tier / urgency), so its
+        // lane slot goes stale; its APD heap item is popped lazily.
+        self.lane.stamp[slot as usize] = 0;
+        self.note_drop_candidate_gone(core, slot, id);
         if self.ranking {
-            self.invalidate_all_owners();
+            self.mark_all_dirty();
         } else {
             self.mark_bank_dirty(bank_idx);
         }
@@ -518,6 +652,23 @@ impl RequestBuffer {
         let e = self.slots[slot as usize].as_mut().expect("free slot");
         debug_assert!(e.first_service.is_none());
         e.first_service = Some(class);
+        if e.req.kind.is_prefetch() {
+            let (core, id) = (e.req.core.index(), e.req.id.raw());
+            self.note_drop_candidate_gone(core, slot, id);
+        }
+    }
+
+    /// A droppable prefetch stopped being one (removed, promoted, or first
+    /// serviced). Only a heap head carries its core's earliest deadline, so
+    /// only a head's departure can move the cached one.
+    fn note_drop_candidate_gone(&mut self, core: usize, slot: Slot, id: u64) {
+        let heads = |h: &BinaryHeap<Reverse<(Cycle, Slot, u64)>>| {
+            h.peek()
+                .is_some_and(|&Reverse((_, s, i))| s == slot && i == id)
+        };
+        if self.drop_deadline.is_some() && self.apd_heaps.heaps.get(core).is_some_and(heads) {
+            self.drop_deadline = None;
+        }
     }
 
     /// Adds the entry at `slot` to the current PAR-BS batch.
@@ -529,6 +680,7 @@ impl RequestBuffer {
         self.batched += 1;
         // `batched` outranks everything below `class_match`, so the bank's
         // owner may change; rank counts (criticality) are unaffected.
+        self.lane.stamp[slot as usize] = 0;
         self.mark_bank_dirty(bank_idx);
     }
 
@@ -563,17 +715,23 @@ impl RequestBuffer {
     }
 
     /// Earliest APD drop deadline (`arrival + threshold + 1`) over all
-    /// queued, unserviced prefetches, or `None` if there are none. O(cores)
-    /// amortized: each core's heap head is its earliest droppable arrival,
-    /// and per-core thresholds make that head the core's earliest deadline.
-    /// Stale heads (freed, reused, promoted, or serviced slots) are popped
-    /// here.
+    /// queued, unserviced prefetches, or `None` if there are none. Cached:
+    /// only a prefetch insert, the departure of a heap head
+    /// (removal / first service / promotion) or an accuracy rollover
+    /// ([`RequestBuffer::sync_rollover`], which callers run first) can move
+    /// it. A refill is O(cores) amortized: each core's heap head is its
+    /// earliest droppable arrival, and per-core thresholds make that head
+    /// the core's earliest deadline. Stale heads (freed, reused, promoted,
+    /// or serviced slots) are popped there.
     pub fn earliest_drop_deadline(
         &mut self,
         thresholds: &DropThresholds,
         tracker: &AccuracyTracker,
     ) -> Option<Cycle> {
         debug_assert!(self.apd);
+        if let Some(cached) = self.drop_deadline {
+            return cached;
+        }
         let mut best: Option<Cycle> = None;
         for (core, heap) in self.apd_heaps.heaps.iter_mut().enumerate() {
             let head = loop {
@@ -596,12 +754,14 @@ impl RequestBuffer {
                 best = Some(best.map_or(deadline, |b: Cycle| b.min(deadline)));
             }
         }
+        self.drop_deadline = Some(best);
         best
     }
 
-    /// The bank's owner: its highest-[`PrioKey`] member under `ctx`, or
-    /// `None` for an empty bank. Served from cache when clean; otherwise
-    /// rebuilt by scanning the bank's membership bitset.
+    /// The bank's owner: its highest-key member under `ctx` (the key a
+    /// fresh [`KeyCtx::key`] would give it, packed), or `None` for an empty
+    /// bank. A clean bank answers from the maintained owner after folding
+    /// its pending inserts; a dirty one rescans its members over the lane.
     pub fn owner(
         &mut self,
         channel: usize,
@@ -609,34 +769,56 @@ impl RequestBuffer {
         ctx: &KeyCtx<'_>,
         ch: &Channel,
         now: Cycle,
-    ) -> Option<(PrioKey, Slot)> {
+    ) -> Option<(PackedKey, Slot)> {
         let bank_idx = channel * self.stride + bank;
-        if self.banks[bank_idx].members.is_empty() {
-            self.banks[bank_idx].owner = None;
-            self.banks[bank_idx].dirty = false;
+        let b = &mut self.banks[bank_idx];
+        if b.members.is_empty() {
+            b.owner = None;
+            b.dirty = false;
             return None;
         }
-        if self.banks[bank_idx].dirty {
-            self.stats.owner_recomputes += 1;
-            let mut scanned = 0u64;
-            let mut best: Option<(PrioKey, Slot)> = None;
-            let members = std::mem::replace(&mut self.banks[bank_idx].members, BitSet::new(0));
-            members.for_each(|slot| {
-                scanned += 1;
-                let e = self.slots[slot].as_ref().expect("member of freed slot");
-                let key = ctx.key(e, ch, now);
-                if best.is_none_or(|(bk, _)| key > bk) {
-                    best = Some((key, slot as Slot));
-                }
-            });
-            self.banks[bank_idx].members = members;
-            self.stats.owner_scan_entries += scanned;
-            self.banks[bank_idx].owner = best;
-            self.banks[bank_idx].dirty = false;
-        } else {
+        if !b.dirty {
             self.stats.owner_reuses += 1;
+            if b.pending.is_empty() {
+                return b.owner;
+            }
         }
-        self.banks[bank_idx].owner
+        if self.ranking {
+            ctx.fill_rank_fields(&mut self.rank_fields);
+        }
+        let RequestBuffer {
+            banks,
+            lane,
+            slots,
+            rank_fields,
+            stats,
+            key_gen,
+            ..
+        } = self;
+        let b = &mut banks[bank_idx];
+        let open_row = ch.effective_row(bank, now);
+        let mut best = b.owner.filter(|_| !b.dirty);
+        let mut consider = |slot: usize| {
+            if lane.stamp[slot] != *key_gen {
+                let e = slots[slot].as_ref().expect("member of freed slot");
+                let unranked = rank_fields.len() - 1;
+                lane.fill(slot, e, ctx.key(e, ch, now), unranked, *key_gen);
+            }
+            let key = lane.key(slot, open_row, rank_fields);
+            if best.is_none_or(|(bk, _)| key > bk) {
+                best = Some((key, slot as Slot));
+            }
+        };
+        if b.dirty {
+            stats.owner_recomputes += 1;
+            stats.owner_scan_entries += b.members.len as u64;
+            b.members.for_each(&mut consider);
+            b.dirty = false;
+        } else {
+            b.pending.drain(..).for_each(|slot| consider(slot as usize));
+        }
+        b.owner = best;
+        best
     }
 
     /// True if any queued entry wants row `row` of `(channel, bank)` — the
@@ -645,12 +827,9 @@ impl RequestBuffer {
     pub fn wants_row(&self, channel: usize, bank: usize, row: u64) -> bool {
         let bank_idx = channel * self.stride + bank;
         let mut found = false;
-        self.banks[bank_idx].members.for_each(|slot| {
-            if !found {
-                let e = self.slots[slot].as_ref().expect("member of freed slot");
-                found = e.target.row == row;
-            }
-        });
+        self.banks[bank_idx]
+            .members
+            .for_each(|slot| found |= self.lane.row[slot] == row);
         found
     }
 
@@ -678,10 +857,18 @@ impl RequestBuffer {
 
     /// Consistency audit for the incremental state, used by the
     /// `buffer_consistency` proptest: recomputes every derived structure
-    /// from the slab and panics on divergence. `ctx` lets it also check
-    /// each *clean* cached owner against a from-scratch argmax.
+    /// from the slab and panics on divergence (DESIGN.md §13, B1–B5).
+    /// `ctx` is the specification the lane and every non-dirty bank's
+    /// owner are checked against; pending inserts are folded first, dirty
+    /// banks are left dirty.
     #[doc(hidden)]
-    pub fn audit(&mut self, ctx: &KeyCtx<'_>, channels: &[Channel], now: Cycle) {
+    pub fn audit(
+        &mut self,
+        ctx: &KeyCtx<'_>,
+        thresholds: &DropThresholds,
+        channels: &[Channel],
+        now: Cycle,
+    ) {
         // Order mirror / pos / free-list consistency.
         assert_eq!(
             self.order.len() + self.free.len(),
@@ -723,12 +910,35 @@ impl RequestBuffer {
                 "prefetch count drifted for core {core}"
             );
         }
+        // B5: every live lane slot holds its entry's row, and one stamped
+        // at the current generation reassembles to the entry's fresh key.
+        if self.ranking {
+            ctx.fill_rank_fields(&mut self.rank_fields);
+        }
+        for &slot in &self.order {
+            let (s, e) = (slot as usize, self.entry(slot));
+            assert_eq!(self.lane.row[s], e.target.row, "lane row of slot {s}");
+            if self.lane.stamp[s] == self.key_gen {
+                let ch = &channels[e.target.channel];
+                let open_row = ch.effective_row(e.target.bank, now);
+                assert_eq!(
+                    self.lane.key(s, open_row, &self.rank_fields),
+                    PackedKey::pack(&ctx.key(e, ch, now)),
+                    "lane key of slot {s} is stale under its current stamp"
+                );
+            }
+        }
         // Membership bitsets and owners.
         #[allow(clippy::needless_range_loop)] // `ci` indexes two parallel arrays
         for ci in 0..self.refreshes_seen.len() {
             for bank in 0..self.stride {
                 let bank_idx = ci * self.stride + bank;
                 let members = self.banks[bank_idx].members.to_vec();
+                let pending = &self.banks[bank_idx].pending;
+                assert!(
+                    pending.iter().all(|&p| members.contains(&(p as usize))),
+                    "pending insert {pending:?} is not a member of bank ({ci}, {bank})"
+                );
                 let expect: Vec<usize> = (0..self.slots.len())
                     .filter(|&s| {
                         self.slots[s]
@@ -737,7 +947,9 @@ impl RequestBuffer {
                     })
                     .collect();
                 assert_eq!(members, expect, "bitset drifted for bank ({ci}, {bank})");
-                if !self.banks[bank_idx].dirty {
+                if self.banks[bank_idx].dirty {
+                    assert!(pending.is_empty(), "dirty bank ({ci}, {bank}) pends");
+                } else {
                     let ch = &channels[ci];
                     let fresh = expect
                         .iter()
@@ -745,10 +957,12 @@ impl RequestBuffer {
                             let e = self.slots[s].as_ref().unwrap();
                             (ctx.key(e, ch, now), s as Slot)
                         })
-                        .max_by_key(|&(k, _)| k);
+                        .max_by_key(|&(k, _)| k)
+                        .map(|(k, s)| (PackedKey::pack(&k), s));
                     assert_eq!(
-                        self.banks[bank_idx].owner, fresh,
-                        "clean owner cache diverged for bank ({ci}, {bank})"
+                        self.owner(ci, bank, ctx, ch, now),
+                        fresh,
+                        "maintained owner diverged for bank ({ci}, {bank})"
                     );
                 }
             }
@@ -786,6 +1000,13 @@ impl RequestBuffer {
                 assert_eq!(
                     valid_min, true_min,
                     "APD heap minimum drifted for core {core}"
+                );
+            }
+            if let Some(cached) = self.drop_deadline.take() {
+                assert_eq!(
+                    cached,
+                    self.earliest_drop_deadline(thresholds, ctx.accuracy),
+                    "cached drop deadline drifted"
                 );
             }
         }
@@ -831,5 +1052,258 @@ impl fmt::Debug for RequestBuffer {
             .field("prefetches", &self.prefetches)
             .field("bank_members", &Members(self))
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::{ControllerConfig, SchedulingPolicy};
+    use padc_dram::{DramConfig, StepOutcome};
+    use padc_types::{CoreId, LineAddr, RequestId, RequestKind, CPU_CYCLES_PER_DRAM_CYCLE};
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+
+    const POLICIES: [SchedulingPolicy; 6] = [
+        SchedulingPolicy::DemandPrefetchEqual,
+        SchedulingPolicy::DemandFirst,
+        SchedulingPolicy::PrefetchFirst,
+        SchedulingPolicy::ApsOnly,
+        SchedulingPolicy::Padc,
+        SchedulingPolicy::PadcRank,
+    ];
+
+    /// Two cores: core 0's prefetches are accurate (critical), core 1's
+    /// useless (its demands are urgent).
+    fn tracker() -> AccuracyTracker {
+        let mut t = AccuracyTracker::new(2, 100);
+        for _ in 0..10 {
+            t.on_prefetch_sent(CoreId::new(0));
+            t.on_prefetch_used(CoreId::new(0));
+            t.on_prefetch_sent(CoreId::new(1));
+        }
+        t.tick(100);
+        t
+    }
+
+    /// An entry for `(bank 0, row)` of the single channel.
+    fn entry(id: u64, core: usize, row: u64, kind: RequestKind, access: AccessKind) -> Entry {
+        let req = MemRequest::new(
+            RequestId::new(id),
+            CoreId::new(core),
+            LineAddr::new(id),
+            access,
+            kind,
+            0,
+        );
+        let target = Target {
+            channel: 0,
+            bank: 0,
+            row,
+            column: 0,
+        };
+        Entry::new(req, target)
+    }
+
+    /// One bank under `policy` with write drain and urgency on, driven by
+    /// hand: the harness plays `schedule_channel` for bank 0.
+    struct Rig {
+        buf: RequestBuffer,
+        ch: Channel,
+        cfg: ControllerConfig,
+        tracker: AccuracyTracker,
+        draining: bool,
+        now: Cycle,
+    }
+
+    impl Rig {
+        fn new(policy: SchedulingPolicy) -> Self {
+            let mut cfg = ControllerConfig::from_policy(policy, 2);
+            cfg.write_drain = true;
+            cfg.urgency = true;
+            let dram = DramConfig::default();
+            Rig {
+                buf: RequestBuffer::new(32, 1, dram.banks, 2, cfg.ranking, cfg.apd),
+                ch: Channel::new(&dram),
+                cfg,
+                tracker: tracker(),
+                draining: false,
+                now: 1000,
+            }
+        }
+
+        /// Runs `f` with the buffer, the channel and this pass's `KeyCtx`.
+        fn with_ctx<R>(
+            &mut self,
+            f: impl FnOnce(&mut RequestBuffer, &mut Channel, &KeyCtx<'_>, Cycle) -> R,
+        ) -> R {
+            let counts = self
+                .buf
+                .rank_counts(&self.tracker, self.cfg.promotion_threshold);
+            let ctx = KeyCtx {
+                policy: self.cfg.policy,
+                write_drain: true,
+                draining_writes: self.draining,
+                urgency: true,
+                promotion_threshold: self.cfg.promotion_threshold,
+                accuracy: &self.tracker,
+                rank_counts: counts.as_deref(),
+            };
+            f(&mut self.buf, &mut self.ch, &ctx, self.now)
+        }
+
+        fn owner(&mut self) -> Option<(PackedKey, Slot)> {
+            self.with_ctx(|buf, ch, ctx, now| buf.owner(0, 0, ctx, ch, now))
+        }
+
+        fn audit(&mut self) {
+            let thresholds = self.cfg.drop_thresholds;
+            self.with_ctx(|buf, ch, ctx, now| {
+                buf.audit(ctx, &thresholds, std::slice::from_ref(ch), now)
+            });
+        }
+
+        /// Issues the owner's next command as `schedule_channel` would,
+        /// waiting out DRAM timing first.
+        fn command_owner(&mut self) -> (Slot, StepOutcome) {
+            let (_, slot) = self.owner().expect("bank 0 has an owner");
+            let e = self.buf.entry(slot);
+            let (row, write) = (e.target.row, e.req.access == AccessKind::Store);
+            while !self.ch.can_advance(0, row, self.now) {
+                self.now += CPU_CYCLES_PER_DRAM_CYCLE;
+            }
+            let (_, again) = self.owner().expect("still owned");
+            assert_eq!(again, slot, "ownership moved while waiting on DRAM timing");
+            (slot, self.ch.advance(0, row, write, self.now))
+        }
+    }
+
+    /// The keep-owner lemma, on random banks under every policy with
+    /// batching marks, write drain (flipping mid-run) and urgency in play:
+    /// after the owner's own ACT or PRE the owner is kept without a rescan
+    /// — and the audit's fresh argmax (B3) and lane check (B5) agree.
+    #[test]
+    fn the_owners_own_act_and_pre_keep_it_the_owner() {
+        for policy in POLICIES {
+            let (mut kept_act, mut kept_pre) = (0, 0);
+            for seed in 0..40 {
+                let mut rng = SmallRng::seed_from_u64(seed);
+                let mut rig = Rig::new(policy);
+                for id in 0..rng.gen_range(2..14u64) {
+                    let writeback = rng.gen_bool(0.25);
+                    let (kind, access) = if writeback {
+                        (RequestKind::Demand, AccessKind::Store)
+                    } else if rng.gen_bool(0.5) {
+                        (RequestKind::Prefetch, AccessKind::Load)
+                    } else {
+                        (RequestKind::Demand, AccessKind::Load)
+                    };
+                    let e = entry(id, rng.gen_range(0..2), rng.gen_range(0..3), kind, access);
+                    let slot = rig.buf.insert(e);
+                    if rng.gen_bool(0.4) {
+                        rig.buf.set_batched(slot);
+                    }
+                }
+                while !rig.buf.is_empty() {
+                    if rng.gen_bool(0.15) {
+                        rig.draining = !rig.draining;
+                        rig.buf.bump_key_generation();
+                    }
+                    let (slot, outcome) = rig.command_owner();
+                    let activated = match outcome {
+                        StepOutcome::CasIssued { .. } => {
+                            rig.buf.remove(slot);
+                            rig.audit();
+                            continue;
+                        }
+                        StepOutcome::Activated => true,
+                        StepOutcome::Precharged => false,
+                        StepOutcome::Blocked => unreachable!("can_advance was checked"),
+                    };
+                    rig.buf.note_owner_command(0, 0, slot, activated);
+                    rig.audit();
+                    let rescans = rig.buf.stats().owner_recomputes;
+                    let (key, owner) = rig.owner().expect("kept");
+                    assert_eq!(owner, slot, "{policy:?} seed {seed}");
+                    assert_eq!(key.row_hit(), activated, "{policy:?} seed {seed}");
+                    assert_eq!(rig.buf.stats().owner_recomputes, rescans, "rescanned");
+                    if activated {
+                        kept_act += 1;
+                    } else {
+                        kept_pre += 1;
+                    }
+                }
+            }
+            assert!(
+                kept_act > 40 && kept_pre > 40,
+                "{policy:?}: {kept_act} ACT, {kept_pre} PRE"
+            );
+        }
+    }
+
+    /// An insert into a clean bank costs one compare at the next query,
+    /// not a rescan — whether or not it displaces the owner — and one that
+    /// leaves before the query is forgotten.
+    #[test]
+    fn an_insert_into_a_clean_bank_is_folded_not_rescanned() {
+        let mut rig = Rig::new(SchedulingPolicy::DemandFirst);
+        let load = |id, kind| entry(id, 0, 7, kind, AccessKind::Load);
+        let first = rig.buf.insert(load(0, RequestKind::Prefetch));
+        assert_eq!(rig.owner().map(|(_, s)| s), Some(first));
+        let rescans = rig.buf.stats().owner_recomputes;
+
+        let older_class = rig.buf.insert(load(1, RequestKind::Prefetch));
+        assert_eq!(
+            rig.owner().map(|(_, s)| s),
+            Some(first),
+            "younger prefetch loses"
+        );
+        let demand = rig.buf.insert(load(2, RequestKind::Demand));
+        let gone = rig.buf.insert(load(3, RequestKind::Demand));
+        rig.buf.remove(gone);
+        rig.audit();
+        assert_eq!(
+            rig.owner().map(|(_, s)| s),
+            Some(demand),
+            "demand displaces the owner"
+        );
+        assert_eq!(
+            rig.buf.stats().owner_recomputes,
+            rescans,
+            "a fold rescanned"
+        );
+
+        // Losing the owner is what does force a rescan.
+        rig.buf.remove(demand);
+        assert_eq!(rig.owner().map(|(_, s)| s), Some(first));
+        assert_eq!(rig.buf.stats().owner_recomputes, rescans + 1);
+        assert_eq!(rig.buf.entry(older_class).req.id, RequestId::new(1));
+    }
+
+    /// A write-drain flip changes every entry's `class_match` bit, so the
+    /// new key generation must reach lane slots that were stamped under
+    /// the old one.
+    #[test]
+    fn a_drain_flip_rekeys_slots_stamped_under_the_old_generation() {
+        let mut rig = Rig::new(SchedulingPolicy::DemandFirst);
+        let read = rig
+            .buf
+            .insert(entry(0, 0, 1, RequestKind::Demand, AccessKind::Load));
+        let write = rig
+            .buf
+            .insert(entry(1, 0, 2, RequestKind::Demand, AccessKind::Store));
+        assert_eq!(
+            rig.owner().map(|(_, s)| s),
+            Some(read),
+            "reads match outside drain"
+        );
+        rig.draining = true;
+        rig.buf.bump_key_generation();
+        assert_eq!(
+            rig.owner().map(|(_, s)| s),
+            Some(write),
+            "writebacks match inside it"
+        );
+        rig.audit();
     }
 }

@@ -4,10 +4,12 @@
 //! Split into three layers (DESIGN.md §13):
 //!
 //! - [`buffer`] — the data-oriented request buffer: slab + free list,
-//!   legacy-order mirror, per-bank membership bitsets, cached per-bank
-//!   owners, APD deadline heaps, and running counts;
-//! - [`arbiter`] — the lexicographic [`PrioKey`] and the
-//!   [`KeyCtx`] snapshot of its inputs;
+//!   legacy-order mirror, per-bank membership bitsets, the split-key lane
+//!   and the per-bank owners maintained over it, APD deadline heaps, and
+//!   running counts;
+//! - [`arbiter`] — the lexicographic [`PrioKey`](arbiter::PrioKey) (the
+//!   specification), its order-preserving [`PackedKey`] (what the buffer
+//!   compares), and the [`KeyCtx`] snapshot of their inputs;
 //! - this module — [`MemoryController`]: the tick loop, DRAM command
 //!   issue, APD, PAR-BS batching, write drain, and the `next_event` bound
 //!   that event-mode fast-forwarding consumes.
@@ -28,7 +30,7 @@ use padc_types::{
 
 use crate::{AccuracyTracker, ControllerConfig, ControllerStats};
 
-use arbiter::{KeyCtx, PrioKey};
+use arbiter::{KeyCtx, PackedKey};
 use buffer::{BufferStats, Entry, RequestBuffer, Slot};
 
 /// A serviced request handed back to the memory system.
@@ -124,8 +126,8 @@ impl MemoryController {
     }
 
     /// Updates write-drain mode from the buffered writeback count. A flip
-    /// changes every entry's write-drain service class, so it invalidates
-    /// all cached bank owners.
+    /// changes every entry's write-drain service class — a static key bit —
+    /// so it starts a new key generation.
     fn update_write_drain(&mut self) {
         if !self.cfg.write_drain {
             return;
@@ -138,7 +140,7 @@ impl MemoryController {
         };
         if drain != self.draining_writes {
             self.draining_writes = drain;
-            self.buffer.invalidate_all_owners();
+            self.buffer.bump_key_generation();
         }
     }
 
@@ -566,11 +568,11 @@ impl MemoryController {
         // bank — a lower-priority row-conflict must not precharge a row
         // that a higher-priority row-hit is still waiting to read), then
         // pick the best bank whose owner can issue a command this cycle.
-        // The per-bank owners come from the buffer's cache; only banks
-        // whose membership or key inputs changed are rescanned.
+        // The per-bank owners are maintained by the buffer; only banks
+        // that lost their owner or had a key input change are rescanned.
         let (buffer, channels) = (&mut self.buffer, &self.channels);
         let ch = &channels[channel];
-        let mut best: Option<(PrioKey, Slot)> = None;
+        let mut best: Option<(PackedKey, Slot)> = None;
         for bank in 0..ch.bank_count() {
             let Some((key, slot)) = buffer.owner(channel, bank, &ctx, ch, now) else {
                 continue;
@@ -634,11 +636,11 @@ impl MemoryController {
                     row_hit,
                 });
             }
-            StepOutcome::Precharged | StepOutcome::Activated => {
-                // The bank's row state changed: row-hit bits of its queued
-                // entries (the owner included) may have flipped.
-                self.buffer.note_bank_command(channel, bank);
-            }
+            // The bank's row state changed under its own owner's command,
+            // which cannot cost the owner its place (the keep-owner lemma,
+            // DESIGN.md §13).
+            StepOutcome::Activated => self.buffer.note_owner_command(channel, bank, slot, true),
+            StepOutcome::Precharged => self.buffer.note_owner_command(channel, bank, slot, false),
             StepOutcome::Blocked => unreachable!("can_advance was checked"),
         }
     }
@@ -680,9 +682,9 @@ impl MemoryController {
     /// idle open row is precharged only when the per-row predictor votes to
     /// close it ([`Channel::happy_votes_close`]); rows the predictor deems
     /// reusable stay open as under the open-row policy. Each policy
-    /// precharge is a bank-state-changing command, so it must invalidate
-    /// the bank's cached owner exactly like the closed-row path (the
-    /// HAPPY-precharge rule of the owner-cache enumeration, DESIGN.md §13).
+    /// precharge is a bank-state-changing command the bank's owner did not
+    /// issue, so it dirties the bank's owner exactly like the closed-row
+    /// path (DESIGN.md §13, "what still dirties").
     fn apply_happy_row_policy(&mut self, now: Cycle) {
         for ch_idx in 0..self.channels.len() {
             if !self.channels[ch_idx].command_bus_free(now) {
@@ -746,9 +748,9 @@ impl MemoryController {
         }
     }
 
-    /// Audits the buffer's incremental state (bitsets, counts, heaps, and
-    /// every *clean* cached owner) against a from-scratch recompute,
-    /// panicking on divergence. Test-only support for the
+    /// Audits the buffer's incremental state (bitsets, counts, heaps, the
+    /// lane, and every non-dirty bank's owner) against a from-scratch
+    /// recompute, panicking on divergence. Test-only support for the
     /// `buffer_consistency` proptest.
     #[doc(hidden)]
     pub fn audit_buffer(&mut self, now: Cycle, accuracy: &AccuracyTracker) {
@@ -758,7 +760,7 @@ impl MemoryController {
             .rank_counts(accuracy, self.cfg.promotion_threshold);
         let ctx = self.key_ctx(accuracy, rank_counts.as_deref());
         let (buffer, channels) = (&mut self.buffer, &self.channels);
-        buffer.audit(&ctx, channels, now);
+        buffer.audit(&ctx, &self.cfg.drop_thresholds, channels, now);
     }
 }
 
@@ -799,6 +801,50 @@ mod tests {
             DramConfig::default(),
             MappingScheme::Linear,
         )
+    }
+
+    /// Enqueues one demand at `at` and returns its service latency.
+    fn service(mc: &mut MemoryController, t: &AccuracyTracker, line: u64, at: Cycle) -> Cycle {
+        mc.enqueue(
+            CoreId::new(0),
+            LineAddr::new(line),
+            AccessKind::Load,
+            RequestKind::Demand,
+            at,
+        )
+        .unwrap();
+        let mut now = at;
+        loop {
+            if !mc.tick(now, t).completions.is_empty() {
+                return now - at;
+            }
+            now += 1;
+            assert!(now < at + 100_000, "controller wedged");
+        }
+    }
+
+    /// Ticks `mc` over `cycles` and returns how many ticks moved `counter`,
+    /// asserting that each of them also took some bank's owner from clean
+    /// to dirty.
+    fn ticks_that_dirtied(
+        mc: &mut MemoryController,
+        t: &AccuracyTracker,
+        cycles: std::ops::Range<Cycle>,
+        counter: impl Fn(&MemoryController) -> u64,
+    ) -> usize {
+        let mut events = 0;
+        for now in cycles {
+            let (before, dirtied) = (counter(mc), mc.buffer_stats().owner_invalidations);
+            mc.tick(now, t);
+            if counter(mc) > before {
+                events += 1;
+                assert!(
+                    mc.buffer_stats().owner_invalidations > dirtied,
+                    "the command at tick {now} left its bank's owner clean"
+                );
+            }
+        }
+        events
     }
 
     fn run_until_idle(
@@ -1376,25 +1422,6 @@ mod tests {
         );
         let t = tracker(1);
         let lpr = DramConfig::default().lines_per_row();
-        // Enqueues one demand at `at` and returns its service latency.
-        fn service(mc: &mut MemoryController, t: &AccuracyTracker, line: u64, at: Cycle) -> Cycle {
-            mc.enqueue(
-                CoreId::new(0),
-                LineAddr::new(line),
-                AccessKind::Load,
-                RequestKind::Demand,
-                at,
-            )
-            .unwrap();
-            let mut now = at;
-            loop {
-                if !mc.tick(now, t).completions.is_empty() {
-                    return now - at;
-                }
-                now += 1;
-                assert!(now < at + 100_000, "controller wedged");
-            }
-        }
         let d = DramConfig::default();
         let closed = d.t_rcd_cpu() + d.cl_cpu() + d.burst_cpu();
         let slack = 2 * CPU_CYCLES_PER_DRAM_CYCLE;
@@ -1422,6 +1449,110 @@ mod tests {
         assert!(
             lat <= closed + slack,
             "trained single-use row must be precharged like closed-row policy (lat {lat})"
+        );
+    }
+
+    /// The keep-owner lemma covers the owner's own ACT/PRE only (the
+    /// buffer's unit tests and the `buffer_consistency` audit hold it).
+    /// Its negative twin: a bank-state change the owner did not issue — a
+    /// closed-row or HAPPY policy precharge, a DARP pull, a refresh — still
+    /// dirties the bank, while the scheduler's own ACT/PRE dirty nothing.
+    #[test]
+    fn commands_the_owner_did_not_issue_still_dirty_the_bank() {
+        let t = tracker(1);
+        let lpr = DramConfig::default().lines_per_row();
+        let precharges = |mc: &MemoryController| mc.channel_stats()[0].precharges;
+        let with_dram = |dram: DramConfig| {
+            MemoryController::new(
+                ControllerConfig::from_policy(SchedulingPolicy::DemandFirst, 1),
+                dram,
+                MappingScheme::Linear,
+            )
+        };
+
+        // Enqueues a demand at `at` and ticks until the scheduler has
+        // issued its ACT (the `acts`-th overall); returns the next cycle.
+        let activate = |mc: &mut MemoryController, line: u64, at: Cycle, acts: u64| {
+            mc.enqueue(
+                CoreId::new(0),
+                LineAddr::new(line),
+                AccessKind::Load,
+                RequestKind::Demand,
+                at,
+            )
+            .unwrap();
+            let mut now = at;
+            while mc.channel_stats()[0].activations < acts {
+                mc.tick(now, &t);
+                now += 1;
+                assert!(now < at + 100_000, "controller wedged");
+            }
+            now
+        };
+
+        // The scheduler's own commands: a closed-bank ACT, then a
+        // conflict's PRE and ACT. Inserts fold, ACT/PRE keep the owner.
+        let mut mc = with_dram(DramConfig::default());
+        service(&mut mc, &t, 0, 0);
+        let dirtied = mc.buffer_stats().owner_invalidations;
+        activate(&mut mc, lpr * 8, 1000, 2);
+        assert_eq!(precharges(&mc), 1, "the conflict precharged");
+        assert_eq!(
+            mc.buffer_stats().owner_invalidations,
+            dirtied,
+            "the owner's own PRE/ACT dirtied its bank"
+        );
+
+        // The policy precharge lands once the only request has completed.
+        let mut closed = with_dram(DramConfig {
+            row_policy: RowPolicy::Closed,
+            ..DramConfig::default()
+        });
+        let now = activate(&mut closed, 0, 0, 1);
+        assert_eq!(
+            ticks_that_dirtied(&mut closed, &t, now..now + 1000, precharges),
+            1,
+            "closed-row precharge"
+        );
+
+        // Two single-CAS residencies train row 0 toward "close" (see
+        // `happy_policy_keeps_untrained_rows_open_and_precharges_trained_ones`).
+        let mut happy = with_dram(DramConfig {
+            row_policy: RowPolicy::Happy,
+            ..DramConfig::default()
+        });
+        service(&mut happy, &t, 0, 0);
+        service(&mut happy, &t, lpr * 8, 1200);
+        let now = activate(&mut happy, 0, 3000, 3);
+        assert_eq!(
+            ticks_that_dirtied(&mut happy, &t, now..now + 1000, precharges),
+            1,
+            "HAPPY precharge"
+        );
+
+        let ext = padc_dram::ExtendedTiming::default();
+        let t_refi = ext.t_refi * CPU_CYCLES_PER_DRAM_CYCLE;
+        let mut darp = with_dram(DramConfig {
+            extended: Some(ext),
+            refresh_policy: RefreshPolicy::Darp,
+            ..DramConfig::default()
+        });
+        let pulls = |mc: &MemoryController| mc.refresh_counters().pulls;
+        assert_eq!(
+            ticks_that_dirtied(&mut darp, &t, 0..t_refi, pulls),
+            8,
+            "DARP pulls"
+        );
+
+        let mut all_bank = with_dram(DramConfig {
+            extended: Some(ext),
+            ..DramConfig::default()
+        });
+        let refreshes = |mc: &MemoryController| mc.channel_stats()[0].refreshes;
+        assert_eq!(
+            ticks_that_dirtied(&mut all_bank, &t, 0..t_refi + 8, refreshes),
+            1,
+            "all-bank refresh"
         );
     }
 

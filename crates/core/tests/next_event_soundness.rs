@@ -12,6 +12,12 @@
 //! enqueues — invariant E2, policed by the mutation epoch, which the
 //! test also pins), and a stable accuracy interval (the window is capped
 //! at [`AccuracyTracker::next_rollover`] — invariant E3).
+//!
+//! Every case runs its request mix under the whole 6 × 3 × 4 (scheduling ×
+//! row × refresh) matrix. The closed-row and HAPPY policies add
+//! spontaneous precharges that `next_event` must bound, and the HAPPY
+//! predictor must never mutate inside a proven-idle window (the Debug
+//! oracle would catch it — predictor state is part of the string).
 
 use padc_core::{AccuracyTracker, ControllerConfig, MemoryController, SchedulingPolicy};
 use padc_dram::{DramConfig, ExtendedTiming, MappingScheme, RefreshPolicy, RowPolicy};
@@ -56,12 +62,6 @@ fn all_policies() -> [SchedulingPolicy; 6] {
     ]
 }
 
-/// Every row-buffer management policy: the closed-row and HAPPY policies
-/// add spontaneous precharges that `next_event` must bound, and the HAPPY
-/// predictor must never mutate inside a proven-idle window (the Debug
-/// oracle below would catch it — predictor state is part of the string).
-const ROW_POLICIES: [RowPolicy; 3] = [RowPolicy::Open, RowPolicy::Closed, RowPolicy::Happy];
-
 /// Extended-timing / refresh-policy combinations: `None` disables extended
 /// timing entirely; the per-bank policies add staggered forced refreshes
 /// (and, for DARP, spontaneous refresh pulls) that `next_event` must bound.
@@ -105,81 +105,129 @@ fn assert_claim_holds(mc: &MemoryController, tracker: &AccuracyTracker, now: u64
     }
 }
 
+/// Services `reqs` under one point of the configuration matrix,
+/// verifying every `next_event` claim taken along the way against
+/// cycle-by-cycle stepping.
+fn check_claims(
+    reqs: &[ReqSpec],
+    policy: SchedulingPolicy,
+    row_policy: RowPolicy,
+    refresh: Option<RefreshPolicy>,
+) {
+    let mut cfg = ControllerConfig::from_policy(policy, 4);
+    cfg.buffer_entries = 24;
+    let mut dram = DramConfig {
+        row_policy,
+        ..DramConfig::default()
+    };
+    if let Some(refresh_policy) = refresh {
+        dram.extended = Some(ExtendedTiming::default());
+        dram.refresh_policy = refresh_policy;
+    }
+    let mut mc = MemoryController::new(cfg, dram, MappingScheme::Linear);
+    let tracker = AccuracyTracker::new(4, 100_000);
+
+    let mut now = 0u64;
+    for r in reqs {
+        if mc.has_space() {
+            let kind = if r.prefetch {
+                RequestKind::Prefetch
+            } else {
+                RequestKind::Demand
+            };
+            let access = if r.write {
+                AccessKind::Store
+            } else {
+                AccessKind::Load
+            };
+            let epoch = mc.mutation_epoch();
+            let accepted = mc
+                .enqueue(
+                    CoreId::new(r.core),
+                    LineAddr::new(r.line),
+                    access,
+                    kind,
+                    now,
+                )
+                .is_some();
+            // E2: every accepted enqueue must invalidate cached bounds.
+            prop_assert_eq!(
+                mc.mutation_epoch(),
+                epoch + u64::from(accepted),
+                "enqueue did not bump the mutation epoch"
+            );
+        }
+        // Verify the claim as seen right after the external mutation.
+        match mc.next_event(now, &tracker) {
+            Some(ev) => assert_claim_holds(&mc, &tracker, now, ev),
+            None => prop_assert!(
+                mc.is_idle(),
+                "next_event claimed quiescence on a non-idle controller"
+            ),
+        }
+        // Advance for real: the claim must also hold from mid-service
+        // cycles, not just from enqueue points.
+        for _ in 0..=r.gap {
+            mc.tick(now, &tracker);
+            now += 1;
+        }
+    }
+    // Drain, re-checking the claim after every executed tick exactly
+    // the way event mode re-proves after firing an event.
+    let deadline = now + 2_000_000;
+    while !mc.is_idle() {
+        match mc.next_event(now, &tracker) {
+            Some(ev) => {
+                assert_claim_holds(&mc, &tracker, now, ev);
+                // Jump straight to the claimed cycle (capped at the
+                // rollover, as the system loop does) and tick there.
+                now = now.max(ev.min(tracker.next_rollover()));
+            }
+            None => prop_assert!(mc.is_idle(), "no claim on a non-idle controller"),
+        }
+        mc.tick(now, &tracker);
+        now += 1;
+        prop_assert!(now < deadline, "controller wedged under {policy:?}");
+    }
+}
+
+/// Runs `reqs` under every (scheduling policy, refresh mode) for one row
+/// policy — a third of the 6 × 3 × 4 matrix, one `#[test]` per third so
+/// the thirds run on parallel test threads.
+fn check_claims_for_row_policy(reqs: &[ReqSpec], row_policy: RowPolicy) {
+    for policy in all_policies() {
+        for refresh in REFRESH_MODES {
+            check_claims(reqs, policy, row_policy, refresh);
+        }
+    }
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+    #![proptest_config(ProptestConfig::with_cases(4))]
 
     /// Every `next_event` claim taken while servicing an arbitrary
     /// request mix is verified against cycle-by-cycle stepping, across
-    /// all six policies, all three row policies, and every extended-timing
-    /// / refresh-policy mode (off, all-bank, per-bank, DARP).
+    /// all six policies and every extended-timing / refresh-policy mode
+    /// (off, all-bank, per-bank, DARP) — here under the open-row policy,
+    /// below under the other two.
     #[test]
-    fn next_event_never_claims_past_real_work(
+    fn next_event_never_claims_past_real_work_open_row(
         reqs in prop::collection::vec(arb_req(), 1..40),
-        policy_idx in 0usize..6,
-        row_policy_idx in 0usize..ROW_POLICIES.len(),
-        refresh_idx in 0usize..REFRESH_MODES.len(),
     ) {
-        let policy = all_policies()[policy_idx];
-        let mut cfg = ControllerConfig::from_policy(policy, 4);
-        cfg.buffer_entries = 24;
-        let mut dram = DramConfig {
-            row_policy: ROW_POLICIES[row_policy_idx],
-            ..DramConfig::default()
-        };
-        if let Some(refresh_policy) = REFRESH_MODES[refresh_idx] {
-            dram.extended = Some(ExtendedTiming::default());
-            dram.refresh_policy = refresh_policy;
-        }
-        let mut mc = MemoryController::new(cfg, dram, MappingScheme::Linear);
-        let tracker = AccuracyTracker::new(4, 100_000);
+        check_claims_for_row_policy(&reqs, RowPolicy::Open);
+    }
 
-        let mut now = 0u64;
-        for r in &reqs {
-            if mc.has_space() {
-                let kind = if r.prefetch { RequestKind::Prefetch } else { RequestKind::Demand };
-                let access = if r.write { AccessKind::Store } else { AccessKind::Load };
-                let epoch = mc.mutation_epoch();
-                let accepted = mc
-                    .enqueue(CoreId::new(r.core), LineAddr::new(r.line), access, kind, now)
-                    .is_some();
-                // E2: every accepted enqueue must invalidate cached bounds.
-                prop_assert_eq!(
-                    mc.mutation_epoch(),
-                    epoch + u64::from(accepted),
-                    "enqueue did not bump the mutation epoch"
-                );
-            }
-            // Verify the claim as seen right after the external mutation.
-            match mc.next_event(now, &tracker) {
-                Some(ev) => assert_claim_holds(&mc, &tracker, now, ev),
-                None => prop_assert!(
-                    mc.is_idle(),
-                    "next_event claimed quiescence on a non-idle controller"
-                ),
-            }
-            // Advance for real: the claim must also hold from mid-service
-            // cycles, not just from enqueue points.
-            for _ in 0..=r.gap {
-                mc.tick(now, &tracker);
-                now += 1;
-            }
-        }
-        // Drain, re-checking the claim after every executed tick exactly
-        // the way event mode re-proves after firing an event.
-        let deadline = now + 2_000_000;
-        while !mc.is_idle() {
-            match mc.next_event(now, &tracker) {
-                Some(ev) => {
-                    assert_claim_holds(&mc, &tracker, now, ev);
-                    // Jump straight to the claimed cycle (capped at the
-                    // rollover, as the system loop does) and tick there.
-                    now = now.max(ev.min(tracker.next_rollover()));
-                }
-                None => prop_assert!(mc.is_idle(), "no claim on a non-idle controller"),
-            }
-            mc.tick(now, &tracker);
-            now += 1;
-            prop_assert!(now < deadline, "controller wedged under {policy:?}");
-        }
+    #[test]
+    fn next_event_never_claims_past_real_work_closed_row(
+        reqs in prop::collection::vec(arb_req(), 1..40),
+    ) {
+        check_claims_for_row_policy(&reqs, RowPolicy::Closed);
+    }
+
+    #[test]
+    fn next_event_never_claims_past_real_work_happy_row(
+        reqs in prop::collection::vec(arb_req(), 1..40),
+    ) {
+        check_claims_for_row_policy(&reqs, RowPolicy::Happy);
     }
 }

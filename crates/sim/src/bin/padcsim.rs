@@ -18,7 +18,7 @@
 use padc_core::SchedulingPolicy;
 use padc_cpu::TraceSource;
 use padc_dram::RefreshPolicy;
-use padc_sim::cli::{install_store, store_dir, suite_main, Stdout};
+use padc_sim::cli::{install_store, say, store_dir, suite_main, Stdout};
 use padc_sim::{FastForwardMode, SimConfig, System};
 use padc_workloads::{profiles, TraceFileSource};
 
@@ -134,19 +134,19 @@ fn parse_args() -> Result<Args, String> {
             "--extended-timing" => args.extended_timing = true,
             "--list-benchmarks" => {
                 for p in profiles::all() {
-                    println!("{:<22} class {}", p.name, p.class.code());
+                    say(format_args!("{:<22} class {}", p.name, p.class.code()));
                 }
                 std::process::exit(0);
             }
             "--help" | "-h" => {
-                println!(
+                say(format_args!(
                     "usage: padcsim (--config FILE.json | [--cores N] [--policy P] \
                      [--instructions N] [--no-prefetch]) [--json] [--profile] \
                      [--fast-forward off|event] \
                      [--refresh-policy all-bank|per-bank|darp] [--extended-timing] \
                      (--bench NAME ... | --trace FILE ...) | --print-config | --list-benchmarks\n\
                      --cores defaults to, and must equal, the number of --bench/--trace sources"
-                );
+                ));
                 std::process::exit(0);
             }
             other => return Err(format!("unknown flag {other:?}")),
@@ -206,13 +206,13 @@ fn run_serve_mode(args: &[String]) -> ! {
             "--socket" => socket = Some(value("--socket")),
             "--stdio" => socket = None,
             "--help" | "-h" => {
-                println!(
+                say(format_args!(
                     "usage: padcsim serve [--stdio | --socket PATH] [--jobs N] \
                      [--quick|--smoke] [--store DIR] \
                      [--fast-forward off|event]\n\
                      requests: one JSON object per line, e.g. \
                      {{\"id\":\"r1\",\"experiments\":[\"fig6\"],\"scale\":\"smoke\"}}"
-                );
+                ));
                 std::process::exit(0);
             }
             other => die(format!("unknown serve flag {other:?}")),
@@ -277,10 +277,10 @@ fn run_store_mode(args: &[String]) -> ! {
                     }));
             }
             "--help" | "-h" => {
-                println!(
+                say(format_args!(
                     "usage: padcsim store (stats | gc --max-bytes N) [--store DIR]\n\
                      the store directory falls back to $PADC_STORE"
-                );
+                ));
                 std::process::exit(0);
             }
             other if other.starts_with('-') => die(format!("unknown store flag {other:?}")),
@@ -307,15 +307,18 @@ fn run_store_mode(args: &[String]) -> ! {
         let o = store
             .gc(max)
             .unwrap_or_else(|e| die(format!("gc failed: {e}")));
-        println!(
+        say(format_args!(
             "store gc: evicted={} freed_bytes={} remaining_entries={} remaining_bytes={}",
             o.evicted, o.freed_bytes, o.remaining_entries, o.remaining_bytes
-        );
+        ));
     } else {
         let s = store
             .stats()
             .unwrap_or_else(|e| die(format!("stats failed: {e}")));
-        println!("store: entries={} bytes={}", s.entries, s.bytes);
+        say(format_args!(
+            "store: entries={} bytes={}",
+            s.entries, s.bytes
+        ));
     }
     std::process::exit(0);
 }
@@ -375,10 +378,7 @@ fn main() {
         cfg = cfg.with_refresh_policy(policy);
     }
     if args.print_config {
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&cfg).expect("config serializes")
-        );
+        say(serde_json::to_string_pretty(&cfg).expect("config serializes"));
         return;
     }
     if sources > 0 && cfg.cores != sources {
@@ -429,15 +429,12 @@ fn main() {
     }
 
     if args.json {
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&report).expect("report serializes")
-        );
+        say(serde_json::to_string_pretty(&report).expect("report serializes"));
         return;
     }
-    println!("cycles: {}", report.total_cycles);
+    say(format_args!("cycles: {}", report.total_cycles));
     for c in &report.per_core {
-        println!(
+        say(format_args!(
             "{:<22} IPC={:.3} MPKI={:.1} SPL={:.1} ACC={:.0}% COV={:.0}% sent={} dropped={} traffic={}",
             c.benchmark,
             c.ipc(),
@@ -448,10 +445,10 @@ fn main() {
             c.prefetches_sent,
             c.prefetches_dropped,
             c.traffic.total(),
-        );
+        ));
     }
     let t = report.traffic();
-    println!(
+    say(format_args!(
         "traffic: {} lines (demand {}, useful pf {}, useless pf {}); DRAM row-hit {:.0}%",
         t.total(),
         t.demand,
@@ -462,5 +459,5 @@ fn main() {
             .first()
             .map(|c| c.row_hit_rate() * 100.0)
             .unwrap_or(0.0),
-    );
+    ));
 }

@@ -81,6 +81,26 @@ pub fn die(msg: impl Display) -> ! {
     std::process::exit(2);
 }
 
+/// Writes one line to stdout — what every CLI in this crate uses in place
+/// of `println!`, whose panic on a failed write is a backtrace for
+/// `padcsim --list-benchmarks | head -1`.
+pub fn say(line: impl Display) {
+    if let Err(e) = writeln!(std::io::stdout().lock(), "{line}") {
+        stdout_failed(e);
+    }
+}
+
+/// Ends the process after a failed stdout write: a reader that closed the
+/// pipe early has what it wanted, so that is a clean exit 0; anything else
+/// is one `error:` line and exit 1.
+pub fn stdout_failed(e: std::io::Error) -> ! {
+    if e.kind() == std::io::ErrorKind::BrokenPipe {
+        std::process::exit(0);
+    }
+    eprintln!("error: cannot write to stdout: {e}");
+    std::process::exit(1);
+}
+
 /// Resolves the unit-store directory: the `--store DIR` flag beats the
 /// `PADC_STORE` environment variable; neither means no store.
 pub fn store_dir(flag: Option<String>) -> Option<String> {
@@ -98,7 +118,7 @@ pub fn install_store(flag: Option<String>) -> Option<String> {
 
 fn print_registry() {
     for e in experiment_registry() {
-        println!("{:<10} {}", e.id, e.paper_ref);
+        say(format_args!("{:<10} {}", e.id, e.paper_ref));
     }
 }
 
@@ -217,13 +237,13 @@ pub fn suite_main(program: &str, stdout: Stdout, args: &[String]) -> ! {
                 std::process::exit(0);
             }
             "--help" | "-h" => {
-                println!(
+                say(format_args!(
                     "usage: {program} [--quick|--smoke] [--jobs N] [--jsonl PATH] [--resume FILE]\n\
                      \x20      [--summary PATH] [--store DIR] [--budget-seconds N]\n\
                      \x20      [--json|--csv|--bars COL] [--no-progress] [--profile]\n\
                      \x20      [--fast-forward off|event] [--list] [all|<experiment-id>...]\n\
                      known ids:"
-                );
+                ));
                 print_registry();
                 std::process::exit(0);
             }
@@ -288,6 +308,9 @@ pub fn suite_main(program: &str, stdout: Stdout, args: &[String]) -> ! {
         &mut std::io::stderr().lock(),
     )
     .unwrap_or_else(|e| {
+        if !tables_on_stdout {
+            stdout_failed(e);
+        }
         eprintln!("error: suite I/O failed: {e}");
         std::process::exit(1);
     });
@@ -310,8 +333,7 @@ pub fn suite_main(program: &str, stdout: Stdout, args: &[String]) -> ! {
     if let Some(stash) = &stash {
         let stash = stash.lock().expect("stash lock");
         if let Err(e) = render_tables(&labels, &summary, &stash, &render) {
-            eprintln!("error: cannot write tables: {e}");
-            std::process::exit(1);
+            stdout_failed(e);
         }
     }
     if let Some(path) = &summary_path {

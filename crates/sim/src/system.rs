@@ -407,6 +407,8 @@ pub struct System {
     mem: MemSubsystem,
     now: Cycle,
     finish_cycle: Vec<Option<Cycle>>,
+    /// Cores whose `finish_cycle` is still `None`.
+    unfinished: usize,
     core_snapshots: Vec<Option<CoreStats>>,
     mem_snapshots: Vec<Option<PerCore>>,
     benchmark_names: Vec<String>,
@@ -516,6 +518,7 @@ impl System {
             mem,
             now: 0,
             finish_cycle: vec![None; cfg.cores],
+            unfinished: cfg.cores,
             core_snapshots: vec![None; cfg.cores],
             mem_snapshots: vec![None; cfg.cores],
             cfg,
@@ -594,6 +597,7 @@ impl System {
             && self.cores[c].stats().retired_instructions >= self.cfg.max_instructions
         {
             self.finish_cycle[c] = Some(now + 1);
+            self.unfinished -= 1;
             self.core_snapshots[c] = Some(*self.cores[c].stats());
             self.mem_snapshots[c] = Some(self.mem.pc[c]);
         }
@@ -601,7 +605,7 @@ impl System {
 
     /// True once every core has reached its instruction target.
     pub fn finished(&self) -> bool {
-        self.finish_cycle.iter().all(Option::is_some)
+        self.unfinished == 0
     }
 
     /// Sets this system's fast-forward mode (defaults to

@@ -1,7 +1,8 @@
 //! Binary-level usage contract of `padcsim`: input the CLI cannot run
 //! must exit 2 with a one-line message on stderr — never a panic with a
-//! backtrace, and never a silently ignored flag — and the `store`
-//! subcommand and `--refresh-policy all-bank` do what they say.
+//! backtrace, and never a silently ignored flag — a reader that closes
+//! stdout early is a clean exit, and the `store` subcommand and
+//! `--refresh-policy all-bank` do what they say.
 
 mod common;
 
@@ -42,6 +43,32 @@ fn rejected(args: &[&str]) -> String {
     assert_eq!(stderr.lines().count(), 1, "{args:?}: {stderr}");
     assert!(out.stdout.is_empty(), "{args:?} wrote results");
     stderr
+}
+
+/// `padcsim ... | head -1`: every stdout write fails with EPIPE. The
+/// reader is closed before the process starts, so no write can slip
+/// through first.
+#[test]
+fn a_closed_stdout_reader_is_a_clean_exit() {
+    for args in [
+        &["--list-benchmarks"][..],
+        &["--suite", "--list"],
+        &["--print-config"],
+        &["--bench", "mcf_06", "--instructions", "1000"],
+        &["--suite", "--smoke", "--no-progress", "cost"],
+    ] {
+        let (reader, writer) = std::io::pipe().expect("pipe");
+        drop(reader);
+        let out = Command::new(env!("CARGO_BIN_EXE_padcsim"))
+            .env_remove("PADC_STORE")
+            .args(args)
+            .stdout(writer)
+            .output()
+            .expect("padcsim spawns");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!stderr.contains("panicked at"), "{args:?}: {stderr}");
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {stderr}");
+    }
 }
 
 #[test]

@@ -85,6 +85,8 @@ struct Floors {
     mix_ctrl_skip_pct: Floor,
     mcf_ctrl_skip_pct: Floor,
     mix_owner_reuse_pct: Floor,
+    mix_owner_recomputes: Floor,
+    mix_owner_scan_entries: Floor,
     darp_refresh_pulls: Floor,
     darp_refresh_stall_cycles: Floor,
     all_bank_refresh_pulls: Floor,
@@ -114,10 +116,21 @@ const FLOORS: Floors = Floors {
         "as the mix row, on the single pointer-chasing core whose stalls jump farthest",
     ),
     mix_owner_reuse_pct: at_least(
-        94.0,
-        94.0 - 2.0,
+        98.1,
+        98.1 - 2.0,
         "over-invalidation (e.g. every mutation dirties every bank): the request buffer's \
          O(entries) owner rescans quietly return",
+    ),
+    mix_owner_recomputes: at_most(
+        51_634.0,
+        65_000.0,
+        "the per-event bank rescan quietly came back (an insert or the owner's own ACT/PRE \
+         dirties its bank again)",
+    ),
+    mix_owner_scan_entries: at_most(
+        1_819_065.0,
+        2_275_000.0,
+        "as the row above, in entries examined: rescans that each walk a fuller bank",
     ),
     darp_refresh_pulls: at_least(
         78.0,
@@ -249,6 +262,8 @@ fn event_kernel_skips_and_owner_cache_reuses_on_the_mix() {
         mix_owner_reuse_pct,
         100.0 * p.owner_reuses as f64 / owner_reads
     );
+    hold!(mix_owner_recomputes, p.owner_recomputes);
+    hold!(mix_owner_scan_entries, p.owner_scan_entries);
 }
 
 #[test]
