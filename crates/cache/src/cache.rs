@@ -66,7 +66,9 @@ pub struct Eviction {
 #[derive(Clone, Debug)]
 pub struct Cache {
     cfg: CacheConfig,
-    sets: Vec<Vec<Line>>,
+    /// Every line in one allocation, set-major: set `s` is
+    /// `lines[s * ways..(s + 1) * ways]`.
+    lines: Vec<Line>,
     set_mask: u64,
     set_shift: u32,
     stamp: u64,
@@ -83,7 +85,7 @@ impl Cache {
     pub fn new(cfg: CacheConfig) -> Self {
         let sets = cfg.sets();
         Cache {
-            sets: vec![vec![INVALID; cfg.ways]; sets],
+            lines: vec![INVALID; sets * cfg.ways],
             set_mask: sets as u64 - 1,
             set_shift: sets.trailing_zeros(),
             cfg,
@@ -102,47 +104,72 @@ impl Cache {
         &self.stats
     }
 
-    fn index(&self, line: LineAddr) -> (usize, u64) {
+    /// The ways of `line`'s set, and the tag `line` has there.
+    fn set_of(&self, line: LineAddr) -> (std::ops::Range<usize>, u64) {
         let set = (line.raw() & self.set_mask) as usize;
-        let tag = line.raw() >> self.set_shift;
-        (set, tag)
+        let ways = self.cfg.ways;
+        (set * ways..(set + 1) * ways, line.raw() >> self.set_shift)
     }
 
-    fn line_addr(&self, set: usize, tag: u64) -> LineAddr {
-        LineAddr::new((tag << self.set_shift) | set as u64)
+    /// Mutable access to `line`'s entry, if resident.
+    fn find_mut(&mut self, line: LineAddr) -> Option<&mut Line> {
+        let (set, tag) = self.set_of(line);
+        self.lines[set].iter_mut().find(|l| l.valid && l.tag == tag)
     }
 
     /// Demand access (load or store). Hits update LRU, consume the `P` bit,
-    /// and set the dirty bit on writes. Misses change nothing.
+    /// and set the dirty bit on writes; misses leave every line as it was.
+    /// Either way the access is observed: the LRU clock advances and
+    /// `stats.hits` or `stats.misses` counts it.
+    ///
+    /// Exactly [`Cache::probe_hit`], then [`Cache::record_miss`] if that
+    /// found nothing.
     pub fn probe(&mut self, line: LineAddr, write: bool) -> ProbeOutcome {
-        self.stamp += 1;
-        let (set, tag) = self.index(line);
-        let stamp = self.stamp;
-        for l in &mut self.sets[set] {
-            if l.valid && l.tag == tag {
-                l.lru = stamp;
-                let first_use = l.prefetched;
-                let fill_row_hit = l.filled_row_hit;
-                l.prefetched = false;
-                if write {
-                    l.dirty = true;
-                }
-                self.stats.hits += 1;
-                return ProbeOutcome::Hit(HitInfo {
-                    first_demand_use_of_prefetch: first_use,
-                    fill_was_row_hit: fill_row_hit,
-                });
+        match self.probe_hit(line, write) {
+            Some(info) => ProbeOutcome::Hit(info),
+            None => {
+                self.record_miss();
+                ProbeOutcome::Miss
             }
         }
+    }
+
+    /// The hit half of [`Cache::probe`]: if `line` is resident, everything
+    /// a probe hit does. If it is not, returns `None` with **nothing**
+    /// changed — no LRU clock tick, no statistics — so a caller that may
+    /// still have to abandon the access (a structural retry must leave no
+    /// trace) decides with one lookup, then either calls
+    /// [`Cache::record_miss`] or walks away.
+    #[inline]
+    pub fn probe_hit(&mut self, line: LineAddr, write: bool) -> Option<HitInfo> {
+        let stamp = self.stamp + 1;
+        let l = self.find_mut(line)?;
+        l.lru = stamp;
+        let info = HitInfo {
+            first_demand_use_of_prefetch: l.prefetched,
+            fill_was_row_hit: l.filled_row_hit,
+        };
+        l.prefetched = false;
+        l.dirty |= write;
+        self.stamp = stamp;
+        self.stats.hits += 1;
+        Some(info)
+    }
+
+    /// The miss half of [`Cache::probe`], for an access
+    /// [`Cache::probe_hit`] just found absent: advances the LRU clock and
+    /// counts the miss.
+    #[inline]
+    pub fn record_miss(&mut self) {
+        self.stamp += 1;
         self.stats.misses += 1;
-        ProbeOutcome::Miss
     }
 
     /// Checks for presence without updating any state (no LRU movement, no
     /// `P`-bit consumption, no statistics).
     pub fn peek(&self, line: LineAddr) -> bool {
-        let (set, tag) = self.index(line);
-        self.sets[set].iter().any(|l| l.valid && l.tag == tag)
+        let (set, tag) = self.set_of(line);
+        self.lines[set].iter().any(|l| l.valid && l.tag == tag)
     }
 
     /// Inserts `line`, evicting the LRU victim if the set is full.
@@ -159,11 +186,10 @@ impl Cache {
         row_hit: bool,
     ) -> Option<Eviction> {
         self.stamp += 1;
-        let (set, tag) = self.index(line);
         let stamp = self.stamp;
         // Refresh in place if already present (e.g. a prefetch landing after
         // a demand fill of the same line).
-        if let Some(l) = self.sets[set].iter_mut().find(|l| l.valid && l.tag == tag) {
+        if let Some(l) = self.find_mut(line) {
             l.lru = stamp;
             l.dirty |= dirty;
             // A prefetch fill of a line that demand already owns must not
@@ -172,20 +198,14 @@ impl Cache {
             l.prefetched &= prefetched;
             return None;
         }
-        let victim = self.sets[set]
+        let (set, tag) = self.set_of(line);
+        let victim = self.lines[set]
             .iter_mut()
             .min_by_key(|l| if l.valid { l.lru } else { 0 })
             .expect("sets are non-empty");
-        let evicted = if victim.valid {
-            Some(Eviction {
-                line: LineAddr::new(0), // patched below; tag needed first
-                dirty: victim.dirty,
-                unused_prefetch: victim.prefetched,
-            })
-        } else {
-            None
-        };
-        let victim_tag = victim.tag;
+        let evicted = victim
+            .valid
+            .then_some((victim.tag, victim.dirty, victim.prefetched));
         *victim = Line {
             tag,
             valid: true,
@@ -194,46 +214,32 @@ impl Cache {
             filled_row_hit: row_hit,
             lru: stamp,
         };
-        if evicted.is_some() {
+        evicted.map(|(victim_tag, dirty, unused_prefetch)| {
             self.stats.evictions += 1;
-        }
-        evicted.map(|e| Eviction {
-            line: self.line_addr(set, victim_tag),
-            ..e
+            Eviction {
+                line: LineAddr::new((victim_tag << self.set_shift) | (line.raw() & self.set_mask)),
+                dirty,
+                unused_prefetch,
+            }
         })
     }
 
     /// Removes `line` if present, returning whether it was there.
     pub fn invalidate(&mut self, line: LineAddr) -> bool {
-        let (set, tag) = self.index(line);
-        for l in &mut self.sets[set] {
-            if l.valid && l.tag == tag {
-                *l = INVALID;
-                return true;
-            }
-        }
-        false
+        self.find_mut(line).map(|l| *l = INVALID).is_some()
     }
 
     /// Marks `line` dirty if present (L1 writeback landing in L2). Returns
     /// true on success.
     pub fn mark_dirty(&mut self, line: LineAddr) -> bool {
-        let (set, tag) = self.index(line);
-        for l in &mut self.sets[set] {
-            if l.valid && l.tag == tag {
-                l.dirty = true;
-                return true;
-            }
-        }
-        false
+        self.find_mut(line).map(|l| l.dirty = true).is_some()
     }
 
     /// Number of resident lines whose `P` bit is still set — prefetches that
     /// were fetched but never used (counted as useless at end of run).
     pub fn unused_prefetched_lines(&self) -> u64 {
-        self.sets
+        self.lines
             .iter()
-            .flatten()
             .filter(|l| l.valid && l.prefetched)
             .count() as u64
     }
@@ -374,5 +380,57 @@ mod tests {
         assert_eq!(c.unused_prefetched_lines(), 2);
         c.probe(l(0), false);
         assert_eq!(c.unused_prefetched_lines(), 1);
+    }
+
+    /// `probe_hit` + `record_miss` is `probe` split in two, and the first
+    /// half alone leaves a miss unobserved.
+    #[test]
+    fn a_probe_hit_miss_changes_nothing_until_the_miss_is_recorded() {
+        let state = |c: &Cache| format!("{c:?}");
+        let mut whole = tiny();
+        let mut split = tiny();
+        for c in [&mut whole, &mut split] {
+            c.fill(l(0), true, false, true);
+            c.fill(l(4), false, false, false);
+        }
+        let before = state(&split);
+        assert_eq!(split.probe_hit(l(8), true), None);
+        assert_eq!(state(&split), before, "an abandoned access leaves no trace");
+
+        split.record_miss();
+        assert_eq!(whole.probe(l(8), true), ProbeOutcome::Miss);
+        assert_eq!(state(&split), state(&whole));
+
+        let hit = split.probe_hit(l(0), true).expect("resident");
+        assert_eq!(whole.probe(l(0), true), ProbeOutcome::Hit(hit));
+        assert!(hit.first_demand_use_of_prefetch && hit.fill_was_row_hit);
+        assert_eq!(state(&split), state(&whole));
+        // Same LRU order afterwards: line 4 is the victim in both.
+        assert_eq!(
+            split.fill(l(8), false, false, false),
+            whole.fill(l(8), false, false, false)
+        );
+        assert!(split.peek(l(0)) && !split.peek(l(4)));
+    }
+
+    /// Sets are `ways` apart in the flat store, also when that is not a
+    /// power of two.
+    #[test]
+    fn three_way_sets_do_not_overlap() {
+        let mut c = Cache::new(CacheConfig {
+            size_bytes: 4 * 3 * 64,
+            ways: 3,
+            hit_latency: 1,
+        });
+        // Fill every set (lines n, n+4, n+8 share set n): nothing evicts.
+        for n in 0..12 {
+            assert_eq!(c.fill(l(n), false, false, false), None, "line {n}");
+        }
+        assert!((0..12).all(|n| c.peek(l(n))));
+        // A fourth line in set 1 evicts that set's LRU line and no other.
+        let ev = c.fill(l(13), false, false, false).expect("set 1 is full");
+        assert_eq!(ev.line, l(1));
+        assert!((0..12).filter(|&n| n != 1).all(|n| c.peek(l(n))));
+        assert!(c.invalidate(l(5)) && !c.peek(l(5)) && c.peek(l(9)));
     }
 }

@@ -1,6 +1,4 @@
-use std::collections::HashMap;
-
-use padc_types::{CoreId, LineAddr, RequestId};
+use padc_types::{CoreId, LineAddr, LineMap, RequestId};
 
 /// A core-side consumer blocked on an outstanding fill. The `token` is
 /// opaque to the memory system; the CPU model uses it to wake the right
@@ -47,7 +45,9 @@ pub struct MshrEntry {
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct MshrFile {
-    entries: HashMap<LineAddr, MshrEntry>,
+    /// Looked up by line only and never iterated, so the non-keyed
+    /// [`LineMap`] hasher's bucket order cannot reach a result.
+    entries: LineMap<MshrEntry>,
     capacity: usize,
 }
 
@@ -55,7 +55,7 @@ impl MshrFile {
     /// Creates a file with space for `capacity` outstanding misses.
     pub fn new(capacity: usize) -> Self {
         MshrFile {
-            entries: HashMap::with_capacity(capacity),
+            entries: LineMap::with_capacity_and_hasher(capacity, Default::default()),
             capacity,
         }
     }
@@ -182,6 +182,35 @@ mod tests {
             token: 43,
         });
         assert_eq!(m.get(l(1)).unwrap().waiters.len(), 2);
+    }
+
+    /// The file answers by line alone: the order entries went in (and with
+    /// it the map's bucket layout) is invisible through every method.
+    #[test]
+    fn insertion_order_is_unobservable() {
+        let lines: Vec<u64> = (0..48).map(|i| 7 + i * 64).collect();
+        let mut fwd = MshrFile::new(64);
+        let mut rev = MshrFile::new(64);
+        for &n in &lines {
+            assert!(fwd.allocate(l(n), n % 3 == 0, r(n)));
+        }
+        for &n in lines.iter().rev() {
+            assert!(rev.allocate(l(n), n % 3 == 0, r(n)));
+        }
+        assert_eq!(fwd.len(), rev.len());
+        for &n in &lines {
+            let (a, b) = (fwd.get(l(n)).unwrap(), rev.get(l(n)).unwrap());
+            assert_eq!(
+                (a.line, a.prefetch, a.request),
+                (b.line, b.prefetch, b.request)
+            );
+        }
+        for &n in &lines[..24] {
+            assert_eq!(fwd.remove(l(n)).unwrap().request, r(n));
+            assert_eq!(rev.remove(l(n)).unwrap().request, r(n));
+        }
+        assert!(fwd.get(l(lines[0])).is_none() && rev.get(l(lines[0])).is_none());
+        assert_eq!(fwd.len(), rev.len());
     }
 
     #[test]

@@ -31,6 +31,11 @@ impl RefCache {
         )
     }
 
+    fn peek(&self, line: LineAddr) -> bool {
+        let (s, tag) = self.index(line);
+        self.sets[s].iter().any(|e| e.0 == tag)
+    }
+
     fn probe(&mut self, line: LineAddr, write: bool) -> Option<bool> {
         let (s, tag) = self.index(line);
         let set = &mut self.sets[s];
@@ -94,15 +99,23 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn cache_matches_reference_lru(ops in prop::collection::vec(arb_op(64), 1..400)) {
-        // 4 sets x 2 ways over a 64-line footprint: heavy conflict traffic.
-        let cfg = CacheConfig { size_bytes: 4 * 2 * 64, ways: 2, hit_latency: 1 };
+    fn cache_matches_reference_lru(
+        ops in prop::collection::vec(arb_op(64), 1..400),
+        set_bits in 0u32..4,
+        ways in 1usize..8,
+    ) {
+        // 1-8 sets x 1-7 ways (mostly not powers of two: the flat store
+        // indexes `set * ways + way`) over a 64-line footprint: heavy
+        // conflict traffic.
+        let sets = 1usize << set_bits;
+        let cfg = CacheConfig { size_bytes: (sets * ways * 64) as u64, ways, hit_latency: 1 };
         let mut cache = Cache::new(cfg);
-        let mut reference = RefCache::new(4, 2);
+        let mut reference = RefCache::new(sets, ways);
         for op in ops {
             match op {
                 Op::Probe { line, write } => {
                     let l = LineAddr::new(line);
+                    prop_assert_eq!(cache.peek(l), reference.peek(l));
                     let got = cache.probe(l, write);
                     let want = reference.probe(l, write);
                     match (got, want) {

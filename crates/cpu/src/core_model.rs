@@ -297,7 +297,16 @@ impl Core {
     }
 
     /// Advances the core by one cycle: retire, (maybe) runahead, dispatch.
-    pub fn tick(&mut self, now: Cycle, trace: &mut dyn TraceSource, mem: &mut dyn MemorySystem) {
+    ///
+    /// Generic over what it drives, so a caller holding concrete types gets
+    /// `next_op` and `access` dispatched statically (and inlined into the
+    /// dispatch loop); `&mut dyn TraceSource` / `&mut dyn MemorySystem` and
+    /// `&mut Box<dyn TraceSource>` are accepted as before.
+    pub fn tick<T, M>(&mut self, now: Cycle, trace: &mut T, mem: &mut M)
+    where
+        T: TraceSource + ?Sized,
+        M: MemorySystem + ?Sized,
+    {
         self.retire(now);
         if self.cfg.runahead {
             self.runahead_step(now, trace, mem);
@@ -345,12 +354,11 @@ impl Core {
     /// Runahead execution: when stalled with a full window behind a pending
     /// head load, pre-execute the future trace, issuing memory requests
     /// without occupying window entries.
-    fn runahead_step(
-        &mut self,
-        now: Cycle,
-        trace: &mut dyn TraceSource,
-        mem: &mut dyn MemorySystem,
-    ) {
+    fn runahead_step<T, M>(&mut self, now: Cycle, trace: &T, mem: &mut M)
+    where
+        T: TraceSource + ?Sized,
+        M: MemorySystem + ?Sized,
+    {
         let head_blocked = self
             .window
             .front()
@@ -396,7 +404,11 @@ impl Core {
         }
     }
 
-    fn dispatch(&mut self, now: Cycle, trace: &mut dyn TraceSource, mem: &mut dyn MemorySystem) {
+    fn dispatch<T, M>(&mut self, now: Cycle, trace: &mut T, mem: &mut M)
+    where
+        T: TraceSource + ?Sized,
+        M: MemorySystem + ?Sized,
+    {
         let mut dispatched = 0usize;
         for _ in 0..self.cfg.width {
             if self.window_full() {

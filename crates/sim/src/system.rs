@@ -1,5 +1,3 @@
-use std::collections::HashMap;
-
 use padc_cache::{Cache, MshrFile, ProbeOutcome, Waiter};
 use padc_core::{AccuracyTracker, Completion, MemoryController};
 use padc_cpu::TraceSource;
@@ -8,7 +6,7 @@ use padc_prefetch::{
     build as build_prefetcher, AccessEvent, Ddpf, DdpfConfig, Fdp, FdpConfig, FdpFeedback,
     PollutionFilter, Prefetcher,
 };
-use padc_types::{AccessKind, CoreId, Cycle, LineAddr, MemRequest, RequestKind};
+use padc_types::{AccessKind, CoreId, Cycle, LineAddr, LineMap, MemRequest, RequestKind};
 use padc_workloads::{BenchProfile, TraceGen};
 
 use crate::profile::{self, SimProfile};
@@ -73,10 +71,13 @@ struct MemSubsystem {
     now: Cycle,
     /// Prefetch memory-service-time histogram (Fig. 4(a)): 9 buckets of 200
     /// cycles, split by eventual usefulness. `hist_pending` holds the bucket
-    /// of each prefetched line whose usefulness is not yet known.
+    /// of each prefetched line whose usefulness is not yet known; it is
+    /// looked up by line, and iterated only to sum its values into
+    /// `hist_useless`, so the non-keyed [`LineMap`] hasher's bucket order
+    /// cannot reach a result.
     hist_useful: [u64; 9],
     hist_useless: [u64; 9],
-    hist_pending: HashMap<LineAddr, u8>,
+    hist_pending: LineMap<u8>,
 }
 
 /// Bucket index for a prefetch service time (200-cycle buckets, Fig. 4(a)).
@@ -301,25 +302,25 @@ impl MemorySystem for MemSubsystem {
         let c = core.index();
         let line = acc.addr.line();
         let is_store = acc.kind == AccessKind::Store;
-        // Structural pre-check with no side effects: an access that will
-        // need a new MSHR entry but cannot get one (or cannot enter the
-        // request buffer) retries WITHOUT touching cache state or the
-        // prefetcher — a retried access must be observed exactly once.
-        if !self.l1s[c].peek(line) {
-            let li = self.l2_index(c);
-            if !self.l2s[li].peek(line)
-                && self.mshrs[li].get(line).is_none()
-                && (self.mshrs[li].is_full() || !self.controller.has_space())
-            {
-                return AccessResponse::Retry;
-            }
-        }
-        if let ProbeOutcome::Hit(_) = self.l1s[c].probe(line, is_store) {
+        // One L1 lookup decides: a hit is complete here; a miss has touched
+        // nothing yet.
+        if self.l1s[c].probe_hit(line, is_store).is_some() {
             return AccessResponse::Hit {
                 latency: self.l1_latency,
             };
         }
         let li = self.l2_index(c);
+        // Structural pre-check with no side effects: an access that will
+        // need a new MSHR entry but cannot get one (or cannot enter the
+        // request buffer) retries WITHOUT touching cache state or the
+        // prefetcher — a retried access must be observed exactly once.
+        if (self.mshrs[li].is_full() || !self.controller.has_space())
+            && !self.l2s[li].peek(line)
+            && self.mshrs[li].get(line).is_none()
+        {
+            return AccessResponse::Retry;
+        }
+        self.l1s[c].record_miss();
         if !acc.runahead {
             self.pc[c].l2_accesses += 1;
             self.fdp_acc[c].demands += 1;
@@ -396,6 +397,14 @@ impl MemorySystem for MemSubsystem {
     }
 }
 
+/// What drives the cores: [`System::new`]'s own generators, held concretely
+/// so [`Core::tick`] reaches `TraceGen::next_op` without a virtual call, or
+/// whatever [`System::with_traces`] was handed.
+enum Traces {
+    Generated(Vec<TraceGen>),
+    Supplied(Vec<Box<dyn TraceSource>>),
+}
+
 /// The full simulated system: cores + traces + memory subsystem.
 ///
 /// Construct with a [`SimConfig`] and one [`BenchProfile`] per core, then
@@ -403,7 +412,7 @@ impl MemorySystem for MemSubsystem {
 pub struct System {
     cfg: SimConfig,
     cores: Vec<Core>,
-    traces: Vec<Box<dyn TraceSource>>,
+    traces: Traces,
     mem: MemSubsystem,
     now: Cycle,
     finish_cycle: Vec<Option<Cycle>>,
@@ -434,13 +443,13 @@ impl System {
             cfg.cores,
             benchmarks.len()
         );
-        let traces: Vec<Box<dyn TraceSource>> = benchmarks
+        let traces = benchmarks
             .iter()
             .enumerate()
-            .map(|(i, b)| Box::new(TraceGen::new(b, i, cfg.seed)) as Box<dyn TraceSource>)
+            .map(|(i, b)| TraceGen::new(b, i, cfg.seed))
             .collect();
         let names = benchmarks.iter().map(|b| b.name.clone()).collect();
-        Self::from_parts(cfg, traces, names)
+        Self::from_parts(cfg, Traces::Generated(traces), names)
     }
 
     /// Builds a system from arbitrary trace sources (e.g. recorded trace
@@ -459,14 +468,10 @@ impl System {
         cfg.validate();
         assert_eq!(traces.len(), cfg.cores, "one trace per core");
         assert_eq!(names.len(), cfg.cores, "one name per core");
-        Self::from_parts(cfg, traces, names)
+        Self::from_parts(cfg, Traces::Supplied(traces), names)
     }
 
-    fn from_parts(
-        cfg: SimConfig,
-        traces: Vec<Box<dyn TraceSource>>,
-        benchmark_names: Vec<String>,
-    ) -> Self {
+    fn from_parts(cfg: SimConfig, traces: Traces, benchmark_names: Vec<String>) -> Self {
         let cores: Vec<Core> = (0..cfg.cores)
             .map(|i| Core::new(CoreId::new(i), cfg.core))
             .collect();
@@ -508,7 +513,7 @@ impl System {
             now: 0,
             hist_useful: [0; 9],
             hist_useless: [0; 9],
-            hist_pending: HashMap::new(),
+            hist_pending: LineMap::default(),
         };
         // FDP starts the stream prefetcher at its initial (milder) level.
         let mut sys = System {
@@ -591,7 +596,10 @@ impl System {
     /// Core `c`'s real tick at `now`, snapshotting its stats the cycle it
     /// reaches the instruction target.
     fn tick_core(&mut self, c: usize, now: Cycle) {
-        self.cores[c].tick(now, &mut self.traces[c], &mut self.mem);
+        match &mut self.traces {
+            Traces::Generated(gens) => self.cores[c].tick(now, &mut gens[c], &mut self.mem),
+            Traces::Supplied(traces) => self.cores[c].tick(now, &mut traces[c], &mut self.mem),
+        }
         self.profile.core_cycles_ticked += 1;
         if self.finish_cycle[c].is_none()
             && self.cores[c].stats().retired_instructions >= self.cfg.max_instructions
@@ -723,6 +731,9 @@ impl System {
 
 #[cfg(test)]
 mod tests {
+    use std::cell::Cell;
+    use std::rc::Rc;
+
     use padc_core::SchedulingPolicy;
     use padc_workloads::profiles;
 
@@ -813,5 +824,188 @@ mod tests {
         let b = run();
         assert_eq!(a.total_cycles, b.total_cycles);
         assert_eq!(a.per_core, b.per_core);
+    }
+
+    /// A prefetcher that only counts the accesses it is shown.
+    struct Counting(Rc<Cell<u64>>);
+
+    impl Prefetcher for Counting {
+        fn on_access(&mut self, _ev: &AccessEvent, _out: &mut Vec<LineAddr>) {
+            self.0.set(self.0.get() + 1);
+        }
+
+        fn name(&self) -> &'static str {
+            "counting"
+        }
+    }
+
+    /// A single-core memory subsystem with four MSHR entries, a few lines
+    /// already resident, and a [`Counting`] prefetcher.
+    fn small_mem() -> (MemSubsystem, Rc<Cell<u64>>) {
+        let mut cfg = quick_cfg(SchedulingPolicy::DemandFirst);
+        cfg.mshr_entries = 4;
+        let mut mem = System::new(cfg, vec![profiles::libquantum()]).mem;
+        let seen = Rc::new(Cell::new(0));
+        mem.prefetchers[0] = Box::new(Counting(seen.clone()));
+        // Lines 0x10 + k * 128 fill L1 set 0x10 (and sit in L2); 0x210, of the
+        // same L1 set, and 0x20.. (one of them prefetched) are in L2 only.
+        mem.l2s[0].fill(LineAddr::new(0x210), false, false, false);
+        for k in 0..4 {
+            mem.l2s[0].fill(LineAddr::new(0x10 + k * 128), false, false, false);
+            mem.l1s[0].fill(LineAddr::new(0x10 + k * 128), false, false, false);
+            mem.l2s[0].fill(LineAddr::new(0x20 + k), k == 0, false, true);
+        }
+        (mem, seen)
+    }
+
+    fn touch(mem: &mut MemSubsystem, line: u64, kind: AccessKind, now: Cycle) -> AccessResponse {
+        let acc = MemAccess {
+            addr: LineAddr::new(line).base_addr(),
+            pc: 0x400,
+            kind,
+            token: line,
+            runahead: false,
+        };
+        mem.access(CoreId::new(0), &acc, now)
+    }
+
+    /// Everything an access can leave behind short of the controller:
+    /// tag stores with their LRU stamps and stats, MSHRs, per-core and FDP
+    /// counters, the pending histogram, and the prefetcher's call count.
+    /// The two line-keyed maps are rendered by key, not in bucket order:
+    /// the MSHR file (which cannot be iterated) through the lines in
+    /// `MISSED`, which must account for every entry it holds.
+    fn traces_left(mem: &MemSubsystem, seen: &Cell<u64>) -> String {
+        let mshrs: Vec<_> = MISSED
+            .iter()
+            .filter_map(|&line| mem.mshrs[0].get(LineAddr::new(line)))
+            .collect();
+        assert_eq!(mshrs.len(), mem.mshrs[0].len(), "a miss not in MISSED");
+        let hist_pending: std::collections::BTreeMap<_, _> = mem.hist_pending.iter().collect();
+        format!(
+            "{:?} {:?} {:?} {:?} {:?} {:?} seen={} buffered={}",
+            mem.l1s,
+            mem.l2s,
+            mshrs,
+            mem.pc,
+            mem.fdp_acc,
+            hist_pending,
+            seen.get(),
+            mem.controller.occupancy(),
+        )
+    }
+
+    /// Every line `a_retried_access_is_observed_exactly_once` misses on.
+    const MISSED: [u64; 6] = [0x1000, 0x2000, 0x3000, 0x4000, 0x5000, 0x6000];
+
+    /// The single-lookup access path keeps the retry contract: an access
+    /// that must retry is not observed by anything, and when it is
+    /// presented again it behaves — and leaves the hierarchy — exactly as
+    /// if it had arrived then for the first time.
+    #[test]
+    fn a_retried_access_is_observed_exactly_once() {
+        use AccessKind::{Load, Store};
+        let (mut retried, seen_r) = small_mem();
+        let (mut fresh, seen_f) = small_mem();
+        // Fill the four MSHR entries; mix in an L1 hit and an L2 hit so the
+        // LRU clocks are off zero.
+        let warm_up = [
+            (0x1000, Load),
+            (0x10, Load),
+            (0x2000, Store),
+            (0x20, Load),
+            (0x3000, Load),
+            (0x4000, Load),
+        ];
+        for (now, (line, kind)) in warm_up.into_iter().enumerate() {
+            let r = touch(&mut retried, line, kind, now as Cycle);
+            assert_eq!(r, touch(&mut fresh, line, kind, now as Cycle));
+            assert_ne!(r, AccessResponse::Retry, "line {line:#x}");
+        }
+        assert!(retried.mshrs[0].is_full());
+        assert_eq!(traces_left(&retried, &seen_r), traces_left(&fresh, &seen_f));
+
+        // Only `retried` sees these: new misses with no MSHR entry to take.
+        let before = traces_left(&retried, &seen_r);
+        for now in 10..14 {
+            assert_eq!(
+                touch(&mut retried, 0x5000, Load, now),
+                AccessResponse::Retry
+            );
+            assert_eq!(
+                touch(&mut retried, 0x6000, Store, now),
+                AccessResponse::Retry
+            );
+        }
+        assert_eq!(
+            traces_left(&retried, &seen_r),
+            before,
+            "a retry left a trace"
+        );
+        // Accesses that need no new entry still go through while it is full:
+        // an L1 hit, an L2 hit, a merge into an outstanding miss.
+        for (line, kind) in [(0x90, Load), (0x21, Store), (0x1000, Load)] {
+            let r = touch(&mut retried, line, kind, 14);
+            assert_eq!(r, touch(&mut fresh, line, kind, 14));
+            assert_ne!(r, AccessResponse::Retry, "line {line:#x}");
+        }
+
+        // An entry frees up; the retried accesses now arrive in both.
+        for mem in [&mut retried, &mut fresh] {
+            mem.mshrs[0]
+                .remove(LineAddr::new(0x3000))
+                .expect("outstanding");
+        }
+        let tail = [
+            (0x5000, Load),  // the retried load: a new miss, takes the entry
+            (0x6000, Store), // the retried store: full again, retries in both
+            (0x5000, Load),  // merge
+            (0x22, Load),    // L2 hit, fills L1
+            (0x210, Load),   // L2 hit whose L1 fill evicts from the full set 0x10
+            (0x110, Store),  // L1 hit
+            (0x23, Store),   // L2 hit
+        ];
+        for (i, (line, kind)) in tail.into_iter().enumerate() {
+            let now = 20 + i as Cycle;
+            assert_eq!(
+                touch(&mut retried, line, kind, now),
+                touch(&mut fresh, line, kind, now),
+                "tail access {i} (line {line:#x})"
+            );
+        }
+        assert_eq!(traces_left(&retried, &seen_r), traces_left(&fresh, &seen_f));
+        assert!(seen_r.get() > 0);
+    }
+
+    /// `hist_pending` is hashed without a key and iterated by `report()`:
+    /// the report may only sum what it finds, never depend on the order.
+    #[test]
+    fn report_is_independent_of_hist_pending_insertion_order() {
+        let report = |reverse: bool| {
+            let mut sys = System::new(
+                quick_cfg(SchedulingPolicy::Padc),
+                vec![profiles::libquantum()],
+            );
+            let mut pending: Vec<(u64, u8)> = (0..5000u64)
+                .map(|i| (i * 64 + i % 7, (i % 9) as u8))
+                .collect();
+            if reverse {
+                pending.reverse();
+            }
+            // Interleave removals so the two tables also differ in their
+            // tombstones, not only in their growth history.
+            for (n, (line, bucket)) in pending.iter().enumerate() {
+                sys.mem.hist_pending.insert(LineAddr::new(*line), *bucket);
+                if n % 5 == 4 {
+                    sys.mem
+                        .hist_pending
+                        .remove(&LineAddr::new(pending[n - 2].0));
+                }
+            }
+            sys.report()
+        };
+        let (forward, backward) = (report(false), report(true));
+        assert_eq!(forward.pf_service_hist_useless.iter().sum::<u64>(), 4000);
+        assert_eq!(forward, backward);
     }
 }

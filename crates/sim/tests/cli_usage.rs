@@ -89,6 +89,28 @@ fn unrunnable_input_exits_2_with_one_line() {
     assert!(spare_cores.contains("--cores 3 but 1"), "{spare_cores}");
 }
 
+/// A two-line trace file asking for a 22 TB expansion is a usage error
+/// decided by arithmetic — not an allocation abort (SIGABRT, no exit code)
+/// after eating the host's memory.
+#[test]
+fn an_over_long_trace_is_refused_before_it_is_expanded() {
+    let dir = scratch("trace");
+    let trace = dir.join("huge.trace");
+    std::fs::write(&trace, "C 999999999999\nL 0x40 0x400\n").expect("trace written");
+    let started = std::time::Instant::now();
+    let stderr = rejected(&["--trace", trace.to_str().expect("utf-8 path")]);
+    // Milliseconds on an idle host; the bound only has to sit below what
+    // expanding 10^12 ops would take.
+    assert!(started.elapsed() < std::time::Duration::from_secs(30));
+    assert!(stderr.starts_with("error: trace "), "{stderr}");
+    assert!(
+        stderr.contains("line 1") && stderr.contains("limit"),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("memory allocation"), "{stderr}");
+    std::fs::remove_dir_all(&dir).expect("scratch removed");
+}
+
 #[test]
 fn config_core_count_must_match_the_sources() {
     let dir = scratch("config");

@@ -22,10 +22,12 @@
 #![warn(missing_docs)]
 
 mod addr;
+mod hash;
 mod ids;
 mod request;
 
 pub use addr::{Addr, LineAddr, LINE_BYTES, LINE_SHIFT};
+pub use hash::{LineHasher, LineMap};
 pub use ids::{ChannelId, CoreId, RequestId};
 pub use request::{AccessKind, MemRequest, RequestKind};
 

@@ -43,4 +43,4 @@ pub use chase::{ChaseConfig, PointerChase};
 pub use generator::TraceGen;
 pub use multiprog::{random_workloads, Workload};
 pub use profile::{BenchProfile, Pattern, PhaseSpec, PrefetchClass};
-pub use tracefile::{format_trace, parse_trace, ParseTraceError, TraceFileSource};
+pub use tracefile::{format_trace, parse_trace, ParseTraceError, TraceFileSource, MAX_TRACE_OPS};

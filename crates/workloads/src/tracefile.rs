@@ -14,7 +14,9 @@
 //!
 //! A [`TraceFileSource`] replays the parsed trace cyclically (traces are
 //! finite; cores are driven until an instruction budget, so the trace loops
-//! like the paper's Pinpoint slices effectively do across intervals).
+//! like the paper's Pinpoint slices effectively do across intervals). The
+//! whole trace is held expanded in memory, one [`TraceOp`] per instruction,
+//! so its length is bounded by [`MAX_TRACE_OPS`].
 
 use std::fmt::Write as _;
 use std::path::Path;
@@ -43,6 +45,11 @@ impl std::fmt::Display for ParseTraceError {
 
 impl std::error::Error for ParseTraceError {}
 
+/// Most operations one trace may expand to (`C <n>` counts as `n`): 4 Mi
+/// ops, 96 MiB expanded. A longer file is refused, not truncated — `C
+/// 999999999999` would otherwise be a 22 TB allocation.
+pub const MAX_TRACE_OPS: usize = 4 << 20;
+
 fn parse_u64(tok: &str) -> Option<u64> {
     if let Some(hex) = tok.strip_prefix("0x").or_else(|| tok.strip_prefix("0X")) {
         u64::from_str_radix(hex, 16).ok()
@@ -55,9 +62,15 @@ fn parse_u64(tok: &str) -> Option<u64> {
 ///
 /// # Errors
 ///
-/// Returns [`ParseTraceError`] on an unknown opcode, missing operand, or
-/// malformed number.
+/// Returns [`ParseTraceError`] on an unknown opcode, missing operand,
+/// malformed number, or a trace expanding past [`MAX_TRACE_OPS`] (checked
+/// before anything is allocated for the offending line).
 pub fn parse_trace(text: &str) -> Result<Vec<TraceOp>, ParseTraceError> {
+    parse_bounded(text, MAX_TRACE_OPS)
+}
+
+/// [`parse_trace`] with the bound as a parameter (tests use a small one).
+fn parse_bounded(text: &str, max_ops: usize) -> Result<Vec<TraceOp>, ParseTraceError> {
     let mut ops = Vec::new();
     for (idx, raw) in text.lines().enumerate() {
         let line = idx + 1;
@@ -71,17 +84,28 @@ pub fn parse_trace(text: &str) -> Result<Vec<TraceOp>, ParseTraceError> {
             line,
             message: message.to_string(),
         };
+        // Ops this line may still add.
+        let room = (max_ops - ops.len()) as u64;
+        let too_long = || {
+            err(&format!(
+                "trace expands past the limit of {max_ops} operations"
+            ))
+        };
         match op {
             "C" => {
                 let n = toks
                     .next()
                     .and_then(parse_u64)
                     .ok_or_else(|| err("C needs a count"))?;
-                for _ in 0..n {
-                    ops.push(TraceOp::Compute);
+                if n > room {
+                    return Err(too_long());
                 }
+                ops.resize(ops.len() + n as usize, TraceOp::Compute);
             }
             "L" | "D" | "S" => {
+                if room == 0 {
+                    return Err(too_long());
+                }
                 let addr = toks
                     .next()
                     .and_then(parse_u64)
@@ -259,6 +283,33 @@ mod tests {
 
         let err = parse_trace("L 0x40 0x400 extra\n").expect_err("trailing");
         assert!(err.to_string().contains("trailing"));
+    }
+
+    #[test]
+    fn expansion_is_bounded_before_it_allocates() {
+        // One line asking for 22 TB: refused by arithmetic, in no time.
+        let err = parse_trace("C 999999999999\nL 0x40 0x400\n").expect_err("too long");
+        assert_eq!(err.line, 1);
+        assert!(
+            err.to_string().contains(&MAX_TRACE_OPS.to_string()),
+            "{err}"
+        );
+        let err = parse_trace("C 0xffffffffffffffff\n").expect_err("too long");
+        assert_eq!(err.line, 1);
+
+        // The bound is on the whole trace, whatever kind of line crosses it.
+        assert_eq!(
+            parse_bounded("C 7\nL 0 0\n", 8)
+                .expect("at the limit")
+                .len(),
+            8
+        );
+        for extra in ["C 1\n", "L 0x40 0x400\n", "S 0x40 0x400\n"] {
+            let err = parse_bounded(&format!("C 8\n{extra}"), 8).expect_err("one past the limit");
+            assert_eq!(err.line, 2, "{extra}");
+            assert!(err.to_string().contains("limit of 8"), "{err}");
+        }
+        assert!(parse_bounded("C 8\nC 0\n# done\n", 8).is_ok());
     }
 
     #[test]
