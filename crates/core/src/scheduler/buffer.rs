@@ -30,14 +30,23 @@
 //!   owner's own ACT/PRE keep it (only its row-hit bit can change), and a
 //!   rescan happens only when the bank is marked dirty — the owner left,
 //!   or a key input other than those changed;
+//! - a **ready lane**: per (channel, bank), the owner's key and slot with
+//!   the *bank-local* half of its DRAM readiness — its next command's
+//!   class and the cycle the bank accepts it ([`Channel::bank_ready`]),
+//!   which only a command to that bank or a change of its owner can move —
+//!   behind a **stale set** marked where the bank is dirtied, where an
+//!   insert is left pending and where the owner's own ACT/PRE lands. A
+//!   scheduling pass re-derives the stale banks and folds the dense lane
+//!   against the channel's floors ([`Channel::floors`]), instead of asking
+//!   every bank for its owner and the channel for every owner's readiness;
 //! - per-core **min-heaps of APD drop arrivals** behind a cached earliest
 //!   deadline, so the per-cycle "is a drop due" test is a field read;
 //! - running **writeback / batched / per-core criticality counts** for the
 //!   write-drain watermark, batch-reform trigger, and ranking.
 //!
-//! Cache state (owners, dirty flags, pending inserts, the lane, heaps, the
-//! cached deadline, epoch snapshots, stats) is excluded from the `Debug`
-//! representation: equality of `Debug` strings is how the `next_event`
+//! Cache state (owners, dirty flags, pending inserts, both lanes and the
+//! stale set, heaps, the cached deadline, epoch snapshots, stats) is
+//! excluded from the `Debug` representation: equality of `Debug` strings is how the `next_event`
 //! soundness oracle detects observable mutation, and cache fills during
 //! proven-idle windows are not observable.
 //!
@@ -81,7 +90,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::fmt;
 
-use padc_dram::{Channel, RowBufferOutcome, Target};
+use padc_dram::{BankReady, Channel, RowBufferOutcome, Target};
 use padc_types::{AccessKind, Cycle, MemRequest};
 
 use crate::accuracy::AccuracyTracker;
@@ -149,6 +158,9 @@ pub struct BufferStats {
     pub owner_reuses: u64,
     /// Entries examined across all owner rescans (bitset-scan volume).
     pub owner_scan_entries: u64,
+    /// Ready-lane entries re-derived (one per stale bank per scheduling
+    /// pass). A pass over a channel whose banks are all clean adds none.
+    pub lane_refreshes: u64,
 }
 
 /// Fixed-capacity bitset over slab slots.
@@ -270,6 +282,20 @@ impl Lane {
     }
 }
 
+/// One ready-lane entry: a non-empty bank's owner with the bank-local half
+/// of its readiness ([`Channel::bank_ready`]), so a scheduling pass folds
+/// `ready` against the channel's floors instead of asking the buffer for the
+/// owner and the channel for its bank state (DESIGN.md §13, B6).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(super) struct ReadyOwner {
+    /// The owner's current key.
+    pub(super) key: PackedKey,
+    /// The owner's slot.
+    pub(super) slot: Slot,
+    /// Its next command's class and the cycle its bank accepts it.
+    pub(super) ready: BankReady,
+}
+
 /// Min-heaps of APD drop candidates, one per core (drop thresholds are
 /// per-core, so the earliest deadline per core is its earliest *arrival*).
 /// Heap entries go stale when the slot is freed, reused, promoted, or
@@ -281,7 +307,7 @@ struct DeadlineHeaps {
 }
 
 /// The data-oriented request buffer. See the module docs for the layout and
-/// the maintained invariants (DESIGN.md §13, B1–B4).
+/// the maintained invariants (DESIGN.md §13, B1–B6).
 #[derive(Clone)]
 pub struct RequestBuffer {
     cap: usize,
@@ -328,6 +354,20 @@ pub struct RequestBuffer {
     /// Per-channel refresh count the owner caches were computed under; a
     /// refresh resets every bank's row state, re-keying `row_hit`.
     refreshes_seen: Vec<u64>,
+    /// The ready lane, indexed like `banks`: each non-empty bank's owner
+    /// with the bank-local half of its readiness. An entry whose bank is in
+    /// `stale` is out of date; every other one equals a fresh
+    /// [`RequestBuffer::owner`] and [`Channel::bank_ready`] (B6).
+    ready: Vec<Option<ReadyOwner>>,
+    /// Banks whose `ready` entry must be re-derived: bit `bank % 64` of word
+    /// `channel * stale_words + bank / 64`. A superset of the dirty banks
+    /// and of those with pending inserts.
+    stale: Vec<u64>,
+    /// Words of `stale` per channel.
+    stale_words: usize,
+    /// `Some` entries of `ready` per channel: what a pass counts as owner
+    /// queries answered, without walking the lane to count them.
+    ready_owners: Vec<u64>,
     stats: BufferStats,
 }
 
@@ -385,6 +425,10 @@ impl RequestBuffer {
             rank_fields: vec![PackedKey::rank_field(0); cores + 1],
             rollover_seen: 0,
             refreshes_seen: vec![0; channels],
+            ready: vec![None; channels * banks_per_channel],
+            stale: vec![0; channels * banks_per_channel.div_ceil(64)],
+            stale_words: banks_per_channel.div_ceil(64),
+            ready_owners: vec![0; channels],
             stats: BufferStats::default(),
         }
     }
@@ -448,9 +492,21 @@ impl RequestBuffer {
         target.channel * self.stride + target.bank
     }
 
+    /// Marks one bank's ready-lane entry stale: the next pass over its
+    /// channel re-derives it.
+    fn mark_stale(&mut self, channel: usize, bank: usize) {
+        self.stale[channel * self.stale_words + bank / 64] |= 1 << (bank % 64);
+    }
+
+    /// True while `(channel, bank)`'s ready-lane entry awaits re-derivation.
+    pub(super) fn lane_stale(&self, channel: usize, bank: usize) -> bool {
+        self.stale[channel * self.stale_words + bank / 64] >> (bank % 64) & 1 == 1
+    }
+
     /// Marks one bank's owner dirty: its next query rescans the members.
-    fn mark_bank_dirty(&mut self, bank_idx: usize) {
-        let b = &mut self.banks[bank_idx];
+    fn mark_bank_dirty(&mut self, channel: usize, bank: usize) {
+        self.mark_stale(channel, bank);
+        let b = &mut self.banks[channel * self.stride + bank];
         if !b.dirty {
             b.dirty = true;
             b.pending.clear();
@@ -461,8 +517,10 @@ impl RequestBuffer {
     /// Marks every bank's owner dirty (rank counts moved; or, via
     /// [`RequestBuffer::bump_key_generation`], a static key input did).
     fn mark_all_dirty(&mut self) {
-        for i in 0..self.banks.len() {
-            self.mark_bank_dirty(i);
+        for channel in 0..self.refreshes_seen.len() {
+            for bank in 0..self.stride {
+                self.mark_bank_dirty(channel, bank);
+            }
         }
     }
 
@@ -478,7 +536,7 @@ impl RequestBuffer {
     /// not cause: a closed-row / HAPPY policy precharge or a DARP refresh
     /// pull re-keys the bank's `row_hit` bits.
     pub fn note_bank_command(&mut self, channel: usize, bank: usize) {
-        self.mark_bank_dirty(channel * self.stride + bank);
+        self.mark_bank_dirty(channel, bank);
     }
 
     /// The ACT (`activated`) or PRE the controller just issued for `slot`,
@@ -489,16 +547,18 @@ impl RequestBuffer {
     /// hit) raises only the owner's own bit and those of entries it
     /// already beat on `(urgent, rank, fcfs)`; before a PRE the owner was
     /// a row conflict, so no same-class entry was a hit or it would have
-    /// been the owner, and closing the row changes no same-class key.
+    /// been the owner, and closing the row changes no same-class key. The
+    /// bank's state did change, so its ready-lane entry goes stale.
     pub fn note_owner_command(&mut self, channel: usize, bank: usize, slot: Slot, activated: bool) {
         let b = &mut self.banks[channel * self.stride + bank];
-        debug_assert!(!b.dirty && b.pending.is_empty(), "owner() not called");
+        debug_assert!(!b.dirty && b.pending.is_empty(), "bank not up to date");
         let (key, owner) = b.owner.as_mut().expect("commanded bank has an owner");
         debug_assert_eq!(*owner, slot, "command issued for a non-owner");
         debug_assert!(!key.row_hit(), "ACT/PRE issued for a row hit");
         if activated {
             *key = key.with_row_hit();
         }
+        self.mark_stale(channel, bank);
     }
 
     /// Reconciles the owner caches with the accuracy epoch: if the tracker
@@ -524,7 +584,7 @@ impl RequestBuffer {
         if self.refreshes_seen[channel] != refreshes {
             self.refreshes_seen[channel] = refreshes;
             for bank in 0..self.stride {
-                self.mark_bank_dirty(channel * self.stride + bank);
+                self.mark_bank_dirty(channel, bank);
             }
         }
     }
@@ -564,10 +624,10 @@ impl RequestBuffer {
         } else if let Some(c) = self.demands.get_mut(core) {
             *c += 1;
         }
-        let bank_idx = self.bank_index(&e.target);
+        let (channel, bank) = (e.target.channel, e.target.bank);
         self.lane.row[slot as usize] = e.target.row;
         self.lane.stamp[slot as usize] = 0;
-        let b = &mut self.banks[bank_idx];
+        let b = &mut self.banks[channel * self.stride + bank];
         b.members.set(slot as usize);
         self.slots[slot as usize] = Some(e);
         // Under ranking any membership change shifts every core's rank
@@ -577,6 +637,7 @@ impl RequestBuffer {
             self.mark_all_dirty();
         } else if !b.dirty {
             b.pending.push(slot);
+            self.mark_stale(channel, bank);
         }
         slot
     }
@@ -613,7 +674,7 @@ impl RequestBuffer {
             self.mark_all_dirty();
         } else if b.owner.is_some_and(|(_, s)| s == slot) {
             // Only losing the owner forces a rescan.
-            self.mark_bank_dirty(bank_idx);
+            self.mark_bank_dirty(e.target.channel, e.target.bank);
         } else if let Some(i) = b.pending.iter().position(|&p| p == slot) {
             b.pending.swap_remove(i);
         }
@@ -627,7 +688,7 @@ impl RequestBuffer {
         debug_assert!(e.req.kind.is_prefetch());
         e.req.promote_to_demand();
         let (core, id) = (e.req.core.index(), e.req.id.raw());
-        let bank_idx = e.target.channel * self.stride + e.target.bank;
+        let (channel, bank) = (e.target.channel, e.target.bank);
         if let Some(c) = self.prefetches.get_mut(core) {
             *c -= 1;
         }
@@ -641,7 +702,7 @@ impl RequestBuffer {
         if self.ranking {
             self.mark_all_dirty();
         } else {
-            self.mark_bank_dirty(bank_idx);
+            self.mark_bank_dirty(channel, bank);
         }
     }
 
@@ -676,12 +737,12 @@ impl RequestBuffer {
         let e = self.slots[slot as usize].as_mut().expect("free slot");
         debug_assert!(!e.batched);
         e.batched = true;
-        let bank_idx = e.target.channel * self.stride + e.target.bank;
+        let (channel, bank) = (e.target.channel, e.target.bank);
         self.batched += 1;
         // `batched` outranks everything below `class_match`, so the bank's
         // owner may change; rank counts (criticality) are unaffected.
         self.lane.stamp[slot as usize] = 0;
-        self.mark_bank_dirty(bank_idx);
+        self.mark_bank_dirty(channel, bank);
     }
 
     /// Per-core critical-request counts for shortest-job ranking (§6.5),
@@ -770,22 +831,23 @@ impl RequestBuffer {
         ch: &Channel,
         now: Cycle,
     ) -> Option<(PackedKey, Slot)> {
-        let bank_idx = channel * self.stride + bank;
-        let b = &mut self.banks[bank_idx];
-        if b.members.is_empty() {
-            b.owner = None;
-            b.dirty = false;
-            return None;
-        }
-        if !b.dirty {
-            self.stats.owner_reuses += 1;
-            if b.pending.is_empty() {
-                return b.owner;
-            }
-        }
         if self.ranking {
             ctx.fill_rank_fields(&mut self.rank_fields);
         }
+        self.fold_or_rescan(channel, bank, ctx, ch, now)
+    }
+
+    /// [`RequestBuffer::owner`] once `rank_fields` holds `ctx`'s ranks, so a
+    /// pass over many banks fills them once.
+    fn fold_or_rescan(
+        &mut self,
+        channel: usize,
+        bank: usize,
+        ctx: &KeyCtx<'_>,
+        ch: &Channel,
+        now: Cycle,
+    ) -> Option<(PackedKey, Slot)> {
+        let bank_idx = channel * self.stride + bank;
         let RequestBuffer {
             banks,
             lane,
@@ -796,6 +858,17 @@ impl RequestBuffer {
             ..
         } = self;
         let b = &mut banks[bank_idx];
+        if b.members.is_empty() {
+            b.owner = None;
+            b.dirty = false;
+            return None;
+        }
+        if !b.dirty {
+            stats.owner_reuses += 1;
+            if b.pending.is_empty() {
+                return b.owner;
+            }
+        }
         let open_row = ch.effective_row(bank, now);
         let mut best = b.owner.filter(|_| !b.dirty);
         let mut consider = |slot: usize| {
@@ -819,6 +892,48 @@ impl RequestBuffer {
         }
         b.owner = best;
         best
+    }
+
+    /// The ready lane of `channel`, brought up to date: per bank, its owner
+    /// with the bank-local half of the owner's readiness, `None` for an
+    /// empty bank. Only the banks marked stale since the channel's last pass
+    /// are re-derived, through the same fold-or-rescan as
+    /// [`RequestBuffer::owner`]; every other non-empty bank's entry stands
+    /// for one owner query answered without a rescan, and is counted as one.
+    pub(super) fn ready_lane(
+        &mut self,
+        channel: usize,
+        ctx: &KeyCtx<'_>,
+        ch: &Channel,
+        now: Cycle,
+    ) -> &[Option<ReadyOwner>] {
+        let (first_bank, first_word) = (channel * self.stride, channel * self.stale_words);
+        let stale = &self.stale[first_word..first_word + self.stale_words];
+        if self.ranking && stale.iter().any(|&w| w != 0) {
+            // Once per pass, not once per bank.
+            ctx.fill_rank_fields(&mut self.rank_fields);
+        }
+        let mut rederived = 0;
+        for wi in 0..self.stale_words {
+            let mut word = std::mem::take(&mut self.stale[first_word + wi]);
+            while word != 0 {
+                let bank = wi * 64 + word.trailing_zeros() as usize;
+                word &= word - 1;
+                let owner = self.fold_or_rescan(channel, bank, ctx, ch, now);
+                let entry = &mut self.ready[first_bank + bank];
+                self.ready_owners[channel] -= u64::from(entry.is_some());
+                *entry = owner.map(|(key, slot)| ReadyOwner {
+                    key,
+                    slot,
+                    ready: ch.bank_ready(bank, self.lane.row[slot as usize]),
+                });
+                self.stats.lane_refreshes += 1;
+                rederived += u64::from(owner.is_some());
+            }
+        }
+        self.ready_owners[channel] += rederived;
+        self.stats.owner_reuses += self.ready_owners[channel] - rederived;
+        &self.ready[first_bank..first_bank + self.stride]
     }
 
     /// True if any queued entry wants row `row` of `(channel, bank)` — the
@@ -857,10 +972,11 @@ impl RequestBuffer {
 
     /// Consistency audit for the incremental state, used by the
     /// `buffer_consistency` proptest: recomputes every derived structure
-    /// from the slab and panics on divergence (DESIGN.md §13, B1–B5).
+    /// from the slab and panics on divergence (DESIGN.md §13, B1–B6).
     /// `ctx` is the specification the lane and every non-dirty bank's
-    /// owner are checked against; pending inserts are folded first, dirty
-    /// banks are left dirty.
+    /// owner are checked against, `channels` the one every non-stale bank's
+    /// ready-lane entry is; pending inserts are folded first, dirty banks
+    /// are left dirty and stale ones stale.
     #[doc(hidden)]
     pub fn audit(
         &mut self,
@@ -947,9 +1063,18 @@ impl RequestBuffer {
                     })
                     .collect();
                 assert_eq!(members, expect, "bitset drifted for bank ({ci}, {bank})");
+                // B6: a bank is stale while it is dirty or pends an insert,
+                // and a bank that is not holds exactly its fresh owner with
+                // that owner's fresh bank-local readiness (`None` iff empty).
+                let stale = self.lane_stale(ci, bank);
                 if self.banks[bank_idx].dirty {
                     assert!(pending.is_empty(), "dirty bank ({ci}, {bank}) pends");
+                    assert!(stale, "dirty bank ({ci}, {bank}) is not stale");
                 } else {
+                    assert!(
+                        stale || pending.is_empty(),
+                        "bank ({ci}, {bank}) pends {pending:?} but is not stale"
+                    );
                     let ch = &channels[ci];
                     let fresh = expect
                         .iter()
@@ -964,8 +1089,25 @@ impl RequestBuffer {
                         fresh,
                         "maintained owner diverged for bank ({ci}, {bank})"
                     );
+                    if !stale {
+                        let fresh = fresh.map(|(key, slot)| ReadyOwner {
+                            key,
+                            slot,
+                            ready: ch.bank_ready(bank, self.entry(slot).target.row),
+                        });
+                        assert_eq!(
+                            self.ready[bank_idx], fresh,
+                            "ready-lane entry of bank ({ci}, {bank}) is out of date, not stale"
+                        );
+                    }
                 }
             }
+            let lane = &self.ready[ci * self.stride..(ci + 1) * self.stride];
+            assert_eq!(
+                self.ready_owners[ci],
+                lane.iter().flatten().count() as u64,
+                "ready-lane owner count drifted for channel {ci}"
+            );
         }
         // APD heaps: every droppable entry must be covered by a valid heap
         // item, and each heap's valid minimum must be the core's true
@@ -1022,9 +1164,10 @@ impl RequestBuffer {
 
 /// Manual `Debug`: prints only *observable* state (slab order, entries,
 /// free list, running counts, bank membership). The owner caches, dirty
-/// flags, APD heaps, epoch snapshots, and stats counters are pure caches
-/// that may legally mutate during proven-idle windows, and the `next_event`
-/// soundness oracle detects mutation by comparing `Debug` strings.
+/// flags, both lanes, the stale set, APD heaps, epoch snapshots, and stats
+/// counters are pure caches that may legally mutate during proven-idle
+/// windows, and the `next_event` soundness oracle detects mutation by
+/// comparing `Debug` strings.
 impl fmt::Debug for RequestBuffer {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         struct Ordered<'a>(&'a RequestBuffer);

@@ -5,14 +5,16 @@
 //!
 //! - [`buffer`] — the data-oriented request buffer: slab + free list,
 //!   legacy-order mirror, per-bank membership bitsets, the split-key lane
-//!   and the per-bank owners maintained over it, APD deadline heaps, and
-//!   running counts;
+//!   and the per-bank owners maintained over it, the per-bank ready lane
+//!   beside them, APD deadline heaps, and running counts;
 //! - [`arbiter`] — the lexicographic [`PrioKey`](arbiter::PrioKey) (the
 //!   specification), its order-preserving [`PackedKey`] (what the buffer
 //!   compares), and the [`KeyCtx`] snapshot of their inputs;
 //! - this module — [`MemoryController`]: the tick loop, DRAM command
 //!   issue, APD, PAR-BS batching, write drain, and the `next_event` bound
-//!   that event-mode fast-forwarding consumes.
+//!   that event-mode fast-forwarding consumes. Arbitration and the bound
+//!   each cost one walk over a channel's ready lane against the channel's
+//!   floors ([`Channel::floors`]) per event, not a probe per bank.
 
 pub mod arbiter;
 pub mod buffer;
@@ -337,9 +339,11 @@ impl MemoryController {
     ///   waiting to reform, a write-drain watermark crossing waiting to
     ///   flip, both due at the next DRAM bus boundary;
     /// - DRAM readiness of each bank's highest-priority queued request
-    ///   ([`Channel::earliest_advance_at`] for the bank *owner* only —
-    ///   two-level arbitration means no other entry can issue on that
-    ///   bank), aligned up to the next DRAM bus boundary;
+    ///   (the bank *owner* only — two-level arbitration means no other
+    ///   entry can issue on that bank): per channel, the buffer's ready
+    ///   lane folded against [`Channel::floors`], which is the minimum of
+    ///   the owners' [`Channel::earliest_advance_at`] with one boundary
+    ///   alignment per channel instead of a probe per bank;
     /// - pending refresh boundaries ([`Channel::next_refresh_boundary`] —
     ///   per-bank staggered deadlines under the per-bank refresh policies);
     /// - DARP refresh-pull opportunities on pull-eligible banks
@@ -360,8 +364,8 @@ impl MemoryController {
     /// and stepping resumes) but are never late — that is what keeps
     /// fast-forwarded runs bit-identical to cycle-by-cycle stepping.
     ///
-    /// Takes `&mut self` purely for cache maintenance (lazy heap cleanup
-    /// and owner-cache fills); observable controller state is unchanged.
+    /// Takes `&mut self` purely for cache maintenance (lazy heap cleanup,
+    /// owner and ready-lane fills); observable controller state is unchanged.
     pub fn next_event(&mut self, now: Cycle, accuracy: &AccuracyTracker) -> Option<Cycle> {
         self.buffer.sync_rollover(accuracy, self.adaptive_keys());
         let mut ev: Option<Cycle> = None;
@@ -425,23 +429,20 @@ impl MemoryController {
         // [`AccuracyTracker::next_rollover`]); buffer membership only
         // changes at executed ticks or external mutations, both of which
         // re-prove the bound. The same stability argument is what lets the
-        // buffer serve owners from its per-bank cache here (DESIGN.md §13).
+        // buffer serve owners — and, commands being the only thing that
+        // moves a bank's class or its local ready cycle, their readiness —
+        // from its per-bank lane here (DESIGN.md §11, §13).
         if !self.buffer.is_empty() {
             let rank_counts = self
                 .buffer
                 .rank_counts(accuracy, self.cfg.promotion_threshold);
             let ctx = self.key_ctx(accuracy, rank_counts.as_deref());
-            let (buffer, channels) = (&mut self.buffer, &self.channels);
-            for (ci, ch) in channels.iter().enumerate() {
-                for bank in 0..ch.bank_count() {
-                    if let Some((_, slot)) = buffer.owner(ci, bank, &ctx, ch, now) {
-                        let e = buffer.entry(slot);
-                        fold(align_up_dram(ch.earliest_advance_at(
-                            e.target.bank,
-                            e.target.row,
-                            now,
-                        )));
-                    }
+            for (ci, ch) in self.channels.iter().enumerate() {
+                let floors = ch.floors();
+                let lane = self.buffer.ready_lane(ci, &ctx, ch, now);
+                let earliest = lane.iter().flatten().map(|o| floors.ready_at(o.ready));
+                if let Some(t) = earliest.min() {
+                    fold(align_up_dram(t.max(ch.refresh_release(now))));
                 }
             }
         }
@@ -568,21 +569,20 @@ impl MemoryController {
         // bank — a lower-priority row-conflict must not precharge a row
         // that a higher-priority row-hit is still waiting to read), then
         // pick the best bank whose owner can issue a command this cycle.
-        // The per-bank owners are maintained by the buffer; only banks
-        // that lost their owner or had a key input change are rescanned.
-        let (buffer, channels) = (&mut self.buffer, &self.channels);
-        let ch = &channels[channel];
+        // The buffer keeps both answers per bank — the owner and the
+        // bank-local half of its readiness — and re-derives only the banks
+        // something touched since the channel's last pass; what is left per
+        // event is one walk over that lane against the channel's floors.
+        let ch = &self.channels[channel];
+        let lane = self.buffer.ready_lane(channel, &ctx, ch, now);
+        if ch.refresh_release(now) > now {
+            return;
+        }
+        let floors = ch.floors();
         let mut best: Option<(PackedKey, Slot)> = None;
-        for bank in 0..ch.bank_count() {
-            let Some((key, slot)) = buffer.owner(channel, bank, &ctx, ch, now) else {
-                continue;
-            };
-            let e = buffer.entry(slot);
-            if !ch.can_advance(e.target.bank, e.target.row, now) {
-                continue;
-            }
-            if best.is_none_or(|(bk, _)| key > bk) {
-                best = Some((key, slot));
+        for o in lane.iter().flatten() {
+            if now >= floors.ready_at(o.ready) && best.is_none_or(|(bk, _)| o.key > bk) {
+                best = Some((o.key, o.slot));
             }
         }
         let Some((_, slot)) = best else { return };
@@ -641,7 +641,7 @@ impl MemoryController {
             // DESIGN.md §13).
             StepOutcome::Activated => self.buffer.note_owner_command(channel, bank, slot, true),
             StepOutcome::Precharged => self.buffer.note_owner_command(channel, bank, slot, false),
-            StepOutcome::Blocked => unreachable!("can_advance was checked"),
+            StepOutcome::Blocked => unreachable!("the ready lane said it could issue"),
         }
     }
 
@@ -749,9 +749,10 @@ impl MemoryController {
     }
 
     /// Audits the buffer's incremental state (bitsets, counts, heaps, the
-    /// lane, and every non-dirty bank's owner) against a from-scratch
-    /// recompute, panicking on divergence. Test-only support for the
-    /// `buffer_consistency` proptest.
+    /// split-key lane, every non-dirty bank's owner and every non-stale
+    /// bank's ready-lane entry) against a from-scratch recompute, panicking
+    /// on divergence. Test-only support for the `buffer_consistency` and
+    /// `next_event_soundness` proptests.
     #[doc(hidden)]
     pub fn audit_buffer(&mut self, now: Cycle, accuracy: &AccuracyTracker) {
         self.buffer.sync_rollover(accuracy, self.adaptive_keys());
@@ -799,6 +800,15 @@ mod tests {
         MemoryController::new(
             ControllerConfig::from_policy(policy, 1),
             DramConfig::default(),
+            MappingScheme::Linear,
+        )
+    }
+
+    /// A single-core demand-first controller over `dram`.
+    fn controller_over(dram: DramConfig) -> MemoryController {
+        MemoryController::new(
+            ControllerConfig::from_policy(SchedulingPolicy::DemandFirst, 1),
+            dram,
             MappingScheme::Linear,
         )
     }
@@ -1462,13 +1472,6 @@ mod tests {
         let t = tracker(1);
         let lpr = DramConfig::default().lines_per_row();
         let precharges = |mc: &MemoryController| mc.channel_stats()[0].precharges;
-        let with_dram = |dram: DramConfig| {
-            MemoryController::new(
-                ControllerConfig::from_policy(SchedulingPolicy::DemandFirst, 1),
-                dram,
-                MappingScheme::Linear,
-            )
-        };
 
         // Enqueues a demand at `at` and ticks until the scheduler has
         // issued its ACT (the `acts`-th overall); returns the next cycle.
@@ -1492,7 +1495,7 @@ mod tests {
 
         // The scheduler's own commands: a closed-bank ACT, then a
         // conflict's PRE and ACT. Inserts fold, ACT/PRE keep the owner.
-        let mut mc = with_dram(DramConfig::default());
+        let mut mc = controller_over(DramConfig::default());
         service(&mut mc, &t, 0, 0);
         let dirtied = mc.buffer_stats().owner_invalidations;
         activate(&mut mc, lpr * 8, 1000, 2);
@@ -1504,7 +1507,7 @@ mod tests {
         );
 
         // The policy precharge lands once the only request has completed.
-        let mut closed = with_dram(DramConfig {
+        let mut closed = controller_over(DramConfig {
             row_policy: RowPolicy::Closed,
             ..DramConfig::default()
         });
@@ -1517,7 +1520,7 @@ mod tests {
 
         // Two single-CAS residencies train row 0 toward "close" (see
         // `happy_policy_keeps_untrained_rows_open_and_precharges_trained_ones`).
-        let mut happy = with_dram(DramConfig {
+        let mut happy = controller_over(DramConfig {
             row_policy: RowPolicy::Happy,
             ..DramConfig::default()
         });
@@ -1532,7 +1535,7 @@ mod tests {
 
         let ext = padc_dram::ExtendedTiming::default();
         let t_refi = ext.t_refi * CPU_CYCLES_PER_DRAM_CYCLE;
-        let mut darp = with_dram(DramConfig {
+        let mut darp = controller_over(DramConfig {
             extended: Some(ext),
             refresh_policy: RefreshPolicy::Darp,
             ..DramConfig::default()
@@ -1544,7 +1547,7 @@ mod tests {
             "DARP pulls"
         );
 
-        let mut all_bank = with_dram(DramConfig {
+        let mut all_bank = controller_over(DramConfig {
             extended: Some(ext),
             ..DramConfig::default()
         });
@@ -1552,6 +1555,84 @@ mod tests {
         assert_eq!(
             ticks_that_dirtied(&mut all_bank, &t, 0..t_refi + 8, refreshes),
             1,
+            "all-bank refresh"
+        );
+    }
+
+    /// The marks B6 rests on (DESIGN.md §13): whoever issues a command, the
+    /// bank it went to is left stale — the owner's own ACT, CAS and PRE, a
+    /// closed-row policy precharge, a DARP pull — and an all-bank refresh
+    /// stales every bank of the channel.
+    #[test]
+    fn every_command_leaves_its_bank_stale() {
+        let t = tracker(1);
+        let lpr = DramConfig::default().lines_per_row();
+        // Ticks from `from` until `counter` moves; returns the next cycle
+        // and the banks that tick left stale.
+        let stale_after =
+            |mc: &mut MemoryController, from: Cycle, counter: &dyn Fn(&MemoryController) -> u64| {
+                let (before, mut now) = (counter(mc), from);
+                while counter(mc) == before {
+                    mc.tick(now, &t);
+                    now += 1;
+                    assert!(now < from + 100_000, "controller wedged");
+                }
+                let banks = 0..mc.channels[0].bank_count();
+                let stale: Vec<usize> = banks.filter(|&b| mc.buffer.lane_stale(0, b)).collect();
+                (now, stale)
+            };
+        let demand = |mc: &mut MemoryController, line: u64, at: Cycle| {
+            let (access, kind) = (AccessKind::Load, RequestKind::Demand);
+            mc.enqueue(CoreId::new(0), LineAddr::new(line), access, kind, at)
+                .unwrap();
+        };
+        let activations = |mc: &MemoryController| mc.channel_stats()[0].activations;
+        let reads = |mc: &MemoryController| mc.channel_stats()[0].reads;
+        let precharges = |mc: &MemoryController| mc.channel_stats()[0].precharges;
+
+        // The owner's own commands: ACT and CAS of a closed-bank access,
+        // then the PRE of a conflict on the same bank.
+        let mut mc = controller_over(DramConfig::default());
+        demand(&mut mc, 0, 0);
+        let (now, stale) = stale_after(&mut mc, 0, &activations);
+        assert_eq!(stale, [0], "the owner's ACT");
+        let (now, stale) = stale_after(&mut mc, now, &reads);
+        assert_eq!(stale, [0], "the owner's CAS");
+        demand(&mut mc, lpr * 8, now);
+        let (_, stale) = stale_after(&mut mc, now, &precharges);
+        assert_eq!(stale, [0], "the owner's PRE");
+
+        let mut closed = controller_over(DramConfig {
+            row_policy: RowPolicy::Closed,
+            ..DramConfig::default()
+        });
+        demand(&mut closed, 0, 0);
+        let (_, stale) = stale_after(&mut closed, 0, &precharges);
+        assert_eq!(stale, [0], "closed-row policy precharge");
+
+        let ext = padc_dram::ExtendedTiming::default();
+        let mut darp = controller_over(DramConfig {
+            extended: Some(ext),
+            refresh_policy: RefreshPolicy::Darp,
+            ..DramConfig::default()
+        });
+        let pulls = |mc: &MemoryController| mc.refresh_counters().pulls;
+        let (_, stale) = stale_after(&mut darp, 0, &pulls);
+        assert_eq!(stale, [0], "DARP pull");
+
+        // The refresh tick's own arbitration pass consumes the marks, so
+        // they show as that pass re-deriving all eight entries — where the
+        // idle passes before it re-derived none.
+        let mut all_bank = controller_over(DramConfig {
+            extended: Some(ext),
+            ..DramConfig::default()
+        });
+        let refreshes = |mc: &MemoryController| mc.channel_stats()[0].refreshes;
+        let (_, stale) = stale_after(&mut all_bank, 0, &refreshes);
+        assert_eq!(stale, [], "all-bank refresh, after its pass");
+        assert_eq!(
+            all_bank.buffer_stats().lane_refreshes,
+            8,
             "all-bank refresh"
         );
     }

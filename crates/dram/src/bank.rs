@@ -97,17 +97,35 @@ impl Bank {
         }
     }
 
-    /// Classifies an access to `row` (§2.1): hit, closed, or conflict.
-    pub fn classify(&self, row: u64, now: Cycle) -> RowBufferOutcome {
-        match self.state_at(now) {
-            BankState::Open { row: open } | BankState::Activating { row: open, .. } => {
-                if open == row {
-                    RowBufferOutcome::Hit
-                } else {
-                    RowBufferOutcome::Conflict
-                }
+    /// Classifies an access to `row` (§2.1): hit, closed, or conflict. An
+    /// activating row is already its future hit and a precharging bank
+    /// already closed, so the class does not move with `now`.
+    pub fn classify(&self, row: u64, _now: Cycle) -> RowBufferOutcome {
+        self.readiness(row).0
+    }
+
+    /// [`Bank::classify`] and [`Bank::next_event`] read off the stored state,
+    /// with no clock: `row`'s access class, and the cycle the in-flight ACT
+    /// or PRE completes (0 when the bank is stable) — from which on the bank
+    /// accepts the command that class needs. Unchanged until the next
+    /// command or refresh, which is what lets a caller keep it.
+    #[inline]
+    pub(crate) fn readiness(&self, row: u64) -> (RowBufferOutcome, Cycle) {
+        let class = |open: u64| {
+            if open == row {
+                RowBufferOutcome::Hit
+            } else {
+                RowBufferOutcome::Conflict
             }
-            BankState::Closed | BankState::Precharging { .. } => RowBufferOutcome::Closed,
+        };
+        match self.state {
+            BankState::Open { row: open } => (class(open), 0),
+            BankState::Activating {
+                row: open,
+                ready_at,
+            } => (class(open), ready_at),
+            BankState::Closed => (RowBufferOutcome::Closed, 0),
+            BankState::Precharging { ready_at } => (RowBufferOutcome::Closed, ready_at),
         }
     }
 

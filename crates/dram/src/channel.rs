@@ -62,6 +62,44 @@ impl PerBankRefresh {
     }
 }
 
+/// The bank-local half of a request's readiness (DESIGN.md §11, the
+/// decomposition lemma): which command it needs next and the earliest cycle
+/// its bank accepts that command. Both are functions of the bank's *raw*
+/// state — an activating row already classifies as its future hit, a
+/// precharging bank as closed — so they hold until the next command to the
+/// bank or refresh applied to it, whatever `now` does in between.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct BankReady {
+    /// Row-buffer class of the access: the next command is a CAS (hit), an
+    /// ACT (closed) or a PRE (conflict).
+    pub class: RowBufferOutcome,
+    /// Earliest cycle the bank accepts it: an in-flight ACT / PRE's
+    /// completion and, for a PRE, tRAS / tWR / tRTP.
+    pub local: Cycle,
+}
+
+/// The channel-level half: what the shared buses and the tFAW window add to
+/// every bank's [`BankReady`]. Constant until the next command issues on the
+/// channel; the legacy all-bank refresh window reads `now`, so it is not
+/// here but in [`Channel::refresh_release`].
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct ChannelFloors {
+    /// Per [`RowBufferOutcome`]: data bus − CL (hit), tFAW (closed), 0
+    /// (conflict).
+    by_class: [Cycle; 3],
+    cmd_bus_free_at: Cycle,
+}
+
+impl ChannelFloors {
+    /// Earliest cycle `part`'s command can issue, refresh window aside.
+    #[inline]
+    pub fn ready_at(&self, part: BankReady) -> Cycle {
+        part.local
+            .max(self.by_class[part.class as usize])
+            .max(self.cmd_bus_free_at)
+    }
+}
+
 /// Result of issuing one command toward a request via [`Channel::advance`].
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum StepOutcome {
@@ -219,21 +257,6 @@ impl Channel {
         }
     }
 
-    /// tFAW check: may a new ACT issue at `now`?
-    fn faw_allows(&self, now: Cycle) -> bool {
-        match self.ext {
-            Some(e) => {
-                let recent = self
-                    .act_history
-                    .iter()
-                    .filter(|&&t| now.saturating_sub(t) < e.t_faw)
-                    .count();
-                recent < 4
-            }
-            None => true,
-        }
-    }
-
     /// Number of banks on this channel.
     pub fn bank_count(&self) -> usize {
         self.banks.len()
@@ -272,24 +295,57 @@ impl Channel {
         now >= self.cmd_bus_free_at
     }
 
+    /// The bank-local half of `(bank, row)`'s readiness: its class and the
+    /// earliest cycle the bank accepts the command that class needs. Holds
+    /// until the next command to `bank` or refresh applied to it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bank` is out of range.
+    #[inline]
+    pub fn bank_ready(&self, bank: usize, row: u64) -> BankReady {
+        let (class, busy_until) = self.banks[bank].readiness(row);
+        let local = match class {
+            RowBufferOutcome::Conflict => busy_until.max(self.min_precharge_at[bank]),
+            RowBufferOutcome::Hit | RowBufferOutcome::Closed => busy_until,
+        };
+        BankReady { class, local }
+    }
+
+    /// The channel-level half: per-class floors and the command bus. Holds
+    /// until the next command issues on the channel.
+    #[inline]
+    pub fn floors(&self) -> ChannelFloors {
+        let faw = match self.ext {
+            // ACT times only grow, so the oldest of a full history is the
+            // one that ages out of the window first.
+            Some(e) if self.act_history.len() == 4 => self.act_history[0] + e.t_faw,
+            _ => 0,
+        };
+        let mut by_class = [0; 3];
+        by_class[RowBufferOutcome::Hit as usize] = self.data_bus_free_at.saturating_sub(self.cl);
+        by_class[RowBufferOutcome::Closed as usize] = faw;
+        ChannelFloors {
+            by_class,
+            cmd_bus_free_at: self.cmd_bus_free_at,
+        }
+    }
+
+    /// The two halves joined with the one term that reads the clock: the
+    /// first cycle from which `(bank, row)`'s next command can issue, as
+    /// seen at `now`.
+    fn advance_bound(&self, bank: usize, row: u64, now: Cycle) -> Cycle {
+        self.floors()
+            .ready_at(self.bank_ready(bank, row))
+            .max(self.refresh_release(now))
+    }
+
     /// True if [`Channel::advance`] would issue a command for `(bank, row)`
-    /// at `now` — i.e. the command bus is free and the bank (plus, for a CAS,
-    /// the data bus) can accept the next command the request needs.
+    /// at `now` — i.e. the command bus is free, no all-bank refresh occupies
+    /// the channel, and the bank (plus, for a CAS, the data bus; for an ACT,
+    /// the tFAW window) can accept the next command the request needs.
     pub fn can_advance(&self, bank: usize, row: u64, now: Cycle) -> bool {
-        if !self.command_bus_free(now) {
-            return false;
-        }
-        if self.in_refresh(now) {
-            return false;
-        }
-        let b = &self.banks[bank];
-        match b.classify(row, now) {
-            RowBufferOutcome::Hit => b.can_cas(row, now) && now + self.cl >= self.data_bus_free_at,
-            RowBufferOutcome::Closed => b.can_activate(now) && self.faw_allows(now),
-            RowBufferOutcome::Conflict => {
-                b.can_precharge(now) && now >= self.min_precharge_at[bank]
-            }
-        }
+        now >= self.advance_bound(bank, row, now)
     }
 
     /// Issues the next command needed to service `(bank, row)` at `now`.
@@ -350,20 +406,14 @@ impl Channel {
         }
     }
 
-    /// End of the refresh window occupying the channel at `now`, or `now`
-    /// itself when no refresh is in progress.
-    fn refresh_release(&self, now: Cycle) -> Cycle {
+    /// End of the all-bank refresh window occupying the channel at `now`, or
+    /// `now` itself when none is in progress (always, under the per-bank
+    /// policies). The one readiness term that reads the clock, which is why
+    /// it is neither in [`BankReady`] nor in [`ChannelFloors`].
+    #[inline]
+    pub fn refresh_release(&self, now: Cycle) -> Cycle {
         match self.ext {
             Some(e) if self.in_refresh(now) => now - now % e.t_refi + e.t_rfc,
-            _ => now,
-        }
-    }
-
-    /// Earliest cycle at which a new ACT clears the tFAW window (exact with
-    /// respect to the recorded four-ACT history).
-    fn faw_free_at(&self, now: Cycle) -> Cycle {
-        match self.ext {
-            Some(e) if self.act_history.len() == 4 => now.max(self.act_history[0] + e.t_faw),
             _ => now,
         }
     }
@@ -479,27 +529,19 @@ impl Channel {
 
     /// Lower bound on the first cycle `m >= now` at which
     /// [`Channel::can_advance`]`(bank, row, m)` can become true, assuming no
-    /// command issues on the channel in between. The bound is never *later*
-    /// than the true first cycle (the direction fast-forwarding relies on);
-    /// it may be earlier when a constraint outside the bound — a refresh
-    /// window opening mid-skip, which [`Channel::next_refresh_boundary`]
-    /// covers separately — still blocks the command.
+    /// command issues on the channel in between — the same bound
+    /// `can_advance` compares `now` against, so `can_advance(m)` is exactly
+    /// `earliest_advance_at(m) == m`. The bound is never *later* than the
+    /// true first cycle (the direction fast-forwarding relies on); it may be
+    /// earlier when a constraint outside the bound — a refresh window opening
+    /// mid-skip, which [`Channel::next_refresh_boundary`] covers separately
+    /// — still blocks the command.
     ///
     /// # Panics
     ///
     /// Panics if `bank` is out of range.
     pub fn earliest_advance_at(&self, bank: usize, row: u64, now: Cycle) -> Cycle {
-        let b = &self.banks[bank];
-        let bank_ready = b.next_event(now).unwrap_or(now);
-        let class_bound = match b.classify(row, now) {
-            RowBufferOutcome::Hit => bank_ready.max(self.data_bus_free_at.saturating_sub(self.cl)),
-            RowBufferOutcome::Closed => bank_ready.max(self.faw_free_at(now)),
-            RowBufferOutcome::Conflict => bank_ready.max(self.min_precharge_at[bank]),
-        };
-        class_bound
-            .max(self.cmd_bus_free_at)
-            .max(self.refresh_release(now))
-            .max(now)
+        self.advance_bound(bank, row, now).max(now)
     }
 
     /// Lower bound on the first cycle at which [`Channel::precharge_bank`]
@@ -852,6 +894,116 @@ mod tests {
             // Bookkeeping sanity: every pull is one of the refreshes.
             prop_assert!(c.refresh_counters().pulls <= c.stats().refreshes);
             prop_assert!(darp || c.refresh_counters().pulls == 0);
+        }
+    }
+
+    /// [`Channel::can_advance`] as it read before it was re-expressed through
+    /// the decomposition: the bank, resolved at `m`, is in a state where the
+    /// command `row` needs next is legal, and the buses, the tFAW window and
+    /// the refresh window admit it. Shares nothing with [`Bank::readiness`],
+    /// [`Channel::bank_ready`] or [`Channel::floors`].
+    fn issues_by_the_book(c: &Channel, bank: usize, row: u64, m: Cycle) -> bool {
+        let b = &c.banks[bank];
+        let faw_allows = c.ext.is_none_or(|e| {
+            let recent = |&&t: &&Cycle| m.saturating_sub(t) < e.t_faw;
+            c.act_history.iter().filter(recent).count() < 4
+        });
+        m >= c.cmd_bus_free_at
+            && !c.in_refresh(m)
+            && match b.classify(row, m) {
+                RowBufferOutcome::Hit => b.can_cas(row, m) && m + c.cl >= c.data_bus_free_at,
+                RowBufferOutcome::Closed => b.can_activate(m) && faw_allows,
+                RowBufferOutcome::Conflict => b.can_precharge(m) && m >= c.min_precharge_at[bank],
+            }
+    }
+
+    /// The paper's three-latency channel, then extended timing under each
+    /// refresh policy — with tREFI / tRFC cut to 1 200 / 300 CPU cycles so a
+    /// sixty-step history crosses several windows.
+    fn decomposition_channels() -> Vec<Channel> {
+        let ext = ExtendedTiming {
+            t_refi: 120,
+            t_rfc: 30,
+            ..ExtendedTiming::default()
+        };
+        let with = |extended, refresh_policy| {
+            Channel::new(&DramConfig {
+                extended,
+                refresh_policy,
+                ..DramConfig::default()
+            })
+        };
+        vec![
+            with(None, RefreshPolicy::AllBank),
+            with(Some(ext), RefreshPolicy::AllBank),
+            with(Some(ext), RefreshPolicy::PerBank),
+            with(Some(ext), RefreshPolicy::Darp),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        /// The decomposition is the definition (DESIGN.md §11). After every
+        /// step of a random command / refresh history, for every bank and a
+        /// hit-or-conflict pair of rows: (i) `earliest_advance_at` is exact
+        /// — `can_advance` is false at every cycle before the bound and,
+        /// unless an all-bank refresh window has opened by then, true at it;
+        /// (ii) the parts captured now give `can_advance` (checked against
+        /// its by-the-book form) and `earliest_advance_at` at every later
+        /// cycle up to the next step, while an activating bank resolves to
+        /// open, a precharging or refreshing one to closed, a full tFAW
+        /// history ages out and refresh windows open and close.
+        #[test]
+        fn readiness_is_its_decomposition(
+            steps in prop::collection::vec(
+                (0u32..10, 0usize..8, 0u64..2, any::<bool>(), any::<bool>(), 0u64..80),
+                1..60,
+            ),
+        ) {
+            for mut c in decomposition_channels() {
+                let mut now = 0;
+                for &(op, bank, row, write, wait, gap) in &steps {
+                    match op {
+                        0..=5 => {
+                            if wait {
+                                let at = c.earliest_advance_at(bank, row, now);
+                                now = at.next_multiple_of(CPU_CYCLES_PER_DRAM_CYCLE);
+                            }
+                            c.advance(bank, row, write, now);
+                        }
+                        6 => { c.precharge_bank(bank, now); }
+                        7 => { c.pull_refresh(bank, now); }
+                        _ => c.sync(now),
+                    }
+                    let floors = c.floors();
+                    for (bank, row) in (0..c.bank_count()).flat_map(|b| [(b, 0), (b, 1)]) {
+                        let bound = c.earliest_advance_at(bank, row, now);
+                        for m in now..bound {
+                            prop_assert!(
+                                !c.can_advance(bank, row, m),
+                                "({bank}, {row}) issues at {m}, before its bound {bound} from {now}"
+                            );
+                        }
+                        prop_assert!(
+                            c.in_refresh(bound) || c.can_advance(bank, row, bound),
+                            "({bank}, {row}) cannot issue at its bound {bound} from {now}"
+                        );
+                        let part = c.bank_ready(bank, row);
+                        for m in now..=now + gap {
+                            let ready_at = floors.ready_at(part).max(c.refresh_release(m));
+                            prop_assert_eq!(
+                                issues_by_the_book(&c, bank, row, m),
+                                m >= ready_at,
+                                "({}, {}) at {}: parts {:?} captured at {}", bank, row, m, part, now
+                            );
+                            prop_assert_eq!(c.can_advance(bank, row, m), m >= ready_at);
+                            prop_assert_eq!(c.earliest_advance_at(bank, row, m), ready_at.max(m));
+                        }
+                    }
+                    now += gap;
+                }
+            }
         }
     }
 

@@ -12,6 +12,16 @@
 //! and then issues it ([`Channel::advance`]). A request reaches completion
 //! when its CAS data burst finishes.
 //!
+//! Readiness is stated once, as a decomposition (DESIGN.md §11): a
+//! bank-local part that only a command to that bank can move
+//! ([`Channel::bank_ready`]), a channel-level part constant until the next
+//! command on the channel ([`Channel::floors`]), and the all-bank refresh
+//! window, the one term that reads the clock
+//! ([`Channel::refresh_release`]). [`Channel::can_advance`] and
+//! [`Channel::earliest_advance_at`] are defined through it, and a scheduler
+//! that keeps the bank-local parts answers both for every bank of a channel
+//! from one [`ChannelFloors`].
+//!
 //! # Example
 //!
 //! ```
@@ -44,7 +54,7 @@ mod stats;
 mod timing;
 
 pub use bank::{Bank, BankState};
-pub use channel::{Channel, RefreshCounters, StepOutcome};
+pub use channel::{BankReady, Channel, ChannelFloors, RefreshCounters, StepOutcome};
 pub use config::{DramConfig, RefreshPolicy, RowPolicy};
 pub use happy::{HappyPredictor, REUSE_THRESHOLD};
 pub use mapping::{AddressMapper, MappingScheme, Target};

@@ -15,6 +15,7 @@
 //! ([`padc_sim::cli::suite_main`], same flags, registry and JSONL bytes)
 //! with the JSONL stream on stdout by default instead of the tables.
 
+use padc_core::scheduler::arbiter::PackedKey;
 use padc_core::SchedulingPolicy;
 use padc_cpu::TraceSource;
 use padc_dram::RefreshPolicy;
@@ -358,10 +359,22 @@ fn main() {
                 eprintln!("error: cannot read {path}: {e}");
                 std::process::exit(2);
             });
-            serde_json::from_str::<SimConfig>(&text).unwrap_or_else(|e| {
+            let cfg = serde_json::from_str::<SimConfig>(&text).unwrap_or_else(|e| {
                 eprintln!("error: invalid config {path}: {e}");
                 std::process::exit(2);
-            })
+            });
+            // An empty buffer never accepts a request (the run spins to
+            // `max_cycles` and reports zeros); a rank is a count of queued
+            // requests and must fit the packed key's rank field.
+            let max = PackedKey::RANK_LIMIT as usize - 1;
+            let entries = cfg.controller.buffer_entries;
+            if !(1..=max).contains(&entries) {
+                padc_sim::cli::die(format!(
+                    "invalid config {path}: controller.buffer_entries is {entries}, \
+                     must be between 1 and {max}"
+                ));
+            }
+            cfg
         }
         None => SimConfig::new(cores, args.policy),
     };

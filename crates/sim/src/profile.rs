@@ -99,6 +99,11 @@ pub struct SimProfile {
     pub owner_reuses: u64,
     /// Entries examined across all owner rebuilds (bitset-scan volume).
     pub owner_scan_entries: u64,
+    /// Per-bank ready-lane entries re-derived (one per bank a command or a
+    /// buffer mutation touched, per scheduling pass). `tests/floors.rs`
+    /// bounds it per executed controller event on the 8-core mix: a lane
+    /// that is stale everywhere costs one per bank per pass instead.
+    pub lane_refreshes: u64,
     /// DSPatch modulator mode flips (Coverage <-> Accuracy) summed over
     /// every core's prefetcher when the run finishes; zero for all other
     /// prefetchers. `tests/floors.rs` asserts this is nonzero for the
@@ -152,6 +157,7 @@ impl Serialize for SimProfile {
         push("owner_invalidations", self.owner_invalidations);
         push("owner_reuses", self.owner_reuses);
         push("owner_scan_entries", self.owner_scan_entries);
+        push("lane_refreshes", self.lane_refreshes);
         push("dspatch_flips", self.dspatch_flips);
         push("refresh_pulls", self.refresh_pulls);
         push("refresh_stall_cycles", self.refresh_stall_cycles);
@@ -217,6 +223,7 @@ pub struct ProfileAccum {
     owner_invalidations: AtomicU64,
     owner_reuses: AtomicU64,
     owner_scan_entries: AtomicU64,
+    lane_refreshes: AtomicU64,
     dspatch_flips: AtomicU64,
     refresh_pulls: AtomicU64,
     refresh_stall_cycles: AtomicU64,
@@ -254,6 +261,8 @@ impl ProfileAccum {
             .fetch_add(p.owner_reuses, Ordering::Relaxed);
         self.owner_scan_entries
             .fetch_add(p.owner_scan_entries, Ordering::Relaxed);
+        self.lane_refreshes
+            .fetch_add(p.lane_refreshes, Ordering::Relaxed);
         self.dspatch_flips
             .fetch_add(p.dspatch_flips, Ordering::Relaxed);
         self.refresh_pulls
@@ -287,6 +296,7 @@ impl ProfileAccum {
             owner_invalidations: self.owner_invalidations.load(Ordering::Relaxed),
             owner_reuses: self.owner_reuses.load(Ordering::Relaxed),
             owner_scan_entries: self.owner_scan_entries.load(Ordering::Relaxed),
+            lane_refreshes: self.lane_refreshes.load(Ordering::Relaxed),
             dspatch_flips: self.dspatch_flips.load(Ordering::Relaxed),
             refresh_pulls: self.refresh_pulls.load(Ordering::Relaxed),
             refresh_stall_cycles: self.refresh_stall_cycles.load(Ordering::Relaxed),
@@ -389,6 +399,7 @@ mod tests {
             owner_invalidations: 6,
             owner_reuses: 20,
             owner_scan_entries: 12,
+            lane_refreshes: 9,
             dspatch_flips: 3,
             refresh_pulls: 4,
             refresh_stall_cycles: 40,
@@ -410,6 +421,7 @@ mod tests {
             owner_invalidations: 2,
             owner_reuses: 5,
             owner_scan_entries: 3,
+            lane_refreshes: 2,
             dspatch_flips: 2,
             refresh_pulls: 2,
             refresh_stall_cycles: 17,
@@ -427,6 +439,7 @@ mod tests {
              \"ctrl_events_fired\":2,\
              \"owner_recomputes\":5,\"owner_invalidations\":8,\
              \"owner_reuses\":25,\"owner_scan_entries\":15,\
+             \"lane_refreshes\":11,\
              \"dspatch_flips\":5,\
              \"refresh_pulls\":6,\"refresh_stall_cycles\":57,\
              \"controller_ns\":3,\"cores_ns\":4,\"wall_ns\":10,\

@@ -663,6 +663,7 @@ impl System {
         self.profile.owner_invalidations = bs.owner_invalidations;
         self.profile.owner_reuses = bs.owner_reuses;
         self.profile.owner_scan_entries = bs.owner_scan_entries;
+        self.profile.lane_refreshes = bs.lane_refreshes;
         self.profile.dspatch_flips = self.mem.prefetchers.iter().map(|p| p.mode_flips()).sum();
         let rc = self.mem.controller.refresh_counters();
         self.profile.refresh_pulls = rc.pulls;

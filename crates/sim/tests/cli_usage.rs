@@ -139,6 +139,40 @@ fn config_core_count_must_match_the_sources() {
     std::fs::remove_dir_all(&dir).expect("scratch removed");
 }
 
+/// A request buffer the controller cannot be built over is a usage error
+/// naming the field and its range: 65 535 entries used to reach
+/// `RequestBuffer::new`'s rank-width `assert!` (exit 101 and a backtrace),
+/// and 0 entries — nothing ever enqueues — spun to `max_cycles` for the
+/// better part of a minute before exiting 0 with an all-zero report.
+#[test]
+fn config_buffer_size_must_be_one_the_controller_can_hold() {
+    let dir = scratch("buffer");
+    let printed = accepted(&["--print-config"]);
+    assert!(printed.contains("\"buffer_entries\": 64,"), "{printed}");
+    for entries in ["0", "65535"] {
+        let config = dir.join(format!("b{entries}.json"));
+        let sized = printed.replace(
+            "\"buffer_entries\": 64,",
+            &format!("\"buffer_entries\": {entries},"),
+        );
+        std::fs::write(&config, sized).expect("config written");
+        let started = std::time::Instant::now();
+        let stderr = rejected(&[
+            "--config",
+            config.to_str().expect("utf-8 path"),
+            "--bench",
+            "mcf_06",
+        ]);
+        assert!(started.elapsed() < std::time::Duration::from_secs(20));
+        assert!(
+            stderr.contains(&format!("controller.buffer_entries is {entries}"))
+                && stderr.contains("between 1 and 65534"),
+            "{stderr}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).expect("scratch removed");
+}
+
 #[test]
 fn store_subcommand_does_not_create_what_it_inspects() {
     let dir = scratch("store");

@@ -1,10 +1,10 @@
 //! Floors under the mechanisms whose loss no byte comparison can see.
 //!
 //! Every result is byte-identical whether or not the event kernel skips
-//! anything, the owner cache reuses anything, the unit cache deduplicates
-//! anything, a warm store hits anything, or DARP pulls anything — so each
-//! of those can silently stop working while every determinism test stays
-//! green. [`FLOORS`] records, per mechanism, the value measured when the
+//! anything, the owner cache or the ready lane reuses anything, the unit
+//! cache deduplicates anything, a warm store hits anything, or DARP pulls
+//! anything — so each of those can silently stop working while every
+//! determinism test stays green. [`FLOORS`] records, per mechanism, the value measured when the
 //! floor was set, the bound a run must stay within, and the regression
 //! the row exists to catch. All values are deterministic simulation or
 //! plan counts (never wall time), identical in debug and release builds;
@@ -87,6 +87,7 @@ struct Floors {
     mix_owner_reuse_pct: Floor,
     mix_owner_recomputes: Floor,
     mix_owner_scan_entries: Floor,
+    mix_lane_refreshes_per_100_events: Floor,
     darp_refresh_pulls: Floor,
     darp_refresh_stall_cycles: Floor,
     all_bank_refresh_pulls: Floor,
@@ -131,6 +132,13 @@ const FLOORS: Floors = Floors {
         1_819_065.0,
         2_275_000.0,
         "as the row above, in entries examined: rescans that each walk a fuller bank",
+    ),
+    mix_lane_refreshes_per_100_events: at_most(
+        99.0,
+        125.0,
+        "the ready lane went stale everywhere (e.g. every pass marks every bank): each \
+         controller event re-derives 8 banks twice over instead of the one it commanded, \
+         and the per-bank owner and DRAM probes are back in all but name",
     ),
     darp_refresh_pulls: at_least(
         78.0,
@@ -264,6 +272,10 @@ fn event_kernel_skips_and_owner_cache_reuses_on_the_mix() {
     );
     hold!(mix_owner_recomputes, p.owner_recomputes);
     hold!(mix_owner_scan_entries, p.owner_scan_entries);
+    hold!(
+        mix_lane_refreshes_per_100_events,
+        100.0 * p.lane_refreshes as f64 / p.ctrl_events_fired as f64
+    );
 }
 
 #[test]

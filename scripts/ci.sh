@@ -2,12 +2,12 @@
 # The CI gate, and the same thing locally: shellcheck, formatting, lints,
 # release build, docs, every workspace crate's unit, integration and doc
 # tests (--workspace: without it cargo selects the root package alone), the
-# out-of-workspace benchmark package's tests, and the EXPERIMENTS.md drift
-# check. Everything runs offline (external deps are vendored; see
-# vendor/README.md). Each step prints its elapsed seconds; on exit a
-# pass/FAIL/skip table with the same timings goes to stderr and, when set,
-# to $GITHUB_STEP_SUMMARY, so a red job is readable from the workflow
-# summary page without opening logs.
+# controller and DRAM crates' tests again in release, the out-of-workspace
+# benchmark package's tests, and the EXPERIMENTS.md drift check. Everything
+# runs offline (external deps are vendored; see vendor/README.md). Each step
+# prints its elapsed seconds; on exit a pass/FAIL/skip table with the same
+# timings goes to stderr and, when set, to $GITHUB_STEP_SUMMARY, so a red job
+# is readable from the workflow summary page without opening logs.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -61,6 +61,12 @@ step "cargo build --release --workspace" cargo build --release --workspace
 step "cargo doc --no-deps (warnings denied)" doc_step
 step "cargo test --workspace" cargo test -q --workspace
 step "cargo test --doc --workspace" cargo test --doc -q --workspace
+# The controller and DRAM oracles once more, against the build the benchmark
+# measures: in release `debug_assert!`s are compiled out and `Cycle`
+# arithmetic wraps instead of panicking, and the ready lane's `local` / floor
+# maxima are exactly the arithmetic a debug-only run cannot vouch for.
+step "cargo test --release -p padc-core -p padc-dram" \
+    cargo test -q --release -p padc-core -p padc-dram
 # The benchmark package is outside the workspace and path-depends on it:
 # a public-API deletion that breaks it must fail here, not in the driver.
 step "benchmark package tests" \
