@@ -11,7 +11,7 @@ use std::sync::Mutex;
 
 use padc_harness::{run_suite, HarnessConfig, JobSpec, JobStatus};
 use padc_sim::experiments::{
-    experiment_registry, find, reset_memory_cells, suite_jobs, ExpConfig, Scale,
+    find, reset_memory_cells, select, suite_jobs, ExpConfig, Scale, REGISTRY,
 };
 use padc_sim::FastForwardMode;
 
@@ -27,15 +27,15 @@ fn quiet(workers: usize) -> HarnessConfig {
 /// exactly one job, in registry order.
 #[test]
 fn registry_enumerates_every_entry_point_exactly_once() {
-    let registry = experiment_registry();
-    let expected: Vec<&str> = registry.iter().map(|e| e.id).collect();
+    let expected: Vec<&str> = REGISTRY.iter().map(|e| e.id).collect();
     assert_eq!(
         expected.iter().collect::<HashSet<_>>().len(),
         expected.len(),
         "registry ids must be unique"
     );
 
-    let jobs = suite_jobs(experiment_registry(), ExpConfig::at(Scale::Smoke), None);
+    let all = select(&[]).expect("no ids selects the registry");
+    let jobs = suite_jobs(all, ExpConfig::at(Scale::Smoke), None);
     let job_ids: Vec<&str> = jobs.iter().map(|j| j.id.as_str()).collect();
     assert_eq!(
         job_ids, expected,
@@ -161,10 +161,7 @@ fn jsonl_is_byte_identical_across_worker_counts_and_fast_forward_modes() {
 fn injected_panicking_job_does_not_abort_the_suite() {
     let _serial = CLAIM_MAP.lock().unwrap_or_else(|e| e.into_inner());
     let mut jobs = suite_jobs(
-        experiment_registry()
-            .into_iter()
-            .filter(|e| matches!(e.id, "fig2" | "cost"))
-            .collect(),
+        select(&["fig2", "cost"]).expect("registered ids"),
         ExpConfig::at(Scale::Smoke),
         None,
     );

@@ -14,9 +14,10 @@
 //! rendered tables (`repro`) or the JSONL stream (`padcsim --suite`).
 //! Everything else is [`suite_main`].
 //!
-//! With no ids (or `all`), every registered experiment runs, at
-//! `Scale::Full` (the paper's workload counts) unless `--quick`/`--smoke`
-//! shrink it. The selection becomes one job list for
+//! With no ids (or `all` anywhere among them), every registered experiment
+//! runs, at `Scale::Full` (the paper's workload counts) unless
+//! `--quick`/`--smoke` shrink it; an id named twice runs once
+//! ([`experiments::select`]). The selection becomes one job list for
 //! [`padc_harness::run_suite`]: experiments run on `--jobs N` workers
 //! (default `available_parallelism()`), each under `catch_unwind`, and
 //! every experiment's simulation units resolve through one process-wide
@@ -52,8 +53,7 @@ use std::time::Duration;
 use padc_harness::{run_suite, HarnessConfig, JobStatus, ResumeArtifact, Summary};
 
 use crate::experiments::{
-    self, experiment_registry, suite_jobs_profiled, table_stash, ExpConfig, ExpTable, Experiment,
-    Scale,
+    self, suite_jobs_profiled, table_stash, ExpConfig, ExpTable, Scale, REGISTRY,
 };
 use crate::FastForwardMode;
 
@@ -117,7 +117,7 @@ pub fn install_store(flag: Option<String>) -> Option<String> {
 }
 
 fn print_registry() {
-    for e in experiment_registry() {
+    for e in REGISTRY {
         say(format_args!("{:<10} {}", e.id, e.paper_ref));
     }
 }
@@ -247,7 +247,6 @@ pub fn suite_main(program: &str, stdout: Stdout, args: &[String]) -> ! {
                 print_registry();
                 std::process::exit(0);
             }
-            "all" => {}
             other if other.starts_with('-') => {
                 die(format!("unknown flag {other:?} (try {program} --help)"))
             }
@@ -256,19 +255,12 @@ pub fn suite_main(program: &str, stdout: Stdout, args: &[String]) -> ! {
     }
 
     // Unknown ids are a hard error, not a silent skip.
-    let selected: Vec<Experiment> = if ids.is_empty() {
-        experiment_registry()
-    } else {
-        ids.iter()
-            .map(|id| {
-                experiments::find(id).unwrap_or_else(|| {
-                    die(format!(
-                        "unknown experiment id {id:?} (run `{program} --list` for the registered ids)"
-                    ))
-                })
-            })
-            .collect()
-    };
+    let selected = experiments::select(&ids).unwrap_or_else(|e| {
+        die(format!(
+            "{e} (run `{program} --list` for the registered ids)"
+        ))
+    });
+    let subset = selected.len() < REGISTRY.len();
     let labels: Vec<(&str, &str)> = selected.iter().map(|e| (e.id, e.paper_ref)).collect();
 
     // The resumed file is fully read before the suite starts, so writing
@@ -276,7 +268,7 @@ pub fn suite_main(program: &str, stdout: Stdout, args: &[String]) -> ! {
     // leaves a valid shorter artifact to resume from.
     let artifact = resume
         .as_deref()
-        .map(|path| load_resume(path, !ids.is_empty(), jsonl.as_deref()));
+        .map(|path| load_resume(path, subset, jsonl.as_deref()));
     let jsonl = jsonl
         .or(resume)
         .or((stdout == Stdout::Jsonl).then(|| "-".to_string()));

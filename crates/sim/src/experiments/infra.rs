@@ -1,12 +1,11 @@
 use std::collections::{HashMap, HashSet};
 use std::fmt;
-use std::sync::Arc;
 
 use padc_core::SchedulingPolicy;
 use padc_workloads::{BenchProfile, Workload};
 use serde::{Deserialize, Serialize};
 
-use crate::{metrics, Report, SimConfig, System};
+use crate::{Report, SimConfig, System};
 
 /// Preset experiment scales, from paper-scale runs down to test smoke.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
@@ -232,103 +231,26 @@ impl fmt::Display for ExpTable {
     }
 }
 
-/// A named system variant evaluated in a figure: a label plus a
-/// configuration recipe.
-///
-/// The recipe is a clonable closure, so sweep arms can capture their sweep
-/// parameter (row-buffer size, L2 capacity, prefetcher kind, ...) instead
-/// of hand-rolling one `fn` per point.
-#[derive(Clone)]
-pub struct PolicyArm {
-    /// Bar label, matching the paper's legends.
-    pub label: &'static str,
-    build: Arc<dyn Fn(usize) -> SimConfig + Send + Sync>,
-}
-
-impl PolicyArm {
-    /// Creates an arm from a label and a config recipe.
-    pub fn new(
-        label: &'static str,
-        build: impl Fn(usize) -> SimConfig + Send + Sync + 'static,
-    ) -> Self {
-        PolicyArm {
-            label,
-            build: Arc::new(build),
-        }
-    }
-
-    /// Builds the `SimConfig` for this arm given a core count.
-    pub fn build(&self, cores: usize) -> SimConfig {
-        (self.build)(cores)
-    }
-
-    /// Returns a new arm applying `mutate` on top of this arm's recipe —
-    /// how sweep points wrap the standard arms with a captured parameter.
-    pub fn mutated(&self, mutate: impl Fn(&mut SimConfig) + Send + Sync + 'static) -> Self {
-        let base = self.build.clone();
-        PolicyArm {
-            label: self.label,
-            build: Arc::new(move |n| {
-                let mut cfg = base(n);
-                mutate(&mut cfg);
-                cfg
-            }),
-        }
-    }
-}
-
-impl fmt::Debug for PolicyArm {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "PolicyArm({})", self.label)
-    }
-}
-
-/// The paper's standard five-arm comparison (Figs. 6–17).
-pub(crate) fn standard_arms() -> Vec<PolicyArm> {
-    vec![
-        PolicyArm::new("no-pref", |n| {
-            SimConfig::new(n, SchedulingPolicy::DemandFirst).without_prefetching()
-        }),
-        PolicyArm::new("demand-first", |n| {
-            SimConfig::new(n, SchedulingPolicy::DemandFirst)
-        }),
-        PolicyArm::new("demand-pref-equal", |n| {
-            SimConfig::new(n, SchedulingPolicy::DemandPrefetchEqual)
-        }),
-        PolicyArm::new("aps-only", |n| SimConfig::new(n, SchedulingPolicy::ApsOnly)),
-        PolicyArm::new("aps-apd (PADC)", |n| {
-            SimConfig::new(n, SchedulingPolicy::Padc)
-        }),
-    ]
-}
-
-/// The canonical `IPC_alone` arm (§5.2): single-core, demand-first —
-/// the same configuration (hence the same cache digest) as the
-/// demand-first arm of the single-core grids.
-pub(crate) fn alone_arm() -> PolicyArm {
-    PolicyArm::new("demand-first", |n| {
-        SimConfig::new(n, SchedulingPolicy::DemandFirst)
-    })
-}
-
-// ---------------------------------------------------------------------------
-// The plan/execute/reduce contract.
-// ---------------------------------------------------------------------------
+/// Arm label of the canonical `IPC_alone` run (§5.2): single-core,
+/// demand-first — the same configuration, hence the same cache digest, as
+/// the demand-first arm of the single-core grids.
+const ALONE_LABEL: &str = "demand-first";
 
 /// Deterministic identity of one planned simulation.
 ///
 /// Within one experiment's plan, two units with equal keys are the same
-/// simulation: the arm label names a config recipe, `variant`
-/// disambiguates recipes that reuse a label (sweep points, open vs closed
-/// row), and benchmarks/instructions/seed pin the inputs. The key is how
-/// `reduce` addresses a result; what is *cached* is keyed by the digest of
-/// the full inputs ([`SimUnit::store_meta`]), never by the key.
+/// simulation: the arm label names a system, `variant` disambiguates
+/// systems that reuse a label (sweep points, open vs closed row), and
+/// benchmarks/instructions/seed pin the inputs. The key is how `reduce`
+/// addresses a result; what is *cached* is keyed by the digest of the full
+/// inputs ([`SimUnit::store_meta`]), never by the key.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct UnitKey {
     /// Policy-arm label (the paper legend).
     pub arm: String,
-    /// Config variant within the experiment (`""` when the arm label
-    /// already determines the config; e.g. `"row=2KB"` for sweep points).
+    /// Config variant within the experiment: the arm's group name (`""`
+    /// when the arm label already determines the config; e.g. `"2KB"` for
+    /// a sweep point), or `"alone"` for single-core runs.
     pub variant: String,
     /// Benchmark names in core order (one entry for alone runs).
     pub benchmarks: Vec<String>,
@@ -365,44 +287,41 @@ impl UnitKey {
 
     /// Key of the canonical §5.2 `IPC_alone` run of `bench`.
     pub fn alone(bench: &BenchProfile, exp: &ExpConfig) -> Self {
-        Self::single(alone_arm().label, bench, exp)
+        Self::single(ALONE_LABEL, bench, exp)
     }
 }
 
-/// One planned simulation: a deterministic key plus the work recipe (an
-/// arm and the benchmarks it runs, one per core).
-#[derive(Clone)]
+/// One planned simulation: a deterministic key plus the exact system and
+/// benchmarks (one per core) it runs.
+#[derive(Clone, Debug)]
 pub struct SimUnit {
     /// The unit's deterministic identity.
     pub key: UnitKey,
-    arm: PolicyArm,
+    config: SimConfig,
     benchmarks: Vec<BenchProfile>,
 }
 
 impl SimUnit {
-    /// Plans a multiprogrammed run of `w` under `arm`.
-    pub fn workload(arm: &PolicyArm, variant: &str, w: &Workload, exp: &ExpConfig) -> Self {
+    /// Plans `config` over `benchmarks` under `key`; the config takes the
+    /// key's instruction budget and seed.
+    pub fn new(key: UnitKey, mut config: SimConfig, benchmarks: Vec<BenchProfile>) -> Self {
+        config.max_instructions = key.instructions;
+        config.seed = key.seed;
         SimUnit {
-            key: UnitKey::workload(arm.label, variant, w, exp),
-            arm: arm.clone(),
-            benchmarks: w.benchmarks.clone(),
-        }
-    }
-
-    /// Plans a single-core run of `bench` under `arm` (at the single-core
-    /// instruction budget).
-    pub fn single(arm: &PolicyArm, bench: &BenchProfile, exp: &ExpConfig) -> Self {
-        SimUnit {
-            key: UnitKey::single(arm.label, bench, exp),
-            arm: arm.clone(),
-            benchmarks: vec![bench.clone()],
+            key,
+            config,
+            benchmarks,
         }
     }
 
     /// Plans the canonical §5.2 `IPC_alone` run of `bench` (single-core,
     /// demand-first) used to normalize every multi-core metric.
     pub fn alone(bench: &BenchProfile, exp: &ExpConfig) -> Self {
-        Self::single(&alone_arm(), bench, exp)
+        Self::new(
+            UnitKey::alone(bench, exp),
+            SimConfig::single_core(SchedulingPolicy::DemandFirst),
+            vec![bench.clone()],
+        )
     }
 
     /// Whether this is a single-core run (a grid cell or an `IPC_alone`
@@ -413,23 +332,20 @@ impl SimUnit {
     }
 
     /// The exact configuration this unit simulates.
-    fn config(&self) -> SimConfig {
-        let mut cfg = self.arm.build(self.benchmarks.len());
-        cfg.max_instructions = self.key.instructions;
-        cfg.seed = self.key.seed;
-        cfg
+    pub fn config(&self) -> &SimConfig {
+        &self.config
     }
 
     /// Runs the simulation this unit names. Deterministic: depends only on
-    /// the key and the arm recipe.
+    /// the unit's config and benchmarks.
     pub fn execute(&self) -> Report {
-        System::new(self.config(), self.benchmarks.clone()).run()
+        System::new(self.config.clone(), self.benchmarks.clone()).run()
     }
 
     /// The unit's content-address document: the simulator fingerprint plus
     /// the **full** result-shaping inputs — the exact [`SimConfig`]
-    /// [`execute`](Self::execute) builds and the benchmark profiles it
-    /// runs, serialized to canonical JSON. Its SHA-256 digest keys both
+    /// [`execute`](Self::execute) runs and the benchmark profiles it runs
+    /// it over, serialized to canonical JSON. Its SHA-256 digest keys both
     /// the in-memory claim map and the persistent store.
     ///
     /// Labels and variants are deliberately excluded: two arms that build
@@ -443,15 +359,9 @@ impl SimUnit {
         format!(
             "{{\"fingerprint\":{},\"config\":{},\"benchmarks\":{}}}",
             serde_json::to_string(&super::unit_cache::fingerprint()).expect("string serializes"),
-            serde_json::to_string(&self.config()).expect("config serializes"),
+            serde_json::to_string(&self.config).expect("config serializes"),
             serde_json::to_string(&self.benchmarks).expect("profiles serialize"),
         )
-    }
-}
-
-impl fmt::Debug for SimUnit {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "SimUnit({:?})", self.key)
     }
 }
 
@@ -509,16 +419,11 @@ impl<'a> UnitResults<'a> {
             .unwrap_or_else(|| panic!("reduce requested unplanned unit {key:?}"))
     }
 
-    /// `IPC_alone` of one benchmark (canonical §5.2 run).
-    pub fn alone_ipc(&self, bench: &BenchProfile, exp: &ExpConfig) -> f64 {
-        self.get(&UnitKey::alone(bench, exp)).per_core[0].ipc()
-    }
-
-    /// `IPC_alone` for each benchmark of a workload.
+    /// `IPC_alone` for each benchmark of a workload (canonical §5.2 runs).
     pub fn alone_ipcs(&self, w: &Workload, exp: &ExpConfig) -> Vec<f64> {
         w.benchmarks
             .iter()
-            .map(|b| self.alone_ipc(b, exp))
+            .map(|b| self.get(&UnitKey::alone(b, exp)).per_core[0].ipc())
             .collect()
     }
 }
@@ -538,118 +443,6 @@ pub fn plan_alone_units(workloads: &[Workload], exp: &ExpConfig) -> Vec<SimUnit>
         }
     }
     units
-}
-
-/// Plan phase: enumerates an experiment's independent simulation units.
-pub type PlanFn = Arc<dyn Fn(&ExpConfig) -> Vec<SimUnit> + Send + Sync>;
-
-/// Reduce phase: folds unit results (in plan order) into tables.
-pub type ReduceFn = Arc<dyn Fn(&ExpConfig, &[UnitResult]) -> Vec<ExpTable> + Send + Sync>;
-
-/// How an experiment executes: `plan` enumerates independent simulation
-/// units, [`execute_units`] resolves them, and `reduce` folds the results
-/// into tables after a per-experiment unit barrier (so table bytes never
-/// depend on scheduling). Experiments that simulate nothing through the
-/// unit layer (fig2, fig4, cost, tab6) plan zero units and build their
-/// tables in `reduce`.
-pub struct ExpKind {
-    /// Enumerates the experiment's independent simulation units.
-    pub plan: PlanFn,
-    /// Folds unit results (in plan order) into tables.
-    pub reduce: ReduceFn,
-}
-
-impl ExpKind {
-    /// Builds a kind from the two phases.
-    pub fn new(
-        plan: impl Fn(&ExpConfig) -> Vec<SimUnit> + Send + Sync + 'static,
-        reduce: impl Fn(&ExpConfig, &[UnitResult]) -> Vec<ExpTable> + Send + Sync + 'static,
-    ) -> Self {
-        ExpKind {
-            plan: Arc::new(plan),
-            reduce: Arc::new(reduce),
-        }
-    }
-
-    /// Runs the experiment: plan → execute → reduce.
-    pub fn tables(&self, exp: &ExpConfig) -> Vec<ExpTable> {
-        let results = execute_units(&(self.plan)(exp));
-        (self.reduce)(exp, &results)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Test-only reference path.
-// ---------------------------------------------------------------------------
-
-/// Runs one benchmark alone on a single-core system under the arm's
-/// configuration. Test-only: the legacy-transcription byte tests compare
-/// the plan/execute/reduce tables against these helpers, which go straight
-/// to [`System::new`] and share no code with the unit cache.
-#[cfg(test)]
-pub(crate) fn run_single(arm: &PolicyArm, bench: &BenchProfile, exp: &ExpConfig) -> Report {
-    let mut cfg = arm.build(1);
-    cfg.max_instructions = exp.instructions_single;
-    cfg.seed = exp.seed;
-    System::new(cfg, vec![bench.clone()]).run()
-}
-
-/// Runs a multiprogrammed workload under the arm's configuration
-/// (test-only reference path; see [`run_single`]).
-#[cfg(test)]
-pub(crate) fn run_workload(arm: &PolicyArm, w: &Workload, exp: &ExpConfig) -> Report {
-    let mut cfg = arm.build(w.cores());
-    cfg.max_instructions = exp.instructions;
-    cfg.seed = exp.seed;
-    System::new(cfg, w.benchmarks.clone()).run()
-}
-
-/// `IPC_alone` for each benchmark of a workload — measured on a single-core
-/// system with the demand-first policy, as §5.2 specifies (test-only
-/// reference path; see [`run_single`]).
-#[cfg(test)]
-pub(crate) fn alone_ipcs(w: &Workload, exp: &ExpConfig) -> Vec<f64> {
-    let arm = alone_arm();
-    w.benchmarks
-        .iter()
-        .map(|b| run_single(&arm, b, exp).per_core[0].ipc())
-        .collect()
-}
-
-/// Aggregate outcome of one workload under one arm.
-#[derive(Clone, Debug, Default)]
-pub(crate) struct WorkloadOutcome {
-    pub ws: f64,
-    pub hs: f64,
-    pub uf: f64,
-    pub traffic_total: f64,
-}
-
-impl WorkloadOutcome {
-    /// Computes the outcome of one report against its alone-IPC baseline.
-    pub(crate) fn from_report(r: &Report, alone: &[f64]) -> Self {
-        let ipcs: Vec<f64> = r.per_core.iter().map(|c| c.ipc()).collect();
-        WorkloadOutcome {
-            ws: metrics::weighted_speedup(&ipcs, alone),
-            hs: metrics::harmonic_speedup(&ipcs, alone),
-            uf: metrics::unfairness(&ipcs, alone),
-            traffic_total: r.traffic().total() as f64,
-        }
-    }
-}
-
-/// Averages outcomes across workloads (UF clamped: it can be infinite if
-/// a core starves completely).
-pub(crate) fn average_outcomes(results: &[WorkloadOutcome]) -> WorkloadOutcome {
-    let n = results.len().max(1) as f64;
-    let mut acc = WorkloadOutcome::default();
-    for r in results {
-        acc.ws += r.ws / n;
-        acc.hs += r.hs / n;
-        acc.uf += r.uf.min(100.0) / n;
-        acc.traffic_total += r.traffic_total / n;
-    }
-    acc
 }
 
 #[cfg(test)]
@@ -701,22 +494,6 @@ mod tests {
     }
 
     #[test]
-    fn standard_arms_match_paper_legend() {
-        let arms = standard_arms();
-        let labels: Vec<_> = arms.iter().map(|a| a.label).collect();
-        assert_eq!(
-            labels,
-            vec![
-                "no-pref",
-                "demand-first",
-                "demand-pref-equal",
-                "aps-only",
-                "aps-apd (PADC)"
-            ]
-        );
-    }
-
-    #[test]
     fn exp_config_scales_are_ordered() {
         let smoke = ExpConfig::at(Scale::Smoke);
         let quick = ExpConfig::at(Scale::Quick);
@@ -743,26 +520,6 @@ mod tests {
         assert_eq!(cfg.instructions_single, 50_000);
         let cfg = ExpConfig::at(Scale::Full).with_instructions(100);
         assert_eq!(cfg.instructions_single, 800_000);
-    }
-
-    #[test]
-    fn policy_arm_closures_capture_parameters() {
-        let sizes = [2 * 1024u64, 128 * 1024];
-        let arms: Vec<PolicyArm> = sizes
-            .iter()
-            .map(|&size| {
-                PolicyArm::new("demand-first", move |n| {
-                    let mut cfg = SimConfig::new(n, SchedulingPolicy::DemandFirst);
-                    cfg.dram.row_bytes = size;
-                    cfg
-                })
-            })
-            .collect();
-        assert_eq!(arms[0].build(4).dram.row_bytes, 2 * 1024);
-        assert_eq!(arms[1].build(4).dram.row_bytes, 128 * 1024);
-        let wrapped = arms[0].mutated(|cfg| cfg.dram.row_bytes = 4096);
-        assert_eq!(wrapped.build(2).dram.row_bytes, 4096);
-        assert_eq!(arms[0].build(2).dram.row_bytes, 2 * 1024, "base unchanged");
     }
 
     #[test]

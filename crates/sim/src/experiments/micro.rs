@@ -1,7 +1,11 @@
-//! Micro-scale experiments: the Fig. 2 scheduling example and the Fig. 4
-//! service-time/phase-behaviour measurements.
+//! The four experiments that are not arms over workloads or benchmarks and
+//! so build their tables by hand, planning no units: the Fig. 2 scheduling
+//! example, the Fig. 4 service-time/phase-behaviour measurements, and the
+//! hardware-cost and drop-threshold tables (1, 2, 6).
 
-use padc_core::{AccuracyTracker, ControllerConfig, MemoryController, SchedulingPolicy};
+use padc_core::{
+    cost, AccuracyTracker, ControllerConfig, DropThresholds, MemoryController, SchedulingPolicy,
+};
 use padc_dram::{DramConfig, MappingScheme};
 use padc_types::{AccessKind, CoreId, Cycle, LineAddr, RequestKind};
 use padc_workloads::profiles;
@@ -17,7 +21,7 @@ use super::infra::{ExpConfig, ExpTable};
 /// completion time of each request and the final completion time under both
 /// policies — reproducing the 725- vs 575-cycle contrast at our timing
 /// parameters.
-pub fn fig2_scheduling_example(_exp: &ExpConfig) -> ExpTable {
+pub(super) fn fig2(_exp: &ExpConfig) -> Vec<ExpTable> {
     let mut t = ExpTable::new(
         "fig2",
         "Rigid-policy example: completion cycles of X/Z (row-hit prefetches) and Y (row-conflict demand)",
@@ -98,13 +102,13 @@ pub fn fig2_scheduling_example(_exp: &ExpConfig) -> ExpTable {
             vec![tx as f64, ty as f64, tz as f64, tx.max(ty).max(tz) as f64],
         );
     }
-    t
+    vec![t]
 }
 
 /// Fig. 4: (a) the service-time histogram of useful vs useless prefetches
 /// for milc under demand-first, and (b) milc's prefetch-accuracy phase
 /// behaviour sampled at every measurement interval.
-pub fn fig4_service_time_and_phases(exp: &ExpConfig) -> Vec<ExpTable> {
+pub(super) fn fig4(exp: &ExpConfig) -> Vec<ExpTable> {
     let mut cfg = SimConfig::single_core(SchedulingPolicy::DemandFirst);
     // Long enough to cross a full phase cycle of the milc profile (1M
     // instructions), so the accuracy collapse AND recovery both show.
@@ -158,13 +162,65 @@ pub fn fig4_service_time_and_phases(exp: &ExpConfig) -> Vec<ExpTable> {
     vec![hist, phases]
 }
 
+/// Tables 1 and 2: the hardware-cost model, evaluated for the paper's
+/// 1/2/4/8-core systems.
+pub(super) fn storage_cost(_exp: &ExpConfig) -> Vec<ExpTable> {
+    let mut t = ExpTable::new(
+        "cost",
+        "PADC storage cost in bits (Tables 1-2); last column = % of L2 capacity",
+        &["P", "PSC+PUC+PAR", "U", "ID", "AGE", "total", "%L2"],
+    );
+    for (cores, lines_per_core, req) in [
+        (1u64, 16_384u64, 64u64), // 1MB single-core L2
+        (2, 8_192, 64),
+        (4, 8_192, 128),
+        (8, 8_192, 256),
+    ] {
+        let c = cost::padc_storage(cores, lines_per_core, req);
+        let l2_bytes = lines_per_core * cores * 64;
+        t.push(
+            format!("{cores}-core"),
+            vec![
+                c.p_bits as f64,
+                (c.psc_bits + c.puc_bits + c.par_bits) as f64,
+                c.urgent_bits as f64,
+                c.id_bits as f64,
+                c.age_bits as f64,
+                c.total_bits() as f64,
+                cost::fraction_of_l2(&c, l2_bytes) * 100.0,
+            ],
+        );
+    }
+    vec![t]
+}
+
+/// Table 6: the dynamic drop-threshold schedule.
+pub(super) fn tab6(_exp: &ExpConfig) -> Vec<ExpTable> {
+    let d = DropThresholds::default();
+    let mut t = ExpTable::new(
+        "tab6",
+        "Dynamic APD drop thresholds (cycles) by measured prefetch accuracy",
+        &["drop_threshold"],
+    );
+    for (label, acc) in [
+        ("0-10%", 0.05),
+        ("10-30%", 0.20),
+        ("30-70%", 0.50),
+        ("70-100%", 0.85),
+    ] {
+        t.push(label, vec![d.threshold_for(acc) as f64]);
+    }
+    vec![t]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::Scale;
 
     #[test]
     fn fig2_reproduces_the_policy_contrast() {
-        let t = fig2_scheduling_example(&ExpConfig::at(crate::experiments::Scale::Smoke));
+        let t = fig2(&ExpConfig::at(Scale::Smoke)).remove(0);
         // Under demand-first, the conflicting demand finishes first...
         let df_y = t.get("demand-first", "Y (dem, row B)").unwrap();
         let df_x = t.get("demand-first", "X (pref, row A)").unwrap();
@@ -180,5 +236,20 @@ mod tests {
             eq_total < df_total,
             "equal finishes all three sooner ({eq_total} vs {df_total})"
         );
+    }
+
+    #[test]
+    fn cost_table_matches_paper_totals() {
+        let t = storage_cost(&ExpConfig::at(Scale::Smoke)).remove(0);
+        assert_eq!(t.get("4-core", "total"), Some(34_720.0));
+        let pct = t.get("4-core", "%L2").unwrap();
+        assert!((pct - 0.2).abs() < 0.05, "{pct}");
+    }
+
+    #[test]
+    fn threshold_table_matches_table6() {
+        let t = tab6(&ExpConfig::at(Scale::Smoke)).remove(0);
+        assert_eq!(t.get("0-10%", "drop_threshold"), Some(100.0));
+        assert_eq!(t.get("70-100%", "drop_threshold"), Some(100_000.0));
     }
 }

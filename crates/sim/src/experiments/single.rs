@@ -1,280 +1,219 @@
 //! Single-core experiments: Figs. 1, 6, 7, 8 and Tables 5, 7.
 //!
-//! These are (benchmark, arm) grids. Each grid cell is planned as one
-//! [`SimUnit::single`] in benchmark-major order; the unit cache keys a
-//! unit by the digest of its full inputs, so the five grids share their
-//! cells with each other and with every `IPC_alone` normalization run in
-//! the multi-core experiments.
+//! These are (benchmark, arm) grids. A [`Grid`] plans one single-core unit
+//! per cell, benchmark-major, and hands the reports to its table builder
+//! as [`Cells`]. The unit cache keys a unit by the digest of its full
+//! inputs, so the six grids share their cells with each other and with
+//! every `IPC_alone` normalization run in the multi-core experiments.
 
 use padc_workloads::{profiles, BenchProfile};
 
 use crate::metrics::gmean;
 use crate::Report;
 
-use super::infra::{
-    standard_arms, ExpConfig, ExpKind, ExpTable, PolicyArm, SimUnit, UnitKey, UnitResult,
-    UnitResults,
-};
+use super::infra::{ExpConfig, ExpTable, SimUnit, UnitKey, UnitResult, UnitResults};
+use super::spec::{Arm, DEMAND_FIRST, EQUAL, NO_PREF};
 
-/// The ten benchmarks of Fig. 1 (five prefetch-unfriendly, five friendly).
-fn fig1_benchmarks() -> Vec<BenchProfile> {
-    [
-        "galgel_00",
-        "ammp_00",
-        "xalancbmk_06",
-        "art_00",
-        "milc_06",
-        "libquantum_06",
-        "swim_00",
-        "bwaves_06",
-        "leslie3d_06",
-        "lbm_06",
-    ]
-    .iter()
-    .map(|n| profiles::by_name(n).expect("catalog benchmark"))
-    .collect()
+/// A single-core experiment: benchmarks × arms, one table.
+#[derive(Clone, Copy, Debug)]
+pub struct Grid {
+    /// The benchmarks, in row order.
+    pub benchmarks: fn() -> Vec<BenchProfile>,
+    /// The arms, in column order.
+    pub arms: &'static [Arm],
+    /// Builds the experiment's table from the grid's reports.
+    pub table: fn(&Cells<'_>) -> ExpTable,
 }
 
-/// The fifteen benchmarks Fig. 6–8 show individually.
-fn fig6_benchmarks() -> Vec<BenchProfile> {
-    [
-        "swim_00",
-        "galgel_00",
-        "art_00",
-        "ammp_00",
-        "gcc_06",
-        "mcf_06",
-        "libquantum_06",
-        "omnetpp_06",
-        "xalancbmk_06",
-        "bwaves_06",
-        "milc_06",
-        "cactusADM_06",
-        "leslie3d_06",
-        "soplex_06",
-        "lbm_06",
-    ]
-    .iter()
-    .map(|n| profiles::by_name(n).expect("catalog benchmark"))
-    .collect()
-}
-
-/// Plans one single-core unit per grid cell, benchmark-major (the same
-/// order the legacy `run_grid` executed in).
-fn grid_plan(benches: &[BenchProfile], arms: &[PolicyArm], exp: &ExpConfig) -> Vec<SimUnit> {
-    let mut units = Vec::with_capacity(benches.len() * arms.len());
-    for bench in benches {
-        for arm in arms {
-            units.push(SimUnit::single(arm, bench, exp));
+impl Grid {
+    /// One single-core unit per cell, benchmark-major.
+    pub fn plan(&self, exp: &ExpConfig) -> Vec<SimUnit> {
+        let mut units = Vec::new();
+        for bench in (self.benchmarks)() {
+            for arm in self.arms {
+                units.push(SimUnit::new(
+                    UnitKey::single(arm.label, &bench, exp),
+                    arm.config(1, &[]),
+                    vec![bench.clone()],
+                ));
+            }
         }
+        units
     }
-    units
-}
 
-/// Key-indexed grid view for the reduce phases: `report(bench, arm)`
-/// addresses one cell.
-struct GridView<'a> {
-    idx: UnitResults<'a>,
-    exp: ExpConfig,
-}
-
-impl<'a> GridView<'a> {
-    fn new(results: &'a [UnitResult], exp: &ExpConfig) -> Self {
-        GridView {
+    /// Builds the table from the planned units' reports.
+    pub fn reduce(&self, exp: &ExpConfig, results: &[UnitResult]) -> ExpTable {
+        (self.table)(&Cells {
+            benches: (self.benchmarks)(),
+            arms: self.arms,
             idx: UnitResults::new(results),
-            exp: *exp,
-        }
+            exp,
+        })
+    }
+}
+
+/// The reports of one [`Grid`], addressable by (benchmark, arm).
+pub struct Cells<'a> {
+    benches: Vec<BenchProfile>,
+    arms: &'static [Arm],
+    idx: UnitResults<'a>,
+    exp: &'a ExpConfig,
+}
+
+impl<'a> Cells<'a> {
+    fn report(&self, bench: &BenchProfile, arm: &Arm) -> &'a Report {
+        self.idx.get(&UnitKey::single(arm.label, bench, self.exp))
     }
 
-    fn report(&self, bench: &BenchProfile, arm: &PolicyArm) -> &'a Report {
-        self.idx.get(&UnitKey::single(arm.label, bench, &self.exp))
-    }
-
-    fn ipc(&self, bench: &BenchProfile, arm: &PolicyArm) -> f64 {
+    fn ipc(&self, bench: &BenchProfile, arm: &Arm) -> f64 {
         self.report(bench, arm).per_core[0].ipc()
     }
+
+    /// A table with a column per arm: one row of `value` per `shown`
+    /// benchmark (in suite order), then `summary` of each column over the
+    /// whole suite — the shape Figs. 6, 7 and Table 7 share.
+    fn shown_rows_and_summary(
+        &self,
+        id: &str,
+        title: &str,
+        shown: &[&str],
+        value: impl Fn(&BenchProfile, &Arm) -> f64,
+        (label, summary): (&str, fn(&[f64]) -> f64),
+    ) -> ExpTable {
+        let labels: Vec<&str> = self.arms.iter().map(|a| a.label).collect();
+        let mut t = ExpTable::new(id, title, &labels);
+        let mut columns = vec![Vec::new(); self.arms.len()];
+        for bench in &self.benches {
+            let row: Vec<f64> = self.arms.iter().map(|a| value(bench, a)).collect();
+            for (column, v) in columns.iter_mut().zip(&row) {
+                column.push(*v);
+            }
+            if shown.contains(&bench.name.as_str()) {
+                t.push(bench.name.clone(), row);
+            }
+        }
+        t.push(label, columns.iter().map(|c| summary(c)).collect());
+        t
+    }
 }
 
-fn fig1_reduce(exp: &ExpConfig, results: &[UnitResult]) -> ExpTable {
-    let benches = fig1_benchmarks();
-    let arms = standard_arms();
-    let grid = GridView::new(results, exp);
+fn amean(xs: &[f64]) -> f64 {
+    xs.iter().sum::<f64>() / xs.len() as f64
+}
+
+/// The ten benchmarks of Fig. 1 (five prefetch-unfriendly, five friendly).
+pub(super) fn fig1_benchmarks() -> Vec<BenchProfile> {
+    [
+        "galgel_00",
+        "ammp_00",
+        "xalancbmk_06",
+        "art_00",
+        "milc_06",
+        "libquantum_06",
+        "swim_00",
+        "bwaves_06",
+        "leslie3d_06",
+        "lbm_06",
+    ]
+    .iter()
+    .map(|n| profiles::by_name(n).expect("catalog benchmark"))
+    .collect()
+}
+
+/// The fifteen benchmarks Figs. 6 and 7 show individually.
+const FIG6_SHOWN: [&str; 15] = [
+    "swim_00",
+    "galgel_00",
+    "art_00",
+    "ammp_00",
+    "gcc_06",
+    "mcf_06",
+    "libquantum_06",
+    "omnetpp_06",
+    "xalancbmk_06",
+    "bwaves_06",
+    "milc_06",
+    "cactusADM_06",
+    "leslie3d_06",
+    "soplex_06",
+    "lbm_06",
+];
+
+/// Fig. 1: IPC of the stream prefetcher under demand-first and
+/// demand-prefetch-equal, normalized to no prefetching, for ten benchmarks.
+pub(super) fn fig1(cells: &Cells<'_>) -> ExpTable {
     let mut t = ExpTable::new(
         "fig1",
         "Normalized IPC of a stream prefetcher under two rigid policies (vs no-pref)",
         &["demand-first", "demand-pref-equal"],
     );
-    for bench in &benches {
-        let base = grid.ipc(bench, &arms[0]);
+    for bench in &cells.benches {
+        let base = cells.ipc(bench, &NO_PREF);
         t.push(
             bench.name.clone(),
             vec![
-                grid.ipc(bench, &arms[1]) / base,
-                grid.ipc(bench, &arms[2]) / base,
+                cells.ipc(bench, &DEMAND_FIRST) / base,
+                cells.ipc(bench, &EQUAL) / base,
             ],
         );
     }
-    t
-}
-
-/// Fig. 1: IPC of the stream prefetcher under demand-first and
-/// demand-prefetch-equal, normalized to no prefetching, for ten benchmarks.
-pub fn fig1_motivation(exp: &ExpConfig) -> ExpTable {
-    fig1_kind().tables(exp).remove(0)
-}
-
-pub(crate) fn fig1_kind() -> ExpKind {
-    ExpKind::new(
-        // no-pref, demand-first, equal
-        |exp| grid_plan(&fig1_benchmarks(), &standard_arms()[0..3], exp),
-        |exp, results| vec![fig1_reduce(exp, results)],
-    )
-}
-
-fn fig6_reduce(exp: &ExpConfig, results: &[UnitResult]) -> ExpTable {
-    let shown = fig6_benchmarks();
-    let all = profiles::all();
-    let arms = standard_arms();
-    let grid = GridView::new(results, exp);
-    let mut t = ExpTable::new(
-        "fig6",
-        "Single-core normalized IPC (vs demand-first); last row = gmean over 55 benchmarks",
-        &[
-            "no-pref",
-            "demand-first",
-            "demand-pref-equal",
-            "aps-only",
-            "aps-apd (PADC)",
-        ],
-    );
-    let mut norms: Vec<Vec<f64>> = vec![Vec::new(); arms.len()];
-    for bench in &all {
-        let base = grid.ipc(bench, &arms[1]);
-        let row: Vec<f64> = arms.iter().map(|a| grid.ipc(bench, a) / base).collect();
-        for (a, v) in row.iter().enumerate() {
-            norms[a].push(*v);
-        }
-        if shown.iter().any(|s| s.name == bench.name) {
-            t.push(bench.name.clone(), row);
-        }
-    }
-    t.push("gmean55", norms.iter().map(|v| gmean(v)).collect());
     t
 }
 
 /// Fig. 6: single-core IPC for all five arms, normalized to demand-first,
 /// for 15 benchmarks plus the gmean over the whole 55-benchmark suite.
-pub fn fig6_single_core_ipc(exp: &ExpConfig) -> ExpTable {
-    fig6_kind().tables(exp).remove(0)
-}
-
-pub(crate) fn fig6_kind() -> ExpKind {
-    ExpKind::new(
-        |exp| grid_plan(&profiles::all(), &standard_arms(), exp),
-        |exp, results| vec![fig6_reduce(exp, results)],
+pub(super) fn fig6(cells: &Cells<'_>) -> ExpTable {
+    cells.shown_rows_and_summary(
+        "fig6",
+        "Single-core normalized IPC (vs demand-first); last row = gmean over 55 benchmarks",
+        &FIG6_SHOWN,
+        |bench, arm| cells.ipc(bench, arm) / cells.ipc(bench, &DEMAND_FIRST),
+        ("gmean55", gmean),
     )
-}
-
-fn fig7_reduce(exp: &ExpConfig, results: &[UnitResult]) -> ExpTable {
-    let shown = fig6_benchmarks();
-    let all = profiles::all();
-    let arms = standard_arms();
-    let grid = GridView::new(results, exp);
-    let mut t = ExpTable::new(
-        "fig7",
-        "Stall cycles per load (SPL), single core; last row = mean over 55 benchmarks",
-        &[
-            "no-pref",
-            "demand-first",
-            "demand-pref-equal",
-            "aps-only",
-            "aps-apd (PADC)",
-        ],
-    );
-    let mut sums = vec![0.0; arms.len()];
-    for bench in &all {
-        let row: Vec<f64> = arms
-            .iter()
-            .map(|a| grid.report(bench, a).per_core[0].spl())
-            .collect();
-        for (a, v) in row.iter().enumerate() {
-            sums[a] += v;
-        }
-        if shown.iter().any(|s| s.name == bench.name) {
-            t.push(bench.name.clone(), row);
-        }
-    }
-    t.push(
-        "amean55",
-        sums.iter().map(|s| s / all.len() as f64).collect(),
-    );
-    t
 }
 
 /// Fig. 7: stall-time per load (SPL) for the 15 shown benchmarks plus the
 /// arithmetic mean over all 55.
-pub fn fig7_spl(exp: &ExpConfig) -> ExpTable {
-    fig7_kind().tables(exp).remove(0)
-}
-
-pub(crate) fn fig7_kind() -> ExpKind {
-    ExpKind::new(
-        |exp| grid_plan(&profiles::all(), &standard_arms(), exp),
-        |exp, results| vec![fig7_reduce(exp, results)],
+pub(super) fn fig7(cells: &Cells<'_>) -> ExpTable {
+    cells.shown_rows_and_summary(
+        "fig7",
+        "Stall cycles per load (SPL), single core; last row = mean over 55 benchmarks",
+        &FIG6_SHOWN,
+        |bench, arm| cells.report(bench, arm).per_core[0].spl(),
+        ("amean55", amean),
     )
 }
 
-fn fig8_reduce(exp: &ExpConfig, results: &[UnitResult]) -> ExpTable {
-    let all = profiles::all();
-    let arms = standard_arms();
-    let grid = GridView::new(results, exp);
+/// Fig. 8: bus traffic split into demand / useful-prefetch / useless-
+/// prefetch lines, per arm: the mean per benchmark over all 55 (the
+/// paper's `amean55` bars).
+pub(super) fn fig8(cells: &Cells<'_>) -> ExpTable {
     let mut t = ExpTable::new(
         "fig8",
         "Bus traffic in cache lines (mean per benchmark over the 55-benchmark suite)",
         &["demand", "pref-useful", "pref-useless", "total"],
     );
-    for arm in &arms {
-        let mut demand = 0.0;
-        let mut useful = 0.0;
-        let mut useless = 0.0;
-        for bench in &all {
-            let tr = grid.report(bench, arm).traffic();
+    let n = cells.benches.len() as f64;
+    for arm in cells.arms {
+        let (mut demand, mut useful, mut useless) = (0.0, 0.0, 0.0);
+        for bench in &cells.benches {
+            let tr = cells.report(bench, arm).traffic();
             demand += tr.demand as f64;
             useful += tr.pref_useful as f64;
             useless += tr.pref_useless as f64;
         }
-        let n = all.len() as f64;
+        let total = demand + useful + useless;
         t.push(
             arm.label,
-            vec![
-                demand / n,
-                useful / n,
-                useless / n,
-                (demand + useful + useless) / n,
-            ],
+            vec![demand / n, useful / n, useless / n, total / n],
         );
     }
     t
 }
 
-/// Fig. 8: bus traffic split into demand / useful-prefetch / useless-
-/// prefetch lines, per arm, summed over all 55 benchmarks (the paper's
-/// `amean55` bars, scaled by the benchmark count).
-pub fn fig8_traffic(exp: &ExpConfig) -> ExpTable {
-    fig8_kind().tables(exp).remove(0)
-}
-
-pub(crate) fn fig8_kind() -> ExpKind {
-    ExpKind::new(
-        |exp| grid_plan(&profiles::all(), &standard_arms(), exp),
-        |exp, results| vec![fig8_reduce(exp, results)],
-    )
-}
-
-fn tab5_reduce(exp: &ExpConfig, results: &[UnitResult]) -> ExpTable {
-    let all = profiles::all();
-    let arms = standard_arms();
-    let grid = GridView::new(results, exp);
+/// Table 5: benchmark characteristics with and without the stream
+/// prefetcher (IPC, MPKI, RBH, ACC, COV, class) under demand-first.
+pub(super) fn tab5(cells: &Cells<'_>) -> ExpTable {
     let mut t = ExpTable::new(
         "tab5",
         "Benchmark characteristics (no-pref IPC/MPKI; demand-first IPC/MPKI/RBH/ACC/COV; class)",
@@ -282,11 +221,10 @@ fn tab5_reduce(exp: &ExpConfig, results: &[UnitResult]) -> ExpTable {
             "IPC(np)", "MPKI(np)", "IPC(df)", "MPKI(df)", "RBH", "ACC", "COV", "class",
         ],
     );
-    for bench in &all {
-        let np = &grid.report(bench, &arms[0]).per_core[0];
-        let df_report = grid.report(bench, &arms[1]);
+    for bench in &cells.benches {
+        let np = &cells.report(bench, &NO_PREF).per_core[0];
+        let df_report = cells.report(bench, &DEMAND_FIRST);
         let df = &df_report.per_core[0];
-        let rbh = df_report.channels[0].row_hit_rate();
         t.push(
             bench.name.clone(),
             vec![
@@ -294,7 +232,7 @@ fn tab5_reduce(exp: &ExpConfig, results: &[UnitResult]) -> ExpTable {
                 np.mpki(),
                 df.ipc(),
                 df.mpki(),
-                rbh,
+                df_report.channels[0].row_hit_rate(),
                 df.acc(),
                 df.cov(),
                 bench.class.code() as f64,
@@ -304,102 +242,51 @@ fn tab5_reduce(exp: &ExpConfig, results: &[UnitResult]) -> ExpTable {
     t
 }
 
-/// Table 5: benchmark characteristics with and without the stream
-/// prefetcher (IPC, MPKI, RBH, ACC, COV, class) under demand-first.
-pub fn tab5_characteristics(exp: &ExpConfig) -> ExpTable {
-    tab5_kind().tables(exp).remove(0)
-}
-
-pub(crate) fn tab5_kind() -> ExpKind {
-    ExpKind::new(
-        // no-pref + demand-first
-        |exp| grid_plan(&profiles::all(), &standard_arms()[0..2], exp),
-        |exp, results| vec![tab5_reduce(exp, results)],
-    )
-}
-
-fn tab7_reduce(exp: &ExpConfig, results: &[UnitResult]) -> ExpTable {
-    let shown = [
-        "swim_00",
-        "galgel_00",
-        "art_00",
-        "ammp_00",
-        "mcf_06",
-        "libquantum_06",
-        "omnetpp_06",
-        "xalancbmk_06",
-        "bwaves_06",
-        "milc_06",
-        "leslie3d_06",
-        "soplex_06",
-        "lbm_06",
-    ];
-    let all = profiles::all();
-    let arms = standard_arms();
-    let grid = GridView::new(results, exp);
-    let mut t = ExpTable::new(
+/// Table 7: row-buffer hit rate for useful requests (RBHU) under each arm,
+/// for the paper's 13 benchmarks plus the mean over the suite.
+pub(super) fn tab7(cells: &Cells<'_>) -> ExpTable {
+    cells.shown_rows_and_summary(
         "tab7",
         "Row-buffer hit rate for useful (demand + useful prefetch) requests",
         &[
-            "no-pref",
-            "demand-first",
-            "demand-pref-equal",
-            "aps-only",
-            "aps-apd (PADC)",
+            "swim_00",
+            "galgel_00",
+            "art_00",
+            "ammp_00",
+            "mcf_06",
+            "libquantum_06",
+            "omnetpp_06",
+            "xalancbmk_06",
+            "bwaves_06",
+            "milc_06",
+            "leslie3d_06",
+            "soplex_06",
+            "lbm_06",
         ],
-    );
-    let mut sums = vec![0.0; arms.len()];
-    for bench in &all {
-        let row: Vec<f64> = arms
-            .iter()
-            .map(|a| grid.report(bench, a).per_core[0].rbhu())
-            .collect();
-        for (a, v) in row.iter().enumerate() {
-            sums[a] += v;
-        }
-        if shown.contains(&bench.name.as_str()) {
-            t.push(bench.name.clone(), row);
-        }
-    }
-    t.push(
-        "amean55",
-        sums.iter().map(|s| s / all.len() as f64).collect(),
-    );
-    t
-}
-
-/// Table 7: row-buffer hit rate for useful requests (RBHU) under each arm,
-/// for the paper's 13 benchmarks plus the mean over the suite.
-pub fn tab7_rbhu(exp: &ExpConfig) -> ExpTable {
-    tab7_kind().tables(exp).remove(0)
-}
-
-pub(crate) fn tab7_kind() -> ExpKind {
-    ExpKind::new(
-        |exp| grid_plan(&profiles::all(), &standard_arms(), exp),
-        |exp, results| vec![tab7_reduce(exp, results)],
+        |bench, arm| cells.report(bench, arm).per_core[0].rbhu(),
+        ("amean55", amean),
     )
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::experiments::Scale;
+    use crate::experiments::{find, ExpConfig, Scale};
 
-    fn smoke() -> ExpConfig {
-        ExpConfig::at(Scale::Smoke)
+    fn smoke(id: &str) -> crate::experiments::ExpTable {
+        let e = find(id).expect("registered");
+        e.tables(&ExpConfig::at(Scale::Smoke)).remove(0)
     }
 
     #[test]
     fn fig1_produces_ten_rows() {
-        let t = fig1_motivation(&smoke());
+        let t = smoke("fig1");
         assert_eq!(t.rows.len(), 10);
         assert!(t.get("libquantum_06", "demand-first").unwrap() > 0.0);
     }
 
     #[test]
     fn fig6_has_gmean_row() {
-        let t = fig6_single_core_ipc(&smoke());
+        let t = smoke("fig6");
         assert_eq!(t.rows.len(), 16);
         assert!((t.get("gmean55", "demand-first").unwrap() - 1.0).abs() < 1e-9);
         // Prefetching must help on average even at smoke scale.
@@ -408,7 +295,7 @@ mod tests {
 
     #[test]
     fn tab5_reports_every_benchmark() {
-        let t = tab5_characteristics(&smoke());
+        let t = smoke("tab5");
         assert_eq!(t.rows.len(), 55);
         let milc_class = t.get("milc_06", "class").unwrap();
         assert_eq!(milc_class, 2.0);
@@ -416,9 +303,9 @@ mod tests {
 
     #[test]
     fn grid_plans_one_unit_per_cell() {
-        let exp = smoke();
-        let units = (fig6_kind().plan)(&exp);
-        assert_eq!(units.len(), profiles::all().len() * standard_arms().len());
+        let exp = ExpConfig::at(Scale::Smoke);
+        let units = find("fig6").expect("registered").plan(&exp);
+        assert_eq!(units.len(), 55 * 5);
         // Every unit is single-core at the single-core budget.
         assert!(units
             .iter()

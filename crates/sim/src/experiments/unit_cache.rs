@@ -323,12 +323,11 @@ pub(crate) fn execute_cached(units: &[SimUnit]) -> Vec<Report> {
 #[cfg(test)]
 mod tests {
     use std::panic::{catch_unwind, AssertUnwindSafe};
-    use std::sync::atomic::AtomicUsize;
 
     use padc_core::SchedulingPolicy;
 
     use super::*;
-    use crate::experiments::{ExpConfig, PolicyArm, Scale};
+    use crate::experiments::{ExpConfig, Scale, UnitKey};
     use crate::SimConfig;
 
     #[test]
@@ -336,22 +335,22 @@ mod tests {
         // A seed no other test uses, so these digests are private.
         let exp = ExpConfig::at(Scale::Smoke).with_seed(0xBAD);
         let bench = padc_workloads::profiles::by_name("milc_06").expect("catalog");
-        // Builds its config twice (the digest below, then the resolve
-        // loop's) and panics the third time, at execute.
-        let builds = AtomicUsize::new(0);
-        let failing = PolicyArm::new("failing", move |n| {
-            assert!(builds.fetch_add(1, Ordering::Relaxed) < 2, "injected");
-            SimConfig::new(n, SchedulingPolicy::Padc)
-        });
-        let units = [
-            SimUnit::single(&failing, &bench, &exp),
-            SimUnit::alone(&bench, &exp),
-        ];
+        // A two-core config over one benchmark: it digests like any other
+        // unit and `System::new` rejects it at execute.
+        let failing = SimUnit::new(
+            UnitKey::single("failing", &bench, &exp),
+            SimConfig::new(2, SchedulingPolicy::Padc),
+            vec![bench.clone()],
+        );
+        let units = [failing, SimUnit::alone(&bench, &exp)];
         let digests = units
             .each_ref()
             .map(|u| digest_hex(u.store_meta().as_bytes()));
         // Inline fan-out: the first unit panics, the second never starts.
-        assert!(catch_unwind(AssertUnwindSafe(|| execute_cached(&units))).is_err());
+        let panic = catch_unwind(AssertUnwindSafe(|| execute_cached(&units)))
+            .expect_err("the failing unit panics");
+        let message = panic.downcast_ref::<String>().expect("assert message");
+        assert!(message.contains("one benchmark per core"), "{message}");
         for digest in &digests {
             let cell = cell_for(digest);
             let state = cell.state.lock().unwrap();

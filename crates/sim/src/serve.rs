@@ -26,11 +26,11 @@
 //! {"id":"r1","experiments":["fig6","tab5"],"scale":"smoke"}
 //! ```
 //!
-//! `experiments` is an array of registry ids or `"all"` (default);
-//! `scale` is `full|quick|smoke` (default: the server's scale); integer
-//! `seed` and `instructions` (at least 1) override the scale preset. The
-//! response is a stream of events, each one JSON line tagged with the
-//! request id:
+//! `experiments` is an array of registry ids (a repeated id runs once,
+//! `"all"` among them selects every one) or `"all"` (default); `scale` is
+//! `full|quick|smoke` (default: the server's scale); integer `seed` and
+//! `instructions` (at least 1) override the scale preset. The response is
+//! a stream of events, each one JSON line tagged with the request id:
 //!
 //! ```json
 //! {"req":"r1","event":"accepted","jobs":2}
@@ -70,7 +70,7 @@ pub fn shared_writer(w: impl Write + Send + 'static) -> SharedWriter {
 /// One parsed, admitted request.
 struct Request {
     id: String,
-    experiments: Vec<Experiment>,
+    experiments: Vec<&'static Experiment>,
     cfg: ExpConfig,
 }
 
@@ -152,24 +152,21 @@ impl ServeState {
             cfg.instructions = n;
             cfg.instructions_single = n;
         }
-        let selected = match value.get("experiments") {
-            None => experiments::experiment_registry(),
-            Some(Value::Str(s)) if s == "all" => experiments::experiment_registry(),
+        let ids = match value.get("experiments") {
+            None => Vec::new(),
+            Some(Value::Str(s)) if s == "all" => Vec::new(),
             Some(Value::Array(requested)) => {
-                let mut selected = Vec::new();
-                for v in requested.iter() {
-                    let Some(exp_id) = v.as_str() else {
-                        return Err((id, "experiments must be an array of id strings".to_string()));
-                    };
-                    match experiments::find(exp_id) {
-                        Some(e) => selected.push(e),
-                        None => return Err((id, format!("unknown experiment id {exp_id:?}"))),
+                match requested
+                    .iter()
+                    .map(Value::as_str)
+                    .collect::<Option<Vec<_>>>()
+                {
+                    Some(ids) if !ids.is_empty() => ids,
+                    Some(_) => return Err((id, "experiments array is empty".to_string())),
+                    None => {
+                        return Err((id, "experiments must be an array of id strings".to_string()))
                     }
                 }
-                if selected.is_empty() {
-                    return Err((id, "experiments array is empty".to_string()));
-                }
-                selected
             }
             Some(_) => {
                 return Err((
@@ -178,6 +175,7 @@ impl ServeState {
                 ));
             }
         };
+        let selected = experiments::select(&ids).map_err(|e| (id.clone(), e))?;
         Ok(Request {
             id,
             experiments: selected,

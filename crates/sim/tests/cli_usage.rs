@@ -89,6 +89,40 @@ fn unrunnable_input_exits_2_with_one_line() {
     assert!(spare_cores.contains("--cores 3 but 1"), "{spare_cores}");
 }
 
+/// `cost cost` used to run the job twice and write two `cost` rows into an
+/// artifact whose rows `--resume` keys by id, and `all cost` to run `cost`
+/// alone.
+#[test]
+fn a_selection_runs_each_experiment_once_and_all_anywhere_is_everything() {
+    let twice = padcsim(&["--suite", "--smoke", "--no-progress", "cost", "cost"]);
+    let stderr = String::from_utf8_lossy(&twice.stderr);
+    assert!(stderr.contains("suite: 1/1 ok"), "{stderr}");
+    assert_eq!(twice.stdout.iter().filter(|&&b| b == b'\n').count(), 1);
+
+    // Against an artifact that settles every id, `all` has nothing to run.
+    let dir = scratch("select");
+    let artifact = dir.join("settled.jsonl");
+    let settled: Vec<String> = accepted(&["--suite", "--list"])
+        .lines()
+        .map(|line| line.split_whitespace().next().expect("id column"))
+        .map(|id| format!("{{\"id\":\"{id}\",\"status\":\"ok\",\"result\":{{}}}}\n"))
+        .collect();
+    std::fs::write(&artifact, settled.concat()).expect("artifact written");
+    let artifact = artifact.to_str().expect("utf-8 path");
+    let all = padcsim(&[
+        "--suite",
+        "--no-progress",
+        "--resume",
+        artifact,
+        "all",
+        "cost",
+    ]);
+    let stderr = String::from_utf8_lossy(&all.stderr);
+    let resumed = format!("suite: 0/{n} ok, {n} resumed", n = settled.len());
+    assert!(stderr.contains(&resumed), "{stderr}");
+    std::fs::remove_dir_all(&dir).expect("scratch removed");
+}
+
 /// A two-line trace file asking for a 22 TB expansion is a usage error
 /// decided by arithmetic — not an allocation abort (SIGABRT, no exit code)
 /// after eating the host's memory.

@@ -175,13 +175,14 @@ fn stdio_session_answers_overlapping_and_malformed_requests() {
         .write_all(
             b"{\"id\":\"r1\",\"experiments\":[\"fig6\",\"tab5\"],\"scale\":\"smoke\"}\n\
               this is not json\n\
-              {\"id\":\"r2\",\"experiments\":[\"fig6\",\"tab7\"],\"scale\":\"smoke\"}\n",
+              {\"id\":\"r2\",\"experiments\":[\"fig6\",\"tab7\"],\"scale\":\"smoke\"}\n\
+              {\"id\":\"r3\",\"experiments\":[\"cost\",\"cost\"]}\n",
         )
         .expect("requests written");
     let out = child.wait_with_output().expect("serve exits at EOF");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(out.status.success(), "{stderr}");
-    assert!(stderr.contains("serve: requests=3 "), "{stderr}");
+    assert!(stderr.contains("serve: requests=4 "), "{stderr}");
 
     let stdout = String::from_utf8(out.stdout).expect("events are UTF-8");
     let events: Vec<_> = stdout
@@ -196,9 +197,14 @@ fn stdio_session_answers_overlapping_and_malformed_requests() {
     };
     assert_eq!(of_kind("error").len(), 1, "{stdout}");
     let done = of_kind("done");
-    assert_eq!(done.len(), 2, "{stdout}");
+    assert_eq!(done.len(), 3, "{stdout}");
     for event in done {
-        assert_eq!(event.get("ok").and_then(|v| v.as_f64()), Some(2.0));
+        // A repeated id is one job: r3 names `cost` twice.
+        let jobs = match event.get("req").and_then(|v| v.as_str()) {
+            Some("r3") => 1.0,
+            _ => 2.0,
+        };
+        assert_eq!(event.get("ok").and_then(|v| v.as_f64()), Some(jobs));
         assert_eq!(event.get("failed").and_then(|v| v.as_f64()), Some(0.0));
     }
     let _ = fs::remove_dir_all(&dir);

@@ -9,7 +9,7 @@
 
 use std::path::PathBuf;
 
-use padc_sim::experiments::{find, suite_jobs, ExpConfig, Scale};
+use padc_sim::experiments::{find, suite_jobs, ExpConfig, Scale, REGISTRY};
 use padc_store::digest_hex;
 
 /// SHA-256 of each experiment's payload (`{"paper_ref":…,"tables":[…]}`)
@@ -68,6 +68,11 @@ fn every_experiment_payload_matches_its_recorded_digest() {
         workloads_sweep: 2,
         ..ExpConfig::at(Scale::Smoke)
     };
+    assert_eq!(
+        DIGESTS.len(),
+        REGISTRY.len(),
+        "a registry row has no digest"
+    );
     let selected = DIGESTS
         .iter()
         .map(|(id, _)| find(id).expect("registered experiment id"))

@@ -8,6 +8,10 @@
 # prints its elapsed seconds; on exit a pass/FAIL/skip table with the same
 # timings goes to stderr and, when set, to $GITHUB_STEP_SUMMARY, so a red job
 # is readable from the workflow summary page without opening logs.
+#
+# Not part of this gate (8-10 min on 2 CPUs): the full-scale acceptance step,
+# `repro` regenerating the committed repro_full.jsonl byte for byte --
+#   cargo test --release -p padc-bench -- --ignored repro_full
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
