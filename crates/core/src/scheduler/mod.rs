@@ -309,10 +309,8 @@ impl MemoryController {
                 self.buffer.sync_refresh(ch, refreshes);
                 self.schedule_channel(ch, now, accuracy);
             }
-            match self.dram.row_policy {
-                RowPolicy::Open => {}
-                RowPolicy::Closed => self.apply_closed_row_policy(now),
-                RowPolicy::Happy => self.apply_happy_row_policy(now),
+            if self.dram.row_policy != RowPolicy::Open {
+                self.apply_row_policy_precharges(now, self.dram.row_policy == RowPolicy::Happy);
             }
             if self.dram.refresh_policy == RefreshPolicy::Darp {
                 self.apply_darp_refresh_pulls(now);
@@ -655,9 +653,14 @@ impl MemoryController {
             })
     }
 
-    /// Closed-row policy (§6.8): precharge any bank whose open row has no
-    /// queued or in-flight request left.
-    fn apply_closed_row_policy(&mut self, now: Cycle) {
+    /// Closed-row (§6.8) and HAPPY row policies: precharge a bank whose open
+    /// row has no queued or in-flight request left — under HAPPY (`happy`)
+    /// only when the per-row predictor also votes to close it
+    /// ([`Channel::happy_votes_close`]), so rows it deems reusable stay open
+    /// as under the open-row policy. Each policy precharge is a
+    /// bank-state-changing command the bank's owner did not issue, so it
+    /// dirties the bank's owner (DESIGN.md §13, "what still dirties").
+    fn apply_row_policy_precharges(&mut self, now: Cycle, happy: bool) {
         for ch_idx in 0..self.channels.len() {
             if !self.channels[ch_idx].command_bus_free(now) {
                 continue;
@@ -666,35 +669,7 @@ impl MemoryController {
                 let Some(open) = self.channels[ch_idx].effective_row(bank, now) else {
                     continue;
                 };
-                if !self.row_wanted(ch_idx, bank, open)
-                    && self.channels[ch_idx].precharge_bank(bank, now)
-                {
-                    // The precharged bank's row state changed.
-                    self.buffer.note_bank_command(ch_idx, bank);
-                    // One command per DRAM cycle: stop after a precharge.
-                    break;
-                }
-            }
-        }
-    }
-
-    /// HAPPY hybrid page policy: like the closed-row policy, but a bank's
-    /// idle open row is precharged only when the per-row predictor votes to
-    /// close it ([`Channel::happy_votes_close`]); rows the predictor deems
-    /// reusable stay open as under the open-row policy. Each policy
-    /// precharge is a bank-state-changing command the bank's owner did not
-    /// issue, so it dirties the bank's owner exactly like the closed-row
-    /// path (DESIGN.md §13, "what still dirties").
-    fn apply_happy_row_policy(&mut self, now: Cycle) {
-        for ch_idx in 0..self.channels.len() {
-            if !self.channels[ch_idx].command_bus_free(now) {
-                continue;
-            }
-            for bank in 0..self.channels[ch_idx].bank_count() {
-                let Some(open) = self.channels[ch_idx].effective_row(bank, now) else {
-                    continue;
-                };
-                if !self.channels[ch_idx].happy_votes_close(bank, now) {
+                if happy && !self.channels[ch_idx].happy_votes_close(bank, now) {
                     continue;
                 }
                 if !self.row_wanted(ch_idx, bank, open)

@@ -24,15 +24,16 @@
 //!   byte-identical JSONL. Timings go to the stderr progress line and the
 //!   summary instead.
 //! - **Resume**: a job carrying a settled row from a prior artifact
-//!   ([`JobSpec::cached_row`], parsed by [`ResumeArtifact`]) is skipped —
-//!   its original bytes are re-emitted verbatim in place, which keeps a
-//!   resumed run byte-identical to a from-scratch one.
+//!   ([`JobSpec::cached_row`], chosen by the caller — `padc_sim::resume`)
+//!   is skipped — its original bytes are re-emitted verbatim in place,
+//!   which keeps a resumed run byte-identical to a from-scratch one.
 //! - **Accounting**: per-job wall-clock is measured; jobs exceeding an
 //!   optional budget are recorded as structured failures (they are not
 //!   killed — Rust threads cannot be — but the suite reports them).
 //!
-//! The JSONL writer *and* the resume validator are hand-rolled (string
-//! escaping and all) so the engine has zero dependencies.
+//! The crate writes one JSON shape, the JSONL row, with a hand-rolled
+//! string escaper, and parses none: it has zero dependencies, so adding it
+//! to a package (the `benchmark/` one) adds nothing to that lockfile.
 //!
 //! # JSONL schema
 //!
@@ -51,7 +52,6 @@
 
 #![warn(missing_docs)]
 
-mod resume;
 pub mod service;
 pub mod subjob;
 
@@ -59,7 +59,6 @@ use std::io::{self, Write};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-pub use resume::ResumeArtifact;
 pub use service::{BatchHandle, CompletedJob, SuiteService};
 pub use subjob::{set_task_context, subjob_map, task_context, under_harness, with_task_context};
 
@@ -181,11 +180,6 @@ pub struct Summary {
     /// exceed `workers` — units only run on suite worker threads — which
     /// `crates/sim/tests/floors.rs` asserts.
     pub subjobs_peak_concurrent: u64,
-    /// Extra counters appended by the caller before rendering (e.g. the
-    /// simulator's store hit/miss telemetry). Each `(name, value)` pair is
-    /// emitted as a top-level integer field of [`Summary::to_json`], in
-    /// order. Empty by default.
-    pub extras: Vec<(String, u64)>,
 }
 
 impl Summary {
@@ -213,56 +207,10 @@ impl Summary {
             .filter(|o| matches!(o.status, JobStatus::Panicked | JobStatus::OverBudget))
             .count()
     }
-
-    /// Renders the summary as pretty-ish JSON (one job per line).
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str(&format!("  \"total\": {},\n", self.outcomes.len()));
-        out.push_str(&format!("  \"ok\": {},\n", self.ok()));
-        out.push_str(&format!("  \"skipped\": {},\n", self.skipped()));
-        out.push_str(&format!("  \"failed\": {},\n", self.failed()));
-        out.push_str(&format!("  \"workers\": {},\n", self.workers));
-        out.push_str(&format!("  \"wall_seconds\": {:.3},\n", self.wall_seconds));
-        out.push_str(&format!(
-            "  \"subjobs_executed\": {},\n",
-            self.subjobs_executed
-        ));
-        out.push_str(&format!(
-            "  \"subjobs_peak_concurrent\": {},\n",
-            self.subjobs_peak_concurrent
-        ));
-        for (name, value) in &self.extras {
-            out.push_str("  ");
-            write_json_string(&mut out, name);
-            out.push_str(&format!(": {value},\n"));
-        }
-        out.push_str("  \"jobs\": [\n");
-        for (i, o) in self.outcomes.iter().enumerate() {
-            out.push_str("    {\"id\":");
-            write_json_string(&mut out, &o.id);
-            out.push_str(&format!(
-                ",\"status\":\"{}\",\"seconds\":{:.3}",
-                o.status.as_str(),
-                o.seconds
-            ));
-            if let Some(e) = &o.error {
-                out.push_str(",\"error\":");
-                write_json_string(&mut out, e);
-            }
-            out.push('}');
-            if i + 1 < self.outcomes.len() {
-                out.push(',');
-            }
-            out.push('\n');
-        }
-        out.push_str("  ]\n}");
-        out
-    }
 }
 
 /// Appends `s` as a quoted JSON string (the crate's hand-rolled writer).
-pub fn write_json_string(out: &mut String, s: &str) {
+fn write_json_string(out: &mut String, s: &str) {
     out.push('"');
     for ch in s.chars() {
         match ch {
@@ -393,7 +341,6 @@ pub fn run_suite(
         wall_seconds: started.elapsed().as_secs_f64(),
         subjobs_executed: service.subjobs_executed(),
         subjobs_peak_concurrent: service.subjobs_peak_concurrent(),
-        extras: Vec::new(),
     })
 }
 
@@ -462,25 +409,14 @@ mod tests {
     }
 
     #[test]
-    fn json_string_escaping_is_sound() {
-        let mut out = String::new();
-        write_json_string(&mut out, "a\"b\\c\nd\u{1}");
-        assert_eq!(out, "\"a\\\"b\\\\c\\nd\\u0001\"");
-    }
-
-    #[test]
     fn summary_json_shape() {
         let jobs = vec![
             JobSpec::new("a", "t", || "1".to_string()),
             JobSpec::new("b", "t", || panic!("x")),
         ];
         let (_, summary) = collect_jsonl(&jobs, &quiet(2));
-        let json = summary.to_json();
-        assert!(json.contains("\"total\": 2"));
-        assert!(json.contains("\"ok\": 1"));
-        assert!(json.contains("\"failed\": 1"));
-        assert!(json.contains("\"id\":\"a\""));
-        assert!(json.contains("\"error\":\"x\""));
+        assert_eq!((summary.ok(), summary.failed()), (1, 1));
+        assert_eq!(summary.outcomes[1].error.as_deref(), Some("x"));
     }
 
     #[test]
@@ -657,9 +593,6 @@ mod tests {
             summary.subjobs_peak_concurrent
         );
         assert!(summary.subjobs_peak_concurrent >= 1);
-        let json = summary.to_json();
-        assert!(json.contains("\"subjobs_executed\": 24"), "{json}");
-        assert!(json.contains("\"subjobs_peak_concurrent\":"), "{json}");
     }
 
     #[test]

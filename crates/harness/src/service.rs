@@ -286,11 +286,6 @@ impl Drop for BatchHandle {
 }
 
 impl BatchHandle {
-    /// Number of jobs in the batch.
-    pub fn total(&self) -> usize {
-        self.total
-    }
-
     /// The one in-order collector. Waits for every job, invoking
     /// `on_done` for each completion as it arrives (completion order) and
     /// `on_row` **in submission order** as soon as each prefix settles, so

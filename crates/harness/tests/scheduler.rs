@@ -7,7 +7,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use padc_harness::{run_suite, subjob_map, HarnessConfig, JobSpec, JobStatus, ResumeArtifact};
+use padc_harness::{run_suite, subjob_map, HarnessConfig, JobSpec, JobStatus};
+use padc_sim::resume::ResumeArtifact;
 
 fn quiet(workers: usize) -> HarnessConfig {
     HarnessConfig {

@@ -233,10 +233,10 @@ fn run_serve_mode(args: &[String]) -> ! {
             padc_sim::serve::serve_stdio(&state, std::io::stdin().lock(), std::io::stdout())
         }
     };
-    let counters = padc_sim::profile::service_counters();
+    let counters = padc_sim::experiments::unit_cache_stats();
     eprintln!(
         "serve: requests={} subjobs_executed={} store: hits={} misses={} coalesced={}",
-        counters.serve_requests,
+        state.requests(),
         state.subjobs_executed(),
         counters.store_hits,
         counters.store_misses,

@@ -34,12 +34,13 @@
 //! owns it.
 //!
 //! `--resume FILE` re-emits the settled rows (complete JSON,
-//! `"status":"ok"`) of a prior artifact verbatim without executing their
-//! experiments and re-runs the rest; with no `--jsonl` the regenerated
-//! artifact replaces FILE. `--store DIR` (or `PADC_STORE`) does the same
-//! at simulation-unit granularity across invocations (DESIGN.md §12): a
-//! warm rerun executes zero units. `--budget-seconds N` records jobs that
-//! finish over the budget as failures.
+//! `"status":"ok"`: [`crate::resume`]) of a prior artifact verbatim
+//! without executing their experiments and re-runs the rest; with no
+//! `--jsonl` the regenerated artifact replaces FILE. `--store DIR` (or
+//! `PADC_STORE`) does the same at simulation-unit granularity across
+//! invocations (DESIGN.md §12): a warm rerun executes zero units.
+//! `--budget-seconds N` records jobs that finish over the budget as
+//! failures.
 //!
 //! Exit status: `0` when every experiment succeeds, `1` when any job
 //! panics or runs over budget (or a sink fails mid-run), `2` on usage
@@ -50,11 +51,13 @@ use std::io::Write;
 use std::path::Path;
 use std::time::Duration;
 
-use padc_harness::{run_suite, HarnessConfig, JobStatus, ResumeArtifact, Summary};
+use padc_harness::{run_suite, HarnessConfig, JobStatus, Summary};
+use serde_json::{Number, Value};
 
 use crate::experiments::{
     self, suite_jobs_profiled, table_stash, ExpConfig, ExpTable, Scale, REGISTRY,
 };
+use crate::resume::ResumeArtifact;
 use crate::FastForwardMode;
 
 /// What stdout carries when neither `--jsonl` nor `--resume` names a JSONL
@@ -148,6 +151,51 @@ fn load_resume(path: &str, subset: bool, jsonl: Option<&str>) -> ResumeArtifact 
         }
         Err(e) => die(format!("cannot read {path}: {e}")),
     }
+}
+
+/// The `--summary` file: the suite counts, then `extras` (the store
+/// telemetry, when a store is installed), then one object per job. Seconds
+/// are rounded to the millisecond; `error` appears on failures only.
+fn summary_json(summary: &Summary, extras: &[(&str, u64)]) -> String {
+    fn object(fields: Vec<(&str, Value)>) -> Value {
+        Value::Object(
+            fields
+                .into_iter()
+                .map(|(k, v)| (k.to_string(), v))
+                .collect(),
+        )
+    }
+    let count = |n: u64| Value::Num(Number::U(n));
+    let ms = |s: f64| Value::Num(Number::F((s * 1000.0).round() / 1000.0));
+    let jobs = summary.outcomes.iter().map(|o| {
+        let mut job = vec![
+            ("id", Value::Str(o.id.clone())),
+            ("status", Value::Str(o.status.as_str().to_string())),
+            ("seconds", ms(o.seconds)),
+        ];
+        if let Some(e) = &o.error {
+            job.push(("error", Value::Str(e.clone())));
+        }
+        object(job)
+    });
+    let mut fields = vec![
+        ("total", count(summary.outcomes.len() as u64)),
+        ("ok", count(summary.ok() as u64)),
+        ("skipped", count(summary.skipped() as u64)),
+        ("failed", count(summary.failed() as u64)),
+        ("workers", count(summary.workers as u64)),
+        ("wall_seconds", ms(summary.wall_seconds)),
+        ("subjobs_executed", count(summary.subjobs_executed)),
+        (
+            "subjobs_peak_concurrent",
+            count(summary.subjobs_peak_concurrent),
+        ),
+    ];
+    fields.extend(extras.iter().map(|&(name, v)| (name, count(v))));
+    fields.push(("jobs", Value::Array(jobs.collect())));
+    let mut out = String::new();
+    serde_json::write_value(&mut out, &object(fields), Some(2), 0);
+    out
 }
 
 /// Human-readable rendering, in selection order, of the tables the jobs
@@ -293,7 +341,7 @@ pub fn suite_main(program: &str, stdout: Stdout, args: &[String]) -> ! {
                 .unwrap_or_else(|e| die(format!("cannot create {path}: {e}"))),
         ),
     });
-    let mut summary = run_suite(
+    let summary = run_suite(
         &jobs,
         &harness,
         sink.as_mut().map(|s| s.as_mut() as &mut dyn Write),
@@ -307,15 +355,14 @@ pub fn suite_main(program: &str, stdout: Stdout, args: &[String]) -> ! {
         std::process::exit(1);
     });
 
+    let mut extras = Vec::new();
     if experiments::unit_store_installed() {
         let stats = experiments::unit_cache_stats();
-        for (name, v) in [
+        extras = vec![
             ("store_hits", stats.store_hits),
             ("store_misses", stats.store_misses),
             ("units_coalesced", stats.units_coalesced),
-        ] {
-            summary.extras.push((name.to_string(), v));
-        }
+        ];
         // Machine-readable store telemetry; keep the key=value form stable.
         eprintln!(
             "store: hits={} misses={} coalesced={}",
@@ -329,7 +376,7 @@ pub fn suite_main(program: &str, stdout: Stdout, args: &[String]) -> ! {
         }
     }
     if let Some(path) = &summary_path {
-        std::fs::write(path, summary.to_json())
+        std::fs::write(path, summary_json(&summary, &extras))
             .unwrap_or_else(|e| die(format!("cannot write {path}: {e}")));
     }
 
@@ -359,4 +406,75 @@ pub fn suite_main(program: &str, stdout: Stdout, args: &[String]) -> ! {
         }
     }
     std::process::exit(if summary.failed() > 0 { 1 } else { 0 });
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use padc_harness::JobOutcome;
+
+    #[test]
+    fn summary_json_keys_order_and_rounding() {
+        let outcome = |id: &str, status, error: Option<&str>, seconds| JobOutcome {
+            id: id.to_string(),
+            status,
+            error: error.map(str::to_string),
+            seconds,
+        };
+        let summary = Summary {
+            outcomes: vec![
+                outcome("fig6", JobStatus::Ok, None, 1.23449),
+                outcome("b\"oom", JobStatus::Panicked, Some("x"), 0.0126),
+            ],
+            workers: 2,
+            wall_seconds: 2.0004,
+            subjobs_executed: 7,
+            subjobs_peak_concurrent: 2,
+        };
+        let json = summary_json(&summary, &[("store_hits", 3), ("store_misses", 4)]);
+        // One top-level key per line at two spaces: what `--summary`
+        // readers (and `suite_entry_points`' `summary_keys`) scan for.
+        assert!(
+            json.starts_with("{\n  \"total\": 2,\n  \"ok\": 1,\n"),
+            "{json}"
+        );
+        let v = serde_json::parse(&json).expect("the summary is JSON");
+        let keys: Vec<&str> = v
+            .as_object()
+            .unwrap()
+            .iter()
+            .map(|(k, _)| k.as_str())
+            .collect();
+        assert_eq!(
+            keys,
+            [
+                "total",
+                "ok",
+                "skipped",
+                "failed",
+                "workers",
+                "wall_seconds",
+                "subjobs_executed",
+                "subjobs_peak_concurrent",
+                "store_hits",
+                "store_misses",
+                "jobs"
+            ]
+        );
+        let num = |v: &Value, k: &str| v.get(k).and_then(Value::as_f64);
+        assert_eq!(num(&v, "wall_seconds"), Some(2.0));
+        assert_eq!(num(&v, "store_misses"), Some(4.0));
+        let jobs = v.get("jobs").and_then(Value::as_array).unwrap();
+        let job_keys = |j: &Value| j.as_object().unwrap().len();
+        assert_eq!(jobs[0].get("id").and_then(Value::as_str), Some("fig6"));
+        assert_eq!(num(&jobs[0], "seconds"), Some(1.234));
+        assert_eq!((job_keys(&jobs[0]), jobs[0].get("error")), (3, None));
+        assert_eq!(jobs[1].get("id").and_then(Value::as_str), Some("b\"oom"));
+        assert_eq!(
+            jobs[1].get("status").and_then(Value::as_str),
+            Some("panicked")
+        );
+        assert_eq!(num(&jobs[1], "seconds"), Some(0.013));
+        assert_eq!(jobs[1].get("error").and_then(Value::as_str), Some("x"));
+    }
 }

@@ -81,16 +81,6 @@ impl ExpConfig {
         self.seed = seed;
         self
     }
-
-    /// Returns the config with a different multi-core instruction budget.
-    /// The single-core budget is raised to at least the same value so
-    /// `IPC_alone` runs never retire fewer instructions than the shared
-    /// runs they normalize.
-    pub fn with_instructions(mut self, instructions: u64) -> Self {
-        self.instructions = instructions;
-        self.instructions_single = self.instructions_single.max(instructions);
-        self
-    }
 }
 
 impl Default for ExpConfig {
@@ -507,19 +497,6 @@ mod tests {
     #[test]
     fn default_config_is_full_scale() {
         assert_eq!(ExpConfig::default(), ExpConfig::at(Scale::Full));
-    }
-
-    #[test]
-    fn builder_setters_chain() {
-        let cfg = ExpConfig::at(Scale::Smoke)
-            .with_seed(7)
-            .with_instructions(50_000);
-        assert_eq!(cfg.seed, 7);
-        assert_eq!(cfg.instructions, 50_000);
-        // The single-core budget never drops below the multi-core budget.
-        assert_eq!(cfg.instructions_single, 50_000);
-        let cfg = ExpConfig::at(Scale::Full).with_instructions(100);
-        assert_eq!(cfg.instructions_single, 800_000);
     }
 
     #[test]

@@ -28,6 +28,7 @@ use super::spec::{
     Arm, Col, Column, Compare, Delta, Group, Layout, Mixes, Table, APS_APD, APS_ONLY, DEMAND_FIRST,
     EQUAL, NO_PREF, PADC, STANDARD, SYSTEM,
 };
+use crate::profile::ProfileAccum;
 
 /// Every reproducible artifact: id, paper reference, and what it runs.
 #[derive(Debug)]
@@ -712,7 +713,7 @@ pub fn suite_jobs(
 /// [`suite_jobs`] with profiling toggled (`--profile` on both CLIs).
 ///
 /// When `profile` is set, every job installs a fresh
-/// [`ProfileAccum`](crate::profile::ProfileAccum) as the harness task
+/// [`ProfileAccum`] as the harness task
 /// context for the duration of its experiment, so each `System::run` the
 /// experiment performs — including runs fanned out over `subjob_map` —
 /// folds its counters into that experiment's accumulator (a unit another
@@ -731,7 +732,7 @@ pub fn suite_jobs_profiled(
             let stash = stash.clone();
             JobSpec::new(e.id, e.paper_ref, move || {
                 let (tables, prof) = if profile {
-                    let acc = crate::profile::new_accum();
+                    let acc = Arc::new(ProfileAccum::default());
                     let tables = padc_harness::with_task_context(acc.clone(), || e.tables(&cfg));
                     (tables, Some(acc.to_json()))
                 } else {

@@ -11,7 +11,8 @@
 //!   useful-prefetch / useless-prefetch lines.
 //! * [`experiments`] contains one entry point per paper table and figure;
 //!   [`cli::suite_main`] — the driver behind the `repro` binary and
-//!   `padcsim --suite` — runs and prints them, and [`serve`] answers
+//!   `padcsim --suite` — runs and prints them ([`resume`] decides which
+//!   rows of a prior artifact it can reuse), and [`serve`] answers
 //!   requests for them from a long-running process.
 //!
 //! # Example
@@ -35,6 +36,7 @@ mod config;
 pub mod experiments;
 pub mod metrics;
 pub mod profile;
+pub mod resume;
 pub mod serve;
 mod system;
 

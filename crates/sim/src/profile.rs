@@ -20,8 +20,8 @@
 //! artifacts produced *without* `--profile`.
 
 use serde::{Number, Serialize, Value};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 /// Process-wide switch for the wall-time phase timers.
 static TIMING: AtomicBool = AtomicBool::new(false);
@@ -177,6 +177,31 @@ impl Serialize for SimProfile {
 }
 
 impl SimProfile {
+    /// Adds every counter of `p` into `self`: the one place profiles are
+    /// summed (per-experiment totals in [`ProfileAccum`]).
+    pub fn add(&mut self, p: &SimProfile) {
+        self.cycles_stepped += p.cycles_stepped;
+        self.ff_jumps += p.ff_jumps;
+        self.ff_cycles_skipped += p.ff_cycles_skipped;
+        self.core_cycles_ticked += p.core_cycles_ticked;
+        self.core_cycles_skipped += p.core_cycles_skipped;
+        self.horizon_resyncs += p.horizon_resyncs;
+        self.ctrl_cycles_stepped += p.ctrl_cycles_stepped;
+        self.ctrl_cycles_skipped += p.ctrl_cycles_skipped;
+        self.ctrl_events_fired += p.ctrl_events_fired;
+        self.owner_recomputes += p.owner_recomputes;
+        self.owner_invalidations += p.owner_invalidations;
+        self.owner_reuses += p.owner_reuses;
+        self.owner_scan_entries += p.owner_scan_entries;
+        self.lane_refreshes += p.lane_refreshes;
+        self.dspatch_flips += p.dspatch_flips;
+        self.refresh_pulls += p.refresh_pulls;
+        self.refresh_stall_cycles += p.refresh_stall_cycles;
+        self.controller_ns += p.controller_ns;
+        self.cores_ns += p.cores_ns;
+        self.wall_ns += p.wall_ns;
+    }
+
     /// Fraction of core-cycles skipped rather than ticked (0 when nothing
     /// ran yet). `tests/floors.rs` holds the 8-core mix above 93.4%
     /// (96.4 measured).
@@ -204,106 +229,27 @@ impl SimProfile {
 }
 
 /// Thread-safe accumulator folding the [`SimProfile`]s of every simulation
-/// run an experiment performs. Installed as the harness task context so
-/// fanned-out sub-jobs on other worker threads report into the same
-/// object.
+/// run an experiment performs, with the number of runs folded. Installed as
+/// the harness task context so fanned-out sub-jobs on other worker threads
+/// report into the same object.
 #[derive(Debug, Default)]
-pub struct ProfileAccum {
-    runs: AtomicU64,
-    cycles_stepped: AtomicU64,
-    ff_jumps: AtomicU64,
-    ff_cycles_skipped: AtomicU64,
-    core_cycles_ticked: AtomicU64,
-    core_cycles_skipped: AtomicU64,
-    horizon_resyncs: AtomicU64,
-    ctrl_cycles_stepped: AtomicU64,
-    ctrl_cycles_skipped: AtomicU64,
-    ctrl_events_fired: AtomicU64,
-    owner_recomputes: AtomicU64,
-    owner_invalidations: AtomicU64,
-    owner_reuses: AtomicU64,
-    owner_scan_entries: AtomicU64,
-    lane_refreshes: AtomicU64,
-    dspatch_flips: AtomicU64,
-    refresh_pulls: AtomicU64,
-    refresh_stall_cycles: AtomicU64,
-    controller_ns: AtomicU64,
-    cores_ns: AtomicU64,
-    wall_ns: AtomicU64,
-}
+pub struct ProfileAccum(Mutex<(u64, SimProfile)>);
 
 impl ProfileAccum {
+    fn lock(&self) -> std::sync::MutexGuard<'_, (u64, SimProfile)> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Folds one run's profile into the accumulator.
     pub fn add(&self, p: &SimProfile) {
-        self.runs.fetch_add(1, Ordering::Relaxed);
-        self.cycles_stepped
-            .fetch_add(p.cycles_stepped, Ordering::Relaxed);
-        self.ff_jumps.fetch_add(p.ff_jumps, Ordering::Relaxed);
-        self.ff_cycles_skipped
-            .fetch_add(p.ff_cycles_skipped, Ordering::Relaxed);
-        self.core_cycles_ticked
-            .fetch_add(p.core_cycles_ticked, Ordering::Relaxed);
-        self.core_cycles_skipped
-            .fetch_add(p.core_cycles_skipped, Ordering::Relaxed);
-        self.horizon_resyncs
-            .fetch_add(p.horizon_resyncs, Ordering::Relaxed);
-        self.ctrl_cycles_stepped
-            .fetch_add(p.ctrl_cycles_stepped, Ordering::Relaxed);
-        self.ctrl_cycles_skipped
-            .fetch_add(p.ctrl_cycles_skipped, Ordering::Relaxed);
-        self.ctrl_events_fired
-            .fetch_add(p.ctrl_events_fired, Ordering::Relaxed);
-        self.owner_recomputes
-            .fetch_add(p.owner_recomputes, Ordering::Relaxed);
-        self.owner_invalidations
-            .fetch_add(p.owner_invalidations, Ordering::Relaxed);
-        self.owner_reuses
-            .fetch_add(p.owner_reuses, Ordering::Relaxed);
-        self.owner_scan_entries
-            .fetch_add(p.owner_scan_entries, Ordering::Relaxed);
-        self.lane_refreshes
-            .fetch_add(p.lane_refreshes, Ordering::Relaxed);
-        self.dspatch_flips
-            .fetch_add(p.dspatch_flips, Ordering::Relaxed);
-        self.refresh_pulls
-            .fetch_add(p.refresh_pulls, Ordering::Relaxed);
-        self.refresh_stall_cycles
-            .fetch_add(p.refresh_stall_cycles, Ordering::Relaxed);
-        self.controller_ns
-            .fetch_add(p.controller_ns, Ordering::Relaxed);
-        self.cores_ns.fetch_add(p.cores_ns, Ordering::Relaxed);
-        self.wall_ns.fetch_add(p.wall_ns, Ordering::Relaxed);
+        let mut acc = self.lock();
+        acc.0 += 1;
+        acc.1.add(p);
     }
 
     /// Number of simulation runs folded in so far.
     pub fn runs(&self) -> u64 {
-        self.runs.load(Ordering::Relaxed)
-    }
-
-    /// Snapshot of the folded counters as one [`SimProfile`].
-    pub fn snapshot(&self) -> SimProfile {
-        SimProfile {
-            cycles_stepped: self.cycles_stepped.load(Ordering::Relaxed),
-            ff_jumps: self.ff_jumps.load(Ordering::Relaxed),
-            ff_cycles_skipped: self.ff_cycles_skipped.load(Ordering::Relaxed),
-            core_cycles_ticked: self.core_cycles_ticked.load(Ordering::Relaxed),
-            core_cycles_skipped: self.core_cycles_skipped.load(Ordering::Relaxed),
-            horizon_resyncs: self.horizon_resyncs.load(Ordering::Relaxed),
-            ctrl_cycles_stepped: self.ctrl_cycles_stepped.load(Ordering::Relaxed),
-            ctrl_cycles_skipped: self.ctrl_cycles_skipped.load(Ordering::Relaxed),
-            ctrl_events_fired: self.ctrl_events_fired.load(Ordering::Relaxed),
-            owner_recomputes: self.owner_recomputes.load(Ordering::Relaxed),
-            owner_invalidations: self.owner_invalidations.load(Ordering::Relaxed),
-            owner_reuses: self.owner_reuses.load(Ordering::Relaxed),
-            owner_scan_entries: self.owner_scan_entries.load(Ordering::Relaxed),
-            lane_refreshes: self.lane_refreshes.load(Ordering::Relaxed),
-            dspatch_flips: self.dspatch_flips.load(Ordering::Relaxed),
-            refresh_pulls: self.refresh_pulls.load(Ordering::Relaxed),
-            refresh_stall_cycles: self.refresh_stall_cycles.load(Ordering::Relaxed),
-            controller_ns: self.controller_ns.load(Ordering::Relaxed),
-            cores_ns: self.cores_ns.load(Ordering::Relaxed),
-            wall_ns: self.wall_ns.load(Ordering::Relaxed),
-        }
+        self.lock().0
     }
 
     /// Renders the accumulated profile as a JSON object (embedded in the
@@ -311,11 +257,9 @@ impl ProfileAccum {
     /// followed by the serde-serialized [`SimProfile`] fields, so every
     /// consumer reads the same object shape `padcsim --profile` prints.
     pub fn to_json(&self) -> String {
-        let mut fields = vec![(
-            "runs".to_string(),
-            Value::Num(Number::U(self.runs.load(Ordering::Relaxed))),
-        )];
-        if let Value::Object(rest) = self.snapshot().to_value() {
+        let (runs, profile) = *self.lock();
+        let mut fields = vec![("runs".to_string(), Value::Num(Number::U(runs)))];
+        if let Value::Object(rest) = profile.to_value() {
             fields.extend(rest);
         }
         let mut out = String::new();
@@ -332,49 +276,6 @@ pub fn note_run(p: &SimProfile) {
         if let Ok(acc) = ctx.downcast::<ProfileAccum>() {
             acc.add(p);
         }
-    }
-}
-
-/// Builds a fresh accumulator, type-erased for installation as the harness
-/// task context.
-pub fn new_accum() -> Arc<ProfileAccum> {
-    Arc::new(ProfileAccum::default())
-}
-
-/// Requests admitted by `padcsim serve` over the process lifetime
-/// (counting malformed ones — every received line is a request).
-static SERVE_REQUESTS: AtomicU64 = AtomicU64::new(0);
-
-/// Counts one admitted `padcsim serve` request.
-pub fn note_serve_request() {
-    SERVE_REQUESTS.fetch_add(1, Ordering::Relaxed);
-}
-
-/// Process-wide service-layer counters: the unit-store cache telemetry
-/// plus the serve request count, surfaced together so the CLIs read one
-/// consistent snapshot.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ServiceCounters {
-    /// Units resolved from a validated disk-store entry.
-    pub store_hits: u64,
-    /// Units that probed the store and had to be computed.
-    pub store_misses: u64,
-    /// Units resolved from (or parked on) an in-memory claim another
-    /// request already owned.
-    pub units_coalesced: u64,
-    /// Requests admitted by `padcsim serve`.
-    pub serve_requests: u64,
-}
-
-/// Snapshot of the service-layer counters (monotonic; diff two snapshots
-/// for a per-run view).
-pub fn service_counters() -> ServiceCounters {
-    let cache = crate::experiments::unit_cache_stats();
-    ServiceCounters {
-        store_hits: cache.store_hits,
-        store_misses: cache.store_misses,
-        units_coalesced: cache.units_coalesced,
-        serve_requests: SERVE_REQUESTS.load(Ordering::Relaxed),
     }
 }
 

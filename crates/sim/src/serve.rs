@@ -100,13 +100,18 @@ impl ServeState {
         if line.is_empty() {
             return;
         }
-        crate::profile::note_serve_request();
         let seq = self.next_request.fetch_add(1, Ordering::Relaxed);
         let fallback_id = format!("req-{seq}");
         match self.parse_request(line, &fallback_id) {
             Ok(request) => self.run_request(request, out),
             Err((id, message)) => emit_error(out, &id, &message),
         }
+    }
+
+    /// Requests received so far, malformed ones included: every non-blank
+    /// line is one.
+    pub fn requests(&self) -> u64 {
+        self.next_request.load(Ordering::Relaxed) - 1
     }
 
     /// Total sub-job units executed through the shared pool so far.
@@ -212,7 +217,7 @@ impl ServeState {
                     .iter()
                     .filter(|c| !matches!(c.status, JobStatus::Ok | JobStatus::Skipped))
                     .count();
-                let counters = crate::profile::service_counters();
+                let counters = experiments::unit_cache_stats();
                 emit(
                     out,
                     &format!(
@@ -373,6 +378,10 @@ mod tests {
         // Malformed requests produce error events, not crashes.
         for (line, needle) in [
             ("not json", "invalid JSON"),
+            (
+                "{\"id\":\"rc\",\"experiments\":[\"co\u{1}st\"]}",
+                "control character",
+            ),
             (
                 "{\"id\":\"rx\",\"experiments\":[\"nope\"]}",
                 "unknown experiment",

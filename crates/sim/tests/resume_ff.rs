@@ -17,10 +17,11 @@
 
 mod common;
 
-use padc_harness::{HarnessConfig, ResumeArtifact};
+use padc_harness::HarnessConfig;
 use padc_sim::experiments::{
     registry::find, reset_memory_cells, single_run_stats, suite_jobs, ExpConfig, Scale,
 };
+use padc_sim::resume::ResumeArtifact;
 use padc_sim::FastForwardMode;
 
 const IDS: [&str; 2] = ["fig1", "tab5"];

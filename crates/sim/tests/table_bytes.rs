@@ -5,7 +5,7 @@
 //! set has three workloads, so the order of the mean's arithmetic — and
 //! any other change to how a table is built from its reports — moves a
 //! digest. The full-scale check against `repro_full.jsonl` is the ignored
-//! `repro_full` test of `padc-bench`.
+//! `repro_full` test beside this one.
 
 use std::path::PathBuf;
 

@@ -11,7 +11,7 @@
 #
 # Not part of this gate (8-10 min on 2 CPUs): the full-scale acceptance step,
 # `repro` regenerating the committed repro_full.jsonl byte for byte --
-#   cargo test --release -p padc-bench -- --ignored repro_full
+#   cargo test --release -p padc-sim -- --ignored repro_full
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

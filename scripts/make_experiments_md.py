@@ -263,7 +263,7 @@ Measured numbers come from one full-scale harness run (the committed
 runner — the JSONL bytes are identical for any `--jobs` value):
 
 ```bash
-cargo run --release -p padc-bench --bin repro -- --jsonl repro_full.jsonl
+cargo run --release -p padc-sim --bin repro -- --jsonl repro_full.jsonl
 ```
 
 Scale: 800K instructions single-core, 400K/core multi-core; 32/24/12
