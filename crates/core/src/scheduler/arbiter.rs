@@ -193,7 +193,7 @@ impl PackedKey {
 /// channel: policy selection, write-drain state, and accuracy inputs.
 /// Borrowed immutably for the duration of one scheduling pass; the cached
 /// owners remain valid only while every field here is unchanged (the
-/// controller invalidates on each mutation — DESIGN.md §13, B3).
+/// controller invalidates on each mutation — DESIGN.md §13, B2).
 #[derive(Clone, Copy)]
 pub struct KeyCtx<'a> {
     /// Scheduling policy selecting the key shape.

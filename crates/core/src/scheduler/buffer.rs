@@ -11,13 +11,12 @@
 //!
 //! - a **slab** (`slots`) addressed by stable [`Slot`] indices with a LIFO
 //!   free list — an entry never moves while queued, so bitsets and heaps
-//!   can hold raw slot indices;
-//! - an **order mirror** (`order`) replaying the legacy `Vec` push /
-//!   `swap_remove` order exactly, so iteration-order-sensitive behaviour
-//!   (APD drop emission order, promotion scan order) is bit-identical to
-//!   the flat-vector controller;
+//!   can hold raw slot indices. Slot order carries no meaning: where order
+//!   is observable (APD drops, promotion, batch formation) the controller
+//!   goes by request id, i.e. arrival;
 //! - per-(channel, bank) **membership bitsets**, so an owner rescan touches
-//!   only that bank's entries;
+//!   only that bank's entries, and a line's queued prefetches are found
+//!   among its bank's members ([`RequestBuffer::oldest_prefetch`]);
 //! - a **split-key lane**: per slot, the entry's row, its rank-table index
 //!   and the *static* bits of its [`PackedKey`] (`class_match`, `batched`,
 //!   `tier`, `urgent`, `fcfs`), stamped with the key generation they were
@@ -78,7 +77,7 @@
 //! buf.promote(s1);
 //! assert_eq!(buf.demands_of_core(1), 1);
 //!
-//! // Removal frees the slot for reuse (LIFO) and keeps legacy order.
+//! // Removal frees the slot for reuse (LIFO).
 //! let gone = buf.remove(s0);
 //! assert_eq!(gone.req.id, RequestId::new(0));
 //! assert_eq!(buf.len(), 1);
@@ -91,7 +90,7 @@ use std::collections::BinaryHeap;
 use std::fmt;
 
 use padc_dram::{BankReady, Channel, RowBufferOutcome, Target};
-use padc_types::{AccessKind, Cycle, MemRequest};
+use padc_types::{AccessKind, Cycle, LineAddr, MemRequest, RequestId};
 
 use crate::accuracy::AccuracyTracker;
 use crate::config::DropThresholds;
@@ -285,7 +284,7 @@ impl Lane {
 /// One ready-lane entry: a non-empty bank's owner with the bank-local half
 /// of its readiness ([`Channel::bank_ready`]), so a scheduling pass folds
 /// `ready` against the channel's floors instead of asking the buffer for the
-/// owner and the channel for its bank state (DESIGN.md §13, B6).
+/// owner and the channel for its bank state (DESIGN.md §13, B5).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub(super) struct ReadyOwner {
     /// The owner's current key.
@@ -307,7 +306,7 @@ struct DeadlineHeaps {
 }
 
 /// The data-oriented request buffer. See the module docs for the layout and
-/// the maintained invariants (DESIGN.md §13, B1–B6).
+/// the maintained invariants (DESIGN.md §13, B1–B5).
 #[derive(Clone)]
 pub struct RequestBuffer {
     cap: usize,
@@ -315,11 +314,6 @@ pub struct RequestBuffer {
     slots: Vec<Option<Entry>>,
     /// LIFO free list of slab slots.
     free: Vec<Slot>,
-    /// Legacy arrival-order mirror: replays the flat-vector controller's
-    /// push / `swap_remove` sequence exactly (B1).
-    order: Vec<Slot>,
-    /// `pos[s]` = index of slot `s` in `order` (meaningless while free).
-    pos: Vec<u32>,
     /// Banks per channel; bank sets are indexed `channel * stride + bank`.
     stride: usize,
     banks: Vec<BankSet>,
@@ -328,8 +322,7 @@ pub struct RequestBuffer {
     /// Entries in the current PAR-BS batch.
     batched: usize,
     /// Per-core queued demand / prefetch counts (ranking input). Entries
-    /// whose core index exceeds the configured core count are not counted,
-    /// mirroring the legacy scan's bounds-checked accumulation.
+    /// whose core index exceeds the configured core count are not counted.
     demands: Vec<u64>,
     prefetches: Vec<u64>,
     /// Key-input flags frozen at construction from the controller config.
@@ -357,7 +350,7 @@ pub struct RequestBuffer {
     /// The ready lane, indexed like `banks`: each non-empty bank's owner
     /// with the bank-local half of its readiness. An entry whose bank is in
     /// `stale` is out of date; every other one equals a fresh
-    /// [`RequestBuffer::owner`] and [`Channel::bank_ready`] (B6).
+    /// [`RequestBuffer::owner`] and [`Channel::bank_ready`] (B5).
     ready: Vec<Option<ReadyOwner>>,
     /// Banks whose `ready` entry must be re-derived: bit `bank % 64` of word
     /// `channel * stale_words + bank / 64`. A superset of the dirty banks
@@ -398,8 +391,6 @@ impl RequestBuffer {
             cap,
             slots: Vec::new(),
             free: Vec::new(),
-            order: Vec::new(),
-            pos: Vec::new(),
             stride: banks_per_channel,
             banks: vec![
                 BankSet {
@@ -435,12 +426,12 @@ impl RequestBuffer {
 
     /// Queued entry count.
     pub fn len(&self) -> usize {
-        self.order.len()
+        self.slots.len() - self.free.len()
     }
 
     /// True when no entries are queued.
     pub fn is_empty(&self) -> bool {
-        self.order.is_empty()
+        self.len() == 0
     }
 
     /// Configured capacity.
@@ -478,14 +469,32 @@ impl RequestBuffer {
         self.slots[slot as usize].as_ref().expect("free slot")
     }
 
-    /// Slots in legacy (push / `swap_remove`) order.
-    pub fn order_slots(&self) -> &[Slot] {
-        &self.order
+    /// Queued entries with their slots, in slot order — an order that
+    /// carries no meaning, so a caller whose result depends on order sorts
+    /// by request id.
+    pub fn iter(&self) -> impl Iterator<Item = (Slot, &Entry)> {
+        (0..)
+            .zip(&self.slots)
+            .filter_map(|(s, e)| Some((s, e.as_ref()?)))
     }
 
-    /// Entries in legacy order.
-    pub fn iter(&self) -> impl Iterator<Item = &Entry> {
-        self.order.iter().map(|&s| self.entry(s))
+    /// The oldest (lowest request id) queued prefetch of `line`, which maps
+    /// to `(channel, bank)`: a scan of that bank's members only, since no
+    /// entry for the line can be queued anywhere else.
+    pub fn oldest_prefetch(&self, channel: usize, bank: usize, line: LineAddr) -> Option<Slot> {
+        let mut oldest: Option<(RequestId, Slot)> = None;
+        self.banks[channel * self.stride + bank]
+            .members
+            .for_each(|slot| {
+                let e = self.slots[slot].as_ref().expect("member of freed slot");
+                if e.req.line == line
+                    && e.req.kind.is_prefetch()
+                    && oldest.is_none_or(|(id, _)| e.req.id < id)
+                {
+                    oldest = Some((e.req.id, slot as Slot));
+                }
+            });
+        oldest.map(|(_, slot)| slot)
     }
 
     fn bank_index(&self, target: &Target) -> usize {
@@ -597,13 +606,10 @@ impl RequestBuffer {
             Some(s) => s,
             None => {
                 self.slots.push(None);
-                self.pos.push(0);
                 self.lane.grow();
                 (self.slots.len() - 1) as Slot
             }
         };
-        self.pos[slot as usize] = self.order.len() as u32;
-        self.order.push(slot);
         if e.is_writeback() {
             self.writebacks += 1;
         }
@@ -642,15 +648,9 @@ impl RequestBuffer {
         slot
     }
 
-    /// Removes and returns the entry at `slot`, replaying the legacy
-    /// `Vec::swap_remove` on the order mirror.
+    /// Removes and returns the entry at `slot`, freeing the slot.
     pub fn remove(&mut self, slot: Slot) -> Entry {
         let e = self.slots[slot as usize].take().expect("free slot");
-        let oi = self.pos[slot as usize] as usize;
-        self.order.swap_remove(oi);
-        if let Some(&moved) = self.order.get(oi) {
-            self.pos[moved as usize] = oi as u32;
-        }
         self.free.push(slot);
         if e.is_writeback() {
             self.writebacks -= 1;
@@ -972,7 +972,7 @@ impl RequestBuffer {
 
     /// Consistency audit for the incremental state, used by the
     /// `buffer_consistency` proptest: recomputes every derived structure
-    /// from the slab and panics on divergence (DESIGN.md §13, B1–B6).
+    /// from the slab and panics on divergence (DESIGN.md §13, B1–B5).
     /// `ctx` is the specification the lane and every non-dirty bank's
     /// owner are checked against, `channels` the one every non-stale bank's
     /// ready-lane entry is; pending inserts are folded first, dirty banks
@@ -985,21 +985,17 @@ impl RequestBuffer {
         channels: &[Channel],
         now: Cycle,
     ) {
-        // Order mirror / pos / free-list consistency.
+        // Free-list consistency.
         assert_eq!(
-            self.order.len() + self.free.len(),
+            self.iter().count() + self.free.len(),
             self.slots.len(),
-            "order + free must partition the slab"
+            "queued + free must partition the slab"
         );
-        for (oi, &slot) in self.order.iter().enumerate() {
-            assert!(self.slots[slot as usize].is_some(), "queued slot is free");
-            assert_eq!(self.pos[slot as usize] as usize, oi, "pos mirror broken");
-        }
         for &slot in &self.free {
             assert!(self.slots[slot as usize].is_none(), "free slot occupied");
         }
         // Running counts.
-        let live = || self.order.iter().map(|&s| self.entry(s));
+        let live = || self.iter().map(|(_, e)| e);
         assert_eq!(
             self.writebacks,
             live().filter(|e| e.is_writeback()).count(),
@@ -1026,13 +1022,13 @@ impl RequestBuffer {
                 "prefetch count drifted for core {core}"
             );
         }
-        // B5: every live lane slot holds its entry's row, and one stamped
+        // B4: every live lane slot holds its entry's row, and one stamped
         // at the current generation reassembles to the entry's fresh key.
         if self.ranking {
             ctx.fill_rank_fields(&mut self.rank_fields);
         }
-        for &slot in &self.order {
-            let (s, e) = (slot as usize, self.entry(slot));
+        for (slot, e) in self.iter() {
+            let s = slot as usize;
             assert_eq!(self.lane.row[s], e.target.row, "lane row of slot {s}");
             if self.lane.stamp[s] == self.key_gen {
                 let ch = &channels[e.target.channel];
@@ -1063,7 +1059,7 @@ impl RequestBuffer {
                     })
                     .collect();
                 assert_eq!(members, expect, "bitset drifted for bank ({ci}, {bank})");
-                // B6: a bank is stale while it is dirty or pends an insert,
+                // B5: a bank is stale while it is dirty or pends an insert,
                 // and a bank that is not holds exactly its fresh owner with
                 // that owner's fresh bank-local readiness (`None` iff empty).
                 let stale = self.lane_stale(ci, bank);
@@ -1129,9 +1125,8 @@ impl RequestBuffer {
                     .map(|&Reverse((arrival, _, _))| arrival)
                     .min();
                 let true_min = self
-                    .order
                     .iter()
-                    .map(|&s| self.entry(s))
+                    .map(|(_, e)| e)
                     .filter(|e| {
                         e.req.core.index() == core
                             && e.req.kind.is_prefetch()
@@ -1162,20 +1157,14 @@ impl RequestBuffer {
     }
 }
 
-/// Manual `Debug`: prints only *observable* state (slab order, entries,
-/// free list, running counts, bank membership). The owner caches, dirty
-/// flags, both lanes, the stale set, APD heaps, epoch snapshots, and stats
-/// counters are pure caches that may legally mutate during proven-idle
-/// windows, and the `next_event` soundness oracle detects mutation by
-/// comparing `Debug` strings.
+/// Manual `Debug`: prints only *observable* state (the slab, free list,
+/// running counts, bank membership). The owner caches, dirty flags, both
+/// lanes, the stale set, APD heaps, epoch snapshots, and stats counters are
+/// pure caches that may legally mutate during proven-idle windows, and the
+/// `next_event` soundness oracle detects mutation by comparing `Debug`
+/// strings.
 impl fmt::Debug for RequestBuffer {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        struct Ordered<'a>(&'a RequestBuffer);
-        impl fmt::Debug for Ordered<'_> {
-            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-                f.debug_list().entries(self.0.iter()).finish()
-            }
-        }
         struct Members<'a>(&'a RequestBuffer);
         impl fmt::Debug for Members<'_> {
             fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -1186,8 +1175,7 @@ impl fmt::Debug for RequestBuffer {
         }
         f.debug_struct("RequestBuffer")
             .field("cap", &self.cap)
-            .field("order", &self.order)
-            .field("entries", &Ordered(self))
+            .field("slots", &self.slots)
             .field("free", &self.free)
             .field("writebacks", &self.writebacks)
             .field("batched", &self.batched)
@@ -1324,7 +1312,7 @@ mod tests {
     /// The keep-owner lemma, on random banks under every policy with
     /// batching marks, write drain (flipping mid-run) and urgency in play:
     /// after the owner's own ACT or PRE the owner is kept without a rescan
-    /// — and the audit's fresh argmax (B3) and lane check (B5) agree.
+    /// — and the audit's fresh argmax (B2) and lane check (B4) agree.
     #[test]
     fn the_owners_own_act_and_pre_keep_it_the_owner() {
         for policy in POLICIES {

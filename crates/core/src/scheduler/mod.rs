@@ -4,9 +4,9 @@
 //! Split into three layers (DESIGN.md §13):
 //!
 //! - [`buffer`] — the data-oriented request buffer: slab + free list,
-//!   legacy-order mirror, per-bank membership bitsets, the split-key lane
-//!   and the per-bank owners maintained over it, the per-bank ready lane
-//!   beside them, APD deadline heaps, and running counts;
+//!   per-bank membership bitsets, the split-key lane and the per-bank
+//!   owners maintained over it, the per-bank ready lane beside them, APD
+//!   deadline heaps, and running counts;
 //! - [`arbiter`] — the lexicographic [`PrioKey`](arbiter::PrioKey) (the
 //!   specification), its order-preserving [`PackedKey`] (what the buffer
 //!   compares), and the [`KeyCtx`] snapshot of their inputs;
@@ -263,13 +263,12 @@ impl MemoryController {
 
     /// A demand access matched an in-flight prefetch to `line` (MSHR hit on
     /// a prefetch entry): promote the request to a demand, resetting its `P`
-    /// bit (§4.1). Returns true if a queued or in-flight prefetch was found.
+    /// bit (§4.1). Returns true if a queued or in-flight prefetch was found;
+    /// of several queued ones (prefetched by different cores) the oldest is
+    /// promoted.
     pub fn promote_prefetch(&mut self, line: LineAddr) -> bool {
-        let queued = self.buffer.order_slots().iter().copied().find(|&s| {
-            let e = self.buffer.entry(s);
-            e.req.line == line && e.req.kind.is_prefetch()
-        });
-        if let Some(slot) = queued {
+        let t = self.mapper.map(line);
+        if let Some(slot) = self.buffer.oldest_prefetch(t.channel, t.bank, line) {
             self.buffer.promote(slot);
             self.stats.promotions += 1;
             self.mutations += 1;
@@ -486,8 +485,8 @@ impl MemoryController {
     /// prefetches (they are demands now).
     ///
     /// The buffer's deadline heaps answer "is anything due?" in O(cores);
-    /// only when a drop is actually due does the legacy-order scan run, so
-    /// emission order stays bit-identical to the flat-vector controller.
+    /// only when a drop is actually due does the scan run, and it emits the
+    /// expired prefetches in arrival (request id) order.
     fn drop_old_prefetches(
         &mut self,
         now: Cycle,
@@ -502,21 +501,21 @@ impl MemoryController {
             _ => return,
         }
         let thresholds = self.cfg.drop_thresholds;
-        let mut i = 0;
-        while i < self.buffer.len() {
-            let slot = self.buffer.order_slots()[i];
-            let e = self.buffer.entry(slot);
-            let droppable = e.req.kind.is_prefetch() && e.first_service.is_none();
-            if droppable {
-                let limit = thresholds.threshold_for(accuracy.accuracy(e.req.core));
-                if e.req.age(now) > limit {
-                    let e = self.buffer.remove(slot);
-                    self.stats.prefetches_dropped += 1;
-                    out.dropped.push(e.req);
-                    continue;
-                }
-            }
-            i += 1;
+        let mut expired: Vec<(RequestId, Slot)> = self
+            .buffer
+            .iter()
+            .filter(|(_, e)| {
+                e.req.kind.is_prefetch()
+                    && e.first_service.is_none()
+                    && e.req.age(now) > thresholds.threshold_for(accuracy.accuracy(e.req.core))
+            })
+            .map(|(slot, e)| (e.req.id, slot))
+            .collect();
+        expired.sort_unstable();
+        for (_, slot) in expired {
+            let e = self.buffer.remove(slot);
+            self.stats.prefetches_dropped += 1;
+            out.dropped.push(e.req);
         }
     }
 
@@ -536,11 +535,14 @@ impl MemoryController {
         if self.buffer.batched_len() > 0 || self.buffer.is_empty() {
             return;
         }
-        let mut slots: Vec<Slot> = self.buffer.order_slots().to_vec();
-        slots.sort_by_key(|&s| self.buffer.entry(s).req.id);
+        let mut by_age: Vec<(RequestId, usize, Slot)> = self
+            .buffer
+            .iter()
+            .map(|(s, e)| (e.req.id, e.req.core.index(), s))
+            .collect();
+        by_age.sort_unstable();
         let mut per_core = vec![0usize; self.cfg.cores.max(1)];
-        for s in slots {
-            let core = self.buffer.entry(s).req.core.index();
+        for (_, core, s) in by_age {
             if let Some(count) = per_core.get_mut(core) {
                 if *count < self.cfg.batch_cap {
                     *count += 1;
@@ -1090,6 +1092,88 @@ mod tests {
         assert!(out.dropped.is_empty());
     }
 
+    /// Prefetches that expire in the same tick leave in arrival order, even
+    /// after a demand queued ahead of them has been serviced (its removal
+    /// must not reorder what is left).
+    #[test]
+    fn apd_drops_in_arrival_order() {
+        let mut mc = MemoryController::new(
+            ControllerConfig::from_policy(SchedulingPolicy::Padc, 1),
+            DramConfig::default(),
+            MappingScheme::Linear,
+        );
+        let t = tracker_with_accuracy(1, 0.05); // threshold: 100 cycles
+        let lpr = DramConfig::default().lines_per_row();
+        // A demand, then prefetches to other rows of the same bank.
+        for k in 0..4 {
+            let kind = if k == 0 {
+                RequestKind::Demand
+            } else {
+                RequestKind::Prefetch
+            };
+            mc.enqueue(
+                CoreId::new(0),
+                LineAddr::new(lpr * 8 * k),
+                AccessKind::Load,
+                kind,
+                0,
+            )
+            .unwrap();
+        }
+        let mut dropped = Vec::new();
+        let mut now = 0;
+        while !mc.is_idle() {
+            dropped.extend(mc.tick(now, &t).dropped.into_iter().map(|r| r.id));
+            now += 1;
+            assert!(now < 100_000, "controller wedged");
+        }
+        assert!(dropped.len() >= 2, "dropped {dropped:?}");
+        assert!(
+            dropped.windows(2).all(|w| w[0] < w[1]),
+            "drops out of arrival order: {dropped:?}"
+        );
+    }
+
+    /// Two cores prefetched the same line; a demand for it promotes the
+    /// older request, whatever the buffer did in between.
+    #[test]
+    fn promotion_takes_the_oldest_queued_prefetch_of_the_line() {
+        let mut mc = MemoryController::new(
+            ControllerConfig::from_policy(SchedulingPolicy::DemandFirst, 2),
+            DramConfig::default(),
+            MappingScheme::Linear,
+        );
+        let t = tracker(2);
+        let line = LineAddr::new(DramConfig::default().lines_per_row() * 8);
+        let (load, prefetch) = (AccessKind::Load, RequestKind::Prefetch);
+        mc.enqueue(
+            CoreId::new(0),
+            LineAddr::new(0),
+            load,
+            RequestKind::Demand,
+            0,
+        )
+        .unwrap();
+        let older = mc.enqueue(CoreId::new(0), line, load, prefetch, 0).unwrap();
+        mc.enqueue(CoreId::new(1), line, load, prefetch, 0).unwrap();
+        // Service the demand, leaving both prefetches queued.
+        let mut now = 0;
+        while mc.occupancy() == 3 {
+            mc.tick(now, &t);
+            now += 1;
+            assert!(now < 100_000, "controller wedged");
+        }
+        assert_eq!(mc.occupancy(), 2);
+        assert!(mc.promote_prefetch(line));
+        let promoted: Vec<RequestId> = mc
+            .buffer
+            .iter()
+            .filter(|(_, e)| e.req.was_prefetch && e.req.kind.is_demand())
+            .map(|(_, e)| e.req.id)
+            .collect();
+        assert_eq!(promoted, [older]);
+    }
+
     #[test]
     fn promoted_prefetch_completes_as_demand() {
         let mut mc = controller(SchedulingPolicy::DemandFirst);
@@ -1534,7 +1618,7 @@ mod tests {
         );
     }
 
-    /// The marks B6 rests on (DESIGN.md §13): whoever issues a command, the
+    /// The marks B5 rests on (DESIGN.md §13): whoever issues a command, the
     /// bank it went to is left stale — the owner's own ACT, CAS and PRE, a
     /// closed-row policy precharge, a DARP pull — and an all-bank refresh
     /// stales every bank of the channel.

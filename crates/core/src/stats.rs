@@ -37,22 +37,6 @@ impl ControllerStats {
         self.demands_serviced + self.prefetches_serviced
     }
 
-    /// Mean memory-service time of demand reads (entry to data), cycles.
-    pub fn avg_demand_latency(&self) -> f64 {
-        if self.demand_latency_count == 0 {
-            return 0.0;
-        }
-        self.demand_latency_sum as f64 / self.demand_latency_count as f64
-    }
-
-    /// Mean memory-service time of prefetches (entry to data), cycles.
-    pub fn avg_prefetch_latency(&self) -> f64 {
-        if self.prefetch_latency_count == 0 {
-            return 0.0;
-        }
-        self.prefetch_latency_sum as f64 / self.prefetch_latency_count as f64
-    }
-
     /// Row-buffer hit rate over serviced requests.
     pub fn row_hit_rate(&self) -> f64 {
         let total = self.total_serviced();

@@ -3,7 +3,7 @@
 //! bitsets, counts, APD heaps, split-key lane, every non-dirty bank's
 //! maintained owner, and every non-stale bank's ready-lane entry must equal
 //! a from-scratch recompute (`MemoryController::audit_buffer` panics on
-//! divergence — invariants B1–B6 in DESIGN.md §13). Every case runs its op sequence under the
+//! divergence — invariants B1–B5 in DESIGN.md §13). Every case runs its op sequence under the
 //! whole configuration matrix, so no combination goes undrawn.
 
 use padc_core::{AccuracyTracker, ControllerConfig, MemoryController, SchedulingPolicy};
@@ -56,7 +56,7 @@ fn all_policies() -> [SchedulingPolicy; 6] {
     ]
 }
 
-/// Every row-buffer management policy, so B1–B6 cover the closed-row *and*
+/// Every row-buffer management policy, so B1–B5 cover the closed-row *and*
 /// HAPPY policy-precharge invalidation rules automatically.
 const ROW_POLICIES: [RowPolicy; 3] = [RowPolicy::Open, RowPolicy::Closed, RowPolicy::Happy];
 

@@ -15,7 +15,7 @@
 //!
 //! The probe also audits the request buffer at every cycle of a claimed
 //! window and the controller after every proof (`audit_buffer`, invariant
-//! B6 of DESIGN.md §13): the ready lane `next_event` folds must equal a
+//! B5 of DESIGN.md §13): the ready lane `next_event` folds must equal a
 //! fresh derivation from the channel wherever it is not marked stale.
 //!
 //! Every case runs its request mix under the whole 6 × 3 × 4 (scheduling ×
@@ -107,7 +107,7 @@ fn assert_claim_holds(mc: &MemoryController, tracker: &AccuracyTracker, now: u64
             m,
             claimed
         );
-        // B6 at every cycle of the window: no command issued, so each bank's
+        // B5 at every cycle of the window: no command issued, so each bank's
         // ready-lane entry must still equal a fresh derivation (DESIGN.md
         // §13) — the time-invariance the cached readiness rests on.
         probe.audit_buffer(m + 1, tracker);
@@ -168,7 +168,7 @@ fn check_claims(
         }
         // Verify the claim as seen right after the external mutation. The
         // proof has just re-derived every stale ready-lane entry, so the
-        // audit checks all of them (B6).
+        // audit checks all of them (B5).
         let claim = mc.next_event(now, &tracker);
         mc.audit_buffer(now, &tracker);
         match claim {

@@ -260,14 +260,6 @@ impl Core {
         })
     }
 
-    /// Lower bound on the next cycle at which an idle core's state changes
-    /// on its own: the head-retirement time from [`Core::idle_state`].
-    /// `None` when the core is busy (every cycle is an event) or can only
-    /// be woken externally by [`Core::complete`].
-    pub fn next_event(&self, now: Cycle) -> Option<Cycle> {
-        self.idle_state(now).and_then(|s| s.wake_at)
-    }
-
     /// Applies `cycles` worth of the stall-counter bumps that `cycles`
     /// consecutive pure-stall ticks (as classified by `idle`) would have
     /// made. The caller guarantees `idle` came from [`Core::idle_state`] at

@@ -104,9 +104,9 @@ impl Bank {
         self.readiness(row).0
     }
 
-    /// [`Bank::classify`] and [`Bank::next_event`] read off the stored state,
-    /// with no clock: `row`'s access class, and the cycle the in-flight ACT
-    /// or PRE completes (0 when the bank is stable) — from which on the bank
+    /// What [`Bank::classify`] reads off the stored state, with no clock:
+    /// `row`'s access class, and the cycle the in-flight ACT or PRE
+    /// completes (0 when the bank is stable) — from which on the bank
     /// accepts the command that class needs. Unchanged until the next
     /// command or refresh, which is what lets a caller keep it.
     #[inline]
@@ -172,7 +172,7 @@ impl Bank {
     /// Applies a per-bank refresh (REF_pb): whatever row was open (or
     /// opening) is lost without a PRE, and the bank re-accepts commands —
     /// closed — at `ready_at`. Modeled as a precharge-like occupancy so
-    /// [`Bank::next_event`] and `classify` cover the busy window for free.
+    /// `state_at` and `classify` cover the busy window for free.
     pub fn refresh(&mut self, ready_at: Cycle) {
         self.state = BankState::Precharging { ready_at };
         self.cas_served = 0;
@@ -192,23 +192,6 @@ impl Bank {
     /// activated. See the field docs: this is the HAPPY training signal.
     pub fn cas_served(&self) -> u32 {
         self.cas_served
-    }
-
-    /// The next cycle at which the bank's *resolved* state changes on its
-    /// own — the `ready_at` of an in-flight ACT or PRE. `None` when the
-    /// bank is stable ([`BankState::Open`] / [`BankState::Closed`]) and
-    /// only a new command can change it.
-    ///
-    /// This is the bank's contribution to the fast-forward event contract
-    /// (DESIGN.md §11): between `now` and the returned cycle, every
-    /// `can_*` / `classify` answer at a fixed row is constant.
-    pub fn next_event(&self, now: Cycle) -> Option<Cycle> {
-        match self.state_at(now) {
-            BankState::Activating { ready_at, .. } | BankState::Precharging { ready_at } => {
-                Some(ready_at)
-            }
-            BankState::Open { .. } | BankState::Closed => None,
-        }
     }
 }
 
@@ -277,7 +260,6 @@ mod tests {
         b.refresh(200);
         // Busy (neither ACT nor PRE accepted) until ready_at...
         assert!(!b.can_activate(199));
-        assert_eq!(b.next_event(100), Some(200));
         // ...then closed, with the row and its CAS history gone.
         assert!(b.can_activate(200));
         assert_eq!(b.open_row(200), None);

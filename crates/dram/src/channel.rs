@@ -566,30 +566,6 @@ impl Channel {
         )
     }
 
-    /// Lower bound on the next cycle strictly after `now` at which the
-    /// channel's state can change without a new command being issued: bank
-    /// ACT/PRE completions, bus releases, and the next refresh boundary.
-    /// `None` when the channel is fully quiescent.
-    pub fn next_event(&self, now: Cycle) -> Option<Cycle> {
-        let mut ev: Option<Cycle> = None;
-        let mut fold = |c: Cycle| {
-            if c > now {
-                ev = Some(ev.map_or(c, |e: Cycle| e.min(c)));
-            }
-        };
-        for b in &self.banks {
-            if let Some(t) = b.next_event(now) {
-                fold(t);
-            }
-        }
-        fold(self.cmd_bus_free_at);
-        fold(self.data_bus_free_at);
-        if let Some(r) = self.next_refresh_boundary(now) {
-            fold(r);
-        }
-        ev
-    }
-
     /// Issues an explicit precharge of `bank` (closed-row policy support).
     ///
     /// Returns true if the precharge was issued; false if the bank had no

@@ -93,13 +93,6 @@ impl JobSpec {
             cached_row: None,
         }
     }
-
-    /// Attaches a settled row from a prior artifact; the scheduler will
-    /// skip execution and re-emit it verbatim.
-    pub fn with_cached_row(mut self, row: impl Into<String>) -> Self {
-        self.cached_row = Some(row.into());
-        self
-    }
 }
 
 /// Pool and accounting knobs of [`run_suite`].
@@ -478,14 +471,16 @@ mod tests {
     fn cached_rows_skip_execution_and_are_emitted_verbatim() {
         let counter = std::sync::Arc::new(std::sync::atomic::AtomicUsize::new(0));
         let jobs: Vec<JobSpec> = vec![
-            JobSpec::new("a", "t", {
-                let c = counter.clone();
-                move || {
-                    c.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    "1".to_string()
-                }
-            })
-            .with_cached_row("{\"id\":\"a\",\"status\":\"ok\",\"result\":99}"),
+            JobSpec {
+                cached_row: Some("{\"id\":\"a\",\"status\":\"ok\",\"result\":99}".into()),
+                ..JobSpec::new("a", "t", {
+                    let c = counter.clone();
+                    move || {
+                        c.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                        "1".to_string()
+                    }
+                })
+            },
             JobSpec::new("b", "t", {
                 let c = counter.clone();
                 move || {

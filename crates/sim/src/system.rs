@@ -622,11 +622,6 @@ impl System {
         self.ff_mode = mode;
     }
 
-    /// This system's fast-forward mode.
-    pub fn fast_forward_mode(&self) -> FastForwardMode {
-        self.ff_mode
-    }
-
     /// The hot-path profile accumulated so far (see [`crate::profile`]).
     pub fn profile(&self) -> &SimProfile {
         &self.profile

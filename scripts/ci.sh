@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # The CI gate, and the same thing locally: shellcheck, formatting, lints,
 # release build, docs, every workspace crate's unit, integration and doc
-# tests (--workspace: without it cargo selects the root package alone), the
-# controller and DRAM crates' tests again in release, the out-of-workspace
-# benchmark package's tests, and the EXPERIMENTS.md drift check. Everything
+# tests (--workspace: without it cargo selects the root package alone; the
+# EXPERIMENTS.md drift check, crates/sim/tests/experiments_md.rs, is one of
+# them), the controller and DRAM crates' tests again in release, and the
+# out-of-workspace benchmark package's tests. No step needs Python. Everything
 # runs offline (external deps are vendored; see vendor/README.md). Each step
 # prints its elapsed seconds; on exit a pass/FAIL/skip table with the same
 # timings goes to stderr and, when set, to $GITHUB_STEP_SUMMARY, so a red job
@@ -75,7 +76,5 @@ step "cargo test --release -p padc-core -p padc-dram" \
 # a public-API deletion that breaks it must fail here, not in the driver.
 step "benchmark package tests" \
     cargo test -q --offline --manifest-path benchmark/Cargo.toml
-step "EXPERIMENTS.md drift check" \
-    python3 scripts/make_experiments_md.py --check repro_full.jsonl
 
 echo "== ci.sh: all green in ${SECONDS}s"
