@@ -25,9 +25,6 @@ pub struct AccuracyTracker {
     psc: Vec<u64>,
     puc: Vec<u64>,
     par: Vec<f64>,
-    /// Lifetime totals (for end-of-run ACC metrics).
-    total_sent: Vec<u64>,
-    total_used: Vec<u64>,
     interval: Cycle,
     next_rollover: Cycle,
 }
@@ -48,8 +45,6 @@ impl AccuracyTracker {
             psc: vec![0; cores],
             puc: vec![0; cores],
             par: vec![1.0; cores],
-            total_sent: vec![0; cores],
-            total_used: vec![0; cores],
             interval,
             next_rollover: interval,
         }
@@ -63,14 +58,12 @@ impl AccuracyTracker {
     /// Records a prefetch entering the memory request buffer (PSC += 1).
     pub fn on_prefetch_sent(&mut self, core: CoreId) {
         self.psc[core.index()] += 1;
-        self.total_sent[core.index()] += 1;
     }
 
     /// Records a useful prefetch: a demand hit a prefetched cache line or
     /// matched an in-flight prefetch request (PUC += 1).
     pub fn on_prefetch_used(&mut self, core: CoreId) {
         self.puc[core.index()] += 1;
-        self.total_used[core.index()] += 1;
     }
 
     /// Advances time; on an interval boundary, updates every core's `PAR`
@@ -113,26 +106,6 @@ impl AccuracyTracker {
     /// and a skip must never jump across it.
     pub fn next_rollover(&self) -> Cycle {
         self.next_rollover
-    }
-
-    /// Lifetime prefetches sent by `core`.
-    pub fn lifetime_sent(&self, core: CoreId) -> u64 {
-        self.total_sent[core.index()]
-    }
-
-    /// Lifetime useful prefetches from `core`.
-    pub fn lifetime_used(&self, core: CoreId) -> u64 {
-        self.total_used[core.index()]
-    }
-
-    /// Lifetime accuracy (`ACC` in §5.2), or 0 if nothing was sent.
-    pub fn lifetime_accuracy(&self, core: CoreId) -> f64 {
-        let sent = self.total_sent[core.index()];
-        if sent == 0 {
-            0.0
-        } else {
-            self.total_used[core.index()] as f64 / sent as f64
-        }
     }
 }
 
@@ -203,21 +176,6 @@ mod tests {
         t.tick(100);
         assert_eq!(t.accuracy(c(0)), 1.0);
         assert_eq!(t.accuracy(c(1)), 0.5);
-    }
-
-    #[test]
-    fn lifetime_counters_survive_rollover() {
-        let mut t = AccuracyTracker::new(1, 100);
-        for _ in 0..4 {
-            t.on_prefetch_sent(c(0));
-        }
-        t.on_prefetch_used(c(0));
-        t.tick(100);
-        t.on_prefetch_sent(c(0));
-        t.on_prefetch_used(c(0));
-        assert_eq!(t.lifetime_sent(c(0)), 5);
-        assert_eq!(t.lifetime_used(c(0)), 2);
-        assert!((t.lifetime_accuracy(c(0)) - 0.4).abs() < 1e-12);
     }
 
     #[test]

@@ -55,7 +55,7 @@
 
 use std::cmp::Reverse;
 
-use padc_dram::Channel;
+use padc_dram::{Channel, RowBufferOutcome};
 use padc_types::{Cycle, MemRequest, RequestKind};
 
 use crate::accuracy::AccuracyTracker;
@@ -248,7 +248,7 @@ impl KeyCtx<'_> {
     /// The entry's full priority key under this context, with `row_hit`
     /// classified against the channel's current bank state.
     pub fn key(&self, e: &Entry, ch: &Channel, now: Cycle) -> PrioKey {
-        let row_hit = ch.is_row_hit(e.target.bank, e.target.row, now);
+        let row_hit = ch.classify(e.target.bank, e.target.row, now) == RowBufferOutcome::Hit;
         let fcfs = Reverse(e.req.id.raw());
         // Write-drain service class: when enabled, reads match outside
         // drain mode and writebacks match inside it.

@@ -41,7 +41,8 @@
 //! - per-core **min-heaps of APD drop arrivals** behind a cached earliest
 //!   deadline, so the per-cycle "is a drop due" test is a field read;
 //! - running **writeback / batched / per-core criticality counts** for the
-//!   write-drain watermark, batch-reform trigger, and ranking.
+//!   write-drain watermark, batch-reform trigger, and ranking, and a
+//!   per-bank writeback count for DARP's drain pairing.
 //!
 //! Cache state (owners, dirty flags, pending inserts, both lanes and the
 //! stale set, heaps, the cached deadline, epoch snapshots, stats) is
@@ -217,6 +218,8 @@ impl BitSet {
 #[derive(Clone)]
 struct BankSet {
     members: BitSet,
+    /// Members that are writebacks (the DARP pass's drain-pairing test).
+    writebacks: u32,
     /// While `dirty` is false: the highest-key member outside `pending`,
     /// with its current key. Pure cache.
     owner: Option<(PackedKey, Slot)>,
@@ -395,6 +398,7 @@ impl RequestBuffer {
             banks: vec![
                 BankSet {
                     members: BitSet::new(cap),
+                    writebacks: 0,
                     owner: None,
                     pending: Vec::new(),
                     dirty: false,
@@ -635,6 +639,7 @@ impl RequestBuffer {
         self.lane.stamp[slot as usize] = 0;
         let b = &mut self.banks[channel * self.stride + bank];
         b.members.set(slot as usize);
+        b.writebacks += u32::from(e.is_writeback());
         self.slots[slot as usize] = Some(e);
         // Under ranking any membership change shifts every core's rank
         // counts; otherwise the new entry can only displace the owner,
@@ -670,6 +675,7 @@ impl RequestBuffer {
         let bank_idx = self.bank_index(&e.target);
         let b = &mut self.banks[bank_idx];
         b.members.clear(slot as usize);
+        b.writebacks -= u32::from(e.is_writeback());
         if self.ranking {
             self.mark_all_dirty();
         } else if b.owner.is_some_and(|(_, s)| s == slot) {
@@ -959,15 +965,7 @@ impl RequestBuffer {
     /// write-drain phases a pending refresh can hide behind the drain on
     /// any bank the drain itself does not need (DESIGN.md §15).
     pub fn bank_has_writeback(&self, channel: usize, bank: usize) -> bool {
-        let bank_idx = channel * self.stride + bank;
-        let mut found = false;
-        self.banks[bank_idx].members.for_each(|slot| {
-            if !found {
-                let e = self.slots[slot].as_ref().expect("member of freed slot");
-                found = e.is_writeback();
-            }
-        });
-        found
+        self.banks[channel * self.stride + bank].writebacks > 0
     }
 
     /// Consistency audit for the incremental state, used by the
@@ -1006,6 +1004,15 @@ impl RequestBuffer {
             live().filter(|e| e.batched).count(),
             "batched count drifted"
         );
+        for (i, b) in self.banks.iter().enumerate() {
+            let members = b.members.to_vec().into_iter();
+            let wb = members.filter(|&s| self.slots[s].as_ref().is_some_and(Entry::is_writeback));
+            assert_eq!(
+                b.writebacks as usize,
+                wb.count(),
+                "writeback count drifted at bank {i}"
+            );
+        }
         for core in 0..self.demands.len() {
             let d = live()
                 .filter(|e| e.req.core.index() == core && !e.req.kind.is_prefetch())
@@ -1237,7 +1244,7 @@ mod tests {
     }
 
     /// One bank under `policy` with write drain and urgency on, driven by
-    /// hand: the harness plays `schedule_channel` for bank 0.
+    /// hand: the harness plays the controller's arbitration for bank 0.
     struct Rig {
         buf: RequestBuffer,
         ch: Channel,
@@ -1294,7 +1301,7 @@ mod tests {
             });
         }
 
-        /// Issues the owner's next command as `schedule_channel` would,
+        /// Issues the owner's next command as arbitration would,
         /// waiting out DRAM timing first.
         fn command_owner(&mut self) -> (Slot, StepOutcome) {
             let (_, slot) = self.owner().expect("bank 0 has an owner");

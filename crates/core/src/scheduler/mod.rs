@@ -10,11 +10,12 @@
 //! - [`arbiter`] — the lexicographic [`PrioKey`](arbiter::PrioKey) (the
 //!   specification), its order-preserving [`PackedKey`] (what the buffer
 //!   compares), and the [`KeyCtx`] snapshot of their inputs;
-//! - this module — [`MemoryController`]: the tick loop, DRAM command
-//!   issue, APD, PAR-BS batching, write drain, and the `next_event` bound
-//!   that event-mode fast-forwarding consumes. Arbitration and the bound
-//!   each cost one walk over a channel's ready lane against the channel's
-//!   floors ([`Channel::floors`]) per event, not a probe per bank.
+//! - this module — [`MemoryController`]: the passes of its tick, each
+//!   stating once which entries or banks it may act on and when, and the
+//!   `next_event` bound event-mode fast-forwarding folds from those
+//!   statements. Arbitration and its bound each cost one walk over a
+//!   channel's ready lane against the channel's floors
+//!   ([`Channel::floors`]) per event, not a probe per bank.
 
 pub mod arbiter;
 pub mod buffer;
@@ -22,8 +23,8 @@ pub mod buffer;
 use std::collections::VecDeque;
 
 use padc_dram::{
-    AddressMapper, Channel, DramConfig, MappingScheme, RefreshCounters, RefreshPolicy,
-    RowBufferOutcome, RowPolicy, StepOutcome,
+    AddressMapper, Channel, ChannelFloors, DramConfig, MappingScheme, RefreshCounters,
+    RefreshPolicy, RowBufferOutcome, RowPolicy, StepOutcome, Target,
 };
 use padc_types::{
     AccessKind, CoreId, Cycle, LineAddr, MemRequest, RequestId, RequestKind,
@@ -33,7 +34,7 @@ use padc_types::{
 use crate::{AccuracyTracker, ControllerConfig, ControllerStats};
 
 use arbiter::{KeyCtx, PackedKey};
-use buffer::{BufferStats, Entry, RequestBuffer, Slot};
+use buffer::{BufferStats, Entry, ReadyOwner, RequestBuffer, Slot};
 
 /// A serviced request handed back to the memory system.
 #[derive(Clone, Debug)]
@@ -58,9 +59,81 @@ pub struct TickOutput {
 #[derive(Clone, Debug)]
 struct InFlight {
     req: MemRequest,
-    target: padc_dram::Target,
+    target: Target,
     completes_at: Cycle,
     row_hit: bool,
+}
+
+/// The two passes that command a bank no request asked for: the controller
+/// picks the banks ([`MemoryController::bank_candidate`]), `padc-dram`
+/// rules on legality and timing ([`BankPass::issue`], [`BankPass::earliest`]).
+#[derive(Clone, Copy)]
+enum BankPass {
+    /// Closed-row (§6.8) and HAPPY idle precharges.
+    Precharge,
+    /// DARP out-of-order refresh pulls (DESIGN.md §15).
+    RefreshPull,
+}
+
+impl BankPass {
+    /// In tick order: precharges, then pulls.
+    const ALL: [BankPass; 2] = [BankPass::Precharge, BankPass::RefreshPull];
+
+    /// True when `dram`'s row or refresh policy runs this pass.
+    fn enabled(self, dram: &DramConfig) -> bool {
+        match self {
+            BankPass::Precharge => dram.row_policy != RowPolicy::Open,
+            BankPass::RefreshPull => dram.refresh_policy == RefreshPolicy::Darp,
+        }
+    }
+
+    /// Issues the pass's command to `bank` if `ch` accepts it at `now`.
+    fn issue(self, ch: &mut Channel, bank: usize, now: Cycle) -> bool {
+        match self {
+            BankPass::Precharge => ch.precharge_bank(bank, now),
+            BankPass::RefreshPull => ch.pull_refresh(bank, now),
+        }
+    }
+
+    /// `ch`'s early-never-late bound on the first cycle at which
+    /// [`BankPass::issue`] can succeed on `bank`.
+    fn earliest(self, ch: &Channel, bank: usize, now: Cycle) -> Option<Cycle> {
+        match self {
+            BankPass::Precharge => ch.earliest_precharge_at(bank, now),
+            BankPass::RefreshPull => ch.earliest_refresh_pull_at(bank, now),
+        }
+    }
+}
+
+/// One channel's arbitration candidates ([`MemoryController::ready_owners`]):
+/// its ready lane and the channel-level terms of each owner's readiness.
+struct ReadyOwners<'a> {
+    lane: &'a [Option<ReadyOwner>],
+    floors: ChannelFloors,
+    release: Cycle,
+}
+
+impl ReadyOwners<'_> {
+    /// The first cycle `o`'s next command can issue.
+    fn ready_at(&self, o: &ReadyOwner) -> Cycle {
+        self.floors.ready_at(o.ready).max(self.release)
+    }
+
+    /// The best-keyed owner that can issue at `now`: what arbitration issues.
+    fn best_at(&self, now: Cycle) -> Option<Slot> {
+        let mut best: Option<(PackedKey, Slot)> = None;
+        for o in self.lane.iter().flatten() {
+            if self.ready_at(o) <= now && best.is_none_or(|(bk, _)| o.key > bk) {
+                best = Some((o.key, o.slot));
+            }
+        }
+        best.map(|(_, slot)| slot)
+    }
+
+    /// The first cycle any owner can issue: arbitration's bound.
+    fn earliest(&self) -> Option<Cycle> {
+        self.lane.iter().flatten().map(|o| self.ready_at(o)).min()
+    }
 }
 
 /// The Prefetch-Aware DRAM Controller (and all baseline controllers).
@@ -125,25 +198,6 @@ impl MemoryController {
     /// own [`MemoryController::tick`] never bumps it.
     pub fn mutation_epoch(&self) -> u64 {
         self.mutations
-    }
-
-    /// Updates write-drain mode from the buffered writeback count. A flip
-    /// changes every entry's write-drain service class — a static key bit —
-    /// so it starts a new key generation.
-    fn update_write_drain(&mut self) {
-        if !self.cfg.write_drain {
-            return;
-        }
-        let writes = self.buffer.writeback_len() + self.writeback_overflow.len();
-        let drain = if self.draining_writes {
-            writes > self.cfg.write_drain_low
-        } else {
-            writes >= self.cfg.write_drain_high
-        };
-        if drain != self.draining_writes {
-            self.draining_writes = drain;
-            self.buffer.bump_key_generation();
-        }
     }
 
     /// The controller's configuration.
@@ -285,34 +339,33 @@ impl MemoryController {
         false
     }
 
-    /// Advances one CPU cycle: collects completions, applies Adaptive
-    /// Prefetch Dropping, and (on DRAM bus cycle boundaries) issues at most
-    /// one DRAM command per channel.
+    /// Advances one CPU cycle through the controller's passes: completions,
+    /// APD drops, the writeback drain and, on DRAM bus boundaries, batch
+    /// reform, the write-drain flip, refresh sync and arbitration, then the
+    /// bank passes (last, so they never displace a request's command).
     pub fn tick(&mut self, now: Cycle, accuracy: &AccuracyTracker) -> TickOutput {
         self.buffer.sync_rollover(accuracy, self.adaptive_keys());
         let mut out = TickOutput::default();
         self.collect_completions(now, &mut out);
-        if self.cfg.apd {
+        if self.drop_deadline(accuracy).is_some_and(|d| d <= now) {
             self.drop_old_prefetches(now, accuracy, &mut out);
         }
         self.drain_writebacks();
         if now.is_multiple_of(CPU_CYCLES_PER_DRAM_CYCLE) {
-            if self.cfg.batching {
-                self.reform_batch_if_drained();
+            if self.batch_drained() {
+                self.reform_batch();
             }
-            self.update_write_drain();
-            for ch in 0..self.channels.len() {
-                self.channels[ch].sync(now);
-                // A refresh closed every bank, re-keying row hits.
-                let refreshes = self.channels[ch].stats().refreshes;
-                self.buffer.sync_refresh(ch, refreshes);
-                self.schedule_channel(ch, now, accuracy);
+            if self.write_drain_target() != self.draining_writes {
+                // A flip changes every entry's write-drain service class —
+                // a static key bit — so it starts a new key generation.
+                self.draining_writes = !self.draining_writes;
+                self.buffer.bump_key_generation();
             }
-            if self.dram.row_policy != RowPolicy::Open {
-                self.apply_row_policy_precharges(now, self.dram.row_policy == RowPolicy::Happy);
-            }
-            if self.dram.refresh_policy == RefreshPolicy::Darp {
-                self.apply_darp_refresh_pulls(now);
+            self.arbitrate(now, accuracy);
+            for pass in BankPass::ALL {
+                if pass.enabled(&self.dram) {
+                    self.run_bank_pass(pass, now);
+                }
             }
         }
         out
@@ -320,150 +373,35 @@ impl MemoryController {
 
     /// Lower bound on the first cycle `m >= now` at which
     /// [`MemoryController::tick`]`(m)` can perform observable work, assuming
-    /// no external mutation (enqueue / promote) happens in between. `None`
-    /// when the controller is fully quiescent and only external input can
-    /// change its state.
-    ///
-    /// This is the controller's contribution to the fast-forward event
-    /// contract (DESIGN.md §11). The bound folds together:
-    ///
-    /// - in-flight CAS completions (`completes_at`, exact);
-    /// - APD drop deadlines (`arrival + threshold + 1`, exact while `PAR`
-    ///   is stable — the caller separately bounds the skip by
-    ///   [`AccuracyTracker::next_rollover`]), served by the buffer's
-    ///   per-core deadline heaps in O(cores);
-    /// - pending boundary-only recomputations: a drained PAR-BS batch
-    ///   waiting to reform, a write-drain watermark crossing waiting to
-    ///   flip, both due at the next DRAM bus boundary;
-    /// - DRAM readiness of each bank's highest-priority queued request
-    ///   (the bank *owner* only — two-level arbitration means no other
-    ///   entry can issue on that bank): per channel, the buffer's ready
-    ///   lane folded against [`Channel::floors`], which is the minimum of
-    ///   the owners' [`Channel::earliest_advance_at`] with one boundary
-    ///   alignment per channel instead of a probe per bank;
-    /// - pending refresh boundaries ([`Channel::next_refresh_boundary`] —
-    ///   per-bank staggered deadlines under the per-bank refresh policies);
-    /// - DARP refresh-pull opportunities on pull-eligible banks
-    ///   ([`Channel::earliest_refresh_pull_at`]); eligibility is a pure
-    ///   read of bank membership and the write-drain flag, both constant
-    ///   across a proven-idle window (membership changes only at executed
-    ///   ticks or external mutations, drain flips are folded above);
-    /// - closed-row-policy precharges of open banks no queued or in-flight
-    ///   request wants ([`Channel::earliest_precharge_at`]); under the
-    ///   HAPPY policy the same bound applies only to banks whose open row
-    ///   the per-row predictor votes to close
-    ///   ([`Channel::happy_votes_close`], a pure read — predictor state
-    ///   mutates only when commands issue, i.e. only at executed ticks);
-    /// - overflowed writebacks that could drain into freed buffer space
-    ///   (due immediately, so the caller simply does not skip).
-    ///
-    /// Bounds may be *early* (the tick at the returned cycle does nothing
-    /// and stepping resumes) but are never late — that is what keeps
-    /// fast-forwarded runs bit-identical to cycle-by-cycle stepping.
+    /// no external mutation (enqueue / promote) in between and no accuracy
+    /// rollover (the caller caps every skip at
+    /// [`AccuracyTracker::next_rollover`]); `None` when only external input
+    /// can change the controller's state. The fast-forward event contract's
+    /// controller half (DESIGN.md §11): the minimum, in `tick`'s order, of
+    /// the bound each pass's own documentation states. Early bounds cost a
+    /// no-op tick; late ones would break bit-identity with stepping.
     ///
     /// Takes `&mut self` purely for cache maintenance (lazy heap cleanup,
     /// owner and ready-lane fills); observable controller state is unchanged.
     pub fn next_event(&mut self, now: Cycle, accuracy: &AccuracyTracker) -> Option<Cycle> {
         self.buffer.sync_rollover(accuracy, self.adaptive_keys());
-        let mut ev: Option<Cycle> = None;
-        let mut fold = |c: Cycle| ev = Some(ev.map_or(c, |e: Cycle| e.min(c)));
-        for f in &self.inflight {
-            fold(f.completes_at);
-        }
-        if self.cfg.apd {
-            if let Some(d) = self
-                .buffer
-                .earliest_drop_deadline(&self.cfg.drop_thresholds, accuracy)
-            {
-                fold(d);
-            }
-        }
-        if !self.writeback_overflow.is_empty() && self.has_space() {
-            // A writeback can drain this very cycle; don't skip at all.
-            fold(now);
-        }
-        if self.cfg.batching && !self.buffer.is_empty() && self.buffer.batched_len() == 0 {
-            fold(align_up_dram(now));
-        }
-        if self.cfg.write_drain {
-            let writes = self.buffer.writeback_len() + self.writeback_overflow.len();
-            let flips = if self.draining_writes {
-                writes <= self.cfg.write_drain_low
-            } else {
-                writes >= self.cfg.write_drain_high
-            };
-            if flips {
-                fold(align_up_dram(now));
-            }
-        }
-        for ch in &self.channels {
-            if let Some(r) = ch.next_refresh_boundary(now) {
-                fold(r);
-            }
-        }
-        if self.dram.refresh_policy == RefreshPolicy::Darp {
-            for (ci, ch) in self.channels.iter().enumerate() {
-                for bank in 0..ch.bank_count() {
-                    if !self.refresh_pull_eligible(ci, bank) {
-                        continue;
-                    }
-                    if let Some(t) = ch.earliest_refresh_pull_at(bank, now) {
-                        fold(align_up_dram(t));
-                    }
-                }
-            }
-        }
-        // Owner-aware advance bound. [`MemoryController::schedule_channel`]'s
-        // two-level selection means only the highest-priority entry per bank
-        // (that bank's *owner*) can issue the bank's next command, so
-        // non-owner entries cannot tighten the bound. Ownership is stable
-        // across a proven-idle window: priority keys depend on the
-        // row-buffer class (unchanged by passive ACT/PRE completions — an
-        // activating row already classifies as its future hit, a precharging
-        // bank as closed), on batch / write-drain flags (tick-mutated, and
-        // their boundary flips are folded above), and on accuracy (constant
-        // between rollovers; the caller caps every skip at
-        // [`AccuracyTracker::next_rollover`]); buffer membership only
-        // changes at executed ticks or external mutations, both of which
-        // re-prove the bound. The same stability argument is what lets the
-        // buffer serve owners — and, commands being the only thing that
-        // moves a bank's class or its local ready cycle, their readiness —
-        // from its per-bank lane here (DESIGN.md §11, §13).
-        if !self.buffer.is_empty() {
-            let rank_counts = self
-                .buffer
-                .rank_counts(accuracy, self.cfg.promotion_threshold);
-            let ctx = self.key_ctx(accuracy, rank_counts.as_deref());
-            for (ci, ch) in self.channels.iter().enumerate() {
-                let floors = ch.floors();
-                let lane = self.buffer.ready_lane(ci, &ctx, ch, now);
-                let earliest = lane.iter().flatten().map(|o| floors.ready_at(o.ready));
-                if let Some(t) = earliest.min() {
-                    fold(align_up_dram(t.max(ch.refresh_release(now))));
-                }
-            }
-        }
-        if matches!(self.dram.row_policy, RowPolicy::Closed | RowPolicy::Happy) {
-            let happy = self.dram.row_policy == RowPolicy::Happy;
-            for (ci, ch) in self.channels.iter().enumerate() {
-                for bank in 0..ch.bank_count() {
-                    let Some(open) = ch.effective_row(bank, now) else {
-                        continue;
-                    };
-                    if happy && !ch.happy_votes_close(bank, now) {
-                        continue;
-                    }
-                    if !self.row_wanted(ci, bank, open) {
-                        if let Some(t) = ch.earliest_precharge_at(bank, now) {
-                            fold(align_up_dram(t));
-                        }
-                    }
-                }
-            }
-        }
-        ev
+        let boundary = align_up_dram(now);
+        let completion = self.inflight.iter().map(|f| f.completes_at).min();
+        let drop = self.drop_deadline(accuracy);
+        let drain = (!self.writeback_overflow.is_empty() && self.has_space()).then_some(now);
+        let reform = self.batch_drained().then_some(boundary);
+        let flip = (self.write_drain_target() != self.draining_writes).then_some(boundary);
+        let arbitration = self.arbitration_bound(now, accuracy);
+        let bank_passes = BankPass::ALL.map(|pass| {
+            (pass.enabled(&self.dram))
+                .then(|| self.bank_pass_bound(pass, now))
+                .flatten()
+        });
+        let bounds = [completion, drop, drain, reform, flip, arbitration];
+        bounds.into_iter().chain(bank_passes).fold(None, earlier)
     }
 
+    /// Completions: hands back each in-flight request at its `completes_at`.
     fn collect_completions(&mut self, now: Cycle, out: &mut TickOutput) {
         let mut i = 0;
         while i < self.inflight.len() {
@@ -479,27 +417,28 @@ impl MemoryController {
         }
     }
 
-    /// Adaptive Prefetch Dropping (§4.3): remove queued prefetches older
-    /// than their core's dynamic drop threshold. Requests already being
-    /// serviced (first command issued) are left alone, as are promoted
-    /// prefetches (they are demands now).
-    ///
-    /// The buffer's deadline heaps answer "is anything due?" in O(cores);
-    /// only when a drop is actually due does the scan run, and it emits the
-    /// expired prefetches in arrival (request id) order.
+    /// The earliest APD drop deadline (`arrival + threshold + 1`) over the
+    /// queued droppable prefetches, `None` without APD. Exact while PAR is
+    /// stable; served by the buffer's per-core deadline heaps in O(cores).
+    fn drop_deadline(&mut self, accuracy: &AccuracyTracker) -> Option<Cycle> {
+        if !self.cfg.apd {
+            return None;
+        }
+        self.buffer
+            .earliest_drop_deadline(&self.cfg.drop_thresholds, accuracy)
+    }
+
+    /// Adaptive Prefetch Dropping (§4.3), run once the
+    /// [`MemoryController::drop_deadline`] is due: remove queued prefetches
+    /// older than their core's dynamic drop threshold, in arrival (request
+    /// id) order. Requests already being serviced (first command issued) are
+    /// left alone, as are promoted prefetches (they are demands now).
     fn drop_old_prefetches(
         &mut self,
         now: Cycle,
         accuracy: &AccuracyTracker,
         out: &mut TickOutput,
     ) {
-        match self
-            .buffer
-            .earliest_drop_deadline(&self.cfg.drop_thresholds, accuracy)
-        {
-            Some(deadline) if deadline <= now => {}
-            _ => return,
-        }
         let thresholds = self.cfg.drop_thresholds;
         let mut expired: Vec<(RequestId, Slot)> = self
             .buffer
@@ -519,6 +458,8 @@ impl MemoryController {
         }
     }
 
+    /// Writeback drain: overflowed writebacks enter the buffer in arrival
+    /// order, due the cycle both space and an overflowed writeback exist.
     fn drain_writebacks(&mut self) {
         while self.has_space() {
             let Some(req) = self.writeback_overflow.pop_front() else {
@@ -529,12 +470,16 @@ impl MemoryController {
         }
     }
 
-    /// PAR-BS batching: when no batched request remains, mark the oldest
-    /// `batch_cap` requests of each core as the new batch.
-    fn reform_batch_if_drained(&mut self) {
-        if self.buffer.batched_len() > 0 || self.buffer.is_empty() {
-            return;
-        }
+    /// True when the PAR-BS batch has drained and requests wait for the
+    /// next one: [`MemoryController::reform_batch`] is due at the next DRAM
+    /// boundary.
+    fn batch_drained(&self) -> bool {
+        self.cfg.batching && self.buffer.batched_len() == 0 && !self.buffer.is_empty()
+    }
+
+    /// PAR-BS batching, run once [`MemoryController::batch_drained`]: mark
+    /// the oldest `batch_cap` requests of each core as the new batch.
+    fn reform_batch(&mut self) {
         let mut by_age: Vec<(RequestId, usize, Slot)> = self
             .buffer
             .iter()
@@ -552,102 +497,142 @@ impl MemoryController {
         }
     }
 
-    /// Pick and issue at most one command on `channel`.
-    fn schedule_channel(&mut self, channel: usize, now: Cycle, accuracy: &AccuracyTracker) {
-        if !self.channels[channel].command_bus_free(now) {
-            return;
+    /// The write-drain mode the buffered writeback count calls for: entered
+    /// at `write_drain_high` writebacks, left at `write_drain_low`, never
+    /// without `ControllerConfig::write_drain`. A mode other than the
+    /// current one is a flip due at the next DRAM boundary.
+    fn write_drain_target(&self) -> bool {
+        if !self.cfg.write_drain {
+            return false;
         }
-        // Per-core outstanding critical-request counts for ranking (§6.5),
-        // rebuilt O(cores) from the buffer's running kind counts.
-        let rank_counts = self
-            .buffer
-            .rank_counts(accuracy, self.cfg.promotion_threshold);
-        let ctx = self.key_ctx(accuracy, rank_counts.as_deref());
+        let writes = self.buffer.writeback_len() + self.writeback_overflow.len();
+        if self.draining_writes {
+            writes > self.cfg.write_drain_low
+        } else {
+            writes >= self.cfg.write_drain_high
+        }
+    }
 
-        // Two-level selection, as in real FR-FCFS controllers: first pick
-        // the highest-priority *request* per bank (that request owns the
-        // bank — a lower-priority row-conflict must not precharge a row
-        // that a higher-priority row-hit is still waiting to read), then
-        // pick the best bank whose owner can issue a command this cycle.
-        // The buffer keeps both answers per bank — the owner and the
-        // bank-local half of its readiness — and re-derives only the banks
-        // something touched since the channel's last pass; what is left per
-        // event is one walk over that lane against the channel's floors.
-        let ch = &self.channels[channel];
-        let lane = self.buffer.ready_lane(channel, &ctx, ch, now);
-        if ch.refresh_release(now) > now {
-            return;
-        }
-        let floors = ch.floors();
-        let mut best: Option<(PackedKey, Slot)> = None;
-        for o in lane.iter().flatten() {
-            if now >= floors.ready_at(o.ready) && best.is_none_or(|(bk, _)| o.key > bk) {
-                best = Some((o.key, o.slot));
+    /// Per-channel refresh sync and arbitration: applies the refresh
+    /// boundaries `now` has reached, then issues, on each channel with a free
+    /// command bus, the best owner ready at `now`. Bounded by
+    /// [`MemoryController::arbitration_bound`].
+    fn arbitrate(&mut self, now: Cycle, accuracy: &AccuracyTracker) {
+        for channel in 0..self.channels.len() {
+            self.channels[channel].sync(now);
+            // A refresh closed every bank, re-keying row hits.
+            let refreshes = self.channels[channel].stats().refreshes;
+            self.buffer.sync_refresh(channel, refreshes);
+            if !self.channels[channel].command_bus_free(now) {
+                continue;
+            }
+            // Per-core critical-request counts for ranking (§6.5), O(cores),
+            // per channel: a CAS on an earlier channel moved them.
+            let ranks = self
+                .buffer
+                .rank_counts(accuracy, self.cfg.promotion_threshold);
+            let ctx = self.key_ctx(accuracy, ranks.as_deref());
+            if let Some(slot) = self.ready_owners(channel, &ctx, now).best_at(now) {
+                self.issue(channel, slot, now);
             }
         }
-        let Some((_, slot)) = best else { return };
-        let (bank, row) = {
-            let t = &self.buffer.entry(slot).target;
-            (t.bank, t.row)
-        };
-        // Record the row-buffer classification of the first command.
+    }
+
+    /// The arbitration pass's bound: per channel, its next refresh boundary
+    /// ([`Channel::next_refresh_boundary`], which `sync` must not be skipped
+    /// across) and the first DRAM boundary at which any owner can issue
+    /// ([`MemoryController::ready_owners`]).
+    fn arbitration_bound(&mut self, now: Cycle, accuracy: &AccuracyTracker) -> Option<Cycle> {
+        let refresh = self.channels.iter().map(|ch| ch.next_refresh_boundary(now));
+        let mut bound = refresh.fold(None, earlier);
+        if self.buffer.is_empty() {
+            return bound;
+        }
+        let ranks = self
+            .buffer
+            .rank_counts(accuracy, self.cfg.promotion_threshold);
+        let ctx = self.key_ctx(accuracy, ranks.as_deref());
+        for channel in 0..self.channels.len() {
+            let ready = self.ready_owners(channel, &ctx, now).earliest();
+            bound = earlier(bound, ready.map(align_up_dram));
+        }
+        bound
+    }
+
+    /// The arbitration pass's candidates on `channel`: each bank's owner, its
+    /// highest-priority request (two-level FR-FCFS: no lower-priority row
+    /// conflict may precharge a row a higher-priority hit still wants), from
+    /// the buffer's ready lane, joined with the channel's floors and all-bank
+    /// refresh window. Owners and their readiness hold across a proven-idle
+    /// window: keys read the row-buffer class (an activating row already
+    /// classifies as its future hit, a precharging bank as closed), flags
+    /// that flip only at bounded boundaries, and accuracy (DESIGN.md §11, §13).
+    fn ready_owners(&mut self, channel: usize, ctx: &KeyCtx<'_>, now: Cycle) -> ReadyOwners<'_> {
+        let ch = &self.channels[channel];
+        let (floors, release) = (ch.floors(), ch.refresh_release(now));
+        let lane = self.buffer.ready_lane(channel, ctx, ch, now);
+        ReadyOwners {
+            lane,
+            floors,
+            release,
+        }
+    }
+
+    /// Issues the next command of the request at `slot`, which
+    /// [`MemoryController::ready_owners`] found ready on `channel`,
+    /// recording the row-buffer class of its first command; a CAS moves the
+    /// request from the buffer to `inflight`.
+    fn issue(&mut self, channel: usize, slot: Slot, now: Cycle) {
+        let Target { bank, row, .. } = self.buffer.entry(slot).target;
         if self.buffer.entry(slot).first_service.is_none() {
             let class = self.channels[channel].classify(bank, row, now);
             self.buffer.set_first_service(slot, class);
         }
         let is_write = self.buffer.entry(slot).req.access == AccessKind::Store;
-        match self.channels[channel].advance(bank, row, is_write, now) {
-            StepOutcome::CasIssued { completes_at } => {
-                let e = self.buffer.remove(slot);
-                let row_hit = e.first_service == Some(RowBufferOutcome::Hit);
-                let service = completes_at.saturating_sub(e.req.arrival);
-                match e.req.kind {
-                    RequestKind::Demand if e.req.access == AccessKind::Load => {
-                        self.stats.demand_latency_sum += service;
-                        self.stats.demand_latency_count += 1;
-                    }
-                    RequestKind::Prefetch => {
-                        self.stats.prefetch_latency_sum += service;
-                        self.stats.prefetch_latency_count += 1;
-                    }
-                    RequestKind::Demand => {}
-                }
-                match e.req.kind {
-                    RequestKind::Demand => {
-                        if e.req.access == AccessKind::Store && !e.req.was_prefetch {
-                            self.stats.writebacks_serviced += 1;
-                        }
-                        self.stats.demands_serviced += 1;
-                        if row_hit {
-                            self.stats.demand_row_hits += 1;
-                        }
-                    }
-                    RequestKind::Prefetch => {
-                        self.stats.prefetches_serviced += 1;
-                        if row_hit {
-                            self.stats.prefetch_row_hits += 1;
-                        }
-                    }
-                }
-                self.inflight.push(InFlight {
-                    req: e.req,
-                    target: e.target,
-                    completes_at,
-                    row_hit,
-                });
-            }
+        let completes_at = match self.channels[channel].advance(bank, row, is_write, now) {
+            StepOutcome::CasIssued { completes_at } => completes_at,
             // The bank's row state changed under its own owner's command,
             // which cannot cost the owner its place (the keep-owner lemma,
             // DESIGN.md §13).
-            StepOutcome::Activated => self.buffer.note_owner_command(channel, bank, slot, true),
-            StepOutcome::Precharged => self.buffer.note_owner_command(channel, bank, slot, false),
+            step @ (StepOutcome::Activated | StepOutcome::Precharged) => {
+                let activated = step == StepOutcome::Activated;
+                return self
+                    .buffer
+                    .note_owner_command(channel, bank, slot, activated);
+            }
             StepOutcome::Blocked => unreachable!("the ready lane said it could issue"),
+        };
+        let e = self.buffer.remove(slot);
+        let row_hit = e.first_service == Some(RowBufferOutcome::Hit);
+        let service = completes_at.saturating_sub(e.req.arrival);
+        match e.req.kind {
+            RequestKind::Demand => {
+                if e.req.access == AccessKind::Load {
+                    self.stats.demand_latency_sum += service;
+                    self.stats.demand_latency_count += 1;
+                } else if !e.req.was_prefetch {
+                    self.stats.writebacks_serviced += 1;
+                }
+                self.stats.demands_serviced += 1;
+                self.stats.demand_row_hits += u64::from(row_hit);
+            }
+            RequestKind::Prefetch => {
+                self.stats.prefetch_latency_sum += service;
+                self.stats.prefetch_latency_count += 1;
+                self.stats.prefetches_serviced += 1;
+                self.stats.prefetch_row_hits += u64::from(row_hit);
+            }
         }
+        self.inflight.push(InFlight {
+            req: e.req,
+            target: e.target,
+            completes_at,
+            row_hit,
+        });
     }
 
     /// True if any queued or in-flight request wants row `row` of
-    /// `(channel, bank)` — the closed-row policy's "is this open row still
-    /// useful" test, shared by the scheduler and [`MemoryController::next_event`].
+    /// `(channel, bank)`.
     fn row_wanted(&self, channel: usize, bank: usize, row: u64) -> bool {
         self.buffer.wants_row(channel, bank, row)
             || self.inflight.iter().any(|f| {
@@ -655,74 +640,67 @@ impl MemoryController {
             })
     }
 
-    /// Closed-row (§6.8) and HAPPY row policies: precharge a bank whose open
-    /// row has no queued or in-flight request left — under HAPPY (`happy`)
-    /// only when the per-row predictor also votes to close it
-    /// ([`Channel::happy_votes_close`]), so rows it deems reusable stay open
-    /// as under the open-row policy. Each policy precharge is a
-    /// bank-state-changing command the bank's owner did not issue, so it
-    /// dirties the bank's owner (DESIGN.md §13, "what still dirties").
-    fn apply_row_policy_precharges(&mut self, now: Cycle, happy: bool) {
-        for ch_idx in 0..self.channels.len() {
-            if !self.channels[ch_idx].command_bus_free(now) {
-                continue;
-            }
-            for bank in 0..self.channels[ch_idx].bank_count() {
-                let Some(open) = self.channels[ch_idx].effective_row(bank, now) else {
-                    continue;
-                };
-                if happy && !self.channels[ch_idx].happy_votes_close(bank, now) {
-                    continue;
-                }
-                if !self.row_wanted(ch_idx, bank, open)
-                    && self.channels[ch_idx].precharge_bank(bank, now)
-                {
-                    // The precharged bank's row state changed.
-                    self.buffer.note_bank_command(ch_idx, bank);
-                    // One command per DRAM cycle: stop after a precharge.
-                    break;
-                }
-            }
-        }
+    /// The row-policy pass's candidates: a bank whose open (or opening) row
+    /// no queued or in-flight request wants and, under HAPPY, the per-row
+    /// predictor votes to close. A pure read: the predictor trains only when
+    /// commands issue, i.e. only at executed ticks.
+    fn precharge_candidate(&self, channel: usize, bank: usize, now: Cycle) -> bool {
+        let ch = &self.channels[channel];
+        ch.effective_row(bank, now).is_some_and(|open| {
+            (self.dram.row_policy != RowPolicy::Happy || ch.happy_votes_close(bank, now))
+                && !self.row_wanted(channel, bank, open)
+        })
     }
 
-    /// True when pulling a refresh into `(channel, bank)` cannot delay work
-    /// the scheduler still wants from the bank: the bank has no queued
-    /// requests at all, or a write-drain phase is active and the bank has
-    /// no queued writebacks (its reads are not being serviced anyway, so
-    /// the refresh hides behind the drain — DARP's drain pairing).
+    /// The DARP pass's candidates: a bank with no queued requests, or with
+    /// no queued writebacks during a write drain (its reads wait anyway, so
+    /// the refresh hides behind the drain). A pure read.
     fn refresh_pull_eligible(&self, channel: usize, bank: usize) -> bool {
         self.buffer.bank_is_empty(channel, bank)
             || (self.draining_writes && !self.buffer.bank_has_writeback(channel, bank))
     }
 
-    /// DARP out-of-order refresh pulls (DESIGN.md §15): on each channel
-    /// with a free command bus, issue at most one pending per-bank refresh
-    /// into a pull-eligible bank ([`MemoryController::refresh_pull_eligible`]),
-    /// paying the bank's current refresh window early so its deadline-forced
-    /// refresh never lands on top of demand work. Runs after the scheduler
-    /// and the row policy, so a pull never displaces a real command. Each
-    /// pull changes the bank's row state (the REF implicitly precharges),
-    /// so the bank's cached owner is invalidated exactly like a policy
-    /// precharge (the dirty-owner rule, DESIGN.md §13).
-    fn apply_darp_refresh_pulls(&mut self, now: Cycle) {
-        for ch_idx in 0..self.channels.len() {
-            if !self.channels[ch_idx].command_bus_free(now) {
+    /// True when `pass` may act on `(channel, bank)` at `now`.
+    fn bank_candidate(&self, pass: BankPass, channel: usize, bank: usize, now: Cycle) -> bool {
+        match pass {
+            BankPass::Precharge => self.precharge_candidate(channel, bank, now),
+            BankPass::RefreshPull => self.refresh_pull_eligible(channel, bank),
+        }
+    }
+
+    /// Runs an enabled `pass`: on each channel with a free command bus,
+    /// issues its command to the first candidate `padc-dram` accepts, which
+    /// dirties that bank's owner (DESIGN.md §13, "what still dirties").
+    /// Bounded by [`MemoryController::bank_pass_bound`].
+    fn run_bank_pass(&mut self, pass: BankPass, now: Cycle) {
+        for channel in 0..self.channels.len() {
+            if !self.channels[channel].command_bus_free(now) {
                 continue;
             }
-            for bank in 0..self.channels[ch_idx].bank_count() {
-                if !self.channels[ch_idx].refresh_pending(bank, now)
-                    || !self.refresh_pull_eligible(ch_idx, bank)
+            for bank in 0..self.channels[channel].bank_count() {
+                if self.bank_candidate(pass, channel, bank, now)
+                    && pass.issue(&mut self.channels[channel], bank, now)
                 {
-                    continue;
-                }
-                if self.channels[ch_idx].pull_refresh(bank, now) {
-                    self.buffer.note_bank_command(ch_idx, bank);
-                    // One command per DRAM cycle: stop after a pull.
+                    self.buffer.note_bank_command(channel, bank);
+                    // One command per DRAM cycle.
                     break;
                 }
             }
         }
+    }
+
+    /// An enabled `pass`'s bound: the first DRAM boundary at which
+    /// `padc-dram` lets it act on a candidate bank ([`BankPass::earliest`]).
+    fn bank_pass_bound(&self, pass: BankPass, now: Cycle) -> Option<Cycle> {
+        let mut bound = None;
+        for (channel, ch) in self.channels.iter().enumerate() {
+            for bank in 0..ch.bank_count() {
+                if self.bank_candidate(pass, channel, bank, now) {
+                    bound = earlier(bound, pass.earliest(ch, bank, now));
+                }
+            }
+        }
+        bound.map(align_up_dram)
     }
 
     /// Audits the buffer's incremental state (bitsets, counts, heaps, the
@@ -746,6 +724,15 @@ impl MemoryController {
 /// when `now` is a multiple of `CPU_CYCLES_PER_DRAM_CYCLE`).
 fn align_up_dram(t: Cycle) -> Cycle {
     t.div_ceil(CPU_CYCLES_PER_DRAM_CYCLE) * CPU_CYCLES_PER_DRAM_CYCLE
+}
+
+/// The earlier of two optional event cycles (cheaper than `flatten().min()`).
+fn earlier(a: Option<Cycle>, b: Option<Cycle>) -> Option<Cycle> {
+    match (a, b) {
+        (Some(a), Some(b)) => Some(a.min(b)),
+        (a, None) => a,
+        (None, b) => b,
+    }
 }
 #[cfg(test)]
 mod tests {
@@ -1333,6 +1320,53 @@ mod tests {
         );
     }
 
+    /// Under ranking, a CAS on one channel moves its core's critical count,
+    /// and the next channel's arbitration in the same tick ranks by the new
+    /// count: core 0's request on channel 1 outranks core 1's older one from
+    /// the cycle core 0's channel-0 request leaves the buffer.
+    #[test]
+    fn ranking_sees_a_cas_on_an_earlier_channel_in_the_same_tick() {
+        let mut cfg = ControllerConfig::from_policy(SchedulingPolicy::PadcRank, 2);
+        cfg.urgency = false; // isolate the ranking rule
+        let dram = DramConfig {
+            channels: 2,
+            ..DramConfig::default()
+        };
+        let mut mc = MemoryController::new(cfg, dram, MappingScheme::Linear);
+        let t = tracker(2);
+        // Lines at (channel, bank, row): core 0's on channel 0, core 1's two
+        // to one bank of channel 1, core 0's to another bank of channel 1.
+        let [a0, b0, b1, a1] = [(0, 0, 0), (1, 0, 0), (1, 0, 1), (1, 1, 0)].map(|target| {
+            (0..)
+                .map(LineAddr::new)
+                .find(|&l| {
+                    let m = mc.mapper.map(l);
+                    (m.channel, m.bank, m.row) == target
+                })
+                .unwrap()
+        });
+        let demand = |mc: &mut MemoryController, core: usize, l: LineAddr, at: Cycle| {
+            let (access, kind) = (AccessKind::Load, RequestKind::Demand);
+            mc.enqueue(CoreId::new(core), l, access, kind, at).unwrap()
+        };
+        // `a0` activates at 0 and is CAS-ready at tRCD; the other three,
+        // enqueued just before, are ACT-ready then. Each core has two
+        // critical requests until `a0`'s CAS, core 0 one after it.
+        let cas = DramConfig::default().t_rcd_cpu();
+        demand(&mut mc, 0, a0, 0);
+        for now in 0..cas {
+            mc.tick(now, &t);
+        }
+        let [_, _, core0] =
+            [(1, b0), (1, b1), (0, a1)].map(|(c, l)| demand(&mut mc, c, l, cas - 1));
+        let done = run_until_idle(&mut mc, &t, cas);
+        let first_on_1 = done
+            .iter()
+            .find(|c| mc.mapper.map(c.request.line).channel == 1)
+            .unwrap();
+        assert_eq!(first_on_1.request.id, core0, "ranked by stale counts");
+    }
+
     #[test]
     fn write_drain_defers_writebacks_until_the_watermark() {
         let mut cfg = ControllerConfig::from_policy(SchedulingPolicy::DemandFirst, 1);
@@ -1720,6 +1754,35 @@ mod tests {
         assert_eq!(rc.pulls, 8, "one pull per bank per t_REFI");
         assert_eq!(mc.channel_stats()[0].refreshes, 8, "all early, none forced");
         assert!(rc.stall_cycles > 0);
+    }
+
+    /// On an idle DARP controller the pulls are the only events, so each
+    /// `next_event` claim rests on the DARP pass's bound alone — which the
+    /// request mixes of `next_event_soundness` always tie or undercut. No
+    /// pull may land inside a claimed window.
+    #[test]
+    fn next_event_never_skips_an_idle_darp_pull() {
+        let mut mc = controller_over(DramConfig {
+            extended: Some(padc_dram::ExtendedTiming::default()),
+            refresh_policy: RefreshPolicy::Darp,
+            ..DramConfig::default()
+        });
+        let t = tracker(1);
+        let mut now = 0;
+        while mc.refresh_counters().pulls < 8 {
+            let claim = mc.next_event(now, &t).expect("a pull is pending");
+            let pulls = mc.refresh_counters().pulls;
+            for m in now..claim {
+                mc.tick(m, &t);
+                assert_eq!(
+                    mc.refresh_counters().pulls,
+                    pulls,
+                    "pulled at {m} < {claim}"
+                );
+            }
+            mc.tick(claim, &t);
+            now = claim + 1;
+        }
     }
 
     #[test]

@@ -285,11 +285,6 @@ impl Channel {
         self.banks[bank].classify(row, now)
     }
 
-    /// True if the access would be a row hit (used by FR-FCFS priority).
-    pub fn is_row_hit(&self, bank: usize, row: u64, now: Cycle) -> bool {
-        self.classify(bank, row, now) == RowBufferOutcome::Hit
-    }
-
     /// True if the command bus is free at `now`.
     pub fn command_bus_free(&self, now: Cycle) -> bool {
         now >= self.cmd_bus_free_at
@@ -445,30 +440,19 @@ impl Channel {
         }
     }
 
-    /// True when `bank`'s current refresh window is open but not yet
-    /// refreshed (per-bank policies only): unless pulled earlier, the
-    /// deadline-forced refresh for it fires at the window's end boundary.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bank` is out of range for a per-bank-policy channel.
-    pub fn refresh_pending(&self, bank: usize, now: Cycle) -> bool {
-        match (&self.refresh, self.ext) {
-            (Some(r), Some(e)) => now >= r.applied[bank] * e.t_refi + r.offset(bank),
-            _ => false,
-        }
-    }
-
     /// Lower bound on the first cycle `m >= now` at which
     /// [`Channel::pull_refresh`]`(bank, m)` can succeed, assuming no command
     /// issues on the channel in between; `None` when pulls can never happen
-    /// (not [`RefreshPolicy::Darp`]). Early-never-late, like
+    /// (not [`RefreshPolicy::Darp`]). The bound includes the opening of
+    /// `bank`'s current refresh window — before it, nothing is pending —
+    /// so a pull needs no separate pending test. Early-never-late, like
     /// [`Channel::earliest_advance_at`]: this is the DARP contribution to
     /// the controller's `next_event` fold (DESIGN.md §15).
     ///
     /// # Panics
     ///
     /// Panics if `bank` is out of range.
+    #[inline]
     pub fn earliest_refresh_pull_at(&self, bank: usize, now: Cycle) -> Option<Cycle> {
         let (r, e) = match (&self.refresh, self.ext) {
             (Some(r), Some(e)) if r.darp => (r, e),
@@ -505,6 +489,7 @@ impl Channel {
     /// # Panics
     ///
     /// Panics if `bank` is out of range.
+    #[inline]
     pub fn pull_refresh(&mut self, bank: usize, now: Cycle) -> bool {
         match self.earliest_refresh_pull_at(bank, now) {
             Some(t) if t <= now => {}
@@ -754,7 +739,6 @@ mod tests {
             }
         );
         // All-bank channels never expose the per-bank surface.
-        assert!(!c.refresh_pending(0, t_refi));
         assert_eq!(c.earliest_refresh_pull_at(0, t_refi), None);
         assert!(!c.pull_refresh(0, t_refi));
     }
@@ -788,13 +772,13 @@ mod tests {
         let e = cfg.extended.unwrap();
         let t_refi = e.t_refi * CPU_CYCLES_PER_DRAM_CYCLE;
         // Bank 0's first window is open from cycle 0; pull it immediately.
-        assert!(c.refresh_pending(0, 0));
         assert_eq!(c.earliest_refresh_pull_at(0, 0), Some(0));
         assert!(c.pull_refresh(0, 0));
         assert_eq!(c.stats().refreshes, 1);
         assert_eq!(c.refresh_counters().pulls, 1);
         // One pull per window: the next opportunity is the next window.
-        assert!(!c.refresh_pending(0, CPU_CYCLES_PER_DRAM_CYCLE));
+        let next = c.earliest_refresh_pull_at(0, CPU_CYCLES_PER_DRAM_CYCLE);
+        assert_eq!(next, Some(t_refi));
         assert!(!c.pull_refresh(0, t_refi / 2));
         // The deadline-forced refresh at bank 0's boundary is already paid;
         // the earliest unapplied boundary now belongs to bank 1.
@@ -826,8 +810,8 @@ mod tests {
 
     #[test]
     fn pull_refresh_requires_darp() {
+        // Bank 0's window is open from cycle 0, but only DARP pulls.
         let (_, mut c) = ext_ch(RefreshPolicy::PerBank);
-        assert!(c.refresh_pending(0, 0));
         assert_eq!(c.earliest_refresh_pull_at(0, 0), None);
         assert!(!c.pull_refresh(0, 0));
     }
@@ -893,6 +877,57 @@ mod tests {
             }
     }
 
+    /// Whether [`Channel::precharge_bank`] issues at `m`, by the book: the
+    /// bank, resolved at `m`, holds an open row past tRAS / tWR / tRTP, and
+    /// the command bus and the refresh window admit a command. Calls
+    /// neither `precharge_bank` nor [`Channel::earliest_precharge_at`].
+    fn precharges_by_the_book(c: &Channel, bank: usize, m: Cycle) -> bool {
+        m >= c.cmd_bus_free_at
+            && !c.in_refresh(m)
+            && c.banks[bank].can_precharge(m)
+            && m >= c.min_precharge_at[bank]
+    }
+
+    /// Whether [`Channel::pull_refresh`] issues at `m`, by the book: DARP,
+    /// the bank's current refresh window has opened, the bank, resolved at
+    /// `m`, is closed or holds a row it may precharge, and the command bus
+    /// is free. Calls neither `pull_refresh` nor
+    /// [`Channel::earliest_refresh_pull_at`].
+    fn pulls_by_the_book(c: &Channel, bank: usize, m: Cycle) -> bool {
+        let (Some(r), Some(e)) = (&c.refresh, c.ext) else {
+            return false;
+        };
+        let b = &c.banks[bank];
+        r.darp
+            && m >= r.applied[bank] * e.t_refi + r.offset(bank)
+            && m >= c.cmd_bus_free_at
+            && (b.can_activate(m) || (b.can_precharge(m) && m >= c.min_precharge_at[bank]))
+    }
+
+    /// A bank command outside `advance`: the command, its bound and its
+    /// by-the-book legality.
+    struct BankCommand {
+        name: &'static str,
+        issue: fn(&mut Channel, usize, Cycle) -> bool,
+        earliest: fn(&Channel, usize, Cycle) -> Option<Cycle>,
+        by_the_book: fn(&Channel, usize, Cycle) -> bool,
+    }
+
+    const BANK_COMMANDS: [BankCommand; 2] = [
+        BankCommand {
+            name: "precharge",
+            issue: Channel::precharge_bank,
+            earliest: Channel::earliest_precharge_at,
+            by_the_book: precharges_by_the_book,
+        },
+        BankCommand {
+            name: "pull",
+            issue: Channel::pull_refresh,
+            earliest: Channel::earliest_refresh_pull_at,
+            by_the_book: pulls_by_the_book,
+        },
+    ];
+
     /// The paper's three-latency channel, then extended timing under each
     /// refresh policy — with tREFI / tRFC cut to 1 200 / 300 CPU cycles so a
     /// sixty-step history crosses several windows.
@@ -929,7 +964,12 @@ mod tests {
         /// its by-the-book form) and `earliest_advance_at` at every later
         /// cycle up to the next step, while an activating bank resolves to
         /// open, a precharging or refreshing one to closed, a full tFAW
-        /// history ages out and refresh windows open and close.
+        /// history ages out and refresh windows open and close; (iii) for
+        /// every bank, `earliest_precharge_at` and `earliest_refresh_pull_at`
+        /// taken now are never later than the first cycle up to the next
+        /// step at which `precharge_bank` / `pull_refresh` would issue by the
+        /// book, and either bound taken at such a cycle is that cycle
+        /// exactly when the command would issue there.
         #[test]
         fn readiness_is_its_decomposition(
             steps in prop::collection::vec(
@@ -948,9 +988,30 @@ mod tests {
                             }
                             c.advance(bank, row, write, now);
                         }
-                        6 => { c.precharge_bank(bank, now); }
-                        7 => { c.pull_refresh(bank, now); }
+                        6 | 7 => {
+                            let cmd = &BANK_COMMANDS[op as usize - 6];
+                            if let Some(at) = (cmd.earliest)(&c, bank, now).filter(|_| wait) {
+                                now = at.next_multiple_of(CPU_CYCLES_PER_DRAM_CYCLE);
+                            }
+                            (cmd.issue)(&mut c, bank, now);
+                        }
                         _ => c.sync(now),
+                    }
+                    for (bank, cmd) in (0..c.bank_count()).flat_map(|b| [(b, 0), (b, 1)]) {
+                        let BankCommand { name, earliest, by_the_book, .. } = BANK_COMMANDS[cmd];
+                        let bound = earliest(&c, bank, now);
+                        for m in now..=now + gap {
+                            let legal = by_the_book(&c, bank, m);
+                            prop_assert!(
+                                !legal || bound.is_some_and(|b| b <= m),
+                                "{name} on bank {bank} issues at {m}, before its bound {bound:?} from {now}"
+                            );
+                            prop_assert_eq!(
+                                earliest(&c, bank, m) == Some(m),
+                                legal,
+                                "{} on bank {} at {}", name, bank, m
+                            );
+                        }
                     }
                     let floors = c.floors();
                     for (bank, row) in (0..c.bank_count()).flat_map(|b| [(b, 0), (b, 1)]) {

@@ -4,17 +4,15 @@
 # each side through its own checkout's benchmark/run.sh. Prints every pair,
 # then per side the median and quartiles, and the pairs it won (ties to
 # neither), for the three end-to-end metrics (all lower-is-better).
-# The benchmark sets the run length.
+# The benchmark sets the run length. Needs jq.
 #   scripts/bench_pairs.sh PARENT_DIR CHANGE_DIR WORKLOAD SEED N
 set -euo pipefail
 [ $# -eq 5 ] || { echo "usage: $0 PARENT_DIR CHANGE_DIR WORKLOAD SEED N" >&2; exit 2; }
 parent=$1 change=$2 workload=$3 seed=$4 n=$5
 run() { # DIR -> "setup_s wall_s peak_rss_mb"
     (cd "$1" && bash benchmark/run.sh --workload "$workload" --seed "$seed" --trace 0) |
-        tail -n 1 | python3 -c '
-import json, sys
-m = json.load(sys.stdin)["metrics"]
-print(*(m[k]["value"] for k in ("setup_s", "wall_s", "peak_rss_mb")))'
+        tail -n 1 | jq -r '.metrics | [.setup_s, .wall_s, .peak_rss_mb]
+            | map(.value | if . == floor then "\(.).0" else tostring end) | join(" ")'
 }
 rows=$(mktemp)
 trap 'rm -f "$rows"' EXIT
@@ -23,16 +21,27 @@ for i in $(seq 1 "$n"); do
     echo "pair $i: P $p / C $c"
     echo "$p $c" >>"$rows"
 done
-python3 - "$rows" <<'EOF'
-import statistics, sys
-rows = [[float(x) for x in line.split()] for line in open(sys.argv[1])]
-def quartiles(v):
-    q1, med, q3 = statistics.quantiles(v, n=4, method="inclusive") if len(v) > 1 else v * 3
-    return f"median {med:.4f} (q1 {q1:.4f}, q3 {q3:.4f})"
-for j, name in enumerate(("setup_s", "wall_s", "peak_rss_mb")):
-    p, c = [r[j] for r in rows], [r[3 + j] for r in rows]
-    wins = sum(x > y for x, y in zip(p, c)), sum(x < y for x, y in zip(p, c))
-    delta = (statistics.median(c) / statistics.median(p) - 1) * 100
-    print(f"{name}: parent {quartiles(p)} | change {quartiles(c)} | "
-          f"{delta:+.1f}% | change wins {wins[0]}/{len(rows)}, parent wins {wins[1]}/{len(rows)}")
-EOF
+# jq does the statistics, in the same floating-point operations as Python's
+# statistics.quantiles (method "inclusive") and statistics.median, and prints
+# each result exactly; awk's printf rounds the doubles as Python's format().
+jq -R -s -r '
+def quartiles:
+    sort as $v | ($v | length - 1) as $m
+    | if $m == 0 then [$v[0], $v[0], $v[0]]
+      else [1, 2, 3] | map((. * $m) as $im | ($im / 4 | floor) as $j | ($im - 4 * $j) as $r
+          | ($v[$j] * (4 - $r) + $v[$j + 1] * $r) / 4)
+      end;
+def median: sort as $v | ($v | length) as $n
+    | if $n % 2 == 1 then $v[($n - 1) / 2] else ($v[$n / 2 - 1] + $v[$n / 2]) / 2 end;
+[split("\n")[] | select(length > 0) | split(" ") | map(tonumber)] as $rows
+| ["setup_s", "wall_s", "peak_rss_mb"] | to_entries[] | .key as $j
+| ($rows | map(.[$j])) as $p | ($rows | map(.[3 + $j])) as $c
+| [.value, ($p | quartiles[1, 0, 2]), ($c | quartiles[1, 0, 2]),
+   (($c | median) / ($p | median) - 1) * 100,
+   ([$rows[] | select(.[$j] > .[3 + $j])] | length),
+   ([$rows[] | select(.[$j] < .[3 + $j])] | length), ($rows | length)]
+| map(tostring) | join(" ")
+' "$rows" | awk '{
+    printf "%s: parent median %.4f (q1 %.4f, q3 %.4f) | change median %.4f (q1 %.4f, q3 %.4f)", $1, $2, $3, $4, $5, $6, $7
+    printf " | %+.1f%% | change wins %d/%d, parent wins %d/%d\n", $8, $9, $11, $10, $11
+}'
