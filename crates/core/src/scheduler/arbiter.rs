@@ -7,7 +7,7 @@
 //! Controllers, MICRO 2008: Rule 1 / Rule 2 with optional PAR-BS batching,
 //! urgency, and shortest-job ranking on top). [`KeyCtx`] bundles the key
 //! inputs that live outside the entry itself — policy flags, write-drain
-//! state, the accuracy tracker, and the per-core rank counts — so the
+//! state, the accuracy tracker, and the per-core rank positions — so the
 //! buffer's owner cache can compute keys without borrowing the whole
 //! controller, and so the invalidation rules can name exactly which input
 //! changed (DESIGN.md §13).
@@ -15,7 +15,7 @@
 //! [`PrioKey`] with its derived `Ord` is the *specification*. The request
 //! buffer compares [`PackedKey`]s instead — one `u64` per entry whose
 //! integer order equals the tuple order — and calls [`KeyCtx::key`] only
-//! to (re)fill a slot's static bits, in its audit, and in tests.
+//! to (re)fill a member row's static bits, in its audit, and in tests.
 //!
 //! # Worked example
 //!
@@ -37,7 +37,7 @@
 //!     urgency: false,
 //!     promotion_threshold: 0.85,
 //!     accuracy: &tracker,
-//!     rank_counts: None,
+//!     ranks: None,
 //! };
 //!
 //! // An older prefetch and a younger demand to the same closed bank:
@@ -82,7 +82,10 @@ pub struct PrioKey {
     pub row_hit: bool,
     /// Demand of a core whose prefetches are inaccurate (§6.4).
     pub urgent: bool,
-    /// Shortest-job rank: fewer outstanding critical requests wins (§6.5).
+    /// Shortest-job rank (§6.5): the core's position in the order of the
+    /// per-core outstanding critical-request counts, 0 for the fewest and
+    /// shared by equal counts; lower wins. Keys compare ranks only with
+    /// each other, so a position orders them exactly as its count would.
     pub rank: Reverse<u64>,
     /// First-come-first-served tiebreak on the unique request id.
     pub fcfs: Reverse<u64>,
@@ -112,16 +115,17 @@ const fn bit(flag: bool, mask: u64) -> u64 {
 /// | 41..0  | `fcfs`        | `2^42 - 1 - id`                            |
 ///
 /// The widths are bounds on the model, asserted where values enter: a
-/// finite rank is a per-core count of queued requests, so it is below the
-/// buffer capacity, which [`RequestBuffer::new`](super::buffer::RequestBuffer::new)
+/// finite rank is a core's position among the per-core counts, so it is
+/// below the core count, which [`RequestBuffer::new`](super::buffer::RequestBuffer::new)
 /// requires to be below [`PackedKey::RANK_LIMIT`]; request ids count
 /// enqueues, and [`PackedKey::pack`] rejects one at or above
 /// `2^`[`PackedKey::ID_BITS`] (4.4e12 requests).
 ///
 /// `row_hit` and `rank` are the two fields that are not fixed per entry
-/// (`row_hit` reads DRAM state; rank counts move with every insert and
-/// remove under ranking), so the buffer stores a key's other bits
-/// (its *static bits*) and ORs those two in at scan time.
+/// (`row_hit` reads DRAM state; rank positions move when other entries'
+/// arrivals and departures reorder the per-core counts), so the buffer
+/// stores a key's other bits (its *static bits*) and ORs those two in at
+/// scan time.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
 pub struct PackedKey(u64);
 
@@ -208,8 +212,11 @@ pub struct KeyCtx<'a> {
     pub promotion_threshold: f64,
     /// Per-core prefetch accuracy (constant between rollovers).
     pub accuracy: &'a AccuracyTracker,
-    /// Per-core outstanding critical-request counts; `Some` iff ranking.
-    pub rank_counts: Option<&'a [u64]>,
+    /// Per-core rank positions ([`PrioKey::rank`]) under ranking, else
+    /// `None`. The request buffer keeps this table and computes every key
+    /// under its own, whatever a context handed to it carries here, so the
+    /// controller's contexts leave it `None`.
+    pub ranks: Option<&'a [u64]>,
 }
 
 impl KeyCtx<'_> {
@@ -227,17 +234,18 @@ impl KeyCtx<'_> {
         req.kind.is_demand() && self.accuracy.accuracy(req.core) < self.promotion_threshold
     }
 
-    /// Writes each core's packed rank field into `fields[core]`, and into
-    /// the last element the field of an entry no count applies to (under
-    /// ranking: non-critical, or a core beyond the configured count). This
-    /// is [`KeyCtx::key`]'s `rank` arm as a table, so a scan can apply rank
-    /// per pass instead of storing it per entry.
+    /// Writes the packed rank field of each core's position into
+    /// `fields[core]`, and into the last element the field of an entry no
+    /// position applies to (under ranking: non-critical, or a core beyond
+    /// the configured count). This is [`KeyCtx::key`]'s `rank` arm as a
+    /// table, so a scan applies rank from a table refilled only when a
+    /// position moves instead of storing it per entry.
     pub(super) fn fill_rank_fields(&self, fields: &mut [u64]) {
-        match self.rank_counts {
-            Some(counts) if self.policy.is_adaptive() => {
+        match self.ranks {
+            Some(ranks) if self.policy.is_adaptive() => {
                 let (unranked, per_core) = fields.split_last_mut().expect("cores + 1 fields");
                 for (core, field) in per_core.iter_mut().enumerate() {
-                    *field = PackedKey::rank_field(counts.get(core).copied().unwrap_or(u64::MAX));
+                    *field = PackedKey::rank_field(ranks.get(core).copied().unwrap_or(u64::MAX));
                 }
                 *unranked = PackedKey::rank_field(u64::MAX);
             }
@@ -283,9 +291,9 @@ impl KeyCtx<'_> {
             },
             SchedulingPolicy::ApsOnly | SchedulingPolicy::Padc | SchedulingPolicy::PadcRank => {
                 let critical = self.is_critical(&e.req);
-                let rank = match self.rank_counts {
-                    Some(counts) if critical => {
-                        Reverse(counts.get(e.req.core.index()).copied().unwrap_or(u64::MAX))
+                let rank = match self.ranks {
+                    Some(ranks) if critical => {
+                        Reverse(ranks.get(e.req.core.index()).copied().unwrap_or(u64::MAX))
                     }
                     // Non-critical requests take the worst rank (§6.5
                     // footnote 12).

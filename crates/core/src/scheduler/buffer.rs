@@ -10,25 +10,28 @@
 //! size) per DRAM cycle:
 //!
 //! - a **slab** (`slots`) addressed by stable [`Slot`] indices with a LIFO
-//!   free list — an entry never moves while queued, so bitsets and heaps
-//!   can hold raw slot indices. Slot order carries no meaning: where order
-//!   is observable (APD drops, promotion, batch formation) the controller
-//!   goes by request id, i.e. arrival;
-//! - per-(channel, bank) **membership bitsets**, so an owner rescan touches
-//!   only that bank's entries, and a line's queued prefetches are found
-//!   among its bank's members ([`RequestBuffer::oldest_prefetch`]);
-//! - a **split-key lane**: per slot, the entry's row, its rank-table index
-//!   and the *static* bits of its [`PackedKey`] (`class_match`, `batched`,
-//!   `tier`, `urgent`, `fcfs`), stamped with the key generation they were
-//!   computed under. Row-hit is the only key field that reads DRAM state
-//!   and rank the only one that moves with other entries' arrivals, so a
-//!   rescan ORs those two in — one `effective_row` per bank, one rank
-//!   field per core — and is an integer max over the lane;
+//!   free list — an entry never moves while queued, so member rows and
+//!   heaps can hold raw slot indices. Slot order carries no meaning: where
+//!   order is observable (APD drops, promotion, batch formation) the
+//!   controller goes by request id, i.e. arrival;
+//! - per-(channel, bank) dense **member rows**: per queued entry of the
+//!   bank, its slot, row, rank-table index and the *static* bits of its
+//!   [`PackedKey`] (`class_match`, `batched`, `tier`, `urgent`, `fcfs`),
+//!   stamped with the key generation they were computed under. Row-hit is
+//!   the only key field that reads DRAM state and rank the only one that
+//!   moves with other entries' arrivals, so a rescan ORs those two in —
+//!   one `effective_row` per bank, one rank field per core — and is an
+//!   integer max over contiguous rows. A line's queued prefetches are
+//!   found among its bank's rows ([`RequestBuffer::oldest_prefetch`]);
+//! - a **rank table**: each core's position in the order of the per-core
+//!   critical-request counts, recomputed only after a count or the
+//!   accuracy epoch moved. A key compares ranks only with each other, so a
+//!   count change that keeps the order re-keys nothing;
 //! - a per-bank **owner** (highest-key member) that is *maintained*: an
 //!   insert into a clean bank is folded against it with one compare, the
 //!   owner's own ACT/PRE keep it (only its row-hit bit can change), and a
 //!   rescan happens only when the bank is marked dirty — the owner left,
-//!   or a key input other than those changed;
+//!   the rank order moved, or a key input other than those changed;
 //! - a **ready lane**: per (channel, bank), the owner's key and slot with
 //!   the *bank-local* half of its DRAM readiness — its next command's
 //!   class and the cycle the bank accepts it ([`Channel::bank_ready`]),
@@ -44,8 +47,9 @@
 //!   write-drain watermark, batch-reform trigger, and ranking, and a
 //!   per-bank writeback count for DARP's drain pairing.
 //!
-//! Cache state (owners, dirty flags, pending inserts, both lanes and the
-//! stale set, heaps, the cached deadline, epoch snapshots, stats) is
+//! Cache state (owners, dirty flags, pending inserts, the rows' key bits,
+//! the rank table, the ready lane and the stale set, heaps, the cached
+//! deadline, epoch snapshots, stats) is
 //! excluded from the `Debug` representation: equality of `Debug` strings is how the `next_event`
 //! soundness oracle detects observable mutation, and cache fills during
 //! proven-idle windows are not observable.
@@ -74,7 +78,7 @@
 //! assert_eq!(buf.demands_of_core(0), 1);
 //! assert_eq!(buf.prefetches_of_core(1), 1);
 //!
-//! // Promotion flips the per-core kind counts and re-keys only s1's slot.
+//! // Promotion flips the per-core kind counts and re-keys only s1's row.
 //! buf.promote(s1);
 //! assert_eq!(buf.demands_of_core(1), 1);
 //!
@@ -87,11 +91,11 @@
 //! ```
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BTreeSet, BinaryHeap};
 use std::fmt;
 
 use padc_dram::{BankReady, Channel, RowBufferOutcome, Target};
-use padc_types::{AccessKind, Cycle, LineAddr, MemRequest, RequestId};
+use padc_types::{AccessKind, CoreId, Cycle, LineAddr, MemRequest};
 
 use crate::accuracy::AccuracyTracker;
 use crate::config::DropThresholds;
@@ -138,6 +142,17 @@ impl Entry {
     pub fn is_writeback(&self) -> bool {
         is_writeback(&self.req)
     }
+
+    /// True while APD may drop the entry: a prefetch not yet serviced.
+    fn droppable(&self) -> bool {
+        self.req.kind.is_prefetch() && self.first_service.is_none()
+    }
+}
+
+/// True while the APD heap item `(_, slot, id)` names a droppable entry.
+fn heap_item_valid(slots: &[Option<Entry>], slot: Slot, id: u64) -> bool {
+    let e = slots.get(slot as usize).and_then(Option::as_ref);
+    e.is_some_and(|e| e.req.id.raw() == id && e.droppable())
 }
 
 /// Telemetry for the incremental owner cache. Deliberately *not* part of
@@ -147,7 +162,7 @@ impl Entry {
 /// surface through the opt-in simulation profile instead.
 #[derive(Clone, Copy, Default)]
 pub struct BufferStats {
-    /// Bank-owner rescans performed (each scans one bank's member set).
+    /// Bank-owner rescans performed (each walks one bank's member rows).
     pub owner_recomputes: u64,
     /// Bank-owner cache invalidations (clean-to-dirty transitions). Every
     /// recompute consumes one invalidation, so
@@ -156,68 +171,67 @@ pub struct BufferStats {
     /// Scheduling queries answered without a rescan: from the maintained
     /// owner, after folding any pending inserts against it.
     pub owner_reuses: u64,
-    /// Entries examined across all owner rescans (bitset-scan volume).
+    /// Member rows examined across all owner rescans (scan volume).
     pub owner_scan_entries: u64,
     /// Ready-lane entries re-derived (one per stale bank per scheduling
     /// pass). A pass over a channel whose banks are all clean adds none.
     pub lane_refreshes: u64,
 }
 
-/// Fixed-capacity bitset over slab slots.
-#[derive(Clone, PartialEq, Eq)]
-struct BitSet {
-    words: Vec<u64>,
-    len: usize,
+/// One member row of a bank: what an owner rescan reads, so it never
+/// touches `slots`. `slot` and `row` are set at insert; the key bits are
+/// filled from [`KeyCtx::key`] the first time a scan or fold meets the row
+/// with `stamp != key_gen`.
+#[derive(Clone, Copy, Default)]
+struct Member {
+    /// [`PackedKey::static_bits`] of the entry's key.
+    static_bits: u64,
+    /// `entry.target.row`.
+    row: u64,
+    /// Key generation `static_bits` / `rank_idx` were computed under; 0
+    /// (never a live generation) marks the row stale.
+    stamp: u64,
+    /// The entry's slab slot.
+    slot: Slot,
+    /// Index into `rank_fields`: the entry's core if a rank position
+    /// applies to it, else the table's last ("unranked") element.
+    rank_idx: u16,
 }
 
-impl BitSet {
-    fn new(bits: usize) -> Self {
-        BitSet {
-            words: vec![0; bits.div_ceil(64)],
-            len: 0,
-        }
+impl Member {
+    /// Stamps the row with the static half of `key`, a fresh
+    /// [`KeyCtx::key`] of its entry `e`. `unranked` is the rank table's
+    /// last index.
+    fn fill(&mut self, e: &Entry, key: PrioKey, unranked: usize, key_gen: u64) {
+        self.static_bits = PackedKey::pack(&key).static_bits();
+        // A `u64::MAX` rank is no core's position: the key took it from the
+        // non-critical or unknown-core arm.
+        let ranked = key.rank.0 != u64::MAX;
+        self.rank_idx = if ranked {
+            e.req.core.index().min(unranked)
+        } else {
+            unranked
+        } as u16;
+        self.stamp = key_gen;
     }
 
-    fn set(&mut self, i: usize) {
-        let (w, b) = (i / 64, i % 64);
-        debug_assert_eq!(self.words[w] >> b & 1, 0, "slot already a member");
-        self.words[w] |= 1 << b;
-        self.len += 1;
-    }
-
-    fn clear(&mut self, i: usize) {
-        let (w, b) = (i / 64, i % 64);
-        debug_assert_eq!(self.words[w] >> b & 1, 1, "slot not a member");
-        self.words[w] &= !(1 << b);
-        self.len -= 1;
-    }
-
-    fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Calls `f` for every set bit, in ascending slot order.
-    fn for_each(&self, mut f: impl FnMut(usize)) {
-        for (wi, &word) in self.words.iter().enumerate() {
-            let mut w = word;
-            while w != 0 {
-                f(wi * 64 + w.trailing_zeros() as usize);
-                w &= w - 1;
-            }
-        }
-    }
-
-    fn to_vec(&self) -> Vec<usize> {
-        let mut v = Vec::with_capacity(self.len);
-        self.for_each(|i| v.push(i));
-        v
+    /// The full key of the (stamped) row, given its bank's open-or-opening
+    /// row and the per-core rank fields.
+    fn key(&self, open_row: Option<u64>, rank_fields: &[u64]) -> PackedKey {
+        PackedKey::assemble(
+            self.static_bits,
+            open_row == Some(self.row),
+            rank_fields[self.rank_idx as usize],
+        )
     }
 }
 
-/// Per-(channel, bank) membership set plus the maintained owner.
-#[derive(Clone)]
+/// Per-(channel, bank) member rows plus the maintained owner.
+#[derive(Clone, Default)]
 struct BankSet {
-    members: BitSet,
+    /// One row per queued entry of the bank, in no meaningful order: a
+    /// removal moves the last row into the gap.
+    members: Vec<Member>,
     /// Members that are writebacks (the DARP pass's drain-pairing test).
     writebacks: u32,
     /// While `dirty` is false: the highest-key member outside `pending`,
@@ -230,57 +244,13 @@ struct BankSet {
     dirty: bool,
 }
 
-/// The split-key lane: struct-of-arrays over slab slots holding what an
-/// owner rescan reads, so it never touches `slots`. `row` is set at insert;
-/// the other two are filled from [`KeyCtx::key`] the first time a scan or
-/// fold meets the slot with `stamp != key_gen`.
-#[derive(Clone, Default)]
-struct Lane {
-    /// `entry.target.row`.
-    row: Vec<u64>,
-    /// [`PackedKey::static_bits`] of the entry's key.
-    static_bits: Vec<u64>,
-    /// Index into `rank_fields`: the entry's core if a rank count applies
-    /// to it, else the table's last ("unranked") element.
-    rank_idx: Vec<u16>,
-    /// Key generation `static_bits` / `rank_idx` were computed under; 0
-    /// (never a live generation) marks the slot stale.
-    stamp: Vec<u64>,
-}
-
-impl Lane {
-    /// Adds one (stale) slot.
-    fn grow(&mut self) {
-        self.row.push(0);
-        self.static_bits.push(0);
-        self.rank_idx.push(0);
-        self.stamp.push(0);
-    }
-
-    /// Stamps `slot` with the static half of `key`, a fresh
-    /// [`KeyCtx::key`] of its entry. `unranked` is the rank table's last
-    /// index.
-    fn fill(&mut self, slot: usize, e: &Entry, key: PrioKey, unranked: usize, key_gen: u64) {
-        self.static_bits[slot] = PackedKey::pack(&key).static_bits();
-        // A `u64::MAX` rank is no core's count: the key took it from the
-        // non-critical or unknown-core arm.
-        let rank_idx = if key.rank.0 == u64::MAX {
-            unranked
-        } else {
-            e.req.core.index().min(unranked)
-        };
-        self.rank_idx[slot] = rank_idx as u16;
-        self.stamp[slot] = key_gen;
-    }
-
-    /// The full key of the (stamped) entry at `slot`, given its bank's
-    /// open-or-opening row and the per-core rank fields.
-    fn key(&self, slot: usize, open_row: Option<u64>, rank_fields: &[u64]) -> PackedKey {
-        PackedKey::assemble(
-            self.static_bits[slot],
-            open_row == Some(self.row[slot]),
-            rank_fields[self.rank_idx[slot] as usize],
-        )
+impl BankSet {
+    /// The members' slots in ascending order: the canonical form `Debug`
+    /// and the audit read, independent of the rows' order.
+    fn sorted_slots(&self) -> Vec<Slot> {
+        let mut slots: Vec<Slot> = self.members.iter().map(|m| m.slot).collect();
+        slots.sort_unstable();
+        slots
     }
 }
 
@@ -298,15 +268,9 @@ pub(super) struct ReadyOwner {
     pub(super) ready: BankReady,
 }
 
-/// Min-heaps of APD drop candidates, one per core (drop thresholds are
-/// per-core, so the earliest deadline per core is its earliest *arrival*).
-/// Heap entries go stale when the slot is freed, reused, promoted, or
-/// serviced; stale heads are popped lazily at the next peek. Pure cache.
-#[derive(Clone, Default)]
-struct DeadlineHeaps {
-    /// `(arrival, slot, request id)` per core, min-ordered via `Reverse`.
-    heaps: Vec<BinaryHeap<Reverse<(Cycle, Slot, u64)>>>,
-}
+/// A core's min-heap of APD drop candidates, `(arrival, slot, request
+/// id)` min-ordered via `Reverse`.
+type DeadlineHeap = BinaryHeap<Reverse<(Cycle, Slot, u64)>>;
 
 /// The data-oriented request buffer. See the module docs for the layout and
 /// the maintained invariants (DESIGN.md §13, B1–B5).
@@ -320,6 +284,9 @@ pub struct RequestBuffer {
     /// Banks per channel; bank sets are indexed `channel * stride + bank`.
     stride: usize,
     banks: Vec<BankSet>,
+    /// Per slab slot: the index of its row in its bank's `members`
+    /// (meaningless while the slot is free).
+    member_at: Vec<u32>,
     /// Buffered writeback count (write-drain watermark input).
     writebacks: usize,
     /// Entries in the current PAR-BS batch.
@@ -331,18 +298,30 @@ pub struct RequestBuffer {
     /// Key-input flags frozen at construction from the controller config.
     ranking: bool,
     apd: bool,
-    apd_heaps: DeadlineHeaps,
+    /// APD drop candidates, one heap per core (drop thresholds are
+    /// per-core, so the earliest deadline per core is its earliest
+    /// *arrival*). Items go stale when the slot is freed, reused, promoted
+    /// or serviced; stale heads are popped lazily at the next peek. Pure
+    /// cache.
+    apd_heaps: Vec<DeadlineHeap>,
     /// Cached [`RequestBuffer::earliest_drop_deadline`]; `None` = stale.
     /// While it is `Some`, every heap head is valid.
     drop_deadline: Option<Option<Cycle>>,
-    lane: Lane,
     /// Generation of the per-entry static key inputs that are not per
-    /// slot: the write-drain mode and (adaptive policies) the accuracy
-    /// epoch. Bumping it stales every lane slot at once.
+    /// entry: the write-drain mode and (adaptive policies) the accuracy
+    /// epoch. Bumping it stales every member row at once.
     key_gen: u64,
+    /// Under ranking, each core's rank position ([`KeyCtx::ranks`]); all
+    /// `u64::MAX`, no position, until the first sync fills `rank_fields`.
+    ranks: Vec<u64>,
+    /// A critical count or the accuracy epoch moved since the last sync.
+    ranks_stale: bool,
+    /// Sync scratch (the distinct critical counts), kept so as not to
+    /// allocate.
+    distinct_counts: Vec<u64>,
     /// Packed rank field per core plus the trailing unranked element
-    /// ([`KeyCtx::fill_rank_fields`]); refilled per rescan under ranking,
-    /// constant otherwise.
+    /// ([`KeyCtx::fill_rank_fields`]); refilled when a position moves,
+    /// constant without ranking.
     rank_fields: Vec<u64>,
     /// Accuracy epoch (tracker `next_rollover`) the owner caches were
     /// computed under; a change invalidates every adaptive-policy key.
@@ -369,14 +348,14 @@ pub struct RequestBuffer {
 
 impl RequestBuffer {
     /// An empty buffer for `cap` entries over `channels * banks_per_channel`
-    /// banks. `ranking` widens invalidation to all banks on membership or
-    /// criticality changes (per-core rank counts feed every key);
-    /// `apd` enables the drop-deadline heaps.
+    /// banks. `ranking` keeps the per-core rank table, whose every change
+    /// of order re-keys all banks; `apd` enables the drop-deadline heaps.
     ///
     /// # Panics
     ///
     /// Panics if `cap` or `cores` does not fit the [`PackedKey`] rank field
-    /// (a rank is a count of queued requests, so it is at most `cap`).
+    /// (a rank is a core's position in the order of the per-core counts of
+    /// queued critical requests, so it is below `cores` and at most `cap`).
     pub fn new(
         cap: usize,
         channels: usize,
@@ -395,28 +374,20 @@ impl RequestBuffer {
             slots: Vec::new(),
             free: Vec::new(),
             stride: banks_per_channel,
-            banks: vec![
-                BankSet {
-                    members: BitSet::new(cap),
-                    writebacks: 0,
-                    owner: None,
-                    pending: Vec::new(),
-                    dirty: false,
-                };
-                channels * banks_per_channel
-            ],
+            banks: vec![BankSet::default(); channels * banks_per_channel],
+            member_at: Vec::new(),
             writebacks: 0,
             batched: 0,
             demands: vec![0; cores],
             prefetches: vec![0; cores],
             ranking,
             apd,
-            apd_heaps: DeadlineHeaps {
-                heaps: vec![BinaryHeap::new(); cores],
-            },
+            apd_heaps: vec![BinaryHeap::new(); cores],
             drop_deadline: None,
-            lane: Lane::default(),
             key_gen: 1,
+            ranks: vec![u64::MAX; cores],
+            ranks_stale: true,
+            distinct_counts: Vec::with_capacity(cores),
             rank_fields: vec![PackedKey::rank_field(0); cores + 1],
             rollover_seen: 0,
             refreshes_seen: vec![0; channels],
@@ -486,23 +457,21 @@ impl RequestBuffer {
     /// to `(channel, bank)`: a scan of that bank's members only, since no
     /// entry for the line can be queued anywhere else.
     pub fn oldest_prefetch(&self, channel: usize, bank: usize, line: LineAddr) -> Option<Slot> {
-        let mut oldest: Option<(RequestId, Slot)> = None;
-        self.banks[channel * self.stride + bank]
-            .members
-            .for_each(|slot| {
-                let e = self.slots[slot].as_ref().expect("member of freed slot");
-                if e.req.line == line
-                    && e.req.kind.is_prefetch()
-                    && oldest.is_none_or(|(id, _)| e.req.id < id)
-                {
-                    oldest = Some((e.req.id, slot as Slot));
-                }
-            });
+        let members = self.banks[channel * self.stride + bank].members.iter();
+        let queued = members.map(|m| (self.entry(m.slot), m.slot));
+        let prefetches = queued.filter(|(e, _)| e.req.line == line && e.req.kind.is_prefetch());
+        let oldest = prefetches.min_by_key(|(e, _)| e.req.id);
         oldest.map(|(_, slot)| slot)
     }
 
     fn bank_index(&self, target: &Target) -> usize {
         target.channel * self.stride + target.bank
+    }
+
+    /// The member row of the queued entry at `slot`.
+    fn member_mut(&mut self, slot: Slot) -> &mut Member {
+        let bank_idx = self.bank_index(&self.entry(slot).target);
+        &mut self.banks[bank_idx].members[self.member_at[slot as usize] as usize]
     }
 
     /// Marks one bank's ready-lane entry stale: the next pass over its
@@ -527,19 +496,52 @@ impl RequestBuffer {
         }
     }
 
-    /// Marks every bank's owner dirty (rank counts moved; or, via
+    /// Marks every bank's owner dirty (a rank position moved; or, via
     /// [`RequestBuffer::bump_key_generation`], a static key input did).
     fn mark_all_dirty(&mut self) {
-        for channel in 0..self.refreshes_seen.len() {
-            for bank in 0..self.stride {
-                self.mark_bank_dirty(channel, bank);
-            }
+        for i in 0..self.banks.len() {
+            self.mark_bank_dirty(i / self.stride, i % self.stride);
+        }
+    }
+
+    /// Under ranking, once a critical count or the accuracy epoch moved:
+    /// recomputes each core's position (the distinct counts below its own)
+    /// and only if one moved refills `rank_fields` and dirties every bank,
+    /// as keys compare ranks only with each other.
+    fn sync_ranks(&mut self, ctx: &KeyCtx<'_>) {
+        if !(self.ranking && std::mem::take(&mut self.ranks_stale)) {
+            return;
+        }
+        // Every demand is critical, and a core's prefetches are iff its
+        // accuracy clears the promotion threshold (§6.5).
+        let critical = |core: usize| {
+            let (d, p) = (self.demands[core], self.prefetches[core]);
+            let accurate = || ctx.accuracy.accuracy(CoreId::new(core)) >= ctx.promotion_threshold;
+            d + if p > 0 && accurate() { p } else { 0 }
+        };
+        let distinct = &mut self.distinct_counts;
+        distinct.clear();
+        distinct.extend((0..self.ranks.len()).map(critical));
+        distinct.sort_unstable();
+        distinct.dedup();
+        let mut moved = false;
+        for (core, rank) in self.ranks.iter_mut().enumerate() {
+            let position = distinct.binary_search(&critical(core)).expect("listed") as u64;
+            moved |= std::mem::replace(rank, position) != position;
+        }
+        if moved {
+            let ctx = KeyCtx {
+                ranks: Some(&self.ranks),
+                ..*ctx
+            };
+            ctx.fill_rank_fields(&mut self.rank_fields);
+            self.mark_all_dirty();
         }
     }
 
     /// A static key input shared by every entry changed — the write-drain
     /// mode flipped, or the accuracy epoch rolled over under an adaptive
-    /// policy: stales every lane slot and dirties every bank.
+    /// policy: stales every member row and dirties every bank.
     pub fn bump_key_generation(&mut self) {
         self.key_gen += 1;
         self.mark_all_dirty();
@@ -582,8 +584,10 @@ impl RequestBuffer {
         let epoch = tracker.next_rollover();
         if self.rollover_seen != epoch {
             self.rollover_seen = epoch;
-            // Drop thresholds read accuracy under every policy.
+            // Drop thresholds read accuracy under every policy, and so does
+            // which prefetches count towards a core's rank.
             self.drop_deadline = None;
+            self.ranks_stale = true;
             if adaptive {
                 self.bump_key_generation();
             }
@@ -610,23 +614,19 @@ impl RequestBuffer {
             Some(s) => s,
             None => {
                 self.slots.push(None);
-                self.lane.grow();
+                self.member_at.push(0);
                 (self.slots.len() - 1) as Slot
             }
         };
-        if e.is_writeback() {
-            self.writebacks += 1;
-        }
-        if e.batched {
-            self.batched += 1;
-        }
+        self.writebacks += usize::from(e.is_writeback());
+        self.batched += usize::from(e.batched);
         let core = e.req.core.index();
         if e.req.kind.is_prefetch() {
             if let Some(c) = self.prefetches.get_mut(core) {
                 *c += 1;
             }
             if self.apd {
-                if let Some(h) = self.apd_heaps.heaps.get_mut(core) {
+                if let Some(h) = self.apd_heaps.get_mut(core) {
                     h.push(Reverse((e.req.arrival, slot, e.req.id.raw())));
                     self.drop_deadline = None;
                 }
@@ -634,19 +634,21 @@ impl RequestBuffer {
         } else if let Some(c) = self.demands.get_mut(core) {
             *c += 1;
         }
+        self.ranks_stale = true;
         let (channel, bank) = (e.target.channel, e.target.bank);
-        self.lane.row[slot as usize] = e.target.row;
-        self.lane.stamp[slot as usize] = 0;
         let b = &mut self.banks[channel * self.stride + bank];
-        b.members.set(slot as usize);
+        self.member_at[slot as usize] = b.members.len() as u32;
+        b.members.push(Member {
+            row: e.target.row,
+            slot,
+            ..Member::default()
+        });
         b.writebacks += u32::from(e.is_writeback());
         self.slots[slot as usize] = Some(e);
-        // Under ranking any membership change shifts every core's rank
-        // counts; otherwise the new entry can only displace the owner,
-        // which one compare at the next query settles.
-        if self.ranking {
-            self.mark_all_dirty();
-        } else if !b.dirty {
+        // The new entry can only displace the owner, which one compare at
+        // the next query settles — under ranking too, unless the rank order
+        // moved by then, which dirties every bank (`sync_ranks`).
+        if !b.dirty {
             b.pending.push(slot);
             self.mark_stale(channel, bank);
         }
@@ -657,12 +659,8 @@ impl RequestBuffer {
     pub fn remove(&mut self, slot: Slot) -> Entry {
         let e = self.slots[slot as usize].take().expect("free slot");
         self.free.push(slot);
-        if e.is_writeback() {
-            self.writebacks -= 1;
-        }
-        if e.batched {
-            self.batched -= 1;
-        }
+        self.writebacks -= usize::from(e.is_writeback());
+        self.batched -= usize::from(e.batched);
         let core = e.req.core.index();
         if e.req.kind.is_prefetch() {
             if let Some(c) = self.prefetches.get_mut(core) {
@@ -672,13 +670,16 @@ impl RequestBuffer {
         } else if let Some(c) = self.demands.get_mut(core) {
             *c -= 1;
         }
+        self.ranks_stale = true;
         let bank_idx = self.bank_index(&e.target);
         let b = &mut self.banks[bank_idx];
-        b.members.clear(slot as usize);
+        let at = self.member_at[slot as usize] as usize;
+        b.members.swap_remove(at);
+        if let Some(moved) = b.members.get(at) {
+            self.member_at[moved.slot as usize] = at as u32;
+        }
         b.writebacks -= u32::from(e.is_writeback());
-        if self.ranking {
-            self.mark_all_dirty();
-        } else if b.owner.is_some_and(|(_, s)| s == slot) {
+        if b.owner.is_some_and(|(_, s)| s == slot) {
             // Only losing the owner forces a rescan.
             self.mark_bank_dirty(e.target.channel, e.target.bank);
         } else if let Some(i) = b.pending.iter().position(|&p| p == slot) {
@@ -701,15 +702,12 @@ impl RequestBuffer {
         if let Some(c) = self.demands.get_mut(core) {
             *c += 1;
         }
+        self.ranks_stale = true;
         // The promoted entry's own key changes (tier / urgency), so its
-        // lane slot goes stale; its APD heap item is popped lazily.
-        self.lane.stamp[slot as usize] = 0;
+        // member row goes stale; its APD heap item is popped lazily.
+        self.member_mut(slot).stamp = 0;
         self.note_drop_candidate_gone(core, slot, id);
-        if self.ranking {
-            self.mark_all_dirty();
-        } else {
-            self.mark_bank_dirty(channel, bank);
-        }
+        self.mark_bank_dirty(channel, bank);
     }
 
     /// Records the row-buffer classification of the entry's first DRAM
@@ -729,11 +727,11 @@ impl RequestBuffer {
     /// serviced). Only a heap head carries its core's earliest deadline, so
     /// only a head's departure can move the cached one.
     fn note_drop_candidate_gone(&mut self, core: usize, slot: Slot, id: u64) {
-        let heads = |h: &BinaryHeap<Reverse<(Cycle, Slot, u64)>>| {
+        let heads = |h: &DeadlineHeap| {
             h.peek()
                 .is_some_and(|&Reverse((_, s, i))| s == slot && i == id)
         };
-        if self.drop_deadline.is_some() && self.apd_heaps.heaps.get(core).is_some_and(heads) {
+        if self.drop_deadline.is_some() && self.apd_heaps.get(core).is_some_and(heads) {
             self.drop_deadline = None;
         }
     }
@@ -747,38 +745,8 @@ impl RequestBuffer {
         self.batched += 1;
         // `batched` outranks everything below `class_match`, so the bank's
         // owner may change; rank counts (criticality) are unaffected.
-        self.lane.stamp[slot as usize] = 0;
+        self.member_mut(slot).stamp = 0;
         self.mark_bank_dirty(channel, bank);
-    }
-
-    /// Per-core critical-request counts for shortest-job ranking (§6.5),
-    /// rebuilt O(cores) from the running kind counts: every demand is
-    /// critical, and a core's prefetches are critical iff its accuracy
-    /// clears `promotion_threshold`. `None` when ranking is disabled.
-    pub fn rank_counts(
-        &self,
-        tracker: &AccuracyTracker,
-        promotion_threshold: f64,
-    ) -> Option<Vec<u64>> {
-        if !self.ranking {
-            return None;
-        }
-        Some(
-            self.demands
-                .iter()
-                .zip(&self.prefetches)
-                .enumerate()
-                .map(|(core, (&d, &p))| {
-                    if p > 0
-                        && tracker.accuracy(padc_types::CoreId::new(core)) >= promotion_threshold
-                    {
-                        d + p
-                    } else {
-                        d
-                    }
-                })
-                .collect(),
-        )
     }
 
     /// Earliest APD drop deadline (`arrival + threshold + 1`) over all
@@ -800,23 +768,18 @@ impl RequestBuffer {
             return cached;
         }
         let mut best: Option<Cycle> = None;
-        for (core, heap) in self.apd_heaps.heaps.iter_mut().enumerate() {
+        for (core, heap) in self.apd_heaps.iter_mut().enumerate() {
             let head = loop {
                 let Some(&Reverse((arrival, slot, id))) = heap.peek() else {
                     break None;
                 };
-                let live = self.slots.get(slot as usize).and_then(Option::as_ref);
-                let valid = live.is_some_and(|e| {
-                    e.req.id.raw() == id && e.req.kind.is_prefetch() && e.first_service.is_none()
-                });
-                if valid {
+                if heap_item_valid(&self.slots, slot, id) {
                     break Some(arrival);
                 }
                 heap.pop();
             };
             if let Some(arrival) = head {
-                let limit =
-                    thresholds.threshold_for(tracker.accuracy(padc_types::CoreId::new(core)));
+                let limit = thresholds.threshold_for(tracker.accuracy(CoreId::new(core)));
                 let deadline = arrival.saturating_add(limit).saturating_add(1);
                 best = Some(best.map_or(deadline, |b: Cycle| b.min(deadline)));
             }
@@ -826,9 +789,10 @@ impl RequestBuffer {
     }
 
     /// The bank's owner: its highest-key member under `ctx` (the key a
-    /// fresh [`KeyCtx::key`] would give it, packed), or `None` for an empty
-    /// bank. A clean bank answers from the maintained owner after folding
-    /// its pending inserts; a dirty one rescans its members over the lane.
+    /// fresh [`KeyCtx::key`] would give it, packed, with the buffer's rank
+    /// positions in place of whatever `ctx` carries), or `None` for an
+    /// empty bank. A clean bank answers from the maintained owner after
+    /// folding its pending inserts; a dirty one rescans its member rows.
     pub fn owner(
         &mut self,
         channel: usize,
@@ -837,14 +801,12 @@ impl RequestBuffer {
         ch: &Channel,
         now: Cycle,
     ) -> Option<(PackedKey, Slot)> {
-        if self.ranking {
-            ctx.fill_rank_fields(&mut self.rank_fields);
-        }
+        self.sync_ranks(ctx);
         self.fold_or_rescan(channel, bank, ctx, ch, now)
     }
 
-    /// [`RequestBuffer::owner`] once `rank_fields` holds `ctx`'s ranks, so a
-    /// pass over many banks fills them once.
+    /// [`RequestBuffer::owner`] once the rank table is in sync, so a pass
+    /// over many banks syncs it once.
     fn fold_or_rescan(
         &mut self,
         channel: usize,
@@ -856,8 +818,10 @@ impl RequestBuffer {
         let bank_idx = channel * self.stride + bank;
         let RequestBuffer {
             banks,
-            lane,
+            member_at,
             slots,
+            ranking,
+            ranks,
             rank_fields,
             stats,
             key_gen,
@@ -875,26 +839,34 @@ impl RequestBuffer {
                 return b.owner;
             }
         }
+        let ctx = KeyCtx {
+            ranks: ranking.then_some(&ranks[..]),
+            ..*ctx
+        };
         let open_row = ch.effective_row(bank, now);
+        let unranked = rank_fields.len() - 1;
         let mut best = b.owner.filter(|_| !b.dirty);
-        let mut consider = |slot: usize| {
-            if lane.stamp[slot] != *key_gen {
-                let e = slots[slot].as_ref().expect("member of freed slot");
-                let unranked = rank_fields.len() - 1;
-                lane.fill(slot, e, ctx.key(e, ch, now), unranked, *key_gen);
+        let mut consider = |m: &mut Member| {
+            if m.stamp != *key_gen {
+                let e = slots[m.slot as usize]
+                    .as_ref()
+                    .expect("member of freed slot");
+                m.fill(e, ctx.key(e, ch, now), unranked, *key_gen);
             }
-            let key = lane.key(slot, open_row, rank_fields);
+            let key = m.key(open_row, rank_fields);
             if best.is_none_or(|(bk, _)| key > bk) {
-                best = Some((key, slot as Slot));
+                best = Some((key, m.slot));
             }
         };
         if b.dirty {
             stats.owner_recomputes += 1;
-            stats.owner_scan_entries += b.members.len as u64;
-            b.members.for_each(&mut consider);
+            stats.owner_scan_entries += b.members.len() as u64;
+            b.members.iter_mut().for_each(&mut consider);
             b.dirty = false;
         } else {
-            b.pending.drain(..).for_each(|slot| consider(slot as usize));
+            for slot in b.pending.drain(..) {
+                consider(&mut b.members[member_at[slot as usize] as usize]);
+            }
         }
         b.owner = best;
         best
@@ -903,9 +875,10 @@ impl RequestBuffer {
     /// The ready lane of `channel`, brought up to date: per bank, its owner
     /// with the bank-local half of the owner's readiness, `None` for an
     /// empty bank. Only the banks marked stale since the channel's last pass
-    /// are re-derived, through the same fold-or-rescan as
-    /// [`RequestBuffer::owner`]; every other non-empty bank's entry stands
-    /// for one owner query answered without a rescan, and is counted as one.
+    /// (a moved rank order marks every bank) are re-derived, through the
+    /// same fold-or-rescan as [`RequestBuffer::owner`]; every other
+    /// non-empty bank's entry stands for one owner query answered without a
+    /// rescan, and is counted as one.
     pub(super) fn ready_lane(
         &mut self,
         channel: usize,
@@ -913,12 +886,8 @@ impl RequestBuffer {
         ch: &Channel,
         now: Cycle,
     ) -> &[Option<ReadyOwner>] {
+        self.sync_ranks(ctx);
         let (first_bank, first_word) = (channel * self.stride, channel * self.stale_words);
-        let stale = &self.stale[first_word..first_word + self.stale_words];
-        if self.ranking && stale.iter().any(|&w| w != 0) {
-            // Once per pass, not once per bank.
-            ctx.fill_rank_fields(&mut self.rank_fields);
-        }
         let mut rederived = 0;
         for wi in 0..self.stale_words {
             let mut word = std::mem::take(&mut self.stale[first_word + wi]);
@@ -926,12 +895,13 @@ impl RequestBuffer {
                 let bank = wi * 64 + word.trailing_zeros() as usize;
                 word &= word - 1;
                 let owner = self.fold_or_rescan(channel, bank, ctx, ch, now);
+                let members = &self.banks[first_bank + bank].members;
                 let entry = &mut self.ready[first_bank + bank];
                 self.ready_owners[channel] -= u64::from(entry.is_some());
                 *entry = owner.map(|(key, slot)| ReadyOwner {
                     key,
                     slot,
-                    ready: ch.bank_ready(bank, self.lane.row[slot as usize]),
+                    ready: ch.bank_ready(bank, members[self.member_at[slot as usize] as usize].row),
                 });
                 self.stats.lane_refreshes += 1;
                 rederived += u64::from(owner.is_some());
@@ -946,17 +916,13 @@ impl RequestBuffer {
     /// closed-row policy's "is this open row still useful" test, shared by
     /// the scheduler and `next_event`.
     pub fn wants_row(&self, channel: usize, bank: usize, row: u64) -> bool {
-        let bank_idx = channel * self.stride + bank;
-        let mut found = false;
-        self.banks[bank_idx]
-            .members
-            .for_each(|slot| found |= self.lane.row[slot] == row);
-        found
+        let members = &self.banks[channel * self.stride + bank].members;
+        members.iter().any(|m| m.row == row)
     }
 
     /// True when no queued entry targets `(channel, bank)` — the DARP
     /// refresh-pull pass's idle-bank test (DESIGN.md §15). Pure read of the
-    /// membership bitset, so `next_event` may consult it freely.
+    /// member rows, so `next_event` may consult it freely.
     pub fn bank_is_empty(&self, channel: usize, bank: usize) -> bool {
         self.banks[channel * self.stride + bank].members.is_empty()
     }
@@ -971,10 +937,11 @@ impl RequestBuffer {
     /// Consistency audit for the incremental state, used by the
     /// `buffer_consistency` proptest: recomputes every derived structure
     /// from the slab and panics on divergence (DESIGN.md §13, B1–B5).
-    /// `ctx` is the specification the lane and every non-dirty bank's
-    /// owner are checked against, `channels` the one every non-stale bank's
-    /// ready-lane entry is; pending inserts are folded first, dirty banks
-    /// are left dirty and stale ones stale.
+    /// `ctx`, ranked by a recount of the slab, is the specification the
+    /// rank table, the member rows and every non-dirty bank's owner are
+    /// checked against, `channels` the one every non-stale bank's
+    /// ready-lane entry is; the rank table is synced and pending inserts
+    /// are folded first, dirty banks are left dirty and stale ones stale.
     #[doc(hidden)]
     pub fn audit(
         &mut self,
@@ -983,6 +950,7 @@ impl RequestBuffer {
         channels: &[Channel],
         now: Cycle,
     ) {
+        self.sync_ranks(ctx);
         // Free-list consistency.
         assert_eq!(
             self.iter().count() + self.free.len(),
@@ -1004,68 +972,70 @@ impl RequestBuffer {
             live().filter(|e| e.batched).count(),
             "batched count drifted"
         );
-        for (i, b) in self.banks.iter().enumerate() {
-            let members = b.members.to_vec().into_iter();
-            let wb = members.filter(|&s| self.slots[s].as_ref().is_some_and(Entry::is_writeback));
-            assert_eq!(
-                b.writebacks as usize,
-                wb.count(),
-                "writeback count drifted at bank {i}"
-            );
-        }
         for core in 0..self.demands.len() {
-            let d = live()
-                .filter(|e| e.req.core.index() == core && !e.req.kind.is_prefetch())
-                .count() as u64;
-            let p = live()
-                .filter(|e| e.req.core.index() == core && e.req.kind.is_prefetch())
-                .count() as u64;
+            let of_core = live().filter(|e| e.req.core.index() == core);
+            let (p, d): (Vec<_>, Vec<_>) = of_core.partition(|e| e.req.kind.is_prefetch());
+            let counts = (self.demands[core], self.prefetches[core]);
+            let recount = (d.len() as u64, p.len() as u64);
             assert_eq!(
-                self.demands[core], d,
-                "demand count drifted for core {core}"
-            );
-            assert_eq!(
-                self.prefetches[core], p,
-                "prefetch count drifted for core {core}"
+                counts, recount,
+                "demand/prefetch counts drifted for core {core}"
             );
         }
-        // B4: every live lane slot holds its entry's row, and one stamped
-        // at the current generation reassembles to the entry's fresh key.
-        if self.ranking {
-            ctx.fill_rank_fields(&mut self.rank_fields);
+        // The rank table, once synced: each core's position is the number of
+        // distinct values below its own among a recount of the per-core
+        // critical requests. The specification keys rank by the recount.
+        let spec_ranks: Option<Vec<u64>> = self.ranking.then(|| {
+            let critical = |core| live().filter(move |e| e.req.core.index() == core);
+            let counts = (0..self.ranks.len())
+                .map(|core| critical(core).filter(|e| ctx.is_critical(&e.req)).count());
+            let distinct: BTreeSet<usize> = counts.clone().collect();
+            counts.map(|c| distinct.range(..c).count() as u64).collect()
+        });
+        if let Some(spec) = &spec_ranks {
+            assert_eq!(&self.ranks, spec, "rank positions drifted");
         }
+        let spec = KeyCtx {
+            ranks: spec_ranks.as_deref(),
+            ..*ctx
+        };
+        // B4: every live entry's member row holds its slot and row, and one
+        // stamped at the current generation reassembles to the entry's
+        // fresh key.
         for (slot, e) in self.iter() {
-            let s = slot as usize;
-            assert_eq!(self.lane.row[s], e.target.row, "lane row of slot {s}");
-            if self.lane.stamp[s] == self.key_gen {
+            let bank = &self.banks[self.bank_index(&e.target)];
+            let m = &bank.members[self.member_at[slot as usize] as usize];
+            assert_eq!((m.slot, m.row), (slot, e.target.row), "row of slot {slot}");
+            if m.stamp == self.key_gen {
                 let ch = &channels[e.target.channel];
                 let open_row = ch.effective_row(e.target.bank, now);
                 assert_eq!(
-                    self.lane.key(s, open_row, &self.rank_fields),
-                    PackedKey::pack(&ctx.key(e, ch, now)),
-                    "lane key of slot {s} is stale under its current stamp"
+                    m.key(open_row, &self.rank_fields),
+                    PackedKey::pack(&spec.key(e, ch, now)),
+                    "member key of slot {slot} is stale under its current stamp"
                 );
             }
         }
-        // Membership bitsets and owners.
+        // Member rows and owners.
         #[allow(clippy::needless_range_loop)] // `ci` indexes two parallel arrays
         for ci in 0..self.refreshes_seen.len() {
             for bank in 0..self.stride {
                 let bank_idx = ci * self.stride + bank;
-                let members = self.banks[bank_idx].members.to_vec();
+                let members = self.banks[bank_idx].sorted_slots();
                 let pending = &self.banks[bank_idx].pending;
                 assert!(
-                    pending.iter().all(|&p| members.contains(&(p as usize))),
+                    pending.iter().all(|p| members.contains(p)),
                     "pending insert {pending:?} is not a member of bank ({ci}, {bank})"
                 );
-                let expect: Vec<usize> = (0..self.slots.len())
-                    .filter(|&s| {
-                        self.slots[s]
-                            .as_ref()
-                            .is_some_and(|e| e.target.channel == ci && e.target.bank == bank)
-                    })
+                let expect: Vec<Slot> = self
+                    .iter()
+                    .filter(|(_, e)| e.target.channel == ci && e.target.bank == bank)
+                    .map(|(s, _)| s)
                     .collect();
-                assert_eq!(members, expect, "bitset drifted for bank ({ci}, {bank})");
+                assert_eq!(members, expect, "rows drifted for bank ({ci}, {bank})");
+                let wb = expect.iter().filter(|&&s| self.entry(s).is_writeback());
+                let wb_count = self.banks[bank_idx].writebacks as usize;
+                assert_eq!(wb_count, wb.count(), "writebacks drifted at ({ci}, {bank})");
                 // B5: a bank is stale while it is dirty or pends an insert,
                 // and a bank that is not holds exactly its fresh owner with
                 // that owner's fresh bank-local readiness (`None` iff empty).
@@ -1081,10 +1051,7 @@ impl RequestBuffer {
                     let ch = &channels[ci];
                     let fresh = expect
                         .iter()
-                        .map(|&s| {
-                            let e = self.slots[s].as_ref().unwrap();
-                            (ctx.key(e, ch, now), s as Slot)
-                        })
+                        .map(|&s| (spec.key(self.entry(s), ch, now), s))
                         .max_by_key(|&(k, _)| k)
                         .map(|(k, s)| (PackedKey::pack(&k), s));
                     assert_eq!(
@@ -1116,31 +1083,14 @@ impl RequestBuffer {
         // item, and each heap's valid minimum must be the core's true
         // earliest droppable arrival.
         if self.apd {
-            for (core, heap) in self.apd_heaps.heaps.iter().enumerate() {
-                let valid_min = heap
+            for (core, heap) in self.apd_heaps.iter().enumerate() {
+                let valid = heap
                     .iter()
-                    .filter(|&&Reverse((_, slot, id))| {
-                        self.slots
-                            .get(slot as usize)
-                            .and_then(Option::as_ref)
-                            .is_some_and(|e| {
-                                e.req.id.raw() == id
-                                    && e.req.kind.is_prefetch()
-                                    && e.first_service.is_none()
-                            })
-                    })
-                    .map(|&Reverse((arrival, _, _))| arrival)
-                    .min();
-                let true_min = self
-                    .iter()
-                    .map(|(_, e)| e)
-                    .filter(|e| {
-                        e.req.core.index() == core
-                            && e.req.kind.is_prefetch()
-                            && e.first_service.is_none()
-                    })
-                    .map(|e| e.req.arrival)
-                    .min();
+                    .filter(|&&Reverse((_, s, id))| heap_item_valid(&self.slots, s, id));
+                let valid_min = valid.map(|&Reverse((arrival, _, _))| arrival).min();
+                let of_core = self.iter().map(|(_, e)| e);
+                let of_core = of_core.filter(|e| e.req.core.index() == core && e.droppable());
+                let true_min = of_core.map(|e| e.req.arrival).min();
                 assert_eq!(
                     valid_min, true_min,
                     "APD heap minimum drifted for core {core}"
@@ -1165,21 +1115,15 @@ impl RequestBuffer {
 }
 
 /// Manual `Debug`: prints only *observable* state (the slab, free list,
-/// running counts, bank membership). The owner caches, dirty flags, both
-/// lanes, the stale set, APD heaps, epoch snapshots, and stats counters are
+/// running counts, bank membership as sorted slots). The owner caches,
+/// dirty flags, the rows' key bits and order, the rank table, the ready
+/// lane, the stale set, APD heaps, epoch snapshots, and stats counters are
 /// pure caches that may legally mutate during proven-idle windows, and the
 /// `next_event` soundness oracle detects mutation by comparing `Debug`
 /// strings.
 impl fmt::Debug for RequestBuffer {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        struct Members<'a>(&'a RequestBuffer);
-        impl fmt::Debug for Members<'_> {
-            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-                f.debug_list()
-                    .entries(self.0.banks.iter().map(|b| b.members.to_vec()))
-                    .finish()
-            }
-        }
+        let members: Vec<_> = self.banks.iter().map(BankSet::sorted_slots).collect();
         f.debug_struct("RequestBuffer")
             .field("cap", &self.cap)
             .field("slots", &self.slots)
@@ -1188,7 +1132,7 @@ impl fmt::Debug for RequestBuffer {
             .field("batched", &self.batched)
             .field("demands", &self.demands)
             .field("prefetches", &self.prefetches)
-            .field("bank_members", &Members(self))
+            .field("bank_members", &members)
             .finish()
     }
 }
@@ -1211,10 +1155,10 @@ mod tests {
         SchedulingPolicy::PadcRank,
     ];
 
-    /// Two cores: core 0's prefetches are accurate (critical), core 1's
-    /// useless (its demands are urgent).
+    /// Three cores: core 0's prefetches are accurate (critical), core 1's
+    /// useless (its demands are urgent), core 2 sends none.
     fn tracker() -> AccuracyTracker {
-        let mut t = AccuracyTracker::new(2, 100);
+        let mut t = AccuracyTracker::new(3, 100);
         for _ in 0..10 {
             t.on_prefetch_sent(CoreId::new(0));
             t.on_prefetch_used(CoreId::new(0));
@@ -1256,12 +1200,12 @@ mod tests {
 
     impl Rig {
         fn new(policy: SchedulingPolicy) -> Self {
-            let mut cfg = ControllerConfig::from_policy(policy, 2);
+            let mut cfg = ControllerConfig::from_policy(policy, 3);
             cfg.write_drain = true;
             cfg.urgency = true;
             let dram = DramConfig::default();
             Rig {
-                buf: RequestBuffer::new(32, 1, dram.banks, 2, cfg.ranking, cfg.apd),
+                buf: RequestBuffer::new(32, 1, dram.banks, 3, cfg.ranking, cfg.apd),
                 ch: Channel::new(&dram),
                 cfg,
                 tracker: tracker(),
@@ -1270,14 +1214,12 @@ mod tests {
             }
         }
 
-        /// Runs `f` with the buffer, the channel and this pass's `KeyCtx`.
+        /// Runs `f` with the buffer, the channel and this pass's `KeyCtx`
+        /// (ranked by the buffer's own table).
         fn with_ctx<R>(
             &mut self,
             f: impl FnOnce(&mut RequestBuffer, &mut Channel, &KeyCtx<'_>, Cycle) -> R,
         ) -> R {
-            let counts = self
-                .buf
-                .rank_counts(&self.tracker, self.cfg.promotion_threshold);
             let ctx = KeyCtx {
                 policy: self.cfg.policy,
                 write_drain: true,
@@ -1285,7 +1227,7 @@ mod tests {
                 urgency: true,
                 promotion_threshold: self.cfg.promotion_threshold,
                 accuracy: &self.tracker,
-                rank_counts: counts.as_deref(),
+                ranks: None,
             };
             f(&mut self.buf, &mut self.ch, &ctx, self.now)
         }
@@ -1419,7 +1361,7 @@ mod tests {
     }
 
     /// A write-drain flip changes every entry's `class_match` bit, so the
-    /// new key generation must reach lane slots that were stamped under
+    /// new key generation must reach member rows that were stamped under
     /// the old one.
     #[test]
     fn a_drain_flip_rekeys_slots_stamped_under_the_old_generation() {
@@ -1443,5 +1385,62 @@ mod tests {
             "writebacks match inside it"
         );
         rig.audit();
+    }
+
+    /// Under ranking, keys read only the order of the cores' critical
+    /// counts: a count change that keeps it re-keys and rescans nothing,
+    /// and one that reorders two cores rescans each non-empty bank once.
+    #[test]
+    fn a_rank_count_change_that_keeps_the_order_rescans_nothing() {
+        let mut rig = Rig::new(SchedulingPolicy::PadcRank);
+        let mut ids = 0..;
+        let mut demand = |rig: &mut Rig, core, bank| {
+            let mut e = entry(
+                ids.next().unwrap(),
+                core,
+                1,
+                RequestKind::Demand,
+                AccessKind::Load,
+            );
+            e.target.bank = bank;
+            rig.buf.insert(e)
+        };
+        // Queries both banks' owners and audits; returns the rescan count.
+        let settle = |rig: &mut Rig| {
+            for bank in [0, 1] {
+                rig.with_ctx(|buf, ch, ctx, now| buf.owner(0, bank, ctx, ch, now));
+            }
+            rig.audit();
+            rig.buf.stats().owner_recomputes
+        };
+        // Critical counts 1 < 2 < 3 over cores 0, 1, 2, in banks 0 and 1;
+        // core 1's urgent demand owns bank 1.
+        for (core, bank) in [(0, 0), (1, 0), (1, 1), (2, 0), (2, 1)] {
+            demand(&mut rig, core, bank);
+        }
+        let core2 = demand(&mut rig, 2, 1);
+        let rescans = settle(&mut rig);
+        // 1 < 2 < 4, then 1 < 2 < 3 again: the order holds throughout.
+        demand(&mut rig, 2, 1);
+        assert_eq!(
+            settle(&mut rig),
+            rescans,
+            "an order-keeping insert rescanned"
+        );
+        rig.buf.remove(core2);
+        assert_eq!(
+            settle(&mut rig),
+            rescans,
+            "an order-keeping removal rescanned"
+        );
+        // Core 0 overtakes core 1 (3 > 2): each non-empty bank rescans once.
+        demand(&mut rig, 0, 0);
+        demand(&mut rig, 0, 0);
+        assert_eq!(
+            settle(&mut rig),
+            rescans + 2,
+            "a reorder rescans each bank once"
+        );
+        assert_eq!(settle(&mut rig), rescans + 2);
     }
 }

@@ -4,8 +4,8 @@
 //! Split into three layers (DESIGN.md §13):
 //!
 //! - [`buffer`] — the data-oriented request buffer: slab + free list,
-//!   per-bank membership bitsets, the split-key lane and the per-bank
-//!   owners maintained over it, the per-bank ready lane beside them, APD
+//!   dense per-bank member rows, the rank table and the per-bank owners
+//!   maintained over them, the per-bank ready lane beside them, APD
 //!   deadline heaps, and running counts;
 //! - [`arbiter`] — the lexicographic [`PrioKey`](arbiter::PrioKey) (the
 //!   specification), its order-preserving [`PackedKey`] (what the buffer
@@ -255,12 +255,10 @@ impl MemoryController {
         self.cfg.policy.is_adaptive()
     }
 
-    /// The key-computation context for one scheduling pass.
-    fn key_ctx<'a>(
-        &self,
-        accuracy: &'a AccuracyTracker,
-        rank_counts: Option<&'a [u64]>,
-    ) -> KeyCtx<'a> {
+    /// The key-computation context for one scheduling pass. Its rank
+    /// positions are the buffer's own (a rank-order change moves them
+    /// between two channels' arbitration), so it carries none.
+    fn key_ctx<'a>(&self, accuracy: &'a AccuracyTracker) -> KeyCtx<'a> {
         KeyCtx {
             policy: self.cfg.policy,
             write_drain: self.cfg.write_drain,
@@ -268,7 +266,7 @@ impl MemoryController {
             urgency: self.cfg.urgency,
             promotion_threshold: self.cfg.promotion_threshold,
             accuracy,
-            rank_counts,
+            ranks: None,
         }
     }
 
@@ -518,6 +516,7 @@ impl MemoryController {
     /// command bus, the best owner ready at `now`. Bounded by
     /// [`MemoryController::arbitration_bound`].
     fn arbitrate(&mut self, now: Cycle, accuracy: &AccuracyTracker) {
+        let ctx = self.key_ctx(accuracy);
         for channel in 0..self.channels.len() {
             self.channels[channel].sync(now);
             // A refresh closed every bank, re-keying row hits.
@@ -526,12 +525,6 @@ impl MemoryController {
             if !self.channels[channel].command_bus_free(now) {
                 continue;
             }
-            // Per-core critical-request counts for ranking (§6.5), O(cores),
-            // per channel: a CAS on an earlier channel moved them.
-            let ranks = self
-                .buffer
-                .rank_counts(accuracy, self.cfg.promotion_threshold);
-            let ctx = self.key_ctx(accuracy, ranks.as_deref());
             if let Some(slot) = self.ready_owners(channel, &ctx, now).best_at(now) {
                 self.issue(channel, slot, now);
             }
@@ -548,10 +541,7 @@ impl MemoryController {
         if self.buffer.is_empty() {
             return bound;
         }
-        let ranks = self
-            .buffer
-            .rank_counts(accuracy, self.cfg.promotion_threshold);
-        let ctx = self.key_ctx(accuracy, ranks.as_deref());
+        let ctx = self.key_ctx(accuracy);
         for channel in 0..self.channels.len() {
             let ready = self.ready_owners(channel, &ctx, now).earliest();
             bound = earlier(bound, ready.map(align_up_dram));
@@ -703,18 +693,15 @@ impl MemoryController {
         bound.map(align_up_dram)
     }
 
-    /// Audits the buffer's incremental state (bitsets, counts, heaps, the
-    /// split-key lane, every non-dirty bank's owner and every non-stale
+    /// Audits the buffer's incremental state (member rows, counts, heaps,
+    /// the rank table, every non-dirty bank's owner and every non-stale
     /// bank's ready-lane entry) against a from-scratch recompute, panicking
     /// on divergence. Test-only support for the `buffer_consistency` and
     /// `next_event_soundness` proptests.
     #[doc(hidden)]
     pub fn audit_buffer(&mut self, now: Cycle, accuracy: &AccuracyTracker) {
         self.buffer.sync_rollover(accuracy, self.adaptive_keys());
-        let rank_counts = self
-            .buffer
-            .rank_counts(accuracy, self.cfg.promotion_threshold);
-        let ctx = self.key_ctx(accuracy, rank_counts.as_deref());
+        let ctx = self.key_ctx(accuracy);
         let (buffer, channels) = (&mut self.buffer, &self.channels);
         buffer.audit(&ctx, &self.cfg.drop_thresholds, channels, now);
     }

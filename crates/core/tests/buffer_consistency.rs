@@ -1,6 +1,6 @@
 //! Property test for the request buffer's incremental bookkeeping: after
 //! arbitrary enqueue / writeback / promote / tick sequences, the slab's
-//! bitsets, counts, APD heaps, split-key lane, every non-dirty bank's
+//! member rows, counts, APD heaps, rank table, every non-dirty bank's
 //! maintained owner, and every non-stale bank's ready-lane entry must equal
 //! a from-scratch recompute (`MemoryController::audit_buffer` panics on
 //! divergence — invariants B1–B5 in DESIGN.md §13). Every case runs its op sequence under the
@@ -130,7 +130,7 @@ fn drive_and_audit(ops: &[Op], mut cfg: ControllerConfig, dram: DramConfig) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Maintained owners, the lane, bitsets, counts, and APD heaps match a
+    /// Maintained owners, the lane, member rows, counts, and APD heaps match a
     /// from-scratch recompute under every scheduling policy.
     #[test]
     fn incremental_state_matches_recompute(ops in prop::collection::vec(arb_op(), 1..60)) {

@@ -364,8 +364,9 @@ fn main() {
                 std::process::exit(2);
             });
             // An empty buffer never accepts a request (the run spins to
-            // `max_cycles` and reports zeros); a rank is a count of queued
-            // requests and must fit the packed key's rank field.
+            // `max_cycles` and reports zeros); a rank is a core's position
+            // among the per-core counts of queued requests, at most the
+            // entry count, which must fit the packed key's rank field.
             let max = PackedKey::RANK_LIMIT as usize - 1;
             let entries = cfg.controller.buffer_entries;
             if !(1..=max).contains(&entries) {

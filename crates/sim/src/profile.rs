@@ -97,7 +97,7 @@ pub struct SimProfile {
     pub owner_invalidations: u64,
     /// Scheduling queries served from a still-valid cached bank owner.
     pub owner_reuses: u64,
-    /// Entries examined across all owner rebuilds (bitset-scan volume).
+    /// Entries examined across all owner rebuilds (member-row scan volume).
     pub owner_scan_entries: u64,
     /// Per-bank ready-lane entries re-derived (one per bank a command or a
     /// buffer mutation touched, per scheduling pass). `tests/floors.rs`

@@ -14,7 +14,7 @@
 
 mod common;
 
-use padc_core::SchedulingPolicy;
+use padc_core::{ControllerConfig, SchedulingPolicy};
 use padc_dram::{ExtendedTiming, RefreshPolicy};
 use padc_harness::{run_suite, HarnessConfig, Summary};
 use padc_sim::experiments::{self, ExpConfig, Scale};
@@ -88,6 +88,7 @@ struct Floors {
     mix_owner_recomputes: Floor,
     mix_owner_scan_entries: Floor,
     mix_lane_refreshes_per_100_events: Floor,
+    rank_owner_scan_entries: Floor,
     darp_refresh_pulls: Floor,
     darp_refresh_stall_cycles: Floor,
     all_bank_refresh_pulls: Floor,
@@ -139,6 +140,13 @@ const FLOORS: Floors = Floors {
         "the ready lane went stale everywhere (e.g. every pass marks every bank): each \
          controller event re-derives 8 banks twice over instead of the one it commanded, \
          and the per-bank owner and DRAM probes are back in all but name",
+    ),
+    // The 4-core ranking mix, event kernel.
+    rank_owner_scan_entries: at_most(
+        1_085_059.0,
+        1_356_000.0,
+        "a rank-count change dirties every bank again, not only a change of the cores' \
+         order (2.47M entries when it did): ranking's whole-buffer rescans quietly return",
     ),
     darp_refresh_pulls: at_least(
         78.0,
@@ -276,6 +284,18 @@ fn event_kernel_skips_and_owner_cache_reuses_on_the_mix() {
         mix_lane_refreshes_per_100_events,
         100.0 * p.lane_refreshes as f64 / p.ctrl_events_fired as f64
     );
+}
+
+/// The 4-core mix the ranking floor was recorded on.
+const RANK_MIX: [&str; 4] = ["lbm_06", "milc_06", "omnetpp_06", "soplex_06"];
+
+#[test]
+fn ranking_rescans_owners_only_when_the_rank_order_moves() {
+    let p = event_profile(&RANK_MIX, 60_000, |cfg| SimConfig {
+        controller: ControllerConfig::from_policy(SchedulingPolicy::PadcRank, RANK_MIX.len()),
+        ..cfg
+    });
+    hold!(rank_owner_scan_entries, p.owner_scan_entries);
 }
 
 #[test]
