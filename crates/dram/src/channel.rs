@@ -553,15 +553,13 @@ impl Channel {
 
     /// Issues an explicit precharge of `bank` (closed-row policy support).
     ///
-    /// Returns true if the precharge was issued; false if the bank had no
-    /// open row or the command bus was busy.
+    /// Returns true if the precharge was issued; false before
+    /// [`Channel::earliest_precharge_at`] — no open row, the row not yet
+    /// precharge-able, the command bus busy or a refresh window open.
     pub fn precharge_bank(&mut self, bank: usize, now: Cycle) -> bool {
-        if !self.command_bus_free(now)
-            || !self.banks[bank].can_precharge(now)
-            || self.in_refresh(now)
-            || now < self.min_precharge_at[bank]
-        {
-            return false;
+        match self.earliest_precharge_at(bank, now) {
+            Some(t) if t <= now => {}
+            _ => return false,
         }
         self.cmd_bus_free_at = now + CPU_CYCLES_PER_DRAM_CYCLE;
         let b = &mut self.banks[bank];

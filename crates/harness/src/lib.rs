@@ -60,7 +60,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 pub use service::{BatchHandle, CompletedJob, SuiteService};
-pub use subjob::{set_task_context, subjob_map, task_context, under_harness, with_task_context};
+pub use subjob::{subjob_map, under_harness};
 
 /// One schedulable unit of work. Cloning is cheap (`run` is shared), so a
 /// job list can be submitted to a service and kept by the caller.
@@ -122,7 +122,7 @@ impl Default for HarnessConfig {
 pub enum JobStatus {
     /// Completed normally.
     Ok,
-    /// Panicked; the panic message is in [`JobOutcome::error`].
+    /// Panicked; the panic message is in [`CompletedJob::error`].
     Panicked,
     /// Completed but exceeded the configured wall-clock budget.
     OverBudget,
@@ -144,24 +144,11 @@ impl JobStatus {
     }
 }
 
-/// Per-job accounting, in job order.
-#[derive(Clone, Debug)]
-pub struct JobOutcome {
-    /// Job id.
-    pub id: String,
-    /// Terminal status.
-    pub status: JobStatus,
-    /// Panic message for [`JobStatus::Panicked`].
-    pub error: Option<String>,
-    /// Wall-clock seconds the job ran.
-    pub seconds: f64,
-}
-
 /// Suite-level accounting returned by [`run_suite`].
 #[derive(Clone, Debug)]
 pub struct Summary {
-    /// Per-job outcomes, in job order.
-    pub outcomes: Vec<JobOutcome>,
+    /// Per-job completions, in job order.
+    pub outcomes: Vec<CompletedJob>,
     /// Worker threads actually used.
     pub workers: usize,
     /// End-to-end wall-clock seconds.
@@ -321,15 +308,7 @@ pub fn run_suite(
         sink.flush()?;
     }
     Ok(Summary {
-        outcomes: completed
-            .into_iter()
-            .map(|c| JobOutcome {
-                id: c.id,
-                status: c.status,
-                error: c.error,
-                seconds: c.seconds,
-            })
-            .collect(),
+        outcomes: completed,
         workers: service.workers(),
         wall_seconds: started.elapsed().as_secs_f64(),
         subjobs_executed: service.subjobs_executed(),

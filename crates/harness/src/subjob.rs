@@ -157,46 +157,6 @@ fn help_until_done(pool: &Pool, batch: &Batch) {
 thread_local! {
     /// The pool whose worker this thread is, if any.
     static CURRENT_POOL: RefCell<Option<Arc<Pool>>> = const { RefCell::new(None) };
-
-    /// Ambient per-task context (e.g. a profile accumulator). Propagated
-    /// from the submitting thread to every unit of a [`subjob_map`] batch.
-    static TASK_CONTEXT: RefCell<Option<Arc<dyn Any + Send + Sync>>> =
-        const { RefCell::new(None) };
-}
-
-/// Installs (or clears) the calling thread's ambient task context.
-///
-/// The context is an opaque `Arc<dyn Any>` shared between a job and
-/// whatever library code it calls; consumers downcast it to the concrete
-/// type they expect (the simulator uses it to accumulate per-experiment
-/// hot-path profiles). [`subjob_map`] forwards the submitter's context to
-/// every unit of the batch, so fan-out across worker threads keeps
-/// reporting into the same object.
-pub fn set_task_context(ctx: Option<Arc<dyn Any + Send + Sync>>) {
-    TASK_CONTEXT.with(|c| *c.borrow_mut() = ctx);
-}
-
-/// The calling thread's ambient task context, if any.
-pub fn task_context() -> Option<Arc<dyn Any + Send + Sync>> {
-    TASK_CONTEXT.with(|c| c.borrow().clone())
-}
-
-/// Restores the saved context on drop, so a panicking unit cannot leak its
-/// context onto a pooled worker thread.
-struct ContextGuard(Option<Arc<dyn Any + Send + Sync>>);
-
-impl Drop for ContextGuard {
-    fn drop(&mut self) {
-        set_task_context(self.0.take());
-    }
-}
-
-/// Runs `f` with `ctx` installed as the ambient task context, restoring
-/// the previous context afterwards (panic-safe).
-pub fn with_task_context<T>(ctx: Arc<dyn Any + Send + Sync>, f: impl FnOnce() -> T) -> T {
-    let _guard = ContextGuard(task_context());
-    set_task_context(Some(ctx));
-    f()
 }
 
 /// Installs (or clears) the ambient pool for the calling thread.
@@ -238,13 +198,7 @@ where
     };
 
     let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let ctx = task_context();
     let runner = |i: usize| {
-        // Forward the submitter's task context to whichever worker thread
-        // picked this unit up, restoring that worker's own context after
-        // the unit finishes (or panics).
-        let _guard = ContextGuard(task_context());
-        set_task_context(ctx.clone());
         let value = f(i);
         *slots[i].lock().expect("slot poisoned") = Some(value);
     };

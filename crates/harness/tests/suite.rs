@@ -11,9 +11,9 @@ use std::sync::Mutex;
 
 use padc_harness::{run_suite, HarnessConfig, JobSpec, JobStatus};
 use padc_sim::experiments::{
-    find, reset_memory_cells, select, suite_jobs, ExpConfig, Scale, REGISTRY,
+    find, reset_memory_cells, select, single_run_stats, suite_jobs, suite_jobs_profiled, ExpConfig,
+    Scale, REGISTRY,
 };
-use padc_sim::FastForwardMode;
 
 fn quiet(workers: usize) -> HarnessConfig {
     HarnessConfig {
@@ -51,19 +51,17 @@ fn registry_enumerates_every_entry_point_exactly_once() {
 }
 
 /// Serializes the tests that run real experiments: they share the
-/// process-wide claim map, and one of them flips the process-wide
-/// fast-forward default.
+/// process-wide claim map and simulated-unit counter.
 static CLAIM_MAP: Mutex<()> = Mutex::new(());
 
 /// The determinism contract on one experiment per family (single-core
 /// grids, micro-benchmarks, multi-core aggregate, parameter sweep, shared
 /// alone-unit plan, and the three mechanism-arm families): the JSONL is
-/// byte-identical on 1 and 8 workers (inline vs pool) and with the event
-/// kernel off. Every run starts from an empty claim map and must schedule
-/// the same sub-jobs again — otherwise the later runs are served from
-/// memory and compare nothing.
+/// byte-identical on 1 and 8 workers (inline vs pool). Each run starts
+/// from an empty claim map and must schedule the same sub-jobs again —
+/// otherwise the second run is served from memory and compares nothing.
 #[test]
-fn jsonl_is_byte_identical_across_worker_counts_and_fast_forward_modes() {
+fn jsonl_is_byte_identical_across_worker_counts() {
     const IDS: [&str; 12] = [
         "fig1",
         "fig2",
@@ -79,8 +77,7 @@ fn jsonl_is_byte_identical_across_worker_counts_and_fast_forward_modes() {
         "ext-refresh",
     ];
     let _serial = CLAIM_MAP.lock().unwrap_or_else(|e| e.into_inner());
-    let run = |workers: usize, mode: FastForwardMode| {
-        padc_sim::set_fast_forward_mode_default(mode);
+    let run = |workers: usize| {
         reset_memory_cells();
         let selected = IDS
             .iter()
@@ -90,22 +87,17 @@ fn jsonl_is_byte_identical_across_worker_counts_and_fast_forward_modes() {
         let mut jsonl = Vec::new();
         let summary = run_suite(&jobs, &quiet(workers), Some(&mut jsonl), &mut Vec::new())
             .expect("suite I/O");
-        padc_sim::set_fast_forward_mode_default(FastForwardMode::default());
         (jsonl, summary.subjobs_executed)
     };
-    let (seq, seq_subjobs) = run(1, FastForwardMode::Event);
+    let (seq, seq_subjobs) = run(1);
     assert!(seq_subjobs > 0, "the reference run simulated nothing");
-    for (name, workers, mode) in [
-        ("jobs8.jsonl", 8, FastForwardMode::Event),
-        ("jobs8-ff-off.jsonl", 8, FastForwardMode::Off),
-    ] {
-        let (other, subjobs) = run(workers, mode);
-        assert_eq!(
-            subjobs, seq_subjobs,
-            "{name} did not simulate its units again"
-        );
-        common::assert_same_bytes("suite-determinism", ("jobs1.jsonl", &seq), (name, &other));
-    }
+    let (par, par_subjobs) = run(8);
+    assert_eq!(par_subjobs, seq_subjobs, "the pool run simulated less");
+    common::assert_same_bytes(
+        "suite-determinism",
+        ("jobs1.jsonl", &seq),
+        ("jobs8.jsonl", &par),
+    );
 
     let rows: Vec<_> = std::str::from_utf8(&seq)
         .expect("utf8")
@@ -153,6 +145,37 @@ fn jsonl_is_byte_identical_across_worker_counts_and_fast_forward_modes() {
             "ext-happy has no {policy} rows"
         );
     }
+}
+
+/// A profiled row counts what its experiment simulated, wherever on the
+/// pool each unit ran: fig1's and tab5's `runs` sum to exactly the
+/// single-core units the suite simulated on two workers, and a second
+/// run, which the claim map serves, simulates nothing and counts nothing.
+#[test]
+fn profiled_rows_count_exactly_the_units_simulated_on_the_pool() {
+    let _serial = CLAIM_MAP.lock().unwrap_or_else(|e| e.into_inner());
+    reset_memory_cells();
+    let runs = || -> Vec<u64> {
+        let selected = select(&["fig1", "tab5"]).expect("registered ids");
+        let jobs = suite_jobs_profiled(selected, ExpConfig::at(Scale::Smoke), None, true);
+        let mut jsonl = Vec::new();
+        run_suite(&jobs, &quiet(2), Some(&mut jsonl), &mut Vec::new()).expect("suite I/O");
+        let text = String::from_utf8(jsonl).expect("utf8");
+        text.lines()
+            .map(|line| {
+                let row = serde_json::parse(line).expect("row is valid JSON");
+                let profile = row.get("result").and_then(|r| r.get("profile"));
+                let runs = profile.and_then(|p| p.get("runs")).and_then(|v| v.as_f64());
+                runs.expect("profiled row carries runs") as u64
+            })
+            .collect()
+    };
+    let before = single_run_stats().1;
+    let first = runs();
+    let simulated = single_run_stats().1 - before;
+    assert!(simulated > 0, "the first run simulated nothing");
+    assert_eq!(first.iter().sum::<u64>(), simulated, "rows {first:?}");
+    assert_eq!(runs(), [0, 0], "the second run simulated or counted units");
 }
 
 /// Fault isolation: an injected panicking job becomes a structured failure

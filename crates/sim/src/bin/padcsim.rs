@@ -94,10 +94,6 @@ fn parse_args() -> Result<Args, String> {
     let mut set_by_config: Option<String> = None;
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
-        if let Some(mode) = FastForwardMode::from_flag(&flag, &mut it) {
-            args.fast_forward = Some(mode?);
-            continue;
-        }
         if matches!(
             flag.as_str(),
             "--cores" | "--policy" | "--instructions" | "--no-prefetch"
@@ -129,6 +125,7 @@ fn parse_args() -> Result<Args, String> {
             "--no-prefetch" => args.no_prefetch = true,
             "--json" => args.json = true,
             "--profile" => args.profile = true,
+            "--fast-forward" => args.fast_forward = Some(value("--fast-forward")?.parse()?),
             "--refresh-policy" => {
                 args.refresh_policy = Some(parse_refresh_policy(&value("--refresh-policy")?)?)
             }
@@ -185,10 +182,6 @@ fn run_serve_mode(args: &[String]) -> ! {
     let mut socket: Option<String> = None;
     let mut it = args.iter();
     while let Some(flag) = it.next() {
-        if let Some(mode) = FastForwardMode::from_flag(flag, &mut it) {
-            padc_sim::set_fast_forward_mode_default(mode.unwrap_or_else(|e| die(e)));
-            continue;
-        }
         let mut value = |name: &str| {
             it.next()
                 .cloned()
@@ -209,8 +202,7 @@ fn run_serve_mode(args: &[String]) -> ! {
             "--help" | "-h" => {
                 say(format_args!(
                     "usage: padcsim serve [--stdio | --socket PATH] [--jobs N] \
-                     [--quick|--smoke] [--store DIR] \
-                     [--fast-forward off|event]\n\
+                     [--quick|--smoke] [--store DIR]\n\
                      requests: one JSON object per line, e.g. \
                      {{\"id\":\"r1\",\"experiments\":[\"fig6\"],\"scale\":\"smoke\"}}"
                 ));
@@ -402,9 +394,6 @@ fn main() {
         ));
     }
 
-    if let Some(mode) = args.fast_forward {
-        padc_sim::set_fast_forward_mode_default(mode);
-    }
     if args.profile {
         padc_sim::profile::set_timing_enabled(true);
     }
@@ -437,6 +426,9 @@ fn main() {
             .collect();
         System::new(cfg, benches)
     };
+    if let Some(mode) = args.fast_forward {
+        sys.set_fast_forward_mode(mode);
+    }
     let report = sys.run();
     if args.profile {
         print_profile(sys.profile());

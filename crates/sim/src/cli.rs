@@ -6,7 +6,7 @@
 //!       [--quick|--smoke] [--jobs N] [--jsonl PATH] [--resume FILE]
 //!       [--summary PATH] [--store DIR] [--budget-seconds N]
 //!       [--json|--csv|--bars COL] [--no-progress] [--profile]
-//!       [--fast-forward off|event] [--list] [all|<experiment-id>...]
+//!       [--list] [all|<experiment-id>...]
 //! ```
 //!
 //! The two entry points differ in one constant, [`Stdout`]: what stdout
@@ -25,7 +25,7 @@
 //! `--jobs N` bounds total simulation threads and each distinct
 //! simulation runs once. The JSONL stream (`--jsonl PATH`, `-` for
 //! stdout) is in registry order and carries no timing data, so its bytes
-//! are identical for any `--jobs` value and either `--fast-forward` mode.
+//! are identical for any `--jobs` value.
 //! Timings go to the stderr progress lines and the `--summary` JSON — or,
 //! with `--profile`, into a per-experiment `"profile"` object in each
 //! payload (wall times make profiled artifacts non-deterministic, so the
@@ -58,7 +58,6 @@ use crate::experiments::{
     self, suite_jobs_profiled, table_stash, ExpConfig, ExpTable, Scale, REGISTRY,
 };
 use crate::resume::ResumeArtifact;
-use crate::FastForwardMode;
 
 /// What stdout carries when neither `--jsonl` nor `--resume` names a JSONL
 /// destination — the one difference between the suite entry points.
@@ -252,10 +251,6 @@ pub fn suite_main(program: &str, stdout: Stdout, args: &[String]) -> ! {
     let mut ids: Vec<&str> = Vec::new();
     let mut it = args.iter();
     while let Some(flag) = it.next() {
-        if let Some(mode) = FastForwardMode::from_flag(flag, &mut it) {
-            crate::set_fast_forward_mode_default(mode.unwrap_or_else(|e| die(e)));
-            continue;
-        }
         let mut value = || {
             it.next()
                 .cloned()
@@ -289,7 +284,7 @@ pub fn suite_main(program: &str, stdout: Stdout, args: &[String]) -> ! {
                     "usage: {program} [--quick|--smoke] [--jobs N] [--jsonl PATH] [--resume FILE]\n\
                      \x20      [--summary PATH] [--store DIR] [--budget-seconds N]\n\
                      \x20      [--json|--csv|--bars COL] [--no-progress] [--profile]\n\
-                     \x20      [--fast-forward off|event] [--list] [all|<experiment-id>...]\n\
+                     \x20      [--list] [all|<experiment-id>...]\n\
                      known ids:"
                 ));
                 print_registry();
@@ -411,13 +406,14 @@ pub fn suite_main(program: &str, stdout: Stdout, args: &[String]) -> ! {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use padc_harness::JobOutcome;
+    use padc_harness::CompletedJob;
 
     #[test]
     fn summary_json_keys_order_and_rounding() {
-        let outcome = |id: &str, status, error: Option<&str>, seconds| JobOutcome {
+        let outcome = |id: &str, status, error: Option<&str>, seconds| CompletedJob {
             id: id.to_string(),
             status,
+            row: String::new(),
             error: error.map(str::to_string),
             seconds,
         };

@@ -5,6 +5,7 @@ use padc_core::SchedulingPolicy;
 use padc_workloads::{BenchProfile, Workload};
 use serde::{Deserialize, Serialize};
 
+use crate::profile::{ProfileTotal, SimProfile};
 use crate::{Report, SimConfig, System};
 
 /// Preset experiment scales, from paper-scale runs down to test smoke.
@@ -326,10 +327,12 @@ impl SimUnit {
         &self.config
     }
 
-    /// Runs the simulation this unit names. Deterministic: depends only on
-    /// the unit's config and benchmarks.
-    pub fn execute(&self) -> Report {
-        System::new(self.config.clone(), self.benchmarks.clone()).run()
+    /// Runs the simulation this unit names, returning its report and the
+    /// run's hot-path profile. The report is deterministic: it depends only
+    /// on the unit's config and benchmarks.
+    pub fn execute(&self) -> (Report, SimProfile) {
+        let mut sys = System::new(self.config.clone(), self.benchmarks.clone());
+        (sys.run(), *sys.profile())
     }
 
     /// The unit's content-address document: the simulator fingerprint plus
@@ -364,7 +367,8 @@ pub struct UnitResult {
     pub report: Report,
 }
 
-/// Executes every planned unit, returning results in plan order.
+/// Executes every planned unit, returning results in plan order and the
+/// summed profile of the units this call simulated.
 ///
 /// Every unit resolves through the digest-keyed claim map of the
 /// `unit_cache` module — memory, then the installed store (if any), then
@@ -372,16 +376,17 @@ pub struct UnitResult {
 /// the shared `padc-harness` pool (inline when no pool is installed). A
 /// unit already settled or in flight anywhere in the process is never
 /// simulated twice, and a fully warm run executes zero simulations.
-pub fn execute_units(units: &[SimUnit]) -> Vec<UnitResult> {
-    let reports = super::unit_cache::execute_cached(units);
-    units
+pub fn execute_units(units: &[SimUnit]) -> (Vec<UnitResult>, ProfileTotal) {
+    let (reports, profile) = super::unit_cache::execute_cached(units);
+    let results = units
         .iter()
         .zip(reports)
         .map(|(u, report)| UnitResult {
             key: u.key.clone(),
             report,
         })
-        .collect()
+        .collect();
+    (results, profile)
 }
 
 /// Key-indexed view over a slice of unit results, for `reduce` phases.
@@ -526,5 +531,46 @@ mod tests {
         let units = plan_alone_units(&workloads, &exp);
         let names: Vec<_> = units.iter().map(|u| u.key.benchmarks[0].clone()).collect();
         assert_eq!(names, vec!["milc_06", "swim_00", "lbm_06"]);
+    }
+
+    /// A unit's digest leaves the stepping mode out because the mode is
+    /// invisible in results: every distinct unit that one experiment per
+    /// family plans at smoke scale reports the same bytes stepped cycle by
+    /// cycle as [`SimUnit::execute`] does.
+    #[test]
+    fn every_planned_unit_reports_the_same_bytes_cycle_by_cycle() {
+        const IDS: [&str; 12] = [
+            "fig1",
+            "fig2",
+            "tab5",
+            "tab6",
+            "tab7",
+            "cost",
+            "fig9",
+            "fig23",
+            "fig28",
+            "ext-dspatch",
+            "ext-happy",
+            "ext-refresh",
+        ];
+        let exp = ExpConfig::at(Scale::Smoke);
+        let mut seen = HashSet::new();
+        for id in IDS {
+            for unit in crate::experiments::find(id).expect("registered").plan(&exp) {
+                if !seen.insert(unit.store_meta()) {
+                    continue;
+                }
+                let mut off = System::new(unit.config.clone(), unit.benchmarks.clone());
+                off.set_fast_forward_mode(crate::FastForwardMode::Off);
+                let json = |r: &Report| serde_json::to_string(r).expect("report serializes");
+                assert_eq!(
+                    json(&off.run()),
+                    json(&unit.execute().0),
+                    "{id}: {:?}",
+                    unit.key
+                );
+            }
+        }
+        assert!(!seen.is_empty(), "the experiments planned no units");
     }
 }

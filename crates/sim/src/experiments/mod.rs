@@ -10,7 +10,7 @@
 //! arms with a table builder. fig2, fig4, cost and tab6 simulate nothing
 //! through the unit layer and are plain functions.
 //!
-//! Every row executes one way ([`Experiment::tables`]): `plan` enumerates
+//! Every row executes one way ([`Experiment::run`]): `plan` enumerates
 //! independent, deterministically-keyed [`SimUnit`]s; [`execute_units`]
 //! resolves each through the digest-keyed unit cache (memory, then the
 //! installed store if any) and fans only the misses out onto the shared

@@ -28,7 +28,7 @@ use super::spec::{
     Arm, Col, Column, Compare, Delta, Group, Layout, Mixes, Table, APS_APD, APS_ONLY, DEMAND_FIRST,
     EQUAL, NO_PREF, PADC, STANDARD, SYSTEM,
 };
-use crate::profile::ProfileAccum;
+use crate::profile::ProfileTotal;
 
 /// Every reproducible artifact: id, paper reference, and what it runs.
 #[derive(Debug)]
@@ -72,11 +72,13 @@ impl Experiment {
         }
     }
 
-    /// Runs the experiment: plan → [`execute_units`] → reduce. The reduce
-    /// runs after the experiment's own unit barrier, so table bytes never
-    /// depend on scheduling.
-    pub fn tables(&self, cfg: &ExpConfig) -> Vec<ExpTable> {
-        self.reduce(cfg, &execute_units(&self.plan(cfg)))
+    /// Runs the experiment: plan → [`execute_units`] → reduce, returning
+    /// its tables and the summed profile of the units it simulated. The
+    /// reduce runs after the experiment's own unit barrier, so table bytes
+    /// never depend on scheduling.
+    pub fn run(&self, cfg: &ExpConfig) -> (Vec<ExpTable>, ProfileTotal) {
+        let (results, profile) = execute_units(&self.plan(cfg));
+        (self.reduce(cfg, &results), profile)
     }
 }
 
@@ -712,14 +714,12 @@ pub fn suite_jobs(
 
 /// [`suite_jobs`] with profiling toggled (`--profile` on both CLIs).
 ///
-/// When `profile` is set, every job installs a fresh
-/// [`ProfileAccum`] as the harness task
-/// context for the duration of its experiment, so each `System::run` the
-/// experiment performs — including runs fanned out over `subjob_map` —
-/// folds its counters into that experiment's accumulator (a unit another
-/// experiment already computed runs nothing and adds nothing). Profiled
-/// payloads are **not** byte-stable across runs (wall-clock fields), which
-/// is why the determinism tests exercise the unprofiled path.
+/// When `profile` is set, each payload carries the [`ProfileTotal`] its
+/// experiment returns: the summed counters of every unit the experiment
+/// simulated, wherever on the pool it ran (a unit another experiment
+/// already computed runs nothing and adds nothing). Profiled payloads are
+/// **not** byte-stable across runs (wall-clock fields), which is why the
+/// determinism tests exercise the unprofiled path.
 pub fn suite_jobs_profiled(
     experiments: Vec<&'static Experiment>,
     cfg: ExpConfig,
@@ -731,14 +731,8 @@ pub fn suite_jobs_profiled(
         .map(|e| {
             let stash = stash.clone();
             JobSpec::new(e.id, e.paper_ref, move || {
-                let (tables, prof) = if profile {
-                    let acc = Arc::new(ProfileAccum::default());
-                    let tables = padc_harness::with_task_context(acc.clone(), || e.tables(&cfg));
-                    (tables, Some(acc.to_json()))
-                } else {
-                    (e.tables(&cfg), None)
-                };
-                let payload = payload_json(e.paper_ref, &tables, prof.as_deref());
+                let (tables, total) = e.run(&cfg);
+                let payload = payload_json(e.paper_ref, &tables, profile.then_some(&total));
                 if let Some(s) = &stash {
                     s.lock()
                         .expect("stash lock")
@@ -753,9 +747,12 @@ pub fn suite_jobs_profiled(
 /// Renders one job payload: paper reference plus the experiment's tables,
 /// plus the optional profile object (appended last so payload prefixes
 /// stay stable).
-fn payload_json(paper_ref: &str, tables: &[ExpTable], profile: Option<&str>) -> String {
+fn payload_json(paper_ref: &str, tables: &[ExpTable], profile: Option<&ProfileTotal>) -> String {
     let profile = match profile {
-        Some(p) => format!(",\"profile\":{p}"),
+        Some(p) => format!(
+            ",\"profile\":{}",
+            serde_json::to_string(p).expect("profile serializes")
+        ),
         None => String::new(),
     };
     format!(
@@ -776,7 +773,7 @@ mod tests {
     }
 
     fn tables(id: &str) -> Vec<ExpTable> {
-        find(id).expect("registered").tables(&smoke())
+        find(id).expect("registered").run(&smoke()).0
     }
 
     /// The config `id` plans for `arm` in `group`.

@@ -509,7 +509,7 @@ mod tests {
             }
             reference.push(label, row);
         }
-        let planned = find("fig16").expect("registered").tables(&exp).remove(0);
+        let planned = find("fig16").expect("registered").run(&exp).0.remove(0);
         assert_eq!(
             serde_json::to_string(&planned).unwrap(),
             serde_json::to_string(&reference).unwrap(),

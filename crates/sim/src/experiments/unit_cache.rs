@@ -41,6 +41,7 @@ use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use padc_store::{digest_hex, Store};
 
 use super::infra::SimUnit;
+use crate::profile::{ProfileTotal, SimProfile};
 use crate::Report;
 
 /// Bumped whenever a change alters simulation results without changing
@@ -195,13 +196,14 @@ impl Drop for Claim {
 }
 
 /// Computes a claimed unit, writes the result through to the store, and
-/// settles the claim. A panic propagates — surfacing through the owning
-/// job's `catch_unwind` as usual — and the claim rolls back when dropped.
-fn compute_owned(unit: &SimUnit, claim: &Claim) -> Report {
+/// settles the claim; returns the report with the run's profile. A panic
+/// propagates — surfacing through the owning job's `catch_unwind` as
+/// usual — and the claim rolls back when dropped.
+fn compute_owned(unit: &SimUnit, claim: &Claim) -> (Report, SimProfile) {
     if unit.is_single_core() {
         SINGLE_RUNS_COMPUTED.fetch_add(1, Ordering::Relaxed);
     }
-    let report = unit.execute();
+    let (report, profile) = unit.execute();
     if let Some(store) = installed_store() {
         if let Ok(json) = serde_json::to_string(&report) {
             // Best-effort: a full disk or unwritable store degrades to
@@ -212,7 +214,7 @@ fn compute_owned(unit: &SimUnit, claim: &Claim) -> Report {
     let mut st = claim.cell.state.lock().expect("cell poisoned");
     *st = CellState::Done(Box::new(report.clone()));
     claim.cell.settled.notify_all();
-    report
+    (report, profile)
 }
 
 /// Claims `digest`'s cell for this thread, resolving it from the store if
@@ -256,9 +258,12 @@ enum Resolution {
 
 /// Resolves every unit (memory, then store), fans out only the misses,
 /// parks on other threads' in-flight computes. Returns reports in plan
-/// order.
-pub(crate) fn execute_cached(units: &[SimUnit]) -> Vec<Report> {
+/// order, and the summed profile of the units this call simulated — its
+/// claims and the claims it adopted from a panicked owner; a coalesced,
+/// parked or store-hit unit simulates nothing and adds nothing.
+pub(crate) fn execute_cached(units: &[SimUnit]) -> (Vec<Report>, ProfileTotal) {
     let mut out: Vec<Option<Report>> = (0..units.len()).map(|_| None).collect();
+    let mut total = ProfileTotal::default();
     let mut computes: Vec<(usize, Claim)> = Vec::new();
     let mut parked: Vec<(usize, Arc<Cell>)> = Vec::new();
 
@@ -277,12 +282,13 @@ pub(crate) fn execute_cached(units: &[SimUnit]) -> Vec<Report> {
     }
 
     // Only the misses are scheduled: a fully warm run fans out nothing.
-    let computed: Vec<Report> = padc_harness::subjob_map(computes.len(), |j| {
+    let computed = padc_harness::subjob_map(computes.len(), |j| {
         let (i, claim) = &computes[j];
         compute_owned(&units[*i], claim)
     });
-    for ((i, _), report) in computes.iter().zip(computed) {
+    for ((i, _), (report, profile)) in computes.iter().zip(computed) {
         out[*i] = Some(report);
+        total.add(&profile);
     }
 
     // Park on other owners' cells. If an owner panicked (cell rolled back
@@ -308,16 +314,17 @@ pub(crate) fn execute_cached(units: &[SimUnit]) -> Vec<Report> {
                         digest,
                         meta,
                     };
-                    out[i] = Some(compute_owned(&units[i], &claim));
+                    let (report, profile) = compute_owned(&units[i], &claim);
+                    out[i] = Some(report);
+                    total.add(&profile);
                     break;
                 }
             }
         }
     }
 
-    out.into_iter()
-        .map(|r| r.expect("every unit resolved"))
-        .collect()
+    let reports = out.into_iter().map(|r| r.expect("every unit resolved"));
+    (reports.collect(), total)
 }
 
 #[cfg(test)]

@@ -42,6 +42,4 @@ mod system;
 
 pub use config::{MemPolicyConfig, SimConfig};
 pub use metrics::{CoreReport, Report, Traffic};
-pub use system::{
-    fast_forward_mode_default, set_fast_forward_mode_default, FastForwardMode, System,
-};
+pub use system::{FastForwardMode, System};

@@ -7,11 +7,10 @@
 //! they are gated behind a process-wide flag set by `--profile` on the
 //! `padcsim` and `repro` binaries.
 //!
-//! For suite runs, an experiment installs a shared [`ProfileAccum`] as the
-//! harness task context ([`padc_harness::with_task_context`]); every
-//! `System::run` that executes on behalf of that experiment — including
-//! runs fanned out to other worker threads via `subjob_map` — folds its
-//! profile into the accumulator, which the suite then renders as a
+//! For suite runs, every simulated unit returns its profile with its
+//! report, and the unit layer sums the profiles of the units a batch
+//! actually simulated into a [`ProfileTotal`] — a plain value the
+//! experiment returns beside its tables and the suite renders as a
 //! `profile` object in the experiment's JSONL row.
 //!
 //! Note that wall-times are inherently nondeterministic and fast-forward
@@ -21,7 +20,6 @@
 
 use serde::{Number, Serialize, Value};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, PoisonError};
 
 /// Process-wide switch for the wall-time phase timers.
 static TIMING: AtomicBool = AtomicBool::new(false);
@@ -75,7 +73,7 @@ pub struct SimProfile {
     /// Lag-window resyncs: deferred stall replays applied when a lagging
     /// core was woken by a completion, became due, or was flushed at run
     /// exit.
-    pub horizon_resyncs: u64,
+    pub lag_resyncs: u64,
     /// Controller ticks actually executed (every cycle in `off` mode;
     /// only *proven-event* cycles under `event`).
     pub ctrl_cycles_stepped: u64,
@@ -139,7 +137,7 @@ fn pct(ratio: f64) -> f64 {
 /// declaration order, plus the derived `core_skip_pct` / `ctrl_skip_pct`
 /// percentages). This single serde surface is shared by the `padcsim`
 /// `--profile` stderr line and the suite JSONL rows `repro` / `padcsim
-/// --suite` / `padcsim serve` emit (via [`ProfileAccum::to_json`]).
+/// --suite` / `padcsim serve` emit (via [`ProfileTotal`]).
 impl Serialize for SimProfile {
     fn to_value(&self) -> Value {
         let mut fields: Vec<(String, Value)> = Vec::new();
@@ -149,7 +147,7 @@ impl Serialize for SimProfile {
         push("ff_cycles_skipped", self.ff_cycles_skipped);
         push("core_cycles_ticked", self.core_cycles_ticked);
         push("core_cycles_skipped", self.core_cycles_skipped);
-        push("horizon_resyncs", self.horizon_resyncs);
+        push("lag_resyncs", self.lag_resyncs);
         push("ctrl_cycles_stepped", self.ctrl_cycles_stepped);
         push("ctrl_cycles_skipped", self.ctrl_cycles_skipped);
         push("ctrl_events_fired", self.ctrl_events_fired);
@@ -178,14 +176,14 @@ impl Serialize for SimProfile {
 
 impl SimProfile {
     /// Adds every counter of `p` into `self`: the one place profiles are
-    /// summed (per-experiment totals in [`ProfileAccum`]).
+    /// summed (per-experiment totals in [`ProfileTotal`]).
     pub fn add(&mut self, p: &SimProfile) {
         self.cycles_stepped += p.cycles_stepped;
         self.ff_jumps += p.ff_jumps;
         self.ff_cycles_skipped += p.ff_cycles_skipped;
         self.core_cycles_ticked += p.core_cycles_ticked;
         self.core_cycles_skipped += p.core_cycles_skipped;
-        self.horizon_resyncs += p.horizon_resyncs;
+        self.lag_resyncs += p.lag_resyncs;
         self.ctrl_cycles_stepped += p.ctrl_cycles_stepped;
         self.ctrl_cycles_skipped += p.ctrl_cycles_skipped;
         self.ctrl_events_fired += p.ctrl_events_fired;
@@ -228,54 +226,35 @@ impl SimProfile {
     }
 }
 
-/// Thread-safe accumulator folding the [`SimProfile`]s of every simulation
-/// run an experiment performs, with the number of runs folded. Installed as
-/// the harness task context so fanned-out sub-jobs on other worker threads
-/// report into the same object.
-#[derive(Debug, Default)]
-pub struct ProfileAccum(Mutex<(u64, SimProfile)>);
+/// The [`SimProfile`]s of a set of simulation runs, summed, with the number
+/// of runs summed: what the unit layer returns for the units it simulated,
+/// and so what an experiment returns beside its tables.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ProfileTotal {
+    /// Simulation runs summed.
+    pub runs: u64,
+    /// Their counters, summed.
+    pub sum: SimProfile,
+}
 
-impl ProfileAccum {
-    fn lock(&self) -> std::sync::MutexGuard<'_, (u64, SimProfile)> {
-        self.0.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Folds one run's profile into the accumulator.
-    pub fn add(&self, p: &SimProfile) {
-        let mut acc = self.lock();
-        acc.0 += 1;
-        acc.1.add(p);
-    }
-
-    /// Number of simulation runs folded in so far.
-    pub fn runs(&self) -> u64 {
-        self.lock().0
-    }
-
-    /// Renders the accumulated profile as a JSON object (embedded in the
-    /// suite's JSONL rows under `"profile"`): a leading `runs` count
-    /// followed by the serde-serialized [`SimProfile`] fields, so every
-    /// consumer reads the same object shape `padcsim --profile` prints.
-    pub fn to_json(&self) -> String {
-        let (runs, profile) = *self.lock();
-        let mut fields = vec![("runs".to_string(), Value::Num(Number::U(runs)))];
-        if let Value::Object(rest) = profile.to_value() {
-            fields.extend(rest);
-        }
-        let mut out = String::new();
-        serde_json::write_value(&mut out, &Value::Object(fields), None, 0);
-        out
+impl ProfileTotal {
+    /// Adds one run's profile.
+    pub fn add(&mut self, p: &SimProfile) {
+        self.runs += 1;
+        self.sum.add(p);
     }
 }
 
-/// Folds a finished run's profile into the ambient harness task context,
-/// when that context is a [`ProfileAccum`]. No-op outside profiled suite
-/// runs.
-pub fn note_run(p: &SimProfile) {
-    if let Some(ctx) = padc_harness::task_context() {
-        if let Ok(acc) = ctx.downcast::<ProfileAccum>() {
-            acc.add(p);
+/// The suite JSONL rows' `"profile"` object: a leading `runs` count
+/// followed by the serde-serialized [`SimProfile`] fields, so every
+/// consumer reads the same object shape `padcsim --profile` prints.
+impl Serialize for ProfileTotal {
+    fn to_value(&self) -> Value {
+        let mut fields = vec![("runs".to_string(), Value::Num(Number::U(self.runs)))];
+        if let Value::Object(rest) = self.sum.to_value() {
+            fields.extend(rest);
         }
+        Value::Object(fields)
     }
 }
 
@@ -284,15 +263,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn accum_folds_and_renders() {
-        let acc = ProfileAccum::default();
-        acc.add(&SimProfile {
+    fn total_sums_and_renders() {
+        let mut total = ProfileTotal::default();
+        total.add(&SimProfile {
             cycles_stepped: 10,
             ff_jumps: 2,
             ff_cycles_skipped: 90,
             core_cycles_ticked: 10,
             core_cycles_skipped: 90,
-            horizon_resyncs: 0,
+            lag_resyncs: 0,
             ctrl_cycles_stepped: 10,
             ctrl_cycles_skipped: 90,
             ctrl_events_fired: 0,
@@ -308,13 +287,13 @@ mod tests {
             cores_ns: 0,
             wall_ns: 5,
         });
-        acc.add(&SimProfile {
+        total.add(&SimProfile {
             cycles_stepped: 5,
             ff_jumps: 1,
             ff_cycles_skipped: 10,
             core_cycles_ticked: 8,
             core_cycles_skipped: 22,
-            horizon_resyncs: 7,
+            lag_resyncs: 7,
             ctrl_cycles_stepped: 2,
             ctrl_cycles_skipped: 13,
             ctrl_events_fired: 2,
@@ -330,12 +309,12 @@ mod tests {
             cores_ns: 4,
             wall_ns: 5,
         });
-        assert_eq!(acc.runs(), 2);
+        assert_eq!(total.runs, 2);
         assert_eq!(
-            acc.to_json(),
+            serde_json::to_string(&total).unwrap(),
             "{\"runs\":2,\"cycles_stepped\":15,\"ff_jumps\":3,\
              \"ff_cycles_skipped\":100,\"core_cycles_ticked\":18,\
-             \"core_cycles_skipped\":112,\"horizon_resyncs\":7,\
+             \"core_cycles_skipped\":112,\"lag_resyncs\":7,\
              \"ctrl_cycles_stepped\":12,\"ctrl_cycles_skipped\":103,\
              \"ctrl_events_fired\":2,\
              \"owner_recomputes\":5,\"owner_invalidations\":8,\
@@ -387,10 +366,5 @@ mod tests {
             ..SimProfile::default()
         };
         assert!((p.ctrl_skip_ratio() - 0.90).abs() < 1e-12);
-    }
-
-    #[test]
-    fn note_run_without_context_is_a_no_op() {
-        note_run(&SimProfile::default());
     }
 }

@@ -14,8 +14,8 @@ use crate::{CoreReport, Report, SimConfig, Traffic};
 
 mod kernel;
 
+pub use kernel::FastForwardMode;
 use kernel::Kernel;
-pub use kernel::{fast_forward_mode_default, set_fast_forward_mode_default, FastForwardMode};
 
 /// Per-core accounting kept by the memory subsystem.
 #[derive(Clone, Copy, Debug, Default)]
@@ -527,7 +527,7 @@ impl System {
             core_snapshots: vec![None; cfg.cores],
             mem_snapshots: vec![None; cfg.cores],
             cfg,
-            ff_mode: fast_forward_mode_default(),
+            ff_mode: FastForwardMode::default(),
             profile: SimProfile::default(),
         };
         if sys.cfg.fdp {
@@ -616,8 +616,8 @@ impl System {
         self.unfinished == 0
     }
 
-    /// Sets this system's fast-forward mode (defaults to
-    /// [`fast_forward_mode_default`] at construction).
+    /// Sets this system's fast-forward mode (a new system starts in
+    /// [`FastForwardMode::default`]).
     pub fn set_fast_forward_mode(&mut self, mode: FastForwardMode) {
         self.ff_mode = mode;
     }
@@ -663,7 +663,6 @@ impl System {
         let rc = self.mem.controller.refresh_counters();
         self.profile.refresh_pulls = rc.pulls;
         self.profile.refresh_stall_cycles = rc.stall_cycles;
-        profile::note_run(&self.profile);
         self.report()
     }
 

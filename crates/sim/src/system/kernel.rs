@@ -64,8 +64,6 @@
 //!   agrees. Lag windows span the jump and are replayed at their next
 //!   resync (or at run exit), which counts each skipped core-cycle once.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-
 use padc_cpu::{Core, IdleState};
 use padc_types::Cycle;
 
@@ -85,34 +83,6 @@ pub enum FastForwardMode {
     Event,
 }
 
-impl FastForwardMode {
-    /// Recognises the `--fast-forward MODE` / `--fast-forward=MODE` CLI
-    /// flag. Returns `None` when `flag` has nothing to do with
-    /// fast-forwarding (the caller keeps matching); otherwise the parsed
-    /// mode — taking the value from `rest` for the two-argument form — or
-    /// a message naming the valid modes. Any other flag mentioning
-    /// `fast-forward` is an error rather than `None`, so retired
-    /// spellings cannot be mistaken for something else.
-    pub fn from_flag<S: AsRef<str>>(
-        flag: &str,
-        rest: &mut impl Iterator<Item = S>,
-    ) -> Option<Result<Self, String>> {
-        if !flag.contains("fast-forward") {
-            return None;
-        }
-        Some(match flag.strip_prefix("--fast-forward") {
-            Some("") => match rest.next() {
-                Some(v) => v.as_ref().parse(),
-                None => Err("--fast-forward expects a value (off|event)".to_string()),
-            },
-            Some(v) if v.starts_with('=') => v[1..].parse(),
-            _ => Err(format!(
-                "unknown flag {flag:?} (fast-forwarding is selected with --fast-forward off|event)"
-            )),
-        })
-    }
-}
-
 impl std::str::FromStr for FastForwardMode {
     type Err = String;
 
@@ -125,27 +95,6 @@ impl std::str::FromStr for FastForwardMode {
                 "unknown fast-forward mode '{other}' (expected off|event)"
             )),
         }
-    }
-}
-
-/// Process-wide override: new [`System`]s run cycle-exactly.
-static DEFAULT_OFF: AtomicBool = AtomicBool::new(false);
-
-/// Overrides the process-wide fast-forward mode used by newly built
-/// [`System`]s (the `--fast-forward` CLI flag). Existing systems keep
-/// their setting; use [`System::set_fast_forward_mode`] to change one
-/// directly.
-pub fn set_fast_forward_mode_default(mode: FastForwardMode) {
-    DEFAULT_OFF.store(mode == FastForwardMode::Off, Ordering::Relaxed);
-}
-
-/// The fast-forward mode for new [`System`]s: the last
-/// [`set_fast_forward_mode_default`] value, else `Event`.
-pub fn fast_forward_mode_default() -> FastForwardMode {
-    if DEFAULT_OFF.load(Ordering::Relaxed) {
-        FastForwardMode::Off
-    } else {
-        FastForwardMode::Event
     }
 }
 
@@ -216,7 +165,7 @@ impl Kernel {
             .expect("E5 violated: lagging core carries no idle classification");
         core.skip_idle_cycles(idle, to - from);
         profile.core_cycles_skipped += to - from;
-        profile.horizon_resyncs += 1;
+        profile.lag_resyncs += 1;
         self.behind[c] = to;
     }
 

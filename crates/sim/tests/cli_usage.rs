@@ -79,6 +79,15 @@ fn unrunnable_input_exits_2_with_one_line() {
     // The retired execution-mode selector is an unknown flag like any other.
     let exec = rejected(&["--suite", "--smoke", "--exec", "planned", "fig2"]);
     assert!(exec.contains("--exec"), "{exec}");
+    // The stepping mode is a single run's: the suite and the server have
+    // no `--fast-forward`.
+    for args in [
+        &["--suite", "--smoke", "--fast-forward", "off", "fig2"][..],
+        &["serve", "--fast-forward", "off"],
+    ] {
+        let ff = rejected(args);
+        assert!(ff.contains("--fast-forward"), "{ff}");
+    }
 
     let no_cores = rejected(&["--cores", "0", "--print-config"]);
     assert!(

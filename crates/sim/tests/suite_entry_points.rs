@@ -61,8 +61,6 @@ fn both_entry_points_take_every_suite_flag_and_write_the_same_bytes() {
                 "--no-progress",
                 "--budget-seconds",
                 "600",
-                "--fast-forward",
-                "off",
                 "--store",
                 &store,
                 "--jsonl",

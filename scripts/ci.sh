@@ -3,7 +3,8 @@
 # release build, docs, every workspace crate's unit, integration and doc
 # tests (--workspace: without it cargo selects the root package alone; the
 # EXPERIMENTS.md drift check, crates/sim/tests/experiments_md.rs, is one of
-# them), the controller and DRAM crates' tests again in release, and the
+# them), the controller and DRAM crates' tests and the fast-forward
+# equivalence tests again in release, and the
 # out-of-workspace benchmark package's tests. No step needs Python. Everything
 # runs offline (external deps are vendored; see vendor/README.md). Each step
 # prints its elapsed seconds; on exit a pass/FAIL/skip table with the same
@@ -72,6 +73,10 @@ step "cargo test --doc --workspace" cargo test --doc -q --workspace
 # maxima are exactly the arithmetic a debug-only run cannot vouch for.
 step "cargo test --release -p padc-core -p padc-dram" \
     cargo test -q --release -p padc-core -p padc-dram
+# The event kernel's E3/E4 `debug_assert!`s compile out in release too, so
+# its `Off` == `Event` equivalence is re-checked in the build that runs it.
+step "cargo test --release -p padc-sim --test fastforward" \
+    cargo test -q --release -p padc-sim --test fastforward
 # The benchmark package is outside the workspace and path-depends on it:
 # a public-API deletion that breaks it must fail here, not in the driver.
 step "benchmark package tests" \
