@@ -1,5 +1,3 @@
-use std::collections::VecDeque;
-
 use padc_types::{AccessKind, Addr, CoreId, Cycle};
 use serde::{Deserialize, Serialize};
 
@@ -110,12 +108,11 @@ impl CoreStats {
     }
 }
 
-#[derive(Clone, Copy, Debug)]
-struct Slot {
-    is_load: bool,
-    done_at: Option<Cycle>,
-    token: u64,
-}
+/// A window word's load bit; the low 63 bits hold the slot's `done_at`.
+const LOAD: u64 = 1 << 63;
+/// The word of a load still waiting on memory: its `done_at` field is the
+/// largest one, above every cycle a run reaches.
+const PENDING_LOAD: u64 = u64::MAX;
 
 struct RunaheadState {
     trace: Box<dyn TraceSource>,
@@ -148,8 +145,14 @@ pub struct IdleState {
 pub struct Core {
     id: CoreId,
     cfg: CoreConfig,
-    window: VecDeque<Slot>,
-    next_token: u64,
+    /// The instruction window: a power-of-two ring of one word per slot
+    /// (see [`LOAD`]), addressed by dispatch sequence number `seq & mask`.
+    /// The live slots are the sequence numbers `[head, tail)`; a pending
+    /// load's wake-up token is its own sequence number.
+    window: Box<[u64]>,
+    mask: u64,
+    head: u64,
+    tail: u64,
     /// An op that got [`AccessResponse::Retry`] (or is a dependent load
     /// waiting for MLP to drain) and must re-issue.
     stalled_op: Option<TraceOp>,
@@ -162,11 +165,14 @@ pub struct Core {
 impl Core {
     /// Creates an idle core.
     pub fn new(id: CoreId, cfg: CoreConfig) -> Self {
+        let capacity = cfg.window_entries.next_power_of_two();
         Core {
             id,
             cfg,
-            window: VecDeque::with_capacity(cfg.window_entries),
-            next_token: 0,
+            window: vec![0; capacity].into_boxed_slice(),
+            mask: capacity as u64 - 1,
+            head: 0,
+            tail: 0,
             stalled_op: None,
             pending_loads: 0,
             runahead: None,
@@ -192,15 +198,33 @@ impl Core {
     /// Wakes the pending load identified by `token`: its data is usable
     /// from cycle `now`.
     pub fn complete(&mut self, token: u64, now: Cycle) {
-        for slot in &mut self.window {
-            if slot.token == token && slot.done_at.is_none() {
-                slot.done_at = Some(now);
-                self.pending_loads = self.pending_loads.saturating_sub(1);
-                return;
+        // A token outside the live window (retired, never issued, or
+        // runahead's `u64::MAX`) or naming a slot that is no longer pending
+        // (a duplicate wake-up) is ignored.
+        if (self.head..self.tail).contains(&token) {
+            let word = &mut self.window[(token & self.mask) as usize];
+            if *word == PENDING_LOAD {
+                debug_assert!(now < LOAD, "cycle {now} collides with the load bit");
+                *word = LOAD | now;
+                self.pending_loads -= 1;
             }
         }
-        // Token not found: the load may already have been satisfied (e.g. a
-        // duplicate wake-up); ignore.
+    }
+
+    /// The window head's word, `None` when the window is empty.
+    fn head_word(&self) -> Option<u64> {
+        (self.head != self.tail).then(|| self.window[(self.head & self.mask) as usize])
+    }
+
+    /// True when the window head is a load waiting on memory.
+    fn head_blocked(&self) -> bool {
+        self.head_word() == Some(PENDING_LOAD)
+    }
+
+    /// Appends a slot holding `word` at sequence number `tail`.
+    fn push(&mut self, word: u64) {
+        self.window[(self.tail & self.mask) as usize] = word;
+        self.tail += 1;
     }
 
     /// Classifies what [`Core::tick`]`(now, ..)` would do *without running
@@ -215,16 +239,14 @@ impl Core {
     /// results.
     pub fn idle_state(&self, now: Cycle) -> Option<IdleState> {
         // An empty window means dispatch would fetch from the trace.
-        let head = self.window.front()?;
-        let (window_stall, head_blocked, wake_at) = match head.done_at {
+        let head = self.head_word()?;
+        let done_at = head & !LOAD;
+        if done_at <= now {
             // Head retires this tick.
-            Some(d) if d <= now => return None,
-            Some(d) => (false, false, Some(d)),
-            None if head.is_load => (true, true, None),
-            // A non-load slot always carries a completion time; treat the
-            // impossible case as busy rather than risk a wrong skip.
-            None => return None,
-        };
+            return None;
+        }
+        let head_blocked = head == PENDING_LOAD;
+        let wake_at = (!head_blocked).then_some(done_at);
         // A lingering runahead state is cleared by the next tick once the
         // head is no longer blocked: a state change, not an idle cycle.
         if !head_blocked && self.runahead.is_some() {
@@ -254,7 +276,7 @@ impl Core {
         };
         Some(IdleState {
             wake_at,
-            window_stall,
+            window_stall: head_blocked,
             dispatch_window_full,
             dispatch_dep,
         })
@@ -306,41 +328,32 @@ impl Core {
         self.dispatch(now, trace, mem);
     }
 
+    /// Retires up to `width` completed slots from the head in one pass over
+    /// their words. A load still waiting on memory at the head counts one
+    /// window-stall cycle, also after a partial retire.
     fn retire(&mut self, now: Cycle) {
-        let mut retired = 0;
-        while retired < self.cfg.width {
-            match self.window.front() {
-                Some(slot) if slot.done_at.is_some_and(|t| t <= now) => {
-                    let slot = self.window.pop_front().expect("front exists");
-                    self.stats.retired_instructions += 1;
-                    if slot.is_load {
-                        self.stats.retired_loads += 1;
-                    }
-                    retired += 1;
-                }
-                Some(slot) if slot.is_load && slot.done_at.is_none() => {
-                    // Head blocked on memory.
-                    self.stats.window_stall_cycles += 1;
-                    // Head load completed: leave runahead mode.
-                    break;
-                }
-                _ => break,
+        let run = (self.tail - self.head).min(self.cfg.width as u64);
+        let (mut retired, mut loads) = (0, 0);
+        while retired < run {
+            let word = self.window[((self.head + retired) & self.mask) as usize];
+            if word & !LOAD > now {
+                self.stats.window_stall_cycles += u64::from(word == PENDING_LOAD);
+                break;
             }
+            loads += word >> 63;
+            retired += 1;
         }
+        self.head += retired;
+        self.stats.retired_instructions += retired;
+        self.stats.retired_loads += loads;
         // Exiting runahead: the head is no longer a pending load.
-        if self.runahead.is_some() {
-            let head_blocked = self
-                .window
-                .front()
-                .is_some_and(|s| s.is_load && s.done_at.is_none());
-            if !head_blocked {
-                self.runahead = None;
-            }
+        if self.runahead.is_some() && !self.head_blocked() {
+            self.runahead = None;
         }
     }
 
     fn window_full(&self) -> bool {
-        self.window.len() >= self.cfg.window_entries
+        self.tail - self.head >= self.cfg.window_entries as u64
     }
 
     /// Runahead execution: when stalled with a full window behind a pending
@@ -351,10 +364,7 @@ impl Core {
         T: TraceSource + ?Sized,
         M: MemorySystem + ?Sized,
     {
-        let head_blocked = self
-            .window
-            .front()
-            .is_some_and(|s| s.is_load && s.done_at.is_none());
+        let head_blocked = self.head_blocked();
         // The core is fully stalled when the window is full behind the
         // pending head, or when dispatch is blocked by a dependent load
         // waiting on that same outstanding miss traffic.
@@ -415,13 +425,7 @@ impl Core {
             };
             dispatched += 1;
             match op {
-                TraceOp::Compute => {
-                    self.window.push_back(Slot {
-                        is_load: false,
-                        done_at: Some(now + 1),
-                        token: u64::MAX,
-                    });
-                }
+                TraceOp::Compute => self.push(now + 1),
                 TraceOp::Load { addr, pc, dep } => {
                     // A dependent load cannot issue while older loads are
                     // still waiting on memory (bounded MLP).
@@ -432,30 +436,18 @@ impl Core {
                         }
                         return;
                     }
-                    let token = self.next_token;
                     let acc = MemAccess {
                         addr,
                         pc,
                         kind: AccessKind::Load,
-                        token,
+                        token: self.tail,
                         runahead: false,
                     };
                     match mem.access(self.id, &acc, now) {
-                        AccessResponse::Hit { latency } => {
-                            self.window.push_back(Slot {
-                                is_load: true,
-                                done_at: Some(now + latency),
-                                token: u64::MAX,
-                            });
-                        }
+                        AccessResponse::Hit { latency } => self.push(LOAD | (now + latency)),
                         AccessResponse::Pending => {
-                            self.next_token += 1;
                             self.pending_loads += 1;
-                            self.window.push_back(Slot {
-                                is_load: true,
-                                done_at: None,
-                                token,
-                            });
+                            self.push(PENDING_LOAD);
                         }
                         AccessResponse::Retry => {
                             self.stalled_op = Some(op);
@@ -483,13 +475,7 @@ impl Core {
                             return;
                         }
                         // Stores retire without waiting for memory.
-                        AccessResponse::Hit { .. } | AccessResponse::Pending => {
-                            self.window.push_back(Slot {
-                                is_load: false,
-                                done_at: Some(now + 1),
-                                token: u64::MAX,
-                            });
-                        }
+                        AccessResponse::Hit { .. } | AccessResponse::Pending => self.push(now + 1),
                     }
                 }
             }
@@ -501,7 +487,7 @@ impl std::fmt::Debug for Core {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Core")
             .field("id", &self.id)
-            .field("window_len", &self.window.len())
+            .field("window_len", &(self.tail - self.head))
             .field("in_runahead", &self.in_runahead())
             .field("stats", &self.stats)
             .finish()
@@ -510,6 +496,8 @@ impl std::fmt::Debug for Core {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::VecDeque;
+
     use super::*;
 
     /// Scripted memory system for tests: responds per access in FIFO order.

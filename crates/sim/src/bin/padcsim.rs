@@ -367,6 +367,18 @@ fn main() {
                      must be between 1 and {max}"
                 ));
             }
+            // A core with no window or no width never retires: the same
+            // spin to `max_cycles`.
+            for (field, value) in [
+                ("window_entries", cfg.core.window_entries),
+                ("width", cfg.core.width),
+            ] {
+                if value == 0 {
+                    padc_sim::cli::die(format!(
+                        "invalid config {path}: core.{field} is 0, must be at least 1"
+                    ));
+                }
+            }
             cfg
         }
         None => SimConfig::new(cores, args.policy),

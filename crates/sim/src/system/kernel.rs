@@ -109,6 +109,10 @@ pub(super) struct Kernel {
     behind: Vec<Cycle>,
     /// Replay classification covering `[behind[c], due[c])` (E5).
     idle: Vec<Option<IdleState>>,
+    /// `min(due)` as the last [`Kernel::step`] left it: the step visits
+    /// every core, so it keeps the minimum on the way and
+    /// [`Kernel::try_jump`] reads it (E7).
+    min_due: Cycle,
     /// First cycle at or after which the controller phase may do
     /// observable work; every cycle before it is a proven no-op under
     /// `epoch` (E1).
@@ -126,6 +130,7 @@ impl Kernel {
             due: vec![now; cores],
             behind: vec![now; cores],
             idle: vec![None; cores],
+            min_due: now,
             ctrl_next: now,
             epoch: 0,
         };
@@ -214,19 +219,21 @@ impl Kernel {
             sys.profile.ctrl_cycles_skipped += 1;
         }
         let t1 = profile::clock();
+        let mut min_due = Cycle::MAX;
         for c in 0..self.due.len() {
             debug_assert!(
                 self.due[c] >= now,
                 "E4 violated: core {c} missed its due tick"
             );
-            if self.due[c] > now {
-                continue;
+            if self.due[c] == now {
+                self.catch_up(c, now, &mut sys.cores[c], &mut sys.profile);
+                sys.tick_core(c, now);
+                let rollover = sys.mem.tracker.next_rollover();
+                self.reclassify(c, now, &sys.cores[c], rollover);
             }
-            self.catch_up(c, now, &mut sys.cores[c], &mut sys.profile);
-            sys.tick_core(c, now);
-            let rollover = sys.mem.tracker.next_rollover();
-            self.reclassify(c, now, &sys.cores[c], rollover);
+            min_due = min_due.min(self.due[c]);
         }
+        self.min_due = min_due;
         profile::lap(t1, &mut sys.profile.cores_ns);
         sys.now += 1;
     }
@@ -238,7 +245,12 @@ impl Kernel {
         if now >= sys.cfg.max_cycles || sys.finished() {
             return;
         }
-        let min_due = self.due.iter().copied().min().unwrap_or(Cycle::MAX);
+        let min_due = self.min_due;
+        debug_assert_eq!(
+            min_due,
+            self.due.iter().copied().min().unwrap_or(Cycle::MAX),
+            "E7 violated: the minimum kept by step is stale"
+        );
         if min_due <= now {
             return;
         }

@@ -182,23 +182,41 @@ fn config_core_count_must_match_the_sources() {
     std::fs::remove_dir_all(&dir).expect("scratch removed");
 }
 
-/// A request buffer the controller cannot be built over is a usage error
-/// naming the field and its range: 65 535 entries used to reach
-/// `RequestBuffer::new`'s rank-width `assert!` (exit 101 and a backtrace),
-/// and 0 entries — nothing ever enqueues — spun to `max_cycles` for the
-/// better part of a minute before exiting 0 with an all-zero report.
+/// A size the model cannot run with is a usage error naming the field and
+/// its range: 65 535 buffer entries used to reach `RequestBuffer::new`'s
+/// rank-width `assert!` (exit 101 and a backtrace), and 0 buffer entries,
+/// 0 window entries or width 0 — nothing ever enqueues or retires — spun to
+/// `max_cycles` for the better part of a minute before exiting 0 with an
+/// all-zero report.
 #[test]
-fn config_buffer_size_must_be_one_the_controller_can_hold() {
-    let dir = scratch("buffer");
+fn config_sizes_must_be_ones_the_model_can_run() {
+    let dir = scratch("sizes");
     let printed = accepted(&["--print-config"]);
-    assert!(printed.contains("\"buffer_entries\": 64,"), "{printed}");
-    for entries in ["0", "65535"] {
-        let config = dir.join(format!("b{entries}.json"));
-        let sized = printed.replace(
+    for (printed_line, line, error) in [
+        (
             "\"buffer_entries\": 64,",
-            &format!("\"buffer_entries\": {entries},"),
-        );
-        std::fs::write(&config, sized).expect("config written");
+            "\"buffer_entries\": 0,",
+            "controller.buffer_entries is 0, must be between 1 and 65534",
+        ),
+        (
+            "\"buffer_entries\": 64,",
+            "\"buffer_entries\": 65535,",
+            "controller.buffer_entries is 65535, must be between 1 and 65534",
+        ),
+        (
+            "\"window_entries\": 256,",
+            "\"window_entries\": 0,",
+            "core.window_entries is 0, must be at least 1",
+        ),
+        (
+            "\"width\": 4,",
+            "\"width\": 0,",
+            "core.width is 0, must be at least 1",
+        ),
+    ] {
+        assert!(printed.contains(printed_line), "{printed}");
+        let config = dir.join("sized.json");
+        std::fs::write(&config, printed.replace(printed_line, line)).expect("config written");
         let started = std::time::Instant::now();
         let stderr = rejected(&[
             "--config",
@@ -207,11 +225,7 @@ fn config_buffer_size_must_be_one_the_controller_can_hold() {
             "mcf_06",
         ]);
         assert!(started.elapsed() < std::time::Duration::from_secs(20));
-        assert!(
-            stderr.contains(&format!("controller.buffer_entries is {entries}"))
-                && stderr.contains("between 1 and 65534"),
-            "{stderr}"
-        );
+        assert!(stderr.contains(error), "{line}: {stderr}");
     }
     std::fs::remove_dir_all(&dir).expect("scratch removed");
 }

@@ -3,7 +3,7 @@
 # release build, docs, every workspace crate's unit, integration and doc
 # tests (--workspace: without it cargo selects the root package alone; the
 # EXPERIMENTS.md drift check, crates/sim/tests/experiments_md.rs, is one of
-# them), the controller and DRAM crates' tests and the fast-forward
+# them), the controller, DRAM and core crates' tests and the fast-forward
 # equivalence tests again in release, and the
 # out-of-workspace benchmark package's tests. No step needs Python. Everything
 # runs offline (external deps are vendored; see vendor/README.md). Each step
@@ -67,12 +67,13 @@ step "cargo build --release --workspace" cargo build --release --workspace
 step "cargo doc --no-deps (warnings denied)" doc_step
 step "cargo test --workspace" cargo test -q --workspace
 step "cargo test --doc --workspace" cargo test --doc -q --workspace
-# The controller and DRAM oracles once more, against the build the benchmark
-# measures: in release `debug_assert!`s are compiled out and `Cycle`
+# The controller, DRAM and core oracles once more, against the build the
+# benchmark measures: in release `debug_assert!`s are compiled out and `Cycle`
 # arithmetic wraps instead of panicking, and the ready lane's `local` / floor
-# maxima are exactly the arithmetic a debug-only run cannot vouch for.
-step "cargo test --release -p padc-core -p padc-dram" \
-    cargo test -q --release -p padc-core -p padc-dram
+# maxima and the core window ring's sequence-number indexing are exactly the
+# arithmetic a debug-only run cannot vouch for.
+step "cargo test --release -p padc-core -p padc-dram -p padc-cpu" \
+    cargo test -q --release -p padc-core -p padc-dram -p padc-cpu
 # The event kernel's E3/E4 `debug_assert!`s compile out in release too, so
 # its `Off` == `Event` equivalence is re-checked in the build that runs it.
 step "cargo test --release -p padc-sim --test fastforward" \
