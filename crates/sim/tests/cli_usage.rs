@@ -230,6 +230,27 @@ fn config_sizes_must_be_ones_the_model_can_run() {
     std::fs::remove_dir_all(&dir).expect("scratch removed");
 }
 
+/// A config of 200 000 `[` used to overflow the JSON parser's stack
+/// (`fatal runtime error: stack overflow`, exit 134); nesting past 128
+/// levels is a parse error like any other.
+#[test]
+fn a_deeply_nested_config_is_a_usage_error() {
+    let dir = scratch("deep");
+    let config = dir.join("deep.json");
+    std::fs::write(&config, "[".repeat(200_000)).expect("config written");
+    let stderr = rejected(&[
+        "--config",
+        config.to_str().expect("utf-8 path"),
+        "--bench",
+        "mcf_06",
+    ]);
+    assert!(
+        stderr.contains("recursion limit exceeded at byte 128"),
+        "{stderr}"
+    );
+    std::fs::remove_dir_all(&dir).expect("scratch removed");
+}
+
 #[test]
 fn store_subcommand_does_not_create_what_it_inspects() {
     let dir = scratch("store");

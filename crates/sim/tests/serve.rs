@@ -209,3 +209,54 @@ fn stdio_session_answers_overlapping_and_malformed_requests() {
     }
     let _ = fs::remove_dir_all(&dir);
 }
+
+/// One request line of 200 000 `[` used to overflow the JSON parser's
+/// stack and kill the server (exit 134) before it read the next line. It
+/// is one `error` event now, and the request after it is answered.
+#[test]
+fn a_deeply_nested_line_is_an_error_event_not_a_crash() {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_padcsim"))
+        .env_remove("PADC_STORE")
+        .args(["serve", "--stdio", "--jobs", "1", "--smoke"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("padcsim spawns");
+    let mut requests = "[".repeat(200_000);
+    requests.push_str("\n{\"id\":\"after\",\"experiments\":[\"cost\"]}\n");
+    child
+        .stdin
+        .take()
+        .expect("piped stdin")
+        .write_all(requests.as_bytes())
+        .expect("requests written");
+    let out = child.wait_with_output().expect("serve exits at EOF");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+
+    let stdout = String::from_utf8(out.stdout).expect("events are UTF-8");
+    let events: Vec<_> = stdout
+        .lines()
+        .map(|l| serde_json::parse(l).expect("event line is JSON"))
+        .collect();
+    let kind = |e: &serde_json::Value| e.get("event").and_then(|v| v.as_str()).map(str::to_owned);
+    let error = events
+        .iter()
+        .find(|e| kind(e).as_deref() == Some("error"))
+        .unwrap_or_else(|| panic!("no error event: {stdout}"));
+    assert!(
+        error
+            .get("message")
+            .and_then(|v| v.as_str())
+            .is_some_and(|m| m.contains("recursion limit exceeded at byte 128")),
+        "{stdout}"
+    );
+    let done: Vec<_> = events
+        .iter()
+        .filter(|e| kind(e).as_deref() == Some("done"))
+        .collect();
+    assert_eq!(done.len(), 1, "{stdout}");
+    assert_eq!(done[0].get("req").and_then(|v| v.as_str()), Some("after"));
+    assert_eq!(done[0].get("ok").and_then(|v| v.as_f64()), Some(1.0));
+}

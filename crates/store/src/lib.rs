@@ -31,7 +31,7 @@
 #![warn(missing_docs)]
 
 use std::fs;
-use std::io::{self, Write};
+use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::SystemTime;
@@ -111,9 +111,11 @@ pub fn sha256(data: &[u8]) -> [u8; 32] {
 
 /// Lowercase-hex SHA-256 of `data` — the entry key format used throughout.
 pub fn digest_hex(data: &[u8]) -> String {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
     let mut s = String::with_capacity(64);
     for b in sha256(data) {
-        s.push_str(&format!("{b:02x}"));
+        s.push(char::from(HEX[usize::from(b >> 4)]));
+        s.push(char::from(HEX[usize::from(b & 0xf)]));
     }
     s
 }
@@ -180,12 +182,11 @@ impl Store {
     /// mtime (best-effort) so [`Store::gc`] evicts least-recently-used
     /// entries first.
     pub fn load(&self, digest: &str, expected_meta: &str) -> Option<String> {
-        let path = self.entry_path(digest);
-        let bytes = fs::read(&path).ok()?;
+        let mut file = fs::File::open(self.entry_path(digest)).ok()?;
+        let mut bytes = Vec::new();
+        file.read_to_end(&mut bytes).ok()?;
         let payload = parse_entry(&bytes, expected_meta)?;
-        if let Ok(f) = fs::File::open(&path) {
-            let _ = f.set_modified(SystemTime::now());
-        }
+        let _ = file.set_modified(SystemTime::now());
         Some(payload)
     }
 

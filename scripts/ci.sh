@@ -3,8 +3,8 @@
 # release build, docs, every workspace crate's unit, integration and doc
 # tests (--workspace: without it cargo selects the root package alone; the
 # EXPERIMENTS.md drift check, crates/sim/tests/experiments_md.rs, is one of
-# them), the controller, DRAM and core crates' tests and the fast-forward
-# equivalence tests again in release, and the
+# them), the controller, DRAM, core, store and JSON parser crates' tests and
+# the fast-forward equivalence tests again in release, and the
 # out-of-workspace benchmark package's tests. No step needs Python. Everything
 # runs offline (external deps are vendored; see vendor/README.md). Each step
 # prints its elapsed seconds; on exit a pass/FAIL/skip table with the same
@@ -67,13 +67,16 @@ step "cargo build --release --workspace" cargo build --release --workspace
 step "cargo doc --no-deps (warnings denied)" doc_step
 step "cargo test --workspace" cargo test -q --workspace
 step "cargo test --doc --workspace" cargo test --doc -q --workspace
-# The controller, DRAM and core oracles once more, against the build the
-# benchmark measures: in release `debug_assert!`s are compiled out and `Cycle`
-# arithmetic wraps instead of panicking, and the ready lane's `local` / floor
-# maxima and the core window ring's sequence-number indexing are exactly the
-# arithmetic a debug-only run cannot vouch for.
-step "cargo test --release -p padc-core -p padc-dram -p padc-cpu" \
-    cargo test -q --release -p padc-core -p padc-dram -p padc-cpu
+# The controller, DRAM and core oracles, the store and the JSON parser once
+# more, against the build the benchmark measures: in release `debug_assert!`s
+# are compiled out and `Cycle` arithmetic wraps instead of panicking, and the
+# ready lane's `local` / floor maxima and the core window ring's
+# sequence-number indexing are exactly the arithmetic a debug-only run cannot
+# vouch for; the store's concurrent readers and writers race at release
+# speed, and the parser's linear-time guard and string oracle run in the
+# build that parses every warm store hit.
+step "cargo test --release -p padc-core -p padc-dram -p padc-cpu -p padc-store -p serde_json" \
+    cargo test -q --release -p padc-core -p padc-dram -p padc-cpu -p padc-store -p serde_json
 # The event kernel's E3/E4 `debug_assert!`s compile out in release too, so
 # its `Off` == `Event` equivalence is re-checked in the build that runs it.
 step "cargo test --release -p padc-sim --test fastforward" \
