@@ -23,10 +23,6 @@
 //!   and rows contain no timing data, so `--jobs 1` and `--jobs 8` produce
 //!   byte-identical JSONL. Timings go to the stderr progress line and the
 //!   summary instead.
-//! - **Resume**: a job carrying a settled row from a prior artifact
-//!   ([`JobSpec::cached_row`], chosen by the caller — `padc_sim::resume`)
-//!   is skipped — its original bytes are re-emitted verbatim in place,
-//!   which keeps a resumed run byte-identical to a from-scratch one.
 //! - **Accounting**: per-job wall-clock is measured; jobs exceeding an
 //!   optional budget are recorded as structured failures (they are not
 //!   killed — Rust threads cannot be — but the suite reports them).
@@ -45,10 +41,7 @@
 //! {"id":"slow","status":"over_budget","budget_seconds":60,"result":<payload>}
 //! ```
 //!
-//! `result` is the job's payload verbatim (already-serialized JSON). A
-//! resumed row keeps whatever status its original run recorded (always
-//! `ok` — only `ok` rows are trusted); the skip is visible in the summary,
-//! never in the artifact.
+//! `result` is the job's payload verbatim (already-serialized JSON).
 
 #![warn(missing_docs)]
 
@@ -73,10 +66,6 @@ pub struct JobSpec {
     /// Executes the job, returning its result as compact JSON. Must be
     /// deterministic for the suite's output to be deterministic.
     pub run: Arc<dyn Fn() -> String + Send + Sync>,
-    /// Settled JSONL row (no trailing newline) from a prior artifact. When
-    /// set, the scheduler skips `run` entirely and emits these bytes
-    /// verbatim — the `--resume` path.
-    pub cached_row: Option<String>,
 }
 
 impl JobSpec {
@@ -90,7 +79,6 @@ impl JobSpec {
             id: id.into(),
             description: description.into(),
             run: Arc::new(run),
-            cached_row: None,
         }
     }
 }
@@ -126,10 +114,6 @@ pub enum JobStatus {
     Panicked,
     /// Completed but exceeded the configured wall-clock budget.
     OverBudget,
-    /// Not executed: a settled row from a prior artifact was re-emitted
-    /// verbatim (`--resume`). Never appears in JSONL rows — the cached
-    /// bytes keep their original status.
-    Skipped,
 }
 
 impl JobStatus {
@@ -139,7 +123,6 @@ impl JobStatus {
             JobStatus::Ok => "ok",
             JobStatus::Panicked => "panicked",
             JobStatus::OverBudget => "over_budget",
-            JobStatus::Skipped => "skipped",
         }
     }
 }
@@ -163,20 +146,11 @@ pub struct Summary {
 }
 
 impl Summary {
-    /// Jobs that completed normally (executed this run).
+    /// Jobs that completed normally.
     pub fn ok(&self) -> usize {
         self.outcomes
             .iter()
             .filter(|o| o.status == JobStatus::Ok)
-            .count()
-    }
-
-    /// Jobs skipped because a settled row was resumed from a prior
-    /// artifact.
-    pub fn skipped(&self) -> usize {
-        self.outcomes
-            .iter()
-            .filter(|o| o.status == JobStatus::Skipped)
             .count()
     }
 
@@ -260,19 +234,15 @@ pub enum RowDetail {
 /// onto the same N workers. The worker count is therefore a true global
 /// thread bound.
 ///
-/// Jobs carrying a [`JobSpec::cached_row`] are not executed at all: the
-/// settled row is re-emitted verbatim at its in-order position and the
-/// outcome is reported as [`JobStatus::Skipped`].
-///
-/// The JSONL bytes depend only on the jobs' ids and payloads (or cached
-/// rows) — not on the worker count or completion order — so runs with
+/// The JSONL bytes depend only on the jobs' ids and payloads — not on the worker count or completion order — so runs with
 /// different `--jobs` values are byte-identical.
 ///
 /// # Errors
 ///
-/// Returns the first I/O error from either sink; the jobs no worker has
-/// started by then are dropped unexecuted. Job panics never abort the
-/// suite.
+/// Fails when the pool's worker threads cannot be spawned (see
+/// [`SuiteService::new`]). Otherwise returns the first I/O error from
+/// either sink; the jobs no worker has started by then are dropped
+/// unexecuted. Job panics never abort the suite.
 pub fn run_suite(
     jobs: &[JobSpec],
     cfg: &HarnessConfig,
@@ -280,7 +250,7 @@ pub fn run_suite(
     progress: &mut dyn Write,
 ) -> io::Result<Summary> {
     let started = Instant::now();
-    let service = SuiteService::new(cfg.workers, cfg.budget);
+    let service = SuiteService::new(cfg.workers, cfg.budget)?;
     let total = jobs.len();
     let mut done = 0usize;
     let completed = service.submit(jobs.to_vec()).collect_ordered(
@@ -444,42 +414,6 @@ mod tests {
             (1..TOTAL).contains(&ran),
             "{ran} of {TOTAL} jobs ran although the sink failed on the first row"
         );
-    }
-
-    #[test]
-    fn cached_rows_skip_execution_and_are_emitted_verbatim() {
-        let counter = std::sync::Arc::new(std::sync::atomic::AtomicUsize::new(0));
-        let jobs: Vec<JobSpec> = vec![
-            JobSpec {
-                cached_row: Some("{\"id\":\"a\",\"status\":\"ok\",\"result\":99}".into()),
-                ..JobSpec::new("a", "t", {
-                    let c = counter.clone();
-                    move || {
-                        c.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        "1".to_string()
-                    }
-                })
-            },
-            JobSpec::new("b", "t", {
-                let c = counter.clone();
-                move || {
-                    c.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    "2".to_string()
-                }
-            }),
-        ];
-        let (jsonl, summary) = collect_jsonl(&jobs, &quiet(2));
-        assert_eq!(
-            jsonl,
-            "{\"id\":\"a\",\"status\":\"ok\",\"result\":99}\n\
-             {\"id\":\"b\",\"status\":\"ok\",\"result\":2}\n"
-        );
-        assert_eq!(counter.load(std::sync::atomic::Ordering::Relaxed), 1);
-        assert_eq!(summary.skipped(), 1);
-        assert_eq!(summary.ok(), 1);
-        assert_eq!(summary.failed(), 0);
-        assert_eq!(summary.outcomes[0].status, JobStatus::Skipped);
-        assert_eq!(summary.outcomes[0].seconds, 0.0);
     }
 
     #[test]

@@ -38,7 +38,7 @@ use crate::{render_row, JobSpec, JobStatus, RowDetail};
 pub struct CompletedJob {
     /// Job id.
     pub id: String,
-    /// Terminal status ([`JobStatus::Skipped`] for cached rows).
+    /// Terminal status.
     pub status: JobStatus,
     /// The JSONL row, trailing newline included.
     pub row: String,
@@ -171,8 +171,14 @@ impl SuiteService {
     /// The count is deliberately not clamped to any batch's job count:
     /// jobs fan sub-jobs back onto the pool, so even a single job can keep
     /// every worker busy.
-    pub fn new(workers: usize, budget: Option<Duration>) -> Self {
-        let workers = match workers {
+    ///
+    /// # Errors
+    ///
+    /// Fails, naming the requested count, when the OS refuses a worker
+    /// thread (too many threads, or too little address space for their
+    /// stacks); the workers already started are stopped and joined first.
+    pub fn new(workers: usize, budget: Option<Duration>) -> io::Result<Self> {
+        let count = match workers {
             0 => std::thread::available_parallelism().map_or(1, |p| p.get()),
             n => n,
         };
@@ -188,22 +194,30 @@ impl SuiteService {
             stats: Arc::default(),
             budget,
         });
-        let workers = (0..workers)
-            .map(|w| {
-                let pool = Arc::clone(&pool);
-                std::thread::Builder::new()
-                    .name(format!("padc-job-worker-{w}"))
-                    .spawn(move || worker_loop(&pool))
-                    .expect("spawn worker")
-            })
-            .collect();
-        SuiteService { pool, workers }
+        let mut service = SuiteService {
+            pool,
+            workers: Vec::new(),
+        };
+        for w in 0..count {
+            let pool = Arc::clone(&service.pool);
+            let spawned = std::thread::Builder::new()
+                .name(format!("padc-job-worker-{w}"))
+                .spawn(move || worker_loop(&pool));
+            match spawned {
+                Ok(handle) => service.workers.push(handle),
+                // Dropping `service` stops and joins the `w` already running.
+                Err(e) => {
+                    return Err(io::Error::new(
+                        e.kind(),
+                        format!("cannot start {count} worker threads: worker {w} failed: {e}"),
+                    ))
+                }
+            }
+        }
+        Ok(service)
     }
 
     /// Enqueues a batch of jobs; any idle worker may run any of them.
-    /// Jobs carrying a [`JobSpec::cached_row`] are not executed — the row
-    /// is re-emitted verbatim as [`JobStatus::Skipped`] (the `--resume`
-    /// path).
     pub fn submit(&self, jobs: Vec<JobSpec>) -> BatchHandle {
         let total = jobs.len();
         let (tx, rx) = mpsc::channel();
@@ -322,8 +336,7 @@ impl BatchHandle {
     }
 }
 
-/// Settles one job: a cached row is re-emitted verbatim, anything else
-/// runs under `catch_unwind` and is rendered into its row.
+/// Runs one job under `catch_unwind` and renders its row.
 fn execute_job(job: &JobSpec, budget: Option<Duration>) -> CompletedJob {
     let done = |status, row, error, seconds| CompletedJob {
         id: job.id.clone(),
@@ -332,9 +345,6 @@ fn execute_job(job: &JobSpec, budget: Option<Duration>) -> CompletedJob {
         error,
         seconds,
     };
-    if let Some(row) = &job.cached_row {
-        return done(JobStatus::Skipped, format!("{row}\n"), None, 0.0);
-    }
     let start = Instant::now();
     let outcome = panic::catch_unwind(AssertUnwindSafe(|| (job.run)()));
     let elapsed = start.elapsed();
@@ -388,7 +398,7 @@ mod tests {
     pub(super) static FILTER_INSTALLS: AtomicUsize = AtomicUsize::new(0);
 
     fn svc(workers: usize) -> SuiteService {
-        SuiteService::new(workers, None)
+        SuiteService::new(workers, None).expect("spawn workers")
     }
 
     fn settle(handle: BatchHandle) -> Vec<CompletedJob> {

@@ -15,7 +15,6 @@
 //! ([`padc_sim::cli::suite_main`], same flags, registry and JSONL bytes)
 //! with the JSONL stream on stdout by default instead of the tables.
 
-use padc_core::scheduler::arbiter::PackedKey;
 use padc_core::SchedulingPolicy;
 use padc_cpu::TraceSource;
 use padc_dram::RefreshPolicy;
@@ -214,7 +213,10 @@ fn run_serve_mode(args: &[String]) -> ! {
     if let Some(dir) = install_store(store_flag) {
         eprintln!("serve: unit store at {dir}");
     }
-    let state = padc_sim::serve::ServeState::new(workers, scale);
+    let state = padc_sim::serve::ServeState::new(workers, scale).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(1);
+    });
     let result = match &socket {
         Some(path) => {
             eprintln!("serve: listening on {path}");
@@ -351,35 +353,10 @@ fn main() {
                 eprintln!("error: cannot read {path}: {e}");
                 std::process::exit(2);
             });
-            let cfg = serde_json::from_str::<SimConfig>(&text).unwrap_or_else(|e| {
+            serde_json::from_str::<SimConfig>(&text).unwrap_or_else(|e| {
                 eprintln!("error: invalid config {path}: {e}");
                 std::process::exit(2);
-            });
-            // An empty buffer never accepts a request (the run spins to
-            // `max_cycles` and reports zeros); a rank is a core's position
-            // among the per-core counts of queued requests, at most the
-            // entry count, which must fit the packed key's rank field.
-            let max = PackedKey::RANK_LIMIT as usize - 1;
-            let entries = cfg.controller.buffer_entries;
-            if !(1..=max).contains(&entries) {
-                padc_sim::cli::die(format!(
-                    "invalid config {path}: controller.buffer_entries is {entries}, \
-                     must be between 1 and {max}"
-                ));
-            }
-            // A core with no window or no width never retires: the same
-            // spin to `max_cycles`.
-            for (field, value) in [
-                ("window_entries", cfg.core.window_entries),
-                ("width", cfg.core.width),
-            ] {
-                if value == 0 {
-                    padc_sim::cli::die(format!(
-                        "invalid config {path}: core.{field} is 0, must be at least 1"
-                    ));
-                }
-            }
-            cfg
+            })
         }
         None => SimConfig::new(cores, args.policy),
     };
@@ -394,6 +371,13 @@ fn main() {
     }
     if let Some(policy) = args.refresh_policy {
         cfg = cfg.with_refresh_policy(policy);
+    }
+    if let Err(e) = cfg.check() {
+        let from = args
+            .config_path
+            .as_deref()
+            .map_or(String::new(), |p| format!(" {p}"));
+        padc_sim::cli::die(format!("invalid config{from}: {e}"));
     }
     if args.print_config {
         say(serde_json::to_string_pretty(&cfg).expect("config serializes"));

@@ -7,7 +7,7 @@
 //! ```
 //!
 //! A thin call into [`padc_sim::cli::suite_main`], which documents the
-//! flags, the JSONL/resume/store contracts and the exit codes;
+//! flags, the JSONL and store contracts and the exit codes;
 //! `padcsim --suite` is the same driver with the JSONL stream on stdout.
 
 use padc_sim::cli::{suite_main, Stdout};

@@ -3,14 +3,14 @@
 //!
 //! ```text
 //! repro | padcsim --suite
-//!       [--quick|--smoke] [--jobs N] [--jsonl PATH] [--resume FILE]
+//!       [--quick|--smoke] [--jobs N] [--jsonl PATH]
 //!       [--summary PATH] [--store DIR] [--budget-seconds N]
 //!       [--json|--csv|--bars COL] [--no-progress] [--profile]
 //!       [--list] [all|<experiment-id>...]
 //! ```
 //!
 //! The two entry points differ in one constant, [`Stdout`]: what stdout
-//! carries when no `--jsonl`/`--resume` names a JSONL destination — the
+//! carries when no `--jsonl` names a JSONL destination — the
 //! rendered tables (`repro`) or the JSONL stream (`padcsim --suite`).
 //! Everything else is [`suite_main`].
 //!
@@ -33,18 +33,19 @@
 //! (`--json|--csv|--bars COL` pick the format) unless the JSONL stream
 //! owns it.
 //!
-//! `--resume FILE` re-emits the settled rows (complete JSON,
-//! `"status":"ok"`: [`crate::resume`]) of a prior artifact verbatim
-//! without executing their experiments and re-runs the rest; with no
-//! `--jsonl` the regenerated artifact replaces FILE. `--store DIR` (or
-//! `PADC_STORE`) does the same at simulation-unit granularity across
-//! invocations (DESIGN.md §12): a warm rerun executes zero units.
+//! `--store DIR` (or `PADC_STORE`) is how a rerun skips work: every
+//! simulation unit is looked up by the digest of its full configuration
+//! (instruction count and seed included), its workloads and the
+//! simulator's fingerprint, and stored the moment it finishes
+//! (DESIGN.md §12), so an interrupted run keeps every unit it completed
+//! and a warm rerun executes zero units while writing the same bytes.
 //! `--budget-seconds N` records jobs that finish over the budget as
 //! failures.
 //!
 //! Exit status: `0` when every experiment succeeds, `1` when any job
-//! panics or runs over budget (or a sink fails mid-run), `2` on usage
-//! errors (unknown flags or ids, unreadable or unwritable paths).
+//! panics or runs over budget (or the worker pool cannot start, or a sink
+//! fails mid-run), `2` on usage errors (unknown flags or ids, unreadable
+//! or unwritable paths).
 
 use std::fmt::Display;
 use std::io::Write;
@@ -57,10 +58,9 @@ use serde_json::{Number, Value};
 use crate::experiments::{
     self, suite_jobs_profiled, table_stash, ExpConfig, ExpTable, Scale, REGISTRY,
 };
-use crate::resume::ResumeArtifact;
 
-/// What stdout carries when neither `--jsonl` nor `--resume` names a JSONL
-/// destination — the one difference between the suite entry points.
+/// What stdout carries when no `--jsonl` names a JSONL destination — the
+/// one difference between the suite entry points.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Stdout {
     /// The rendered tables; no JSONL is written (`repro`).
@@ -124,34 +124,6 @@ fn print_registry() {
     }
 }
 
-/// Loads the `--resume` artifact. A selection that would overwrite the
-/// resumed file with a subset of its rows is refused; a missing file just
-/// means nothing is settled yet.
-fn load_resume(path: &str, subset: bool, jsonl: Option<&str>) -> ResumeArtifact {
-    if subset && jsonl.is_none_or(|out| out == path) {
-        die(format!(
-            "--resume with an experiment subset would overwrite {path} with partial \
-             results; pass a different --jsonl destination"
-        ));
-    }
-    match std::fs::read_to_string(path) {
-        Ok(text) => {
-            let artifact = ResumeArtifact::parse(&text);
-            eprintln!(
-                "resume: {} settled row(s) in {path}, {} line(s) distrusted",
-                artifact.len(),
-                artifact.lines_rejected
-            );
-            artifact
-        }
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-            eprintln!("resume: {path} not found, running everything");
-            ResumeArtifact::default()
-        }
-        Err(e) => die(format!("cannot read {path}: {e}")),
-    }
-}
-
 /// The `--summary` file: the suite counts, then `extras` (the store
 /// telemetry, when a store is installed), then one object per job. Seconds
 /// are rounded to the millisecond; `error` appears on failures only.
@@ -180,7 +152,6 @@ fn summary_json(summary: &Summary, extras: &[(&str, u64)]) -> String {
     let mut fields = vec![
         ("total", count(summary.outcomes.len() as u64)),
         ("ok", count(summary.ok() as u64)),
-        ("skipped", count(summary.skipped() as u64)),
         ("failed", count(summary.failed() as u64)),
         ("workers", count(summary.workers as u64)),
         ("wall_seconds", ms(summary.wall_seconds)),
@@ -226,9 +197,6 @@ fn render_tables(
                     }
                 }
             }
-            None if outcome.status == JobStatus::Skipped => {
-                writeln!(out, "  resumed: settled row reused from the prior artifact")?;
-            }
             None => writeln!(
                 out,
                 "  FAILED ({}): {}",
@@ -247,7 +215,7 @@ pub fn suite_main(program: &str, stdout: Stdout, args: &[String]) -> ! {
     let mut harness = HarnessConfig::default();
     let mut render = Render::Text;
     let mut profile = false;
-    let (mut jsonl, mut resume, mut summary_path, mut store) = (None, None, None, None);
+    let (mut jsonl, mut summary_path, mut store) = (None, None, None);
     let mut ids: Vec<&str> = Vec::new();
     let mut it = args.iter();
     while let Some(flag) = it.next() {
@@ -269,7 +237,6 @@ pub fn suite_main(program: &str, stdout: Stdout, args: &[String]) -> ! {
             "--no-progress" => harness.progress = false,
             "--profile" => profile = true,
             "--jsonl" => jsonl = Some(value()),
-            "--resume" => resume = Some(value()),
             "--summary" => summary_path = Some(value()),
             "--store" => store = Some(value()),
             "--json" => render = Render::Json,
@@ -281,7 +248,7 @@ pub fn suite_main(program: &str, stdout: Stdout, args: &[String]) -> ! {
             }
             "--help" | "-h" => {
                 say(format_args!(
-                    "usage: {program} [--quick|--smoke] [--jobs N] [--jsonl PATH] [--resume FILE]\n\
+                    "usage: {program} [--quick|--smoke] [--jobs N] [--jsonl PATH]\n\
                      \x20      [--summary PATH] [--store DIR] [--budget-seconds N]\n\
                      \x20      [--json|--csv|--bars COL] [--no-progress] [--profile]\n\
                      \x20      [--list] [all|<experiment-id>...]\n\
@@ -303,18 +270,9 @@ pub fn suite_main(program: &str, stdout: Stdout, args: &[String]) -> ! {
             "{e} (run `{program} --list` for the registered ids)"
         ))
     });
-    let subset = selected.len() < REGISTRY.len();
     let labels: Vec<(&str, &str)> = selected.iter().map(|e| (e.id, e.paper_ref)).collect();
 
-    // The resumed file is fully read before the suite starts, so writing
-    // the regenerated artifact back over it is safe, and a crash mid-run
-    // leaves a valid shorter artifact to resume from.
-    let artifact = resume
-        .as_deref()
-        .map(|path| load_resume(path, subset, jsonl.as_deref()));
-    let jsonl = jsonl
-        .or(resume)
-        .or((stdout == Stdout::Jsonl).then(|| "-".to_string()));
+    let jsonl = jsonl.or((stdout == Stdout::Jsonl).then(|| "-".to_string()));
     let tables_on_stdout = jsonl.as_deref() != Some("-");
 
     if profile {
@@ -322,12 +280,7 @@ pub fn suite_main(program: &str, stdout: Stdout, args: &[String]) -> ! {
     }
     install_store(store);
     let stash = tables_on_stdout.then(table_stash);
-    let mut jobs = suite_jobs_profiled(selected, cfg, stash.clone(), profile);
-    if let Some(artifact) = &artifact {
-        for job in &mut jobs {
-            job.cached_row = artifact.row(&job.id).map(str::to_string);
-        }
-    }
+    let jobs = suite_jobs_profiled(selected, cfg, stash.clone(), profile);
 
     let mut sink: Option<Box<dyn Write>> = jsonl.as_deref().map(|path| match path {
         "-" => Box::new(std::io::stdout().lock()) as Box<dyn Write>,
@@ -343,10 +296,11 @@ pub fn suite_main(program: &str, stdout: Stdout, args: &[String]) -> ! {
         &mut std::io::stderr().lock(),
     )
     .unwrap_or_else(|e| {
-        if !tables_on_stdout {
-            stdout_failed(e);
+        // A reader that closed the JSONL pipe early has what it wanted.
+        if !tables_on_stdout && e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
         }
-        eprintln!("error: suite I/O failed: {e}");
+        eprintln!("error: suite failed: {e}");
         std::process::exit(1);
     });
 
@@ -376,10 +330,9 @@ pub fn suite_main(program: &str, stdout: Stdout, args: &[String]) -> ! {
     }
 
     eprintln!(
-        "suite: {}/{} ok, {} resumed, {} failed, {} workers, {:.1}s wall",
+        "suite: {}/{} ok, {} failed, {} workers, {:.1}s wall",
         summary.ok(),
         summary.outcomes.len(),
-        summary.skipped(),
         summary.failed(),
         summary.workers,
         summary.wall_seconds
@@ -446,7 +399,6 @@ mod tests {
             [
                 "total",
                 "ok",
-                "skipped",
                 "failed",
                 "workers",
                 "wall_seconds",

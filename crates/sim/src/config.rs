@@ -1,9 +1,10 @@
 use padc_cache::CacheConfig;
+use padc_core::scheduler::arbiter::PackedKey;
 use padc_core::{ControllerConfig, SchedulingPolicy};
 use padc_cpu::CoreConfig;
 use padc_dram::{DramConfig, ExtendedTiming, MappingScheme, RefreshPolicy, RowPolicy};
 use padc_prefetch::PrefetcherKind;
-use padc_types::Cycle;
+use padc_types::{Cycle, LINE_BYTES};
 use serde::{Deserialize, Serialize};
 
 /// The memory-policy surface of a [`SimConfig`], gathered into one typed
@@ -203,22 +204,119 @@ impl SimConfig {
         }
     }
 
-    /// Validates cross-field consistency.
+    /// Checks every rule a [`System`](crate::System) needs of its config,
+    /// each stated once here, and names the field and the rule the first
+    /// time one is broken. The layers below keep their own asserts as
+    /// invariants for direct callers; this gate answers before any of them
+    /// can fire, so a config file the model cannot run is an error
+    /// message, not a panic.
+    ///
+    /// # Errors
+    ///
+    /// Returns `"<field> is <value>, <rule>"` for the first broken rule.
+    pub fn check(&self) -> Result<(), String> {
+        if self.cores == 0 {
+            return Err("cores is 0, must be at least 1".into());
+        }
+        if self.controller.cores != self.cores {
+            return Err(format!(
+                "controller.cores is {}, must equal cores ({})",
+                self.controller.cores, self.cores
+            ));
+        }
+        // A rank is a core's position among the per-core counts of queued
+        // requests: below the core count and at most the entry count, and
+        // both must fit the packed key's rank field. An empty buffer never
+        // accepts a request: the run would spin to `max_cycles`.
+        let rank_max = PackedKey::RANK_LIMIT as usize - 1;
+        if self.cores > rank_max {
+            return Err(format!(
+                "cores is {}, must be at most {rank_max}",
+                self.cores
+            ));
+        }
+        let entries = self.controller.buffer_entries;
+        if !(1..=rank_max).contains(&entries) {
+            return Err(format!(
+                "controller.buffer_entries is {entries}, must be between 1 and {rank_max}"
+            ));
+        }
+        // A core with no window or no width never retires: the same spin.
+        for (field, value) in [
+            (
+                "controller.accuracy_interval",
+                self.controller.accuracy_interval,
+            ),
+            ("core.window_entries", self.core.window_entries as u64),
+            ("core.width", self.core.width as u64),
+            ("mshr_entries", self.mshr_entries as u64),
+            ("max_instructions", self.max_instructions),
+        ] {
+            if value == 0 {
+                return Err(format!("{field} is 0, must be at least 1"));
+            }
+        }
+        check_sets("l1", &self.l1)?;
+        check_sets("l2", &self.l2_per_cache())?;
+        let dram = &self.dram;
+        for (field, value) in [("dram.channels", dram.channels), ("dram.banks", dram.banks)] {
+            if !value.is_power_of_two() {
+                return Err(format!("{field} is {value}, must be a power of two"));
+            }
+        }
+        if dram.row_bytes < LINE_BYTES {
+            return Err(format!(
+                "dram.row_bytes is {}, must be at least one {LINE_BYTES}-byte line",
+                dram.row_bytes
+            ));
+        }
+        if let Some(e) = dram.extended {
+            if e.t_faw == 0 {
+                return Err("dram.extended.t_faw is 0, must be at least 1".into());
+            }
+            // `t_refi` 0 disables refresh; otherwise a refresh must end
+            // before the next is due.
+            if e.t_refi > 0 && !(e.t_rfc > 0 && e.t_refi > e.t_rfc) {
+                return Err(format!(
+                    "dram.extended.t_refi is {} with t_rfc {}, must exceed a nonzero t_rfc \
+                     (or be 0: no refresh)",
+                    e.t_refi, e.t_rfc
+                ));
+            }
+        }
+        Ok(())
+    }
+
+    /// Panics with [`SimConfig::check`]'s message on a config no
+    /// [`System`](crate::System) can be built from.
     ///
     /// # Panics
     ///
-    /// Panics on inconsistent configuration.
+    /// Panics when `check` fails.
     pub fn validate(&self) {
-        assert!(self.cores > 0);
-        assert_eq!(
-            self.controller.cores, self.cores,
-            "controller sized for wrong core count"
-        );
-        assert!(self.mshr_entries > 0);
-        assert!(self.max_instructions > 0);
-        let _ = self.l1.sets();
-        let _ = self.l2_per_cache().sets();
+        if let Err(e) = self.check() {
+            panic!("invalid config: {e}");
+        }
     }
+}
+
+/// The precondition of [`CacheConfig::sets`]: `c` divides into a whole
+/// power-of-two number of sets of `c.ways` lines.
+fn check_sets(name: &str, c: &CacheConfig) -> Result<(), String> {
+    let whole = (c.ways as u64)
+        .checked_mul(LINE_BYTES)
+        .is_some_and(|set_bytes| {
+            let sets = c.size_bytes.checked_div(set_bytes).unwrap_or(0);
+            sets.is_power_of_two() && sets * set_bytes == c.size_bytes
+        });
+    if whole {
+        return Ok(());
+    }
+    Err(format!(
+        "{name}.size_bytes is {} with {name}.ways {}, must be a power of two times \
+         {name}.ways x {LINE_BYTES} bytes (one set)",
+        c.size_bytes, c.ways
+    ))
 }
 
 #[cfg(test)]

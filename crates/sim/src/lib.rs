@@ -11,9 +11,9 @@
 //!   useful-prefetch / useless-prefetch lines.
 //! * [`experiments`] contains one entry point per paper table and figure;
 //!   [`cli::suite_main`] — the driver behind the `repro` binary and
-//!   `padcsim --suite` — runs and prints them ([`resume`] decides which
-//!   rows of a prior artifact it can reuse), and [`serve`] answers
-//!   requests for them from a long-running process.
+//!   `padcsim --suite` — runs and prints them, and [`serve`] answers
+//!   requests for them from a long-running process. A rerun skips work
+//!   through the digest-checked unit store (`--store DIR`), nothing else.
 //!
 //! # Example
 //!
@@ -36,7 +36,6 @@ mod config;
 pub mod experiments;
 pub mod metrics;
 pub mod profile;
-pub mod resume;
 pub mod serve;
 mod system;
 

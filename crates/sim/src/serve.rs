@@ -83,12 +83,17 @@ pub struct ServeState {
 
 impl ServeState {
     /// Starts the worker pool (`workers = 0` means all cores).
-    pub fn new(workers: usize, default_scale: Scale) -> Self {
-        ServeState {
-            service: SuiteService::new(workers, None),
+    ///
+    /// # Errors
+    ///
+    /// Fails when the pool's threads cannot be spawned (see
+    /// [`SuiteService::new`]).
+    pub fn new(workers: usize, default_scale: Scale) -> io::Result<Self> {
+        Ok(ServeState {
+            service: SuiteService::new(workers, None)?,
             default_scale,
             next_request: AtomicU64::new(1),
-        }
+        })
     }
 
     /// Handles one request line end-to-end: parse, admit, execute, stream.
@@ -215,7 +220,7 @@ impl ServeState {
             Ok(completions) => {
                 let failed = completions
                     .iter()
-                    .filter(|c| !matches!(c.status, JobStatus::Ok | JobStatus::Skipped))
+                    .filter(|c| c.status != JobStatus::Ok)
                     .count();
                 let counters = experiments::unit_cache_stats();
                 emit(
@@ -350,7 +355,7 @@ mod tests {
 
     #[test]
     fn serve_streams_rows_and_reports_errors() {
-        let state = ServeState::new(1, Scale::Smoke);
+        let state = ServeState::new(1, Scale::Smoke).expect("spawn workers");
         let sink = Capture::default();
         let out = shared_writer(sink.clone());
 
@@ -411,7 +416,7 @@ mod tests {
 
     #[test]
     fn serve_lines_drives_concurrent_requests_to_completion() {
-        let state = ServeState::new(2, Scale::Smoke);
+        let state = ServeState::new(2, Scale::Smoke).expect("spawn workers");
         let sink = Capture::default();
         let out = shared_writer(sink.clone());
         let input = "{\"id\":\"a\",\"experiments\":[\"cost\"]}\n\

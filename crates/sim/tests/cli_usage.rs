@@ -1,6 +1,7 @@
 //! Binary-level usage contract of `padcsim`: input the CLI cannot run
 //! must exit 2 with a one-line message on stderr — never a panic with a
-//! backtrace, and never a silently ignored flag — a reader that closes
+//! backtrace, and never a silently ignored flag — a worker pool the OS
+//! refuses is one error line, a reader that closes
 //! stdout early is a clean exit, and the `store` subcommand and
 //! `--refresh-policy all-bank` do what they say.
 
@@ -8,6 +9,9 @@ mod common;
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
+
+use padc_dram::ExtendedTiming;
+use padc_sim::SimConfig;
 
 /// A fresh scratch directory private to this test process.
 fn scratch(name: &str) -> PathBuf {
@@ -98,38 +102,51 @@ fn unrunnable_input_exits_2_with_one_line() {
     assert!(spare_cores.contains("--cores 3 but 1"), "{spare_cores}");
 }
 
-/// `cost cost` used to run the job twice and write two `cost` rows into an
-/// artifact whose rows `--resume` keys by id, and `all cost` to run `cost`
-/// alone.
+/// `cost cost` used to run the job twice and write two `cost` rows.
 #[test]
-fn a_selection_runs_each_experiment_once_and_all_anywhere_is_everything() {
+fn a_selection_runs_each_experiment_once() {
     let twice = padcsim(&["--suite", "--smoke", "--no-progress", "cost", "cost"]);
     let stderr = String::from_utf8_lossy(&twice.stderr);
     assert!(stderr.contains("suite: 1/1 ok"), "{stderr}");
     assert_eq!(twice.stdout.iter().filter(|&&b| b == b'\n').count(), 1);
+}
 
-    // Against an artifact that settles every id, `all` has nothing to run.
-    let dir = scratch("select");
-    let artifact = dir.join("settled.jsonl");
-    let settled: Vec<String> = accepted(&["--suite", "--list"])
-        .lines()
-        .map(|line| line.split_whitespace().next().expect("id column"))
-        .map(|id| format!("{{\"id\":\"{id}\",\"status\":\"ok\",\"result\":{{}}}}\n"))
-        .collect();
-    std::fs::write(&artifact, settled.concat()).expect("artifact written");
-    let artifact = artifact.to_str().expect("utf-8 path");
-    let all = padcsim(&[
-        "--suite",
-        "--no-progress",
-        "--resume",
-        artifact,
-        "all",
-        "cost",
-    ]);
-    let stderr = String::from_utf8_lossy(&all.stderr);
-    let resumed = format!("suite: 0/{n} ok, {n} resumed", n = settled.len());
-    assert!(stderr.contains(&resumed), "{stderr}");
-    std::fs::remove_dir_all(&dir).expect("scratch removed");
+/// More workers than the OS will start is an error line, not an abort:
+/// under a 400 MB address-space limit the 2 000 worker stacks cannot all
+/// be mapped, and the failed spawn used to panic in `SuiteService::new`
+/// (exit 101) — or, past the thread limit with no `ulimit`, to abort
+/// with `failed to initiate panic` (exit 134).
+#[test]
+fn a_worker_pool_the_os_refuses_is_one_error_line() {
+    for args in [
+        &[
+            "--suite",
+            "--smoke",
+            "--no-progress",
+            "--jobs",
+            "2000",
+            "cost",
+        ][..],
+        &["serve", "--stdio", "--jobs", "2000"],
+    ] {
+        let out = Command::new("sh")
+            .arg("-c")
+            .arg("ulimit -v 400000; exec \"$0\" \"$@\"")
+            .arg(env!("CARGO_BIN_EXE_padcsim"))
+            .args(args)
+            .env_remove("PADC_STORE")
+            .stdin(std::process::Stdio::null())
+            .output()
+            .expect("sh spawns");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{args:?}: {stderr}");
+        assert!(
+            stderr.starts_with("error: ") && stderr.contains("2000 worker threads"),
+            "{args:?}: {stderr}"
+        );
+    }
 }
 
 /// A two-line trace file asking for a 22 TB expansion is a usage error
@@ -182,50 +199,103 @@ fn config_core_count_must_match_the_sources() {
     std::fs::remove_dir_all(&dir).expect("scratch removed");
 }
 
-/// A size the model cannot run with is a usage error naming the field and
-/// its range: 65 535 buffer entries used to reach `RequestBuffer::new`'s
-/// rank-width `assert!` (exit 101 and a backtrace), and 0 buffer entries,
-/// 0 window entries or width 0 — nothing ever enqueues or retires — spun to
+/// A config the model cannot run is a usage error naming the field and
+/// the rule (`SimConfig::check`). 65 535 buffer entries used to reach
+/// `RequestBuffer::new`'s rank-width `assert!`, and every row from
+/// `dram.banks` on some other layer's `assert!` (or, for `l1.ways` 0, a
+/// divide by zero): exit 101 and a backtrace. 0 buffer entries, 0 window
+/// entries or width 0 — nothing ever enqueues or retires — spun to
 /// `max_cycles` for the better part of a minute before exiting 0 with an
 /// all-zero report.
 #[test]
 fn config_sizes_must_be_ones_the_model_can_run() {
     let dir = scratch("sizes");
-    let printed = accepted(&["--print-config"]);
-    for (printed_line, line, error) in [
+    let printed = accepted(&["--print-config", "--cores", "1"]);
+    let base: SimConfig = serde_json::from_str(&printed).expect("the printed config parses");
+    type Edit = fn(&mut SimConfig);
+    let cases: [(Edit, &str); 18] = [
         (
-            "\"buffer_entries\": 64,",
-            "\"buffer_entries\": 0,",
+            |c| c.controller.buffer_entries = 0,
             "controller.buffer_entries is 0, must be between 1 and 65534",
         ),
         (
-            "\"buffer_entries\": 64,",
-            "\"buffer_entries\": 65535,",
+            |c| c.controller.buffer_entries = 65535,
             "controller.buffer_entries is 65535, must be between 1 and 65534",
         ),
         (
-            "\"window_entries\": 256,",
-            "\"window_entries\": 0,",
+            |c| c.core.window_entries = 0,
             "core.window_entries is 0, must be at least 1",
         ),
+        (|c| c.core.width = 0, "core.width is 0, must be at least 1"),
         (
-            "\"width\": 4,",
-            "\"width\": 0,",
-            "core.width is 0, must be at least 1",
+            |c| c.dram.banks = 0,
+            "dram.banks is 0, must be a power of two",
         ),
-    ] {
-        assert!(printed.contains(printed_line), "{printed}");
+        (
+            |c| c.dram.banks = 3,
+            "dram.banks is 3, must be a power of two",
+        ),
+        (
+            |c| c.dram.channels = 0,
+            "dram.channels is 0, must be a power of two",
+        ),
+        (
+            |c| c.dram.channels = 3,
+            "dram.channels is 3, must be a power of two",
+        ),
+        (
+            |c| c.dram.row_bytes = 0,
+            "dram.row_bytes is 0, must be at least one 64-byte line",
+        ),
+        (|c| c.l1.size_bytes = 0, "l1.size_bytes is 0 with l1.ways 4"),
+        (|c| c.l1.ways = 0, "l1.size_bytes is 32768 with l1.ways 0"),
+        (|c| c.l1.ways = 3, "l1.size_bytes is 32768 with l1.ways 3"),
+        (
+            |c| c.l2.size_bytes = 1000,
+            "l2.size_bytes is 1000 with l2.ways 8",
+        ),
+        (
+            |c| c.mshr_entries = 0,
+            "mshr_entries is 0, must be at least 1",
+        ),
+        (
+            |c| c.max_instructions = 0,
+            "max_instructions is 0, must be at least 1",
+        ),
+        (
+            |c| c.controller.cores = 2,
+            "controller.cores is 2, must equal cores (1)",
+        ),
+        (
+            |c| c.controller.accuracy_interval = 0,
+            "controller.accuracy_interval is 0, must be at least 1",
+        ),
+        (
+            |c| {
+                c.dram.extended = Some(ExtendedTiming {
+                    t_refi: 100,
+                    t_rfc: 128,
+                    ..ExtendedTiming::default()
+                })
+            },
+            "dram.extended.t_refi is 100 with t_rfc 128, must exceed a nonzero t_rfc",
+        ),
+    ];
+    for (edit, error) in cases {
+        let mut cfg = base.clone();
+        edit(&mut cfg);
         let config = dir.join("sized.json");
-        std::fs::write(&config, printed.replace(printed_line, line)).expect("config written");
+        let text = serde_json::to_string_pretty(&cfg).expect("config serializes");
+        std::fs::write(&config, text).expect("config written");
         let started = std::time::Instant::now();
         let stderr = rejected(&[
             "--config",
             config.to_str().expect("utf-8 path"),
             "--bench",
-            "mcf_06",
+            "milc_06",
         ]);
         assert!(started.elapsed() < std::time::Duration::from_secs(20));
-        assert!(stderr.contains(error), "{line}: {stderr}");
+        assert!(stderr.contains(error), "{error}: {stderr}");
     }
     std::fs::remove_dir_all(&dir).expect("scratch removed");
 }

@@ -108,7 +108,7 @@ fn concurrent_overlapping_clients_share_units_and_get_batch_identical_rows() {
 
     let a_ids = ["fig6", "tab5"];
     let b_ids = ["fig6", "tab7"];
-    let state = ServeState::new(2, Scale::Smoke);
+    let state = ServeState::new(2, Scale::Smoke).expect("spawn workers");
     let before = experiments::unit_cache_stats();
 
     let (a_sink, b_sink) = (Capture::default(), Capture::default());

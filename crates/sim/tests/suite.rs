@@ -1,9 +1,6 @@
 //! Integration tests: the harness engine driving the real experiment
-//! registry from `padc-sim` (a dev-dependency — at build time the sim
-//! depends on the harness, not vice versa).
+//! registry.
 
-// One definition of the byte-comparison helper for both packages' tests.
-#[path = "../../sim/tests/common/mod.rs"]
 mod common;
 
 use std::collections::HashSet;

@@ -78,7 +78,7 @@ fn both_entry_points_take_every_suite_flag_and_write_the_same_bytes() {
             "{entry}: {stderr}"
         );
         assert!(
-            stderr.contains("suite: 2/2 ok, 0 resumed"),
+            stderr.contains("suite: 2/2 ok, 0 failed"),
             "{entry}: {stderr}"
         );
         assert!(
@@ -87,30 +87,39 @@ fn both_entry_points_take_every_suite_flag_and_write_the_same_bytes() {
         );
         assert!(!stderr.contains("[  1/2]"), "{entry} ignored --no-progress");
 
-        // A settled artifact resumes with zero executions, byte for byte
-        // (so `--profile`, which would perturb executed payloads, is safe).
-        let resumed_jsonl = path(&format!("{entry}-resumed.jsonl"));
-        let resumed = suite(
+        // A rerun over the same store executes nothing and writes the
+        // same bytes (`--profile` stays off: its timings are not stable).
+        let (warm_jsonl, warm_summary) = (
+            path(&format!("{entry}-warm.jsonl")),
+            path(&format!("{entry}-warm.json")),
+        );
+        let warm = suite(
             entry,
             &[
                 "--smoke",
-                "--profile",
-                "--resume",
-                &jsonl,
+                "--store",
+                &store,
                 "--jsonl",
-                &resumed_jsonl,
+                &warm_jsonl,
+                "--summary",
+                &warm_summary,
                 "fig2",
                 "tab5",
             ],
         );
-        let stderr = String::from_utf8_lossy(&resumed.stderr).into_owned();
-        assert_eq!(resumed.status.code(), Some(0), "{entry}: {stderr}");
+        let stderr = String::from_utf8_lossy(&warm.stderr).into_owned();
+        assert_eq!(warm.status.code(), Some(0), "{entry}: {stderr}");
         assert!(
-            stderr.contains("suite: 0/2 ok, 2 resumed"),
+            stderr.contains("store: hits=110 misses=0 "),
             "{entry}: {stderr}"
         );
+        let warm_summary = std::fs::read_to_string(&warm_summary).expect("summary written");
+        assert!(
+            warm_summary.contains("\"subjobs_executed\": 0,"),
+            "{entry}: {warm_summary}"
+        );
         let bytes = std::fs::read(&jsonl).expect("artifact written");
-        assert_eq!(std::fs::read(&resumed_jsonl).expect("resumed"), bytes);
+        assert_eq!(std::fs::read(&warm_jsonl).expect("warm artifact"), bytes);
         artifacts.push((bytes, summary_keys(Path::new(&summary))));
     }
     assert!(!artifacts[0].0.is_empty());
@@ -144,14 +153,17 @@ fn usage_errors_exit_2_with_one_line_from_both() {
     let artifact = dir.join("settled.jsonl");
     std::fs::write(&artifact, "").expect("artifact");
     let artifact = artifact.to_str().expect("utf-8 path");
+    let out = dir.join("out.jsonl");
+    let out = out.to_str().expect("utf-8 path");
     for entry in ENTRIES {
         for (args, needle) in [
             (&["--smoke", "--exec", "planned", "fig2"][..], "--exec"),
             (&["--smoke", "figx"][..], "figx"),
             (&["--jobs", "many"][..], "--jobs expects an integer"),
+            // The store is the one rerun path; `--resume` is gone.
             (
-                &["--smoke", "--resume", artifact, "fig2"][..],
-                "would overwrite",
+                &["--smoke", "--resume", artifact, "--jsonl", out, "fig2"][..],
+                "unknown flag \"--resume\"",
             ),
         ] {
             let out = suite(entry, args);
