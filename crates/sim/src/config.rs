@@ -204,6 +204,18 @@ impl SimConfig {
         }
     }
 
+    /// Largest `core.window_entries` and `mshr_entries`. Both tables are
+    /// allocated whole when the system is built — a window as one 8-byte
+    /// ring slot per entry, an MSHR table as a hash map of about 120 bytes
+    /// per entry — so this caps them at 512 KiB and about 8 MiB. The
+    /// registry's largest is 2048 MSHR entries.
+    pub const MAX_TABLE_ENTRIES: usize = 1 << 16;
+
+    /// Largest `l1.size_bytes` and per-cache L2 size. A cache's tag array
+    /// is allocated whole, 24 bytes per 64-byte line, so this caps it at
+    /// 96 MiB. The registry's largest cache is 8 MiB.
+    pub const MAX_CACHE_BYTES: u64 = 1 << 28;
+
     /// Checks every rule a [`System`](crate::System) needs of its config,
     /// each stated once here, and names the field and the rule the first
     /// time one is broken. The layers below keep their own asserts as
@@ -256,6 +268,18 @@ impl SimConfig {
                 return Err(format!("{field} is 0, must be at least 1"));
             }
         }
+        // Past a bound the allocation itself could fail, which aborts.
+        for (field, value) in [
+            ("core.window_entries", self.core.window_entries),
+            ("mshr_entries", self.mshr_entries),
+        ] {
+            if value > Self::MAX_TABLE_ENTRIES {
+                return Err(format!(
+                    "{field} is {value}, must be at most {}",
+                    Self::MAX_TABLE_ENTRIES
+                ));
+            }
+        }
         check_sets("l1", &self.l1)?;
         check_sets("l2", &self.l2_per_cache())?;
         let dram = &self.dram;
@@ -300,9 +324,17 @@ impl SimConfig {
     }
 }
 
-/// The precondition of [`CacheConfig::sets`]: `c` divides into a whole
-/// power-of-two number of sets of `c.ways` lines.
+/// The preconditions of [`CacheConfig::sets`] — `c` divides into a whole
+/// power-of-two number of sets of `c.ways` lines — and a size whose tag
+/// array can be allocated.
 fn check_sets(name: &str, c: &CacheConfig) -> Result<(), String> {
+    if c.size_bytes > SimConfig::MAX_CACHE_BYTES {
+        return Err(format!(
+            "{name}.size_bytes is {}, must be at most {}",
+            c.size_bytes,
+            SimConfig::MAX_CACHE_BYTES
+        ));
+    }
     let whole = (c.ways as u64)
         .checked_mul(LINE_BYTES)
         .is_some_and(|set_bytes| {

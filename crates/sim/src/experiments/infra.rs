@@ -349,12 +349,17 @@ impl SimUnit {
     /// [`RESULT_SCHEMA_VERSION`](super::RESULT_SCHEMA_VERSION) must be
     /// bumped instead.
     pub fn store_meta(&self) -> String {
-        format!(
-            "{{\"fingerprint\":{},\"config\":{},\"benchmarks\":{}}}",
-            serde_json::to_string(&super::unit_cache::fingerprint()).expect("string serializes"),
-            serde_json::to_string(&self.config).expect("config serializes"),
-            serde_json::to_string(&self.benchmarks).expect("profiles serialize"),
-        )
+        // One buffer, each part streamed into it: this runs once per
+        // requested unit, warm store hits included.
+        let mut meta = String::with_capacity(2048);
+        meta.push_str("{\"fingerprint\":");
+        serde_json::write_json(&mut meta, super::unit_cache::fingerprint());
+        meta.push_str(",\"config\":");
+        serde_json::write_json(&mut meta, &self.config);
+        meta.push_str(",\"benchmarks\":");
+        serde_json::write_json(&mut meta, &self.benchmarks);
+        meta.push('}');
+        meta
     }
 }
 
@@ -531,6 +536,59 @@ mod tests {
         let units = plan_alone_units(&workloads, &exp);
         let names: Vec<_> = units.iter().map(|u| u.key.benchmarks[0].clone()).collect();
         assert_eq!(names, vec!["milc_06", "swim_00", "lbm_06"]);
+    }
+
+    /// The streaming writer against the tree printer over every unit any
+    /// experiment plans at smoke scale: each part of the meta, and the
+    /// meta document itself, is the bytes `write_value` prints for the
+    /// part's `to_value` tree — so the digests, and with them every store
+    /// entry, are the ones the tree printer addressed.
+    #[test]
+    fn every_planned_meta_streams_like_its_value_tree() {
+        fn tree<T: Serialize + ?Sized>(x: &T) -> String {
+            let mut out = String::new();
+            serde_json::write_value(&mut out, &x.to_value(), None, 0);
+            out
+        }
+        let exp = ExpConfig::at(Scale::Smoke);
+        let mut seen = HashSet::new();
+        for e in crate::experiments::REGISTRY {
+            for unit in e.plan(&exp) {
+                let meta = unit.store_meta();
+                if !seen.insert(meta.clone()) {
+                    continue;
+                }
+                let fingerprint = super::super::unit_cache::fingerprint();
+                let parts = [
+                    (tree(fingerprint), serde_json::to_string(fingerprint)),
+                    (tree(&unit.config), serde_json::to_string(&unit.config)),
+                    (
+                        tree(&unit.benchmarks),
+                        serde_json::to_string(&unit.benchmarks),
+                    ),
+                ];
+                for (expected, streamed) in &parts {
+                    assert_eq!(
+                        streamed.as_ref().ok(),
+                        Some(expected),
+                        "{}: {:?}",
+                        e.id,
+                        unit.key
+                    );
+                }
+                let [fingerprint, config, benchmarks] = parts.map(|(expected, _)| expected);
+                assert_eq!(
+                    meta,
+                    format!(
+                        "{{\"fingerprint\":{fingerprint},\"config\":{config},\"benchmarks\":{benchmarks}}}"
+                    ),
+                    "{}: {:?}",
+                    e.id,
+                    unit.key
+                );
+            }
+        }
+        assert!(!seen.is_empty(), "the registry planned no units");
     }
 
     /// A unit's digest leaves the stepping mode out because the mode is

@@ -758,7 +758,7 @@ fn payload_json(paper_ref: &str, tables: &[ExpTable], profile: Option<&ProfileTo
     format!(
         "{{\"paper_ref\":{},\"tables\":{}{profile}}}",
         serde_json::to_string(&paper_ref.to_string()).expect("string serializes"),
-        serde_json::to_string(&tables.to_vec()).expect("tables serialize"),
+        serde_json::to_string(tables).expect("tables serialize"),
     )
 }
 

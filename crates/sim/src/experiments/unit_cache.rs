@@ -51,11 +51,14 @@ use crate::Report;
 pub const RESULT_SCHEMA_VERSION: u32 = 1;
 
 /// The code fingerprint stamped into every store entry's meta document.
-pub fn fingerprint() -> String {
-    format!(
-        "padc-sim {} result-v{RESULT_SCHEMA_VERSION}",
-        env!("CARGO_PKG_VERSION")
-    )
+pub fn fingerprint() -> &'static str {
+    static FINGERPRINT: OnceLock<String> = OnceLock::new();
+    FINGERPRINT.get_or_init(|| {
+        format!(
+            "padc-sim {} result-v{RESULT_SCHEMA_VERSION}",
+            env!("CARGO_PKG_VERSION")
+        )
+    })
 }
 
 /// Point-in-time snapshot of the cache counters (monotonic over the
@@ -271,12 +274,16 @@ pub(crate) fn execute_cached(units: &[SimUnit]) -> (Vec<Report>, ProfileTotal) {
         if unit.is_single_core() {
             SINGLE_RUNS_REQUESTED.fetch_add(1, Ordering::Relaxed);
         }
-        let meta = unit.store_meta();
+        let mut meta = unit.store_meta();
         let digest = digest_hex(meta.as_bytes());
         let cell = cell_for(&digest);
         match try_resolve(&digest, &meta, &cell) {
             Resolution::Ready(report) => out[i] = Some(*report),
-            Resolution::Claimed => computes.push((i, Claim { cell, digest, meta })),
+            Resolution::Claimed => {
+                // Held until the simulation finishes: keep no slack.
+                meta.shrink_to_fit();
+                computes.push((i, Claim { cell, digest, meta }));
+            }
             Resolution::Parked => parked.push((i, cell)),
         }
     }

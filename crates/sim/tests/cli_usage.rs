@@ -206,14 +206,15 @@ fn config_core_count_must_match_the_sources() {
 /// divide by zero): exit 101 and a backtrace. 0 buffer entries, 0 window
 /// entries or width 0 — nothing ever enqueues or retires — spun to
 /// `max_cycles` for the better part of a minute before exiting 0 with an
-/// all-zero report.
+/// all-zero report. A window, MSHR table or cache past its bound aborted
+/// building the system: `memory allocation of N bytes failed`, exit 134.
 #[test]
 fn config_sizes_must_be_ones_the_model_can_run() {
     let dir = scratch("sizes");
     let printed = accepted(&["--print-config", "--cores", "1"]);
     let base: SimConfig = serde_json::from_str(&printed).expect("the printed config parses");
     type Edit = fn(&mut SimConfig);
-    let cases: [(Edit, &str); 18] = [
+    let cases: [(Edit, &str); 22] = [
         (
             |c| c.controller.buffer_entries = 0,
             "controller.buffer_entries is 0, must be between 1 and 65534",
@@ -227,6 +228,22 @@ fn config_sizes_must_be_ones_the_model_can_run() {
             "core.window_entries is 0, must be at least 1",
         ),
         (|c| c.core.width = 0, "core.width is 0, must be at least 1"),
+        (
+            |c| c.core.window_entries = 4_294_967_295,
+            "core.window_entries is 4294967295, must be at most 65536",
+        ),
+        (
+            |c| c.mshr_entries = 4_000_000_000,
+            "mshr_entries is 4000000000, must be at most 65536",
+        ),
+        (
+            |c| c.l1.size_bytes = 1 << 40,
+            "l1.size_bytes is 1099511627776, must be at most 268435456",
+        ),
+        (
+            |c| c.l2.size_bytes = 1 << 40,
+            "l2.size_bytes is 1099511627776, must be at most 268435456",
+        ),
         (
             |c| c.dram.banks = 0,
             "dram.banks is 0, must be a power of two",

@@ -2,7 +2,9 @@
 //! over the fields a config file can break, it returns `Ok` exactly when
 //! `System::new` does not panic, and a refusal on a lower layer's field is
 //! one that layer would have enforced itself — so the gate neither misses
-//! a panic nor refuses a config the model can run.
+//! a panic nor refuses a config the model can run. A config sized past a
+//! bound is only checked to be refused: building it would attempt the
+//! allocation that aborts.
 
 use std::cell::Cell;
 use std::panic::{self, AssertUnwindSafe};
@@ -48,20 +50,31 @@ fn pick<T: Clone + 'static>(values: &'static [T]) -> impl Strategy<Value = T> {
 }
 
 /// Configs varying the fields a config file can break — with zeros,
-/// non-powers of two and sizes that split into no whole number of sets —
-/// around the single-core baseline, mostly valid so that a rule late in
-/// `check` is reached with every earlier one passing.
+/// non-powers of two, sizes that split into no whole number of sets and
+/// sizes past a bound — around the single-core baseline, mostly valid so
+/// that a rule late in `check` is reached with every earlier one passing.
 fn arb_config() -> impl Strategy<Value = SimConfig> {
     let system = (
         pick(&[1usize, 1, 2]),
         pick(&[false, false, false, false, false, false, false, true]),
         pick(&[false, false, false, true]),
         pick(&[0u64, 5, 100_000, 100_000, 100_000, 100_000, 100_000]),
-        pick(&[0usize, 3, 64, 64, 64, 64, 64]),
+        pick(&[0usize, 3, 64, 64, 64, 64, 64, 4_000_000_000]),
         pick(&[0u64, 1, 200_000, 200_000, 200_000, 200_000, 200_000]),
+        pick(&[256usize, 256, 256, 256, 256, 256, 256, 4_294_967_295]),
     );
     let caches = (
-        pick(&[0u64, 24_576, 32_768, 32_768, 32_768, 32_768, 32_768, 65_536]),
+        pick(&[
+            0u64,
+            24_576,
+            32_768,
+            32_768,
+            32_768,
+            32_768,
+            32_768,
+            65_536,
+            1 << 40,
+        ]),
         pick(&[0usize, 3, 4, 4, 4, 4, 4, 8]),
         pick(&[
             0u64,
@@ -72,6 +85,7 @@ fn arb_config() -> impl Strategy<Value = SimConfig> {
             1 << 20,
             1 << 20,
             1 << 19,
+            1 << 40,
         ]),
         pick(&[0usize, 3, 12, 8, 8, 8, 8, 16]),
     );
@@ -93,7 +107,15 @@ fn arb_config() -> impl Strategy<Value = SimConfig> {
     );
     (system, caches, dram, timing).prop_map(
         |(
-            (cores, mismatch, shared_l2, accuracy_interval, mshr_entries, max_instructions),
+            (
+                cores,
+                mismatch,
+                shared_l2,
+                accuracy_interval,
+                mshr_entries,
+                max_instructions,
+                window_entries,
+            ),
             (l1_size, l1_ways, l2_size, l2_ways),
             (channels, banks, row_bytes),
             (extended, t_faw, t_refi, t_rfc, refresh_policy),
@@ -105,6 +127,7 @@ fn arb_config() -> impl Strategy<Value = SimConfig> {
             c.shared_l2 = shared_l2;
             c.controller.accuracy_interval = accuracy_interval;
             c.mshr_entries = mshr_entries;
+            c.core.window_entries = window_entries;
             c.max_instructions = max_instructions;
             (c.l1.size_bytes, c.l1.ways) = (l1_size, l1_ways);
             (c.l2.size_bytes, c.l2.ways) = (l2_size, l2_ways);
@@ -136,12 +159,26 @@ fn a_lower_layer_refuses(cfg: &SimConfig) -> bool {
     .is_err()
 }
 
+/// Whether `cfg` sizes a window, MSHR table or cache past its bound:
+/// building it would attempt the allocation the bound is there to refuse.
+fn over_a_bound(cfg: &SimConfig) -> bool {
+    cfg.core.window_entries > SimConfig::MAX_TABLE_ENTRIES
+        || cfg.mshr_entries > SimConfig::MAX_TABLE_ENTRIES
+        || cfg.l1.size_bytes > SimConfig::MAX_CACHE_BYTES
+        || cfg.l2_per_cache().size_bytes > SimConfig::MAX_CACHE_BYTES
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
     fn check_passes_exactly_the_configs_system_new_builds(cfg in arb_config()) {
         let verdict = cfg.check();
+        if over_a_bound(&cfg) {
+            // Refused, and never built.
+            prop_assert!(verdict.is_err(), "check passed an oversized {:?}", cfg);
+            return;
+        }
         let benches = vec![profiles::by_name("milc_06").expect("a catalog profile"); cfg.cores];
         let built = quietly(|| drop(System::new(cfg.clone(), benches)));
         match (&verdict, &built) {
@@ -181,6 +218,10 @@ fn the_generator_reaches_every_rule() {
         "with l1.ways 3,",
         "l2.size_bytes is 1000 ",
         "mshr_entries is 0,",
+        "mshr_entries is 4000000000, must be at most 65536",
+        "core.window_entries is 4294967295, must be at most 65536",
+        "l1.size_bytes is 1099511627776, must be at most 268435456",
+        "l2.size_bytes is 1099511627776, must be at most 268435456",
         "max_instructions is 0,",
         "controller.cores is 2, must equal cores (1)",
         "controller.accuracy_interval is 0,",

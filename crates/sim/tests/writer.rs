@@ -1,0 +1,72 @@
+//! The streaming JSON writer against the tree printer over every
+//! experiment at smoke scale: each simulation report and each table
+//! serializes (`serde_json::to_string`, which streams) to the bytes
+//! `write_value` prints for its `to_value` tree. Store payloads and the
+//! JSONL rows are built from exactly these serializations.
+
+use padc_harness::{run_suite, HarnessConfig};
+use padc_sim::experiments::{execute_units, suite_jobs, table_stash, ExpConfig, Scale, REGISTRY};
+use serde::Serialize;
+
+/// `x` printed from its `Value` tree, the way `to_string` printed before it
+/// streamed.
+fn tree<T: Serialize + ?Sized>(x: &T) -> String {
+    let mut out = String::new();
+    serde_json::write_value(&mut out, &x.to_value(), None, 0);
+    out
+}
+
+#[test]
+fn every_smoke_report_and_table_streams_like_its_value_tree() {
+    let exp = ExpConfig::at(Scale::Smoke);
+    let stash = table_stash();
+    let jobs = suite_jobs(REGISTRY.iter().collect(), exp, Some(stash.clone()));
+    let config = HarnessConfig {
+        workers: 2,
+        budget: None,
+        progress: false,
+    };
+    let summary = run_suite(&jobs, &config, None, &mut Vec::new()).expect("suite I/O");
+    assert_eq!(summary.failed(), 0, "an experiment failed");
+
+    let stash = stash.lock().expect("stash");
+    let mut tables = 0;
+    for e in REGISTRY {
+        let stashed = stash
+            .get(e.id)
+            .expect("every experiment stashes its tables");
+        for table in stashed {
+            assert_eq!(
+                serde_json::to_string(table).ok(),
+                Some(tree(table)),
+                "{}",
+                e.id
+            );
+            tables += 1;
+        }
+        assert_eq!(
+            serde_json::to_string(stashed).ok(),
+            Some(tree(stashed)),
+            "{}",
+            e.id
+        );
+    }
+    assert!(tables > REGISTRY.len(), "only {tables} tables");
+
+    // The suite settled every unit in this process: these are memory hits.
+    let mut reports = 0;
+    for e in REGISTRY {
+        let (results, _) = execute_units(&e.plan(&exp));
+        for r in &results {
+            assert_eq!(
+                serde_json::to_string(&r.report).ok(),
+                Some(tree(&r.report)),
+                "{}: {:?}",
+                e.id,
+                r.key
+            );
+            reports += 1;
+        }
+    }
+    assert!(reports > 0, "the registry planned no units");
+}

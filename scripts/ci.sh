@@ -3,13 +3,13 @@
 # release build, docs, every workspace crate's unit, integration and doc
 # tests (--workspace: without it cargo selects the root package alone; the
 # EXPERIMENTS.md drift check, crates/sim/tests/experiments_md.rs, is one of
-# them), the controller, DRAM, core, store and JSON parser crates' tests and
-# the fast-forward equivalence tests again in release, and the
-# out-of-workspace benchmark package's tests. No step needs Python. Everything
-# runs offline (external deps are vendored; see vendor/README.md). Each step
-# prints its elapsed seconds; on exit a pass/FAIL/skip table with the same
-# timings goes to stderr and, when set, to $GITHUB_STEP_SUMMARY, so a red job
-# is readable from the workflow summary page without opening logs.
+# them), the controller, DRAM, core, store, JSON writer and JSON parser
+# crates' tests and the fast-forward equivalence tests again in release, and
+# the out-of-workspace benchmark package's tests. No step needs Python.
+# Everything runs offline (external deps are vendored; see vendor/README.md).
+# Each step prints its elapsed seconds; on exit a pass/FAIL/skip table with
+# the same timings goes to stderr and, when set, to $GITHUB_STEP_SUMMARY, so a
+# red job is readable from the workflow summary page without opening logs.
 #
 # Not part of this gate (8-10 min on 2 CPUs): the full-scale acceptance step,
 # `repro` regenerating the committed repro_full.jsonl byte for byte --
@@ -73,10 +73,13 @@ step "cargo test --doc --workspace" cargo test --doc -q --workspace
 # ready lane's `local` / floor maxima and the core window ring's
 # sequence-number indexing are exactly the arithmetic a debug-only run cannot
 # vouch for; the store's concurrent readers and writers race at release
-# speed, and the parser's linear-time guard and string oracle run in the
-# build that parses every warm store hit.
-step "cargo test --release -p padc-core -p padc-dram -p padc-cpu -p padc-store -p serde_json" \
-    cargo test -q --release -p padc-core -p padc-dram -p padc-cpu -p padc-store -p serde_json
+# speed, its header parse meets lengths past the address space where
+# arithmetic wraps, and its SHA-256 oracles run in the build that hashes
+# every key; the parser's linear-time guard and string oracle, and the
+# streaming writer's oracle, run in the build that writes every store entry
+# and serves every warm store hit.
+step "cargo test --release -p padc-core -p padc-dram -p padc-cpu -p padc-store -p serde -p serde_json" \
+    cargo test -q --release -p padc-core -p padc-dram -p padc-cpu -p padc-store -p serde -p serde_json
 # The event kernel's E3/E4 `debug_assert!`s compile out in release too, so
 # its `Off` == `Event` equivalence is re-checked in the build that runs it.
 step "cargo test --release -p padc-sim --test fastforward" \
