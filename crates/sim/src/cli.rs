@@ -18,14 +18,12 @@
 //! runs, at `Scale::Full` (the paper's workload counts) unless
 //! `--quick`/`--smoke` shrink it; an id named twice runs once
 //! ([`experiments::select`]). The selection becomes one job list for
-//! [`padc_harness::run_suite`]: experiments run on `--jobs N` workers
-//! (default `available_parallelism()`), each under `catch_unwind`, and
-//! every experiment's simulation units resolve through one process-wide
-//! claim map whose misses are scheduled onto the *same* pool — so
-//! `--jobs N` bounds total simulation threads and each distinct
-//! simulation runs once. The JSONL stream (`--jsonl PATH`, `-` for
-//! stdout) is in registry order and carries no timing data, so its bytes
-//! are identical for any `--jobs` value.
+//! [`padc_harness::run_suite`], which plans every experiment, dedupes the
+//! simulation units by digest and runs each distinct unit once on
+//! `--jobs N` workers (default `available_parallelism()`), each under
+//! `catch_unwind`. The JSONL stream (`--jsonl PATH`, `-` for stdout) is
+//! in registry order, written as each row is ready, and carries no timing
+//! data, so its bytes are identical for any `--jobs` value.
 //! Timings go to the stderr progress lines and the `--summary` JSON — or,
 //! with `--profile`, into a per-experiment `"profile"` object in each
 //! payload (wall times make profiled artifacts non-deterministic, so the
@@ -39,8 +37,9 @@
 //! simulator's fingerprint, and stored the moment it finishes
 //! (DESIGN.md §12), so an interrupted run keeps every unit it completed
 //! and a warm rerun executes zero units while writing the same bytes.
-//! `--budget-seconds N` records jobs that finish over the budget as
-//! failures.
+//! `--budget-seconds N` records as a failure every job whose own time —
+//! the wall time of the units it planned first, plus its reduce — is over
+//! the budget.
 //!
 //! Exit status: `0` when every experiment succeeds, `1` when any job
 //! panics or runs over budget (or the worker pool cannot start, or a sink
@@ -212,7 +211,10 @@ fn render_tables(
 /// docs. `program` is the entry point's name in usage and hint text.
 pub fn suite_main(program: &str, stdout: Stdout, args: &[String]) -> ! {
     let mut cfg = ExpConfig::at(Scale::Full);
-    let mut harness = HarnessConfig::default();
+    let mut harness = HarnessConfig {
+        progress: true,
+        ..HarnessConfig::default()
+    };
     let mut render = Render::Text;
     let mut profile = false;
     let (mut jsonl, mut summary_path, mut store) = (None, None, None);

@@ -5,7 +5,7 @@ use padc_core::SchedulingPolicy;
 use padc_workloads::{BenchProfile, Workload};
 use serde::{Deserialize, Serialize};
 
-use crate::profile::{ProfileTotal, SimProfile};
+use crate::profile::SimProfile;
 use crate::{Report, SimConfig, System};
 
 /// Preset experiment scales, from paper-scale runs down to test smoke.
@@ -235,7 +235,7 @@ const ALONE_LABEL: &str = "demand-first";
 /// benchmarks/instructions/seed pin the inputs. The key is how `reduce`
 /// addresses a result; what is *cached* is keyed by the digest of the full
 /// inputs ([`SimUnit::store_meta`]), never by the key.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Debug, Default, PartialEq, Eq, Hash)]
 pub struct UnitKey {
     /// Policy-arm label (the paper legend).
     pub arm: String,
@@ -339,7 +339,7 @@ impl SimUnit {
     /// the **full** result-shaping inputs — the exact [`SimConfig`]
     /// [`execute`](Self::execute) runs and the benchmark profiles it runs
     /// it over, serialized to canonical JSON. Its SHA-256 digest keys both
-    /// the in-memory claim map and the persistent store.
+    /// a suite's dedupe and the persistent store.
     ///
     /// Labels and variants are deliberately excluded: two arms that build
     /// identical configs (the `IPC_alone` arm and the grids' demand-first
@@ -370,28 +370,6 @@ pub struct UnitResult {
     pub key: UnitKey,
     /// The simulation report.
     pub report: Report,
-}
-
-/// Executes every planned unit, returning results in plan order and the
-/// summed profile of the units this call simulated.
-///
-/// Every unit resolves through the digest-keyed claim map of the
-/// `unit_cache` module — memory, then the installed store (if any), then
-/// compute — and only the misses are scheduled, as first-class sub-jobs on
-/// the shared `padc-harness` pool (inline when no pool is installed). A
-/// unit already settled or in flight anywhere in the process is never
-/// simulated twice, and a fully warm run executes zero simulations.
-pub fn execute_units(units: &[SimUnit]) -> (Vec<UnitResult>, ProfileTotal) {
-    let (reports, profile) = super::unit_cache::execute_cached(units);
-    let results = units
-        .iter()
-        .zip(reports)
-        .map(|(u, report)| UnitResult {
-            key: u.key.clone(),
-            report,
-        })
-        .collect();
-    (results, profile)
 }
 
 /// Key-indexed view over a slice of unit results, for `reduce` phases.
@@ -429,9 +407,9 @@ impl<'a> UnitResults<'a> {
 }
 
 /// Plans the deduplicated set of `IPC_alone` units for a workload set:
-/// one unit per *distinct* benchmark, in first-appearance order. The
-/// claim map dedupes further across experiments, so each normalization
-/// run is computed exactly once per process.
+/// one unit per *distinct* benchmark, in first-appearance order. A suite
+/// dedupes further across experiments, so each normalization run is
+/// computed once per suite.
 pub fn plan_alone_units(workloads: &[Workload], exp: &ExpConfig) -> Vec<SimUnit> {
     let mut seen = HashSet::new();
     let mut units = Vec::new();

@@ -10,13 +10,13 @@
 //! arms with a table builder. fig2, fig4, cost and tab6 simulate nothing
 //! through the unit layer and are plain functions.
 //!
-//! Every row executes one way ([`Experiment::run`]): `plan` enumerates
-//! independent, deterministically-keyed [`SimUnit`]s; [`execute_units`]
-//! resolves each through the digest-keyed unit cache (memory, then the
-//! installed store if any) and fans only the misses out onto the shared
-//! worker pool; and `reduce` folds the unit results into tables after a
-//! per-experiment barrier — so result bytes never depend on scheduling,
-//! and each distinct simulation runs once per process.
+//! Every row is a pure `plan` of independent, deterministically keyed
+//! [`SimUnit`]s and a pure `reduce` of their reports into tables. A suite
+//! ([`suite_jobs`]) hands every selected row's plan to `padc_harness` as
+//! one flat plan deduplicated by unit digest, so each distinct simulation
+//! runs once per suite, on the pool; [`Experiment::run`] is one row run as
+//! a suite of one. A unit resolves from the installed store if it can, and
+//! result bytes never depend on scheduling.
 //!
 //! Absolute numbers will not match the paper (its substrate was a
 //! proprietary x86 simulator running SPEC traces; ours is a synthetic-trace
@@ -31,8 +31,7 @@ mod spec;
 mod unit_cache;
 
 pub use infra::{
-    execute_units, plan_alone_units, ExpConfig, ExpTable, Scale, SimUnit, UnitKey, UnitResult,
-    UnitResults,
+    plan_alone_units, ExpConfig, ExpTable, Scale, SimUnit, UnitKey, UnitResult, UnitResults,
 };
 pub use registry::{
     find, select, suite_jobs, suite_jobs_profiled, table_stash, Experiment, Shape, TableStash,
@@ -40,9 +39,9 @@ pub use registry::{
 };
 pub use single::{Cells, Grid};
 pub use spec::{Arm, Col, Column, Compare, Delta, Group, Layout, Mixes, Table};
+#[doc(hidden)]
+pub use unit_cache::uninstall_unit_store;
 pub use unit_cache::{
     fingerprint as store_fingerprint, install_unit_store, single_run_stats, unit_cache_stats,
     unit_store_installed, UnitCacheStats, RESULT_SCHEMA_VERSION,
 };
-#[doc(hidden)]
-pub use unit_cache::{reset_memory_cells, uninstall_unit_store};

@@ -1,6 +1,7 @@
 //! Experiment registry: every reproduction entry point as one row of
 //! [`REGISTRY`], plus the adapter that turns rows into
-//! [`padc_harness::JobSpec`]s for parallel, fault-isolated execution.
+//! [`padc_harness::JobSpec`]s: each job's plan is its row's units keyed by
+//! digest, and its reduce the row's tables as the JSONL payload.
 //!
 //! The suite driver ([`crate::cli`], behind `repro` and `padcsim --suite`),
 //! `padcsim serve` and `benchmark/` all go through [`find`] / [`select`].
@@ -9,25 +10,28 @@
 //! [`Compare`] (arms × workloads, normalized by `IPC_alone`) for every
 //! multi-core experiment and a [`Grid`] (benchmarks × arms) for the six
 //! single-core ones. fig2, fig4, cost and tab6 are not grids of
-//! simulations and stay plain functions that plan no units.
+//! simulations and stay plain functions, which a suite runs as one
+//! unkeyed unit each.
 
 use std::collections::HashMap;
+use std::io;
 use std::sync::{Arc, Mutex};
 
 use padc_core::SchedulingPolicy::{ApsOnly, DemandFirst, DemandPrefetchEqual, Padc, PadcRank};
 use padc_dram::RefreshPolicy::{AllBank, Darp, PerBank};
 use padc_dram::RowPolicy::{Closed, Happy};
-use padc_harness::JobSpec;
+use padc_harness::{run_suite, HarnessConfig, JobSpec, Output, Plan, Unit};
 use padc_prefetch::PrefetcherKind::{Cdc, DsPatch, Markov, Stride};
 use padc_workloads::profiles;
 
-use super::infra::{execute_units, ExpConfig, ExpTable, SimUnit, UnitResult};
+use super::infra::{ExpConfig, ExpTable, SimUnit, UnitKey, UnitResult};
 use super::micro;
 use super::single::{self, Grid};
 use super::spec::{
     Arm, Col, Column, Compare, Delta, Group, Layout, Mixes, Table, APS_APD, APS_ONLY, DEMAND_FIRST,
     EQUAL, NO_PREF, PADC, STANDARD, SYSTEM,
 };
+use super::unit_cache::{note_coalesced, suite_unit, Resolved};
 use crate::profile::ProfileTotal;
 
 /// Every reproducible artifact: id, paper reference, and what it runs.
@@ -72,13 +76,82 @@ impl Experiment {
         }
     }
 
-    /// Runs the experiment: plan → [`execute_units`] → reduce, returning
-    /// its tables and the summed profile of the units it simulated. The
-    /// reduce runs after the experiment's own unit barrier, so table bytes
-    /// never depend on scheduling.
-    pub fn run(&self, cfg: &ExpConfig) -> (Vec<ExpTable>, ProfileTotal) {
-        let (results, profile) = execute_units(&self.plan(cfg));
-        (self.reduce(cfg, &results), profile)
+    /// Runs the experiment alone, as a one-job suite on one worker, and
+    /// returns its tables.
+    ///
+    /// # Panics
+    ///
+    /// If the experiment panics, with its message.
+    pub fn run(&'static self, cfg: &ExpConfig) -> Vec<ExpTable> {
+        let stash = table_stash();
+        let jobs = suite_jobs(vec![self], *cfg, Some(stash.clone()));
+        let one = HarnessConfig {
+            workers: 1,
+            budget: None,
+            progress: false,
+        };
+        let summary = run_suite(&jobs, &one, None, &mut io::sink()).expect("a worker starts");
+        if let Some(error) = &summary.outcomes[0].error {
+            panic!("{}: {error}", self.id);
+        }
+        let tables = stash.lock().expect("stash lock").remove(self.id);
+        tables.expect("the reduce stashes the tables")
+    }
+
+    /// The experiment as one suite job's plan: its units keyed by digest (a
+    /// [`Shape::Plain`] body is one unkeyed unit), and a reduce to the row
+    /// payload that also stashes the tables. A unit's profile counts in the
+    /// job that owns it, and a planned unit another one already covers
+    /// counts as coalesced.
+    fn suite_plan(&'static self, cfg: ExpConfig, profile: bool, stash: Option<TableStash>) -> Plan {
+        let finish = move |tables: Vec<ExpTable>, total: ProfileTotal| {
+            let payload = payload_json(self.paper_ref, &tables, profile.then_some(&total));
+            if let Some(s) = &stash {
+                s.lock()
+                    .expect("stash lock")
+                    .insert(self.id.to_string(), tables);
+            }
+            payload
+        };
+        if let Shape::Plain(body) = self.shape {
+            return Plan {
+                units: vec![Unit {
+                    key: None,
+                    work: Box::new(move || Arc::new(body(&cfg)) as Output),
+                }],
+                reduce: Box::new(move |settled| {
+                    let tables = settled[0].output.downcast_ref::<Vec<ExpTable>>();
+                    finish(
+                        tables.expect("the body's tables").clone(),
+                        ProfileTotal::default(),
+                    )
+                }),
+            };
+        }
+        let (keys, units): (Vec<UnitKey>, Vec<Unit>) =
+            self.plan(&cfg).into_iter().map(suite_unit).unzip();
+        Plan {
+            units,
+            reduce: Box::new(move |settled| {
+                let mut total = ProfileTotal::default();
+                let results: Vec<UnitResult> = (keys.into_iter().zip(settled))
+                    .map(|(key, s)| {
+                        let resolved = s.output.downcast_ref::<Resolved>();
+                        let resolved = resolved.expect("a simulation unit's output");
+                        match (s.owned, &resolved.profile) {
+                            (true, Some(run)) => total.add(run),
+                            (false, _) => note_coalesced(),
+                            (true, None) => {}
+                        }
+                        UnitResult {
+                            key,
+                            report: resolved.report.clone(),
+                        }
+                    })
+                    .collect();
+                finish(self.reduce(&cfg, &results), total)
+            }),
+        }
     }
 }
 
@@ -695,15 +768,11 @@ pub fn table_stash() -> TableStash {
 
 /// Adapts registry entries into harness jobs (no profiling).
 ///
-/// Each job runs its experiment at `cfg` scale and returns the payload
-/// `{"paper_ref":...,"tables":[...]}` as compact JSON. When `stash` is
-/// given, the job also deposits its `Vec<ExpTable>` there (keyed by id)
-/// for post-run rendering.
-///
-/// Each experiment's cache-missing units fan out as first-class sub-jobs
-/// on the shared worker pool, so `--jobs N` load-balances across all units
-/// of all experiments; the experiment's `reduce` runs after its own unit
-/// barrier, so payload bytes never depend on scheduling.
+/// Each job's payload is `{"paper_ref":...,"tables":[...]}` as compact
+/// JSON. When `stash` is given, the job's reduce also deposits its
+/// `Vec<ExpTable>` there (keyed by id) for post-run rendering. Nothing is
+/// planned here: `run_suite` plans every job on its calling thread, keys
+/// every unit by digest and runs each distinct unit once.
 pub fn suite_jobs(
     experiments: Vec<&'static Experiment>,
     cfg: ExpConfig,
@@ -714,12 +783,12 @@ pub fn suite_jobs(
 
 /// [`suite_jobs`] with profiling toggled (`--profile` on both CLIs).
 ///
-/// When `profile` is set, each payload carries the [`ProfileTotal`] its
-/// experiment returns: the summed counters of every unit the experiment
-/// simulated, wherever on the pool it ran (a unit another experiment
-/// already computed runs nothing and adds nothing). Profiled payloads are
-/// **not** byte-stable across runs (wall-clock fields), which is why the
-/// determinism tests exercise the unprofiled path.
+/// When `profile` is set, each payload carries a [`ProfileTotal`]: the
+/// summed counters of every unit its experiment owns (planned first) and
+/// the suite simulated, so the counts do not depend on scheduling.
+/// Profiled payloads are **not** byte-stable across runs (wall-clock
+/// fields), which is why the determinism tests exercise the unprofiled
+/// path.
 pub fn suite_jobs_profiled(
     experiments: Vec<&'static Experiment>,
     cfg: ExpConfig,
@@ -730,16 +799,7 @@ pub fn suite_jobs_profiled(
         .into_iter()
         .map(|e| {
             let stash = stash.clone();
-            JobSpec::new(e.id, e.paper_ref, move || {
-                let (tables, total) = e.run(&cfg);
-                let payload = payload_json(e.paper_ref, &tables, profile.then_some(&total));
-                if let Some(s) = &stash {
-                    s.lock()
-                        .expect("stash lock")
-                        .insert(e.id.to_string(), tables);
-                }
-                payload
-            })
+            JobSpec::planned(e.id, move || e.suite_plan(cfg, profile, stash.clone()))
         })
         .collect()
 }
@@ -773,7 +833,7 @@ mod tests {
     }
 
     fn tables(id: &str) -> Vec<ExpTable> {
-        find(id).expect("registered").run(&smoke()).0
+        find(id).expect("registered").run(&smoke())
     }
 
     /// The config `id` plans for `arm` in `group`.
@@ -948,13 +1008,29 @@ mod tests {
         }
     }
 
+    /// The payload of the one row `jobs` write through the suite.
+    fn payload(jobs: &[JobSpec]) -> String {
+        let cfg = padc_harness::HarnessConfig {
+            workers: 1,
+            budget: None,
+            progress: false,
+        };
+        let mut jsonl = Vec::new();
+        padc_harness::run_suite(jobs, &cfg, Some(&mut jsonl), &mut std::io::sink())
+            .expect("suite I/O");
+        let row = String::from_utf8(jsonl).expect("utf8");
+        let ok = format!("{{\"id\":\"{}\",\"status\":\"ok\",\"result\":", jobs[0].id);
+        let payload = row.strip_prefix(&ok).and_then(|r| r.strip_suffix("}\n"));
+        payload.expect("one ok row").to_string()
+    }
+
     #[test]
     fn suite_jobs_mirror_the_registry_and_stash_tables() {
         let stash = table_stash();
         let jobs = suite_jobs(vec![find("cost").unwrap()], smoke(), Some(stash.clone()));
         assert_eq!(jobs.len(), 1);
         assert_eq!(jobs[0].id, "cost");
-        let payload = (jobs[0].run)();
+        let payload = payload(&jobs);
         assert!(payload.starts_with("{\"paper_ref\":\"Tables 1-2 (hardware cost)\""));
         let parsed = serde_json::parse(&payload).expect("payload is valid JSON");
         assert!(parsed.get("tables").and_then(|t| t.as_array()).is_some());
@@ -967,15 +1043,8 @@ mod tests {
 
     #[test]
     fn profiled_jobs_append_a_profile_object() {
-        // A seed no other test uses: a unit some other test in this binary
-        // had already settled would resolve from the cache and run nothing.
-        let jobs = suite_jobs_profiled(
-            vec![find("fig1").unwrap()],
-            smoke().with_seed(0x9F0F),
-            None,
-            true,
-        );
-        let payload = (jobs[0].run)();
+        let jobs = suite_jobs_profiled(vec![find("fig1").unwrap()], smoke(), None, true);
+        let payload = payload(&jobs);
         assert!(payload.starts_with("{\"paper_ref\":"));
         let parsed = serde_json::parse(&payload).expect("payload is valid JSON");
         let profile = parsed.get("profile").expect("profile object appended");

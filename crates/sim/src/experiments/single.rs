@@ -274,7 +274,7 @@ mod tests {
 
     fn smoke(id: &str) -> crate::experiments::ExpTable {
         let e = find(id).expect("registered");
-        e.run(&ExpConfig::at(Scale::Smoke)).0.remove(0)
+        e.run(&ExpConfig::at(Scale::Smoke)).remove(0)
     }
 
     #[test]

@@ -1,22 +1,17 @@
 //! `padcsim serve`: a long-running experiment request server.
 //!
-//! The batch CLIs ([`crate::cli`]) start a [`SuiteService`] per invocation
-//! and pay the full suite cost each time. Serve mode keeps one process
-//! alive around one long-lived service — the same pool, fed by requests
-//! instead of a command line. It accepts **line-delimited JSON requests**
-//! — over stdio or a Unix socket — each selecting a set of registry
-//! experiments and a scale. Every
-//! request is admitted through the same pure plan phase as the batch
-//! suite, its jobs execute on the shared pool (so concurrent requests
-//! load-balance against each other under one `--jobs N` bound), and its
-//! rows stream back as JSONL events as soon as each settles.
+//! The batch CLIs ([`crate::cli`]) start a worker pool per invocation.
+//! Serve mode starts one [`Pool`] at startup and keeps it for the process,
+//! fed by **line-delimited JSON requests** — over stdio or a Unix socket —
+//! each selecting a set of registry experiments and a scale. A request is
+//! the batch suite's pipeline, one flat plan deduplicated by unit digest,
+//! and its rows stream back as JSONL events as soon as each is ready.
+//! Requests run one at a time on the pool, in arrival order: one
+//! connection's lines in turn, and connections behind one mutex.
 //!
-//! Concurrent requests whose plans overlap resolve the shared
-//! [`SimUnit`](crate::experiments::SimUnit)s against the process-wide
-//! claim map every `execute_units` call goes through: each distinct unit
-//! is computed **once** no matter how many clients are waiting on it (or
-//! asked for it earlier), and with a store installed warm units are not
-//! computed at all.
+//! Nothing but the store carries results from one request to the next:
+//! with `--store` a repeated unit is a store hit, and without it the unit
+//! is simulated again.
 //!
 //! # Protocol
 //!
@@ -39,20 +34,20 @@
 //! {"req":"bad","event":"error","message":"unknown experiment id \"figx\""}
 //! ```
 //!
-//! `row` events arrive in request order (the service's in-order collector
-//! — the one `run_suite` uses) and `data` carries the exact row object the batch suite would have
-//! written, so a client concatenating `data` lines reproduces the batch
-//! JSONL byte-for-byte. Events from concurrent requests interleave on a
-//! shared output, but every event is written line-atomically under one
-//! lock; the `done` counters are process-cumulative snapshots.
+//! `row` events arrive in request order (the pool's in-order emitter, the
+//! one `run_suite` uses) and `data` carries the exact row object the batch
+//! suite would have written, so a client concatenating `data` lines
+//! reproduces the batch JSONL byte-for-byte. Every event is written
+//! line-atomically under one lock; the `done` counters are
+//! process-cumulative snapshots.
 
 use std::io::{self, BufRead, BufReader, Write};
 use std::os::unix::net::UnixListener;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
-use padc_harness::{JobStatus, SuiteService};
+use padc_harness::Pool;
 use serde_json::Value;
 
 use crate::experiments::{self, suite_jobs, ExpConfig, Experiment, Scale};
@@ -76,9 +71,11 @@ struct Request {
 
 /// The server: a persistent worker pool plus the request protocol.
 pub struct ServeState {
-    service: SuiteService,
+    /// Held for a whole request: one request runs at a time.
+    pool: Mutex<Pool>,
     default_scale: Scale,
     next_request: AtomicU64,
+    subjobs_executed: AtomicU64,
 }
 
 impl ServeState {
@@ -87,19 +84,20 @@ impl ServeState {
     /// # Errors
     ///
     /// Fails when the pool's threads cannot be spawned (see
-    /// [`SuiteService::new`]).
+    /// [`Pool::new`]).
     pub fn new(workers: usize, default_scale: Scale) -> io::Result<Self> {
         Ok(ServeState {
-            service: SuiteService::new(workers, None)?,
+            pool: Mutex::new(Pool::new(workers)?),
             default_scale,
             next_request: AtomicU64::new(1),
+            subjobs_executed: AtomicU64::new(0),
         })
     }
 
     /// Handles one request line end-to-end: parse, admit, execute, stream.
-    /// Blocks until the request's batch settles, so callers run each line
-    /// on its own thread when they want concurrency (see [`serve_lines`]).
-    /// Empty lines are ignored; malformed ones produce an `error` event.
+    /// Blocks until the request's rows are out, waiting first for any
+    /// request running on the pool. Empty lines are ignored; malformed
+    /// ones produce an `error` event.
     pub fn handle_line(&self, line: &str, out: &SharedWriter) {
         let line = line.trim();
         if line.is_empty() {
@@ -119,14 +117,9 @@ impl ServeState {
         self.next_request.load(Ordering::Relaxed) - 1
     }
 
-    /// Total sub-job units executed through the shared pool so far.
+    /// Units computed (not loaded) on the pool so far, over all requests.
     pub fn subjobs_executed(&self) -> u64 {
-        self.service.subjobs_executed()
-    }
-
-    /// Stops the worker pool and joins it (also happens on drop).
-    pub fn shutdown(self) {
-        self.service.shutdown();
+        self.subjobs_executed.load(Ordering::Relaxed)
     }
 
     fn parse_request(&self, line: &str, fallback_id: &str) -> Result<Request, (String, String)> {
@@ -203,34 +196,30 @@ impl ServeState {
                 jobs.len()
             ),
         );
-        let handle = self.service.submit(jobs);
-        let streamed = handle.collect_ordered(
-            |_| Ok(()),
-            |completed| {
-                let mut w = out.lock().expect("serve writer poisoned");
-                writeln!(
-                    w,
-                    "{{\"req\":{id_json},\"event\":\"row\",\"data\":{}}}",
-                    completed.row.trim_end()
-                )?;
-                w.flush()
-            },
-        );
+        let pool = self.pool.lock().unwrap_or_else(PoisonError::into_inner);
+        let streamed = pool.run(&jobs, None, |completed| {
+            let mut w = out.lock().expect("serve writer poisoned");
+            writeln!(
+                w,
+                "{{\"req\":{id_json},\"event\":\"row\",\"data\":{}}}",
+                completed.row.trim_end()
+            )?;
+            w.flush()
+        });
         match streamed {
-            Ok(completions) => {
-                let failed = completions
-                    .iter()
-                    .filter(|c| c.status != JobStatus::Ok)
-                    .count();
+            Ok(summary) => {
+                self.subjobs_executed
+                    .fetch_add(summary.subjobs_executed, Ordering::Relaxed);
                 let counters = experiments::unit_cache_stats();
                 emit(
                     out,
                     &format!(
-                        "{{\"req\":{id_json},\"event\":\"done\",\"ok\":{},\"failed\":{failed},\
+                        "{{\"req\":{id_json},\"event\":\"done\",\"ok\":{},\"failed\":{},\
                          \"subjobs_executed\":{},\"store_hits\":{},\"store_misses\":{},\
                          \"units_coalesced\":{}}}",
-                        completions.len() - failed,
-                        self.service.subjobs_executed(),
+                        summary.ok(),
+                        summary.failed(),
+                        self.subjobs_executed(),
                         counters.store_hits,
                         counters.store_misses,
                         counters.units_coalesced,
@@ -259,23 +248,17 @@ fn emit_error(out: &SharedWriter, id: &str, message: &str) {
     );
 }
 
-/// Reads request lines from `input` until EOF, handling each on its own
-/// thread (so back-to-back requests from one client still coalesce), and
-/// returns once every request has finished.
+/// Reads request lines from `input` until EOF and handles each in turn.
 ///
 /// # Errors
 ///
 /// Propagates read errors from `input`; write errors to `out` only abort
 /// the affected request.
 pub fn serve_lines(state: &ServeState, input: impl BufRead, out: &SharedWriter) -> io::Result<()> {
-    std::thread::scope(|scope| {
-        for line in input.lines() {
-            let line = line?;
-            let out = Arc::clone(out);
-            scope.spawn(move || state.handle_line(&line, &out));
-        }
-        Ok(())
-    })
+    for line in input.lines() {
+        state.handle_line(&line?, out);
+    }
+    Ok(())
 }
 
 /// Serves stdio: requests from `input`, events to `output`. Returns at
@@ -411,11 +394,10 @@ mod tests {
         let out = shared_writer(sink.clone());
         state.handle_line("   ", &out);
         assert!(sink.take().is_empty());
-        state.shutdown();
     }
 
     #[test]
-    fn serve_lines_drives_concurrent_requests_to_completion() {
+    fn serve_lines_answers_each_request_in_turn() {
         let state = ServeState::new(2, Scale::Smoke).expect("spawn workers");
         let sink = Capture::default();
         let out = shared_writer(sink.clone());
@@ -423,19 +405,17 @@ mod tests {
                      {\"id\":\"b\",\"experiments\":[\"tab6\"]}\n";
         serve_lines(&state, input.as_bytes(), &out).expect("serving stdio input succeeds");
         let lines = sink.take();
-        let evs = events(&lines);
-        // Interleaving is scheduling-dependent, but each request must get
-        // its full accepted/row/done stream on intact lines.
-        for id in ["a", "b"] {
-            for event in ["accepted", "row", "done"] {
-                assert!(
-                    evs.iter()
-                        .any(|e| e.get("req").unwrap().as_str() == Some(id)
-                            && e.get("event").unwrap().as_str() == Some(event)),
-                    "request {id} lacks {event} event in {lines}"
-                );
-            }
-        }
-        state.shutdown();
+        let seen: Vec<_> = events(&lines)
+            .iter()
+            .map(|e| {
+                let field = |k| e.get(k).unwrap().as_str().unwrap().to_string();
+                (field("req"), field("event"))
+            })
+            .collect();
+        let expected: Vec<_> = ["a", "b"]
+            .iter()
+            .flat_map(|id| ["accepted", "row", "done"].map(|ev| (id.to_string(), ev.to_string())))
+            .collect();
+        assert_eq!(seen, expected, "{lines}");
     }
 }

@@ -113,7 +113,7 @@ fn a_selection_runs_each_experiment_once() {
 
 /// More workers than the OS will start is an error line, not an abort:
 /// under a 400 MB address-space limit the 2 000 worker stacks cannot all
-/// be mapped, and the failed spawn used to panic in `SuiteService::new`
+/// be mapped, and the failed spawn used to panic in the pool's constructor
 /// (exit 101) — or, past the thread limit with no `ulimit`, to abort
 /// with `failed to initiate panic` (exit 134).
 #[test]

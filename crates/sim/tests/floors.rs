@@ -171,7 +171,7 @@ const FLOORS: Floors = Floors {
         singles_computed: at_most(
             275.0,
             275.0,
-            "the claim map stopped deduplicating the cells the four grids share",
+            "the suite stopped deduplicating the cells the four grids share",
         ),
         warm_hits: at_least(275.0, 275.0, "units stopped resolving through the store"),
         warm_misses: at_most(
@@ -320,10 +320,8 @@ fn darp_pulls_refreshes_and_all_bank_never_does() {
 
 const WORKERS: usize = 2;
 
-/// Runs `ids` at smoke scale through the suite from an empty in-memory
-/// claim map (a fresh process, as far as unit resolution can tell).
+/// Runs `ids` at smoke scale through the suite.
 fn suite(ids: &[&str], profile: bool) -> (Vec<u8>, Summary) {
-    experiments::reset_memory_cells();
     let selected = ids
         .iter()
         .map(|id| experiments::find(id).expect("registered experiment id"))
@@ -402,8 +400,8 @@ fn profiled(jsonl: &[u8], id: &str, counter: &str) -> f64 {
         .expect("profiled row carries the counter")
 }
 
-/// One `#[test]`, phased: the claim map, the store slot and the counters
-/// it diffs are process-wide.
+/// One `#[test]`, phased: the store slot and the counters it diffs are
+/// process-wide.
 #[test]
 fn suites_decompose_deduplicate_and_rerun_warm_for_free() {
     // The grid family without a store: the shared cells are requested

@@ -1,16 +1,15 @@
-//! End-to-end tests of the unit cache and the persistent content-addressed
-//! store behind it (DESIGN.md §12): no-store and cold-store runs schedule
-//! the same sub-jobs; cold, warm, and no-store suite runs produce
-//! byte-identical JSONL; a run whose units are already settled — in memory
-//! or on disk — executes zero simulation units; and poisoned entries
-//! (truncation, fingerprint drift, garbage) are recomputed — never
-//! trusted — while the store self-heals.
+//! End-to-end tests of unit resolution and the persistent content-addressed
+//! store behind it (DESIGN.md §12): no-store and cold-store runs compute
+//! the same units; cold, warm, and no-store suite runs produce
+//! byte-identical JSONL; a run whose units are all on disk executes zero
+//! simulation units; and poisoned entries (truncation, fingerprint drift,
+//! garbage) are recomputed — never trusted — while the store self-heals.
 //!
-//! The store slot, the in-memory claim map and the counters are
-//! process-wide, so the whole scenario lives in **one** `#[test]`, phased
-//! in order. `reset_memory_cells()` between phases simulates fresh
-//! processes; each phase's run goes all the way through `run_suite`, the
-//! same path the CLIs use.
+//! The store slot and the counters are process-wide, so the whole scenario
+//! lives in **one** `#[test]`, phased in order. Nothing but the store
+//! carries results from one run to the next, so each phase's run is a
+//! fresh process as far as unit resolution can tell; it goes all the way
+//! through `run_suite`, the same path the CLIs use.
 
 mod common;
 
@@ -64,7 +63,7 @@ fn store_runs_are_byte_identical_and_strictly_validated() {
     let _ = fs::remove_dir_all(&dir);
 
     // Phase 0 — no store: the reference bytes. tab5's cells are a subset
-    // of fig6's, so the claim map computes each distinct unit once (this is
+    // of fig6's, so the suite computes each distinct unit once (this is
     // the process's first run, so the counters read from zero)…
     let (baseline, plain_summary) = run_subset();
     assert!(!baseline.is_empty());
@@ -93,22 +92,17 @@ fn store_runs_are_byte_identical_and_strictly_validated() {
         },
         "without a store nothing probes the disk"
     );
-    // …a second in-process run resolves everything from memory…
+    // …and a second run in the same process simulates them all again:
+    // without a store nothing carries results between runs.
     let (again, again_summary) = run_subset();
     same("again.jsonl", &again);
-    assert_eq!(again_summary.subjobs_executed, 0);
-    // …and forgetting the settled claims simulates them again.
-    experiments::reset_memory_cells();
-    let (fresh, fresh_summary) = run_subset();
-    same("fresh.jsonl", &fresh);
     assert_eq!(
-        fresh_summary.subjobs_executed,
+        again_summary.subjobs_executed,
         plain_summary.subjobs_executed
     );
 
     // Phase 1 — cold store: every unit misses, is computed, and is written
     // back; the artifact and the scheduled sub-jobs must not change.
-    experiments::reset_memory_cells();
     experiments::install_unit_store(&dir).expect("store opens");
     let before = experiments::unit_cache_stats();
     let (cold, cold_summary) = run_subset();
@@ -137,7 +131,6 @@ fn store_runs_are_byte_identical_and_strictly_validated() {
 
     // Phase 2 — warm store in a "fresh process": every unit resolves from
     // disk, zero simulation units execute, bytes identical.
-    experiments::reset_memory_cells();
     let (warm, warm_summary) = run_subset();
     same("warm.jsonl", &warm);
     let after_warm = experiments::unit_cache_stats();
@@ -170,7 +163,6 @@ fn store_runs_are_byte_identical_and_strictly_validated() {
     assert!(text.contains("result-v1"), "meta carries the fingerprint");
     fs::write(drifted, text.replace("result-v1", "result-v9")).expect("drift fingerprint");
 
-    experiments::reset_memory_cells();
     let (healed, _) = run_subset();
     same("healed.jsonl", &healed);
     let after_heal = experiments::unit_cache_stats();
@@ -187,7 +179,6 @@ fn store_runs_are_byte_identical_and_strictly_validated() {
 
     // Phase 4 — the recomputation healed the store: a further fresh run is
     // all hits again.
-    experiments::reset_memory_cells();
     let (rewarm, rewarm_summary) = run_subset();
     same("rewarm.jsonl", &rewarm);
     let after_rewarm = experiments::unit_cache_stats();
@@ -206,7 +197,6 @@ fn store_runs_are_byte_identical_and_strictly_validated() {
     // Phase 6 — uninstalling the store changes nothing but where misses
     // come from: same bytes.
     experiments::uninstall_unit_store();
-    experiments::reset_memory_cells();
     let (plain, _) = run_subset();
     same("no-store.jsonl", &plain);
 

@@ -8,8 +8,8 @@ use std::sync::Mutex;
 
 use padc_harness::{run_suite, HarnessConfig, JobSpec, JobStatus};
 use padc_sim::experiments::{
-    find, reset_memory_cells, select, single_run_stats, suite_jobs, suite_jobs_profiled, ExpConfig,
-    Scale, REGISTRY,
+    self, find, select, single_run_stats, suite_jobs, suite_jobs_profiled, ExpConfig, Scale,
+    REGISTRY,
 };
 
 fn quiet(workers: usize) -> HarnessConfig {
@@ -38,25 +38,17 @@ fn registry_enumerates_every_entry_point_exactly_once() {
         job_ids, expected,
         "jobs must mirror the registry 1:1 in order"
     );
-    for job in &jobs {
-        assert!(
-            !job.description.is_empty(),
-            "{} lacks a description",
-            job.id
-        );
-    }
 }
 
 /// Serializes the tests that run real experiments: they share the
-/// process-wide claim map and simulated-unit counter.
-static CLAIM_MAP: Mutex<()> = Mutex::new(());
+/// process-wide store slot and simulated-unit counter.
+static PROCESS_WIDE: Mutex<()> = Mutex::new(());
 
 /// The determinism contract on one experiment per family (single-core
 /// grids, micro-benchmarks, multi-core aggregate, parameter sweep, shared
 /// alone-unit plan, and the three mechanism-arm families): the JSONL is
-/// byte-identical on 1 and 8 workers (inline vs pool). Each run starts
-/// from an empty claim map and must schedule the same sub-jobs again —
-/// otherwise the second run is served from memory and compares nothing.
+/// byte-identical on 1 and 8 workers, and both runs compute the same
+/// units.
 #[test]
 fn jsonl_is_byte_identical_across_worker_counts() {
     const IDS: [&str; 12] = [
@@ -73,9 +65,8 @@ fn jsonl_is_byte_identical_across_worker_counts() {
         "ext-happy",
         "ext-refresh",
     ];
-    let _serial = CLAIM_MAP.lock().unwrap_or_else(|e| e.into_inner());
+    let _serial = PROCESS_WIDE.lock().unwrap_or_else(|e| e.into_inner());
     let run = |workers: usize| {
-        reset_memory_cells();
         let selected = IDS
             .iter()
             .map(|id| find(id).expect("registered experiment id"))
@@ -144,42 +135,78 @@ fn jsonl_is_byte_identical_across_worker_counts() {
     }
 }
 
-/// A profiled row counts what its experiment simulated, wherever on the
-/// pool each unit ran: fig1's and tab5's `runs` sum to exactly the
-/// single-core units the suite simulated on two workers, and a second
-/// run, which the claim map serves, simulates nothing and counts nothing.
+/// The `profile` object of each row of a profiled fig1 + tab5 suite on
+/// `workers`, and the single-core units the suite simulated.
+fn profiled_fig1_tab5(workers: usize) -> (Vec<serde_json::Value>, u64) {
+    let before = single_run_stats().1;
+    let selected = select(&["fig1", "tab5"]).expect("registered ids");
+    let jobs = suite_jobs_profiled(selected, ExpConfig::at(Scale::Smoke), None, true);
+    let mut jsonl = Vec::new();
+    run_suite(&jobs, &quiet(workers), Some(&mut jsonl), &mut Vec::new()).expect("suite I/O");
+    let rows = String::from_utf8(jsonl).expect("utf8");
+    let profiles = rows.lines().map(|line| {
+        let row = serde_json::parse(line).expect("row is valid JSON");
+        let profile = row.get("result").and_then(|r| r.get("profile"));
+        profile.expect("profiled row carries a profile").clone()
+    });
+    (profiles.collect(), single_run_stats().1 - before)
+}
+
+/// A row's `runs`.
+fn runs(profile: &serde_json::Value) -> u64 {
+    profile.get("runs").and_then(|v| v.as_f64()).expect("runs") as u64
+}
+
+/// A profiled row counts exactly the units its experiment owns and the
+/// suite simulated: fig1's and tab5's `runs` sum to the single-core units
+/// simulated on two workers, and a second run, against the store the
+/// first one filled, simulates nothing and counts nothing.
 #[test]
 fn profiled_rows_count_exactly_the_units_simulated_on_the_pool() {
-    let _serial = CLAIM_MAP.lock().unwrap_or_else(|e| e.into_inner());
-    reset_memory_cells();
-    let runs = || -> Vec<u64> {
-        let selected = select(&["fig1", "tab5"]).expect("registered ids");
-        let jobs = suite_jobs_profiled(selected, ExpConfig::at(Scale::Smoke), None, true);
-        let mut jsonl = Vec::new();
-        run_suite(&jobs, &quiet(2), Some(&mut jsonl), &mut Vec::new()).expect("suite I/O");
-        let text = String::from_utf8(jsonl).expect("utf8");
-        text.lines()
-            .map(|line| {
-                let row = serde_json::parse(line).expect("row is valid JSON");
-                let profile = row.get("result").and_then(|r| r.get("profile"));
-                let runs = profile.and_then(|p| p.get("runs")).and_then(|v| v.as_f64());
-                runs.expect("profiled row carries runs") as u64
-            })
-            .collect()
-    };
-    let before = single_run_stats().1;
-    let first = runs();
-    let simulated = single_run_stats().1 - before;
+    let _serial = PROCESS_WIDE.lock().unwrap_or_else(|e| e.into_inner());
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("suite-profiled-store");
+    let _ = std::fs::remove_dir_all(&dir);
+    experiments::install_unit_store(&dir).expect("store opens");
+    let (first, simulated) = profiled_fig1_tab5(2);
+    let (second, resimulated) = profiled_fig1_tab5(2);
+    experiments::uninstall_unit_store();
+    std::fs::remove_dir_all(&dir).expect("store removed");
     assert!(simulated > 0, "the first run simulated nothing");
-    assert_eq!(first.iter().sum::<u64>(), simulated, "rows {first:?}");
-    assert_eq!(runs(), [0, 0], "the second run simulated or counted units");
+    assert_eq!(first.iter().map(runs).sum::<u64>(), simulated);
+    assert_eq!(resimulated, 0, "the warm run simulated units");
+    assert_eq!(second.iter().map(runs).collect::<Vec<_>>(), [0, 0]);
+}
+
+/// `--profile` attribution does not depend on scheduling: fig1 and tab5
+/// share cells, and a cell's profile counts in the job that planned it
+/// first, so every row's counters — the wall-clock `*_ns` fields aside —
+/// are the same on 1 and on 8 workers, and `runs` sums to the units
+/// simulated.
+#[test]
+fn profiled_counts_are_the_same_on_any_worker_count() {
+    let _serial = PROCESS_WIDE.lock().unwrap_or_else(|e| e.into_inner());
+    let counts = |workers| {
+        let (profiles, simulated) = profiled_fig1_tab5(workers);
+        assert_eq!(profiles.iter().map(runs).sum::<u64>(), simulated);
+        let rows = profiles.iter().map(|p| {
+            let fields = p.as_object().expect("profile object").iter();
+            let counts = fields.filter(|(k, _)| !k.ends_with("_ns"));
+            counts
+                .map(|(k, v)| format!("{k}={v:?}"))
+                .collect::<Vec<_>>()
+        });
+        rows.collect::<Vec<_>>()
+    };
+    let one = counts(1);
+    assert!(one.iter().all(|row| row.len() > 10), "{one:?}");
+    assert_eq!(one, counts(8));
 }
 
 /// Fault isolation: an injected panicking job becomes a structured failure
 /// row while the real experiments around it still complete.
 #[test]
 fn injected_panicking_job_does_not_abort_the_suite() {
-    let _serial = CLAIM_MAP.lock().unwrap_or_else(|e| e.into_inner());
+    let _serial = PROCESS_WIDE.lock().unwrap_or_else(|e| e.into_inner());
     let mut jobs = suite_jobs(
         select(&["fig2", "cost"]).expect("registered ids"),
         ExpConfig::at(Scale::Smoke),
@@ -187,9 +214,7 @@ fn injected_panicking_job_does_not_abort_the_suite() {
     );
     jobs.insert(
         1,
-        JobSpec::new("injected-panic", "deliberate failure", || {
-            panic!("boom from injected job")
-        }),
+        JobSpec::new("injected-panic", || panic!("boom from injected job")),
     );
 
     let mut jsonl = Vec::new();
@@ -232,7 +257,7 @@ fn four_workers_overlap_jobs_for_at_least_2x_speedup() {
     let sleepy = || {
         (0..8)
             .map(|i| {
-                JobSpec::new(format!("sleep{i}"), "t", || {
+                JobSpec::new(format!("sleep{i}"), || {
                     std::thread::sleep(std::time::Duration::from_millis(40));
                     "{}".to_string()
                 })

@@ -9,6 +9,7 @@
 
 use std::path::PathBuf;
 
+use padc_harness::{run_suite, HarnessConfig};
 use padc_sim::experiments::{find, suite_jobs, ExpConfig, Scale, REGISTRY};
 use padc_store::digest_hex;
 
@@ -78,14 +79,26 @@ fn every_experiment_payload_matches_its_recorded_digest() {
         .map(|(id, _)| find(id).expect("registered experiment id"))
         .collect();
     let jobs = suite_jobs(selected, cfg, None);
+    let mut jsonl = Vec::new();
+    run_suite(
+        &jobs,
+        &HarnessConfig::default(),
+        Some(&mut jsonl),
+        &mut std::io::sink(),
+    )
+    .expect("suite I/O");
+    let rows = String::from_utf8(jsonl).expect("JSONL is UTF-8");
+    assert_eq!(rows.lines().count(), DIGESTS.len(), "one row per job");
     let mut moved = Vec::new();
-    for (job, (id, recorded)) in jobs.iter().zip(DIGESTS) {
-        let payload = (job.run)();
+    for (row, (id, recorded)) in rows.lines().zip(DIGESTS) {
+        let ok = format!("{{\"id\":\"{id}\",\"status\":\"ok\",\"result\":");
+        let payload = row.strip_prefix(&ok).and_then(|r| r.strip_suffix('}'));
+        let payload = payload.unwrap_or_else(|| panic!("{id} did not succeed: {row}"));
         let measured = digest_hex(payload.as_bytes());
         if measured != recorded {
             let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("table_bytes");
             std::fs::create_dir_all(&dir).expect("mismatch directory");
-            std::fs::write(dir.join(format!("{id}.json")), &payload).expect("payload written");
+            std::fs::write(dir.join(format!("{id}.json")), payload).expect("payload written");
             moved.push(format!("(\"{id}\", \"{measured}\")"));
         }
     }

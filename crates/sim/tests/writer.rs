@@ -5,7 +5,9 @@
 //! JSONL rows are built from exactly these serializations.
 
 use padc_harness::{run_suite, HarnessConfig};
-use padc_sim::experiments::{execute_units, suite_jobs, table_stash, ExpConfig, Scale, REGISTRY};
+use padc_sim::experiments::{self, suite_jobs, table_stash, ExpConfig, Scale, REGISTRY};
+use padc_sim::Report;
+use padc_store::{sha256, to_hex, Store};
 use serde::Serialize;
 
 /// `x` printed from its `Value` tree, the way `to_string` printed before it
@@ -19,6 +21,9 @@ fn tree<T: Serialize + ?Sized>(x: &T) -> String {
 #[test]
 fn every_smoke_report_and_table_streams_like_its_value_tree() {
     let exp = ExpConfig::at(Scale::Smoke);
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("writer-store");
+    let _ = std::fs::remove_dir_all(&dir);
+    experiments::install_unit_store(&dir).expect("store opens");
     let stash = table_stash();
     let jobs = suite_jobs(REGISTRY.iter().collect(), exp, Some(stash.clone()));
     let config = HarnessConfig {
@@ -53,20 +58,26 @@ fn every_smoke_report_and_table_streams_like_its_value_tree() {
     }
     assert!(tables > REGISTRY.len(), "only {tables} tables");
 
-    // The suite settled every unit in this process: these are memory hits.
+    // The suite stored every unit it simulated: read each one back.
+    let store = Store::open(&dir).expect("store opens");
     let mut reports = 0;
     for e in REGISTRY {
-        let (results, _) = execute_units(&e.plan(&exp));
-        for r in &results {
+        for unit in e.plan(&exp) {
+            let meta = unit.store_meta();
+            let entry = store.load(&to_hex(&sha256(meta.as_bytes())), &meta);
+            let report: Report = serde_json::from_str(&entry.expect("a stored unit"))
+                .expect("a stored report parses");
             assert_eq!(
-                serde_json::to_string(&r.report).ok(),
-                Some(tree(&r.report)),
+                serde_json::to_string(&report).ok(),
+                Some(tree(&report)),
                 "{}: {:?}",
                 e.id,
-                r.key
+                unit.key
             );
             reports += 1;
         }
     }
     assert!(reports > 0, "the registry planned no units");
+    experiments::uninstall_unit_store();
+    std::fs::remove_dir_all(&dir).expect("store removed");
 }

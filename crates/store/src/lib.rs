@@ -234,9 +234,14 @@ mod shani {
 
 /// Lowercase-hex SHA-256 of `data` — the entry key format used throughout.
 pub fn digest_hex(data: &[u8]) -> String {
+    to_hex(&sha256(data))
+}
+
+/// A digest in the entry key format, lowercase hex.
+pub fn to_hex(digest: &[u8; 32]) -> String {
     const HEX: &[u8; 16] = b"0123456789abcdef";
     let mut s = String::with_capacity(64);
-    for b in sha256(data) {
+    for &b in digest {
         s.push(char::from(HEX[usize::from(b >> 4)]));
         s.push(char::from(HEX[usize::from(b & 0xf)]));
     }

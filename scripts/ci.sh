@@ -4,9 +4,10 @@
 # tests (--workspace: without it cargo selects the root package alone; the
 # EXPERIMENTS.md drift check, crates/sim/tests/experiments_md.rs, is one of
 # them), the controller, DRAM, core, store, JSON writer and JSON parser
-# crates' tests and the fast-forward equivalence tests again in release, and
-# the out-of-workspace benchmark package's tests. No step needs Python.
-# Everything runs offline (external deps are vendored; see vendor/README.md).
+# crates' tests, the suite pool's and the fast-forward equivalence tests again
+# in release, and the out-of-workspace benchmark package's tests. Both builds
+# are --locked, so a change to the crate graph fails the gate. No step needs
+# Python. Everything runs offline (external deps are vendored; see vendor/README.md).
 # Each step prints its elapsed seconds; on exit a pass/FAIL/skip table with
 # the same timings goes to stderr and, when set, to $GITHUB_STEP_SUMMARY, so a
 # red job is readable from the workflow summary page without opening logs.
@@ -63,7 +64,9 @@ fi
 step "cargo fmt --check" cargo fmt --check
 step "cargo clippy --workspace --all-targets -- -D warnings" \
     cargo clippy --workspace --all-targets -- -D warnings
-step "cargo build --release --workspace" cargo build --release --workspace
+# --locked: a change to the crate graph must fail here, not rewrite
+# Cargo.lock (or, below, benchmark/Cargo.lock) on the way.
+step "cargo build --release --workspace --locked" cargo build --release --workspace --locked
 step "cargo doc --no-deps (warnings denied)" doc_step
 step "cargo test --workspace" cargo test -q --workspace
 step "cargo test --doc --workspace" cargo test --doc -q --workspace
@@ -77,16 +80,17 @@ step "cargo test --doc --workspace" cargo test --doc -q --workspace
 # arithmetic wraps, and its SHA-256 oracles run in the build that hashes
 # every key; the parser's linear-time guard and string oracle, and the
 # streaming writer's oracle, run in the build that writes every store entry
-# and serves every warm store hit.
-step "cargo test --release -p padc-core -p padc-dram -p padc-cpu -p padc-store -p serde -p serde_json" \
-    cargo test -q --release -p padc-core -p padc-dram -p padc-cpu -p padc-store -p serde -p serde_json
+# and serves every warm store hit; and the suite pool's queue, in-order
+# emitter and peak counter run at the speed every suite runs them.
+step "cargo test --release -p padc-core -p padc-dram -p padc-cpu -p padc-store -p padc-harness -p serde -p serde_json" \
+    cargo test -q --release -p padc-core -p padc-dram -p padc-cpu -p padc-store -p padc-harness -p serde -p serde_json
 # The event kernel's E3/E4 `debug_assert!`s compile out in release too, so
 # its `Off` == `Event` equivalence is re-checked in the build that runs it.
 step "cargo test --release -p padc-sim --test fastforward" \
     cargo test -q --release -p padc-sim --test fastforward
 # The benchmark package is outside the workspace and path-depends on it:
 # a public-API deletion that breaks it must fail here, not in the driver.
-step "benchmark package tests" \
-    cargo test -q --offline --manifest-path benchmark/Cargo.toml
+step "benchmark package tests (--locked)" \
+    cargo test -q --offline --locked --manifest-path benchmark/Cargo.toml
 
 echo "== ci.sh: all green in ${SECONDS}s"
