@@ -1,5 +1,5 @@
-//! `padc-harness` — the suite scheduler. [`Pool::run`], behind `repro`,
-//! `padcsim --suite` and `padcsim serve`, runs every job as one flat plan:
+//! `padc-harness` — the suite scheduler. [`Pool::run`], behind `repro`
+//! and `padcsim serve`, runs every job as one flat plan:
 //!
 //! 1. the calling thread plans each [`JobSpec`] in job order: a
 //!    [`Plan`] is the job's [`Unit`]s plus a reduce to its row payload;

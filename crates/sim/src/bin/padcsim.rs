@@ -6,19 +6,17 @@
 //! padcsim --config system.json --bench milc_06           # full SimConfig from JSON
 //! padcsim --print-config --cores 2 --policy demand-first # dump the config as JSON
 //! padcsim --trace trace.txt --policy padc                # replay a recorded trace
-//! padcsim --suite --smoke --jobs 4 fig6 > out.jsonl      # experiment suite, JSONL on stdout
 //! padcsim serve --stdio --jobs 4 --store DIR              # request server (see padc_sim::serve)
 //! padcsim store stats --store DIR                         # inspect the unit store
 //! ```
 //!
-//! `--suite` is the same driver as the `repro` binary
-//! ([`padc_sim::cli::suite_main`], same flags, registry and JSONL bytes)
-//! with the JSONL stream on stdout by default instead of the tables.
+//! The experiment suite is the `repro` binary. Each of the three command
+//! lines reads its flags through [`padc_sim::cli::Flags`].
 
 use padc_core::SchedulingPolicy;
 use padc_cpu::TraceSource;
 use padc_dram::RefreshPolicy;
-use padc_sim::cli::{install_store, say, store_dir, suite_main, Stdout};
+use padc_sim::cli::{die, install_store, say, store_dir, Flags};
 use padc_sim::{FastForwardMode, SimConfig, System};
 use padc_workloads::{profiles, TraceFileSource};
 
@@ -62,18 +60,14 @@ struct Args {
 }
 
 impl Args {
-    /// Workloads named on the command line (`--trace` files replace
-    /// `--bench` profiles).
+    /// Workloads named on the command line: `--bench` profiles or `--trace`
+    /// files, never both.
     fn sources(&self) -> usize {
-        if self.traces.is_empty() {
-            self.benches.len()
-        } else {
-            self.traces.len()
-        }
+        self.benches.len() + self.traces.len()
     }
 }
 
-fn parse_args() -> Result<Args, String> {
+fn parse_args(raw: &[String]) -> Args {
     let mut args = Args {
         cores: None,
         policy: SchedulingPolicy::Padc,
@@ -90,43 +84,45 @@ fn parse_args() -> Result<Args, String> {
         extended_timing: false,
     };
     // The first flag seen that sets something `--config FILE` also sets.
-    let mut set_by_config: Option<String> = None;
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
+    let mut set_by_config: Option<&str> = None;
+    let mut flags = Flags::new("padcsim", raw);
+    while let Some(flag) = flags.next() {
         if matches!(
-            flag.as_str(),
+            flag,
             "--cores" | "--policy" | "--instructions" | "--no-prefetch"
         ) {
-            set_by_config.get_or_insert(flag.clone());
+            set_by_config.get_or_insert(flag);
         }
-        let mut value = |name: &str| it.next().ok_or_else(|| format!("{name} expects a value"));
-        match flag.as_str() {
+        match flag {
             "--cores" => {
-                let cores = value("--cores")?.parse().map_err(|e| format!("{e}"))?;
+                let cores = flags.integer();
                 if cores == 0 {
-                    return Err("--cores must be at least 1".to_string());
+                    flags.fail("--cores must be at least 1");
                 }
                 args.cores = Some(cores);
             }
-            "--policy" => args.policy = parse_policy(&value("--policy")?)?,
+            "--policy" => {
+                args.policy = parse_policy(flags.value()).unwrap_or_else(|e| flags.fail(e))
+            }
             "--instructions" => {
-                args.instructions = value("--instructions")?
-                    .parse()
-                    .map_err(|e| format!("{e}"))?;
+                args.instructions = flags.integer();
                 if args.instructions == 0 {
-                    return Err("--instructions must be at least 1".to_string());
+                    flags.fail("--instructions must be at least 1");
                 }
             }
-            "--bench" => args.benches.push(value("--bench")?),
-            "--trace" => args.traces.push(value("--trace")?),
-            "--config" => args.config_path = Some(value("--config")?),
+            "--bench" => args.benches.push(flags.value().to_string()),
+            "--trace" => args.traces.push(flags.value().to_string()),
+            "--config" => args.config_path = Some(flags.value().to_string()),
             "--print-config" => args.print_config = true,
             "--no-prefetch" => args.no_prefetch = true,
             "--json" => args.json = true,
             "--profile" => args.profile = true,
-            "--fast-forward" => args.fast_forward = Some(value("--fast-forward")?.parse()?),
+            "--fast-forward" => {
+                args.fast_forward = Some(flags.value().parse().unwrap_or_else(|e| flags.fail(e)))
+            }
             "--refresh-policy" => {
-                args.refresh_policy = Some(parse_refresh_policy(&value("--refresh-policy")?)?)
+                args.refresh_policy =
+                    Some(parse_refresh_policy(flags.value()).unwrap_or_else(|e| flags.fail(e)))
             }
             "--extended-timing" => args.extended_timing = true,
             "--list-benchmarks" => {
@@ -136,33 +132,40 @@ fn parse_args() -> Result<Args, String> {
                 std::process::exit(0);
             }
             "--help" | "-h" => {
-                say(format_args!(
+                say(
                     "usage: padcsim (--config FILE.json | [--cores N] [--policy P] \
                      [--instructions N] [--no-prefetch]) [--json] [--profile] \
                      [--fast-forward off|event] \
                      [--refresh-policy all-bank|per-bank|darp] [--extended-timing] \
                      (--bench NAME ... | --trace FILE ...) | --print-config | --list-benchmarks\n\
-                     --cores defaults to, and must equal, the number of --bench/--trace sources"
-                ));
+                     --cores defaults to, and must equal, the number of --bench/--trace sources\n\
+                     padcsim serve --help | padcsim store --help; the experiment suite is `repro`",
+                );
                 std::process::exit(0);
             }
-            other => return Err(format!("unknown flag {other:?}")),
+            other => flags.fail(format_args!("unknown flag {other:?}")),
         }
     }
     if let (Some(_), Some(flag)) = (&args.config_path, set_by_config) {
-        return Err(format!(
+        flags.fail(format_args!(
             "{flag} cannot be combined with --config: the file sets it"
         ));
+    }
+    if !args.benches.is_empty() && !args.traces.is_empty() {
+        flags.fail("--bench and --trace cannot be combined: give one or the other");
     }
     let sources = args.sources();
     if let Some(cores) = args.cores {
         if sources > 0 && cores != sources {
-            return Err(format!(
+            flags.fail(format_args!(
                 "--cores {cores} but {sources} --bench/--trace source(s) were given"
             ));
         }
     }
-    Ok(args)
+    if sources == 0 && !args.print_config {
+        flags.fail("provide --bench or --trace");
+    }
+    args
 }
 
 /// `padcsim serve`: long-running experiment request server (line-delimited
@@ -170,61 +173,52 @@ fn parse_args() -> Result<Args, String> {
 /// protocol.
 fn run_serve_mode(args: &[String]) -> ! {
     use padc_sim::experiments::Scale;
+    use padc_sim::serve;
 
-    let die = |msg: String| -> ! {
-        eprintln!("error: {msg} (try padcsim serve --help)");
-        std::process::exit(2);
-    };
     let mut workers = 0usize;
     let mut scale = Scale::Full;
     let mut store_flag: Option<String> = None;
-    let mut socket: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .unwrap_or_else(|| die(format!("{name} expects a value")))
-        };
-        match flag.as_str() {
+    let mut socket: Option<&str> = None;
+    let mut flags = Flags::new("padcsim serve", args);
+    while let Some(flag) = flags.next() {
+        match flag {
             "--quick" => scale = Scale::Quick,
             "--smoke" => scale = Scale::Smoke,
-            "--jobs" | "-j" => {
-                let v = value("--jobs");
-                workers = v
-                    .parse()
-                    .unwrap_or_else(|_| die(format!("--jobs expects an integer, got {v:?}")));
-            }
-            "--store" => store_flag = Some(value("--store")),
-            "--socket" => socket = Some(value("--socket")),
+            "--jobs" | "-j" => workers = flags.integer(),
+            "--store" => store_flag = Some(flags.value().to_string()),
+            "--socket" => socket = Some(flags.value()),
             "--stdio" => socket = None,
             "--help" | "-h" => {
-                say(format_args!(
-                    "usage: padcsim serve [--stdio | --socket PATH] [--jobs N] \
+                say("usage: padcsim serve [--stdio | --socket PATH] [--jobs N] \
                      [--quick|--smoke] [--store DIR]\n\
                      requests: one JSON object per line, e.g. \
-                     {{\"id\":\"r1\",\"experiments\":[\"fig6\"],\"scale\":\"smoke\"}}"
-                ));
+                     {\"id\":\"r1\",\"experiments\":[\"fig6\"],\"scale\":\"smoke\"}");
                 std::process::exit(0);
             }
-            other => die(format!("unknown serve flag {other:?}")),
+            other => flags.fail(format_args!("unknown flag {other:?}")),
         }
     }
+    // Bound before anything starts, so a path serve cannot use is one line.
+    let listener = socket.map(|path| {
+        let bound = serve::bind_unix(std::path::Path::new(path))
+            .unwrap_or_else(|e| die(format!("cannot listen on {path}: {e}")));
+        (path, bound)
+    });
     if let Some(dir) = install_store(store_flag) {
         eprintln!("serve: unit store at {dir}");
     }
-    let state = padc_sim::serve::ServeState::new(workers, scale).unwrap_or_else(|e| {
+    let state = serve::ServeState::new(workers, scale).unwrap_or_else(|e| {
         eprintln!("error: {e}");
         std::process::exit(1);
     });
-    let result = match &socket {
-        Some(path) => {
+    let result = match listener {
+        Some((path, listener)) => {
             eprintln!("serve: listening on {path}");
-            padc_sim::serve::serve_unix(&state, std::path::Path::new(path))
+            serve::serve_unix(&state, listener)
         }
         None => {
             eprintln!("serve: reading requests from stdin");
-            padc_sim::serve::serve_stdio(&state, std::io::stdin().lock(), std::io::stdout())
+            serve::serve_lines(&state, std::io::stdin().lock(), &mut std::io::stdout())
         }
     };
     let counters = padc_sim::experiments::unit_cache_stats();
@@ -248,57 +242,41 @@ fn run_serve_mode(args: &[String]) -> ! {
 /// `padcsim store <stats|gc>`: inspect and bound the content-addressed
 /// unit store without running anything.
 fn run_store_mode(args: &[String]) -> ! {
-    let die = |msg: String| -> ! {
-        eprintln!("error: {msg} (try padcsim store --help)");
-        std::process::exit(2);
-    };
-    let mut action: Option<String> = None;
+    let mut action: Option<&str> = None;
     let mut store_flag: Option<String> = None;
     let mut max_bytes: Option<u64> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .unwrap_or_else(|| die(format!("{name} expects a value")))
-        };
-        match arg.as_str() {
-            "--store" => store_flag = Some(value("--store")),
-            "--max-bytes" => {
-                let v = value("--max-bytes");
-                max_bytes =
-                    Some(v.parse().unwrap_or_else(|_| {
-                        die(format!("--max-bytes expects an integer, got {v:?}"))
-                    }));
-            }
+    let mut flags = Flags::new("padcsim store", args);
+    while let Some(arg) = flags.next() {
+        match arg {
+            "--store" => store_flag = Some(flags.value().to_string()),
+            "--max-bytes" => max_bytes = Some(flags.integer()),
             "--help" | "-h" => {
-                say(format_args!(
+                say(
                     "usage: padcsim store (stats | gc --max-bytes N) [--store DIR]\n\
-                     the store directory falls back to $PADC_STORE"
-                ));
+                     the store directory falls back to $PADC_STORE",
+                );
                 std::process::exit(0);
             }
-            other if other.starts_with('-') => die(format!("unknown store flag {other:?}")),
-            other if action.is_none() => action = Some(other.to_string()),
-            other => die(format!("unexpected argument {other:?}")),
+            other if other.starts_with('-') => flags.fail(format_args!("unknown flag {other:?}")),
+            other if action.is_none() => action = Some(other),
+            other => flags.fail(format_args!("unexpected argument {other:?}")),
         }
     }
     // Validate everything before touching the filesystem: `Store::open`
     // creates what it opens, and inspecting must not create.
-    let gc = match action.as_deref() {
-        None | Some("stats") => false,
-        Some("gc") => true,
-        Some(other) => die(format!("unknown store action {other:?} (stats|gc)")),
+    let gc = match action {
+        None | Some("stats") => None,
+        Some("gc") => Some(max_bytes.unwrap_or_else(|| flags.fail("gc requires --max-bytes N"))),
+        Some(other) => flags.fail(format_args!("unknown store action {other:?} (stats|gc)")),
     };
     let dir = store_dir(store_flag)
-        .unwrap_or_else(|| die("no store directory: pass --store DIR or set PADC_STORE".into()));
+        .unwrap_or_else(|| flags.fail("no store directory: pass --store DIR or set PADC_STORE"));
     if !std::path::Path::new(&dir).join("objects").is_dir() {
-        padc_sim::cli::die(format!("no store at {dir}"));
+        die(format!("no store at {dir}"));
     }
     let store = padc_store::Store::open(std::path::Path::new(&dir))
         .unwrap_or_else(|e| die(format!("cannot open store {dir}: {e}")));
-    if gc {
-        let max = max_bytes.unwrap_or_else(|| die("gc requires --max-bytes N".into()));
+    if let Some(max) = gc {
         let o = store
             .gc(max)
             .unwrap_or_else(|e| die(format!("gc failed: {e}")));
@@ -321,8 +299,8 @@ fn run_store_mode(args: &[String]) -> ! {
 /// `--profile`: the hot-path counters as one `profile: {json}` stderr
 /// line, so it composes with `--json` on stdout. The object is the
 /// serde-serialized [`padc_sim::profile::SimProfile`] — the same shape
-/// the suite surfaces (`repro`, `padcsim --suite`, `padcsim serve`) embed
-/// in JSONL rows; keep its keys stable.
+/// the suite surfaces (`repro`, `padcsim serve`) embed in JSONL rows; keep
+/// its keys stable.
 fn print_profile(p: &padc_sim::profile::SimProfile) {
     eprintln!(
         "profile: {}",
@@ -333,30 +311,18 @@ fn print_profile(p: &padc_sim::profile::SimProfile) {
 fn main() {
     let raw: Vec<String> = std::env::args().skip(1).collect();
     match raw.first().map(String::as_str) {
-        Some("--suite") => suite_main("padcsim --suite", Stdout::Jsonl, &raw[1..]),
         Some("serve") => run_serve_mode(&raw[1..]),
         Some("store") => run_store_mode(&raw[1..]),
         _ => {}
     }
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("error: {e} (try --help)");
-            std::process::exit(2);
-        }
-    };
-    let sources = args.sources();
-    let cores = args.cores.unwrap_or(sources.max(1));
+    let args = parse_args(&raw);
+    let cores = args.cores.unwrap_or(args.sources().max(1));
     let mut cfg = match &args.config_path {
         Some(path) => {
-            let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-                eprintln!("error: cannot read {path}: {e}");
-                std::process::exit(2);
-            });
-            serde_json::from_str::<SimConfig>(&text).unwrap_or_else(|e| {
-                eprintln!("error: invalid config {path}: {e}");
-                std::process::exit(2);
-            })
+            let text = std::fs::read_to_string(path)
+                .unwrap_or_else(|e| die(format!("cannot read {path}: {e}")));
+            serde_json::from_str::<SimConfig>(&text)
+                .unwrap_or_else(|e| die(format!("invalid config {path}: {e}")))
         }
         None => SimConfig::new(cores, args.policy),
     };
@@ -377,50 +343,36 @@ fn main() {
             .config_path
             .as_deref()
             .map_or(String::new(), |p| format!(" {p}"));
-        padc_sim::cli::die(format!("invalid config{from}: {e}"));
+        die(format!("invalid config{from}: {e}"));
     }
     if args.print_config {
         say(serde_json::to_string_pretty(&cfg).expect("config serializes"));
         return;
     }
-    if sources > 0 && cfg.cores != sources {
-        padc_sim::cli::die(format!(
-            "the config has {} core(s) but {sources} --bench/--trace source(s) were given",
-            cfg.cores
+    if cfg.cores != args.sources() {
+        die(format!(
+            "the config has {} core(s) but {} --bench/--trace source(s) were given",
+            cfg.cores,
+            args.sources()
         ));
     }
 
     if args.profile {
         padc_sim::profile::set_timing_enabled(true);
     }
-    let mut sys = if !args.traces.is_empty() {
-        let mut traces: Vec<Box<dyn TraceSource>> = Vec::new();
-        for t in &args.traces {
-            match TraceFileSource::from_path(std::path::Path::new(t)) {
-                Ok(src) => traces.push(Box::new(src)),
-                Err(e) => {
-                    eprintln!("error: trace {t}: {e}");
-                    std::process::exit(2);
-                }
-            }
-        }
-        System::with_traces(cfg, traces, args.traces.clone())
+    let mut sys = if args.traces.is_empty() {
+        let benches = args.benches.iter().map(|n| {
+            profiles::by_name(n)
+                .unwrap_or_else(|| die(format!("unknown benchmark {n} (try --list-benchmarks)")))
+        });
+        System::new(cfg, benches.collect())
     } else {
-        if args.benches.is_empty() {
-            eprintln!("error: provide --bench or --trace (or --help)");
-            std::process::exit(2);
-        }
-        let benches: Vec<_> = args
-            .benches
-            .iter()
-            .map(|n| {
-                profiles::by_name(n).unwrap_or_else(|| {
-                    eprintln!("error: unknown benchmark {n} (try --list-benchmarks)");
-                    std::process::exit(2);
-                })
-            })
-            .collect();
-        System::new(cfg, benches)
+        let traces = args.traces.iter().map(|t| {
+            TraceFileSource::from_path(std::path::Path::new(t))
+                .map(|src| Box::new(src) as Box<dyn TraceSource>)
+                .unwrap_or_else(|e| die(format!("trace {t}: {e}")))
+        });
+        System::with_traces(cfg, traces.collect(), args.traces.clone())
     };
     if let Some(mode) = args.fast_forward {
         sys.set_fast_forward_mode(mode);

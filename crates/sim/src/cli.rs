@@ -1,18 +1,13 @@
-//! The suite command line: the one driver behind `repro` and
-//! `padcsim --suite`.
+//! The command lines of this crate: the suite driver behind `repro`, and
+//! the flag reader every command line (`repro`, a single `padcsim` run,
+//! `padcsim serve`, `padcsim store`) parses its arguments with.
 //!
 //! ```text
-//! repro | padcsim --suite
-//!       [--quick|--smoke] [--jobs N] [--jsonl PATH]
+//! repro [--quick|--smoke] [--jobs N] [--jsonl PATH]
 //!       [--summary PATH] [--store DIR] [--budget-seconds N]
 //!       [--json|--csv|--bars COL] [--no-progress] [--profile]
 //!       [--list] [all|<experiment-id>...]
 //! ```
-//!
-//! The two entry points differ in one constant, [`Stdout`]: what stdout
-//! carries when no `--jsonl` names a JSONL destination — the
-//! rendered tables (`repro`) or the JSONL stream (`padcsim --suite`).
-//! Everything else is [`suite_main`].
 //!
 //! With no ids (or `all` anywhere among them), every registered experiment
 //! runs, at `Scale::Full` (the paper's workload counts) unless
@@ -29,7 +24,7 @@
 //! payload (wall times make profiled artifacts non-deterministic, so the
 //! determinism tests run without it). Tables render on stdout
 //! (`--json|--csv|--bars COL` pick the format) unless the JSONL stream
-//! owns it.
+//! owns it (`--jsonl -`).
 //!
 //! `--store DIR` (or `PADC_STORE`) is how a rerun skips work: every
 //! simulation unit is looked up by the digest of its full configuration
@@ -44,7 +39,8 @@
 //! Exit status: `0` when every experiment succeeds, `1` when any job
 //! panics or runs over budget (or the worker pool cannot start, or a sink
 //! fails mid-run), `2` on usage errors (unknown flags or ids, unreadable
-//! or unwritable paths).
+//! or unwritable paths — both output paths are created before anything
+//! runs).
 
 use std::fmt::Display;
 use std::io::Write;
@@ -58,16 +54,6 @@ use crate::experiments::{
     self, suite_jobs_profiled, table_stash, ExpConfig, ExpTable, Scale, REGISTRY,
 };
 
-/// What stdout carries when no `--jsonl` names a JSONL destination — the
-/// one difference between the suite entry points.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Stdout {
-    /// The rendered tables; no JSONL is written (`repro`).
-    Tables,
-    /// The JSONL stream, as with `--jsonl -` (`padcsim --suite`).
-    Jsonl,
-}
-
 /// Table rendering selected by `--json|--csv|--bars COL` (last one wins).
 enum Render {
     Text,
@@ -76,10 +62,67 @@ enum Render {
     Bars(String),
 }
 
-/// Prints a one-line usage error and exits 2.
+/// Prints a one-line error about an input the command line names (an
+/// unreadable file, an invalid config) and exits 2.
 pub fn die(msg: impl Display) -> ! {
     eprintln!("error: {msg}");
     std::process::exit(2);
+}
+
+/// The arguments of one command line, read flag by flag: each command
+/// line's loop matches what [`Iterator::next`] returns and takes a flag's
+/// value with [`Flags::value`] or [`Flags::integer`]. Every usage error it
+/// raises is one `error: … (try <program> --help)` line and exit 2.
+pub struct Flags<'a> {
+    program: &'a str,
+    args: std::slice::Iter<'a, String>,
+    /// The argument read last: the flag a value is for.
+    flag: &'a str,
+}
+
+impl<'a> Flags<'a> {
+    /// Reads `args` (the process arguments after the program and any
+    /// subcommand) for `program`, the name the `--help` hint gives.
+    pub fn new(program: &'a str, args: &'a [String]) -> Self {
+        Flags {
+            program,
+            args: args.iter(),
+            flag: "",
+        }
+    }
+
+    /// The value after the current flag; a usage error when there is none.
+    pub fn value(&mut self) -> &'a str {
+        match self.args.next() {
+            Some(v) => v,
+            None => self.fail(format_args!("{} expects a value", self.flag)),
+        }
+    }
+
+    /// The value after the current flag as an integer; a usage error
+    /// naming the flag when it is missing or not one.
+    pub fn integer<T: std::str::FromStr>(&mut self) -> T {
+        let v = self.value();
+        v.parse().unwrap_or_else(|_| {
+            self.fail(format_args!("{} expects an integer, got {v:?}", self.flag))
+        })
+    }
+
+    /// Ends the process with a usage error: one line and exit 2.
+    pub fn fail(&self, msg: impl Display) -> ! {
+        eprintln!("error: {msg} (try {} --help)", self.program);
+        std::process::exit(2);
+    }
+}
+
+impl<'a> Iterator for Flags<'a> {
+    type Item = &'a str;
+
+    /// The next flag or positional argument, if any.
+    fn next(&mut self) -> Option<&'a str> {
+        self.flag = self.args.next()?;
+        Some(self.flag)
+    }
 }
 
 /// Writes one line to stdout — what every CLI in this crate uses in place
@@ -207,9 +250,9 @@ fn render_tables(
     Ok(())
 }
 
-/// Runs the experiment suite selected by `args` and exits; see the module
-/// docs. `program` is the entry point's name in usage and hint text.
-pub fn suite_main(program: &str, stdout: Stdout, args: &[String]) -> ! {
+/// Runs the experiment suite selected by `args` and exits: the `repro`
+/// binary. See the module docs.
+pub fn suite_main(args: &[String]) -> ! {
     let mut cfg = ExpConfig::at(Scale::Full);
     let mut harness = HarnessConfig {
         progress: true,
@@ -219,63 +262,44 @@ pub fn suite_main(program: &str, stdout: Stdout, args: &[String]) -> ! {
     let mut profile = false;
     let (mut jsonl, mut summary_path, mut store) = (None, None, None);
     let mut ids: Vec<&str> = Vec::new();
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value = || {
-            it.next()
-                .cloned()
-                .unwrap_or_else(|| die(format!("{flag} expects a value")))
-        };
-        let mut integer = || {
-            let v = value();
-            v.parse::<u64>()
-                .unwrap_or_else(|_| die(format!("{flag} expects an integer, got {v:?}")))
-        };
-        match flag.as_str() {
+    let mut flags = Flags::new("repro", args);
+    while let Some(flag) = flags.next() {
+        match flag {
             "--quick" => cfg = ExpConfig::at(Scale::Quick),
             "--smoke" => cfg = ExpConfig::at(Scale::Smoke),
-            "--jobs" | "-j" => harness.workers = integer() as usize,
-            "--budget-seconds" => harness.budget = Some(Duration::from_secs(integer())),
+            "--jobs" | "-j" => harness.workers = flags.integer(),
+            "--budget-seconds" => harness.budget = Some(Duration::from_secs(flags.integer())),
             "--no-progress" => harness.progress = false,
             "--profile" => profile = true,
-            "--jsonl" => jsonl = Some(value()),
-            "--summary" => summary_path = Some(value()),
-            "--store" => store = Some(value()),
+            "--jsonl" => jsonl = Some(flags.value()),
+            "--summary" => summary_path = Some(flags.value()),
+            "--store" => store = Some(flags.value().to_string()),
             "--json" => render = Render::Json,
             "--csv" => render = Render::Csv,
-            "--bars" => render = Render::Bars(value()),
+            "--bars" => render = Render::Bars(flags.value().to_string()),
             "--list" => {
                 print_registry();
                 std::process::exit(0);
             }
             "--help" | "-h" => {
-                say(format_args!(
-                    "usage: {program} [--quick|--smoke] [--jobs N] [--jsonl PATH]\n\
+                say("usage: repro [--quick|--smoke] [--jobs N] [--jsonl PATH]\n\
                      \x20      [--summary PATH] [--store DIR] [--budget-seconds N]\n\
                      \x20      [--json|--csv|--bars COL] [--no-progress] [--profile]\n\
                      \x20      [--list] [all|<experiment-id>...]\n\
-                     known ids:"
-                ));
+                     known ids:");
                 print_registry();
                 std::process::exit(0);
             }
-            other if other.starts_with('-') => {
-                die(format!("unknown flag {other:?} (try {program} --help)"))
-            }
+            other if other.starts_with('-') => flags.fail(format_args!("unknown flag {other:?}")),
             other => ids.push(other),
         }
     }
 
     // Unknown ids are a hard error, not a silent skip.
-    let selected = experiments::select(&ids).unwrap_or_else(|e| {
-        die(format!(
-            "{e} (run `{program} --list` for the registered ids)"
-        ))
-    });
+    let selected = experiments::select(&ids)
+        .unwrap_or_else(|e| die(format!("{e} (run `repro --list` for the registered ids)")));
     let labels: Vec<(&str, &str)> = selected.iter().map(|e| (e.id, e.paper_ref)).collect();
-
-    let jsonl = jsonl.or((stdout == Stdout::Jsonl).then(|| "-".to_string()));
-    let tables_on_stdout = jsonl.as_deref() != Some("-");
+    let tables_on_stdout = jsonl != Some("-");
 
     if profile {
         crate::profile::set_timing_enabled(true);
@@ -284,13 +308,16 @@ pub fn suite_main(program: &str, stdout: Stdout, args: &[String]) -> ! {
     let stash = tables_on_stdout.then(table_stash);
     let jobs = suite_jobs_profiled(selected, cfg, stash.clone(), profile);
 
-    let mut sink: Option<Box<dyn Write>> = jsonl.as_deref().map(|path| match path {
+    // Both output files exist before anything runs: a path that cannot be
+    // created is a usage error now, not after the whole suite.
+    let create = |path: &str| {
+        std::fs::File::create(path).unwrap_or_else(|e| die(format!("cannot create {path}: {e}")))
+    };
+    let mut sink: Option<Box<dyn Write>> = jsonl.map(|path| match path {
         "-" => Box::new(std::io::stdout().lock()) as Box<dyn Write>,
-        path => Box::new(
-            std::fs::File::create(path)
-                .unwrap_or_else(|e| die(format!("cannot create {path}: {e}"))),
-        ),
+        path => Box::new(create(path)),
     });
+    let summary_file = summary_path.map(|path| (path, create(path)));
     let summary = run_suite(
         &jobs,
         &harness,
@@ -326,8 +353,8 @@ pub fn suite_main(program: &str, stdout: Stdout, args: &[String]) -> ! {
             stdout_failed(e);
         }
     }
-    if let Some(path) = &summary_path {
-        std::fs::write(path, summary_json(&summary, &extras))
+    if let Some((path, mut file)) = summary_file {
+        file.write_all(summary_json(&summary, &extras).as_bytes())
             .unwrap_or_else(|e| die(format!("cannot write {path}: {e}")));
     }
 
@@ -384,7 +411,7 @@ mod tests {
         };
         let json = summary_json(&summary, &[("store_hits", 3), ("store_misses", 4)]);
         // One top-level key per line at two spaces: what `--summary`
-        // readers (and `suite_entry_points`' `summary_keys`) scan for.
+        // readers (and `cli_usage`'s `summary_keys`) scan for.
         assert!(
             json.starts_with("{\n  \"total\": 2,\n  \"ok\": 1,\n"),
             "{json}"

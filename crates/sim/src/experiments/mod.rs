@@ -1,8 +1,8 @@
 //! The paper's evaluation (§6) as data: one [`REGISTRY`] row per table and
 //! figure, run at a scale an [`ExpConfig`] sets and returning
 //! [`ExpTable`]s — the same rows/series the paper reports, printable as
-//! aligned text. `repro`, `padcsim --suite`, `padcsim serve` and
-//! `benchmark/` reach a row through [`find`] / [`select`].
+//! aligned text. `repro`, `padcsim serve` and `benchmark/` reach a row
+//! through [`find`] / [`select`].
 //!
 //! A multi-core experiment is a [`Compare`]: [`Arm`]s (a scheduling policy
 //! plus [`Delta`]s from the Table 3/4 baseline) in [`Group`]s, a workload

@@ -3,7 +3,7 @@
 //! [`padc_harness::JobSpec`]s: each job's plan is its row's units keyed by
 //! digest, and its reduce the row's tables as the JSONL payload.
 //!
-//! The suite driver ([`crate::cli`], behind `repro` and `padcsim --suite`),
+//! The suite driver ([`crate::cli`], behind `repro`),
 //! `padcsim serve` and `benchmark/` all go through [`find`] / [`select`].
 //!
 //! A row's [`Shape`] is data wherever the experiment is regular: a

@@ -10,10 +10,11 @@
 //!   SPL, MPKI, ACC, COV, RBHU, and bus traffic split into demand /
 //!   useful-prefetch / useless-prefetch lines.
 //! * [`experiments`] contains one entry point per paper table and figure;
-//!   [`cli::suite_main`] — the driver behind the `repro` binary and
-//!   `padcsim --suite` — runs and prints them, and [`serve`] answers
-//!   requests for them from a long-running process. A rerun skips work
-//!   through the digest-checked unit store (`--store DIR`), nothing else.
+//!   [`cli::suite_main`] — the `repro` binary, the one suite entry point —
+//!   runs and prints them, and [`serve`] answers requests for them from a
+//!   long-running process (`padcsim serve`). A rerun skips work through
+//!   the digest-checked unit store (`--store DIR`), nothing else. Every
+//!   command line reads its flags through [`cli::Flags`].
 //!
 //! # Example
 //!

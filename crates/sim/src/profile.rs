@@ -137,7 +137,7 @@ fn pct(ratio: f64) -> f64 {
 /// declaration order, plus the derived `core_skip_pct` / `ctrl_skip_pct`
 /// percentages). This single serde surface is shared by the `padcsim`
 /// `--profile` stderr line and the suite JSONL rows `repro` / `padcsim
-/// --suite` / `padcsim serve` emit (via [`ProfileTotal`]).
+/// serve` emit (via [`ProfileTotal`]).
 impl Serialize for SimProfile {
     fn to_value(&self) -> Value {
         let mut fields: Vec<(String, Value)> = Vec::new();

@@ -1,13 +1,14 @@
 //! `padcsim serve`: a long-running experiment request server.
 //!
-//! The batch CLIs ([`crate::cli`]) start a worker pool per invocation.
+//! The batch suite ([`crate::cli`]) starts a worker pool per invocation.
 //! Serve mode starts one [`Pool`] at startup and keeps it for the process,
 //! fed by **line-delimited JSON requests** — over stdio or a Unix socket —
 //! each selecting a set of registry experiments and a scale. A request is
 //! the batch suite's pipeline, one flat plan deduplicated by unit digest,
 //! and its rows stream back as JSONL events as soon as each is ready.
 //! Requests run one at a time on the pool, in arrival order: one
-//! connection's lines in turn, and connections behind one mutex.
+//! connection's lines in turn, and connections behind one mutex. Each
+//! stdio session or socket connection owns its writer.
 //!
 //! Nothing but the store carries results from one request to the next:
 //! with `--store` a repeated unit is a store hit, and without it the unit
@@ -37,30 +38,21 @@
 //! `row` events arrive in request order (the pool's in-order emitter, the
 //! one `run_suite` uses) and `data` carries the exact row object the batch
 //! suite would have written, so a client concatenating `data` lines
-//! reproduces the batch JSONL byte-for-byte. Every event is written
-//! line-atomically under one lock; the `done` counters are
-//! process-cumulative snapshots.
+//! reproduces the batch JSONL byte-for-byte. Every event is one line,
+//! flushed as it is written; the `done` counters are process-cumulative
+//! snapshots.
 
 use std::io::{self, BufRead, BufReader, Write};
+use std::os::unix::fs::FileTypeExt;
 use std::os::unix::net::UnixListener;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Mutex, PoisonError};
 
 use padc_harness::Pool;
 use serde_json::Value;
 
 use crate::experiments::{self, suite_jobs, ExpConfig, Experiment, Scale};
-
-/// Output shared by concurrent request handlers. Every event is written as
-/// one whole line under the lock, so interleaved streams never split a
-/// line.
-pub type SharedWriter = Arc<Mutex<Box<dyn Write + Send>>>;
-
-/// Wraps a writer for shared, line-atomic use.
-pub fn shared_writer(w: impl Write + Send + 'static) -> SharedWriter {
-    Arc::new(Mutex::new(Box::new(w)))
-}
 
 /// One parsed, admitted request.
 struct Request {
@@ -97,8 +89,8 @@ impl ServeState {
     /// Handles one request line end-to-end: parse, admit, execute, stream.
     /// Blocks until the request's rows are out, waiting first for any
     /// request running on the pool. Empty lines are ignored; malformed
-    /// ones produce an `error` event.
-    pub fn handle_line(&self, line: &str, out: &SharedWriter) {
+    /// ones produce an `error` event. Every event goes to `out`.
+    pub fn handle_line(&self, line: &str, out: &mut dyn Write) {
         let line = line.trim();
         if line.is_empty() {
             return;
@@ -186,7 +178,7 @@ impl ServeState {
         })
     }
 
-    fn run_request(&self, request: Request, out: &SharedWriter) {
+    fn run_request(&self, request: Request, out: &mut dyn Write) {
         let jobs = suite_jobs(request.experiments, request.cfg, None);
         let id_json = serde_json::to_string(&request.id).expect("string serializes");
         emit(
@@ -198,13 +190,12 @@ impl ServeState {
         );
         let pool = self.pool.lock().unwrap_or_else(PoisonError::into_inner);
         let streamed = pool.run(&jobs, None, |completed| {
-            let mut w = out.lock().expect("serve writer poisoned");
             writeln!(
-                w,
+                out,
                 "{{\"req\":{id_json},\"event\":\"row\",\"data\":{}}}",
                 completed.row.trim_end()
             )?;
-            w.flush()
+            out.flush()
         });
         match streamed {
             Ok(summary) => {
@@ -231,15 +222,14 @@ impl ServeState {
     }
 }
 
-/// Writes one event line under the shared lock. Best-effort: a client that
-/// hung up must not take the server down.
-fn emit(out: &SharedWriter, line: &str) {
-    let mut w = out.lock().expect("serve writer poisoned");
-    let _ = writeln!(w, "{line}");
-    let _ = w.flush();
+/// Writes one event line. Best-effort: a client that hung up must not take
+/// the server down.
+fn emit(out: &mut dyn Write, line: &str) {
+    let _ = writeln!(out, "{line}");
+    let _ = out.flush();
 }
 
-fn emit_error(out: &SharedWriter, id: &str, message: &str) {
+fn emit_error(out: &mut dyn Write, id: &str, message: &str) {
     let id = serde_json::to_string(&id).expect("string serializes");
     let message = serde_json::to_string(&message).expect("string serializes");
     emit(
@@ -248,54 +238,54 @@ fn emit_error(out: &SharedWriter, id: &str, message: &str) {
     );
 }
 
-/// Reads request lines from `input` until EOF and handles each in turn.
+/// Reads request lines from `input` until EOF and handles each in turn,
+/// writing their events to `out`. The `padcsim serve --stdio` entry point,
+/// and each socket connection's.
 ///
 /// # Errors
 ///
 /// Propagates read errors from `input`; write errors to `out` only abort
 /// the affected request.
-pub fn serve_lines(state: &ServeState, input: impl BufRead, out: &SharedWriter) -> io::Result<()> {
+pub fn serve_lines(state: &ServeState, input: impl BufRead, out: &mut dyn Write) -> io::Result<()> {
     for line in input.lines() {
         state.handle_line(&line?, out);
     }
     Ok(())
 }
 
-/// Serves stdio: requests from `input`, events to `output`. Returns at
-/// EOF. The `padcsim serve --stdio` entry point.
+/// Binds a Unix socket at `path` for [`serve_unix`]. A stale socket file
+/// there is replaced; any other file is left alone and is an error.
 ///
 /// # Errors
 ///
-/// Propagates read errors from `input`.
-pub fn serve_stdio(
-    state: &ServeState,
-    input: impl BufRead,
-    output: impl Write + Send + 'static,
-) -> io::Result<()> {
-    let out = shared_writer(output);
-    serve_lines(state, input, &out)
+/// Fails if `path` holds something other than a socket, or the socket
+/// cannot be bound.
+pub fn bind_unix(path: &Path) -> io::Result<UnixListener> {
+    if let Ok(meta) = std::fs::symlink_metadata(path) {
+        if !meta.file_type().is_socket() {
+            return Err(io::Error::new(
+                io::ErrorKind::AlreadyExists,
+                "the path exists and is not a socket",
+            ));
+        }
+        std::fs::remove_file(path)?;
+    }
+    UnixListener::bind(path)
 }
 
-/// Binds `path` (replacing any stale socket file) and serves each
-/// connection on its own thread until the process is killed. The
-/// `padcsim serve --socket PATH` entry point.
-///
-/// # Errors
-///
-/// Fails if the socket cannot be bound; per-connection I/O errors only
-/// drop that connection.
-pub fn serve_unix(state: &ServeState, path: &Path) -> io::Result<()> {
-    let _ = std::fs::remove_file(path);
-    let listener = UnixListener::bind(path)?;
+/// Serves each connection on `listener` on its own thread until the
+/// process is killed: it never returns, and a connection's I/O errors
+/// only drop that connection. The `padcsim serve --socket PATH` entry
+/// point.
+pub fn serve_unix(state: &ServeState, listener: UnixListener) -> io::Result<()> {
     std::thread::scope(|scope| loop {
         match listener.accept() {
-            Ok((stream, _)) => {
+            Ok((mut stream, _)) => {
                 scope.spawn(move || {
                     let Ok(read_half) = stream.try_clone() else {
                         return;
                     };
-                    let out = shared_writer(stream);
-                    let _ = serve_lines(state, BufReader::new(read_half), &out);
+                    let _ = serve_lines(state, BufReader::new(read_half), &mut stream);
                 });
             }
             Err(e) => {
@@ -309,28 +299,9 @@ pub fn serve_unix(state: &ServeState, path: &Path) -> io::Result<()> {
 mod tests {
     use super::*;
 
-    /// A `Write` that appends into a shared buffer the test can read back.
-    #[derive(Clone, Default)]
-    struct Capture(Arc<Mutex<Vec<u8>>>);
-
-    impl Capture {
-        fn take(&self) -> String {
-            String::from_utf8(self.0.lock().unwrap().clone()).unwrap()
-        }
-    }
-
-    impl Write for Capture {
-        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-            self.0.lock().unwrap().extend_from_slice(buf);
-            Ok(buf.len())
-        }
-        fn flush(&mut self) -> io::Result<()> {
-            Ok(())
-        }
-    }
-
-    fn events(output: &str) -> Vec<Value> {
-        output
+    fn events(output: &[u8]) -> Vec<Value> {
+        std::str::from_utf8(output)
+            .expect("events are UTF-8")
             .lines()
             .map(|l| serde_json::parse(l).expect("every event line is JSON"))
             .collect()
@@ -339,18 +310,16 @@ mod tests {
     #[test]
     fn serve_streams_rows_and_reports_errors() {
         let state = ServeState::new(1, Scale::Smoke).expect("spawn workers");
-        let sink = Capture::default();
-        let out = shared_writer(sink.clone());
 
         // A valid two-experiment request streams accepted, rows in request
         // order, then done.
+        let mut out = Vec::new();
         state.handle_line(
             "{\"id\":\"r1\",\"experiments\":[\"cost\",\"tab6\"],\"scale\":\"smoke\"}",
-            &out,
+            &mut out,
         );
-        let lines = sink.take();
-        let evs = events(&lines);
-        assert_eq!(evs.len(), 4, "accepted + 2 rows + done: {lines}");
+        let evs = events(&out);
+        assert_eq!(evs.len(), 4, "accepted + 2 rows + done: {evs:?}");
         assert_eq!(evs[0].get("event").unwrap().as_str(), Some("accepted"));
         assert_eq!(evs[0].get("req").unwrap().as_str(), Some("r1"));
         for (ev, id) in evs[1..3].iter().zip(["cost", "tab6"]) {
@@ -379,10 +348,9 @@ mod tests {
             ("{\"id\":\"r0\",\"instructions\":0}", "at least 1"),
             ("[1,2]", "JSON object"),
         ] {
-            let sink = Capture::default();
-            let out = shared_writer(sink.clone());
-            state.handle_line(line, &out);
-            let evs = events(&sink.take());
+            let mut out = Vec::new();
+            state.handle_line(line, &mut out);
+            let evs = events(&out);
             assert_eq!(evs.len(), 1, "one error event for {line:?}");
             assert_eq!(evs[0].get("event").unwrap().as_str(), Some("error"));
             let message = evs[0].get("message").unwrap().as_str().unwrap();
@@ -390,22 +358,19 @@ mod tests {
         }
 
         // Blank lines are ignored.
-        let sink = Capture::default();
-        let out = shared_writer(sink.clone());
-        state.handle_line("   ", &out);
-        assert!(sink.take().is_empty());
+        let mut out = Vec::new();
+        state.handle_line("   ", &mut out);
+        assert!(out.is_empty());
     }
 
     #[test]
     fn serve_lines_answers_each_request_in_turn() {
         let state = ServeState::new(2, Scale::Smoke).expect("spawn workers");
-        let sink = Capture::default();
-        let out = shared_writer(sink.clone());
+        let mut out = Vec::new();
         let input = "{\"id\":\"a\",\"experiments\":[\"cost\"]}\n\
                      {\"id\":\"b\",\"experiments\":[\"tab6\"]}\n";
-        serve_lines(&state, input.as_bytes(), &out).expect("serving stdio input succeeds");
-        let lines = sink.take();
-        let seen: Vec<_> = events(&lines)
+        serve_lines(&state, input.as_bytes(), &mut out).expect("serving stdio input succeeds");
+        let seen: Vec<_> = events(&out)
             .iter()
             .map(|e| {
                 let field = |k| e.get(k).unwrap().as_str().unwrap().to_string();
@@ -416,6 +381,6 @@ mod tests {
             .iter()
             .flat_map(|id| ["accepted", "row", "done"].map(|ev| (id.to_string(), ev.to_string())))
             .collect();
-        assert_eq!(seen, expected, "{lines}");
+        assert_eq!(seen, expected);
     }
 }

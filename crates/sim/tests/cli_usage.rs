@@ -1,13 +1,15 @@
-//! Binary-level usage contract of `padcsim`: input the CLI cannot run
-//! must exit 2 with a one-line message on stderr — never a panic with a
-//! backtrace, and never a silently ignored flag — a worker pool the OS
-//! refuses is one error line, a reader that closes
-//! stdout early is a clean exit, and the `store` subcommand and
+//! Binary-level contract of the command lines: `repro`, the one suite
+//! entry point, takes every suite flag, writes the same bytes warm from a
+//! store as cold, and streams its rows on stdout with `--jsonl -`; input
+//! `repro` or `padcsim` cannot run must exit 2 with a one-line message on
+//! stderr — never a panic with a backtrace, and never a silently ignored
+//! flag — a worker pool the OS refuses is one error line, a reader that
+//! closes stdout early is a clean exit, and the `store` subcommand and
 //! `--refresh-policy all-bank` do what they say.
 
 mod common;
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
 use padc_dram::ExtendedTiming;
@@ -21,32 +23,142 @@ fn scratch(name: &str) -> PathBuf {
     dir
 }
 
-fn padcsim(args: &[&str]) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_padcsim"))
-        .env_remove("PADC_STORE")
-        .args(args)
-        .output()
-        .expect("padcsim spawns")
+/// The binary a command line's first word names.
+fn binary(program: &str) -> &'static str {
+    match program {
+        "padcsim" => env!("CARGO_BIN_EXE_padcsim"),
+        "repro" => env!("CARGO_BIN_EXE_repro"),
+        other => panic!("no binary {other}"),
+    }
 }
 
-/// Runs `padcsim` with `args`, which must succeed, returning its stdout.
-fn accepted(args: &[&str]) -> String {
-    let out = padcsim(args);
+/// Runs the command line `argv` (`argv[0]` is `padcsim` or `repro`).
+fn run(argv: &[&str]) -> Output {
+    Command::new(binary(argv[0]))
+        .env_remove("PADC_STORE")
+        .args(&argv[1..])
+        .output()
+        .expect("the binary spawns")
+}
+
+/// Runs `argv`, which must succeed, returning its stdout.
+fn accepted(argv: &[&str]) -> String {
+    let out = run(argv);
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(out.status.success(), "{args:?}: {stderr}");
+    assert!(out.status.success(), "{argv:?}: {stderr}");
     String::from_utf8(out.stdout).expect("stdout is UTF-8")
 }
 
-/// Runs `padcsim` with `args` and asserts the usage-error contract,
-/// returning the stderr line.
-fn rejected(args: &[&str]) -> String {
-    let out = padcsim(args);
+/// Runs `argv` and asserts the usage-error contract, returning the stderr
+/// line.
+fn rejected(argv: &[&str]) -> String {
+    let out = run(argv);
     let stderr = String::from_utf8(out.stderr).expect("stderr is UTF-8");
-    assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
-    assert!(!stderr.contains("panicked at"), "{args:?}: {stderr}");
-    assert_eq!(stderr.lines().count(), 1, "{args:?}: {stderr}");
-    assert!(out.stdout.is_empty(), "{args:?} wrote results");
+    assert_eq!(out.status.code(), Some(2), "{argv:?}: {stderr}");
+    assert!(!stderr.contains("panicked at"), "{argv:?}: {stderr}");
+    assert_eq!(stderr.lines().count(), 1, "{argv:?}: {stderr}");
+    assert!(stderr.starts_with("error: "), "{argv:?}: {stderr}");
+    assert!(out.stdout.is_empty(), "{argv:?} wrote results");
     stderr
+}
+
+/// The top-level keys of a `--summary` file, in order.
+fn summary_keys(path: &Path) -> Vec<String> {
+    let text = std::fs::read_to_string(path).expect("summary written");
+    text.lines()
+        .filter_map(|l| l.strip_prefix("  \""))
+        .map(|l| l.split('"').next().expect("key").to_string())
+        .collect()
+}
+
+#[test]
+fn repro_takes_every_suite_flag_and_a_warm_store_writes_the_same_bytes() {
+    let dir = scratch("flags");
+    let path = |name: &str| dir.join(name).to_str().expect("utf-8 path").to_string();
+    let (jsonl, summary, store) = (path("cold.jsonl"), path("cold.json"), path("store"));
+    let fresh = run(&[
+        "repro",
+        "--smoke",
+        "--jobs",
+        "2",
+        "--no-progress",
+        "--budget-seconds",
+        "600",
+        "--store",
+        &store,
+        "--jsonl",
+        &jsonl,
+        "--summary",
+        &summary,
+        "fig2",
+        "tab5",
+    ]);
+    let stderr = String::from_utf8_lossy(&fresh.stderr).into_owned();
+    assert_eq!(fresh.status.code(), Some(0), "{stderr}");
+    assert!(stderr.contains("store: hits=0 misses=110 "), "{stderr}");
+    assert!(stderr.contains("suite: 2/2 ok, 0 failed"), "{stderr}");
+    assert!(
+        stderr.contains("single_run_memo: requested=110 computed=110"),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("[  1/2]"), "--no-progress was ignored");
+    assert_eq!(
+        summary_keys(Path::new(&summary)),
+        [
+            "total",
+            "ok",
+            "failed",
+            "workers",
+            "wall_seconds",
+            "subjobs_executed",
+            "subjobs_peak_concurrent",
+            "store_hits",
+            "store_misses",
+            "units_coalesced",
+            "jobs"
+        ]
+    );
+
+    // A rerun over the same store executes nothing and writes the same
+    // bytes (`--profile` stays off: its timings are not stable).
+    let (warm_jsonl, warm_summary) = (path("warm.jsonl"), path("warm.json"));
+    let warm = run(&[
+        "repro",
+        "--smoke",
+        "--store",
+        &store,
+        "--jsonl",
+        &warm_jsonl,
+        "--summary",
+        &warm_summary,
+        "fig2",
+        "tab5",
+    ]);
+    let stderr = String::from_utf8_lossy(&warm.stderr).into_owned();
+    assert_eq!(warm.status.code(), Some(0), "{stderr}");
+    assert!(stderr.contains("store: hits=110 misses=0 "), "{stderr}");
+    let warm_summary = std::fs::read_to_string(&warm_summary).expect("summary written");
+    assert!(
+        warm_summary.contains("\"subjobs_executed\": 0,"),
+        "{warm_summary}"
+    );
+    let bytes = std::fs::read(&jsonl).expect("artifact written");
+    assert!(!bytes.is_empty());
+    assert_eq!(std::fs::read(&warm_jsonl).expect("warm artifact"), bytes);
+    std::fs::remove_dir_all(&dir).expect("scratch removed");
+}
+
+/// Stdout carries the tables, or with `--jsonl -` the JSONL rows instead.
+#[test]
+fn stdout_carries_the_tables_or_the_rows() {
+    let tables = accepted(&["repro", "--smoke", "--no-progress", "fig2"]);
+    assert!(tables.starts_with("# fig2 — "), "{tables}");
+    let rows = accepted(&["repro", "--smoke", "--no-progress", "--jsonl", "-", "fig2"]);
+    assert!(
+        rows.starts_with("{\"id\":\"fig2\",\"status\":\"ok\""),
+        "{rows}"
+    );
+    assert_eq!(rows.lines().count(), 1, "{rows}");
 }
 
 /// `padcsim ... | head -1`: every stdout write fails with EPIPE. The
@@ -54,58 +166,128 @@ fn rejected(args: &[&str]) -> String {
 /// through first.
 #[test]
 fn a_closed_stdout_reader_is_a_clean_exit() {
-    for args in [
-        &["--list-benchmarks"][..],
-        &["--suite", "--list"],
-        &["--print-config"],
-        &["--bench", "mcf_06", "--instructions", "1000"],
-        &["--suite", "--smoke", "--no-progress", "cost"],
+    for argv in [
+        &["padcsim", "--list-benchmarks"][..],
+        &["repro", "--list"],
+        &["padcsim", "--print-config"],
+        &["padcsim", "--bench", "mcf_06", "--instructions", "1000"],
+        &["repro", "--smoke", "--no-progress", "cost"],
+        &["repro", "--smoke", "--no-progress", "--jsonl", "-", "cost"],
     ] {
         let (reader, writer) = std::io::pipe().expect("pipe");
         drop(reader);
-        let out = Command::new(env!("CARGO_BIN_EXE_padcsim"))
+        let out = Command::new(binary(argv[0]))
             .env_remove("PADC_STORE")
-            .args(args)
+            .args(&argv[1..])
             .stdout(writer)
             .output()
-            .expect("padcsim spawns");
+            .expect("the binary spawns");
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(!stderr.contains("panicked at"), "{args:?}: {stderr}");
-        assert_eq!(out.status.code(), Some(0), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked at"), "{argv:?}: {stderr}");
+        assert_eq!(out.status.code(), Some(0), "{argv:?}: {stderr}");
     }
 }
 
 #[test]
 fn unrunnable_input_exits_2_with_one_line() {
-    let zero = rejected(&["--bench", "mcf_06", "--instructions", "0"]);
-    assert!(zero.contains("--instructions"), "{zero}");
+    let dir = scratch("usage");
+    let trace = dir.join("small.trace");
+    std::fs::write(&trace, "C 3\nL 0x40 0x400\n").expect("trace written");
+    let trace = trace.to_str().expect("utf-8 path");
+    let artifact = dir.join("settled.jsonl");
+    std::fs::write(&artifact, "").expect("artifact");
+    let artifact = artifact.to_str().expect("utf-8 path");
+    let out = dir.join("out.jsonl");
+    let out = out.to_str().expect("utf-8 path");
+    let missing = dir.join("typo").join("s.json");
+    let missing = missing.to_str().expect("utf-8 path");
 
-    // The retired execution-mode selector is an unknown flag like any other.
-    let exec = rejected(&["--suite", "--smoke", "--exec", "planned", "fig2"]);
-    assert!(exec.contains("--exec"), "{exec}");
-    // The stepping mode is a single run's: the suite and the server have
-    // no `--fast-forward`.
-    for args in [
-        &["--suite", "--smoke", "--fast-forward", "off", "fig2"][..],
-        &["serve", "--fast-forward", "off"],
+    for (argv, needle) in [
+        (
+            &["padcsim", "--bench", "mcf_06", "--instructions", "0"][..],
+            "--instructions",
+        ),
+        // A number that does not parse names its flag.
+        (
+            &["padcsim", "--cores", "x", "--bench", "mcf_06"],
+            "--cores expects an integer, got \"x\"",
+        ),
+        (
+            &["padcsim", "--bench", "mcf_06", "--instructions", "x"],
+            "--instructions expects an integer, got \"x\"",
+        ),
+        (
+            &["padcsim", "--cores", "0", "--print-config"],
+            "--cores must be at least 1",
+        ),
+        (
+            &["padcsim", "--cores", "3", "--bench", "mcf_06"],
+            "--cores 3 but 1",
+        ),
+        // `--trace` used to drop the `--bench` profiles beside it unsaid.
+        (
+            &["padcsim", "--trace", trace, "--bench", "mcf_06"],
+            "--bench and --trace cannot be combined",
+        ),
+        // The suite is `repro`'s alone, and takes its flags.
+        (
+            &["padcsim", "--suite", "--smoke", "cost"],
+            "unknown flag \"--suite\"",
+        ),
+        // The retired execution-mode selector is an unknown flag like any
+        // other.
+        (&["repro", "--smoke", "--exec", "planned", "fig2"], "--exec"),
+        // The stepping mode is a single run's: the suite and the server
+        // have no `--fast-forward`.
+        (
+            &["repro", "--smoke", "--fast-forward", "off", "fig2"],
+            "--fast-forward",
+        ),
+        (
+            &["padcsim", "serve", "--fast-forward", "off"],
+            "--fast-forward",
+        ),
+        (&["repro", "--smoke", "figx"], "figx"),
+        (&["repro", "--jobs", "many"], "--jobs expects an integer"),
+        // The store is the one rerun path; `--resume` is gone.
+        (
+            &[
+                "repro", "--smoke", "--resume", artifact, "--jsonl", out, "fig2",
+            ],
+            "unknown flag \"--resume\"",
+        ),
+        // An output path that cannot be created is refused before the
+        // suite runs, not after it.
+        (
+            &[
+                "repro",
+                "--smoke",
+                "--no-progress",
+                "--summary",
+                missing,
+                "cost",
+            ],
+            "cannot create",
+        ),
     ] {
-        let ff = rejected(args);
-        assert!(ff.contains("--fast-forward"), "{ff}");
+        let stderr = rejected(argv);
+        assert!(stderr.contains(needle), "{argv:?}: {stderr}");
     }
-
-    let no_cores = rejected(&["--cores", "0", "--print-config"]);
-    assert!(
-        no_cores.contains("--cores must be at least 1"),
-        "{no_cores}"
-    );
-    let spare_cores = rejected(&["--cores", "3", "--bench", "mcf_06"]);
-    assert!(spare_cores.contains("--cores 3 but 1"), "{spare_cores}");
+    std::fs::remove_dir_all(&dir).expect("scratch removed");
 }
 
 /// `cost cost` used to run the job twice and write two `cost` rows.
 #[test]
 fn a_selection_runs_each_experiment_once() {
-    let twice = padcsim(&["--suite", "--smoke", "--no-progress", "cost", "cost"]);
+    let twice = run(&[
+        "repro",
+        "--smoke",
+        "--no-progress",
+        "--jsonl",
+        "-",
+        "cost",
+        "cost",
+    ]);
     let stderr = String::from_utf8_lossy(&twice.stderr);
     assert!(stderr.contains("suite: 1/1 ok"), "{stderr}");
     assert_eq!(twice.stdout.iter().filter(|&&b| b == b'\n').count(), 1);
@@ -118,33 +300,33 @@ fn a_selection_runs_each_experiment_once() {
 /// with `failed to initiate panic` (exit 134).
 #[test]
 fn a_worker_pool_the_os_refuses_is_one_error_line() {
-    for args in [
+    for argv in [
         &[
-            "--suite",
+            "repro",
             "--smoke",
             "--no-progress",
             "--jobs",
             "2000",
             "cost",
         ][..],
-        &["serve", "--stdio", "--jobs", "2000"],
+        &["padcsim", "serve", "--stdio", "--jobs", "2000"],
     ] {
         let out = Command::new("sh")
             .arg("-c")
             .arg("ulimit -v 400000; exec \"$0\" \"$@\"")
-            .arg(env!("CARGO_BIN_EXE_padcsim"))
-            .args(args)
+            .arg(binary(argv[0]))
+            .args(&argv[1..])
             .env_remove("PADC_STORE")
             .stdin(std::process::Stdio::null())
             .output()
             .expect("sh spawns");
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(!out.status.success(), "{args:?}: {stderr}");
-        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
-        assert_eq!(stderr.lines().count(), 1, "{args:?}: {stderr}");
+        assert!(!out.status.success(), "{argv:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{argv:?}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{argv:?}: {stderr}");
         assert!(
             stderr.starts_with("error: ") && stderr.contains("2000 worker threads"),
-            "{args:?}: {stderr}"
+            "{argv:?}: {stderr}"
         );
     }
 }
@@ -158,7 +340,7 @@ fn an_over_long_trace_is_refused_before_it_is_expanded() {
     let trace = dir.join("huge.trace");
     std::fs::write(&trace, "C 999999999999\nL 0x40 0x400\n").expect("trace written");
     let started = std::time::Instant::now();
-    let stderr = rejected(&["--trace", trace.to_str().expect("utf-8 path")]);
+    let stderr = rejected(&["padcsim", "--trace", trace.to_str().expect("utf-8 path")]);
     // Milliseconds on an idle host; the bound only has to sit below what
     // expanding 10^12 ops would take.
     assert!(started.elapsed() < std::time::Duration::from_secs(30));
@@ -175,10 +357,14 @@ fn an_over_long_trace_is_refused_before_it_is_expanded() {
 fn config_core_count_must_match_the_sources() {
     let dir = scratch("config");
     let config = dir.join("c2.json");
-    std::fs::write(&config, accepted(&["--print-config", "--cores", "2"])).expect("config written");
+    std::fs::write(
+        &config,
+        accepted(&["padcsim", "--print-config", "--cores", "2"]),
+    )
+    .expect("config written");
     let config = config.to_str().expect("utf-8 path");
 
-    let mismatch = rejected(&["--config", config, "--bench", "mcf_06"]);
+    let mismatch = rejected(&["padcsim", "--config", config, "--bench", "mcf_06"]);
     assert!(mismatch.contains("2 core(s) but 1"), "{mismatch}");
 
     // What the file sets, a flag may not set again.
@@ -188,7 +374,9 @@ fn config_core_count_must_match_the_sources() {
         &["--no-prefetch"],
         &["--cores", "2"],
     ] {
-        let mut args = vec!["--config", config, "--bench", "mcf_06", "--bench", "lbm_06"];
+        let mut args = vec![
+            "padcsim", "--config", config, "--bench", "mcf_06", "--bench", "lbm_06",
+        ];
         args.extend(flag);
         let conflict = rejected(&args);
         assert!(
@@ -211,7 +399,7 @@ fn config_core_count_must_match_the_sources() {
 #[test]
 fn config_sizes_must_be_ones_the_model_can_run() {
     let dir = scratch("sizes");
-    let printed = accepted(&["--print-config", "--cores", "1"]);
+    let printed = accepted(&["padcsim", "--print-config", "--cores", "1"]);
     let base: SimConfig = serde_json::from_str(&printed).expect("the printed config parses");
     type Edit = fn(&mut SimConfig);
     let cases: [(Edit, &str); 22] = [
@@ -306,6 +494,7 @@ fn config_sizes_must_be_ones_the_model_can_run() {
         std::fs::write(&config, text).expect("config written");
         let started = std::time::Instant::now();
         let stderr = rejected(&[
+            "padcsim",
             "--config",
             config.to_str().expect("utf-8 path"),
             "--bench",
@@ -326,6 +515,7 @@ fn a_deeply_nested_config_is_a_usage_error() {
     let config = dir.join("deep.json");
     std::fs::write(&config, "[".repeat(200_000)).expect("config written");
     let stderr = rejected(&[
+        "padcsim",
         "--config",
         config.to_str().expect("utf-8 path"),
         "--bench",
@@ -344,11 +534,11 @@ fn store_subcommand_does_not_create_what_it_inspects() {
     let missing = dir.join("typo");
     let path = missing.to_str().expect("utf-8 path");
 
-    let bogus = rejected(&["store", "bogus", "--store", path]);
+    let bogus = rejected(&["padcsim", "store", "bogus", "--store", path]);
     assert!(bogus.contains("unknown store action"), "{bogus}");
     for action in [
-        &["store", "stats"][..],
-        &["store", "gc", "--max-bytes", "1"],
+        &["padcsim", "store", "stats"][..],
+        &["padcsim", "store", "gc", "--max-bytes", "1"],
     ] {
         let mut args = action.to_vec();
         args.extend(["--store", path]);
@@ -373,7 +563,7 @@ fn store_gc_evicts_down_to_the_byte_bound() {
     let store = dir.join("store");
     let store = store.to_str().expect("utf-8 path");
     accepted(&[
-        "--suite",
+        "repro",
         "--smoke",
         "--no-progress",
         "--store",
@@ -383,11 +573,12 @@ fn store_gc_evicts_down_to_the_byte_bound() {
         "tab5",
     ]);
 
-    let full = accepted(&["store", "stats", "--store", store]);
+    let full = accepted(&["padcsim", "store", "stats", "--store", store]);
     let (entries, bytes) = (field(&full, "entries"), field(&full, "bytes"));
     assert!(entries >= 3, "{full}");
     let bound = bytes / 2;
     let gc = accepted(&[
+        "padcsim",
         "store",
         "gc",
         "--max-bytes",
@@ -402,7 +593,7 @@ fn store_gc_evicts_down_to_the_byte_bound() {
         entries,
         "{gc}"
     );
-    let left = accepted(&["store", "stats", "--store", store]);
+    let left = accepted(&["padcsim", "store", "stats", "--store", store]);
     assert_eq!(field(&left, "bytes"), field(&gc, "remaining_bytes"));
     assert_eq!(field(&left, "entries"), field(&gc, "remaining_entries"));
     std::fs::remove_dir_all(&dir).expect("scratch removed");
@@ -413,8 +604,8 @@ fn store_gc_evicts_down_to_the_byte_bound() {
 /// no byte of the report.
 #[test]
 fn all_bank_refresh_is_the_legacy_extended_timing_model() {
-    let run = |extra: &[&str]| {
-        let mut args = vec!["--policy", "padc", "--instructions", "30000"];
+    let report = |extra: &[&str]| {
+        let mut args = vec!["padcsim", "--policy", "padc", "--instructions", "30000"];
         for bench in ["mcf_06", "libquantum_06", "lbm_06", "milc_06"] {
             args.extend(["--bench", bench]);
         }
@@ -422,14 +613,14 @@ fn all_bank_refresh_is_the_legacy_extended_timing_model() {
         args.extend(extra);
         accepted(&args)
     };
-    let legacy = run(&[]);
+    let legacy = report(&[]);
     assert!(legacy.contains("\"refreshes\""), "not a report: {legacy}");
     common::assert_same_bytes(
         "cli-all-bank",
         ("legacy.json", legacy.as_bytes()),
         (
             "all-bank.json",
-            run(&["--refresh-policy", "all-bank"]).as_bytes(),
+            report(&["--refresh-policy", "all-bank"]).as_bytes(),
         ),
     );
 }

@@ -8,34 +8,13 @@
 //! ones with an `error` event.
 
 use std::fs;
-use std::io::{self, Write};
+use std::io::Write;
 use std::process::{Command, Stdio};
-use std::sync::{Arc, Mutex};
 
 use padc_harness::{run_suite, HarnessConfig};
 use padc_sim::experiments::{self, ExpConfig, Scale};
-use padc_sim::serve::{shared_writer, ServeState};
+use padc_sim::serve::ServeState;
 use padc_store::Store;
-
-/// A `Write` that appends into a shared buffer the test can read back.
-#[derive(Clone, Default)]
-struct Capture(Arc<Mutex<Vec<u8>>>);
-
-impl Capture {
-    fn take(&self) -> String {
-        String::from_utf8(self.0.lock().unwrap().clone()).unwrap()
-    }
-}
-
-impl Write for Capture {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        self.0.lock().unwrap().extend_from_slice(buf);
-        Ok(buf.len())
-    }
-    fn flush(&mut self) -> io::Result<()> {
-        Ok(())
-    }
-}
 
 /// Batch-suite JSONL for `ids` at smoke scale: the byte-identity
 /// reference for serve `row` events.
@@ -111,17 +90,23 @@ fn concurrent_overlapping_clients_share_units_and_get_batch_identical_rows() {
     let state = ServeState::new(2, Scale::Smoke).expect("spawn workers");
     let before = experiments::unit_cache_stats();
 
-    let (a_sink, b_sink) = (Capture::default(), Capture::default());
-    std::thread::scope(|scope| {
-        for (ids, sink, req) in [(&a_ids, &a_sink, "a"), (&b_ids, &b_sink, "b")] {
-            let out = shared_writer(sink.clone());
-            let line = format!(
-                "{{\"id\":\"{req}\",\"experiments\":[\"{}\",\"{}\"],\"scale\":\"smoke\"}}",
-                ids[0], ids[1]
-            );
-            let state = &state;
-            scope.spawn(move || state.handle_line(&line, &out));
-        }
+    // Each client owns its writer; the pool's mutex runs one request at
+    // a time.
+    let [a_out, b_out] = std::thread::scope(|scope| {
+        [(&a_ids, "a"), (&b_ids, "b")]
+            .map(|(ids, req)| {
+                let line = format!(
+                    "{{\"id\":\"{req}\",\"experiments\":[\"{}\",\"{}\"],\"scale\":\"smoke\"}}",
+                    ids[0], ids[1]
+                );
+                let state = &state;
+                scope.spawn(move || {
+                    let mut out = Vec::new();
+                    state.handle_line(&line, &mut out);
+                    String::from_utf8(out).expect("events are UTF-8")
+                })
+            })
+            .map(|client| client.join().expect("client thread"))
     });
 
     // Read before the batch references below, which hit the store too.
@@ -129,7 +114,6 @@ fn concurrent_overlapping_clients_share_units_and_get_batch_identical_rows() {
 
     // Each client gets its complete stream, rows in request order, and the
     // data bytes are exactly the batch suite's JSONL for its selection.
-    let (a_out, b_out) = (a_sink.take(), b_sink.take());
     assert_eq!(rows_of(&a_out, "a", 2), batch_rows(&a_ids));
     assert_eq!(rows_of(&b_out, "b", 2), batch_rows(&b_ids));
 
@@ -262,4 +246,47 @@ fn a_deeply_nested_line_is_an_error_event_not_a_crash() {
     assert_eq!(done.len(), 1, "{stdout}");
     assert_eq!(done[0].get("req").and_then(|v| v.as_str()), Some("after"));
     assert_eq!(done[0].get("ok").and_then(|v| v.as_f64()), Some(1.0));
+}
+
+/// `--socket PATH` replaces a stale socket and nothing else: it used to
+/// delete whatever file was at PATH before binding there. A regular file is
+/// one error line naming it, and it stays as it was.
+#[test]
+fn a_socket_path_holding_a_regular_file_is_refused_and_kept() {
+    let dir = std::env::temp_dir().join(format!("padc-serve-socket-{}", std::process::id()));
+    let _ = fs::remove_dir_all(&dir);
+    fs::create_dir_all(&dir).expect("scratch dir");
+    let file = dir.join("notes.txt");
+    fs::write(&file, "keep me\n").expect("file written");
+    let mut child = Command::new(env!("CARGO_BIN_EXE_padcsim"))
+        .env_remove("PADC_STORE")
+        .args(["serve", "--socket"])
+        .arg(&file)
+        .args(["--smoke", "--jobs", "1"])
+        .stdin(Stdio::null())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("padcsim spawns");
+    // A server that bound the path blocks in `accept`: kill it rather than
+    // hang the test.
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+    while child.try_wait().expect("child status").is_none() {
+        if std::time::Instant::now() > deadline {
+            let _ = child.kill();
+            let _ = child.wait();
+            panic!("serve bound {} instead of refusing it", file.display());
+        }
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    }
+    let out = child.wait_with_output().expect("serve exited");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "{stderr}");
+    assert_eq!(stderr.lines().count(), 1, "{stderr}");
+    assert!(
+        stderr.starts_with("error: ") && stderr.contains(file.to_str().expect("utf-8 path")),
+        "{stderr}"
+    );
+    assert_eq!(fs::read_to_string(&file).expect("file kept"), "keep me\n");
+    let _ = fs::remove_dir_all(&dir);
 }

@@ -32,14 +32,12 @@
 
 #![warn(missing_docs)]
 
-mod chase;
 mod generator;
 mod multiprog;
 mod profile;
 pub mod profiles;
 mod tracefile;
 
-pub use chase::{ChaseConfig, PointerChase};
 pub use generator::TraceGen;
 pub use multiprog::{random_workloads, Workload};
 pub use profile::{BenchProfile, Pattern, PhaseSpec, PrefetchClass};

@@ -1,13 +1,15 @@
 #!/usr/bin/env bash
 # The CI gate, and the same thing locally: shellcheck, formatting, lints,
 # release build, docs, every workspace crate's unit, integration and doc
-# tests (--workspace: without it cargo selects the root package alone; the
-# EXPERIMENTS.md drift check, crates/sim/tests/experiments_md.rs, is one of
-# them), the controller, DRAM, core, store, JSON writer and JSON parser
-# crates' tests, the suite pool's and the fast-forward equivalence tests again
-# in release, and the out-of-workspace benchmark package's tests. Both builds
-# are --locked, so a change to the crate graph fails the gate. No step needs
-# Python. Everything runs offline (external deps are vendored; see vendor/README.md).
+# tests in one `cargo test --workspace` (--workspace: without it cargo
+# selects the root package alone; no crate sets `doctest = false`, so that
+# one step runs the doc tests too; the EXPERIMENTS.md drift check,
+# crates/sim/tests/experiments_md.rs, is one of them), the controller, DRAM,
+# core, store, JSON writer and JSON parser crates' tests, the suite pool's
+# and the fast-forward equivalence tests again in release, and the
+# out-of-workspace benchmark package's tests. Both builds are --locked, so a
+# change to the crate graph fails the gate. No step needs Python.
+# Everything runs offline (external deps are vendored; see vendor/README.md).
 # Each step prints its elapsed seconds; on exit a pass/FAIL/skip table with
 # the same timings goes to stderr and, when set, to $GITHUB_STEP_SUMMARY, so a
 # red job is readable from the workflow summary page without opening logs.
@@ -69,7 +71,6 @@ step "cargo clippy --workspace --all-targets -- -D warnings" \
 step "cargo build --release --workspace --locked" cargo build --release --workspace --locked
 step "cargo doc --no-deps (warnings denied)" doc_step
 step "cargo test --workspace" cargo test -q --workspace
-step "cargo test --doc --workspace" cargo test --doc -q --workspace
 # The controller, DRAM and core oracles, the store and the JSON parser once
 # more, against the build the benchmark measures: in release `debug_assert!`s
 # are compiled out and `Cycle` arithmetic wraps instead of panicking, and the
