@@ -326,9 +326,6 @@ pub struct RequestBuffer {
     /// Accuracy epoch (tracker `next_rollover`) the owner caches were
     /// computed under; a change invalidates every adaptive-policy key.
     rollover_seen: Cycle,
-    /// Per-channel refresh count the owner caches were computed under; a
-    /// refresh resets every bank's row state, re-keying `row_hit`.
-    refreshes_seen: Vec<u64>,
     /// The ready lane, indexed like `banks`: each non-empty bank's owner
     /// with the bank-local half of its readiness. An entry whose bank is in
     /// `stale` is out of date; every other one equals a fresh
@@ -390,7 +387,6 @@ impl RequestBuffer {
             distinct_counts: Vec::with_capacity(cores),
             rank_fields: vec![PackedKey::rank_field(0); cores + 1],
             rollover_seen: 0,
-            refreshes_seen: vec![0; channels],
             ready: vec![None; channels * banks_per_channel],
             stale: vec![0; channels * banks_per_channel.div_ceil(64)],
             stale_words: banks_per_channel.div_ceil(64),
@@ -548,8 +544,8 @@ impl RequestBuffer {
     }
 
     /// Marks one bank dirty after a DRAM state change the bank's owner did
-    /// not cause: a closed-row / HAPPY policy precharge or a DARP refresh
-    /// pull re-keys the bank's `row_hit` bits.
+    /// not cause: a closed-row / HAPPY policy precharge or a refresh, forced
+    /// or pulled, re-keys the bank's `row_hit` bits.
     pub fn note_bank_command(&mut self, channel: usize, bank: usize) {
         self.mark_bank_dirty(channel, bank);
     }
@@ -590,18 +586,6 @@ impl RequestBuffer {
             self.ranks_stale = true;
             if adaptive {
                 self.bump_key_generation();
-            }
-        }
-    }
-
-    /// Reconciles one channel's owner caches with its refresh count: a
-    /// refresh resets every bank's row state, re-keying `row_hit` for all
-    /// of the channel's banks.
-    pub fn sync_refresh(&mut self, channel: usize, refreshes: u64) {
-        if self.refreshes_seen[channel] != refreshes {
-            self.refreshes_seen[channel] = refreshes;
-            for bank in 0..self.stride {
-                self.mark_bank_dirty(channel, bank);
             }
         }
     }
@@ -1017,8 +1001,7 @@ impl RequestBuffer {
             }
         }
         // Member rows and owners.
-        #[allow(clippy::needless_range_loop)] // `ci` indexes two parallel arrays
-        for ci in 0..self.refreshes_seen.len() {
+        for (ci, ch) in channels.iter().enumerate() {
             for bank in 0..self.stride {
                 let bank_idx = ci * self.stride + bank;
                 let members = self.banks[bank_idx].sorted_slots();
@@ -1048,7 +1031,6 @@ impl RequestBuffer {
                         stale || pending.is_empty(),
                         "bank ({ci}, {bank}) pends {pending:?} but is not stale"
                     );
-                    let ch = &channels[ci];
                     let fresh = expect
                         .iter()
                         .map(|&s| (spec.key(self.entry(s), ch, now), s))

@@ -110,13 +110,12 @@ impl BankPass {
 struct ReadyOwners<'a> {
     lane: &'a [Option<ReadyOwner>],
     floors: ChannelFloors,
-    release: Cycle,
 }
 
 impl ReadyOwners<'_> {
     /// The first cycle `o`'s next command can issue.
     fn ready_at(&self, o: &ReadyOwner) -> Cycle {
-        self.floors.ready_at(o.ready).max(self.release)
+        self.floors.ready_at(o.ready)
     }
 
     /// The best-keyed owner that can issue at `now`: what arbitration issues.
@@ -130,9 +129,11 @@ impl ReadyOwners<'_> {
         best.map(|(_, slot)| slot)
     }
 
-    /// The first cycle any owner can issue: arbitration's bound.
-    fn earliest(&self) -> Option<Cycle> {
-        self.lane.iter().flatten().map(|o| self.ready_at(o)).min()
+    /// The first cycle from `now` at which any owner can issue:
+    /// arbitration's bound.
+    fn earliest(&self, now: Cycle) -> Option<Cycle> {
+        let ready = self.lane.iter().flatten().map(|o| self.ready_at(o)).min();
+        ready.map(|t| t.max(now))
     }
 }
 
@@ -512,16 +513,15 @@ impl MemoryController {
     }
 
     /// Per-channel refresh sync and arbitration: applies the refresh
-    /// boundaries `now` has reached, then issues, on each channel with a free
-    /// command bus, the best owner ready at `now`. Bounded by
-    /// [`MemoryController::arbitration_bound`].
+    /// boundaries `now` has reached, dirtying each bank refreshed, then
+    /// issues, on each channel with a free command bus, the best owner ready
+    /// at `now`. Bounded by [`MemoryController::arbitration_bound`].
     fn arbitrate(&mut self, now: Cycle, accuracy: &AccuracyTracker) {
         let ctx = self.key_ctx(accuracy);
         for channel in 0..self.channels.len() {
-            self.channels[channel].sync(now);
-            // A refresh closed every bank, re-keying row hits.
-            let refreshes = self.channels[channel].stats().refreshes;
-            self.buffer.sync_refresh(channel, refreshes);
+            for bank in self.channels[channel].sync(now) {
+                self.buffer.note_bank_command(channel, bank);
+            }
             if !self.channels[channel].command_bus_free(now) {
                 continue;
             }
@@ -543,7 +543,7 @@ impl MemoryController {
         }
         let ctx = self.key_ctx(accuracy);
         for channel in 0..self.channels.len() {
-            let ready = self.ready_owners(channel, &ctx, now).earliest();
+            let ready = self.ready_owners(channel, &ctx, now).earliest(now);
             bound = earlier(bound, ready.map(align_up_dram));
         }
         bound
@@ -552,20 +552,16 @@ impl MemoryController {
     /// The arbitration pass's candidates on `channel`: each bank's owner, its
     /// highest-priority request (two-level FR-FCFS: no lower-priority row
     /// conflict may precharge a row a higher-priority hit still wants), from
-    /// the buffer's ready lane, joined with the channel's floors and all-bank
-    /// refresh window. Owners and their readiness hold across a proven-idle
-    /// window: keys read the row-buffer class (an activating row already
-    /// classifies as its future hit, a precharging bank as closed), flags
-    /// that flip only at bounded boundaries, and accuracy (DESIGN.md §11, §13).
+    /// the buffer's ready lane, joined with the channel's floors. Owners and
+    /// their readiness hold across a proven-idle window: keys read the
+    /// row-buffer class (an activating row already classifies as its future
+    /// hit, a precharging bank as closed), flags that flip only at bounded
+    /// boundaries, and accuracy (DESIGN.md §11, §13).
     fn ready_owners(&mut self, channel: usize, ctx: &KeyCtx<'_>, now: Cycle) -> ReadyOwners<'_> {
         let ch = &self.channels[channel];
-        let (floors, release) = (ch.floors(), ch.refresh_release(now));
+        let floors = ch.floors();
         let lane = self.buffer.ready_lane(channel, ctx, ch, now);
-        ReadyOwners {
-            lane,
-            floors,
-            release,
-        }
+        ReadyOwners { lane, floors }
     }
 
     /// Issues the next command of the request at `slot`, which
@@ -1636,6 +1632,47 @@ mod tests {
             ticks_that_dirtied(&mut all_bank, &t, 0..t_refi + 8, refreshes),
             1,
             "all-bank refresh"
+        );
+    }
+
+    /// A refresh dirties exactly the banks `Channel::sync` reports: under
+    /// per-bank refresh, bank 2's forced refresh dirties bank 2's owner and
+    /// leaves the other queued banks' settled owners alone.
+    #[test]
+    fn a_refresh_dirties_exactly_the_banks_it_refreshed() {
+        let t = tracker(1);
+        let ext = padc_dram::ExtendedTiming::default();
+        let dram = DramConfig {
+            extended: Some(ext),
+            refresh_policy: RefreshPolicy::PerBank,
+            ..DramConfig::default()
+        };
+        let (lpr, banks) = (dram.lines_per_row(), dram.banks as Cycle);
+        let t_refi = ext.t_refi * CPU_CYCLES_PER_DRAM_CYCLE;
+        let boundary = t_refi + 2 * (t_refi / banks);
+        let mut mc = controller_over(dram);
+        for now in 0..boundary - CPU_CYCLES_PER_DRAM_CYCLE {
+            mc.tick(now, &t);
+        }
+        // Demands on banks 0..4, their owners settled by one pass, which
+        // issues one ACT: a command that keeps its owner.
+        let at = boundary - CPU_CYCLES_PER_DRAM_CYCLE;
+        for bank in 0..4 {
+            let (access, kind) = (AccessKind::Load, RequestKind::Demand);
+            mc.enqueue(CoreId::new(0), LineAddr::new(bank * lpr), access, kind, at)
+                .unwrap();
+        }
+        mc.tick(at, &t);
+        let (refreshes, dirtied) = (
+            mc.channel_stats()[0].refreshes,
+            mc.buffer_stats().owner_invalidations,
+        );
+        mc.tick(boundary, &t);
+        assert_eq!(mc.channel_stats()[0].refreshes, refreshes + 1);
+        assert_eq!(
+            mc.buffer_stats().owner_invalidations,
+            dirtied + 1,
+            "bank 2's refresh dirtied more than bank 2"
         );
     }
 

@@ -169,9 +169,9 @@ impl Bank {
         self.cas_served = 0;
     }
 
-    /// Applies a per-bank refresh (REF_pb): whatever row was open (or
-    /// opening) is lost without a PRE, and the bank re-accepts commands —
-    /// closed — at `ready_at`. Modeled as a precharge-like occupancy so
+    /// Applies a refresh (an all-bank REF or a per-bank REF_pb): whatever
+    /// row was open (or opening) is lost without a PRE, and the bank
+    /// re-accepts commands — closed — at `ready_at`. Modeled as a precharge-like occupancy so
     /// `state_at` and `classify` cover the busy window for free.
     pub fn refresh(&mut self, ready_at: Cycle) {
         self.state = BankState::Precharging { ready_at };

@@ -3,19 +3,18 @@ use std::collections::VecDeque;
 use padc_types::{Cycle, CPU_CYCLES_PER_DRAM_CYCLE};
 
 use crate::{
-    Bank, BankState, ChannelStats, DramConfig, HappyPredictor, RefreshPolicy, RowBufferOutcome,
-    RowPolicy,
+    Bank, BankState, ChannelStats, DramConfig, ExtendedTiming, HappyPredictor, RefreshPolicy,
+    RowBufferOutcome, RowPolicy,
 };
 
-/// Extended timing converted to CPU cycles (see [`crate::ExtendedTiming`]).
+/// Extended timing converted to CPU cycles (see [`ExtendedTiming`]);
+/// the refresh pair lives in [`RefreshGrid`].
 #[derive(Clone, Copy, Debug)]
 struct ExtCpu {
     t_ras: Cycle,
     t_wr: Cycle,
     t_rtp: Cycle,
     t_faw: Cycle,
-    t_refi: Cycle,
-    t_rfc: Cycle,
 }
 
 /// Side counters for the refresh model (DESIGN.md §15). Kept out of
@@ -31,34 +30,65 @@ pub struct RefreshCounters {
     pub stall_cycles: u64,
 }
 
-/// Per-bank refresh bookkeeping, present only under the per-bank policies
-/// ([`RefreshPolicy::PerBank`] / [`RefreshPolicy::Darp`]) with extended
-/// timing enabled — the legacy all-bank path's state is untouched, keeping
-/// its behavior (and Debug oracle strings) bit-exact.
-///
-/// Bank `b`'s k-th refresh window covers
-/// `[(k-1)*t_refi + b*stride, k*t_refi + b*stride)`: windows are staggered
-/// across banks by `stride = t_refi / nbanks` so deadline-forced refreshes
-/// never pile up on one cycle, mirroring how real controllers spread
-/// per-bank REF commands across the retention interval.
+/// The one refresh state (DESIGN.md §15), present with extended timing
+/// and a nonzero `t_refi`. Bank `b`'s k-th window opens at
+/// `k·t_refi + b·stride` and its refresh is forced at the window's end.
+/// All-bank refresh is the grid with `stride = 0` — every bank on one
+/// boundary, one REF covering them all for `t_rfc`; the per-bank policies
+/// stagger the banks by `stride = t_refi / nbanks`, so forced refreshes
+/// never pile up on one cycle, with one REF per bank for
+/// `t_rfcpb = t_rfc / 2` (per-bank REF restores one bank's worth of rows).
 #[derive(Clone, Debug)]
-struct PerBankRefresh {
-    /// DARP out-of-order pulls enabled ([`RefreshPolicy::Darp`]).
-    darp: bool,
+struct RefreshGrid {
     /// Refresh windows applied so far, per bank.
     applied: Vec<u64>,
-    /// Stagger between consecutive banks' windows (`t_refi / nbanks`).
+    t_refi: Cycle,
+    /// Offset between consecutive banks' windows.
     stride: Cycle,
-    /// Bank-busy duration of one per-bank refresh, CPU cycles. Derived as
-    /// `t_rfc / 2`: per-bank REF on DDR4 LPDDR parts costs roughly half the
-    /// all-bank window since only one bank's worth of rows restores.
-    t_rfcpb: Cycle,
+    /// Banks one REF covers: all of them, or one.
+    per_ref: usize,
+    /// Bank-busy duration of one REF, CPU cycles.
+    t_rfc: Cycle,
+    /// DARP out-of-order pulls enabled ([`RefreshPolicy::Darp`]).
+    darp: bool,
 }
 
-impl PerBankRefresh {
-    /// Start of bank `b`'s staggered window grid.
+impl RefreshGrid {
+    fn new(e: &ExtendedTiming, policy: RefreshPolicy, banks: usize) -> Option<Self> {
+        let k = CPU_CYCLES_PER_DRAM_CYCLE;
+        let (t_refi, t_rfc) = (e.t_refi * k, e.t_rfc * k);
+        if t_refi == 0 {
+            return None;
+        }
+        let (stride, per_ref, t_rfc) = match policy {
+            RefreshPolicy::AllBank => (0, banks, t_rfc),
+            RefreshPolicy::PerBank | RefreshPolicy::Darp => {
+                (t_refi / banks as Cycle, 1, (t_rfc / 2).max(1))
+            }
+        };
+        Some(RefreshGrid {
+            applied: vec![0; banks],
+            t_refi,
+            stride,
+            per_ref,
+            t_rfc,
+            darp: policy == RefreshPolicy::Darp,
+        })
+    }
+
+    /// Start of bank `b`'s window grid.
     fn offset(&self, bank: usize) -> Cycle {
         self.stride * bank as Cycle
+    }
+
+    /// Windows of `bank` whose end boundary `now` has reached.
+    fn due(&self, bank: usize, now: Cycle) -> u64 {
+        now.saturating_sub(self.offset(bank)) / self.t_refi
+    }
+
+    /// Where `bank`'s current window opened: a pull may pay it from here.
+    fn window_open(&self, bank: usize) -> Cycle {
+        self.applied[bank] * self.t_refi + self.offset(bank)
     }
 }
 
@@ -80,8 +110,7 @@ pub struct BankReady {
 
 /// The channel-level half: what the shared buses and the tFAW window add to
 /// every bank's [`BankReady`]. Constant until the next command issues on the
-/// channel; the legacy all-bank refresh window reads `now`, so it is not
-/// here but in [`Channel::refresh_release`].
+/// channel.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct ChannelFloors {
     /// Per [`RowBufferOutcome`]: data bus − CL (hit), tFAW (closed), 0
@@ -91,7 +120,7 @@ pub struct ChannelFloors {
 }
 
 impl ChannelFloors {
-    /// Earliest cycle `part`'s command can issue, refresh window aside.
+    /// Earliest cycle `part`'s command can issue.
     #[inline]
     pub fn ready_at(&self, part: BankReady) -> Cycle {
         part.local
@@ -141,11 +170,8 @@ pub struct Channel {
     min_precharge_at: Vec<Cycle>,
     /// Times of the most recent ACTs (tFAW window).
     act_history: VecDeque<Cycle>,
-    /// All-bank refreshes applied so far (each closes every bank). Unused
-    /// under the per-bank policies, which track windows in `refresh`.
-    refreshes_applied: u64,
-    /// Per-bank refresh state (None = legacy all-bank refresh).
-    refresh: Option<PerBankRefresh>,
+    /// Refresh state (None = no refresh).
+    refresh: Option<RefreshGrid>,
     /// Refresh side counters (see [`RefreshCounters`]).
     refresh_counters: RefreshCounters,
     /// HAPPY per-row open/closed predictor; present only under
@@ -165,19 +191,11 @@ impl Channel {
                 t_wr: e.t_wr * k,
                 t_rtp: e.t_rtp * k,
                 t_faw: e.t_faw * k,
-                t_refi: e.t_refi * k,
-                t_rfc: e.t_rfc * k,
             }
         });
-        let refresh = match (&ext, cfg.refresh_policy) {
-            (Some(e), p) if p.per_bank() && e.t_refi > 0 => Some(PerBankRefresh {
-                darp: p == RefreshPolicy::Darp,
-                applied: vec![0; cfg.banks],
-                stride: e.t_refi / cfg.banks as Cycle,
-                t_rfcpb: (e.t_rfc / 2).max(1),
-            }),
-            _ => None,
-        };
+        let refresh = cfg
+            .extended
+            .and_then(|e| RefreshGrid::new(&e, cfg.refresh_policy, cfg.banks));
         Channel {
             banks: (0..cfg.banks).map(|_| Bank::new()).collect(),
             data_bus_free_at: 0,
@@ -190,70 +208,48 @@ impl Channel {
             ext,
             min_precharge_at: vec![0; cfg.banks],
             act_history: VecDeque::with_capacity(4),
-            refreshes_applied: 0,
             refresh,
             refresh_counters: RefreshCounters::default(),
             happy: (cfg.row_policy == RowPolicy::Happy).then(HappyPredictor::new),
         }
     }
 
-    /// True while a periodic refresh occupies the channel at `now`. Always
-    /// false under the per-bank policies: their refresh occupancy lives in
-    /// the individual banks' state, not a channel-wide window.
-    fn in_refresh(&self, now: Cycle) -> bool {
-        if self.refresh.is_some() {
-            return false;
+    /// Applies the refresh boundaries passed since the last call, returning
+    /// the banks it refreshed: each bank whose window end `now` has reached
+    /// gets its forced refresh — one REF for all of them under all-bank
+    /// refresh, one per bank under the per-bank policies. However many of a
+    /// bank's boundaries passed, one refresh is applied: fast-forwarding
+    /// resumes at every boundary ([`Channel::next_refresh_boundary`]), so
+    /// call once per DRAM scheduling cycle (no-op without refresh).
+    pub fn sync(&mut self, now: Cycle) -> Vec<usize> {
+        let Some(g) = &mut self.refresh else {
+            return Vec::new();
+        };
+        let mut refreshed = Vec::new();
+        for bank in 0..g.applied.len() {
+            let due = g.due(bank, now);
+            if due > g.applied[bank] {
+                g.applied[bank] = due;
+                refreshed.push(bank);
+            }
         }
-        match self.ext {
-            Some(e) if e.t_refi > 0 => now % e.t_refi < e.t_rfc && now >= e.t_refi,
-            _ => false,
+        let per_ref = g.per_ref;
+        for banks in refreshed.chunks(per_ref) {
+            self.apply_ref(banks, now);
         }
+        refreshed
     }
 
-    /// Applies any refresh boundaries passed since the last call. Under the
-    /// all-bank policy each refresh closes every bank; under the per-bank
-    /// policies each bank whose own (staggered) window boundary passed gets
-    /// a deadline-forced per-bank refresh, occupying just that bank for
-    /// `t_rfcpb`. Call once per DRAM scheduling cycle (no-op without
-    /// extended timing).
-    pub fn sync(&mut self, now: Cycle) {
-        let Some(e) = self.ext else { return };
-        if e.t_refi == 0 {
-            return;
-        }
-        match &mut self.refresh {
-            None => {
-                let due = now / e.t_refi;
-                if due > self.refreshes_applied {
-                    self.refreshes_applied = due;
-                    self.stats.refreshes += 1;
-                    self.refresh_counters.stall_cycles += e.t_rfc * self.banks.len() as Cycle;
-                    for b in &mut self.banks {
-                        *b = Bank::new();
-                    }
-                }
-            }
-            Some(r) => {
-                for (bank, applied) in r.applied.iter_mut().enumerate() {
-                    let offset = r.stride * bank as Cycle;
-                    let due = if now >= offset {
-                        (now - offset) / e.t_refi
-                    } else {
-                        0
-                    };
-                    // Same one-application-per-sync quirk as the all-bank
-                    // path: however many boundaries passed, one refresh is
-                    // charged — fast-forwarding resumes at every boundary
-                    // (`next_refresh_boundary`), so in practice `due`
-                    // advances one window at a time.
-                    if due > *applied {
-                        *applied = due;
-                        self.stats.refreshes += 1;
-                        self.refresh_counters.stall_cycles += r.t_rfcpb;
-                        self.banks[bank].refresh(now + r.t_rfcpb);
-                    }
-                }
-            }
+    /// The one apply path of forced and pulled refreshes: one REF at `now`
+    /// occupying each of `banks` for the grid's `t_rfc`. Whatever row was
+    /// open (or opening) is lost without a PRE — and without HAPPY
+    /// training, since a refresh eviction says nothing about locality.
+    fn apply_ref(&mut self, banks: &[usize], now: Cycle) {
+        let t_rfc = self.refresh.as_ref().expect("a refresh grid").t_rfc;
+        self.stats.refreshes += 1;
+        self.refresh_counters.stall_cycles += t_rfc * banks.len() as Cycle;
+        for &bank in banks {
+            self.banks[bank].refresh(now + t_rfc);
         }
     }
 
@@ -326,21 +322,12 @@ impl Channel {
         }
     }
 
-    /// The two halves joined with the one term that reads the clock: the
-    /// first cycle from which `(bank, row)`'s next command can issue, as
-    /// seen at `now`.
-    fn advance_bound(&self, bank: usize, row: u64, now: Cycle) -> Cycle {
-        self.floors()
-            .ready_at(self.bank_ready(bank, row))
-            .max(self.refresh_release(now))
-    }
-
     /// True if [`Channel::advance`] would issue a command for `(bank, row)`
-    /// at `now` — i.e. the command bus is free, no all-bank refresh occupies
-    /// the channel, and the bank (plus, for a CAS, the data bus; for an ACT,
-    /// the tFAW window) can accept the next command the request needs.
+    /// at `now` — i.e. the command bus is free and the bank (plus, for a
+    /// CAS, the data bus; for an ACT, the tFAW window) can accept the next
+    /// command the request needs: the two halves of its readiness joined.
     pub fn can_advance(&self, bank: usize, row: u64, now: Cycle) -> bool {
-        now >= self.advance_bound(bank, row, now)
+        now >= self.floors().ready_at(self.bank_ready(bank, row))
     }
 
     /// Issues the next command needed to service `(bank, row)` at `now`.
@@ -401,43 +388,19 @@ impl Channel {
         }
     }
 
-    /// End of the all-bank refresh window occupying the channel at `now`, or
-    /// `now` itself when none is in progress (always, under the per-bank
-    /// policies). The one readiness term that reads the clock, which is why
-    /// it is neither in [`BankReady`] nor in [`ChannelFloors`].
-    #[inline]
-    pub fn refresh_release(&self, now: Cycle) -> Cycle {
-        match self.ext {
-            Some(e) if self.in_refresh(now) => now - now % e.t_refi + e.t_rfc,
-            _ => now,
-        }
-    }
-
     /// Next refresh boundary not yet applied by [`Channel::sync`] (`None`
-    /// without extended timing). Under the per-bank policies this is the
-    /// earliest unapplied *per-bank* window boundary across all banks. May
-    /// equal `now` when the boundary's scheduling tick has not run yet.
-    /// Fast-forwarding must never skip across one: `sync` counts one
-    /// refresh per application regardless of how many boundaries have
-    /// passed, so stat parity with cycle-by-cycle stepping requires
-    /// resuming at every boundary.
+    /// without refresh): the earliest unapplied window end across the banks.
+    /// May equal `now` when the boundary's scheduling tick has not run yet.
+    /// Fast-forwarding must never skip across one: `sync` applies one
+    /// refresh per bank however many boundaries have passed, so stat parity
+    /// with cycle-by-cycle stepping requires resuming at every boundary.
     pub fn next_refresh_boundary(&self, now: Cycle) -> Option<Cycle> {
-        match (&self.refresh, self.ext) {
-            (Some(r), Some(e)) => {
-                let next = r
-                    .applied
-                    .iter()
-                    .enumerate()
-                    .map(|(b, &k)| (k + 1) * e.t_refi + r.offset(b))
-                    .min()
-                    .expect("channel has at least one bank");
-                Some(next.max(now))
-            }
-            (None, Some(e)) if e.t_refi > 0 => {
-                Some(((self.refreshes_applied + 1) * e.t_refi).max(now))
-            }
-            _ => None,
-        }
+        let g = self.refresh.as_ref()?;
+        let next = (0..g.applied.len())
+            .map(|b| g.window_open(b) + g.t_refi)
+            .min()
+            .expect("channel has at least one bank");
+        Some(next.max(now))
     }
 
     /// Lower bound on the first cycle `m >= now` at which
@@ -446,7 +409,7 @@ impl Channel {
     /// (not [`RefreshPolicy::Darp`]). The bound includes the opening of
     /// `bank`'s current refresh window — before it, nothing is pending —
     /// so a pull needs no separate pending test. Early-never-late, like
-    /// [`Channel::earliest_advance_at`]: this is the DARP contribution to
+    /// [`Channel::earliest_precharge_at`]: this is the DARP contribution to
     /// the controller's `next_event` fold (DESIGN.md §15).
     ///
     /// # Panics
@@ -454,11 +417,10 @@ impl Channel {
     /// Panics if `bank` is out of range.
     #[inline]
     pub fn earliest_refresh_pull_at(&self, bank: usize, now: Cycle) -> Option<Cycle> {
-        let (r, e) = match (&self.refresh, self.ext) {
-            (Some(r), Some(e)) if r.darp => (r, e),
+        let window_open = match &self.refresh {
+            Some(g) if g.darp => g.window_open(bank),
             _ => return None,
         };
-        let window_open = r.applied[bank] * e.t_refi + r.offset(bank);
         // A pull needs the bank command-ready: closed, or open with its row
         // legally precharge-able (the REF implicitly closes it).
         let bank_ready = match self.banks[bank].state_at(now) {
@@ -476,11 +438,10 @@ impl Channel {
     }
 
     /// DARP out-of-order refresh: issues `bank`'s pending refresh *now*,
-    /// ahead of its deadline, occupying the bank for `t_rfcpb` and the
-    /// command bus for one DRAM cycle. At most one refresh is pulled per
-    /// window (the window's deadline-forced refresh is then already paid).
-    /// An open row is implicitly precharged by the REF — without HAPPY
-    /// training, since a refresh eviction says nothing about locality.
+    /// ahead of its deadline, through the same apply path as a forced one,
+    /// and occupies the command bus for one DRAM cycle. At most one refresh
+    /// is pulled per window (the window's forced refresh is then already
+    /// paid).
     ///
     /// Returns false when ineligible: not [`RefreshPolicy::Darp`], window
     /// not yet open (or already refreshed), bank mid-ACT/PRE or its open
@@ -495,14 +456,13 @@ impl Channel {
             Some(t) if t <= now => {}
             _ => return false,
         }
-        let r = self.refresh.as_mut().expect("pull bound implies per-bank");
-        r.applied[bank] += 1;
-        let t_rfcpb = r.t_rfcpb;
+        self.refresh
+            .as_mut()
+            .expect("pull bound implies a grid")
+            .applied[bank] += 1;
         self.cmd_bus_free_at = now + CPU_CYCLES_PER_DRAM_CYCLE;
-        self.stats.refreshes += 1;
         self.refresh_counters.pulls += 1;
-        self.refresh_counters.stall_cycles += t_rfcpb;
-        self.banks[bank].refresh(now + t_rfcpb);
+        self.apply_ref(&[bank], now);
         true
     }
 
@@ -510,23 +470,6 @@ impl Channel {
     /// [`ChannelStats`]).
     pub fn refresh_counters(&self) -> RefreshCounters {
         self.refresh_counters
-    }
-
-    /// Lower bound on the first cycle `m >= now` at which
-    /// [`Channel::can_advance`]`(bank, row, m)` can become true, assuming no
-    /// command issues on the channel in between — the same bound
-    /// `can_advance` compares `now` against, so `can_advance(m)` is exactly
-    /// `earliest_advance_at(m) == m`. The bound is never *later* than the
-    /// true first cycle (the direction fast-forwarding relies on); it may be
-    /// earlier when a constraint outside the bound — a refresh window opening
-    /// mid-skip, which [`Channel::next_refresh_boundary`] covers separately
-    /// — still blocks the command.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bank` is out of range.
-    pub fn earliest_advance_at(&self, bank: usize, row: u64, now: Cycle) -> Cycle {
-        self.advance_bound(bank, row, now).max(now)
     }
 
     /// Lower bound on the first cycle at which [`Channel::precharge_bank`]
@@ -546,7 +489,6 @@ impl Channel {
             open_at
                 .max(self.min_precharge_at[bank])
                 .max(self.cmd_bus_free_at)
-                .max(self.refresh_release(now))
                 .max(now),
         )
     }
@@ -555,7 +497,7 @@ impl Channel {
     ///
     /// Returns true if the precharge was issued; false before
     /// [`Channel::earliest_precharge_at`] — no open row, the row not yet
-    /// precharge-able, the command bus busy or a refresh window open.
+    /// precharge-able or the command bus busy.
     pub fn precharge_bank(&mut self, bank: usize, now: Cycle) -> bool {
         match self.earliest_precharge_at(bank, now) {
             Some(t) if t <= now => {}
@@ -596,7 +538,6 @@ mod tests {
     use proptest::prelude::*;
 
     use super::*;
-    use crate::ExtendedTiming;
 
     fn ch() -> (DramConfig, Channel) {
         let cfg = DramConfig::default();
@@ -727,7 +668,9 @@ mod tests {
         let e = cfg.extended.unwrap();
         let t_refi = e.t_refi * CPU_CYCLES_PER_DRAM_CYCLE;
         let t_rfc = e.t_rfc * CPU_CYCLES_PER_DRAM_CYCLE;
-        c.sync(t_refi);
+        // One REF on one boundary refreshes every bank.
+        assert_eq!(c.next_refresh_boundary(0), Some(t_refi));
+        assert_eq!(c.sync(t_refi), (0..cfg.banks).collect::<Vec<_>>());
         assert_eq!(c.stats().refreshes, 1);
         assert_eq!(
             c.refresh_counters(),
@@ -749,18 +692,18 @@ mod tests {
         let t_rfcpb = (e.t_rfc * CPU_CYCLES_PER_DRAM_CYCLE / 2).max(1);
         // The first boundary is bank 0's own deadline, not a channel window.
         assert_eq!(c.next_refresh_boundary(0), Some(t_refi));
-        c.sync(t_refi);
+        assert_eq!(c.sync(t_refi), [0]);
         assert_eq!(c.stats().refreshes, 1);
         assert_eq!(c.refresh_counters().stall_cycles, t_rfcpb);
         // Bank 0 is busy refreshing, but bank 1 keeps serving accesses —
-        // the refresh-access parallelism the all-bank window forbids.
+        // the refresh-access parallelism all-bank refresh forbids.
         assert!(!c.can_advance(0, 1, t_refi));
         assert_eq!(c.advance(1, 1, false, t_refi), StepOutcome::Activated);
         // Bank 0 re-accepts commands once its t_rfcpb elapses.
         assert!(c.can_advance(0, 1, t_refi + t_rfcpb));
         // Bank 1's own deadline sits one stagger stride later.
         let stride = t_refi / cfg.banks as Cycle;
-        c.sync(t_refi + stride);
+        assert_eq!(c.sync(t_refi + stride), [1]);
         assert_eq!(c.stats().refreshes, 2);
     }
 
@@ -780,7 +723,7 @@ mod tests {
         assert!(!c.pull_refresh(0, t_refi / 2));
         // The deadline-forced refresh at bank 0's boundary is already paid;
         // the earliest unapplied boundary now belongs to bank 1.
-        c.sync(t_refi);
+        assert!(c.sync(t_refi).is_empty());
         assert_eq!(c.stats().refreshes, 1);
         let stride = t_refi / cfg.banks as Cycle;
         assert_eq!(c.next_refresh_boundary(0), Some(t_refi + stride));
@@ -817,26 +760,26 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(16))]
 
-        /// The deadline-soundness property of DESIGN.md §15: under the
-        /// per-bank policies — with or without adversarial DARP pulls —
-        /// no bank's refresh ever slips past its window's end boundary,
+        /// The deadline-soundness property of DESIGN.md §15: under every
+        /// refresh policy — with or without adversarial DARP pulls — no
+        /// bank's refresh ever slips past its window's end boundary,
         /// provided `sync` runs each DRAM scheduling cycle (as the
         /// controller guarantees).
         #[test]
-        fn per_bank_refresh_never_misses_its_deadline(
-            darp in any::<bool>(),
+        fn refresh_never_misses_its_deadline(
+            policy in 0usize..3,
             pulls in prop::collection::vec(0usize..8, 0..96),
         ) {
-            let policy = if darp { RefreshPolicy::Darp } else { RefreshPolicy::PerBank };
+            let policy = [RefreshPolicy::AllBank, RefreshPolicy::PerBank, RefreshPolicy::Darp][policy];
             let (cfg, mut c) = ext_ch(policy);
             let t_refi = cfg.extended.unwrap().t_refi * CPU_CYCLES_PER_DRAM_CYCLE;
             let mut pulls = pulls.into_iter();
             let mut now = 0;
             while now < 3 * t_refi {
                 c.sync(now);
-                let r = c.refresh.as_ref().expect("per-bank policy");
-                for (b, &applied) in r.applied.iter().enumerate() {
-                    let off = r.offset(b);
+                let g = c.refresh.as_ref().expect("extended timing refreshes");
+                for (b, &applied) in g.applied.iter().enumerate() {
+                    let off = g.offset(b);
                     let due = if now >= off { (now - off) / t_refi } else { 0 };
                     prop_assert!(
                         applied >= due,
@@ -851,14 +794,14 @@ mod tests {
             }
             // Bookkeeping sanity: every pull is one of the refreshes.
             prop_assert!(c.refresh_counters().pulls <= c.stats().refreshes);
-            prop_assert!(darp || c.refresh_counters().pulls == 0);
+            prop_assert!(policy == RefreshPolicy::Darp || c.refresh_counters().pulls == 0);
         }
     }
 
     /// [`Channel::can_advance`] as it read before it was re-expressed through
     /// the decomposition: the bank, resolved at `m`, is in a state where the
-    /// command `row` needs next is legal, and the buses, the tFAW window and
-    /// the refresh window admit it. Shares nothing with [`Bank::readiness`],
+    /// command `row` needs next is legal, and the buses and the tFAW window
+    /// admit it. Shares nothing with [`Bank::readiness`],
     /// [`Channel::bank_ready`] or [`Channel::floors`].
     fn issues_by_the_book(c: &Channel, bank: usize, row: u64, m: Cycle) -> bool {
         let b = &c.banks[bank];
@@ -867,7 +810,6 @@ mod tests {
             c.act_history.iter().filter(recent).count() < 4
         });
         m >= c.cmd_bus_free_at
-            && !c.in_refresh(m)
             && match b.classify(row, m) {
                 RowBufferOutcome::Hit => b.can_cas(row, m) && m + c.cl >= c.data_bus_free_at,
                 RowBufferOutcome::Closed => b.can_activate(m) && faw_allows,
@@ -877,13 +819,10 @@ mod tests {
 
     /// Whether [`Channel::precharge_bank`] issues at `m`, by the book: the
     /// bank, resolved at `m`, holds an open row past tRAS / tWR / tRTP, and
-    /// the command bus and the refresh window admit a command. Calls
-    /// neither `precharge_bank` nor [`Channel::earliest_precharge_at`].
+    /// the command bus admits a command. Calls neither `precharge_bank` nor
+    /// [`Channel::earliest_precharge_at`].
     fn precharges_by_the_book(c: &Channel, bank: usize, m: Cycle) -> bool {
-        m >= c.cmd_bus_free_at
-            && !c.in_refresh(m)
-            && c.banks[bank].can_precharge(m)
-            && m >= c.min_precharge_at[bank]
+        m >= c.cmd_bus_free_at && c.banks[bank].can_precharge(m) && m >= c.min_precharge_at[bank]
     }
 
     /// Whether [`Channel::pull_refresh`] issues at `m`, by the book: DARP,
@@ -892,14 +831,20 @@ mod tests {
     /// is free. Calls neither `pull_refresh` nor
     /// [`Channel::earliest_refresh_pull_at`].
     fn pulls_by_the_book(c: &Channel, bank: usize, m: Cycle) -> bool {
-        let (Some(r), Some(e)) = (&c.refresh, c.ext) else {
+        let Some(g) = &c.refresh else {
             return false;
         };
         let b = &c.banks[bank];
-        r.darp
-            && m >= r.applied[bank] * e.t_refi + r.offset(bank)
+        g.darp
+            && m >= g.applied[bank] * g.t_refi + g.offset(bank)
             && m >= c.cmd_bus_free_at
             && (b.can_activate(m) || (b.can_precharge(m) && m >= c.min_precharge_at[bank]))
+    }
+
+    /// The first cycle `m >= now` at which [`Channel::can_advance`] holds,
+    /// assuming no command issues in between: the two halves joined.
+    fn advance_at(c: &Channel, bank: usize, row: u64, now: Cycle) -> Cycle {
+        c.floors().ready_at(c.bank_ready(bank, row)).max(now)
     }
 
     /// A bank command outside `advance`: the command, its bound and its
@@ -955,14 +900,13 @@ mod tests {
 
         /// The decomposition is the definition (DESIGN.md §11). After every
         /// step of a random command / refresh history, for every bank and a
-        /// hit-or-conflict pair of rows: (i) `earliest_advance_at` is exact
-        /// — `can_advance` is false at every cycle before the bound and,
-        /// unless an all-bank refresh window has opened by then, true at it;
+        /// hit-or-conflict pair of rows: (i) the joined bound is exact —
+        /// `can_advance` is false at every cycle before it and true at it;
         /// (ii) the parts captured now give `can_advance` (checked against
-        /// its by-the-book form) and `earliest_advance_at` at every later
-        /// cycle up to the next step, while an activating bank resolves to
-        /// open, a precharging or refreshing one to closed, a full tFAW
-        /// history ages out and refresh windows open and close; (iii) for
+        /// its by-the-book form) and the bound at every later cycle up to
+        /// the next step, while an activating bank resolves to open, a
+        /// precharging or refreshing one to closed and a full tFAW history
+        /// ages out; (iii) for
         /// every bank, `earliest_precharge_at` and `earliest_refresh_pull_at`
         /// taken now are never later than the first cycle up to the next
         /// step at which `precharge_bank` / `pull_refresh` would issue by the
@@ -981,7 +925,7 @@ mod tests {
                     match op {
                         0..=5 => {
                             if wait {
-                                let at = c.earliest_advance_at(bank, row, now);
+                                let at = advance_at(&c, bank, row, now);
                                 now = at.next_multiple_of(CPU_CYCLES_PER_DRAM_CYCLE);
                             }
                             c.advance(bank, row, write, now);
@@ -993,7 +937,9 @@ mod tests {
                             }
                             (cmd.issue)(&mut c, bank, now);
                         }
-                        _ => c.sync(now),
+                        _ => {
+                            c.sync(now);
+                        }
                     }
                     for (bank, cmd) in (0..c.bank_count()).flat_map(|b| [(b, 0), (b, 1)]) {
                         let BankCommand { name, earliest, by_the_book, .. } = BANK_COMMANDS[cmd];
@@ -1013,7 +959,7 @@ mod tests {
                     }
                     let floors = c.floors();
                     for (bank, row) in (0..c.bank_count()).flat_map(|b| [(b, 0), (b, 1)]) {
-                        let bound = c.earliest_advance_at(bank, row, now);
+                        let bound = advance_at(&c, bank, row, now);
                         for m in now..bound {
                             prop_assert!(
                                 !c.can_advance(bank, row, m),
@@ -1021,19 +967,19 @@ mod tests {
                             );
                         }
                         prop_assert!(
-                            c.in_refresh(bound) || c.can_advance(bank, row, bound),
+                            c.can_advance(bank, row, bound),
                             "({bank}, {row}) cannot issue at its bound {bound} from {now}"
                         );
                         let part = c.bank_ready(bank, row);
                         for m in now..=now + gap {
-                            let ready_at = floors.ready_at(part).max(c.refresh_release(m));
+                            let ready_at = floors.ready_at(part);
                             prop_assert_eq!(
                                 issues_by_the_book(&c, bank, row, m),
                                 m >= ready_at,
                                 "({}, {}) at {}: parts {:?} captured at {}", bank, row, m, part, now
                             );
                             prop_assert_eq!(c.can_advance(bank, row, m), m >= ready_at);
-                            prop_assert_eq!(c.earliest_advance_at(bank, row, m), ready_at.max(m));
+                            prop_assert_eq!(advance_at(&c, bank, row, m), ready_at.max(m));
                         }
                     }
                     now += gap;

@@ -24,15 +24,16 @@ pub enum RowPolicy {
 /// meaningful with [`crate::ExtendedTiming`] enabled and `t_refi > 0`;
 /// without extended timing no refresh happens under any policy).
 ///
-/// The default [`RefreshPolicy::AllBank`] reproduces the legacy model
-/// bit-exactly: every `t_refi` the whole channel stalls for `t_rfc` and
-/// all rows close. The per-bank policies replace the channel-wide window
-/// with staggered per-bank windows (DESIGN.md §15), after Chang et al.'s
-/// refresh-access parallelism work (DARP/SARP; see PAPERS.md).
+/// Every policy is one window grid (DESIGN.md §15): bank `b`'s windows open
+/// at `k·t_refi + b·stride`. The default [`RefreshPolicy::AllBank`] puts
+/// every bank on one boundary (`stride = 0`): every `t_refi` all banks are
+/// busy for `t_rfc` and all rows close. The per-bank policies stagger the
+/// banks, after Chang et al.'s refresh-access parallelism work (DARP/SARP;
+/// see PAPERS.md).
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
 pub enum RefreshPolicy {
-    /// All banks refresh together; the channel is unusable for `t_rfc`
-    /// every `t_refi` (the legacy model, and the default).
+    /// All banks refresh together: every bank is busy for `t_rfc` every
+    /// `t_refi` (the default).
     #[default]
     AllBank,
     /// Each bank refreshes on its own staggered `t_refi` window, occupying
@@ -54,7 +55,7 @@ impl RefreshPolicy {
         *self == RefreshPolicy::AllBank
     }
 
-    /// True for the policies with per-bank refresh windows.
+    /// True for the policies that stagger the banks' refresh windows.
     pub fn per_bank(&self) -> bool {
         !self.is_all_bank()
     }

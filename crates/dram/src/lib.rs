@@ -13,14 +13,14 @@
 //! when its CAS data burst finishes.
 //!
 //! Readiness is stated once, as a decomposition (DESIGN.md §11): a
-//! bank-local part that only a command to that bank can move
-//! ([`Channel::bank_ready`]), a channel-level part constant until the next
-//! command on the channel ([`Channel::floors`]), and the all-bank refresh
-//! window, the one term that reads the clock
-//! ([`Channel::refresh_release`]). [`Channel::can_advance`] and
-//! [`Channel::earliest_advance_at`] are defined through it, and a scheduler
-//! that keeps the bank-local parts answers both for every bank of a channel
-//! from one [`ChannelFloors`].
+//! bank-local part that only a command to that bank or a refresh applied
+//! to it can move ([`Channel::bank_ready`]), and a channel-level part
+//! constant until the next command on the channel ([`Channel::floors`]).
+//! [`Channel::can_advance`] is defined through it, and a scheduler that
+//! keeps the bank-local parts answers it for every bank of a channel from
+//! one [`ChannelFloors`]. Refresh is bank state: [`Channel::sync`] applies
+//! each due window of one grid as bank occupancy and reports the banks it
+//! refreshed (DESIGN.md §15).
 //!
 //! # Example
 //!

@@ -10,8 +10,10 @@
 //! * `t_wr` — write recovery (last WRITE data → PRE).
 //! * `t_rtp` — read-to-precharge.
 //! * `t_faw` — at most four ACTs per rolling window (power limit).
-//! * `t_refi` / `t_rfc` — periodic refresh: every `t_refi` the channel
-//!   stalls for `t_rfc` and all rows close.
+//! * `t_refi` / `t_rfc` — periodic refresh: every `t_refi` each bank is
+//!   refreshed, closing its row and occupying it for `t_rfc` (all banks on
+//!   one boundary under the default all-bank policy; see
+//!   [`crate::RefreshPolicy`]).
 //!
 //! All values are in DRAM bus cycles, like the base config.
 
@@ -31,7 +33,7 @@ pub struct ExtendedTiming {
     pub t_faw: Cycle,
     /// Average refresh interval (0 disables refresh).
     pub t_refi: Cycle,
-    /// Refresh cycle time: the channel is unusable this long per refresh.
+    /// Refresh cycle time: an all-bank refresh occupies every bank this long.
     pub t_rfc: Cycle,
 }
 

@@ -113,14 +113,22 @@ fn refresh_blocks_commands_and_closes_rows() {
     ch.advance(0, 1, false, 0);
     let refi = e.t_refi * K;
     let rfc = e.t_rfc * K;
-    // During the refresh window no command can issue.
-    assert!(!ch.can_advance(0, 1, refi + K));
-    ch.sync(refi + K);
+    // `sync` at the boundary applies one REF to every bank.
+    assert!(ch.sync(refi - K).is_empty());
+    assert_eq!(ch.sync(refi), (0..cfg.banks).collect::<Vec<_>>());
     assert_eq!(ch.stats().refreshes, 1);
-    // After the window the bank is closed: the old row is gone.
-    let after = refi + rfc + K;
-    assert_eq!(ch.classify(0, 1, after), RowBufferOutcome::Closed);
-    assert!(ch.can_advance(0, 1, after));
+    // Every bank refuses commands for t_rfc...
+    for bank in 0..cfg.banks {
+        assert!(!ch.can_advance(bank, 1, refi + rfc - 1), "bank {bank}");
+    }
+    // ...then comes back closed: the old row is gone.
+    let after = refi + rfc;
+    for bank in 0..cfg.banks {
+        assert_eq!(ch.classify(bank, 1, after), RowBufferOutcome::Closed);
+        assert!(ch.can_advance(bank, 1, after), "bank {bank}");
+    }
+    assert!(ch.sync(after).is_empty());
+    assert_eq!(ch.stats().refreshes, 1);
 }
 
 #[test]

@@ -216,6 +216,13 @@ impl SimConfig {
     /// 96 MiB. The registry's largest cache is 8 MiB.
     pub const MAX_CACHE_BYTES: u64 = 1 << 28;
 
+    /// Largest DRAM timing field, in DRAM bus cycles: about 6.4 s at
+    /// 667 MHz, where DDR3's longest, `t_refi`, is 5 200. The model
+    /// converts each timing to CPU cycles and adds it to the clock —
+    /// `t_refi` as refresh windows `k·t_refi + b·stride` — so below this
+    /// every such sum of a run shorter than 2^62 cycles stays in range.
+    pub const MAX_DRAM_TIMING: Cycle = 1 << 32;
+
     /// Checks every rule a [`System`](crate::System) needs of its config,
     /// each stated once here, and names the field and the rule the first
     /// time one is broken. The layers below keep their own asserts as
@@ -293,6 +300,30 @@ impl SimConfig {
                 "dram.row_bytes is {}, must be at least one {LINE_BYTES}-byte line",
                 dram.row_bytes
             ));
+        }
+        let extended = dram.extended.map(|e| {
+            [
+                ("dram.extended.t_ras", e.t_ras),
+                ("dram.extended.t_wr", e.t_wr),
+                ("dram.extended.t_rtp", e.t_rtp),
+                ("dram.extended.t_faw", e.t_faw),
+                ("dram.extended.t_refi", e.t_refi),
+                ("dram.extended.t_rfc", e.t_rfc),
+            ]
+        });
+        let timings = [
+            ("dram.t_rp", dram.t_rp),
+            ("dram.t_rcd", dram.t_rcd),
+            ("dram.cl", dram.cl),
+            ("dram.burst", dram.burst),
+        ];
+        for (field, value) in timings.into_iter().chain(extended.into_iter().flatten()) {
+            if value > Self::MAX_DRAM_TIMING {
+                return Err(format!(
+                    "{field} is {value}, must be at most {}",
+                    Self::MAX_DRAM_TIMING
+                ));
+            }
         }
         if let Some(e) = dram.extended {
             if e.t_faw == 0 {

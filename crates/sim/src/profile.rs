@@ -115,9 +115,9 @@ pub struct SimProfile {
     /// `RefreshPolicy::Darp`). `tests/floors.rs` asserts this is nonzero
     /// for the `ext-refresh` family and floors it on the 8-core mix.
     pub refresh_pulls: u64,
-    /// Cycles of bank (or, for all-bank refresh, whole-channel) occupancy
-    /// charged to refresh over the run — the bandwidth the refresh policy
-    /// is competing to reclaim.
+    /// Bank cycles occupied by refresh over the run — every bank's `t_rfc`
+    /// per all-bank refresh — the bandwidth the refresh policy is
+    /// competing to reclaim.
     pub refresh_stall_cycles: u64,
     /// Wall time spent in the controller phase of `step` (timers on only).
     pub controller_ns: u64,

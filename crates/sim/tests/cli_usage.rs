@@ -4,8 +4,8 @@
 //! `repro` or `padcsim` cannot run must exit 2 with a one-line message on
 //! stderr — never a panic with a backtrace, and never a silently ignored
 //! flag — a worker pool the OS refuses is one error line, a reader that
-//! closes stdout early is a clean exit, and the `store` subcommand and
-//! `--refresh-policy all-bank` do what they say.
+//! closes stdout early is a clean exit, the `store` subcommand does what
+//! it says, and the refresh policies' reports hold their recorded bytes.
 
 mod common;
 
@@ -402,7 +402,7 @@ fn config_sizes_must_be_ones_the_model_can_run() {
     let printed = accepted(&["padcsim", "--print-config", "--cores", "1"]);
     let base: SimConfig = serde_json::from_str(&printed).expect("the printed config parses");
     type Edit = fn(&mut SimConfig);
-    let cases: [(Edit, &str); 22] = [
+    let cases: [(Edit, &str); 25] = [
         (
             |c| c.controller.buffer_entries = 0,
             "controller.buffer_entries is 0, must be between 1 and 65534",
@@ -484,6 +484,28 @@ fn config_sizes_must_be_ones_the_model_can_run() {
                 })
             },
             "dram.extended.t_refi is 100 with t_rfc 128, must exceed a nonzero t_rfc",
+        ),
+        (
+            |c| c.dram.t_rp = 1 << 62,
+            "dram.t_rp is 4611686018427387904, must be at most 4294967296",
+        ),
+        (
+            |c| {
+                c.dram.extended = Some(ExtendedTiming {
+                    t_ras: 1 << 62,
+                    ..ExtendedTiming::default()
+                })
+            },
+            "dram.extended.t_ras is 4611686018427387904, must be at most 4294967296",
+        ),
+        (
+            |c| {
+                c.dram.extended = Some(ExtendedTiming {
+                    t_refi: 1 << 62,
+                    ..ExtendedTiming::default()
+                })
+            },
+            "dram.extended.t_refi is 4611686018427387904, must be at most 4294967296",
         ),
     ];
     for (edit, error) in cases {
@@ -599,28 +621,49 @@ fn store_gc_evicts_down_to_the_byte_bound() {
     std::fs::remove_dir_all(&dir).expect("scratch removed");
 }
 
-/// `RefreshPolicy::AllBank` is the pre-`RefreshPolicy` extended-timing
-/// model under its new name, never a semantic change: naming it changes
-/// no byte of the report.
+/// SHA-256 of `padcsim --policy padc --instructions 30000 --extended-timing
+/// --refresh-policy P --json` per refresh policy and bench set. Every field
+/// of the report is pinned — the `ChannelStats` and controller stats no
+/// table shows included — so a change to how any policy refreshes fails
+/// here, not only in the full-scale `repro_full` run. A deliberate result
+/// change re-records these beside its `RESULT_SCHEMA_VERSION` bump.
+#[rustfmt::skip] // one row per line: a re-recorded digest is a one-line diff
+const REFRESH_REPORTS: [(&str, &[&str], &str); 6] = [
+    ("all-bank", &["mcf_06"], "33576a36adddada3ee3fbd385a513b7bfaf0e0ba1ae73502d8cf488970020489"),
+    ("all-bank", &["mcf_06", "libquantum_06", "lbm_06", "milc_06"], "0f919289036d467b68c08dad8c05e4940e1afb95408dc2d11bf61bbcda9d188e"),
+    ("per-bank", &["mcf_06"], "a74ac43b85e5451047df726079f35729c3f9ff4ffe8d28b8d0f2a0a2033db107"),
+    ("per-bank", &["mcf_06", "libquantum_06", "lbm_06", "milc_06"], "8b32e5cd990cdd03a9c033f50c4af2e3d36a96e19f12a57740b42380419e2d42"),
+    ("darp", &["mcf_06"], "b8030178e528fa425e21e904d6fd6527b6c7ec67bf4f5bc0955fd911ac394db1"),
+    ("darp", &["mcf_06", "libquantum_06", "lbm_06", "milc_06"], "cfa4fc171602bb893ed442ce273b35b3dddaf223c1805e6d8f2a37a360ab080d"),
+];
+
+/// The refresh matrix's reports match their recorded digests, and
+/// all-bank, the default, is what plain `--extended-timing` runs.
 #[test]
-fn all_bank_refresh_is_the_legacy_extended_timing_model() {
-    let report = |extra: &[&str]| {
+fn refresh_policy_reports_match_their_recorded_digests() {
+    let report = |benches: &[&str], extra: &[&str]| {
         let mut args = vec!["padcsim", "--policy", "padc", "--instructions", "30000"];
-        for bench in ["mcf_06", "libquantum_06", "lbm_06", "milc_06"] {
+        for bench in benches {
             args.extend(["--bench", bench]);
         }
         args.extend(["--extended-timing", "--json"]);
         args.extend(extra);
         accepted(&args)
     };
-    let legacy = report(&[]);
-    assert!(legacy.contains("\"refreshes\""), "not a report: {legacy}");
-    common::assert_same_bytes(
-        "cli-all-bank",
-        ("legacy.json", legacy.as_bytes()),
-        (
-            "all-bank.json",
-            report(&["--refresh-policy", "all-bank"]).as_bytes(),
-        ),
-    );
+    for (policy, benches, digest) in REFRESH_REPORTS {
+        let json = report(benches, &["--refresh-policy", policy]);
+        assert!(json.contains("\"refreshes\""), "not a report: {json}");
+        assert_eq!(
+            padc_store::digest_hex(json.as_bytes()),
+            digest,
+            "{policy} on {benches:?}: {json}"
+        );
+        if policy == "all-bank" {
+            common::assert_same_bytes(
+                "cli-all-bank",
+                ("all-bank.json", json.as_bytes()),
+                ("default.json", report(benches, &[]).as_bytes()),
+            );
+        }
+    }
 }

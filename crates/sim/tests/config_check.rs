@@ -11,7 +11,7 @@ use std::panic::{self, AssertUnwindSafe};
 use std::sync::Once;
 
 use padc_core::{AccuracyTracker, SchedulingPolicy};
-use padc_dram::{AddressMapper, ExtendedTiming, RefreshPolicy};
+use padc_dram::{AddressMapper, Channel, ExtendedTiming, RefreshPolicy};
 use padc_sim::{SimConfig, System};
 use padc_workloads::profiles;
 use proptest::prelude::*;
@@ -50,9 +50,10 @@ fn pick<T: Clone + 'static>(values: &'static [T]) -> impl Strategy<Value = T> {
 }
 
 /// Configs varying the fields a config file can break — with zeros,
-/// non-powers of two, sizes that split into no whole number of sets and
-/// sizes past a bound — around the single-core baseline, mostly valid so
-/// that a rule late in `check` is reached with every earlier one passing.
+/// non-powers of two, sizes that split into no whole number of sets, sizes
+/// past a bound and DRAM timings whose CPU-cycle value overflows — around
+/// the single-core baseline, mostly valid so that a rule late in `check`
+/// is reached with every earlier one passing.
 fn arb_config() -> impl Strategy<Value = SimConfig> {
     let system = (
         pick(&[1usize, 1, 2]),
@@ -93,11 +94,12 @@ fn arb_config() -> impl Strategy<Value = SimConfig> {
         pick(&[0usize, 3, 1, 1, 1, 1, 1, 2, 4]),
         pick(&[0usize, 3, 8, 8, 8, 8, 8, 1, 16]),
         pick(&[0u64, 32, 100, 4096, 4096, 4096, 4096, 8192]),
+        pick(&[10u64, 10, 10, 10, 10, 10, 1 << 62]),
     );
     let timing = (
         pick(&[false, true]),
-        pick(&[0u64, 20, 20, 20, 20, 20]),
-        pick(&[0u64, 100, 5200, 5200, 5200]),
+        pick(&[0u64, 20, 20, 20, 20, 20, 1 << 62]),
+        pick(&[0u64, 100, 5200, 5200, 5200, 5200, 1 << 62]),
         pick(&[0u64, 107, 128]),
         pick(&[
             RefreshPolicy::AllBank,
@@ -117,7 +119,7 @@ fn arb_config() -> impl Strategy<Value = SimConfig> {
                 window_entries,
             ),
             (l1_size, l1_ways, l2_size, l2_ways),
-            (channels, banks, row_bytes),
+            (channels, banks, row_bytes, t_rp),
             (extended, t_faw, t_refi, t_rfc, refresh_policy),
         )| {
             let mut c = SimConfig::new(cores, SchedulingPolicy::Padc);
@@ -132,6 +134,7 @@ fn arb_config() -> impl Strategy<Value = SimConfig> {
             (c.l1.size_bytes, c.l1.ways) = (l1_size, l1_ways);
             (c.l2.size_bytes, c.l2.ways) = (l2_size, l2_ways);
             (c.dram.channels, c.dram.banks, c.dram.row_bytes) = (channels, banks, row_bytes);
+            c.dram.t_rp = t_rp;
             c.dram.refresh_policy = refresh_policy;
             c.dram.extended = extended.then_some(ExtendedTiming {
                 t_faw,
@@ -152,9 +155,14 @@ fn a_lower_layer_refuses(cfg: &SimConfig) -> bool {
         cfg.l1.sets();
         cfg.l2_per_cache().sets();
         AccuracyTracker::new(cfg.cores, cfg.controller.accuracy_interval);
-        if let Some(timing) = cfg.dram.extended {
-            timing.validate();
-        }
+        let dram = &cfg.dram;
+        Channel::new(dram);
+        (
+            dram.t_rp_cpu(),
+            dram.t_rcd_cpu(),
+            dram.cl_cpu(),
+            dram.burst_cpu(),
+        )
     })
     .is_err()
 }
@@ -226,6 +234,8 @@ fn the_generator_reaches_every_rule() {
         "controller.cores is 2, must equal cores (1)",
         "controller.accuracy_interval is 0,",
         "dram.extended.t_refi is 100 with t_rfc 128,",
+        "dram.t_rp is 4611686018427387904, must be at most 4294967296",
+        "dram.extended.t_refi is 4611686018427387904, must be at most 4294967296",
     ] {
         assert!(
             refusals.iter().any(|r| r.contains(rule)),
