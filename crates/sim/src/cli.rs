@@ -5,8 +5,7 @@
 //! ```text
 //! repro [--quick|--smoke] [--jobs N] [--jsonl PATH]
 //!       [--summary PATH] [--store DIR] [--budget-seconds N]
-//!       [--json|--csv|--bars COL] [--no-progress] [--profile]
-//!       [--list] [all|<experiment-id>...]
+//!       [--no-progress] [--profile] [--list] [all|<experiment-id>...]
 //! ```
 //!
 //! With no ids (or `all` anywhere among them), every registered experiment
@@ -22,9 +21,9 @@
 //! Timings go to the stderr progress lines and the `--summary` JSON — or,
 //! with `--profile`, into a per-experiment `"profile"` object in each
 //! payload (wall times make profiled artifacts non-deterministic, so the
-//! determinism tests run without it). Tables render on stdout
-//! (`--json|--csv|--bars COL` pick the format) unless the JSONL stream
-//! owns it (`--jsonl -`).
+//! determinism tests run without it). Tables render on stdout as text
+//! unless the JSONL stream owns it (`--jsonl -`), which carries the same
+//! tables as JSON.
 //!
 //! `--store DIR` (or `PADC_STORE`) is how a rerun skips work: every
 //! simulation unit is looked up by the digest of its full configuration
@@ -53,14 +52,6 @@ use serde_json::{Number, Value};
 use crate::experiments::{
     self, suite_jobs_profiled, table_stash, ExpConfig, ExpTable, Scale, REGISTRY,
 };
-
-/// Table rendering selected by `--json|--csv|--bars COL` (last one wins).
-enum Render {
-    Text,
-    Json,
-    Csv,
-    Bars(String),
-}
 
 /// Prints a one-line error about an input the command line names (an
 /// unreadable file, an invalid config) and exits 2.
@@ -216,7 +207,6 @@ fn render_tables(
     selected: &[(&str, &str)],
     summary: &Summary,
     stash: &std::collections::HashMap<String, Vec<ExpTable>>,
-    render: &Render,
 ) -> std::io::Result<()> {
     let mut out = std::io::stdout().lock();
     for ((id, paper_ref), outcome) in selected.iter().zip(&summary.outcomes) {
@@ -224,19 +214,7 @@ fn render_tables(
         match stash.get(*id) {
             Some(tables) => {
                 for t in tables {
-                    match render {
-                        Render::Json => writeln!(
-                            out,
-                            "{}",
-                            serde_json::to_string_pretty(t).expect("tables serialize")
-                        )?,
-                        Render::Csv => writeln!(out, "{}", t.to_csv())?,
-                        Render::Bars(col) => match t.to_bars(col, 50) {
-                            Some(chart) => writeln!(out, "{chart}")?,
-                            None => writeln!(out, "{t}")?,
-                        },
-                        Render::Text => writeln!(out, "{t}")?,
-                    }
+                    writeln!(out, "{t}")?;
                 }
             }
             None => writeln!(
@@ -258,7 +236,6 @@ pub fn suite_main(args: &[String]) -> ! {
         progress: true,
         ..HarnessConfig::default()
     };
-    let mut render = Render::Text;
     let mut profile = false;
     let (mut jsonl, mut summary_path, mut store) = (None, None, None);
     let mut ids: Vec<&str> = Vec::new();
@@ -274,9 +251,6 @@ pub fn suite_main(args: &[String]) -> ! {
             "--jsonl" => jsonl = Some(flags.value()),
             "--summary" => summary_path = Some(flags.value()),
             "--store" => store = Some(flags.value().to_string()),
-            "--json" => render = Render::Json,
-            "--csv" => render = Render::Csv,
-            "--bars" => render = Render::Bars(flags.value().to_string()),
             "--list" => {
                 print_registry();
                 std::process::exit(0);
@@ -284,8 +258,7 @@ pub fn suite_main(args: &[String]) -> ! {
             "--help" | "-h" => {
                 say("usage: repro [--quick|--smoke] [--jobs N] [--jsonl PATH]\n\
                      \x20      [--summary PATH] [--store DIR] [--budget-seconds N]\n\
-                     \x20      [--json|--csv|--bars COL] [--no-progress] [--profile]\n\
-                     \x20      [--list] [all|<experiment-id>...]\n\
+                     \x20      [--no-progress] [--profile] [--list] [all|<experiment-id>...]\n\
                      known ids:");
                 print_registry();
                 std::process::exit(0);
@@ -349,7 +322,7 @@ pub fn suite_main(args: &[String]) -> ! {
     }
     if let Some(stash) = &stash {
         let stash = stash.lock().expect("stash lock");
-        if let Err(e) = render_tables(&labels, &summary, &stash, &render) {
+        if let Err(e) = render_tables(&labels, &summary, &stash) {
             stdout_failed(e);
         }
     }

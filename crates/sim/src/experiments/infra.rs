@@ -134,63 +134,6 @@ impl ExpTable {
     }
 }
 
-impl ExpTable {
-    /// Renders the table as RFC-4180-style CSV (label column first).
-    pub fn to_csv(&self) -> String {
-        fn field(s: &str) -> String {
-            if s.contains(',') || s.contains('"') {
-                format!("\"{}\"", s.replace('"', "\"\""))
-            } else {
-                s.to_string()
-            }
-        }
-        let mut out = String::new();
-        out.push_str(&field(&self.id));
-        for c in &self.columns {
-            out.push(',');
-            out.push_str(&field(c));
-        }
-        out.push('\n');
-        for (label, vals) in &self.rows {
-            out.push_str(&field(label));
-            for v in vals {
-                out.push(',');
-                out.push_str(&format!("{v}"));
-            }
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Renders one column as a labelled ASCII bar chart (the paper's bar
-    /// figures, in a terminal).
-    ///
-    /// Returns `None` if the column does not exist or holds no positive
-    /// values.
-    pub fn to_bars(&self, column: &str, width: usize) -> Option<String> {
-        let col = self.columns.iter().position(|c| c == column)?;
-        let max = self
-            .rows
-            .iter()
-            .map(|(_, v)| v[col])
-            .fold(f64::NEG_INFINITY, f64::max);
-        if max.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
-            return None;
-        }
-        let label_w = self.rows.iter().map(|(l, _)| l.len()).max()?.max(4);
-        let mut out = format!("{} — {} [{}]\n", self.id, self.title, column);
-        for (label, vals) in &self.rows {
-            let v = vals[col];
-            let n = ((v / max) * width as f64).round().max(0.0) as usize;
-            out.push_str(&format!(
-                "{label:<label_w$} {:<width$} {v:.3}\n",
-                "#".repeat(n)
-            ));
-        }
-        Some(out)
-    }
-}
-
 impl fmt::Display for ExpTable {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "== {} — {}", self.id, self.title)?;
@@ -441,30 +384,6 @@ mod tests {
     }
 
     #[test]
-    fn csv_rendering_escapes_and_lists_rows() {
-        let mut t = ExpTable::new("figX", "demo", &["WS", "notes,weird"]);
-        t.push("a,b", vec![1.5, 2.0]);
-        let csv = t.to_csv();
-        assert!(csv.starts_with("figX,WS,\"notes,weird\"\n"));
-        assert!(csv.contains("\"a,b\",1.5,2"));
-    }
-
-    #[test]
-    fn bar_rendering_scales_to_max() {
-        let mut t = ExpTable::new("figX", "demo", &["WS"]);
-        t.push("small", vec![1.0]);
-        t.push("big", vec![2.0]);
-        let bars = t.to_bars("WS", 10).expect("column exists");
-        assert!(bars.contains("big"));
-        let big_line = bars.lines().find(|l| l.starts_with("big")).unwrap();
-        let small_line = bars.lines().find(|l| l.starts_with("small")).unwrap();
-        let hashes = |l: &str| l.chars().filter(|c| *c == '#').count();
-        assert_eq!(hashes(big_line), 10);
-        assert_eq!(hashes(small_line), 5);
-        assert!(t.to_bars("missing", 10).is_none());
-    }
-
-    #[test]
     #[should_panic(expected = "row width mismatch")]
     fn mismatched_row_rejected() {
         let mut t = ExpTable::new("x", "x", &["a", "b"]);
@@ -516,57 +435,31 @@ mod tests {
         assert_eq!(names, vec!["milc_06", "swim_00", "lbm_06"]);
     }
 
-    /// The streaming writer against the tree printer over every unit any
-    /// experiment plans at smoke scale: each part of the meta, and the
-    /// meta document itself, is the bytes `write_value` prints for the
-    /// part's `to_value` tree — so the digests, and with them every store
-    /// entry, are the ones the tree printer addressed.
+    /// SHA-256 of every distinct store meta the registry plans at smoke
+    /// scale, in plan order, each followed by `\n`. A meta's digest is its
+    /// store key, so moving a byte of any meta orphans every store entry:
+    /// re-record this only beside a deliberate store-format change.
+    const SMOKE_METAS: (usize, &str) = (
+        455,
+        "95d3554b4de0c477b541163df32541a6aa4388066f97aaf6a2899c4701107d7d",
+    );
+
     #[test]
-    fn every_planned_meta_streams_like_its_value_tree() {
-        fn tree<T: Serialize + ?Sized>(x: &T) -> String {
-            let mut out = String::new();
-            serde_json::write_value(&mut out, &x.to_value(), None, 0);
-            out
-        }
+    fn planned_metas_match_their_recorded_digest() {
         let exp = ExpConfig::at(Scale::Smoke);
         let mut seen = HashSet::new();
+        let mut metas = String::new();
         for e in crate::experiments::REGISTRY {
             for unit in e.plan(&exp) {
                 let meta = unit.store_meta();
-                if !seen.insert(meta.clone()) {
-                    continue;
+                if seen.insert(meta.clone()) {
+                    metas.push_str(&meta);
+                    metas.push('\n');
                 }
-                let fingerprint = super::super::unit_cache::fingerprint();
-                let parts = [
-                    (tree(fingerprint), serde_json::to_string(fingerprint)),
-                    (tree(&unit.config), serde_json::to_string(&unit.config)),
-                    (
-                        tree(&unit.benchmarks),
-                        serde_json::to_string(&unit.benchmarks),
-                    ),
-                ];
-                for (expected, streamed) in &parts {
-                    assert_eq!(
-                        streamed.as_ref().ok(),
-                        Some(expected),
-                        "{}: {:?}",
-                        e.id,
-                        unit.key
-                    );
-                }
-                let [fingerprint, config, benchmarks] = parts.map(|(expected, _)| expected);
-                assert_eq!(
-                    meta,
-                    format!(
-                        "{{\"fingerprint\":{fingerprint},\"config\":{config},\"benchmarks\":{benchmarks}}}"
-                    ),
-                    "{}: {:?}",
-                    e.id,
-                    unit.key
-                );
             }
         }
-        assert!(!seen.is_empty(), "the registry planned no units");
+        let digest = padc_store::digest_hex(metas.as_bytes());
+        assert_eq!((seen.len(), digest.as_str()), SMOKE_METAS);
     }
 
     /// A unit's digest leaves the stepping mode out because the mode is

@@ -18,7 +18,7 @@
 //! `profile` JSONL object is strictly opt-in: the determinism tests compare
 //! artifacts produced *without* `--profile`.
 
-use serde::{Number, Serialize, Value};
+use serde::{write_escaped, write_number, Number, Serialize};
 use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Process-wide switch for the wall-time phase timers.
@@ -139,42 +139,55 @@ fn pct(ratio: f64) -> f64 {
 /// `--profile` stderr line and the suite JSONL rows `repro` / `padcsim
 /// serve` emit (via [`ProfileTotal`]).
 impl Serialize for SimProfile {
-    fn to_value(&self) -> Value {
-        let mut fields: Vec<(String, Value)> = Vec::new();
-        let mut push = |k: &str, v: u64| fields.push((k.to_string(), Value::Num(Number::U(v))));
-        push("cycles_stepped", self.cycles_stepped);
-        push("ff_jumps", self.ff_jumps);
-        push("ff_cycles_skipped", self.ff_cycles_skipped);
-        push("core_cycles_ticked", self.core_cycles_ticked);
-        push("core_cycles_skipped", self.core_cycles_skipped);
-        push("lag_resyncs", self.lag_resyncs);
-        push("ctrl_cycles_stepped", self.ctrl_cycles_stepped);
-        push("ctrl_cycles_skipped", self.ctrl_cycles_skipped);
-        push("ctrl_events_fired", self.ctrl_events_fired);
-        push("owner_recomputes", self.owner_recomputes);
-        push("owner_invalidations", self.owner_invalidations);
-        push("owner_reuses", self.owner_reuses);
-        push("owner_scan_entries", self.owner_scan_entries);
-        push("lane_refreshes", self.lane_refreshes);
-        push("dspatch_flips", self.dspatch_flips);
-        push("refresh_pulls", self.refresh_pulls);
-        push("refresh_stall_cycles", self.refresh_stall_cycles);
-        push("controller_ns", self.controller_ns);
-        push("cores_ns", self.cores_ns);
-        push("wall_ns", self.wall_ns);
-        fields.push((
-            "core_skip_pct".to_string(),
-            Value::Num(Number::F(pct(self.core_skip_ratio()))),
-        ));
-        fields.push((
-            "ctrl_skip_pct".to_string(),
-            Value::Num(Number::F(pct(self.ctrl_skip_ratio()))),
-        ));
-        Value::Object(fields)
+    fn write_json(&self, out: &mut String) {
+        write_object(out, self.entries());
     }
 }
 
+/// Appends `entries` as one JSON object.
+fn write_object(out: &mut String, entries: impl IntoIterator<Item = (&'static str, Number)>) {
+    out.push('{');
+    for (i, (key, n)) in entries.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        write_escaped(out, key);
+        out.push(':');
+        write_number(out, n);
+    }
+    out.push('}');
+}
+
 impl SimProfile {
+    /// The `profile` object's entries, in order.
+    fn entries(&self) -> [(&'static str, Number); 22] {
+        let n = Number::U;
+        [
+            ("cycles_stepped", n(self.cycles_stepped)),
+            ("ff_jumps", n(self.ff_jumps)),
+            ("ff_cycles_skipped", n(self.ff_cycles_skipped)),
+            ("core_cycles_ticked", n(self.core_cycles_ticked)),
+            ("core_cycles_skipped", n(self.core_cycles_skipped)),
+            ("lag_resyncs", n(self.lag_resyncs)),
+            ("ctrl_cycles_stepped", n(self.ctrl_cycles_stepped)),
+            ("ctrl_cycles_skipped", n(self.ctrl_cycles_skipped)),
+            ("ctrl_events_fired", n(self.ctrl_events_fired)),
+            ("owner_recomputes", n(self.owner_recomputes)),
+            ("owner_invalidations", n(self.owner_invalidations)),
+            ("owner_reuses", n(self.owner_reuses)),
+            ("owner_scan_entries", n(self.owner_scan_entries)),
+            ("lane_refreshes", n(self.lane_refreshes)),
+            ("dspatch_flips", n(self.dspatch_flips)),
+            ("refresh_pulls", n(self.refresh_pulls)),
+            ("refresh_stall_cycles", n(self.refresh_stall_cycles)),
+            ("controller_ns", n(self.controller_ns)),
+            ("cores_ns", n(self.cores_ns)),
+            ("wall_ns", n(self.wall_ns)),
+            ("core_skip_pct", Number::F(pct(self.core_skip_ratio()))),
+            ("ctrl_skip_pct", Number::F(pct(self.ctrl_skip_ratio()))),
+        ]
+    }
+
     /// Adds every counter of `p` into `self`: the one place profiles are
     /// summed (per-experiment totals in [`ProfileTotal`]).
     pub fn add(&mut self, p: &SimProfile) {
@@ -249,12 +262,9 @@ impl ProfileTotal {
 /// followed by the serde-serialized [`SimProfile`] fields, so every
 /// consumer reads the same object shape `padcsim --profile` prints.
 impl Serialize for ProfileTotal {
-    fn to_value(&self) -> Value {
-        let mut fields = vec![("runs".to_string(), Value::Num(Number::U(self.runs)))];
-        if let Value::Object(rest) = self.sum.to_value() {
-            fields.extend(rest);
-        }
-        Value::Object(fields)
+    fn write_json(&self, out: &mut String) {
+        let runs = ("runs", Number::U(self.runs));
+        write_object(out, std::iter::once(runs).chain(self.sum.entries()));
     }
 }
 

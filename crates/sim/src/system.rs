@@ -204,6 +204,7 @@ impl MemSubsystem {
     }
 
     /// APD dropped a prefetch: release its MSHR entry.
+    #[inline]
     fn on_dropped(&mut self, req: &MemRequest) {
         let c = req.core.index();
         let li = self.l2_index(c);
@@ -571,6 +572,7 @@ impl System {
     /// completion delivery, accuracy-tracker tick. `before_complete` runs
     /// on a core just before a completion mutates it (the event kernel
     /// closes the core's lag window there).
+    #[inline]
     fn controller_phase(
         &mut self,
         now: Cycle,

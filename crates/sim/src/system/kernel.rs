@@ -121,9 +121,15 @@ pub(super) struct Kernel {
     epoch: u64,
 }
 
+// Everything `System::run`'s event loop calls per cycle is `#[inline]`
+// (here, and `controller_phase` / `on_dropped` in the parent module): without
+// it, whether the loop is one function depends on how rustc happens to split
+// this crate into codegen units, so an edit anywhere in `padc-sim` could
+// re-shape the simulator's hottest code.
 impl Kernel {
     /// A schedule with every core in lockstep at `sys.now` and a fresh
     /// controller proof.
+    #[inline]
     pub(super) fn new(sys: &mut System) -> Self {
         let (now, cores) = (sys.now, sys.cfg.cores);
         let mut k = Kernel {
@@ -160,6 +166,7 @@ impl Kernel {
 
     /// Replays core `c`'s deferred pure-stall ticks up to (not including)
     /// `to` (E5).
+    #[inline]
     fn catch_up(&mut self, c: usize, to: Cycle, core: &mut Core, profile: &mut SimProfile) {
         let from = self.behind[c];
         if from >= to {
@@ -177,6 +184,7 @@ impl Kernel {
     /// Re-classifies core `c` right after its real tick at `now`: either
     /// it stays in lockstep (busy) or a lag window opens, bounded by its
     /// own wake-up and the next PAR rollover (E3).
+    #[inline]
     fn reclassify(&mut self, c: usize, now: Cycle, core: &Core, par_rollover: Cycle) {
         self.behind[c] = now + 1;
         self.idle[c] = core.idle_state(now + 1);
@@ -193,6 +201,7 @@ impl Kernel {
 
     /// One global-clock step: the controller phase if the proof cannot
     /// rule it out, then every due core in index order.
+    #[inline]
     pub(super) fn step(&mut self, sys: &mut System) {
         let now = sys.now;
         sys.profile.cycles_stepped += 1;
@@ -240,6 +249,7 @@ impl Kernel {
 
     /// Jumps the clock to the earliest bound when nothing is due before it
     /// (E7). Lag windows are not replayed here; they span the jump.
+    #[inline]
     pub(super) fn try_jump(&mut self, sys: &mut System) {
         let now = sys.now;
         if now >= sys.cfg.max_cycles || sys.finished() {
@@ -272,6 +282,7 @@ impl Kernel {
 
     /// Replays every outstanding lag window up to `sys.now` (run exit:
     /// live stats must match a cycle-exact run stopped at the same cycle).
+    #[inline]
     pub(super) fn flush(&mut self, sys: &mut System) {
         for (c, core) in sys.cores.iter_mut().enumerate() {
             self.catch_up(c, sys.now, core, &mut sys.profile);

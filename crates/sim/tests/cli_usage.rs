@@ -247,6 +247,11 @@ fn unrunnable_input_exits_2_with_one_line() {
             &["padcsim", "serve", "--fast-forward", "off"],
             "--fast-forward",
         ),
+        // Tables render one way on stdout; `--jsonl` carries them as JSON.
+        (
+            &["repro", "--smoke", "--csv", "fig2"],
+            "unknown flag \"--csv\"",
+        ),
         (&["repro", "--smoke", "figx"], "figx"),
         (&["repro", "--jobs", "many"], "--jobs expects an integer"),
         // The store is the one rerun path; `--resume` is gone.

@@ -49,102 +49,139 @@ fn pick<T: Clone + 'static>(values: &'static [T]) -> impl Strategy<Value = T> {
     (0..values.len()).prop_map(move |i| values[i].clone())
 }
 
-/// Configs varying the fields a config file can break — with zeros,
-/// non-powers of two, sizes that split into no whole number of sets, sizes
-/// past a bound and DRAM timings whose CPU-cycle value overflows — around
-/// the single-core baseline, mostly valid so that a rule late in `check`
-/// is reached with every earlier one passing.
+/// A field a config file can break: how to set it, values the model runs
+/// in any combination with the other fields' (repeating a value weights
+/// it), and edge values that may break a rule.
+struct Field {
+    set: fn(&mut SimConfig, u64),
+    valid: &'static [u64],
+    edge: &'static [u64],
+}
+
+const FIELDS: [Field; 16] = [
+    Field {
+        // 1 makes `controller.cores` differ from `cores`.
+        set: |c, mismatch| {
+            if mismatch == 1 {
+                c.controller.cores = 3 - c.cores;
+            }
+        },
+        valid: &[0],
+        edge: &[1],
+    },
+    Field {
+        set: |c, v| c.controller.accuracy_interval = v,
+        valid: &[5, 100_000],
+        edge: &[0],
+    },
+    Field {
+        set: |c, v| c.mshr_entries = v as usize,
+        valid: &[3, 64],
+        edge: &[0, 4_000_000_000],
+    },
+    Field {
+        set: |c, v| c.max_instructions = v,
+        valid: &[1, 200_000],
+        edge: &[0],
+    },
+    Field {
+        set: |c, v| c.core.window_entries = v as usize,
+        valid: &[256],
+        edge: &[4_294_967_295],
+    },
+    Field {
+        set: |c, v| c.l1.size_bytes = v,
+        valid: &[32_768, 65_536],
+        edge: &[0, 24_576, 1 << 40],
+    },
+    Field {
+        set: |c, v| c.l1.ways = v as usize,
+        valid: &[4, 8],
+        edge: &[0, 3],
+    },
+    Field {
+        set: |c, v| c.l2.size_bytes = v,
+        valid: &[1 << 19, 1 << 20],
+        edge: &[0, 1000, 786_432, 1 << 40],
+    },
+    Field {
+        set: |c, v| c.l2.ways = v as usize,
+        valid: &[8, 16],
+        edge: &[0, 3, 12],
+    },
+    Field {
+        set: |c, v| c.dram.channels = v as usize,
+        valid: &[1, 2, 4],
+        edge: &[0, 3],
+    },
+    Field {
+        set: |c, v| c.dram.banks = v as usize,
+        valid: &[1, 8, 16],
+        edge: &[0, 3],
+    },
+    Field {
+        set: |c, v| c.dram.row_bytes = v,
+        valid: &[4096, 8192],
+        edge: &[0, 32, 100],
+    },
+    Field {
+        set: |c, v| c.dram.t_rp = v,
+        valid: &[10],
+        edge: &[1 << 62],
+    },
+    Field {
+        set: |c, v| c.dram.extended.iter_mut().for_each(|e| e.t_faw = v),
+        valid: &[20],
+        edge: &[0, 1 << 62],
+    },
+    Field {
+        // 0 disables refresh.
+        set: |c, v| c.dram.extended.iter_mut().for_each(|e| e.t_refi = v),
+        valid: &[0, 5200, 5200, 5200],
+        edge: &[100, 1 << 62],
+    },
+    Field {
+        set: |c, v| c.dram.extended.iter_mut().for_each(|e| e.t_rfc = v),
+        valid: &[107, 128],
+        edge: &[0],
+    },
+];
+
+/// Configs around the baseline that break at most one field: every field
+/// takes one of its valid values, and in half the cases one field then
+/// takes an edge value — a zero, a non-power of two, a size that splits
+/// into no whole number of sets, a size past a bound, a DRAM timing whose
+/// CPU-cycle value overflows — so a rule late in `check` is reached with
+/// every earlier one passing.
 fn arb_config() -> impl Strategy<Value = SimConfig> {
-    let system = (
+    (
         pick(&[1usize, 1, 2]),
-        pick(&[false, false, false, false, false, false, false, true]),
         pick(&[false, false, false, true]),
-        pick(&[0u64, 5, 100_000, 100_000, 100_000, 100_000, 100_000]),
-        pick(&[0usize, 3, 64, 64, 64, 64, 64, 4_000_000_000]),
-        pick(&[0u64, 1, 200_000, 200_000, 200_000, 200_000, 200_000]),
-        pick(&[256usize, 256, 256, 256, 256, 256, 256, 4_294_967_295]),
-    );
-    let caches = (
-        pick(&[
-            0u64,
-            24_576,
-            32_768,
-            32_768,
-            32_768,
-            32_768,
-            32_768,
-            65_536,
-            1 << 40,
-        ]),
-        pick(&[0usize, 3, 4, 4, 4, 4, 4, 8]),
-        pick(&[
-            0u64,
-            1000,
-            786_432,
-            1 << 20,
-            1 << 20,
-            1 << 20,
-            1 << 20,
-            1 << 19,
-            1 << 40,
-        ]),
-        pick(&[0usize, 3, 12, 8, 8, 8, 8, 16]),
-    );
-    let dram = (
-        pick(&[0usize, 3, 1, 1, 1, 1, 1, 2, 4]),
-        pick(&[0usize, 3, 8, 8, 8, 8, 8, 1, 16]),
-        pick(&[0u64, 32, 100, 4096, 4096, 4096, 4096, 8192]),
-        pick(&[10u64, 10, 10, 10, 10, 10, 1 << 62]),
-    );
-    let timing = (
         pick(&[false, true]),
-        pick(&[0u64, 20, 20, 20, 20, 20, 1 << 62]),
-        pick(&[0u64, 100, 5200, 5200, 5200, 5200, 1 << 62]),
-        pick(&[0u64, 107, 128]),
         pick(&[
             RefreshPolicy::AllBank,
             RefreshPolicy::PerBank,
             RefreshPolicy::Darp,
         ]),
-    );
-    (system, caches, dram, timing).prop_map(
-        |(
-            (
-                cores,
-                mismatch,
-                shared_l2,
-                accuracy_interval,
-                mshr_entries,
-                max_instructions,
-                window_entries,
-            ),
-            (l1_size, l1_ways, l2_size, l2_ways),
-            (channels, banks, row_bytes, t_rp),
-            (extended, t_faw, t_refi, t_rfc, refresh_policy),
-        )| {
-            let mut c = SimConfig::new(cores, SchedulingPolicy::Padc);
-            if mismatch {
-                c.controller.cores = 3 - cores;
-            }
-            c.shared_l2 = shared_l2;
-            c.controller.accuracy_interval = accuracy_interval;
-            c.mshr_entries = mshr_entries;
-            c.core.window_entries = window_entries;
-            c.max_instructions = max_instructions;
-            (c.l1.size_bytes, c.l1.ways) = (l1_size, l1_ways);
-            (c.l2.size_bytes, c.l2.ways) = (l2_size, l2_ways);
-            (c.dram.channels, c.dram.banks, c.dram.row_bytes) = (channels, banks, row_bytes);
-            c.dram.t_rp = t_rp;
-            c.dram.refresh_policy = refresh_policy;
-            c.dram.extended = extended.then_some(ExtendedTiming {
-                t_faw,
-                t_refi,
-                t_rfc,
-                ..ExtendedTiming::default()
-            });
-            c
-        },
+        prop::collection::vec(any::<usize>(), FIELDS.len()),
+        0..2 * FIELDS.len(),
+        any::<usize>(),
     )
+        .prop_map(
+            |(cores, shared_l2, extended, refresh_policy, draws, broken, edge)| {
+                let mut c = SimConfig::new(cores, SchedulingPolicy::Padc);
+                c.shared_l2 = shared_l2;
+                c.dram.refresh_policy = refresh_policy;
+                c.dram.extended = extended.then(ExtendedTiming::default);
+                for (field, draw) in FIELDS.iter().zip(draws) {
+                    (field.set)(&mut c, field.valid[draw % field.valid.len()]);
+                }
+                if let Some(field) = FIELDS.get(broken) {
+                    (field.set)(&mut c, field.edge[edge % field.edge.len()]);
+                }
+                c
+            },
+        )
 }
 
 /// The asserts of the layers below the simulator that a config reaches:
@@ -207,14 +244,21 @@ proptest! {
 
 /// The generator reaches every rule a `padcsim --config` input used to
 /// panic on — each row of `cli_usage`'s `config_sizes_must_be_ones_the_
-/// model_can_run` from `dram.banks` on — with every earlier rule passing.
+/// model_can_run` from `dram.banks` on — with every earlier rule passing,
+/// and at least a quarter of what it generates passes every rule.
 #[test]
 fn the_generator_reaches_every_rule() {
+    const CASES: usize = 20_000;
     let strategy = arb_config();
     let mut rng = <proptest::TestRng as rand::SeedableRng>::seed_from_u64(32);
-    let refusals: Vec<String> = (0..20_000)
+    let refusals: Vec<String> = (0..CASES)
         .filter_map(|_| strategy.gen_value(&mut rng).check().err())
         .collect();
+    let passing = CASES - refusals.len();
+    assert!(
+        4 * passing >= CASES,
+        "only {passing} of {CASES} generated configs pass `check`"
+    );
     for rule in [
         "dram.banks is 0,",
         "dram.banks is 3,",

@@ -91,6 +91,7 @@ struct Floors {
     rank_owner_scan_entries: Floor,
     darp_refresh_pulls: Floor,
     darp_refresh_stall_cycles: Floor,
+    darp_ctrl_cycles_stepped: Floor,
     all_bank_refresh_pulls: Floor,
     grid: SuiteFloors,
     mech: SuiteFloors,
@@ -158,6 +159,13 @@ const FLOORS: Floors = Floors {
         110_745.0,
         1.0,
         "refreshes are pulled but never charged: pull accounting broke",
+    ),
+    darp_ctrl_cycles_stepped: at_most(
+        87_989.0,
+        90_000.0,
+        "the event kernel executes controller ticks that issue nothing (an arbitration \
+         bound below `now` re-arms at once: 93 854 when it did), with every result byte \
+         unchanged",
     ),
     all_bank_refresh_pulls: at_most(0.0, 0.0, "pulls leaked out of RefreshPolicy::Darp"),
     // `fig6 tab5 tab7 fig8` at smoke scale: the four grids share one
@@ -311,6 +319,7 @@ fn darp_pulls_refreshes_and_all_bank_never_does() {
     });
     hold!(darp_refresh_pulls, darp.refresh_pulls);
     hold!(darp_refresh_stall_cycles, darp.refresh_stall_cycles);
+    hold!(darp_ctrl_cycles_stepped, darp.ctrl_cycles_stepped);
     let all_bank = event_profile(&MIX, 60_000, |cfg| {
         cfg.with_extended_timing(ExtendedTiming::default())
             .with_refresh_policy(RefreshPolicy::AllBank)

@@ -1,25 +1,23 @@
-//! The streaming JSON writer against the tree printer over every
-//! experiment at smoke scale: each simulation report and each table
-//! serializes (`serde_json::to_string`, which streams) to the bytes
-//! `write_value` prints for its `to_value` tree. Store payloads and the
-//! JSONL rows are built from exactly these serializations.
+//! The JSON writer over every experiment at smoke scale: each stored
+//! simulation report and each table reads back (`serde_json::from_str`)
+//! to a value that writes (`serde_json::to_string`) the same bytes again.
+//! Store payloads and the JSONL rows are built from exactly these
+//! serializations.
 
 use padc_harness::{run_suite, HarnessConfig};
-use padc_sim::experiments::{self, suite_jobs, table_stash, ExpConfig, Scale, REGISTRY};
+use padc_sim::experiments::{self, suite_jobs, table_stash, ExpConfig, ExpTable, Scale, REGISTRY};
 use padc_sim::Report;
 use padc_store::{sha256, to_hex, Store};
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 
-/// `x` printed from its `Value` tree, the way `to_string` printed before it
-/// streamed.
-fn tree<T: Serialize + ?Sized>(x: &T) -> String {
-    let mut out = String::new();
-    serde_json::write_value(&mut out, &x.to_value(), None, 0);
-    out
+/// `text` read as a `T` and written again.
+fn rewritten<T: Serialize + Deserialize>(text: &str) -> String {
+    let value: T = serde_json::from_str(text).expect("written JSON reads back");
+    serde_json::to_string(&value).expect("a value writes")
 }
 
 #[test]
-fn every_smoke_report_and_table_streams_like_its_value_tree() {
+fn every_smoke_report_and_table_round_trips_byte_for_byte() {
     let exp = ExpConfig::at(Scale::Smoke);
     let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("writer-store");
     let _ = std::fs::remove_dir_all(&dir);
@@ -41,20 +39,10 @@ fn every_smoke_report_and_table_streams_like_its_value_tree() {
             .get(e.id)
             .expect("every experiment stashes its tables");
         for table in stashed {
-            assert_eq!(
-                serde_json::to_string(table).ok(),
-                Some(tree(table)),
-                "{}",
-                e.id
-            );
+            let written = serde_json::to_string(table).expect("a table writes");
+            assert_eq!(rewritten::<ExpTable>(&written), written, "{}", e.id);
             tables += 1;
         }
-        assert_eq!(
-            serde_json::to_string(stashed).ok(),
-            Some(tree(stashed)),
-            "{}",
-            e.id
-        );
     }
     assert!(tables > REGISTRY.len(), "only {tables} tables");
 
@@ -64,12 +52,12 @@ fn every_smoke_report_and_table_streams_like_its_value_tree() {
     for e in REGISTRY {
         for unit in e.plan(&exp) {
             let meta = unit.store_meta();
-            let entry = store.load(&to_hex(&sha256(meta.as_bytes())), &meta);
-            let report: Report = serde_json::from_str(&entry.expect("a stored unit"))
-                .expect("a stored report parses");
+            let entry = store
+                .load(&to_hex(&sha256(meta.as_bytes())), &meta)
+                .expect("a stored unit");
             assert_eq!(
-                serde_json::to_string(&report).ok(),
-                Some(tree(&report)),
+                rewritten::<Report>(&entry),
+                entry,
                 "{}: {:?}",
                 e.id,
                 unit.key

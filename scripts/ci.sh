@@ -80,8 +80,8 @@ step "cargo test --workspace" cargo test -q --workspace
 # speed, its header parse meets lengths past the address space where
 # arithmetic wraps, and its SHA-256 oracles run in the build that hashes
 # every key; the parser's linear-time guard and string oracle, and the
-# streaming writer's oracle, run in the build that writes every store entry
-# and serves every warm store hit; and the suite pool's queue, in-order
+# JSON writer's reference-printer oracle, run in the build that writes every
+# store entry and serves every warm store hit; and the suite pool's queue, in-order
 # emitter and peak counter run at the speed every suite runs them.
 step "cargo test --release -p padc-core -p padc-dram -p padc-cpu -p padc-store -p padc-harness -p serde -p serde_json" \
     cargo test -q --release -p padc-core -p padc-dram -p padc-cpu -p padc-store -p padc-harness -p serde -p serde_json
