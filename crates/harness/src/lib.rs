@@ -1,5 +1,6 @@
-//! `padc-harness` — the suite scheduler. [`Pool::run`], behind `repro`
-//! and `padcsim serve`, runs every job as one flat plan:
+//! `padc-harness` — the suite scheduler. [`run_suite`], behind `repro`,
+//! runs every job as one flat plan on N worker threads that live for the
+//! call:
 //!
 //! 1. the calling thread plans each [`JobSpec`] in job order: a
 //!    [`Plan`] is the job's [`Unit`]s plus a reduce to its row payload;
@@ -29,13 +30,13 @@ use std::io::{self, Write};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
 use std::sync::{mpsc, Arc, Barrier, Mutex, MutexGuard, Once, PoisonError};
-use std::thread::{self, JoinHandle, ThreadId};
+use std::thread::{self, ThreadId};
 use std::time::{Duration, Instant};
 
 /// A unit's result, shared by every job that planned the unit.
 pub type Output = Arc<dyn Any + Send + Sync>;
 
-/// What a unit runs, on a pool worker.
+/// What a unit runs, on a suite worker.
 pub trait Work: Send {
     /// Resolves the unit without computing it (a store hit, say).
     fn load(&self) -> Option<Output> {
@@ -64,7 +65,7 @@ pub struct Unit {
 pub struct Settled {
     /// The unit's output.
     pub output: Output,
-    /// Whether the pool ran this planned unit, not an earlier duplicate.
+    /// Whether the run resolved this planned unit, not an earlier duplicate.
     pub owned: bool,
 }
 
@@ -79,7 +80,7 @@ pub struct Plan {
     pub reduce: Reduce,
 }
 
-/// One job of a suite; each [`Pool::run`] plans it afresh.
+/// One job of a suite; each [`run_suite`] call plans it afresh.
 #[derive(Clone)]
 pub struct JobSpec {
     /// Stable identifier; keys the output row (e.g. `"fig6"`).
@@ -117,7 +118,7 @@ impl JobSpec {
     }
 }
 
-/// Pool and accounting knobs of [`run_suite`]; the default is every core,
+/// Worker and accounting knobs of [`run_suite`]; the default is every core,
 /// no budget and no progress lines.
 #[derive(Clone, Debug, Default)]
 pub struct HarnessConfig {
@@ -166,7 +167,7 @@ pub struct CompletedJob {
     pub seconds: f64,
 }
 
-/// Run-level accounting returned by [`Pool::run`] and [`run_suite`].
+/// Run-level accounting returned by [`run_suite`].
 #[derive(Clone, Debug)]
 pub struct Summary {
     /// Per-job completions, in job order.
@@ -175,7 +176,7 @@ pub struct Summary {
     pub workers: usize,
     /// End-to-end wall-clock seconds.
     pub wall_seconds: f64,
-    /// Keyed units computed (not loaded) on the pool.
+    /// Keyed units computed (not loaded) on the workers.
     pub subjobs_executed: u64,
     /// Peak number of keyed units computing at once (at most `workers`).
     pub subjobs_peak_concurrent: u64,
@@ -246,34 +247,40 @@ fn caught<T>(f: impl FnOnce() -> T) -> Result<T, String> {
 }
 
 /// A queued unit, boxed for the workers.
-type Task = Box<dyn FnOnce() + Send>;
+type Task<'a> = Box<dyn FnOnce() + Send + 'a>;
 
 /// A settled unit: its output, or its panic message.
 type UnitResult = Result<Output, String>;
 
-/// N persistent worker threads fed by one FIFO queue. [`run_suite`] starts
-/// one per call; `padcsim serve` keeps one for the process.
-pub struct Pool {
-    /// The queue's sending end; dropping it stops the workers.
-    queue: Option<mpsc::Sender<Task>>,
-    workers: Vec<JoinHandle<()>>,
-}
-
-impl Pool {
-    /// Starts `workers` threads (`0` means `available_parallelism()`).
-    /// Fails, naming the count, when the OS refuses one; the workers
-    /// already started are stopped and joined first.
-    pub fn new(workers: usize) -> io::Result<Pool> {
-        let count = match workers {
-            0 => thread::available_parallelism().map_or(1, |p| p.get()),
-            n => n,
-        };
-        let (queue, tasks) = mpsc::channel::<Task>();
-        let tasks = Arc::new(Mutex::new(tasks));
-        let mut pool = Pool {
-            queue: Some(queue),
-            workers: Vec::new(),
-        };
+/// Runs `jobs` as one flat plan (see the crate docs) on `cfg.workers`
+/// threads that live for this call, streaming each JSONL row (in job order,
+/// as soon as it can) to `jsonl` and one progress line per row to
+/// `progress`. Fails, naming the count, when the OS refuses a worker; the
+/// first I/O error of either sink ends the run, and units not started by
+/// then never run.
+pub fn run_suite(
+    jobs: &[JobSpec],
+    cfg: &HarnessConfig,
+    mut jsonl: Option<&mut dyn Write>,
+    progress: &mut dyn Write,
+) -> io::Result<Summary> {
+    let started = Instant::now();
+    let workers = match cfg.workers {
+        0 => thread::available_parallelism().map_or(1, |p| p.get()),
+        n => n,
+    };
+    let (done_tx, done_rx) = mpsc::channel::<(usize, UnitResult, f64)>();
+    let stop = AtomicBool::new(false);
+    // Keyed units computing now, their peak, and the total computed.
+    let counters: [AtomicU64; 3] = Default::default();
+    // Declared after what its tasks borrow, so it drops first.
+    let (queue, tasks) = mpsc::channel::<Task<'_>>();
+    let tasks = Mutex::new(tasks);
+    let ready = Barrier::new(2);
+    // Returning from the scope drops `queue`: the workers run out of tasks,
+    // stop, and are joined before `run_suite` returns.
+    thread::scope(|s| {
+        let queue = queue;
         // A thread allocates as it starts (its signal stack, thread-locals),
         // and the runtime cannot report that failing. So each worker is
         // spawned only once 33 MiB of address space proved free (glibc maps
@@ -281,48 +288,28 @@ impl Pool {
         // mallopt(3), afresh unless its heap holds that much free), and
         // finishes starting before the next probe: running out fails a
         // spawn, here.
-        let started = Arc::new(Barrier::new(2));
-        for w in 0..count {
-            let (tasks, ready) = (Arc::clone(&tasks), Arc::clone(&started));
+        for w in 0..workers {
             let room = Vec::<u8>::new().try_reserve_exact(33 << 20); // freed before the spawn
             let spawned = room.map_err(io::Error::other).and_then(|()| {
                 let name = format!("padc-job-worker-{w}");
-                thread::Builder::new().name(name).spawn(move || {
+                thread::Builder::new().name(name).spawn_scoped(s, || {
                     ready.wait();
                     loop {
-                        let tasks = tasks.lock().unwrap_or_else(PoisonError::into_inner);
-                        let Ok(task) = tasks.recv() else {
-                            return; // the pool closed, and nothing is left
+                        let task = tasks.lock().unwrap_or_else(PoisonError::into_inner).recv();
+                        let Ok(task) = task else {
+                            return; // the run is over, and nothing is left
                         };
-                        drop(tasks);
                         task();
                     }
                 })
             });
-            // On an error, dropping `pool` stops and joins the `w` running.
-            pool.workers.push(spawned.map_err(|e| {
-                let msg = format!("cannot start {count} worker threads: worker {w} failed: {e}");
+            spawned.map_err(|e| {
+                let msg = format!("cannot start {workers} worker threads: worker {w} failed: {e}");
                 io::Error::new(e.kind(), msg)
-            })?);
-            started.wait();
+            })?;
+            ready.wait();
         }
-        Ok(pool)
-    }
 
-    /// Runs `jobs` as one flat plan (see the crate docs), handing each
-    /// completed job to `on_row` in job order as soon as it can. The first
-    /// error of `on_row` ends the run: units not started by then never run.
-    pub fn run(
-        &self,
-        jobs: &[JobSpec],
-        budget: Option<Duration>,
-        mut on_row: impl FnMut(&CompletedJob) -> io::Result<()>,
-    ) -> io::Result<Summary> {
-        let started = Instant::now();
-        let (done_tx, done_rx) = mpsc::channel::<(usize, UnitResult, f64)>();
-        let stop = Arc::new(AtomicBool::new(false));
-        // Keyed units computing now, their peak, and the total computed.
-        let counters: Arc<[AtomicU64; 3]> = Arc::default();
         let mut slot_of: HashMap<[u8; 32], usize> = HashMap::new();
         // Per distinct unit: the job that planned it first, and its result.
         let (mut owner, mut results) = (Vec::new(), Vec::<Option<UnitResult>>::new());
@@ -343,8 +330,7 @@ impl Pool {
                 }
                 owner.push(j);
                 results.push(None);
-                let (done_tx, stop, counters) =
-                    (done_tx.clone(), Arc::clone(&stop), Arc::clone(&counters));
+                let (done_tx, stop, counters) = (&done_tx, &stop, &counters);
                 let task = move || {
                     if stop.load(Relaxed) {
                         return;
@@ -354,7 +340,7 @@ impl Pool {
                         Some(output) => Ok(output),
                         None if unit.key.is_none() => caught(|| unit.work.compute()),
                         None => {
-                            let [active, peak, executed] = &*counters;
+                            let [active, peak, executed] = counters;
                             peak.fetch_max(active.fetch_add(1, Relaxed) + 1, Relaxed);
                             let computed = caught(|| unit.work.compute());
                             active.fetch_sub(1, Relaxed);
@@ -362,15 +348,34 @@ impl Pool {
                             computed
                         }
                     });
-                    // The run is gone only if `on_row` failed.
-                    let _ = done_tx.send((slot, result, start.elapsed().as_secs_f64()));
+                    let elapsed = start.elapsed().as_secs_f64();
+                    done_tx
+                        .send((slot, result, elapsed))
+                        .expect("the run outlives its units");
                 };
-                let queue = self.queue.as_ref().expect("open until the pool drops");
-                queue.send(Box::new(task)).expect("workers run");
+                queue
+                    .send(Box::new(task))
+                    .expect("the workers outlive the run");
             }
             plans.push((planned, reduce));
         }
 
+        let total = jobs.len();
+        let mut emit = |c: &CompletedJob, done: usize| -> io::Result<()> {
+            if cfg.progress {
+                let (id, status, secs) = (&c.id, c.status.as_str(), c.seconds);
+                let elapsed = started.elapsed().as_secs_f64();
+                let eta = elapsed / done as f64 * (total - done) as f64;
+                writeln!(
+                    progress,
+                    "[{done:>3}/{total}] {id:<10} {status:<11} {secs:>7.1}s | elapsed {elapsed:>7.1}s eta {eta:>7.1}s",
+                )?;
+            }
+            let row = c.row.as_bytes();
+            jsonl
+                .as_deref_mut()
+                .map_or(Ok(()), |sink| sink.write_all(row))
+        };
         let mut seconds = vec![0.0; jobs.len()];
         let mut outcomes = Vec::with_capacity(jobs.len());
         for (j, (planned, reduce)) in plans.into_iter().enumerate() {
@@ -396,31 +401,22 @@ impl Pool {
                 caught(|| reduce(&settled))
             });
             let seconds = seconds[j] + start.elapsed().as_secs_f64();
-            let completed = complete(&jobs[j].id, outcome, seconds, budget);
-            if let Err(e) = on_row(&completed) {
+            let completed = complete(&jobs[j].id, outcome, seconds, cfg.budget);
+            if let Err(e) = emit(&completed, j + 1) {
                 stop.store(true, Relaxed);
                 return Err(e);
             }
             outcomes.push(completed);
         }
+        jsonl.map_or(Ok(()), |sink| sink.flush())?;
         Ok(Summary {
             outcomes,
-            workers: self.workers.len(),
+            workers,
             wall_seconds: started.elapsed().as_secs_f64(),
             subjobs_executed: counters[2].load(Relaxed),
             subjobs_peak_concurrent: counters[1].load(Relaxed),
         })
-    }
-}
-
-/// Closes the queue and joins the workers.
-impl Drop for Pool {
-    fn drop(&mut self) {
-        self.queue = None;
-        for handle in self.workers.drain(..) {
-            let _ = handle.join();
-        }
-    }
+    })
 }
 
 /// A job's status, row and error from its payload or panic message.
@@ -456,41 +452,6 @@ fn complete(
         error,
         seconds,
     }
-}
-
-/// Runs `jobs` on a fresh [`Pool`] of `cfg.workers` threads, streaming
-/// JSONL rows (in job order) to `jsonl` and one progress line per row to
-/// `progress`. Fails as [`Pool::new`] does, or as [`Pool::run`] does with
-/// an I/O error of either sink.
-pub fn run_suite(
-    jobs: &[JobSpec],
-    cfg: &HarnessConfig,
-    mut jsonl: Option<&mut dyn Write>,
-    progress: &mut dyn Write,
-) -> io::Result<Summary> {
-    let started = Instant::now();
-    let pool = Pool::new(cfg.workers)?;
-    let total = jobs.len();
-    let mut done = 0usize;
-    let summary = pool.run(jobs, cfg.budget, |c| {
-        done += 1;
-        if cfg.progress {
-            let (id, status, secs) = (&c.id, c.status.as_str(), c.seconds);
-            let elapsed = started.elapsed().as_secs_f64();
-            let eta = elapsed / done as f64 * (total - done) as f64;
-            writeln!(
-                progress,
-                "[{done:>3}/{total}] {id:<10} {status:<11} {secs:>7.1}s | elapsed {elapsed:>7.1}s eta {eta:>7.1}s",
-            )?;
-        }
-        let row = c.row.as_bytes();
-        jsonl.as_deref_mut().map_or(Ok(()), |sink| sink.write_all(row))
-    })?;
-    jsonl.map_or(Ok(()), |sink| sink.flush())?;
-    Ok(Summary {
-        wall_seconds: started.elapsed().as_secs_f64(),
-        ..summary
-    })
 }
 
 #[cfg(test)]
@@ -665,11 +626,9 @@ mod tests {
     }
 
     /// A panicking plan and a panicking reduce each fail only their job,
-    /// a job over budget is recorded with its result, and the pool runs
-    /// again afterwards.
+    /// and a job over budget is recorded with its result.
     #[test]
     fn a_plan_or_reduce_panic_fails_only_its_job() {
-        let pool = Pool::new(2).expect("spawn workers");
         let jobs = [
             JobSpec::planned("plan", || panic!("no plan")),
             JobSpec::new("slow", || {
@@ -681,19 +640,17 @@ mod tests {
                 reduce: Box::new(|_| panic!("no reduce")),
             }),
         ];
-        for _ in 0..2 {
-            let mut rows = String::new();
-            let summary = pool.run(&jobs, Some(Duration::from_millis(1)), |c| {
-                rows.push_str(&c.row);
-                Ok(())
-            });
-            assert_eq!(summary.expect("no sink").failed(), 3);
-            assert_eq!(
-                rows,
-                "{\"id\":\"plan\",\"status\":\"panicked\",\"error\":\"no plan\"}\n\
-                 {\"id\":\"slow\",\"status\":\"over_budget\",\"budget_seconds\":0,\"result\":{}}\n\
-                 {\"id\":\"reduce\",\"status\":\"panicked\",\"error\":\"no reduce\"}\n"
-            );
-        }
+        let cfg = HarnessConfig {
+            budget: Some(Duration::from_millis(1)),
+            ..cfg(2)
+        };
+        let (rows, _, summary) = suite(&jobs, &cfg);
+        assert_eq!(summary.failed(), 3);
+        assert_eq!(
+            rows,
+            "{\"id\":\"plan\",\"status\":\"panicked\",\"error\":\"no plan\"}\n\
+             {\"id\":\"slow\",\"status\":\"over_budget\",\"budget_seconds\":0,\"result\":{}}\n\
+             {\"id\":\"reduce\",\"status\":\"panicked\",\"error\":\"no reduce\"}\n"
+        );
     }
 }

@@ -6,17 +6,16 @@
 //! padcsim --config system.json --bench milc_06           # full SimConfig from JSON
 //! padcsim --print-config --cores 2 --policy demand-first # dump the config as JSON
 //! padcsim --trace trace.txt --policy padc                # replay a recorded trace
-//! padcsim serve --stdio --jobs 4 --store DIR              # request server (see padc_sim::serve)
 //! padcsim store stats --store DIR                         # inspect the unit store
 //! ```
 //!
-//! The experiment suite is the `repro` binary. Each of the three command
-//! lines reads its flags through [`padc_sim::cli::Flags`].
+//! The experiment suite is the `repro` binary. Both command lines here (a
+//! single run, `store`) read their flags through [`padc_sim::cli::Flags`].
 
 use padc_core::SchedulingPolicy;
 use padc_cpu::TraceSource;
 use padc_dram::RefreshPolicy;
-use padc_sim::cli::{die, install_store, say, store_dir, Flags};
+use padc_sim::cli::{die, say, store_dir, Flags};
 use padc_sim::{FastForwardMode, SimConfig, System};
 use padc_workloads::{profiles, TraceFileSource};
 
@@ -139,7 +138,7 @@ fn parse_args(raw: &[String]) -> Args {
                      [--refresh-policy all-bank|per-bank|darp] [--extended-timing] \
                      (--bench NAME ... | --trace FILE ...) | --print-config | --list-benchmarks\n\
                      --cores defaults to, and must equal, the number of --bench/--trace sources\n\
-                     padcsim serve --help | padcsim store --help; the experiment suite is `repro`",
+                     padcsim store --help; the experiment suite is `repro`",
                 );
                 std::process::exit(0);
             }
@@ -166,77 +165,6 @@ fn parse_args(raw: &[String]) -> Args {
         flags.fail("provide --bench or --trace");
     }
     args
-}
-
-/// `padcsim serve`: long-running experiment request server (line-delimited
-/// JSON over stdio or a Unix socket); see `padc_sim::serve` for the
-/// protocol.
-fn run_serve_mode(args: &[String]) -> ! {
-    use padc_sim::experiments::Scale;
-    use padc_sim::serve;
-
-    let mut workers = 0usize;
-    let mut scale = Scale::Full;
-    let mut store_flag: Option<String> = None;
-    let mut socket: Option<&str> = None;
-    let mut flags = Flags::new("padcsim serve", args);
-    while let Some(flag) = flags.next() {
-        match flag {
-            "--quick" => scale = Scale::Quick,
-            "--smoke" => scale = Scale::Smoke,
-            "--jobs" | "-j" => workers = flags.integer(),
-            "--store" => store_flag = Some(flags.value().to_string()),
-            "--socket" => socket = Some(flags.value()),
-            "--stdio" => socket = None,
-            "--help" | "-h" => {
-                say("usage: padcsim serve [--stdio | --socket PATH] [--jobs N] \
-                     [--quick|--smoke] [--store DIR]\n\
-                     requests: one JSON object per line, e.g. \
-                     {\"id\":\"r1\",\"experiments\":[\"fig6\"],\"scale\":\"smoke\"}");
-                std::process::exit(0);
-            }
-            other => flags.fail(format_args!("unknown flag {other:?}")),
-        }
-    }
-    // Bound before anything starts, so a path serve cannot use is one line.
-    let listener = socket.map(|path| {
-        let bound = serve::bind_unix(std::path::Path::new(path))
-            .unwrap_or_else(|e| die(format!("cannot listen on {path}: {e}")));
-        (path, bound)
-    });
-    if let Some(dir) = install_store(store_flag) {
-        eprintln!("serve: unit store at {dir}");
-    }
-    let state = serve::ServeState::new(workers, scale).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(1);
-    });
-    let result = match listener {
-        Some((path, listener)) => {
-            eprintln!("serve: listening on {path}");
-            serve::serve_unix(&state, listener)
-        }
-        None => {
-            eprintln!("serve: reading requests from stdin");
-            serve::serve_lines(&state, std::io::stdin().lock(), &mut std::io::stdout())
-        }
-    };
-    let counters = padc_sim::experiments::unit_cache_stats();
-    eprintln!(
-        "serve: requests={} subjobs_executed={} store: hits={} misses={} coalesced={}",
-        state.requests(),
-        state.subjobs_executed(),
-        counters.store_hits,
-        counters.store_misses,
-        counters.units_coalesced
-    );
-    match result {
-        Ok(()) => std::process::exit(0),
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(1);
-        }
-    }
 }
 
 /// `padcsim store <stats|gc>`: inspect and bound the content-addressed
@@ -299,8 +227,7 @@ fn run_store_mode(args: &[String]) -> ! {
 /// `--profile`: the hot-path counters as one `profile: {json}` stderr
 /// line, so it composes with `--json` on stdout. The object is the
 /// serde-serialized [`padc_sim::profile::SimProfile`] — the same shape
-/// the suite surfaces (`repro`, `padcsim serve`) embed in JSONL rows; keep
-/// its keys stable.
+/// `repro --profile` embeds in JSONL rows; keep its keys stable.
 fn print_profile(p: &padc_sim::profile::SimProfile) {
     eprintln!(
         "profile: {}",
@@ -310,10 +237,8 @@ fn print_profile(p: &padc_sim::profile::SimProfile) {
 
 fn main() {
     let raw: Vec<String> = std::env::args().skip(1).collect();
-    match raw.first().map(String::as_str) {
-        Some("serve") => run_serve_mode(&raw[1..]),
-        Some("store") => run_store_mode(&raw[1..]),
-        _ => {}
+    if raw.first().map(String::as_str) == Some("store") {
+        run_store_mode(&raw[1..]);
     }
     let args = parse_args(&raw);
     let cores = args.cores.unwrap_or(args.sources().max(1));

@@ -1,6 +1,6 @@
 //! The command lines of this crate: the suite driver behind `repro`, and
 //! the flag reader every command line (`repro`, a single `padcsim` run,
-//! `padcsim serve`, `padcsim store`) parses its arguments with.
+//! `padcsim store`) parses its arguments with.
 //!
 //! ```text
 //! repro [--quick|--smoke] [--jobs N] [--jsonl PATH]
@@ -142,13 +142,13 @@ pub fn store_dir(flag: Option<String>) -> Option<String> {
     flag.or_else(|| std::env::var("PADC_STORE").ok().filter(|s| !s.is_empty()))
 }
 
-/// Installs the process-wide unit store at [`store_dir`]`(flag)`, if any,
-/// returning the directory; exits 2 when it cannot be opened.
-pub fn install_store(flag: Option<String>) -> Option<String> {
-    let dir = store_dir(flag)?;
-    experiments::install_unit_store(Path::new(&dir))
-        .unwrap_or_else(|e| die(format!("cannot open store {dir}: {e}")));
-    Some(dir)
+/// Installs the process-wide unit store at [`store_dir`]`(flag)`, if any;
+/// exits 2 when it cannot be opened.
+fn install_store(flag: Option<String>) {
+    if let Some(dir) = store_dir(flag) {
+        experiments::install_unit_store(Path::new(&dir))
+            .unwrap_or_else(|e| die(format!("cannot open store {dir}: {e}")));
+    }
 }
 
 fn print_registry() {

@@ -1,8 +1,8 @@
 //! The paper's evaluation (§6) as data: one [`REGISTRY`] row per table and
 //! figure, run at a scale an [`ExpConfig`] sets and returning
 //! [`ExpTable`]s — the same rows/series the paper reports, printable as
-//! aligned text. `repro`, `padcsim serve` and `benchmark/` reach a row
-//! through [`find`] / [`select`].
+//! aligned text. `repro` and `benchmark/` reach a row through [`find`] /
+//! [`select`].
 //!
 //! A multi-core experiment is a [`Compare`]: [`Arm`]s (a scheduling policy
 //! plus [`Delta`]s from the Table 3/4 baseline) in [`Group`]s, a workload
@@ -14,7 +14,7 @@
 //! [`SimUnit`]s and a pure `reduce` of their reports into tables. A suite
 //! ([`suite_jobs`]) hands every selected row's plan to `padc_harness` as
 //! one flat plan deduplicated by unit digest, so each distinct simulation
-//! runs once per suite, on the pool; [`Experiment::run`] is one row run as
+//! runs once per suite, on its workers; [`Experiment::run`] is one row run as
 //! a suite of one. A unit resolves from the installed store if it can, and
 //! result bytes never depend on scheduling.
 //!

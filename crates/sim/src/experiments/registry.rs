@@ -3,8 +3,8 @@
 //! [`padc_harness::JobSpec`]s: each job's plan is its row's units keyed by
 //! digest, and its reduce the row's tables as the JSONL payload.
 //!
-//! The suite driver ([`crate::cli`], behind `repro`),
-//! `padcsim serve` and `benchmark/` all go through [`find`] / [`select`].
+//! The suite driver ([`crate::cli`], behind `repro`) and `benchmark/` go
+//! through [`find`] / [`select`].
 //!
 //! A row's [`Shape`] is data wherever the experiment is regular: a
 //! [`Compare`] (arms × workloads, normalized by `IPC_alone`) for every
@@ -735,9 +735,9 @@ pub fn find(id: &str) -> Option<&'static Experiment> {
     REGISTRY.iter().find(|e| e.id == id)
 }
 
-/// Resolves a selection of ids as every entry point takes one: no ids, or
-/// `all` anywhere among them, is the whole registry; otherwise each named
-/// experiment once, at its first position.
+/// Resolves `repro`'s selection of ids: no ids, or `all` anywhere among
+/// them, is the whole registry; otherwise each named experiment once, at
+/// its first position.
 ///
 /// # Errors
 ///

@@ -5,7 +5,7 @@
 //! fingerprint plus the full result-shaping inputs (see
 //! [`SimUnit::store_meta`] and DESIGN.md §12). A suite hands every planned
 //! unit to `padc_harness` as a [`Unit`] keyed by that digest, so a digest
-//! planned by several experiments runs once per suite. A pool worker
+//! planned by several experiments runs once per suite. A suite worker
 //! resolves each distinct unit with a strict load/compute pair:
 //!
 //! 1. `load` probes the installed [`Store`], if any. The entry must
@@ -15,7 +15,7 @@
 //! 2. `compute` simulates the unit and writes the report back to the store
 //!    with an atomic put.
 //!
-//! No-store, cold-store and serve runs take this same path, so they
+//! No-store, cold-store and warm-store runs take this same path, so they
 //! compute the same units and report the same telemetry. Reports are
 //! exact-integer JSON, so a store round trip is byte-lossless and
 //! cold/warm/no-store artifacts are byte-identical — `tests/store.rs`

@@ -11,10 +11,9 @@
 //!   useful-prefetch / useless-prefetch lines.
 //! * [`experiments`] contains one entry point per paper table and figure;
 //!   [`cli::suite_main`] — the `repro` binary, the one suite entry point —
-//!   runs and prints them, and [`serve`] answers requests for them from a
-//!   long-running process (`padcsim serve`). A rerun skips work through
-//!   the digest-checked unit store (`--store DIR`), nothing else. Every
-//!   command line reads its flags through [`cli::Flags`].
+//!   runs and prints them. A rerun skips work through the digest-checked
+//!   unit store (`--store DIR`), nothing else. Every command line reads its
+//!   flags through [`cli::Flags`].
 //!
 //! # Example
 //!
@@ -37,7 +36,6 @@ mod config;
 pub mod experiments;
 pub mod metrics;
 pub mod profile;
-pub mod serve;
 mod system;
 
 pub use config::{MemPolicyConfig, SimConfig};

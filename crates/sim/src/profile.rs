@@ -136,8 +136,8 @@ fn pct(ratio: f64) -> f64 {
 /// The `profile` JSON object (one key per [`SimProfile`] counter in
 /// declaration order, plus the derived `core_skip_pct` / `ctrl_skip_pct`
 /// percentages). This single serde surface is shared by the `padcsim`
-/// `--profile` stderr line and the suite JSONL rows `repro` / `padcsim
-/// serve` emit (via [`ProfileTotal`]).
+/// `--profile` stderr line and the suite JSONL rows `repro --profile`
+/// emits (via [`ProfileTotal`]).
 impl Serialize for SimProfile {
     fn write_json(&self, out: &mut String) {
         write_object(out, self.entries());

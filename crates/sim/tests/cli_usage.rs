@@ -237,16 +237,15 @@ fn unrunnable_input_exits_2_with_one_line() {
         // The retired execution-mode selector is an unknown flag like any
         // other.
         (&["repro", "--smoke", "--exec", "planned", "fig2"], "--exec"),
-        // The stepping mode is a single run's: the suite and the server
-        // have no `--fast-forward`.
+        // The stepping mode is a single run's: the suite has no
+        // `--fast-forward`.
         (
             &["repro", "--smoke", "--fast-forward", "off", "fig2"],
             "--fast-forward",
         ),
-        (
-            &["padcsim", "serve", "--fast-forward", "off"],
-            "--fast-forward",
-        ),
+        // `repro` is the one way to ask for results; the request server
+        // is gone, and its subcommand reads as a flag of a single run.
+        (&["padcsim", "serve", "--stdio"], "unknown flag \"serve\""),
         // Tables render one way on stdout; `--jsonl` carries them as JSON.
         (
             &["repro", "--smoke", "--csv", "fig2"],
@@ -305,35 +304,22 @@ fn a_selection_runs_each_experiment_once() {
 /// with `failed to initiate panic` (exit 134).
 #[test]
 fn a_worker_pool_the_os_refuses_is_one_error_line() {
-    for argv in [
-        &[
-            "repro",
-            "--smoke",
-            "--no-progress",
-            "--jobs",
-            "2000",
-            "cost",
-        ][..],
-        &["padcsim", "serve", "--stdio", "--jobs", "2000"],
-    ] {
-        let out = Command::new("sh")
-            .arg("-c")
-            .arg("ulimit -v 400000; exec \"$0\" \"$@\"")
-            .arg(binary(argv[0]))
-            .args(&argv[1..])
-            .env_remove("PADC_STORE")
-            .stdin(std::process::Stdio::null())
-            .output()
-            .expect("sh spawns");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(!out.status.success(), "{argv:?}: {stderr}");
-        assert!(!stderr.contains("panicked"), "{argv:?}: {stderr}");
-        assert_eq!(stderr.lines().count(), 1, "{argv:?}: {stderr}");
-        assert!(
-            stderr.starts_with("error: ") && stderr.contains("2000 worker threads"),
-            "{argv:?}: {stderr}"
-        );
-    }
+    let out = Command::new("sh")
+        .arg("-c")
+        .arg("ulimit -v 400000; exec \"$0\" \"$@\"")
+        .arg(binary("repro"))
+        .args(["--smoke", "--no-progress", "--jobs", "2000", "cost"])
+        .env_remove("PADC_STORE")
+        .output()
+        .expect("sh spawns");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_eq!(stderr.lines().count(), 1, "{stderr}");
+    assert!(
+        stderr.starts_with("error: ") && stderr.contains("2000 worker threads"),
+        "{stderr}"
+    );
 }
 
 /// A two-line trace file asking for a 22 TB expansion is a usage error
