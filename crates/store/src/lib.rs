@@ -37,7 +37,7 @@ use std::fs;
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::SystemTime;
+use std::time::{Duration, SystemTime};
 
 /// Format tag written at the front of every entry file.
 const MAGIC: &str = "padc-store v1";
@@ -283,6 +283,22 @@ pub struct Store {
 /// Distinguishes concurrently written temp files within one process.
 static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
 
+/// Name prefix of a temp file in a shard directory.
+const TMP_PREFIX: &str = ".tmp-";
+
+/// Age past which [`Store::gc`] takes a temp file for a crashed writer's.
+/// A live writer holds its temp file for one write and one rename.
+pub const STALE_TMP: Duration = Duration::from_secs(60);
+
+/// What [`Store::walk`] finds.
+#[derive(Default)]
+struct Walk {
+    /// `(path, len, mtime)` per entry file.
+    entries: Vec<(PathBuf, u64, SystemTime)>,
+    /// `(path, mtime)` per temp file.
+    temps: Vec<(PathBuf, SystemTime)>,
+}
+
 impl Store {
     /// Opens (creating if needed) a store rooted at `root`.
     ///
@@ -311,8 +327,11 @@ impl Store {
     /// entries first.
     pub fn load(&self, digest: &str, expected_meta: &str) -> Option<String> {
         let mut file = fs::File::open(self.entry_path(digest)).ok()?;
-        let mut bytes = Vec::new();
-        file.read_to_end(&mut bytes).ok()?;
+        // Exactly the length `fstat` reports, in one read: a file that
+        // grows or shrinks meanwhile fails `parse_entry`'s length check.
+        let len = usize::try_from(file.metadata().ok()?.len()).ok()?;
+        let mut bytes = vec![0; len];
+        file.read_exact(&mut bytes).ok()?;
         let payload = parse_entry(bytes, expected_meta)?;
         let _ = file.set_modified(SystemTime::now());
         Some(payload)
@@ -330,19 +349,26 @@ impl Store {
     pub fn put(&self, digest: &str, meta: &str, payload: &str) -> io::Result<()> {
         let path = self.entry_path(digest);
         let shard = path.parent().expect("entry path has a shard dir");
-        fs::create_dir_all(shard)?;
         let tmp = shard.join(format!(
-            ".tmp-{}-{}",
+            "{TMP_PREFIX}{}-{}",
             std::process::id(),
             TMP_SEQ.fetch_add(1, Ordering::Relaxed)
         ));
+        let mut entry = format!("{MAGIC} {} {}\n", meta.len(), payload.len());
+        entry.reserve(meta.len() + payload.len() + 2);
+        for part in [meta, "\n", payload, "\n"] {
+            entry.push_str(part);
+        }
         let result = (|| {
-            let mut f = fs::File::create(&tmp)?;
-            f.write_all(format!("{MAGIC} {} {}\n", meta.len(), payload.len()).as_bytes())?;
-            f.write_all(meta.as_bytes())?;
-            f.write_all(b"\n")?;
-            f.write_all(payload.as_bytes())?;
-            f.write_all(b"\n")?;
+            // The shard directory is made only the first time it is missing.
+            let mut f = match fs::File::create(&tmp) {
+                Err(e) if e.kind() == io::ErrorKind::NotFound => {
+                    fs::create_dir_all(shard)?;
+                    fs::File::create(&tmp)?
+                }
+                f => f?,
+            };
+            f.write_all(entry.as_bytes())?;
             drop(f);
             fs::rename(&tmp, &path)
         })();
@@ -352,10 +378,10 @@ impl Store {
         result
     }
 
-    /// Walks the object tree, returning `(path, len, mtime)` per entry.
-    /// Stale temp files (from crashed writers) are deleted on sight.
-    fn walk(&self) -> io::Result<Vec<(PathBuf, u64, SystemTime)>> {
-        let mut out = Vec::new();
+    /// Walks the object tree, returning `(path, len, mtime)` per entry and
+    /// the temp files (`.tmp-*`, a writer's file before its rename) apart.
+    fn walk(&self) -> io::Result<Walk> {
+        let mut out = Walk::default();
         for shard in fs::read_dir(&self.objects)? {
             let shard = shard?;
             if !shard.file_type()?.is_dir() {
@@ -363,29 +389,34 @@ impl Store {
             }
             for entry in fs::read_dir(shard.path())? {
                 let entry = entry?;
-                let name = entry.file_name();
-                if name.to_string_lossy().starts_with(".tmp-") {
-                    let _ = fs::remove_file(entry.path());
-                    continue;
-                }
-                let md = entry.metadata()?;
+                let temp = entry.file_name().to_string_lossy().starts_with(TMP_PREFIX);
+                let md = match entry.metadata() {
+                    // A live writer renamed its temp file since the listing.
+                    Err(e) if temp && e.kind() == io::ErrorKind::NotFound => continue,
+                    md => md?,
+                };
                 if !md.is_file() {
                     continue;
                 }
                 let mtime = md.modified().unwrap_or(SystemTime::UNIX_EPOCH);
-                out.push((entry.path(), md.len(), mtime));
+                if temp {
+                    out.temps.push((entry.path(), mtime));
+                } else {
+                    out.entries.push((entry.path(), md.len(), mtime));
+                }
             }
         }
         Ok(out)
     }
 
-    /// Entry count and total size.
+    /// Entry count and total size, temp files not counted. Read-only: it
+    /// deletes nothing, so it is safe beside a live writer.
     ///
     /// # Errors
     ///
     /// Returns any error from walking the object tree.
     pub fn stats(&self) -> io::Result<StoreStats> {
-        let entries = self.walk()?;
+        let entries = self.walk()?.entries;
         Ok(StoreStats {
             entries: entries.len() as u64,
             bytes: entries.iter().map(|(_, len, _)| len).sum(),
@@ -393,14 +424,23 @@ impl Store {
     }
 
     /// Evicts least-recently-used entries until the store occupies at most
-    /// `max_bytes` (mtime order, path as a deterministic tie-break).
+    /// `max_bytes` (mtime order, path as a deterministic tie-break), and
+    /// removes the temp files a crashed writer left: those last modified
+    /// more than [`STALE_TMP`] ago. A younger one may be a live writer's,
+    /// between its create and its rename, and is left alone.
     ///
     /// # Errors
     ///
     /// Returns any error from walking the object tree; individual
     /// removals are best-effort (an entry deleted concurrently is fine).
     pub fn gc(&self, max_bytes: u64) -> io::Result<GcOutcome> {
-        let mut entries = self.walk()?;
+        let Walk { mut entries, temps } = self.walk()?;
+        let now = SystemTime::now();
+        for (path, mtime) in temps {
+            if now.duration_since(mtime).is_ok_and(|age| age > STALE_TMP) {
+                let _ = fs::remove_file(path);
+            }
+        }
         entries.sort_by(|a, b| a.2.cmp(&b.2).then_with(|| a.0.cmp(&b.0)));
         let mut total: u64 = entries.iter().map(|(_, len, _)| len).sum();
         let mut outcome = GcOutcome::default();
@@ -708,6 +748,40 @@ mod tests {
         // No stray temp files survive a clean run.
         let stats = store.stats().expect("stats");
         assert_eq!(stats.entries, 1);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A temp file in a shard directory, last modified `age` ago.
+    fn temp_file(store: &Store, age: Duration) -> PathBuf {
+        let shard = store.objects.join("ab");
+        fs::create_dir_all(&shard).expect("shard");
+        let path = shard.join(format!("{TMP_PREFIX}1-0"));
+        let f = fs::File::create(&path).expect("temp file");
+        f.set_modified(SystemTime::now() - age).expect("mtime set");
+        path
+    }
+
+    #[test]
+    fn a_live_writers_temp_file_survives_stats_and_gc() {
+        let dir = temp_dir("live-tmp");
+        let store = Store::open(&dir).expect("open");
+        let tmp = temp_file(&store, Duration::ZERO);
+        assert_eq!(store.stats().expect("stats"), StoreStats::default());
+        assert!(tmp.exists(), "stats deleted a temp file");
+        assert_eq!(store.gc(0).expect("gc"), GcOutcome::default());
+        assert!(tmp.exists(), "gc deleted a fresh temp file");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn gc_removes_a_stale_temp_file() {
+        let dir = temp_dir("stale-tmp");
+        let store = Store::open(&dir).expect("open");
+        let tmp = temp_file(&store, Duration::from_secs(120));
+        assert_eq!(store.stats().expect("stats"), StoreStats::default());
+        assert!(tmp.exists(), "stats deleted a temp file");
+        assert_eq!(store.gc(u64::MAX).expect("gc"), GcOutcome::default());
+        assert!(!tmp.exists(), "gc kept a temp file two minutes old");
         let _ = fs::remove_dir_all(&dir);
     }
 
