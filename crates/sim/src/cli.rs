@@ -30,7 +30,10 @@
 //! (instruction count and seed included), its workloads and the
 //! simulator's fingerprint, and stored the moment it finishes
 //! (DESIGN.md §12), so an interrupted run keeps every unit it completed
-//! and a warm rerun executes zero units while writing the same bytes.
+//! and a warm rerun executes zero units while writing the same bytes. fig4
+//! is the exception: its reduce steps one milc system cycle by cycle on
+//! every run, store or not (about a second in a release build), until the
+//! interval timeline makes it a stored unit.
 //! `--budget-seconds N` records as a failure every job whose own time —
 //! the wall time of the units it planned first, plus its reduce — is over
 //! the budget.
@@ -368,7 +371,6 @@ mod tests {
         let outcome = |id: &str, status, error: Option<&str>, seconds| CompletedJob {
             id: id.to_string(),
             status,
-            row: String::new(),
             error: error.map(str::to_string),
             seconds,
         };

@@ -8,7 +8,8 @@
 //! plus [`Delta`]s from the Table 3/4 baseline) in [`Group`]s, a workload
 //! set and a [`Layout`]. A single-core one is a [`Grid`] of benchmarks ×
 //! arms with a table builder. fig2, fig4, cost and tab6 simulate nothing
-//! through the unit layer and are plain functions.
+//! through the unit layer: they are plain functions, which a suite runs as
+//! a reduce over zero units.
 //!
 //! Every row is a pure `plan` of independent, deterministically keyed
 //! [`SimUnit`]s and a pure `reduce` of their reports into tables. A suite
@@ -43,5 +44,5 @@ pub use spec::{Arm, Col, Column, Compare, Delta, Group, Layout, Mixes, Table};
 pub use unit_cache::uninstall_unit_store;
 pub use unit_cache::{
     fingerprint as store_fingerprint, install_unit_store, single_run_stats, unit_cache_stats,
-    unit_store_installed, UnitCacheStats, RESULT_SCHEMA_VERSION,
+    unit_store_installed, Resolved, SimWork, UnitCacheStats, RESULT_SCHEMA_VERSION,
 };

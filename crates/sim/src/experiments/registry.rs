@@ -10,8 +10,8 @@
 //! [`Compare`] (arms × workloads, normalized by `IPC_alone`) for every
 //! multi-core experiment and a [`Grid`] (benchmarks × arms) for the six
 //! single-core ones. fig2, fig4, cost and tab6 are not grids of
-//! simulations and stay plain functions, which a suite runs as one
-//! unkeyed unit each.
+//! simulations and stay plain functions, which a suite runs as a reduce
+//! over zero units.
 
 use std::collections::HashMap;
 use std::io;
@@ -20,7 +20,7 @@ use std::sync::{Arc, Mutex};
 use padc_core::SchedulingPolicy::{ApsOnly, DemandFirst, DemandPrefetchEqual, Padc, PadcRank};
 use padc_dram::RefreshPolicy::{AllBank, Darp, PerBank};
 use padc_dram::RowPolicy::{Closed, Happy};
-use padc_harness::{run_suite, HarnessConfig, JobSpec, Output, Plan, Unit};
+use padc_harness::{run_suite, HarnessConfig, JobSpec, Plan, Unit};
 use padc_prefetch::PrefetcherKind::{Cdc, DsPatch, Markov, Stride};
 use padc_workloads::profiles;
 
@@ -31,7 +31,7 @@ use super::spec::{
     Arm, Col, Column, Compare, Delta, Group, Layout, Mixes, Table, APS_APD, APS_ONLY, DEMAND_FIRST,
     EQUAL, NO_PREF, PADC, STANDARD, SYSTEM,
 };
-use super::unit_cache::{note_coalesced, suite_unit, Resolved};
+use super::unit_cache::{note_coalesced, suite_unit, SimWork};
 use crate::profile::ProfileTotal;
 
 /// Every reproducible artifact: id, paper reference, and what it runs.
@@ -52,7 +52,8 @@ pub enum Shape {
     Compare(Compare),
     /// Arms over single-core benchmarks.
     Grid(Grid),
-    /// Tables built by hand from no planned units (fig2, fig4, cost, tab6).
+    /// Tables built by hand in a reduce over zero planned units (fig2,
+    /// fig4, cost, tab6).
     Plain(fn(&ExpConfig) -> Vec<ExpTable>),
 }
 
@@ -98,37 +99,18 @@ impl Experiment {
         tables.expect("the reduce stashes the tables")
     }
 
-    /// The experiment as one suite job's plan: its units keyed by digest (a
-    /// [`Shape::Plain`] body is one unkeyed unit), and a reduce to the row
-    /// payload that also stashes the tables. A unit's profile counts in the
-    /// job that owns it, and a planned unit another one already covers
-    /// counts as coalesced.
-    fn suite_plan(&'static self, cfg: ExpConfig, profile: bool, stash: Option<TableStash>) -> Plan {
-        let finish = move |tables: Vec<ExpTable>, total: ProfileTotal| {
-            let payload = payload_json(self.paper_ref, &tables, profile.then_some(&total));
-            if let Some(s) = &stash {
-                s.lock()
-                    .expect("stash lock")
-                    .insert(self.id.to_string(), tables);
-            }
-            payload
-        };
-        if let Shape::Plain(body) = self.shape {
-            return Plan {
-                units: vec![Unit {
-                    key: None,
-                    work: Box::new(move || Arc::new(body(&cfg)) as Output),
-                }],
-                reduce: Box::new(move |settled| {
-                    let tables = settled[0].output.downcast_ref::<Vec<ExpTable>>();
-                    finish(
-                        tables.expect("the body's tables").clone(),
-                        ProfileTotal::default(),
-                    )
-                }),
-            };
-        }
-        let (keys, units): (Vec<UnitKey>, Vec<Unit>) =
+    /// The experiment as one suite job's plan: its units keyed by digest,
+    /// and a reduce to the row payload that also stashes the tables (a
+    /// [`Shape::Plain`] row plans no units and builds its tables there). A
+    /// unit's profile counts in the job that owns it, and a planned unit
+    /// another one already covers counts as coalesced.
+    fn suite_plan(
+        &'static self,
+        cfg: ExpConfig,
+        profile: bool,
+        stash: Option<TableStash>,
+    ) -> Plan<SimWork> {
+        let (keys, units): (Vec<UnitKey>, Vec<Unit<SimWork>>) =
             self.plan(&cfg).into_iter().map(suite_unit).unzip();
         Plan {
             units,
@@ -136,20 +118,25 @@ impl Experiment {
                 let mut total = ProfileTotal::default();
                 let results: Vec<UnitResult> = (keys.into_iter().zip(settled))
                     .map(|(key, s)| {
-                        let resolved = s.output.downcast_ref::<Resolved>();
-                        let resolved = resolved.expect("a simulation unit's output");
-                        match (s.owned, &resolved.profile) {
+                        match (s.owned, &s.output.profile) {
                             (true, Some(run)) => total.add(run),
                             (false, _) => note_coalesced(),
                             (true, None) => {}
                         }
                         UnitResult {
                             key,
-                            report: resolved.report.clone(),
+                            report: s.output.report.clone(),
                         }
                     })
                     .collect();
-                finish(self.reduce(&cfg, &results), total)
+                let tables = self.reduce(&cfg, &results);
+                let payload = payload_json(self.paper_ref, &tables, profile.then_some(&total));
+                if let Some(s) = &stash {
+                    s.lock()
+                        .expect("stash lock")
+                        .insert(self.id.to_string(), tables);
+                }
+                payload
             }),
         }
     }
@@ -766,7 +753,8 @@ pub fn table_stash() -> TableStash {
     Arc::new(Mutex::new(HashMap::new()))
 }
 
-/// Adapts registry entries into harness jobs (no profiling).
+/// Adapts registry entries into harness jobs of [`SimWork`] units (no
+/// profiling).
 ///
 /// Each job's payload is `{"paper_ref":...,"tables":[...]}` as compact
 /// JSON. When `stash` is given, the job's reduce also deposits its
@@ -777,7 +765,7 @@ pub fn suite_jobs(
     experiments: Vec<&'static Experiment>,
     cfg: ExpConfig,
     stash: Option<TableStash>,
-) -> Vec<JobSpec> {
+) -> Vec<JobSpec<SimWork>> {
     suite_jobs_profiled(experiments, cfg, stash, false)
 }
 
@@ -794,12 +782,12 @@ pub fn suite_jobs_profiled(
     cfg: ExpConfig,
     stash: Option<TableStash>,
     profile: bool,
-) -> Vec<JobSpec> {
+) -> Vec<JobSpec<SimWork>> {
     experiments
         .into_iter()
         .map(|e| {
             let stash = stash.clone();
-            JobSpec::planned(e.id, move || e.suite_plan(cfg, profile, stash.clone()))
+            JobSpec::new(e.id, move || e.suite_plan(cfg, profile, stash.clone()))
         })
         .collect()
 }
@@ -1009,7 +997,7 @@ mod tests {
     }
 
     /// The payload of the one row `jobs` write through the suite.
-    fn payload(jobs: &[JobSpec]) -> String {
+    fn payload(jobs: &[JobSpec<SimWork>]) -> String {
         let cfg = padc_harness::HarnessConfig {
             workers: 1,
             budget: None,

@@ -26,7 +26,7 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use padc_harness::{Output, Unit, Work};
+use padc_harness::{Unit, Work};
 use padc_store::{sha256, to_hex, Store};
 
 use super::infra::{SimUnit, UnitKey};
@@ -127,20 +127,22 @@ pub fn uninstall_unit_store() {
 
 /// A resolved unit: its report, and the run's profile if this resolution
 /// simulated it.
-pub(crate) struct Resolved {
+pub struct Resolved {
     pub(crate) report: Report,
     pub(crate) profile: Option<SimProfile>,
 }
 
-/// A planned unit as the suite pool runs it.
-struct SimWork {
+/// A planned unit as a suite worker runs it.
+pub struct SimWork {
     unit: SimUnit,
     digest: [u8; 32],
 }
 
 impl Work for SimWork {
+    type Output = Resolved;
+
     /// The strict store probe: a validated, parsing entry or `None`.
-    fn load(&self) -> Option<Output> {
+    fn load(&self) -> Option<Resolved> {
         let store = installed_store()?;
         let loaded = store
             .load(&to_hex(&self.digest), &self.unit.store_meta())
@@ -152,11 +154,11 @@ impl Work for SimWork {
         };
         counter.fetch_add(1, Ordering::Relaxed);
         let profile = None;
-        loaded.map(|report| Arc::new(Resolved { report, profile }) as Output)
+        loaded.map(|report| Resolved { report, profile })
     }
 
     /// Simulates the unit and writes its report through to the store.
-    fn compute(&self) -> Output {
+    fn compute(&self) -> Resolved {
         if self.unit.is_single_core() {
             SINGLE_RUNS_COMPUTED.fetch_add(1, Ordering::Relaxed);
         }
@@ -169,27 +171,21 @@ impl Work for SimWork {
             }
         }
         let profile = Some(profile);
-        Arc::new(Resolved { report, profile })
+        Resolved { report, profile }
     }
 }
 
 /// A planned unit as a suite [`Unit`] keyed by the digest of its store
 /// meta, and its key (moved out: the reduce, not the worker, addresses
 /// results by it). Counts the request.
-pub(crate) fn suite_unit(mut unit: SimUnit) -> (UnitKey, Unit) {
+pub(crate) fn suite_unit(mut unit: SimUnit) -> (UnitKey, Unit<SimWork>) {
     if unit.is_single_core() {
         SINGLE_RUNS_REQUESTED.fetch_add(1, Ordering::Relaxed);
     }
     let digest = sha256(unit.store_meta().as_bytes());
     let key = std::mem::take(&mut unit.key);
-    let work = Box::new(SimWork { unit, digest });
-    (
-        key,
-        Unit {
-            key: Some(digest),
-            work,
-        },
-    )
+    let work = SimWork { unit, digest };
+    (key, Unit { key: digest, work })
 }
 
 /// Counts a planned unit that shares an earlier one's digest.

@@ -202,8 +202,8 @@ fn profiled_counts_are_the_same_on_any_worker_count() {
     assert_eq!(one, counts(8));
 }
 
-/// Fault isolation: an injected panicking job becomes a structured failure
-/// row while the real experiments around it still complete.
+/// Fault isolation: an injected job whose plan panics becomes a structured
+/// failure row while the real experiments around it still complete.
 #[test]
 fn injected_panicking_job_does_not_abort_the_suite() {
     let _serial = PROCESS_WIDE.lock().unwrap_or_else(|e| e.into_inner());
@@ -245,35 +245,4 @@ fn injected_panicking_job_does_not_abort_the_suite() {
     );
     assert!(lines[0].starts_with("{\"id\":\"fig2\",\"status\":\"ok\""));
     assert!(lines[2].starts_with("{\"id\":\"cost\",\"status\":\"ok\""));
-}
-
-/// Parallel speedup sanity: with sleep-backed jobs (so the 1-CPU container
-/// can still overlap them), 4 workers must finish the suite at least 2x
-/// faster than 1 worker. Real experiments are CPU-bound, so wall-clock
-/// speedup on multi-core machines tracks `available_parallelism`; this
-/// checks the engine actually overlaps job execution.
-#[test]
-fn four_workers_overlap_jobs_for_at_least_2x_speedup() {
-    let sleepy = || {
-        (0..8)
-            .map(|i| {
-                JobSpec::new(format!("sleep{i}"), || {
-                    std::thread::sleep(std::time::Duration::from_millis(40));
-                    "{}".to_string()
-                })
-            })
-            .collect::<Vec<_>>()
-    };
-    let time = |jobs: Vec<JobSpec>, workers| {
-        let start = std::time::Instant::now();
-        let mut progress = Vec::new();
-        run_suite(&jobs, &quiet(workers), None, &mut progress).expect("suite I/O");
-        start.elapsed()
-    };
-    let seq = time(sleepy(), 1);
-    let par = time(sleepy(), 4);
-    assert!(
-        seq.as_secs_f64() >= 2.0 * par.as_secs_f64(),
-        "expected >=2x speedup with 4 workers: sequential {seq:?}, parallel {par:?}"
-    );
 }

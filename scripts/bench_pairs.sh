@@ -8,6 +8,9 @@
 # by the choosing-metrics rule (it wins at least 9 of every 10 pairs and its
 # median beats the parent's by more than the parent's q3 - q1), and whether
 # its median stays within the metric's bound in CHANGE_DIR/BENCHMARK.json.
+# Last, it prints each side's nm -S sizes of the simulator's hot functions,
+# read from its benchmark binary, and whether any differs: a codegen-unit
+# partition shift moves timings with no edit to the code that runs.
 # The benchmark sets the run length. Needs jq.
 #   scripts/bench_pairs.sh PARENT_DIR CHANGE_DIR WORKLOAD SEED N
 set -euo pipefail
@@ -57,3 +60,20 @@ def median: sort as $v | ($v | length) as $n
     printf "%s verdict: gain %s (change wins %d/%d, needs 9 in 10; median gap %.4f vs parent q3-q1 %.4f)", $1, $12 == "true" ? "HOLDS" : "not shown", $9, $11, $13, $14
     printf " | change median %s the %+g%% bound\n", $16 == "true" ? "within" : "OUTSIDE", $15
 }'
+hot=' [tT] (padc_sim::system::System::(run|step)|<padc_sim::system::MemSubsystem as padc_cpu::core_model::MemorySystem>::access|padc_core::scheduler::MemoryController::(tick|next_event))$'
+sizes() { # DIR -> "0xSIZE function" per hot function, sorted by function
+    nm -S -C "$1/benchmark/target/release/padc-benchmark" | grep -E "$hot" |
+        sed -E 's/^[0-9a-f]+ 0*([0-9a-f]+) [tT] /0x\1 /' | sort -k2 || true
+}
+if ! command -v nm >/dev/null 2>&1; then
+    echo "nm -S: skipped (nm is not installed)"
+else
+    p=$(sizes "$parent") c=$(sizes "$change")
+    echo "$p" | sed 's/^/nm -S parent: /'
+    echo "$c" | sed 's/^/nm -S change: /'
+    if [ "$p" = "$c" ]; then
+        echo "nm -S: every hot-function size is the same on both sides"
+    else
+        echo "nm -S: a hot-function size differs (a codegen-unit partition shift can move the timings above)"
+    fi
+fi
