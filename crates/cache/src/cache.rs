@@ -1,6 +1,6 @@
 use padc_types::LineAddr;
 
-use crate::{CacheConfig, CacheStats};
+use crate::CacheConfig;
 
 /// Per-line metadata. `prefetched` is the paper's `P` bit; `filled_row_hit`
 /// remembers whether the fill was serviced as a DRAM row hit so the RBHU
@@ -42,7 +42,7 @@ pub struct HitInfo {
 pub enum ProbeOutcome {
     /// The line is present; LRU updated, `P` bit (if set) consumed.
     Hit(HitInfo),
-    /// The line is absent.
+    /// The line is absent; nothing changed.
     Miss,
 }
 
@@ -72,7 +72,6 @@ pub struct Cache {
     set_mask: u64,
     set_shift: u32,
     stamp: u64,
-    stats: CacheStats,
 }
 
 impl Cache {
@@ -90,18 +89,12 @@ impl Cache {
             set_shift: sets.trailing_zeros(),
             cfg,
             stamp: 0,
-            stats: CacheStats::default(),
         }
     }
 
     /// The cache's configuration.
     pub fn config(&self) -> &CacheConfig {
         &self.cfg
-    }
-
-    /// Accumulated hit/miss statistics.
-    pub fn stats(&self) -> &CacheStats {
-        &self.stats
     }
 
     /// The ways of `line`'s set, and the tag `line` has there.
@@ -117,33 +110,16 @@ impl Cache {
         self.lines[set].iter_mut().find(|l| l.valid && l.tag == tag)
     }
 
-    /// Demand access (load or store). Hits update LRU, consume the `P` bit,
-    /// and set the dirty bit on writes; misses leave every line as it was.
-    /// Either way the access is observed: the LRU clock advances and
-    /// `stats.hits` or `stats.misses` counts it.
-    ///
-    /// Exactly [`Cache::probe_hit`], then [`Cache::record_miss`] if that
-    /// found nothing.
-    pub fn probe(&mut self, line: LineAddr, write: bool) -> ProbeOutcome {
-        match self.probe_hit(line, write) {
-            Some(info) => ProbeOutcome::Hit(info),
-            None => {
-                self.record_miss();
-                ProbeOutcome::Miss
-            }
-        }
-    }
-
-    /// The hit half of [`Cache::probe`]: if `line` is resident, everything
-    /// a probe hit does. If it is not, returns `None` with **nothing**
-    /// changed — no LRU clock tick, no statistics — so a caller that may
-    /// still have to abandon the access (a structural retry must leave no
-    /// trace) decides with one lookup, then either calls
-    /// [`Cache::record_miss`] or walks away.
+    /// Demand access (load or store). A hit updates LRU, consumes the `P`
+    /// bit and sets the dirty bit on writes. A miss changes nothing, so a
+    /// caller that must still abandon the access (a structural retry leaves
+    /// no trace) can probe first and decide afterwards.
     #[inline]
-    pub fn probe_hit(&mut self, line: LineAddr, write: bool) -> Option<HitInfo> {
+    pub fn probe(&mut self, line: LineAddr, write: bool) -> ProbeOutcome {
         let stamp = self.stamp + 1;
-        let l = self.find_mut(line)?;
+        let Some(l) = self.find_mut(line) else {
+            return ProbeOutcome::Miss;
+        };
         l.lru = stamp;
         let info = HitInfo {
             first_demand_use_of_prefetch: l.prefetched,
@@ -152,21 +128,11 @@ impl Cache {
         l.prefetched = false;
         l.dirty |= write;
         self.stamp = stamp;
-        self.stats.hits += 1;
-        Some(info)
-    }
-
-    /// The miss half of [`Cache::probe`], for an access
-    /// [`Cache::probe_hit`] just found absent: advances the LRU clock and
-    /// counts the miss.
-    #[inline]
-    pub fn record_miss(&mut self) {
-        self.stamp += 1;
-        self.stats.misses += 1;
+        ProbeOutcome::Hit(info)
     }
 
     /// Checks for presence without updating any state (no LRU movement, no
-    /// `P`-bit consumption, no statistics).
+    /// `P`-bit consumption).
     pub fn peek(&self, line: LineAddr) -> bool {
         let (set, tag) = self.set_of(line);
         self.lines[set].iter().any(|l| l.valid && l.tag == tag)
@@ -214,34 +180,17 @@ impl Cache {
             filled_row_hit: row_hit,
             lru: stamp,
         };
-        evicted.map(|(victim_tag, dirty, unused_prefetch)| {
-            self.stats.evictions += 1;
-            Eviction {
-                line: LineAddr::new((victim_tag << self.set_shift) | (line.raw() & self.set_mask)),
-                dirty,
-                unused_prefetch,
-            }
+        evicted.map(|(victim_tag, dirty, unused_prefetch)| Eviction {
+            line: LineAddr::new((victim_tag << self.set_shift) | (line.raw() & self.set_mask)),
+            dirty,
+            unused_prefetch,
         })
-    }
-
-    /// Removes `line` if present, returning whether it was there.
-    pub fn invalidate(&mut self, line: LineAddr) -> bool {
-        self.find_mut(line).map(|l| *l = INVALID).is_some()
     }
 
     /// Marks `line` dirty if present (L1 writeback landing in L2). Returns
     /// true on success.
     pub fn mark_dirty(&mut self, line: LineAddr) -> bool {
         self.find_mut(line).map(|l| l.dirty = true).is_some()
-    }
-
-    /// Number of resident lines whose `P` bit is still set — prefetches that
-    /// were fetched but never used (counted as useless at end of run).
-    pub fn unused_prefetched_lines(&self) -> u64 {
-        self.lines
-            .iter()
-            .filter(|l| l.valid && l.prefetched)
-            .count() as u64
     }
 }
 
@@ -268,8 +217,6 @@ mod tests {
         assert_eq!(c.probe(l(1), false), ProbeOutcome::Miss);
         assert_eq!(c.fill(l(1), false, false, false), None);
         assert!(matches!(c.probe(l(1), false), ProbeOutcome::Hit(_)));
-        assert_eq!(c.stats().hits, 1);
-        assert_eq!(c.stats().misses, 1);
     }
 
     #[test]
@@ -354,63 +301,51 @@ mod tests {
         let mut c = tiny();
         c.fill(l(0), true, false, false); // prefetched
         c.fill(l(0), false, false, false); // demand refill clears P
-        assert_eq!(c.unused_prefetched_lines(), 0);
-
         c.fill(l(4), false, false, false); // demand line
         c.fill(l(4), true, false, false); // late prefetch fill must not set P
-        assert_eq!(c.unused_prefetched_lines(), 0);
-    }
-
-    #[test]
-    fn invalidate_and_mark_dirty() {
-        let mut c = tiny();
-        c.fill(l(9), false, false, false);
-        assert!(c.mark_dirty(l(9)));
-        assert!(c.invalidate(l(9)));
-        assert!(!c.invalidate(l(9)));
-        assert!(!c.mark_dirty(l(9)));
-    }
-
-    #[test]
-    fn unused_prefetched_lines_counts_resident_p_bits() {
-        let mut c = tiny();
-        c.fill(l(0), true, false, false);
-        c.fill(l(1), true, false, false);
-        c.fill(l(2), false, false, false);
-        assert_eq!(c.unused_prefetched_lines(), 2);
-        c.probe(l(0), false);
-        assert_eq!(c.unused_prefetched_lines(), 1);
-    }
-
-    /// `probe_hit` + `record_miss` is `probe` split in two, and the first
-    /// half alone leaves a miss unobserved.
-    #[test]
-    fn a_probe_hit_miss_changes_nothing_until_the_miss_is_recorded() {
-        let state = |c: &Cache| format!("{c:?}");
-        let mut whole = tiny();
-        let mut split = tiny();
-        for c in [&mut whole, &mut split] {
-            c.fill(l(0), true, false, true);
-            c.fill(l(4), false, false, false);
+        for n in [0, 4] {
+            match c.probe(l(n), false) {
+                ProbeOutcome::Hit(info) => assert!(!info.first_demand_use_of_prefetch, "line {n}"),
+                ProbeOutcome::Miss => panic!("line {n} is resident"),
+            }
         }
-        let before = state(&split);
-        assert_eq!(split.probe_hit(l(8), true), None);
-        assert_eq!(state(&split), before, "an abandoned access leaves no trace");
+    }
 
-        split.record_miss();
-        assert_eq!(whole.probe(l(8), true), ProbeOutcome::Miss);
-        assert_eq!(state(&split), state(&whole));
+    #[test]
+    fn mark_dirty_only_touches_resident_lines() {
+        let mut c = tiny();
+        c.fill(l(0), false, false, false);
+        assert!(c.mark_dirty(l(0)));
+        assert!(!c.mark_dirty(l(9)));
+        c.fill(l(4), false, false, false);
+        let ev = c.fill(l(8), false, false, false).expect("eviction");
+        assert_eq!(ev.line, l(0));
+        assert!(ev.dirty);
+    }
 
-        let hit = split.probe_hit(l(0), true).expect("resident");
-        assert_eq!(whole.probe(l(0), true), ProbeOutcome::Hit(hit));
-        assert!(hit.first_demand_use_of_prefetch && hit.fill_was_row_hit);
-        assert_eq!(state(&split), state(&whole));
-        // Same LRU order afterwards: line 4 is the victim in both.
-        assert_eq!(
-            split.fill(l(8), false, false, false),
-            whole.fill(l(8), false, false, false)
-        );
-        assert!(split.peek(l(0)) && !split.peek(l(4)));
+    /// A retried access must be observed exactly once: a probe that misses
+    /// leaves the cache as it found it, and a hit after it evicts what it
+    /// would have evicted without the miss.
+    #[test]
+    fn a_probe_miss_changes_nothing() {
+        let state = |c: &Cache| format!("{c:?}");
+        let mut c = tiny();
+        c.fill(l(0), true, false, true);
+        c.fill(l(4), false, false, false);
+        let before = state(&c);
+        assert_eq!(c.probe(l(8), true), ProbeOutcome::Miss);
+        assert_eq!(state(&c), before, "a miss leaves no trace");
+
+        match c.probe(l(0), true) {
+            ProbeOutcome::Hit(hit) => {
+                assert!(hit.first_demand_use_of_prefetch && hit.fill_was_row_hit)
+            }
+            ProbeOutcome::Miss => panic!("line 0 is resident"),
+        }
+        // Line 4 is now the LRU victim.
+        let ev = c.fill(l(8), false, false, false).expect("eviction");
+        assert_eq!(ev.line, l(4));
+        assert!(c.peek(l(0)) && !c.peek(l(4)));
     }
 
     /// Sets are `ways` apart in the flat store, also when that is not a
@@ -431,6 +366,5 @@ mod tests {
         let ev = c.fill(l(13), false, false, false).expect("set 1 is full");
         assert_eq!(ev.line, l(1));
         assert!((0..12).filter(|&n| n != 1).all(|n| c.peek(l(n))));
-        assert!(c.invalidate(l(5)) && !c.peek(l(5)) && c.peek(l(9)));
     }
 }

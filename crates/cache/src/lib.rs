@@ -31,9 +31,7 @@
 mod cache;
 mod config;
 mod mshr;
-mod stats;
 
 pub use cache::{Cache, Eviction, HitInfo, ProbeOutcome};
 pub use config::CacheConfig;
 pub use mshr::{MshrEntry, MshrFile, Waiter};
-pub use stats::CacheStats;

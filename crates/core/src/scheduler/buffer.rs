@@ -27,18 +27,18 @@
 //!   critical-request counts, recomputed only after a count or the
 //!   accuracy epoch moved. A key compares ranks only with each other, so a
 //!   count change that keeps the order re-keys nothing;
-//! - a per-bank **owner** (highest-key member) that is *maintained*: an
-//!   insert into a clean bank is folded against it with one compare, the
-//!   owner's own ACT/PRE keep it (only its row-hit bit can change), and a
-//!   rescan happens only when the bank is marked dirty — the owner left,
-//!   the rank order moved, or a key input other than those changed;
-//! - a **ready lane**: per (channel, bank), the owner's key and slot with
-//!   the *bank-local* half of its DRAM readiness — its next command's
-//!   class and the cycle the bank accepts it ([`Channel::bank_ready`]),
-//!   which only a command to that bank or a change of its owner can move —
-//!   behind a **stale set** marked where the bank is dirtied, where an
+//! - a **ready lane**: per (channel, bank), the bank's *maintained* owner
+//!   (highest-key member) — its key and slot — with the *bank-local* half
+//!   of its DRAM readiness: its next command's class and the cycle the
+//!   bank accepts it ([`Channel::bank_ready`]), which only a command to
+//!   that bank or a change of its owner can move. A **stale set** names
+//!   the entries to re-derive: marked where the bank is dirtied, where an
 //!   insert is left pending and where the owner's own ACT/PRE lands. A
-//!   scheduling pass re-derives the stale banks and folds the dense lane
+//!   re-derivation folds a clean bank's pending inserts against the held
+//!   owner with one compare each (the owner's own ACT/PRE keep it; only
+//!   its row-hit bit can change) and rescans only a dirty bank — the owner
+//!   left, the rank order moved, or a key input other than those changed.
+//!   A scheduling pass re-derives the stale banks and folds the dense lane
 //!   against the channel's floors ([`Channel::floors`]), instead of asking
 //!   every bank for its owner and the channel for every owner's readiness;
 //! - per-core **min-heaps of APD drop arrivals** behind a cached earliest
@@ -47,12 +47,12 @@
 //!   write-drain watermark, batch-reform trigger, and ranking, and a
 //!   per-bank writeback count for DARP's drain pairing.
 //!
-//! Cache state (owners, dirty flags, pending inserts, the rows' key bits,
-//! the rank table, the ready lane and the stale set, heaps, the cached
-//! deadline, epoch snapshots, stats) is
-//! excluded from the `Debug` representation: equality of `Debug` strings is how the `next_event`
-//! soundness oracle detects observable mutation, and cache fills during
-//! proven-idle windows are not observable.
+//! Cache state (dirty flags, pending inserts, the rows' key bits, the rank
+//! table, the ready lane and the stale set, heaps, the cached deadline,
+//! epoch snapshots, stats) is excluded from the `Debug` representation:
+//! equality of `Debug` strings is how the `next_event` soundness oracle
+//! detects observable mutation, and cache fills during proven-idle windows
+//! are not observable.
 //!
 //! # Worked example
 //!
@@ -168,8 +168,8 @@ pub struct BufferStats {
     /// recompute consumes one invalidation, so
     /// `owner_recomputes <= owner_invalidations` always holds.
     pub owner_invalidations: u64,
-    /// Scheduling queries answered without a rescan: from the maintained
-    /// owner, after folding any pending inserts against it.
+    /// Owner queries answered without a rescan: from the maintained owner,
+    /// after folding any pending inserts against it.
     pub owner_reuses: u64,
     /// Member rows examined across all owner rescans (scan volume).
     pub owner_scan_entries: u64,
@@ -226,7 +226,8 @@ impl Member {
     }
 }
 
-/// Per-(channel, bank) member rows plus the maintained owner.
+/// Per-(channel, bank) member rows plus what brings the bank's ready-lane
+/// owner up to date.
 #[derive(Clone, Default)]
 struct BankSet {
     /// One row per queued entry of the bank, in no meaningful order: a
@@ -234,13 +235,11 @@ struct BankSet {
     members: Vec<Member>,
     /// Members that are writebacks (the DARP pass's drain-pairing test).
     writebacks: u32,
-    /// While `dirty` is false: the highest-key member outside `pending`,
-    /// with its current key. Pure cache.
-    owner: Option<(PackedKey, Slot)>,
-    /// Members inserted since `owner` was last brought up to date; folded
-    /// against it at the next [`RequestBuffer::owner`] call. Empty while
-    /// `dirty` (the rescan sees every member).
+    /// Members inserted since the bank's ready-lane entry was last
+    /// re-derived; folded against its owner at the next re-derivation.
+    /// Empty while `dirty` (the rescan sees every member).
     pending: Vec<Slot>,
+    /// The ready-lane owner is out of date: the next re-derivation rescans.
     dirty: bool,
 }
 
@@ -256,8 +255,8 @@ impl BankSet {
 
 /// One ready-lane entry: a non-empty bank's owner with the bank-local half
 /// of its readiness ([`Channel::bank_ready`]), so a scheduling pass folds
-/// `ready` against the channel's floors instead of asking the buffer for the
-/// owner and the channel for its bank state (DESIGN.md §13, B5).
+/// `ready` against the channel's floors instead of asking the channel for
+/// its bank state (DESIGN.md §13, B4).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub(super) struct ReadyOwner {
     /// The owner's current key.
@@ -273,7 +272,7 @@ pub(super) struct ReadyOwner {
 type DeadlineHeap = BinaryHeap<Reverse<(Cycle, Slot, u64)>>;
 
 /// The data-oriented request buffer. See the module docs for the layout and
-/// the maintained invariants (DESIGN.md §13, B1–B5).
+/// the maintained invariants (DESIGN.md §13, B1–B4).
 #[derive(Clone)]
 pub struct RequestBuffer {
     cap: usize,
@@ -323,13 +322,14 @@ pub struct RequestBuffer {
     /// ([`KeyCtx::fill_rank_fields`]); refilled when a position moves,
     /// constant without ranking.
     rank_fields: Vec<u64>,
-    /// Accuracy epoch (tracker `next_rollover`) the owner caches were
-    /// computed under; a change invalidates every adaptive-policy key.
+    /// Accuracy epoch (tracker `next_rollover`) the owners were computed
+    /// under; a change invalidates every adaptive-policy key.
     rollover_seen: Cycle,
     /// The ready lane, indexed like `banks`: each non-empty bank's owner
-    /// with the bank-local half of its readiness. An entry whose bank is in
-    /// `stale` is out of date; every other one equals a fresh
-    /// [`RequestBuffer::owner`] and [`Channel::bank_ready`] (B5).
+    /// with the bank-local half of its readiness. While the bank is not
+    /// dirty, the key and slot are its highest-key member outside
+    /// `pending`; an entry whose bank is not in `stale` equals a fresh
+    /// argmax and [`Channel::bank_ready`] (B4).
     ready: Vec<Option<ReadyOwner>>,
     /// Banks whose `ready` entry must be re-derived: bit `bank % 64` of word
     /// `channel * stale_words + bank / 64`. A superset of the dirty banks
@@ -481,7 +481,8 @@ impl RequestBuffer {
         self.stale[channel * self.stale_words + bank / 64] >> (bank % 64) & 1 == 1
     }
 
-    /// Marks one bank's owner dirty: its next query rescans the members.
+    /// Marks one bank's owner dirty: its next re-derivation rescans the
+    /// members.
     fn mark_bank_dirty(&mut self, channel: usize, bank: usize) {
         self.mark_stale(channel, bank);
         let b = &mut self.banks[channel * self.stride + bank];
@@ -551,8 +552,8 @@ impl RequestBuffer {
     }
 
     /// The ACT (`activated`) or PRE the controller just issued for `slot`,
-    /// the owner [`RequestBuffer::owner`] returned this pass: the owner is
-    /// kept, and an ACT sets its `row_hit` bit. Within the owner's
+    /// the owner this pass's ready lane held: the owner is kept, and an ACT
+    /// sets its `row_hit` bit. Within the owner's
     /// `(class_match, batched, tier)` class — lower classes lose whatever
     /// their row-hit bits do — the ACT (bank closed, so no member was a
     /// hit) raises only the owner's own bit and those of entries it
@@ -561,21 +562,24 @@ impl RequestBuffer {
     /// been the owner, and closing the row changes no same-class key. The
     /// bank's state did change, so its ready-lane entry goes stale.
     pub fn note_owner_command(&mut self, channel: usize, bank: usize, slot: Slot, activated: bool) {
-        let b = &mut self.banks[channel * self.stride + bank];
+        let bank_idx = channel * self.stride + bank;
+        let b = &self.banks[bank_idx];
         debug_assert!(!b.dirty && b.pending.is_empty(), "bank not up to date");
-        let (key, owner) = b.owner.as_mut().expect("commanded bank has an owner");
-        debug_assert_eq!(*owner, slot, "command issued for a non-owner");
-        debug_assert!(!key.row_hit(), "ACT/PRE issued for a row hit");
+        let owner = self.ready[bank_idx]
+            .as_mut()
+            .expect("commanded bank has an owner");
+        debug_assert_eq!(owner.slot, slot, "command issued for a non-owner");
+        debug_assert!(!owner.key.row_hit(), "ACT/PRE issued for a row hit");
         if activated {
-            *key = key.with_row_hit();
+            owner.key = owner.key.with_row_hit();
         }
         self.mark_stale(channel, bank);
     }
 
-    /// Reconciles the owner caches with the accuracy epoch: if the tracker
-    /// rolled over since the last key computation, adaptive-policy keys
-    /// (criticality, urgency, ranking) may all have changed. `adaptive`
-    /// is false for policies whose keys never read accuracy.
+    /// Reconciles the maintained owners with the accuracy epoch: if the
+    /// tracker rolled over since the last key computation, adaptive-policy
+    /// keys (criticality, urgency, ranking) may all have changed.
+    /// `adaptive` is false for policies whose keys never read accuracy.
     pub fn sync_rollover(&mut self, tracker: &AccuracyTracker, adaptive: bool) {
         let epoch = tracker.next_rollover();
         if self.rollover_seen != epoch {
@@ -630,8 +634,8 @@ impl RequestBuffer {
         b.writebacks += u32::from(e.is_writeback());
         self.slots[slot as usize] = Some(e);
         // The new entry can only displace the owner, which one compare at
-        // the next query settles — under ranking too, unless the rank order
-        // moved by then, which dirties every bank (`sync_ranks`).
+        // the next re-derivation settles — under ranking too, unless the
+        // rank order moved by then, which dirties every bank (`sync_ranks`).
         if !b.dirty {
             b.pending.push(slot);
             self.mark_stale(channel, bank);
@@ -663,7 +667,7 @@ impl RequestBuffer {
             self.member_at[moved.slot as usize] = at as u32;
         }
         b.writebacks -= u32::from(e.is_writeback());
-        if b.owner.is_some_and(|(_, s)| s == slot) {
+        if self.ready[bank_idx].is_some_and(|o| o.slot == slot) {
             // Only losing the owner forces a rescan.
             self.mark_bank_dirty(e.target.channel, e.target.bank);
         } else if let Some(i) = b.pending.iter().position(|&p| p == slot) {
@@ -772,33 +776,21 @@ impl RequestBuffer {
         best
     }
 
-    /// The bank's owner: its highest-key member under `ctx` (the key a
-    /// fresh [`KeyCtx::key`] would give it, packed, with the buffer's rank
-    /// positions in place of whatever `ctx` carries), or `None` for an
-    /// empty bank. A clean bank answers from the maintained owner after
-    /// folding its pending inserts; a dirty one rescans its member rows.
-    pub fn owner(
+    /// Brings `(channel, bank)`'s ready-lane entry up to date once the
+    /// rank table is in sync: the bank's highest-key member under `ctx`
+    /// (the key a fresh [`KeyCtx::key`] would give it, packed, with the
+    /// buffer's rank positions in place of whatever `ctx` carries) with its
+    /// bank-local readiness, or `None` for an empty bank. A clean bank keeps
+    /// its held owner after folding its pending inserts; a dirty one
+    /// rescans its member rows. Returns whether the bank has an owner.
+    fn rederive(
         &mut self,
         channel: usize,
         bank: usize,
         ctx: &KeyCtx<'_>,
         ch: &Channel,
         now: Cycle,
-    ) -> Option<(PackedKey, Slot)> {
-        self.sync_ranks(ctx);
-        self.fold_or_rescan(channel, bank, ctx, ch, now)
-    }
-
-    /// [`RequestBuffer::owner`] once the rank table is in sync, so a pass
-    /// over many banks syncs it once.
-    fn fold_or_rescan(
-        &mut self,
-        channel: usize,
-        bank: usize,
-        ctx: &KeyCtx<'_>,
-        ch: &Channel,
-        now: Cycle,
-    ) -> Option<(PackedKey, Slot)> {
+    ) -> bool {
         let bank_idx = channel * self.stride + bank;
         let RequestBuffer {
             banks,
@@ -807,60 +799,70 @@ impl RequestBuffer {
             ranking,
             ranks,
             rank_fields,
+            ready,
+            ready_owners,
             stats,
             key_gen,
             ..
         } = self;
         let b = &mut banks[bank_idx];
+        let entry = &mut ready[bank_idx];
+        stats.lane_refreshes += 1;
+        ready_owners[channel] -= u64::from(entry.is_some());
         if b.members.is_empty() {
-            b.owner = None;
+            *entry = None;
             b.dirty = false;
-            return None;
+            return false;
         }
+        let mut best = entry.filter(|_| !b.dirty).map(|o| (o.key, o.slot));
         if !b.dirty {
             stats.owner_reuses += 1;
-            if b.pending.is_empty() {
-                return b.owner;
+        }
+        if b.dirty || !b.pending.is_empty() {
+            let ctx = KeyCtx {
+                ranks: ranking.then_some(&ranks[..]),
+                ..*ctx
+            };
+            let open_row = ch.effective_row(bank, now);
+            let unranked = rank_fields.len() - 1;
+            let mut consider = |m: &mut Member| {
+                if m.stamp != *key_gen {
+                    let e = slots[m.slot as usize]
+                        .as_ref()
+                        .expect("member of freed slot");
+                    m.fill(e, ctx.key(e, ch, now), unranked, *key_gen);
+                }
+                let key = m.key(open_row, rank_fields);
+                if best.is_none_or(|(bk, _)| key > bk) {
+                    best = Some((key, m.slot));
+                }
+            };
+            if b.dirty {
+                stats.owner_recomputes += 1;
+                stats.owner_scan_entries += b.members.len() as u64;
+                b.members.iter_mut().for_each(&mut consider);
+                b.dirty = false;
+            } else {
+                for slot in b.pending.drain(..) {
+                    consider(&mut b.members[member_at[slot as usize] as usize]);
+                }
             }
         }
-        let ctx = KeyCtx {
-            ranks: ranking.then_some(&ranks[..]),
-            ..*ctx
-        };
-        let open_row = ch.effective_row(bank, now);
-        let unranked = rank_fields.len() - 1;
-        let mut best = b.owner.filter(|_| !b.dirty);
-        let mut consider = |m: &mut Member| {
-            if m.stamp != *key_gen {
-                let e = slots[m.slot as usize]
-                    .as_ref()
-                    .expect("member of freed slot");
-                m.fill(e, ctx.key(e, ch, now), unranked, *key_gen);
-            }
-            let key = m.key(open_row, rank_fields);
-            if best.is_none_or(|(bk, _)| key > bk) {
-                best = Some((key, m.slot));
-            }
-        };
-        if b.dirty {
-            stats.owner_recomputes += 1;
-            stats.owner_scan_entries += b.members.len() as u64;
-            b.members.iter_mut().for_each(&mut consider);
-            b.dirty = false;
-        } else {
-            for slot in b.pending.drain(..) {
-                consider(&mut b.members[member_at[slot as usize] as usize]);
-            }
-        }
-        b.owner = best;
-        best
+        let (key, slot) = best.expect("a clean non-empty bank holds an owner");
+        let row = b.members[member_at[slot as usize] as usize].row;
+        *entry = Some(ReadyOwner {
+            key,
+            slot,
+            ready: ch.bank_ready(bank, row),
+        });
+        ready_owners[channel] += 1;
+        true
     }
 
     /// The ready lane of `channel`, brought up to date: per bank, its owner
     /// with the bank-local half of the owner's readiness, `None` for an
     /// empty bank. Only the banks marked stale since the channel's last pass
-    /// (a moved rank order marks every bank) are re-derived, through the
-    /// same fold-or-rescan as [`RequestBuffer::owner`]; every other
+    /// (a moved rank order marks every bank) are re-derived; every other
     /// non-empty bank's entry stands for one owner query answered without a
     /// rescan, and is counted as one.
     pub(super) fn ready_lane(
@@ -871,28 +873,18 @@ impl RequestBuffer {
         now: Cycle,
     ) -> &[Option<ReadyOwner>] {
         self.sync_ranks(ctx);
-        let (first_bank, first_word) = (channel * self.stride, channel * self.stale_words);
+        let first_word = channel * self.stale_words;
         let mut rederived = 0;
         for wi in 0..self.stale_words {
             let mut word = std::mem::take(&mut self.stale[first_word + wi]);
             while word != 0 {
                 let bank = wi * 64 + word.trailing_zeros() as usize;
                 word &= word - 1;
-                let owner = self.fold_or_rescan(channel, bank, ctx, ch, now);
-                let members = &self.banks[first_bank + bank].members;
-                let entry = &mut self.ready[first_bank + bank];
-                self.ready_owners[channel] -= u64::from(entry.is_some());
-                *entry = owner.map(|(key, slot)| ReadyOwner {
-                    key,
-                    slot,
-                    ready: ch.bank_ready(bank, members[self.member_at[slot as usize] as usize].row),
-                });
-                self.stats.lane_refreshes += 1;
-                rederived += u64::from(owner.is_some());
+                rederived += u64::from(self.rederive(channel, bank, ctx, ch, now));
             }
         }
-        self.ready_owners[channel] += rederived;
         self.stats.owner_reuses += self.ready_owners[channel] - rederived;
+        let first_bank = channel * self.stride;
         &self.ready[first_bank..first_bank + self.stride]
     }
 
@@ -920,12 +912,12 @@ impl RequestBuffer {
 
     /// Consistency audit for the incremental state, used by the
     /// `buffer_consistency` proptest: recomputes every derived structure
-    /// from the slab and panics on divergence (DESIGN.md §13, B1–B5).
+    /// from the slab and panics on divergence (DESIGN.md §13, B1–B4).
     /// `ctx`, ranked by a recount of the slab, is the specification the
-    /// rank table, the member rows and every non-dirty bank's owner are
-    /// checked against, `channels` the one every non-stale bank's
-    /// ready-lane entry is; the rank table is synced and pending inserts
-    /// are folded first, dirty banks are left dirty and stale ones stale.
+    /// rank table, the member rows and every non-dirty bank's ready-lane
+    /// entry are checked against, `channels` the one the entries'
+    /// readiness is; the rank table is synced and a clean stale bank is
+    /// re-derived first, dirty banks are left dirty and stale ones stale.
     #[doc(hidden)]
     pub fn audit(
         &mut self,
@@ -983,7 +975,7 @@ impl RequestBuffer {
             ranks: spec_ranks.as_deref(),
             ..*ctx
         };
-        // B4: every live entry's member row holds its slot and row, and one
+        // B3: every live entry's member row holds its slot and row, and one
         // stamped at the current generation reassembles to the entry's
         // fresh key.
         for (slot, e) in self.iter() {
@@ -1019,40 +1011,36 @@ impl RequestBuffer {
                 let wb = expect.iter().filter(|&&s| self.entry(s).is_writeback());
                 let wb_count = self.banks[bank_idx].writebacks as usize;
                 assert_eq!(wb_count, wb.count(), "writebacks drifted at ({ci}, {bank})");
-                // B5: a bank is stale while it is dirty or pends an insert,
-                // and a bank that is not holds exactly its fresh owner with
-                // that owner's fresh bank-local readiness (`None` iff empty).
+                // B4: a bank is stale while it is dirty or pends an insert,
+                // and a clean one, re-derived if stale, holds exactly its
+                // fresh owner with that owner's fresh bank-local readiness
+                // (`None` iff empty).
                 let stale = self.lane_stale(ci, bank);
                 if self.banks[bank_idx].dirty {
                     assert!(pending.is_empty(), "dirty bank ({ci}, {bank}) pends");
                     assert!(stale, "dirty bank ({ci}, {bank}) is not stale");
-                } else {
-                    assert!(
-                        stale || pending.is_empty(),
-                        "bank ({ci}, {bank}) pends {pending:?} but is not stale"
-                    );
-                    let fresh = expect
-                        .iter()
-                        .map(|&s| (spec.key(self.entry(s), ch, now), s))
-                        .max_by_key(|&(k, _)| k)
-                        .map(|(k, s)| (PackedKey::pack(&k), s));
-                    assert_eq!(
-                        self.owner(ci, bank, ctx, ch, now),
-                        fresh,
-                        "maintained owner diverged for bank ({ci}, {bank})"
-                    );
-                    if !stale {
-                        let fresh = fresh.map(|(key, slot)| ReadyOwner {
-                            key,
-                            slot,
-                            ready: ch.bank_ready(bank, self.entry(slot).target.row),
-                        });
-                        assert_eq!(
-                            self.ready[bank_idx], fresh,
-                            "ready-lane entry of bank ({ci}, {bank}) is out of date, not stale"
-                        );
-                    }
+                    continue;
                 }
+                assert!(
+                    stale || pending.is_empty(),
+                    "bank ({ci}, {bank}) pends {pending:?} but is not stale"
+                );
+                if stale {
+                    self.rederive(ci, bank, ctx, ch, now);
+                }
+                let fresh = expect
+                    .iter()
+                    .map(|&s| (spec.key(self.entry(s), ch, now), s))
+                    .max_by_key(|&(k, _)| k)
+                    .map(|(k, slot)| ReadyOwner {
+                        key: PackedKey::pack(&k),
+                        slot,
+                        ready: ch.bank_ready(bank, self.entry(slot).target.row),
+                    });
+                assert_eq!(
+                    self.ready[bank_idx], fresh,
+                    "maintained owner diverged for bank ({ci}, {bank})"
+                );
             }
             let lane = &self.ready[ci * self.stride..(ci + 1) * self.stride];
             assert_eq!(
@@ -1097,10 +1085,10 @@ impl RequestBuffer {
 }
 
 /// Manual `Debug`: prints only *observable* state (the slab, free list,
-/// running counts, bank membership as sorted slots). The owner caches,
-/// dirty flags, the rows' key bits and order, the rank table, the ready
-/// lane, the stale set, APD heaps, epoch snapshots, and stats counters are
-/// pure caches that may legally mutate during proven-idle windows, and the
+/// running counts, bank membership as sorted slots). The dirty flags and
+/// pending inserts, the rows' key bits and order, the rank table, the
+/// ready lane, the stale set, APD heaps, epoch snapshots, and stats
+/// counters are pure caches that may legally mutate during proven-idle windows, and the
 /// `next_event` soundness oracle detects mutation by comparing `Debug`
 /// strings.
 impl fmt::Debug for RequestBuffer {
@@ -1214,8 +1202,11 @@ mod tests {
             f(&mut self.buf, &mut self.ch, &ctx, self.now)
         }
 
+        /// Bank 0's owner, from the channel's ready lane.
         fn owner(&mut self) -> Option<(PackedKey, Slot)> {
-            self.with_ctx(|buf, ch, ctx, now| buf.owner(0, 0, ctx, ch, now))
+            self.with_ctx(|buf, ch, ctx, now| {
+                buf.ready_lane(0, ctx, ch, now)[0].map(|o| (o.key, o.slot))
+            })
         }
 
         fn audit(&mut self) {
@@ -1243,7 +1234,7 @@ mod tests {
     /// The keep-owner lemma, on random banks under every policy with
     /// batching marks, write drain (flipping mid-run) and urgency in play:
     /// after the owner's own ACT or PRE the owner is kept without a rescan
-    /// — and the audit's fresh argmax (B2) and lane check (B4) agree.
+    /// — and the audit's fresh argmax and readiness (B4) agree.
     #[test]
     fn the_owners_own_act_and_pre_keep_it_the_owner() {
         for policy in POLICIES {
@@ -1387,11 +1378,12 @@ mod tests {
             e.target.bank = bank;
             rig.buf.insert(e)
         };
-        // Queries both banks' owners and audits; returns the rescan count.
+        // Brings the channel's lane up to date and audits; returns the
+        // rescan count.
         let settle = |rig: &mut Rig| {
-            for bank in [0, 1] {
-                rig.with_ctx(|buf, ch, ctx, now| buf.owner(0, bank, ctx, ch, now));
-            }
+            rig.with_ctx(|buf, ch, ctx, now| {
+                buf.ready_lane(0, ctx, ch, now);
+            });
             rig.audit();
             rig.buf.stats().owner_recomputes
         };

@@ -4,9 +4,9 @@
 //! Split into three layers (DESIGN.md §13):
 //!
 //! - [`buffer`] — the data-oriented request buffer: slab + free list,
-//!   dense per-bank member rows, the rank table and the per-bank owners
-//!   maintained over them, the per-bank ready lane beside them, APD
-//!   deadline heaps, and running counts;
+//!   dense per-bank member rows, the rank table, the per-bank ready lane
+//!   that is each bank's one maintained owner, APD deadline heaps, and
+//!   running counts;
 //! - [`arbiter`] — the lexicographic [`PrioKey`](arbiter::PrioKey) (the
 //!   specification), its order-preserving [`PackedKey`] (what the buffer
 //!   compares), and the [`KeyCtx`] snapshot of their inputs;
@@ -690,10 +690,9 @@ impl MemoryController {
     }
 
     /// Audits the buffer's incremental state (member rows, counts, heaps,
-    /// the rank table, every non-dirty bank's owner and every non-stale
-    /// bank's ready-lane entry) against a from-scratch recompute, panicking
-    /// on divergence. Test-only support for the `buffer_consistency` and
-    /// `next_event_soundness` proptests.
+    /// the rank table, every non-dirty bank's ready-lane entry) against a
+    /// from-scratch recompute, panicking on divergence. Test-only support
+    /// for the `buffer_consistency` and `next_event_soundness` proptests.
     #[doc(hidden)]
     pub fn audit_buffer(&mut self, now: Cycle, accuracy: &AccuracyTracker) {
         self.buffer.sync_rollover(accuracy, self.adaptive_keys());
@@ -1676,7 +1675,7 @@ mod tests {
         );
     }
 
-    /// The marks B5 rests on (DESIGN.md §13): whoever issues a command, the
+    /// The marks B4 rests on (DESIGN.md §13): whoever issues a command, the
     /// bank it went to is left stale — the owner's own ACT, CAS and PRE, a
     /// closed-row policy precharge, a DARP pull — and an all-bank refresh
     /// stales every bank of the channel.

@@ -1,6 +1,6 @@
 use padc_cache::CacheConfig;
 use padc_core::scheduler::arbiter::PackedKey;
-use padc_core::{ControllerConfig, SchedulingPolicy};
+use padc_core::{ControllerConfig, DropThresholds, SchedulingPolicy};
 use padc_cpu::CoreConfig;
 use padc_dram::{DramConfig, ExtendedTiming, MappingScheme, RefreshPolicy, RowPolicy};
 use padc_prefetch::PrefetcherKind;
@@ -258,6 +258,32 @@ impl SimConfig {
         if !(1..=rank_max).contains(&entries) {
             return Err(format!(
                 "controller.buffer_entries is {entries}, must be between 1 and {rank_max}"
+            ));
+        }
+        // Rules no lower layer asserts, since a config that breaks them
+        // runs: a drain that starts at or below where it stops, and APD
+        // accuracy bands out of order.
+        let ctl = &self.controller;
+        if ctl.write_drain && ctl.write_drain_high <= ctl.write_drain_low {
+            return Err(format!(
+                "controller.write_drain_high is {}, must exceed controller.write_drain_low ({})",
+                ctl.write_drain_high, ctl.write_drain_low
+            ));
+        }
+        let DropThresholds {
+            breakpoints,
+            thresholds,
+        } = ctl.drop_thresholds;
+        let in_unit = breakpoints.iter().all(|b| (0.0..=1.0).contains(b));
+        if !(in_unit && breakpoints.windows(2).all(|w| w[0] < w[1])) {
+            return Err(format!(
+                "controller.drop_thresholds.breakpoints is {breakpoints:?}, \
+                 must be strictly ascending within [0, 1]"
+            ));
+        }
+        if !thresholds.windows(2).all(|w| w[0] <= w[1]) {
+            return Err(format!(
+                "controller.drop_thresholds.thresholds is {thresholds:?}, must be non-decreasing"
             ));
         }
         // A core with no window or no width never retires: the same spin.

@@ -303,9 +303,9 @@ impl MemorySystem for MemSubsystem {
         let c = core.index();
         let line = acc.addr.line();
         let is_store = acc.kind == AccessKind::Store;
-        // One L1 lookup decides: a hit is complete here; a miss has touched
-        // nothing yet.
-        if self.l1s[c].probe_hit(line, is_store).is_some() {
+        // One L1 lookup decides: a hit is complete here; a miss touches
+        // nothing.
+        if let ProbeOutcome::Hit(_) = self.l1s[c].probe(line, is_store) {
             return AccessResponse::Hit {
                 latency: self.l1_latency,
             };
@@ -321,7 +321,6 @@ impl MemorySystem for MemSubsystem {
         {
             return AccessResponse::Retry;
         }
-        self.l1s[c].record_miss();
         if !acc.runahead {
             self.pc[c].l2_accesses += 1;
             self.fdp_acc[c].demands += 1;

@@ -287,3 +287,51 @@ fn the_generator_reaches_every_rule() {
         );
     }
 }
+
+/// Rules no lower layer asserts, because a config that breaks them runs: a
+/// write drain that starts at or below where it stops, and APD accuracy
+/// bands out of order. Each is refused naming its field, and `System::new`
+/// refuses it through the gate; each edit leaves the default passing.
+#[test]
+fn drain_watermarks_and_drop_bands_must_be_ordered() {
+    type Edit = fn(&mut SimConfig);
+    let cases: [(Edit, &str); 4] = [
+        (
+            |c| {
+                c.controller.write_drain = true;
+                c.controller.write_drain_high = 3;
+                c.controller.write_drain_low = 40;
+            },
+            "controller.write_drain_high is 3, must exceed controller.write_drain_low (40)",
+        ),
+        (
+            |c| c.controller.drop_thresholds.breakpoints = [0.7, 0.3, 0.1],
+            "controller.drop_thresholds.breakpoints is [0.7, 0.3, 0.1], \
+             must be strictly ascending within [0, 1]",
+        ),
+        (
+            |c| c.controller.drop_thresholds.breakpoints = [0.1, 0.3, 1.5],
+            "controller.drop_thresholds.breakpoints is [0.1, 0.3, 1.5], \
+             must be strictly ascending within [0, 1]",
+        ),
+        (
+            |c| c.controller.drop_thresholds.thresholds = [100_000, 50_000, 1_500, 100],
+            "controller.drop_thresholds.thresholds is [100000, 50000, 1500, 100], \
+             must be non-decreasing",
+        ),
+    ];
+    let milc = profiles::by_name("milc_06").expect("a catalog profile");
+    for (edit, rule) in cases {
+        let mut cfg = SimConfig::new(1, SchedulingPolicy::Padc);
+        assert_eq!(cfg.check(), Ok(()));
+        edit(&mut cfg);
+        assert_eq!(cfg.check(), Err(rule.to_string()));
+        let built = quietly(|| drop(System::new(cfg, vec![milc.clone()])));
+        assert_eq!(built, Err(format!("invalid config: {rule}")));
+    }
+    // The watermarks matter only with the drain on.
+    let mut off = SimConfig::new(1, SchedulingPolicy::Padc);
+    off.controller.write_drain_high = 3;
+    off.controller.write_drain_low = 40;
+    assert_eq!(off.check(), Ok(()));
+}

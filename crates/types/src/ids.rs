@@ -44,34 +44,6 @@ impl From<CoreId> for usize {
     }
 }
 
-/// Identifies a DRAM channel (one memory controller per channel).
-#[derive(
-    Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize, Debug,
-)]
-pub struct ChannelId(u8);
-
-impl ChannelId {
-    /// Creates a channel id from its index.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` does not fit in `u8`.
-    pub fn new(index: usize) -> Self {
-        ChannelId(u8::try_from(index).expect("channel index exceeds u8"))
-    }
-
-    /// The channel's index, usable for `Vec` indexing.
-    pub const fn index(self) -> usize {
-        self.0 as usize
-    }
-}
-
-impl fmt::Display for ChannelId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "ch{}", self.0)
-    }
-}
-
 /// Unique, monotonically increasing identifier for a memory request.
 ///
 /// Allocation order doubles as arrival order, which the FCFS scheduling rules
@@ -124,7 +96,6 @@ mod tests {
     #[test]
     fn displays() {
         assert_eq!(CoreId::new(0).to_string(), "core0");
-        assert_eq!(ChannelId::new(1).to_string(), "ch1");
         assert_eq!(RequestId::new(9).to_string(), "req9");
     }
 }

@@ -28,7 +28,7 @@ mod request;
 
 pub use addr::{Addr, LineAddr, LINE_BYTES, LINE_SHIFT};
 pub use hash::{LineHasher, LineMap};
-pub use ids::{ChannelId, CoreId, RequestId};
+pub use ids::{CoreId, RequestId};
 pub use request::{AccessKind, MemRequest, RequestKind};
 
 /// A point in simulated time, measured in CPU clock cycles.

@@ -11,11 +11,20 @@
 # Last, it prints each side's nm -S sizes of the simulator's hot functions,
 # read from its benchmark binary, and whether any differs: a codegen-unit
 # partition shift moves timings with no edit to the code that runs.
+# Both checkouts must sit at paths of equal length (after resolving symlinks):
+# the binaries embed their source paths, so a longer path shifts the layout
+# and moves peak RSS on its own; the script exits 2 when the lengths differ.
 # The benchmark sets the run length. Needs jq.
 #   scripts/bench_pairs.sh PARENT_DIR CHANGE_DIR WORKLOAD SEED N
 set -euo pipefail
 [ $# -eq 5 ] || { echo "usage: $0 PARENT_DIR CHANGE_DIR WORKLOAD SEED N" >&2; exit 2; }
-parent=$1 change=$2 workload=$3 seed=$4 n=$5
+parent=$(cd "$1" && pwd -P)
+change=$(cd "$2" && pwd -P)
+workload=$3 seed=$4 n=$5
+if [ ${#parent} -ne ${#change} ]; then
+    echo "error: $parent is ${#parent} characters long and $change ${#change}; pairs need checkouts at equal-length paths" >&2
+    exit 2
+fi
 run() { # DIR -> "setup_s wall_s peak_rss_mb"
     (cd "$1" && bash benchmark/run.sh --workload "$workload" --seed "$seed" --trace 0) |
         tail -n 1 | jq -r '.metrics | [.setup_s, .wall_s, .peak_rss_mb]
