@@ -18,8 +18,8 @@
 #   scripts/bench_pairs.sh PARENT_DIR CHANGE_DIR WORKLOAD SEED N
 set -euo pipefail
 [ $# -eq 5 ] || { echo "usage: $0 PARENT_DIR CHANGE_DIR WORKLOAD SEED N" >&2; exit 2; }
-parent=$(cd "$1" && pwd -P)
-change=$(cd "$2" && pwd -P)
+parent=$(cd "$1" && pwd -P) || exit 2
+change=$(cd "$2" && pwd -P) || exit 2
 workload=$3 seed=$4 n=$5
 if [ ${#parent} -ne ${#change} ]; then
     echo "error: $parent is ${#parent} characters long and $change ${#change}; pairs need checkouts at equal-length paths" >&2
