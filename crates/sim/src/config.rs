@@ -261,8 +261,9 @@ impl SimConfig {
             ));
         }
         // Rules no lower layer asserts, since a config that breaks them
-        // runs: a drain that starts at or below where it stops, and APD
-        // accuracy bands out of order.
+        // runs: a drain that starts at or below where it stops, APD
+        // accuracy bands out of order, and an APS promotion threshold no
+        // accuracy can be on the far side of.
         let ctl = &self.controller;
         if ctl.write_drain && ctl.write_drain_high <= ctl.write_drain_low {
             return Err(format!(
@@ -284,6 +285,12 @@ impl SimConfig {
         if !thresholds.windows(2).all(|w| w[0] <= w[1]) {
             return Err(format!(
                 "controller.drop_thresholds.thresholds is {thresholds:?}, must be non-decreasing"
+            ));
+        }
+        if !(0.0..=1.0).contains(&ctl.promotion_threshold) {
+            return Err(format!(
+                "controller.promotion_threshold is {}, must be within [0, 1]",
+                ctl.promotion_threshold
             ));
         }
         // A core with no window or no width never retires: the same spin.

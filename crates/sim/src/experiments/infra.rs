@@ -1,4 +1,3 @@
-use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 use padc_core::SchedulingPolicy;
@@ -165,97 +164,40 @@ impl fmt::Display for ExpTable {
     }
 }
 
-/// Arm label of the canonical `IPC_alone` run (§5.2): single-core,
-/// demand-first — the same configuration, hence the same cache digest, as
-/// the demand-first arm of the single-core grids.
-const ALONE_LABEL: &str = "demand-first";
-
-/// Deterministic identity of one planned simulation.
-///
-/// Within one experiment's plan, two units with equal keys are the same
-/// simulation: the arm label names a system, `variant` disambiguates
-/// systems that reuse a label (sweep points, open vs closed row), and
-/// benchmarks/instructions/seed pin the inputs. The key is how `reduce`
-/// addresses a result; what is *cached* is keyed by the digest of the full
-/// inputs ([`SimUnit::store_meta`]), never by the key.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Hash)]
-pub struct UnitKey {
-    /// Policy-arm label (the paper legend).
-    pub arm: String,
-    /// Config variant within the experiment: the arm's group name (`""`
-    /// when the arm label already determines the config; e.g. `"2KB"` for
-    /// a sweep point), or `"alone"` for single-core runs.
-    pub variant: String,
-    /// Benchmark names in core order (one entry for alone runs).
-    pub benchmarks: Vec<String>,
-    /// Instruction budget per core.
-    pub instructions: u64,
-    /// Workload/trace seed.
-    pub seed: u64,
-}
-
-impl UnitKey {
-    /// Key of a multiprogrammed run of `w` under `arm`.
-    pub fn workload(arm: &str, variant: &str, w: &Workload, exp: &ExpConfig) -> Self {
-        UnitKey {
-            arm: arm.to_string(),
-            variant: variant.to_string(),
-            benchmarks: w.benchmarks.iter().map(|b| b.name.clone()).collect(),
-            instructions: exp.instructions,
-            seed: exp.seed,
-        }
-    }
-
-    /// Key of a single-core run of `bench` under `arm` (grid cells and
-    /// `IPC_alone` normalization runs; note the single-core instruction
-    /// budget).
-    pub fn single(arm: &str, bench: &BenchProfile, exp: &ExpConfig) -> Self {
-        UnitKey {
-            arm: arm.to_string(),
-            variant: "alone".to_string(),
-            benchmarks: vec![bench.name.clone()],
-            instructions: exp.instructions_single,
-            seed: exp.seed,
-        }
-    }
-
-    /// Key of the canonical §5.2 `IPC_alone` run of `bench`.
-    pub fn alone(bench: &BenchProfile, exp: &ExpConfig) -> Self {
-        Self::single(ALONE_LABEL, bench, exp)
-    }
-}
-
-/// One planned simulation: a deterministic key plus the exact system and
-/// benchmarks (one per core) it runs.
+/// One planned simulation: the exact system and the benchmarks (one per
+/// core) it runs. Its identity is its [`store_meta`](Self::store_meta)
+/// digest; a reduce reads its report by its position in the plan.
 #[derive(Clone, Debug)]
 pub struct SimUnit {
-    /// The unit's deterministic identity.
-    pub key: UnitKey,
     config: SimConfig,
     benchmarks: Vec<BenchProfile>,
 }
 
 impl SimUnit {
-    /// Plans `config` over `benchmarks` under `key`; the config takes the
-    /// key's instruction budget and seed.
-    pub fn new(key: UnitKey, mut config: SimConfig, benchmarks: Vec<BenchProfile>) -> Self {
-        config.max_instructions = key.instructions;
-        config.seed = key.seed;
-        SimUnit {
-            key,
-            config,
-            benchmarks,
-        }
+    /// Plans `config` over the multiprogrammed workload `w` at `exp`'s
+    /// multi-core instruction budget and seed.
+    pub fn workload(mut config: SimConfig, w: &Workload, exp: &ExpConfig) -> Self {
+        config.max_instructions = exp.instructions;
+        config.seed = exp.seed;
+        let benchmarks = w.benchmarks.clone();
+        SimUnit { config, benchmarks }
+    }
+
+    /// Plans `config` as a single-core run of `bench` (a grid cell or an
+    /// `IPC_alone` reference) at `exp`'s single-core budget and seed.
+    pub fn single(mut config: SimConfig, bench: &BenchProfile, exp: &ExpConfig) -> Self {
+        config.max_instructions = exp.instructions_single;
+        config.seed = exp.seed;
+        let benchmarks = vec![bench.clone()];
+        SimUnit { config, benchmarks }
     }
 
     /// Plans the canonical §5.2 `IPC_alone` run of `bench` (single-core,
-    /// demand-first) used to normalize every multi-core metric.
+    /// demand-first) used to normalize every multi-core metric: the same
+    /// config, hence the same digest, as the grids' demand-first cells.
     pub fn alone(bench: &BenchProfile, exp: &ExpConfig) -> Self {
-        Self::new(
-            UnitKey::alone(bench, exp),
-            SimConfig::single_core(SchedulingPolicy::DemandFirst),
-            vec![bench.clone()],
-        )
+        let config = SimConfig::single_core(SchedulingPolicy::DemandFirst);
+        Self::single(config, bench, exp)
     }
 
     /// Whether this is a single-core run (a grid cell or an `IPC_alone`
@@ -306,68 +248,10 @@ impl SimUnit {
     }
 }
 
-/// The report of one executed [`SimUnit`].
-#[derive(Clone, Debug)]
-pub struct UnitResult {
-    /// The unit's identity.
-    pub key: UnitKey,
-    /// The simulation report.
-    pub report: Report,
-}
-
-/// Key-indexed view over a slice of unit results, for `reduce` phases.
-pub struct UnitResults<'a> {
-    by_key: HashMap<&'a UnitKey, &'a Report>,
-}
-
-impl<'a> UnitResults<'a> {
-    /// Indexes `results` by key.
-    pub fn new(results: &'a [UnitResult]) -> Self {
-        UnitResults {
-            by_key: results.iter().map(|r| (&r.key, &r.report)).collect(),
-        }
-    }
-
-    /// The report for `key`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the plan did not produce a unit with this key — a bug in
-    /// the experiment's plan/reduce pairing, not a runtime condition.
-    pub fn get(&self, key: &UnitKey) -> &'a Report {
-        self.by_key
-            .get(key)
-            .unwrap_or_else(|| panic!("reduce requested unplanned unit {key:?}"))
-    }
-
-    /// `IPC_alone` for each benchmark of a workload (canonical §5.2 runs).
-    pub fn alone_ipcs(&self, w: &Workload, exp: &ExpConfig) -> Vec<f64> {
-        w.benchmarks
-            .iter()
-            .map(|b| self.get(&UnitKey::alone(b, exp)).per_core[0].ipc())
-            .collect()
-    }
-}
-
-/// Plans the deduplicated set of `IPC_alone` units for a workload set:
-/// one unit per *distinct* benchmark, in first-appearance order. A suite
-/// dedupes further across experiments, so each normalization run is
-/// computed once per suite.
-pub fn plan_alone_units(workloads: &[Workload], exp: &ExpConfig) -> Vec<SimUnit> {
-    let mut seen = HashSet::new();
-    let mut units = Vec::new();
-    for w in workloads {
-        for b in &w.benchmarks {
-            if seen.insert(b.name.clone()) {
-                units.push(SimUnit::alone(b, exp));
-            }
-        }
-    }
-    units
-}
-
 #[cfg(test)]
 mod tests {
+    use std::collections::HashSet;
+
     use super::*;
 
     #[test]
@@ -404,35 +288,6 @@ mod tests {
     #[test]
     fn default_config_is_full_scale() {
         assert_eq!(ExpConfig::default(), ExpConfig::at(Scale::Full));
-    }
-
-    #[test]
-    fn unit_keys_identify_simulations() {
-        let exp = ExpConfig::at(Scale::Smoke);
-        let w = Workload::from_names(&["milc_06", "swim_00"]);
-        let k1 = UnitKey::workload("aps-only", "", &w, &exp);
-        let k2 = UnitKey::workload("aps-only", "", &w, &exp);
-        assert_eq!(k1, k2);
-        assert_ne!(k1, UnitKey::workload("aps-only", "row=2KB", &w, &exp));
-        assert_ne!(k1, UnitKey::workload("aps-only", "", &w, &exp.with_seed(2)));
-        let b = &w.benchmarks[0];
-        assert_eq!(UnitKey::alone(b, &exp).arm, "demand-first");
-        assert_eq!(
-            UnitKey::alone(b, &exp).instructions,
-            exp.instructions_single
-        );
-    }
-
-    #[test]
-    fn plan_alone_units_dedupes_across_workloads() {
-        let exp = ExpConfig::at(Scale::Smoke);
-        let workloads = vec![
-            Workload::from_names(&["milc_06", "swim_00"]),
-            Workload::from_names(&["swim_00", "lbm_06"]),
-        ];
-        let units = plan_alone_units(&workloads, &exp);
-        let names: Vec<_> = units.iter().map(|u| u.key.benchmarks[0].clone()).collect();
-        assert_eq!(names, vec!["milc_06", "swim_00", "lbm_06"]);
     }
 
     /// SHA-256 of every distinct store meta the registry plans at smoke
@@ -485,19 +340,15 @@ mod tests {
         let exp = ExpConfig::at(Scale::Smoke);
         let mut seen = HashSet::new();
         for id in IDS {
-            for unit in crate::experiments::find(id).expect("registered").plan(&exp) {
+            let plan = crate::experiments::find(id).expect("registered").plan(&exp);
+            for (i, unit) in plan.iter().enumerate() {
                 if !seen.insert(unit.store_meta()) {
                     continue;
                 }
                 let mut off = System::new(unit.config.clone(), unit.benchmarks.clone());
                 off.set_fast_forward_mode(crate::FastForwardMode::Off);
                 let json = |r: &Report| serde_json::to_string(r).expect("report serializes");
-                assert_eq!(
-                    json(&off.run()),
-                    json(&unit.execute().0),
-                    "{id}: {:?}",
-                    unit.key
-                );
+                assert_eq!(json(&off.run()), json(&unit.execute().0), "{id}: unit {i}");
             }
         }
         assert!(!seen.is_empty(), "the experiments planned no units");

@@ -11,8 +11,9 @@
 //! through the unit layer: they are plain functions, which a suite runs as
 //! a reduce over zero units.
 //!
-//! Every row is a pure `plan` of independent, deterministically keyed
-//! [`SimUnit`]s and a pure `reduce` of their reports into tables. A suite
+//! Every row is a pure `plan` of independent [`SimUnit`]s, each identified
+//! by the digest of its inputs, and a pure `reduce` that reads their
+//! reports in plan order into tables. A suite
 //! ([`suite_jobs`]) hands every selected row's plan to `padc_harness` as
 //! one flat plan deduplicated by unit digest, so each distinct simulation
 //! runs once per suite, on its workers; [`Experiment::run`] is one row run as
@@ -31,9 +32,7 @@ mod single;
 mod spec;
 mod unit_cache;
 
-pub use infra::{
-    plan_alone_units, ExpConfig, ExpTable, Scale, SimUnit, UnitKey, UnitResult, UnitResults,
-};
+pub use infra::{ExpConfig, ExpTable, Scale, SimUnit};
 pub use registry::{
     find, select, suite_jobs, suite_jobs_profiled, table_stash, Experiment, Shape, TableStash,
     REGISTRY,

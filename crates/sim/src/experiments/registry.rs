@@ -1,7 +1,8 @@
 //! Experiment registry: every reproduction entry point as one row of
 //! [`REGISTRY`], plus the adapter that turns rows into
 //! [`padc_harness::JobSpec`]s: each job's plan is its row's units keyed by
-//! digest, and its reduce the row's tables as the JSONL payload.
+//! digest, and its reduce reads their reports, in plan order, into the
+//! row's tables as the JSONL payload.
 //!
 //! The suite driver ([`crate::cli`], behind `repro`) and `benchmark/` go
 //! through [`find`] / [`select`].
@@ -20,11 +21,11 @@ use std::sync::{Arc, Mutex};
 use padc_core::SchedulingPolicy::{ApsOnly, DemandFirst, DemandPrefetchEqual, Padc, PadcRank};
 use padc_dram::RefreshPolicy::{AllBank, Darp, PerBank};
 use padc_dram::RowPolicy::{Closed, Happy};
-use padc_harness::{run_suite, HarnessConfig, JobSpec, Plan, Unit};
+use padc_harness::{run_suite, HarnessConfig, JobSpec, Plan};
 use padc_prefetch::PrefetcherKind::{Cdc, DsPatch, Markov, Stride};
 use padc_workloads::profiles;
 
-use super::infra::{ExpConfig, ExpTable, SimUnit, UnitKey, UnitResult};
+use super::infra::{ExpConfig, ExpTable, SimUnit};
 use super::micro;
 use super::single::{self, Grid};
 use super::spec::{
@@ -33,6 +34,7 @@ use super::spec::{
 };
 use super::unit_cache::{note_coalesced, suite_unit, SimWork};
 use crate::profile::ProfileTotal;
+use crate::Report;
 
 /// Every reproducible artifact: id, paper reference, and what it runs.
 #[derive(Debug)]
@@ -58,8 +60,8 @@ pub enum Shape {
 }
 
 impl Experiment {
-    /// Plan phase: the experiment's independent, deterministically keyed
-    /// simulation units.
+    /// Plan phase: the experiment's independent simulation units, in the
+    /// order its reduce reads their reports.
     pub fn plan(&self, cfg: &ExpConfig) -> Vec<SimUnit> {
         match &self.shape {
             Shape::Compare(compare) => compare.plan(cfg),
@@ -68,12 +70,20 @@ impl Experiment {
         }
     }
 
-    /// Reduce phase: folds the planned units' results into tables.
-    pub fn reduce(&self, cfg: &ExpConfig, results: &[UnitResult]) -> Vec<ExpTable> {
+    /// Reduce phase: folds the planned units' reports, in plan order, into
+    /// tables.
+    ///
+    /// # Panics
+    ///
+    /// If `reports` is not exactly one report per planned unit.
+    pub fn reduce(&self, cfg: &ExpConfig, reports: &[&Report]) -> Vec<ExpTable> {
         match &self.shape {
-            Shape::Compare(compare) => compare.reduce(self.id, cfg, results),
-            Shape::Grid(grid) => vec![grid.reduce(cfg, results)],
-            Shape::Plain(tables) => tables(cfg),
+            Shape::Compare(compare) => compare.reduce(self.id, cfg, reports),
+            Shape::Grid(grid) => vec![grid.reduce(reports)],
+            Shape::Plain(tables) => {
+                assert!(reports.is_empty(), "{} plans no units", self.id);
+                tables(cfg)
+            }
         }
     }
 
@@ -110,26 +120,21 @@ impl Experiment {
         profile: bool,
         stash: Option<TableStash>,
     ) -> Plan<SimWork> {
-        let (keys, units): (Vec<UnitKey>, Vec<Unit<SimWork>>) =
-            self.plan(&cfg).into_iter().map(suite_unit).unzip();
         Plan {
-            units,
+            units: self.plan(&cfg).into_iter().map(suite_unit).collect(),
             reduce: Box::new(move |settled| {
                 let mut total = ProfileTotal::default();
-                let results: Vec<UnitResult> = (keys.into_iter().zip(settled))
-                    .map(|(key, s)| {
+                let reports: Vec<&Report> = (settled.iter())
+                    .map(|s| {
                         match (s.owned, &s.output.profile) {
                             (true, Some(run)) => total.add(run),
                             (false, _) => note_coalesced(),
                             (true, None) => {}
                         }
-                        UnitResult {
-                            key,
-                            report: s.output.report.clone(),
-                        }
+                        &s.output.report
                     })
                     .collect();
-                let tables = self.reduce(&cfg, &results);
+                let tables = self.reduce(&cfg, &reports);
                 let payload = payload_json(self.paper_ref, &tables, profile.then_some(&total));
                 if let Some(s) = &stash {
                     s.lock()
@@ -813,7 +818,7 @@ fn payload_json(paper_ref: &str, tables: &[ExpTable], profile: Option<&ProfileTo
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::{Scale, UnitKey};
+    use crate::experiments::Scale;
     use crate::SimConfig;
 
     fn smoke() -> ExpConfig {
@@ -824,14 +829,23 @@ mod tests {
         find(id).expect("registered").run(&smoke())
     }
 
-    /// The config `id` plans for `arm` in `group`.
+    /// The config the [`Compare`] `id` plans for `arm` in `group`, found
+    /// by the plan's nesting: the `IPC_alone` units, then one run of the
+    /// workload set per (group, arm).
     fn planned_config(id: &str, arm: &str, group: &str) -> SimConfig {
-        let units = find(id).expect("registered").plan(&smoke());
-        let unit = units
-            .iter()
-            .find(|u| u.key.arm == arm && u.key.variant == group)
-            .unwrap_or_else(|| panic!("{id} plans no {arm} ({group})"));
-        unit.config().clone()
+        let e = find(id).expect("registered");
+        let Shape::Compare(compare) = &e.shape else {
+            panic!("{id} is not a Compare");
+        };
+        let runs: Vec<(&str, &str)> = (compare.groups.iter())
+            .flat_map(|g| g.arms.iter().map(|a| (g.name, a.label)))
+            .collect();
+        let run = runs.iter().position(|&run| run == (group, arm));
+        let run = run.unwrap_or_else(|| panic!("{id} plans no {arm} ({group})"));
+        let units = e.plan(&smoke());
+        let workloads = compare.mixes.workloads(&smoke()).len();
+        let alone = units.len() - runs.len() * workloads;
+        units[alone + run * workloads].config().clone()
     }
 
     #[test]
@@ -967,32 +981,14 @@ mod tests {
     }
 
     #[test]
-    fn plans_are_pure_and_keys_determine_digests() {
-        // Simulation-free: `reduce` addresses results by `UnitKey` while
-        // the cache is keyed by the digest of `store_meta` alone, so a
-        // plan must be a pure function of its config and, within one plan,
-        // equal keys must mean equal metas (otherwise
-        // `UnitResults::by_key` would silently pick one of two different
-        // simulations).
+    fn plans_are_pure() {
+        // Simulation-free: a reduce reads its reports by plan position, so
+        // a plan must be a pure function of its config, unit for unit.
         let cfg = smoke();
         for e in REGISTRY {
-            let identities = || -> Vec<(UnitKey, String)> {
-                e.plan(&cfg)
-                    .iter()
-                    .map(|u| (u.key.clone(), u.store_meta()))
-                    .collect()
-            };
-            let units = identities();
-            assert_eq!(units, identities(), "{}: plan is not pure", e.id);
-            let mut meta_of = HashMap::new();
-            for (key, meta) in &units {
-                assert_eq!(
-                    *meta_of.entry(key).or_insert(meta),
-                    meta,
-                    "{}: key {key:?} names two different simulations",
-                    e.id
-                );
-            }
+            let metas =
+                || -> Vec<String> { e.plan(&cfg).iter().map(SimUnit::store_meta).collect() };
+            assert_eq!(metas(), metas(), "{}: plan is not pure", e.id);
         }
     }
 

@@ -1,8 +1,8 @@
 //! Single-core experiments: Figs. 1, 6, 7, 8 and Tables 5, 7.
 //!
 //! These are (benchmark, arm) grids. A [`Grid`] plans one single-core unit
-//! per cell, benchmark-major, and hands the reports to its table builder
-//! as [`Cells`]. The unit cache keys a unit by the digest of its full
+//! per cell, benchmark-major, and hands the reports, in that order, to its
+//! table builder as [`Cells`]. The unit cache keys a unit by the digest of its full
 //! inputs, so the six grids share their cells with each other and with
 //! every `IPC_alone` normalization run in the multi-core experiments.
 
@@ -11,7 +11,7 @@ use padc_workloads::{profiles, BenchProfile};
 use crate::metrics::gmean;
 use crate::Report;
 
-use super::infra::{ExpConfig, ExpTable, SimUnit, UnitKey, UnitResult, UnitResults};
+use super::infra::{ExpConfig, ExpTable, SimUnit};
 use super::spec::{Arm, DEMAND_FIRST, EQUAL, NO_PREF};
 
 /// A single-core experiment: benchmarks × arms, one table.
@@ -31,42 +31,70 @@ impl Grid {
         let mut units = Vec::new();
         for bench in (self.benchmarks)() {
             for arm in self.arms {
-                units.push(SimUnit::new(
-                    UnitKey::single(arm.label, &bench, exp),
-                    arm.config(1, &[]),
-                    vec![bench.clone()],
-                ));
+                units.push(SimUnit::single(arm.config(1, &[]), &bench, exp));
             }
         }
         units
     }
 
-    /// Builds the table from the planned units' reports.
-    pub fn reduce(&self, exp: &ExpConfig, results: &[UnitResult]) -> ExpTable {
+    /// Builds the table from the reports of [`plan`](Self::plan)'s units,
+    /// in plan order.
+    ///
+    /// # Panics
+    ///
+    /// If `reports` is not exactly one report per cell.
+    pub fn reduce(&self, reports: &[&Report]) -> ExpTable {
+        let benches = (self.benchmarks)();
+        let cells = benches.len() * self.arms.len();
+        assert_eq!(
+            reports.len(),
+            cells,
+            "the grid reduce got {} reports for {cells} cells",
+            reports.len()
+        );
         (self.table)(&Cells {
-            benches: (self.benchmarks)(),
+            benches,
             arms: self.arms,
-            idx: UnitResults::new(results),
-            exp,
+            reports,
         })
     }
 }
 
-/// The reports of one [`Grid`], addressable by (benchmark, arm).
+/// The reports of one [`Grid`], one [`Row`] per benchmark.
 pub struct Cells<'a> {
     benches: Vec<BenchProfile>,
     arms: &'static [Arm],
-    idx: UnitResults<'a>,
-    exp: &'a ExpConfig,
+    reports: &'a [&'a Report],
 }
 
-impl<'a> Cells<'a> {
-    fn report(&self, bench: &BenchProfile, arm: &Arm) -> &'a Report {
-        self.idx.get(&UnitKey::single(arm.label, bench, self.exp))
+/// One benchmark's reports, one per arm of its grid, in arm order.
+struct Row<'a> {
+    bench: &'a BenchProfile,
+    arms: &'static [Arm],
+    reports: &'a [&'a Report],
+}
+
+impl<'a> Row<'a> {
+    /// The report of `arm`, found by its label among the grid's arms.
+    fn report(&self, arm: &Arm) -> &'a Report {
+        let i = self.arms.iter().position(|a| a.label == arm.label);
+        self.reports[i.unwrap_or_else(|| panic!("the grid has no {} arm", arm.label))]
     }
 
-    fn ipc(&self, bench: &BenchProfile, arm: &Arm) -> f64 {
-        self.report(bench, arm).per_core[0].ipc()
+    fn ipc(&self, arm: &Arm) -> f64 {
+        self.report(arm).per_core[0].ipc()
+    }
+}
+
+impl Cells<'_> {
+    /// The rows, in benchmark order.
+    fn rows(&self) -> impl Iterator<Item = Row<'_>> {
+        let chunks = self.reports.chunks(self.arms.len());
+        (self.benches.iter().zip(chunks)).map(|(bench, reports)| Row {
+            bench,
+            arms: self.arms,
+            reports,
+        })
     }
 
     /// A table with a column per arm: one row of `value` per `shown`
@@ -77,19 +105,19 @@ impl<'a> Cells<'a> {
         id: &str,
         title: &str,
         shown: &[&str],
-        value: impl Fn(&BenchProfile, &Arm) -> f64,
+        value: impl Fn(&Row<'_>, &Arm) -> f64,
         (label, summary): (&str, fn(&[f64]) -> f64),
     ) -> ExpTable {
         let labels: Vec<&str> = self.arms.iter().map(|a| a.label).collect();
         let mut t = ExpTable::new(id, title, &labels);
         let mut columns = vec![Vec::new(); self.arms.len()];
-        for bench in &self.benches {
-            let row: Vec<f64> = self.arms.iter().map(|a| value(bench, a)).collect();
-            for (column, v) in columns.iter_mut().zip(&row) {
+        for row in self.rows() {
+            let values: Vec<f64> = self.arms.iter().map(|a| value(&row, a)).collect();
+            for (column, v) in columns.iter_mut().zip(&values) {
                 column.push(*v);
             }
-            if shown.contains(&bench.name.as_str()) {
-                t.push(bench.name.clone(), row);
+            if shown.contains(&row.bench.name.as_str()) {
+                t.push(row.bench.name.clone(), values);
             }
         }
         t.push(label, columns.iter().map(|c| summary(c)).collect());
@@ -147,14 +175,11 @@ pub(super) fn fig1(cells: &Cells<'_>) -> ExpTable {
         "Normalized IPC of a stream prefetcher under two rigid policies (vs no-pref)",
         &["demand-first", "demand-pref-equal"],
     );
-    for bench in &cells.benches {
-        let base = cells.ipc(bench, &NO_PREF);
+    for row in cells.rows() {
+        let base = row.ipc(&NO_PREF);
         t.push(
-            bench.name.clone(),
-            vec![
-                cells.ipc(bench, &DEMAND_FIRST) / base,
-                cells.ipc(bench, &EQUAL) / base,
-            ],
+            row.bench.name.clone(),
+            vec![row.ipc(&DEMAND_FIRST) / base, row.ipc(&EQUAL) / base],
         );
     }
     t
@@ -167,7 +192,7 @@ pub(super) fn fig6(cells: &Cells<'_>) -> ExpTable {
         "fig6",
         "Single-core normalized IPC (vs demand-first); last row = gmean over 55 benchmarks",
         &FIG6_SHOWN,
-        |bench, arm| cells.ipc(bench, arm) / cells.ipc(bench, &DEMAND_FIRST),
+        |row, arm| row.ipc(arm) / row.ipc(&DEMAND_FIRST),
         ("gmean55", gmean),
     )
 }
@@ -179,7 +204,7 @@ pub(super) fn fig7(cells: &Cells<'_>) -> ExpTable {
         "fig7",
         "Stall cycles per load (SPL), single core; last row = mean over 55 benchmarks",
         &FIG6_SHOWN,
-        |bench, arm| cells.report(bench, arm).per_core[0].spl(),
+        |row, arm| row.report(arm).per_core[0].spl(),
         ("amean55", amean),
     )
 }
@@ -196,8 +221,8 @@ pub(super) fn fig8(cells: &Cells<'_>) -> ExpTable {
     let n = cells.benches.len() as f64;
     for arm in cells.arms {
         let (mut demand, mut useful, mut useless) = (0.0, 0.0, 0.0);
-        for bench in &cells.benches {
-            let tr = cells.report(bench, arm).traffic();
+        for row in cells.rows() {
+            let tr = row.report(arm).traffic();
             demand += tr.demand as f64;
             useful += tr.pref_useful as f64;
             useless += tr.pref_useless as f64;
@@ -221,12 +246,12 @@ pub(super) fn tab5(cells: &Cells<'_>) -> ExpTable {
             "IPC(np)", "MPKI(np)", "IPC(df)", "MPKI(df)", "RBH", "ACC", "COV", "class",
         ],
     );
-    for bench in &cells.benches {
-        let np = &cells.report(bench, &NO_PREF).per_core[0];
-        let df_report = cells.report(bench, &DEMAND_FIRST);
+    for row in cells.rows() {
+        let np = &row.report(&NO_PREF).per_core[0];
+        let df_report = row.report(&DEMAND_FIRST);
         let df = &df_report.per_core[0];
         t.push(
-            bench.name.clone(),
+            row.bench.name.clone(),
             vec![
                 np.ipc(),
                 np.mpki(),
@@ -235,7 +260,7 @@ pub(super) fn tab5(cells: &Cells<'_>) -> ExpTable {
                 df_report.channels[0].row_hit_rate(),
                 df.acc(),
                 df.cov(),
-                bench.class.code() as f64,
+                row.bench.class.code() as f64,
             ],
         );
     }
@@ -263,7 +288,7 @@ pub(super) fn tab7(cells: &Cells<'_>) -> ExpTable {
             "soplex_06",
             "lbm_06",
         ],
-        |bench, arm| cells.report(bench, arm).per_core[0].rbhu(),
+        |row, arm| row.report(arm).per_core[0].rbhu(),
         ("amean55", amean),
     )
 }
@@ -309,6 +334,6 @@ mod tests {
         // Every unit is single-core at the single-core budget.
         assert!(units
             .iter()
-            .all(|u| u.key.benchmarks.len() == 1 && u.key.instructions == exp.instructions_single));
+            .all(|u| u.is_single_core() && u.config().max_instructions == exp.instructions_single));
     }
 }

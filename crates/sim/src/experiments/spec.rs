@@ -10,19 +10,17 @@
 //! sweep point, one prefetcher, one refresh organization); a [`Compare`]
 //! is a workload set, its groups and a [`Layout`]. [`Compare::plan`]
 //! enumerates the `IPC_alone` units once and one unit per (group, arm,
-//! workload); [`Compare::reduce`] averages each [`Col`] over the workload
-//! set and lays the means out.
+//! workload); [`Compare::reduce`] reads the reports back in that order,
+//! averages each [`Col`] over the workload set and lays the means out.
 
 use padc_core::SchedulingPolicy::{self, ApsOnly, DemandFirst, DemandPrefetchEqual, Padc};
 use padc_dram::{ExtendedTiming, MappingScheme, RefreshPolicy, RowPolicy};
 use padc_prefetch::PrefetcherKind;
-use padc_workloads::{random_workloads, Workload};
+use padc_workloads::{random_workloads, BenchProfile, Workload};
 
 use crate::{metrics, Report, SimConfig};
 
-use super::infra::{
-    plan_alone_units, ExpConfig, ExpTable, SimUnit, UnitKey, UnitResult, UnitResults,
-};
+use super::infra::{ExpConfig, ExpTable, SimUnit};
 
 /// One departure from the paper's baseline system (Tables 3 and 4): the
 /// closed set the suite's arms, sweep points and extensions are built from.
@@ -139,8 +137,8 @@ pub(super) const STANDARD: &[Arm] = &[NO_PREF, DEMAND_FIRST, EQUAL, APS_ONLY, AP
 /// Arms compared under the same further deltas.
 #[derive(Clone, Copy, Debug)]
 pub struct Group {
-    /// The [`UnitKey`] variant of the group's units, its row or table
-    /// label, and the `{}` of a table title (`""` for a lone group).
+    /// The group's row or table label, and the `{}` of a table title
+    /// (`""` for a lone group).
     pub name: &'static str,
     /// Departures every arm of the group shares.
     pub deltas: &'static [Delta],
@@ -285,37 +283,33 @@ pub struct Compare {
     pub layout: Layout,
 }
 
-/// Reports of one [`Compare`], addressable by (group, arm, workload).
-struct Means<'a> {
-    exp: &'a ExpConfig,
-    idx: UnitResults<'a>,
-    workloads: Vec<Workload>,
-    /// `IPC_alone` per workload, per core.
-    alone: Vec<Vec<f64>>,
+/// The set's benchmarks, each once, in first-appearance order: the
+/// `IPC_alone` units a [`Compare`] plans first and its reduce reads first.
+fn distinct_benchmarks(workloads: &[Workload]) -> Vec<&BenchProfile> {
+    let mut distinct: Vec<&BenchProfile> = Vec::new();
+    for b in workloads.iter().flat_map(|w| &w.benchmarks) {
+        if !distinct.iter().any(|d| d.name == b.name) {
+            distinct.push(b);
+        }
+    }
+    distinct
 }
 
-impl Means<'_> {
-    /// The mean of `col` over the workload set under one arm of one group.
-    /// Each term is divided before it is added: the committed artifacts
-    /// were produced in that order, and dividing the sum instead rounds
-    /// differently whenever the workload count is not a power of two.
-    fn mean(&self, group: &Group, arm: &Arm, col: Col) -> f64 {
-        let n = self.workloads.len() as f64;
-        self.workloads
-            .iter()
-            .zip(&self.alone)
-            .fold(0.0, |acc, (w, alone)| {
-                let key = UnitKey::workload(arm.label, group.name, w, self.exp);
-                acc + col.of(self.idx.get(&key), alone) / n
-            })
-    }
+/// The mean of `col` over the workload set, from one (group, arm)'s
+/// reports in workload order and `IPC_alone` per workload, per core. Each
+/// term is divided before it is added: the committed artifacts were
+/// produced in that order, and dividing the sum instead rounds differently
+/// whenever the workload count is not a power of two.
+fn mean(run: &[&Report], alone: &[Vec<f64>], col: Col) -> f64 {
+    let n = alone.len() as f64;
+    (run.iter().zip(alone)).fold(0.0, |acc, (report, alone)| acc + col.of(report, alone) / n)
+}
 
-    fn row(&self, group: &Group, arm: &Arm, columns: &[Column]) -> Vec<f64> {
-        columns
-            .iter()
-            .map(|&(_, col)| self.mean(group, arm, col))
-            .collect()
-    }
+fn row(run: &[&Report], alone: &[Vec<f64>], columns: &[Column]) -> Vec<f64> {
+    columns
+        .iter()
+        .map(|&(_, col)| mean(run, alone, col))
+        .collect()
 }
 
 fn headers(columns: &[Column]) -> Vec<&'static str> {
@@ -323,40 +317,65 @@ fn headers(columns: &[Column]) -> Vec<&'static str> {
 }
 
 impl Compare {
-    /// The deduplicated `IPC_alone` units of the workload set, then one
-    /// unit per (group, arm, workload) keyed by arm label and group name.
+    /// The `IPC_alone` units of the set's distinct benchmarks, then one
+    /// unit per (group, arm, workload), in that nesting.
     pub fn plan(&self, exp: &ExpConfig) -> Vec<SimUnit> {
         let workloads = self.mixes.workloads(exp);
-        let mut units = plan_alone_units(&workloads, exp);
+        let alone = distinct_benchmarks(&workloads).into_iter();
+        let mut units: Vec<SimUnit> = alone.map(|b| SimUnit::alone(b, exp)).collect();
         for group in self.groups {
             for arm in group.arms {
                 for w in &workloads {
-                    units.push(SimUnit::new(
-                        UnitKey::workload(arm.label, group.name, w, exp),
-                        arm.config(w.cores(), group.deltas),
-                        w.benchmarks.clone(),
-                    ));
+                    let config = arm.config(w.cores(), group.deltas);
+                    units.push(SimUnit::workload(config, w, exp));
                 }
             }
         }
         units
     }
 
-    /// Folds the planned units' reports into the tables of experiment `id`.
-    pub fn reduce(&self, id: &str, exp: &ExpConfig, results: &[UnitResult]) -> Vec<ExpTable> {
-        let idx = UnitResults::new(results);
+    /// Folds the reports of [`plan`](Self::plan)'s units, in plan order,
+    /// into the tables of experiment `id`.
+    ///
+    /// # Panics
+    ///
+    /// If `reports` is not exactly one report per planned unit.
+    pub fn reduce(&self, id: &str, exp: &ExpConfig, reports: &[&Report]) -> Vec<ExpTable> {
         let workloads = self.mixes.workloads(exp);
-        let alone = workloads.iter().map(|w| idx.alone_ipcs(w, exp)).collect();
-        let means = Means {
-            exp,
-            idx,
-            workloads,
-            alone,
+        let distinct = distinct_benchmarks(&workloads);
+        let arms: usize = self.groups.iter().map(|g| g.arms.len()).sum();
+        let planned = distinct.len() + arms * workloads.len();
+        assert_eq!(
+            reports.len(),
+            planned,
+            "{id}: the reduce got {} reports for {planned} planned units",
+            reports.len()
+        );
+        let (alone_runs, mut rest) = reports.split_at(distinct.len());
+        let ipc_alone = |b: &BenchProfile| {
+            let i = distinct.iter().position(|d| d.name == b.name);
+            alone_runs[i.expect("a planned benchmark")].per_core[0].ipc()
         };
+        let alone: Vec<Vec<f64>> = (workloads.iter())
+            .map(|w| w.benchmarks.iter().map(&ipc_alone).collect())
+            .collect();
+        // One run per (group, arm): its reports over the workload set.
+        let runs: Vec<Vec<&[&Report]>> = (self.groups.iter())
+            .map(|group| {
+                (group.arms.iter())
+                    .map(|_| {
+                        let (run, tail) = rest.split_at(workloads.len());
+                        rest = tail;
+                        run
+                    })
+                    .collect()
+            })
+            .collect();
+        let groups = || self.groups.iter().zip(&runs);
         match self.layout {
             Layout::PerGroup(tables) => {
                 let mut out = Vec::new();
-                for group in self.groups {
+                for (group, runs) in groups() {
                     let dash = if group.name.is_empty() { "" } else { "-" };
                     for table in tables {
                         let mut t = ExpTable::new(
@@ -364,8 +383,8 @@ impl Compare {
                             &table.title.replace("{}", group.name),
                             &headers(table.columns),
                         );
-                        for arm in group.arms {
-                            t.push(arm.label, means.row(group, arm, table.columns));
+                        for (arm, run) in group.arms.iter().zip(runs) {
+                            t.push(arm.label, row(run, &alone, table.columns));
                         }
                         out.push(t);
                     }
@@ -375,20 +394,18 @@ impl Compare {
             Layout::WsByGroup(title) => {
                 let labels: Vec<&str> = self.groups[0].arms.iter().map(|a| a.label).collect();
                 let mut t = ExpTable::new(id, title, &labels);
-                for group in self.groups {
-                    let row = group.arms.iter().map(|a| means.mean(group, a, Col::Ws));
-                    t.push(group.name, row.collect());
+                for (group, runs) in groups() {
+                    let ws = runs.iter().map(|run| mean(run, &alone, Col::Ws));
+                    t.push(group.name, ws.collect());
                 }
                 vec![t]
             }
             Layout::ArmByGroup(title, columns) => {
                 let mut t = ExpTable::new(id, title, &headers(columns));
-                for group in self.groups {
-                    for arm in group.arms {
-                        t.push(
-                            format!("{} ({})", arm.label, group.name),
-                            means.row(group, arm, columns),
-                        );
+                for (group, runs) in groups() {
+                    for (arm, run) in group.arms.iter().zip(runs) {
+                        let label = format!("{} ({})", arm.label, group.name);
+                        t.push(label, row(run, &alone, columns));
                     }
                 }
                 vec![t]
@@ -433,7 +450,7 @@ mod tests {
                 .iter()
                 .flat_map(|w| w.benchmarks.iter().map(|b| b.name.as_str()))
                 .collect();
-            let alone = units.iter().filter(|u| u.key.variant == "alone").count();
+            let alone = units.iter().filter(|u| u.is_single_core()).count();
             assert_eq!(
                 alone,
                 distinct.len(),
@@ -447,10 +464,31 @@ mod tests {
                 "{}: one unit per (group, arm, workload)",
                 e.id
             );
-            // The reduce index must address every unit unambiguously.
-            let keys: HashSet<_> = units.iter().map(|u| &u.key).collect();
-            assert_eq!(keys.len(), units.len(), "{}: duplicate unit keys", e.id);
         }
+    }
+
+    #[test]
+    fn distinct_benchmarks_dedupes_across_workloads() {
+        let workloads = [
+            Workload::from_names(&["milc_06", "swim_00"]),
+            Workload::from_names(&["swim_00", "lbm_06"]),
+        ];
+        let distinct = distinct_benchmarks(&workloads);
+        let names: Vec<&str> = distinct.iter().map(|b| b.name.as_str()).collect();
+        assert_eq!(names, ["milc_06", "swim_00", "lbm_06"]);
+    }
+
+    #[test]
+    #[should_panic(expected = "case1: the reduce got 10 reports for 9 planned units")]
+    fn compare_reduce_refuses_a_report_its_plan_did_not_make() {
+        let exp = ExpConfig::at(Scale::Smoke);
+        let e = find("case1").expect("registered");
+        let Shape::Compare(compare) = &e.shape else {
+            panic!("case1 is a Compare");
+        };
+        let report = Report::default();
+        let reports = vec![&report; e.plan(&exp).len() + 1];
+        compare.reduce(e.id, &exp, &reports);
     }
 
     /// Reference path: one workload straight through [`System::new`],

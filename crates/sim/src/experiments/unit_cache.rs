@@ -29,7 +29,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use padc_harness::{Unit, Work};
 use padc_store::{sha256, to_hex, Store};
 
-use super::infra::{SimUnit, UnitKey};
+use super::infra::SimUnit;
 use crate::profile::SimProfile;
 use crate::Report;
 
@@ -176,16 +176,14 @@ impl Work for SimWork {
 }
 
 /// A planned unit as a suite [`Unit`] keyed by the digest of its store
-/// meta, and its key (moved out: the reduce, not the worker, addresses
-/// results by it). Counts the request.
-pub(crate) fn suite_unit(mut unit: SimUnit) -> (UnitKey, Unit<SimWork>) {
+/// meta. Counts the request.
+pub(crate) fn suite_unit(unit: SimUnit) -> Unit<SimWork> {
     if unit.is_single_core() {
         SINGLE_RUNS_REQUESTED.fetch_add(1, Ordering::Relaxed);
     }
     let digest = sha256(unit.store_meta().as_bytes());
-    let key = std::mem::take(&mut unit.key);
     let work = SimWork { unit, digest };
-    (key, Unit { key: digest, work })
+    Unit { key: digest, work }
 }
 
 /// Counts a planned unit that shares an earlier one's digest.

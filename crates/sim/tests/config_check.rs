@@ -289,13 +289,14 @@ fn the_generator_reaches_every_rule() {
 }
 
 /// Rules no lower layer asserts, because a config that breaks them runs: a
-/// write drain that starts at or below where it stops, and APD accuracy
-/// bands out of order. Each is refused naming its field, and `System::new`
-/// refuses it through the gate; each edit leaves the default passing.
+/// write drain that starts at or below where it stops, APD accuracy bands
+/// out of order, and an APS promotion threshold outside [0, 1]. Each is
+/// refused naming its field, and `System::new` refuses it through the gate;
+/// each edit leaves the default passing.
 #[test]
 fn drain_watermarks_and_drop_bands_must_be_ordered() {
     type Edit = fn(&mut SimConfig);
-    let cases: [(Edit, &str); 4] = [
+    let cases: [(Edit, &str); 6] = [
         (
             |c| {
                 c.controller.write_drain = true;
@@ -318,6 +319,14 @@ fn drain_watermarks_and_drop_bands_must_be_ordered() {
             |c| c.controller.drop_thresholds.thresholds = [100_000, 50_000, 1_500, 100],
             "controller.drop_thresholds.thresholds is [100000, 50000, 1500, 100], \
              must be non-decreasing",
+        ),
+        (
+            |c| c.controller.promotion_threshold = 1.5,
+            "controller.promotion_threshold is 1.5, must be within [0, 1]",
+        ),
+        (
+            |c| c.controller.promotion_threshold = -3.0,
+            "controller.promotion_threshold is -3, must be within [0, 1]",
         ),
     ];
     let milc = profiles::by_name("milc_06").expect("a catalog profile");
