@@ -226,7 +226,7 @@ impl SimUnit {
     /// it over, serialized to canonical JSON. Its SHA-256 digest keys both
     /// a suite's dedupe and the persistent store.
     ///
-    /// Labels and variants are deliberately excluded: two arms that build
+    /// Arm labels and group names never enter it: two arms that build
     /// identical configs (the `IPC_alone` arm and the grids' demand-first
     /// arm, the same arm in two experiments) share one entry. Knobs proven
     /// observationally equivalent (the fast-forward mode) are also

@@ -2,9 +2,9 @@
 //!
 //! These are (benchmark, arm) grids. A [`Grid`] plans one single-core unit
 //! per cell, benchmark-major, and hands the reports, in that order, to its
-//! table builder as [`Cells`]. The unit cache keys a unit by the digest of its full
-//! inputs, so the six grids share their cells with each other and with
-//! every `IPC_alone` normalization run in the multi-core experiments.
+//! table builder as [`Cells`]. The unit cache keys a unit by the digest of
+//! its full inputs, so the six grids share their cells with each other and
+//! with every `IPC_alone` normalization run in the multi-core experiments.
 
 use padc_workloads::{profiles, BenchProfile};
 
@@ -60,7 +60,7 @@ impl Grid {
     }
 }
 
-/// The reports of one [`Grid`], one [`Row`] per benchmark.
+/// The reports of one [`Grid`], one row of them per benchmark.
 pub struct Cells<'a> {
     benches: Vec<BenchProfile>,
     arms: &'static [Arm],
